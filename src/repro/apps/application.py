@@ -133,6 +133,8 @@ class ApplicationSpec:
 
     def iter_seq_time_at(self, iteration: int) -> float:
         """Sequential time of one iteration, with phases applied."""
+        if not self.work_phases:
+            return self.t_iter_seq  # == t_iter_seq * 1.0, exactly
         return self.t_iter_seq * self.work_multiplier_at(iteration)
 
     @property

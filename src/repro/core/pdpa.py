@@ -17,13 +17,14 @@ Equal_efficiency it
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.mpl import MplPolicy
 from repro.core.params import PDPAParams
-from repro.core.states import AppState, PdpaJobState, evaluate_transition
+from repro.core.states import AppState, PdpaJobState, evaluate_transition, holds_stable
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
+from repro.runtime.nthlib import NO_SPAN_LIMIT
 from repro.runtime.selfanalyzer import PerformanceReport
 
 
@@ -36,6 +37,17 @@ class PDPA(SchedulingPolicy):
     #: the 4-state automaton is driven by SelfAnalyzer reports, so
     #: graceful degradation (repro.faults) must cover missing reports
     uses_reports = True
+    #: whether no-op reports may be absorbed into iteration spans; a
+    #: subclass that reacts to reports or admission queries in its own
+    #: way (DynamicTargetPDPA re-targets on queue length) opts out
+    _absorbs_reports = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._absorbs_reports = all(
+            getattr(cls, name) is getattr(PDPA, name)
+            for name in ("on_report", "wants_admission", "set_params")
+        )
 
     def __init__(self, params: Optional[PDPAParams] = None) -> None:
         self.params = params or PDPAParams()
@@ -179,20 +191,52 @@ class PDPA(SchedulingPolicy):
         transition = evaluate_transition(
             state, report.speedup, report.procs, self.params, system.free_cpus
         )
-        if was_stable and transition.next_state is not AppState.STABLE:
+        self._settle(state, report, was_stable, transition.next_state,
+                     transition.next_allocation, transition.resource_limited)
+        if transition.next_allocation == current:
+            return {}
+        return {job.job_id: transition.next_allocation}
+
+    @staticmethod
+    def _settle(state: PdpaJobState, report: PerformanceReport, was_stable: bool,
+                next_state: AppState, next_allocation: int,
+                resource_limited: bool) -> None:
+        """Record one evaluated report in the job's memory."""
+        if was_stable and next_state is not AppState.STABLE:
             state.stable_exits += 1
-        state.remember(report.time, transition.next_state, transition.next_allocation,
-                       report.speedup, resource_limited=transition.resource_limited)
-        if was_stable and transition.next_state is AppState.STABLE \
+        state.remember(report.time, next_state, next_allocation,
+                       report.speedup, resource_limited=resource_limited)
+        if was_stable and next_state is AppState.STABLE \
                 and state.stable_eff is not None:
             # Ratchet the settled-performance reference upward: slow
             # drifts (page-migration recovery, warming caches) must not
             # masquerade as the genuine performance change §4.2.4 waits
             # for.
             state.stable_eff = max(state.stable_eff, report.efficiency)
-        if transition.next_allocation == current:
-            return {}
-        return {job.job_id: transition.next_allocation}
+
+    # ------------------------------------------------------------------
+    # iteration spans: a report that keeps a STABLE job STABLE at its
+    # allocation changes nothing admission or any partition depends on
+    # ------------------------------------------------------------------
+    def span_budget(self, job: Job) -> int:
+        return NO_SPAN_LIMIT if self._absorbs_reports else 1
+
+    def report_is_noop(
+        self, job: Job, procs: int, speedup: float, system: SystemView
+    ) -> bool:
+        state = self.job_states.get(job.job_id)
+        if state is None:
+            return False
+        if procs != system.view_of(job.job_id).allocation:
+            return True  # on_report skips a stale report untouched
+        return holds_stable(state, speedup, procs, self.params, system.free_cpus)
+
+    def absorb_report(self, job: Job, report: PerformanceReport, system: SystemView) -> None:
+        if report.procs != system.view_of(job.job_id).allocation:
+            return
+        state = self.job_states[job.job_id]
+        self._settle(state, report, True, AppState.STABLE, state.allocation,
+                     state.resource_limited)
 
     # ------------------------------------------------------------------
     # diagnostics

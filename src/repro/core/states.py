@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.core.params import PDPAParams
 
@@ -163,6 +163,25 @@ def evaluate_transition(
     return _from_stable(state, efficiency, params, free_cpus)
 
 
+def holds_stable(
+    state: PdpaJobState,
+    speedup: float,
+    procs: int,
+    params: PDPAParams,
+    free_cpus: int,
+) -> bool:
+    """Whether one report leaves a STABLE application where it is.
+
+    The no-op proof behind iteration spans: ``True`` exactly when the
+    application is STABLE and :func:`evaluate_transition` keeps it
+    STABLE at its current allocation, so the report changes neither
+    the automaton state that admission reads nor the partition.
+    """
+    if state.state is not AppState.STABLE or procs < 1 or speedup <= 0:
+        return False  # invalid input: let evaluate_transition raise
+    return isinstance(_stable_move(state, speedup / procs, params, free_cpus), str)
+
+
 def _from_no_ref(
     state: PdpaJobState, efficiency: float, params: PDPAParams, free_cpus: int
 ) -> Transition:
@@ -285,8 +304,18 @@ def _from_stable(
     re-probe.  The number of exits is limited "to avoid ping-pong
     effects".
     """
+    move = _stable_move(state, efficiency, params, free_cpus)
+    if isinstance(move, str):
+        return Transition(AppState.STABLE, state.allocation, move)
+    return move
+
+
+def _stable_move(
+    state: PdpaJobState, efficiency: float, params: PDPAParams, free_cpus: int
+) -> Union[Transition, str]:
+    """The move a report makes a STABLE application take, or why it stays."""
     if state.stable_exits >= params.max_stable_exits:
-        return Transition(AppState.STABLE, state.allocation, "stable exits exhausted")
+        return "stable exits exhausted"
     low = params.target_eff * (1.0 - params.stable_hysteresis)
     high = params.high_eff * (1.0 + params.stable_hysteresis)
     reference = state.stable_eff
@@ -305,7 +334,7 @@ def _from_stable(
                 AppState.DEC, shrunk,
                 f"performance dropped ({efficiency:.2f}); leaving STABLE",
             )
-        return Transition(AppState.STABLE, state.allocation, "at minimum allocation")
+        return "at minimum allocation"
     if improved:
         grant = _grow(state, params, free_cpus)
         if grant > 0:
@@ -313,4 +342,4 @@ def _from_stable(
                 AppState.INC, state.allocation + grant,
                 f"performance improved ({efficiency:.2f}); leaving STABLE",
             )
-    return Transition(AppState.STABLE, state.allocation, "still acceptable")
+    return "still acceptable"

@@ -123,8 +123,8 @@ class LocalityModel:
     def locality(self, job_id: int, now: float) -> float:
         """Current locality of a job, with recovery applied."""
         state = self._jobs.get(job_id)
-        if state is None:
-            return 1.0
+        if state is None or state.value == 1.0:
+            return 1.0  # 1.0 - 0.0 * exp(...) is exactly 1.0
         elapsed = max(0.0, now - state.since)
         gap = 1.0 - state.value
         return 1.0 - gap * math.exp(-elapsed / self.config.migration_tau)

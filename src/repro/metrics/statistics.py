@@ -45,9 +45,12 @@ def percentile(values: Sequence[float], q: float) -> float:
     if low == high:
         return ordered[low]
     fraction = rank - low
-    value = ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-    # Guard against floating-point drift outside the sample range.
-    return min(max(value, ordered[0]), ordered[-1])
+    a, b = ordered[low], ordered[high]
+    # a + (b - a) * f cannot underflow below a the way a*(1-f) + b*f
+    # can on denormals; clamping to the bracketing pair keeps the
+    # result monotone in q.
+    value = a + (b - a) * fraction
+    return min(max(value, a), b)
 
 
 def mean(values: Sequence[float]) -> float:

@@ -51,6 +51,9 @@ class BackfillQS(NanosQS):
         if not isinstance(rm, SpaceSharedResourceManager):
             raise TypeError("EASY backfilling needs a space-shared manager")
         super().__init__(sim, rm, jobs, trace)
+        # whether a candidate finishes before the head's reservation
+        # depends on the clock, so admission must re-run at every report
+        rm.clocked_admission = True
         #: number of jobs started out of FCFS order (diagnostics)
         self.backfilled_jobs = 0
 

@@ -115,6 +115,29 @@ class SchedulingPolicy(ABC):
         """React to a performance report (default: no change)."""
         return {}
 
+    def span_budget(self, job: Job) -> int:
+        """Most iteration ends of *job* one span may cover (see
+        :meth:`repro.runtime.nthlib.RuntimeHost.span_budget`).
+
+        The default of 1 absorbs nothing: every report goes through
+        :meth:`on_report`.  A policy that opts in must make
+        :meth:`report_is_noop` and :meth:`absorb_report` exact.
+        """
+        return 1
+
+    def report_is_noop(
+        self, job: Job, procs: int, speedup: float, system: SystemView
+    ) -> bool:
+        """Whether a report would change nothing observable (pure).
+
+        ``True`` promises that :meth:`on_report` would return no
+        decision and change nothing :meth:`wants_admission` reads.
+        """
+        return False
+
+    def absorb_report(self, job: Job, report: PerformanceReport, system: SystemView) -> None:
+        """Make the state changes :meth:`on_report` makes for a no-op report."""
+
     def wants_admission(self, system: SystemView, queued_jobs: int) -> bool:
         """Whether the queuing system may start one more job now.
 

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
+from repro.runtime.nthlib import NO_SPAN_LIMIT
 
 
 def equal_shares(total_cpus: int, requests: Dict[int, int]) -> Dict[int, int]:
@@ -83,3 +84,13 @@ class Equipartition(SchedulingPolicy):
 
     def on_job_completion(self, job: Job, system: SystemView) -> AllocationDecision:
         return self._rebalance(system, {})
+
+    # Reports are ignored, so every one is a no-op: iteration ends are
+    # absorbed until something else needs an event.
+    def span_budget(self, job: Job) -> int:
+        return NO_SPAN_LIMIT
+
+    def report_is_noop(
+        self, job: Job, procs: int, speedup: float, system: SystemView
+    ) -> bool:
+        return True

@@ -34,7 +34,7 @@ from typing import Any, Dict, Optional, Set
 from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job
 from repro.rm.manager import BaseResourceManager
-from repro.runtime.nthlib import RuntimeConfig
+from repro.runtime.nthlib import NO_SPAN_LIMIT, RuntimeConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -200,6 +200,11 @@ class IrixResourceManager(BaseResourceManager):
 
     def iteration_speed_procs(self, job: Job, nominal_procs: int) -> float:
         return self.effective_procs(self._threads[job.job_id])
+
+    def span_budget(self, job: Job) -> int:
+        # The SGI-MP runtime never reports, and an iteration end touches
+        # nothing but its own job: none of them needs to be an event.
+        return NO_SPAN_LIMIT
 
     # ------------------------------------------------------------------
     # lifecycle

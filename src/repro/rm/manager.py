@@ -221,6 +221,9 @@ class BaseResourceManager(RuntimeHost):
         self._accept_report(job, report)
 
     def _accept_report(self, job: Job, report: PerformanceReport) -> None:
+        self._store_report(job, report)
+
+    def _store_report(self, job: Job, report: PerformanceReport) -> None:
         self.reports[job.job_id] = report
         self.last_report_time[job.job_id] = self.sim.now
 
@@ -291,6 +294,11 @@ class _LiveSystemView(SystemView):
         # sum the base class would compute
         return self._rm.machine.allocated_cpus
 
+    @property
+    def free_cpus(self) -> int:
+        machine = self._rm.machine
+        return machine.healthy_cpus - machine.allocated_cpus
+
 
 class SpaceSharedResourceManager(BaseResourceManager):
     """The NANOS RM: policy-driven exclusive partitions."""
@@ -313,6 +321,10 @@ class SpaceSharedResourceManager(BaseResourceManager):
         #: same iteration order the snapshot dictcomp produced)
         self._views: Dict[int, JobView] = {}
         self._live_view = _LiveSystemView(self)
+        #: set by a queuing system whose admission answer depends on
+        #: the clock (EASY backfilling): every report must then re-run
+        #: admission, so no iteration end may be absorbed
+        self.clocked_admission = False
 
     # ------------------------------------------------------------------
     # pickling: the view table is derived state
@@ -350,6 +362,9 @@ class SpaceSharedResourceManager(BaseResourceManager):
 
     def _allocation(self, job_id: int) -> int:
         return self.machine.allocation_of(job_id)
+
+    def current_allocation(self, job: Job) -> int:
+        return self.machine.allocation_of(job.job_id)
 
     def _launch_runtime(self, job: Job) -> None:
         super()._launch_runtime(job)
@@ -411,16 +426,38 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     # reports
     # ------------------------------------------------------------------
-    def _accept_report(self, job: Job, report: PerformanceReport) -> None:
-        super()._accept_report(job, report)
+    def _store_report(self, job: Job, report: PerformanceReport) -> None:
+        BaseResourceManager._store_report(self, job, report)
         view = self._views.get(job.job_id)
         if view is not None:
             view.last_report = report
+
+    def _accept_report(self, job: Job, report: PerformanceReport) -> None:
+        self._store_report(job, report)
         system = self.system_view()
         decision = self.policy.on_report(job, report, system)
         self.policy.validate_decision(decision, system, arriving=None)
         self._apply(decision)
         self.on_state_change()
+
+    # ------------------------------------------------------------------
+    # iteration spans: the policy proves reports no-ops.  A report
+    # filter draws the shared "faults" stream on every report, so while
+    # one is installed every report takes the full path.
+    # ------------------------------------------------------------------
+    def span_budget(self, job: Job) -> int:
+        if self.report_filter is not None or self.clocked_admission:
+            return 1
+        return self.policy.span_budget(job)
+
+    def report_is_noop(self, job: Job, procs: int, speedup: float) -> bool:
+        return self.report_filter is None and self.policy.report_is_noop(
+            job, procs, speedup, self._live_view
+        )
+
+    def absorb_report(self, job: Job, report: PerformanceReport) -> None:
+        self._store_report(job, report)
+        self.policy.absorb_report(job, report, self._live_view)
 
     # ------------------------------------------------------------------
     # fault handling (driven by repro.faults.FaultInjector)

@@ -14,13 +14,29 @@ processors allocated to the application".  In this reproduction it
 
 The resource manager side of the protocol is any object implementing
 the three callbacks documented on :class:`RuntimeHost`.
+
+Iteration spans
+---------------
+Most iteration ends change nothing anyone else can see: the report is
+ignored (Equipartition, IRIX) or leaves a settled PDPA job where it
+is.  Such an end is scheduled as an *absorbable* event
+(:meth:`~repro.sim.engine.Simulator.schedule_absorbable`).  At its
+instant the runtime predicts the report without side effects and asks
+the host whether it is a no-op; if so it finishes the iteration on the
+spot — the same log entry, SelfAnalyzer update, report bookkeeping
+(:meth:`RuntimeHost.absorb_report`) and next-iteration draws as the
+event would have made — and no event fires.  Otherwise the end fires
+as the usual ``iter:`` event.  The absorbed ends before one that fires
+form an *iteration span*; a host's :meth:`RuntimeHost.span_budget`
+caps its length, and the default of 1 keeps every end an event.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, List, Optional, Union
 
 from repro.apps.application import IterativeApplication
 from repro.qs.job import Job
@@ -28,6 +44,9 @@ from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnal
 from repro.runtime.selftuning import SelfTuner, SelfTuningConfig
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
+
+#: span budget of a host that never needs an iteration end to fire
+NO_SPAN_LIMIT = sys.maxsize
 
 
 class RuntimeHost:
@@ -65,6 +84,35 @@ class RuntimeHost:
     def deliver_report(self, job: Job, report: PerformanceReport) -> None:
         """Receive a SelfAnalyzer performance report."""
         raise NotImplementedError
+
+    def span_budget(self, job: Job) -> int:
+        """Most iteration ends of *job* one span may cover.
+
+        Asked once, when the job starts.  ``1`` (the default) makes
+        every iteration end an event.  A host
+        that returns more promises that :meth:`report_is_noop` is
+        exact and that nothing else it does depends on when an
+        iteration ends: an absorbed end skips ``deliver_report`` and
+        with it the state-change notification to the queuing system.
+        """
+        return 1
+
+    def report_is_noop(self, job: Job, procs: int, speedup: float) -> bool:
+        """Whether a report of *speedup* on *procs* would change nothing.
+
+        Asked, without side effects, at the instant the report is due:
+        ``True`` only when delivering it could neither move an
+        allocation nor change what the queuing system is told.
+        """
+        return False
+
+    def absorb_report(self, job: Job, report: PerformanceReport) -> None:
+        """Take a report :meth:`report_is_noop` admitted.
+
+        Must leave the host exactly as :meth:`deliver_report` would
+        have; the default simply delivers it.
+        """
+        self.deliver_report(job, report)
 
     def job_completed(self, job: Job) -> None:
         """Notification that *job* finished its last phase."""
@@ -156,7 +204,11 @@ class NthLibRuntime:
         self.phase = JobPhase.CREATED
         self._last_iter_procs: Optional[int] = None
         #: handle of the next scheduled phase event (for abort/hang)
-        self._pending: Optional[Event] = None
+        self._pending: Optional[Union[Event, List[Any]]] = None
+        #: iteration ends absorbed since the last one that fired, and
+        #: the host's cap on them (SelfTuner jobs absorb nothing)
+        self._span = 0
+        self._budget = 1
         #: True once hang() froze this runtime (it stops progressing
         #: but stays in its phase, exactly like a livelocked binary)
         self.hung = False
@@ -169,6 +221,8 @@ class NthLibRuntime:
         if self.phase is not JobPhase.CREATED:
             raise RuntimeError(f"job {self.job.job_id}: started twice")
         self.phase = JobPhase.STARTUP
+        # asked once: hosts fix their budget before any job starts
+        self._budget = 1 if self.tuner is not None else self.host.span_budget(self.job)
         duration = self.job.spec.t_startup * self._noise()
         self._pending = self.sim.schedule_after(
             duration, self._startup_done, label=f"startup:{self.job.job_id}"
@@ -207,15 +261,46 @@ class NthLibRuntime:
             speedup, alloc_changed_by=changed_by, noise_factor=self._noise()
         )
         self._last_iter_procs = procs
-        self._pending = self.sim.schedule_after(
-            duration,
-            self._end_iteration,
-            procs,
-            duration,
-            label=f"iter:{self.job.job_id}:{self.app.completed_iterations}",
-        )
+        label = f"iter:{self.job.job_id}:{self.app.completed_iterations}"
+        if self._span + 1 < self._budget:
+            self._pending = self.sim.schedule_absorbable(
+                duration, self._absorb_end, self._end_iteration, procs, duration,
+                label=label,
+            )
+        else:
+            self._pending = self.sim.schedule_after(
+                duration, self._end_iteration, procs, duration, label=label
+            )
 
     def _end_iteration(self, procs: int, duration: float) -> None:
+        self._span = 0
+        self._finish_iteration(procs, duration, self.host.deliver_report)
+
+    def _absorb_end(self, procs: int, duration: float) -> bool:
+        """End the iteration without an event if its report is a no-op.
+
+        Returns False, having changed nothing, when the report the
+        SelfAnalyzer is about to make needs the full delivery path.
+        """
+        analyzer = self.analyzer
+        if (
+            analyzer is not None
+            and analyzer.would_report(procs)
+            and not self.host.report_is_noop(
+                self.job, procs, analyzer.estimate_speedup(procs, duration)
+            )
+        ):
+            return False
+        self._span += 1
+        self._finish_iteration(procs, duration, self.host.absorb_report)
+        return True
+
+    def _finish_iteration(
+        self,
+        procs: int,
+        duration: float,
+        deliver: Callable[[Job, PerformanceReport], None],
+    ) -> None:
         iteration = self.app.completed_iterations
         self.app.record_iteration(procs, duration)
         if self.tuner is not None and not (
@@ -225,7 +310,7 @@ class NthLibRuntime:
         if self.analyzer is not None:
             report = self.analyzer.on_iteration(self.sim.now, iteration, procs, duration)
             if report is not None:
-                self.host.deliver_report(self.job, report)
+                deliver(self.job, report)
         self._begin_iteration()
 
     def _begin_teardown(self) -> None:

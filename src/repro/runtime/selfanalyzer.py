@@ -186,16 +186,23 @@ class SelfAnalyzer:
             return None
 
         speedup = self.estimate_speedup(procs, duration)
-        report = PerformanceReport(
-            job_id=self.job_id,
-            time=time,
-            iteration=iteration,
-            procs=procs,
-            speedup=speedup,
-            iter_time=duration,
-        )
+        # positional: this runs once per measured iteration
+        report = PerformanceReport(self.job_id, time, iteration, procs, speedup, duration)
         self.reports.append(report)
         return report
+
+    def would_report(self, procs: int) -> bool:
+        """Whether :meth:`on_iteration` on *procs* would return a report.
+
+        Side-effect free, so a caller can decide how to deliver the
+        report before the analyzer's counters move.
+        """
+        if self._t_base is None:
+            return False
+        skip = self._skip
+        if self._last_procs is not None and procs != self._last_procs:
+            skip = self.config.skip_after_realloc
+        return skip <= 0 and (self._measured + 1) % self.config.report_interval == 0
 
     def estimate_speedup(self, procs: int, duration: float) -> float:
         """Speedup estimate for an iteration of ``duration`` on ``procs``.

@@ -6,6 +6,16 @@ the same time are ordered first by an explicit integer *priority*
 (lower runs first) and then by insertion order, which makes every run
 fully deterministic for a given seed and schedule.
 
+Besides ordinary events the simulator keeps *absorbable* events
+(:meth:`Simulator.schedule_absorbable`), the iteration ends of
+:mod:`repro.runtime.nthlib`.  One is ordered exactly like an ordinary
+event of the same time and priority.  When its turn comes the engine
+first offers it to its ``absorb`` callback; if that finishes the work,
+nothing fires: the observer does not see it and ``events_fired`` does
+not count it.  Otherwise it fires as an ordinary event under the key
+it already had.  A run of absorbed iteration ends closed by one that
+fires is an *iteration span* (docs/performance.md).
+
 Example
 -------
 >>> sim = Simulator()
@@ -22,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 #: compaction threshold: the queue physically drops lazily-deleted
 #: events once the heap holds at least this many entries and live
@@ -312,6 +322,13 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._events_fired = 0
+        #: absorbable events, each a list ``[time, seq, absorb, fire,
+        #: args, label]`` so the heap compares (time, seq) in C;
+        #: ``absorb`` is None once the entry was cancelled or consumed
+        self._marks: List[List[Any]] = []
+        self._live_marks = 0
+        #: absorbable events that completed without firing
+        self._absorbed = 0
         self._observer: Optional[Any] = None
         self._ckpt_hook: Optional[Callable[[], None]] = None
         self._ckpt_every_events: Optional[int] = None
@@ -342,13 +359,26 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Number of events executed so far (for diagnostics)."""
+        """Number of events executed so far (for diagnostics).
+
+        Absorbed events are not counted; see :attr:`logical_events`.
+        """
         return self._events_fired
 
     @property
+    def logical_events(self) -> int:
+        """Events fired plus absorbable events completed without firing.
+
+        The count the per-iteration path would have fired: one per
+        iteration end however it completed.  Autosnapshot cadences in
+        events count these, so they keep their meaning.
+        """
+        return self._events_fired + self._absorbed
+
+    @property
     def pending_events(self) -> int:
-        """Number of live events still queued."""
-        return len(self._queue)
+        """Number of live events still queued (absorbable ones included)."""
+        return len(self._queue) + self._live_marks
 
     def live_labels(self) -> List[str]:
         """Labels of every live (pending) event, sorted.
@@ -357,9 +387,9 @@ class Simulator:
         queued job with a pending arrival/requeue event from a lost
         one, without popping anything.
         """
-        return sorted(
-            event.label for event in self._queue._heap if not event._cancelled
-        )
+        labels = [event.label for event in self._queue._heap if not event._cancelled]
+        labels.extend(mark[5] for mark in self._marks if mark[2] is not None)
+        return sorted(labels)
 
     def schedule_at(
         self,
@@ -407,13 +437,46 @@ class Simulator:
         self._queue.push(event)
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event.
+    def schedule_absorbable(
+        self,
+        delay: float,
+        absorb: Callable[..., bool],
+        fire: Callable[..., Any],
+        *args: Any,
+        label: str = "",
+    ) -> List[Any]:
+        """Schedule an event that may complete without firing.
+
+        It is ordered exactly like ``schedule_after(delay, fire, *args,
+        label=label)``: same time, :attr:`PRIORITY_NORMAL`, the next
+        insertion sequence number.  When its turn comes the clock
+        advances to it and ``absorb(*args)`` runs first.  If it returns
+        True the work is done: nothing fires, the observer is not
+        called and :attr:`events_fired` does not count it (the
+        checkpoint hook still sees it, see :attr:`logical_events`).
+        Otherwise ``fire(*args)`` runs as an ordinary event under the
+        same key; ``absorb`` must have changed nothing in that case.
+        Returns a handle for :meth:`cancel`.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay} for event {label!r}")
+        mark = [self._now + delay, next(self._seq), absorb, fire, args, label]
+        heapq.heappush(self._marks, mark)
+        self._live_marks += 1
+        return mark
+
+    def cancel(self, event: Union[Event, List[Any]]) -> None:
+        """Cancel a previously scheduled (or absorbable) event.
 
         Cancelling an event that already fired (or was already
         cancelled) is a no-op — the live-event count is only adjusted
         for events genuinely still in the queue.
         """
+        if isinstance(event, list):
+            if event[2] is not None:
+                event[2] = None
+                self._live_marks -= 1
+            return
         self._queue.cancel(event)
 
     def stop(self) -> None:
@@ -446,6 +509,11 @@ class Simulator:
         snapshots never carry cancelled-event garbage.
         """
         self._queue.compact()
+        marks = self._marks
+        if len(marks) > self._live_marks:
+            # in place: a snapshot may be taken from inside _next()
+            marks[:] = [mark for mark in marks if mark[2] is not None]
+            heapq.heapify(marks)
 
     def set_checkpoint_hook(
         self,
@@ -455,10 +523,12 @@ class Simulator:
     ) -> None:
         """Install *hook* to run periodically **between** events.
 
-        The hook fires after an event's callback returns, once
-        *every_events* events have fired since the last checkpoint
-        and/or the clock advanced *every_sim_seconds* past it
-        (whichever trips first; at least one cadence is required).
+        The hook fires after an event's callback returns (or an
+        absorbable event completes without firing), once
+        *every_events* :attr:`logical_events` have passed since the
+        last checkpoint and/or the clock advanced *every_sim_seconds*
+        past it (whichever trips first; at least one cadence is
+        required).
         Firing between events means the hook observes a well-defined
         prefix of the event history — the foundation of the
         checkpoint subsystem's byte-identical restore guarantee.  The
@@ -489,7 +559,7 @@ class Simulator:
 
     def _arm_checkpoint(self) -> None:
         if self._ckpt_every_events is not None:
-            self._ckpt_next_events = self._events_fired + self._ckpt_every_events
+            self._ckpt_next_events = self.logical_events + self._ckpt_every_events
         if self._ckpt_every_seconds is not None:
             self._ckpt_next_time = self._now + self._ckpt_every_seconds
 
@@ -497,7 +567,7 @@ class Simulator:
         """Fire the checkpoint hook if a cadence threshold passed."""
         due = (
             (self._ckpt_every_events is not None
-             and self._events_fired >= self._ckpt_next_events)
+             and self.logical_events >= self._ckpt_next_events)
             or (self._ckpt_every_seconds is not None
                 and self._now >= self._ckpt_next_time)
         )
@@ -507,6 +577,48 @@ class Simulator:
         assert hook is not None
         hook()
         self._arm_checkpoint()
+
+    def _next(self, horizon: Optional[float]) -> Optional[Event]:
+        """Pop the next event to fire at or before *horizon*.
+
+        Absorbable events that come first are offered to their
+        ``absorb`` callback on the way; one that declines fires as an
+        ordinary event with its own key, which is the smallest left.
+        """
+        queue = self._queue
+        marks = self._marks
+        normal = self.PRIORITY_NORMAL
+        while marks:
+            heap = queue._heap
+            if heap and heap[0]._cancelled:
+                queue._purge()
+                heap = queue._heap
+            mark = marks[0]
+            if heap:
+                top = heap[0]
+                # repro: allow(DET106): exact heap-key comparison, the same one Event.__lt__ makes
+                if mark[0] > top.time or (mark[0] == top.time and (
+                        top.priority < normal
+                        or (top.priority == normal and top.seq < mark[1]))):
+                    break
+            if horizon is not None and mark[0] > horizon:
+                return None
+            heapq.heappop(marks)
+            absorb = mark[2]
+            if absorb is None:
+                continue
+            mark[2] = None
+            self._live_marks -= 1
+            self._now = mark[0]
+            if absorb(*mark[4]):
+                self._absorbed += 1
+                if self._ckpt_hook is not None:
+                    self._checkpoint_tick()
+                continue
+            event = Event(mark[0], normal, mark[1], mark[3], mark[4], mark[5])
+            event._fired = True
+            return event
+        return queue.pop_before(horizon)
 
     def step(self, n_events: int = 1) -> int:
         """Fire up to *n_events* pending events; return the number fired.
@@ -525,10 +637,9 @@ class Simulator:
         self._running = True
         self._stopped = False
         fired = 0
-        queue = self._queue
         try:
             while fired < n_events and not self._stopped:
-                event = queue.pop_before(None)
+                event = self._next(None)
                 if event is None:
                     break
                 self._now = event.time
@@ -564,10 +675,9 @@ class Simulator:
         self._running = True
         self._stopped = False
         fired_this_run = 0
-        queue = self._queue
         try:
             while not self._stopped:
-                event = queue.pop_before(until)
+                event = self._next(until)
                 if event is None:
                     break
                 self._now = event.time

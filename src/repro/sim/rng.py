@@ -110,7 +110,10 @@ class RandomStreams:
         """
         if sigma <= 0.0:
             return 1.0
-        return self.stream(name).lognormvariate(0.0, sigma)
+        rng = self._streams.get(name)
+        if rng is None:
+            rng = self.stream(name)
+        return rng.lognormvariate(0.0, sigma)
 
     def exponential(self, name: str, mean: float) -> float:
         """Draw an exponential variate with the given mean (>0)."""

@@ -72,6 +72,17 @@ def drain(session: ServeSession, max_events: int = 500_000) -> None:
     assert session.complete, f"did not drain after {fired} events"
 
 
+def cut_after_draws(session: ServeSession, drawn: int) -> None:
+    """Advance event by event until *drawn* arrivals were drawn.
+
+    A cut placed by draws stays mid-stream however many iteration ends
+    a fired event absorbs.
+    """
+    session.pump.prime()
+    while session.source.drawn < drawn and session.sim.step(1):
+        pass
+
+
 class TestSyntheticSource:
     def test_same_seed_same_stream(self):
         a, b = make_source(seed=7), make_source(seed=7)
@@ -446,8 +457,7 @@ class TestSessionRecovery:
         want = reference.stats.digest()
 
         crashed = make_session(max_jobs=40, seed=3)
-        crashed.pump.prime()
-        crashed.sim.step(300)
+        cut_after_draws(crashed, 15)
         assert not crashed.complete, "cut must land mid-stream"
         snapshot = tmp_path / "serve.ckpt"
         crashed.save(snapshot)
@@ -464,8 +474,7 @@ class TestSessionRecovery:
         session.pump.on_draw = (
             lambda seq, job: journal.append(JournalEntry.from_job(seq, job))
         )
-        session.pump.prime()
-        session.sim.step(200)
+        cut_after_draws(session, 12)
         snapshot = tmp_path / "serve.ckpt"
         session.save(snapshot)
         cursor = session.source.drawn
@@ -484,8 +493,7 @@ class TestSessionRecovery:
 
     def test_divergent_replay_refused(self, tmp_path):
         session = make_session(max_jobs=30, seed=1)
-        session.pump.prime()
-        session.sim.step(200)
+        cut_after_draws(session, 12)
         snapshot = tmp_path / "serve.ckpt"
         session.save(snapshot)
         cursor = session.source.drawn

@@ -1,0 +1,439 @@
+"""Iteration spans: digest equality against the per-iteration path.
+
+An iteration end whose report changes nothing is absorbed instead of
+fired as an event (:mod:`repro.runtime.nthlib`).  Every test here pins
+that the output is the one the per-iteration path produced:
+
+* golden digests captured from the per-iteration implementation for
+  the four policies on w1-w4, two policies under three fault
+  scenarios, and the serve stack with and without autosnapshots;
+* a hypothesis differential against the same run with the span budget
+  faked to 1 (every iteration end fires), compared mid-run too;
+* mid-span checkpoint cuts, closed and serve;
+* a reallocation landing exactly on an absorbed iteration end.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Dict, Iterator, List, Optional
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.apps.application import AppClass, ApplicationSpec
+from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
+from repro.checkpoint import CheckpointPlan, SimulationSession, read_snapshot
+from repro.core.dynamic import DynamicTargetPDPA
+from repro.core.pdpa import PDPA
+from repro.experiments.ablations import FixedMplPDPA, NoRelativeSpeedupPDPA
+from repro.experiments.common import (
+    ExperimentConfig,
+    _assemble_session,
+    build_session,
+    run_workload,
+)
+from repro.faults.scenarios import build_scenario
+from repro.fuzz.profiles import tier_settings
+from repro.machine.machine import Machine
+from repro.machine.memory import LocalityConfig
+from repro.metrics.trace import TraceRecorder
+from repro.parallel.cache import canonical_dumps
+from repro.parallel.cells import trace_digest
+from repro.qs.job import Job
+from repro.qs.workload import TABLE1_MIXES
+from repro.rm.equal_efficiency import EqualEfficiency
+from repro.rm.equipartition import Equipartition
+from repro.rm.irix import IrixConfig, IrixResourceManager
+from repro.rm.manager import SpaceSharedResourceManager
+from repro.runtime.nthlib import RuntimeConfig
+from repro.runtime.selfanalyzer import SelfAnalyzerConfig
+from repro.serve.service import ServeService
+from repro.serve.session import ServeConfig, ServeSession, build_serve_session
+from repro.serve.source import SyntheticSource
+from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
+
+# ----------------------------------------------------------------------
+# (a) golden digests of the per-iteration implementation
+# ----------------------------------------------------------------------
+GOLDEN_CONFIG = ExperimentConfig(n_cpus=32, seed=11)
+
+#: WorkloadResult sha256 prefix : trace_digest prefix, load 1.0
+GOLDEN = {
+    "IRIX/w1": "e07d8fbe1190a5b2:b5bb7de317083ba5",
+    "IRIX/w2": "1b398ad94e5031ac:a00e9b32cbddc189",
+    "IRIX/w3": "5b4bcfbd03e3a08c:c7135545babc4a80",
+    "IRIX/w4": "e0fbb71235df3c78:c52a08bd6db19457",
+    "Equip/w1": "a843c305606c4b3d:dbc5473852036f89",
+    "Equip/w2": "ff0596463a9f04f0:263e2e3ae54dc624",
+    "Equip/w3": "1aadbaeb330338d1:c95d21a7112167af",
+    "Equip/w4": "d881f2adf7c96303:1763b2670eebade9",
+    "Equal_eff/w1": "1e046f6df428c000:52f680a5a99f8752",
+    "Equal_eff/w2": "a82da1b6fc6cf052:796c67c20eb7f59d",
+    "Equal_eff/w3": "1473f8014b601bc2:fae522ad3134cac0",
+    "Equal_eff/w4": "c76571bf840a29ec:f7d5a713185f9028",
+    "PDPA/w1": "27055dc3c0d2462f:afedcdc2a0fb9781",
+    "PDPA/w2": "581d1755e0ee037a:5e0ad8ced7abf19c",
+    "PDPA/w3": "37e36303f347ad79:8234af71ec8d2161",
+    "PDPA/w4": "eef272b93186e1f0:526eb9e1f7b0739a",
+    "PDPA/w3/cpukill8": "fd1726979f2767c3:4223b59429a8d71f",
+    "PDPA/w3/flaky-reports": "d737c9ed7a4255ad:f099d4256ac30e7f",
+    "PDPA/w3/brownout": "0da0e405782482d5:db54229744c1dba9",
+    "Equip/w3/cpukill8": "a606832a8c116998:04ed5d0898e4e476",
+    "Equip/w3/flaky-reports": "1aadbaeb330338d1:bcbef057157af774",
+    "Equip/w3/brownout": "118aaaf0e1de8083:406b75a700c1796e",
+}
+
+#: serve stats digest, PDPA on a 200-job w2 stream
+GOLDEN_SERVE = "2013464187c3c1c9eaad2d065ac39f8f20ce8e4601efcc91926d208572d2bad9"
+#: snapshots the per-iteration path wrote: serve every 500 events
+#: (plus the final one), and closed PDPA/w3 every 500 events
+GOLDEN_SERVE_SAVES = 36
+GOLDEN_CLOSED_SAVES = 3
+
+
+def _digest(out: Any) -> str:
+    result = hashlib.sha256(canonical_dumps(out.result.to_dict()).encode()).hexdigest()
+    return f"{result[:16]}:{trace_digest(out)[:16]}"
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_digest(key):
+    policy, mix, *fault = key.split("/")
+    config = GOLDEN_CONFIG
+    if fault:
+        config = config.with_faults(build_scenario(fault[0], config.n_cpus))
+    assert _digest(run_workload(policy, mix, 1.0, config)) == GOLDEN[key]
+
+
+@contextmanager
+def _counting_saves() -> Iterator[List[str]]:
+    saves: List[str] = []
+    original = SimulationSession.save
+
+    def save(self: SimulationSession, path: Path, label: str = "") -> None:
+        saves.append(label)
+        original(self, path, label=label)
+
+    SimulationSession.save = save  # type: ignore[method-assign]
+    try:
+        yield saves
+    finally:
+        SimulationSession.save = original  # type: ignore[method-assign]
+
+
+def test_autosnapshot_cadence_counts_logical_events(tmp_path):
+    plan = CheckpointPlan(path=tmp_path / "auto.ckpt", every_events=500)
+    with _counting_saves() as saves:
+        out = run_workload("PDPA", "w3", 1.0, GOLDEN_CONFIG, checkpoint=plan)
+    assert len(saves) == GOLDEN_CLOSED_SAVES
+    assert _digest(out) == GOLDEN["PDPA/w3"]
+
+
+def _serve(tmp_path: Path, checkpoint: bool) -> ServeService:
+    source = SyntheticSource(
+        TABLE1_MIXES["w2"], 1.0, n_cpus=GOLDEN_CONFIG.n_cpus, seed=11, max_jobs=200
+    )
+    session = build_serve_session(
+        "PDPA", source, config=GOLDEN_CONFIG, serve_config=ServeConfig(), load=1.0
+    )
+    plan = CheckpointPlan(path=tmp_path / "serve.ckpt", every_events=500) if checkpoint else None
+    service = ServeService(session, checkpoint=plan)
+    assert service.run(handle_signals=False) == 0
+    return service
+
+
+def test_serve_golden_digest_with_and_without_autosnapshots(tmp_path):
+    plain = _serve(tmp_path, checkpoint=False)
+    with _counting_saves() as saves:
+        durable = _serve(tmp_path, checkpoint=True)
+    assert plain.session.stats.digest() == GOLDEN_SERVE
+    assert durable.session.stats.digest() == GOLDEN_SERVE
+    assert len(saves) == GOLDEN_SERVE_SAVES
+    # snapshots only read: the event history is the same without them
+    assert durable.session.sim.events_fired == plain.session.sim.events_fired
+    assert plain.session.sim.events_fired < plain.session.sim.logical_events
+
+
+# ----------------------------------------------------------------------
+# (b) differential against the per-iteration path
+# ----------------------------------------------------------------------
+@contextmanager
+def span_budget(budget: Optional[int]) -> Iterator[None]:
+    """Fake every opted-in host's span budget (None: leave it alone).
+
+    Runtimes read the budget when their job starts, so only runs that
+    start jobs inside the block see the fake.
+    """
+    if budget is None:
+        yield
+        return
+    hosts = (IrixResourceManager, SpaceSharedResourceManager)
+    saved = [(cls, cls.__dict__["span_budget"]) for cls in hosts]
+    for cls, _ in saved:
+        cls.span_budget = lambda self, job: budget  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        for cls, original in saved:
+            cls.span_budget = original  # type: ignore[method-assign]
+
+
+def per_iteration() -> Any:
+    """Budget 1: every iteration end fires, as before spans."""
+    return span_budget(1)
+
+
+def _app(name: str, **kwargs: Any) -> ApplicationSpec:
+    base: Dict[str, Any] = dict(
+        name=name, app_class=AppClass.HIGH, speedup_model=AmdahlSpeedup(0.0, name=name),
+        iterations=30, t_iter_seq=4.0, t_startup=0.5, t_teardown=0.5, default_request=8,
+    )
+    base.update(kwargs)
+    return ApplicationSpec(**base)
+
+
+APPS = {
+    "linear": _app("sp-linear"),
+    "amdahl": _app("sp-amdahl", speedup_model=AmdahlSpeedup(0.1, name="sp-amdahl"),
+                   iterations=24, t_iter_seq=3.0, default_request=6),
+    "phased": _app("sp-phased", speedup_model=AmdahlSpeedup(0.05, name="sp-phased"),
+                   t_iter_seq=2.0, work_phases=((6, 2.0), (16, 0.5))),
+    "flat": _app("sp-flat", app_class=AppClass.NONE, iterations=8, t_iter_seq=1.5,
+                 default_request=4, speedup_model=TabulatedSpeedup(
+                     [(1, 1.0), (2, 1.3), (4, 1.5), (8, 1.55)], name="sp-flat")),
+    "rigid": _app("sp-rigid", iterations=8).as_rigid(),
+}
+
+POLICIES = {
+    "Equip": Equipartition,
+    "PDPA": PDPA,
+    "Equal_eff": EqualEfficiency,
+    "DynamicTargetPDPA": DynamicTargetPDPA,
+    "FixedMplPDPA": FixedMplPDPA,
+    "NoRelativeSpeedupPDPA": NoRelativeSpeedupPDPA,
+}
+
+
+def _session(policy: str, plan: List[tuple], seed: int, n_cpus: int,
+             runtime: RuntimeConfig, locality: bool) -> SimulationSession:
+    jobs = [
+        Job(job_id=i + 1, spec=APPS[app], submit_time=submit, request=min(request, n_cpus))
+        for i, (app, submit, request) in enumerate(plan)
+    ]
+    config = ExperimentConfig(
+        n_cpus=n_cpus, seed=seed, locality=LocalityConfig() if locality else None
+    )
+    sim = Simulator()
+    streams = RandomStreams(seed)
+    trace = TraceRecorder(n_cpus)
+    if policy == "IRIX":
+        rm: Any = IrixResourceManager(sim, n_cpus, streams, trace, IrixConfig(), runtime)
+    else:
+        rm = SpaceSharedResourceManager(
+            sim, Machine(n_cpus, trace=trace), POLICIES[policy](), streams, trace,
+            runtime, locality=config.locality_model(),
+        )
+    return _assemble_session(policy, rm, sim, trace, jobs, config, 0.0)
+
+
+def _state(session: SimulationSession) -> tuple:
+    """Everything an iteration end leaves behind, at this instant."""
+    rm = session.rm
+    runtimes = []
+    for job_id in sorted(rm.runtimes):
+        runtime = rm.runtimes[job_id]
+        analyzer = runtime.analyzer
+        runtimes.append((
+            job_id, runtime.phase, list(runtime.app.iteration_log),
+            None if analyzer is None else (
+                analyzer.t_base, analyzer._measured, analyzer._skip,
+                analyzer._last_procs, list(analyzer.reports),
+            ),
+        ))
+    policy = getattr(rm, "policy", None)
+    views = getattr(rm, "_views", {})
+    return (
+        session.sim.now,
+        session.sim.logical_events,
+        repr(session.sim._seq),  # same insertion sequence numbers
+        runtimes,
+        sorted(getattr(policy, "job_states", {}).items()),
+        sorted(rm.reports.items()),
+        sorted(rm.last_report_time.items()),
+        sorted((j, v.allocation, v.last_report) for j, v in views.items()),
+        sorted((name, s.getstate()) for name, s in rm.streams._streams.items()),
+        [(j.job_id, j.state, j.start_time, j.end_time) for j in session.jobs],
+    )
+
+
+job_plans = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(APPS)),
+        # a coarse grid of submit times makes exact ties likely at sigma 0
+        st.integers(0, 16).map(lambda k: k * 0.5),
+        st.integers(1, 12),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@tier_settings("slow")
+@given(
+    policy=st.sampled_from(["IRIX"] + sorted(POLICIES)),
+    plan=job_plans,
+    seed=st.integers(0, 3),
+    n_cpus=st.sampled_from([8, 12]),
+    sigma=st.sampled_from([0.0, 0.015]),
+    locality=st.booleans(),
+    report_interval=st.integers(1, 3),
+    skip=st.integers(0, 2),
+    reset=st.booleans(),
+    cuts=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=3),
+    cap=st.sampled_from([None, 2, 5]),
+)
+def test_spans_match_the_per_iteration_path(policy, plan, seed, n_cpus, sigma, locality,
+                                            report_interval, skip, reset, cuts, cap):
+    runtime = RuntimeConfig(
+        noise_sigma=sigma,
+        analyzer=SelfAnalyzerConfig(report_interval=report_interval, skip_after_realloc=skip),
+        reset_analyzer_on_phase_change=reset,
+    )
+    args = (policy, plan, seed, n_cpus, runtime, locality)
+    spans = _session(*args)
+    events = _session(*args)
+    # every simulated second, plus a few arbitrary instants
+    for cut in sorted(set(cuts) | {float(t) for t in range(1, 80)}) + [None]:
+        with span_budget(cap):  # the hosts' own budget, or a short cap
+            spans.run(until=cut)
+        with per_iteration():
+            events.run(until=cut)
+        assert _state(spans) == _state(events)
+    assert _state(spans) == _state(events)
+    assert spans.sim.logical_events == events.sim.events_fired
+    assert _digest(spans.finish()) == _digest(events.finish())
+
+
+# ----------------------------------------------------------------------
+# (c) mid-span checkpoint cuts
+# ----------------------------------------------------------------------
+CUT_CONFIG = ExperimentConfig(n_cpus=16, duration=60.0, seed=5)
+_uninterrupted: Dict[str, str] = {}
+
+
+def _closed(policy: str) -> SimulationSession:
+    from repro.qs.workload import generate_workload
+
+    jobs = generate_workload(
+        TABLE1_MIXES["w1"], 1.0, n_cpus=CUT_CONFIG.n_cpus, duration=CUT_CONFIG.duration,
+        streams=RandomStreams(CUT_CONFIG.seed).spawn("workload"),
+    )
+    return build_session(policy, jobs, CUT_CONFIG, load=1.0, workload="w1")
+
+
+def _cut_digest(out: Any) -> str:
+    """Result bytes plus the trace, bursts in sorted order.
+
+    A restored machine flushes its final bursts in another CPU order
+    (a pre-existing property of Machine pickling, not of spans), so
+    the order-sensitive trace digest is not compared across a cut.
+    """
+    trace = out.trace
+    body = repr((canonical_dumps(out.result.to_dict()), sorted(map(repr, trace.bursts)),
+                 tuple(trace.reallocations), tuple(trace.mpl_samples), trace.migrations))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def _save_restore(session: Any, cls: Any, workdir: Path) -> Any:
+    """Save, restore, and check restore -> save is a fixed point."""
+    session.save(workdir / "cut.ckpt")
+    restored = cls.restore(workdir / "cut.ckpt", expected_config=session.config)
+    restored.save(workdir / "again.ckpt")
+    again = cls.restore(workdir / "again.ckpt", expected_config=session.config)
+    again.save(workdir / "third.ckpt")
+    assert read_snapshot(workdir / "again.ckpt")[1] == read_snapshot(workdir / "third.ckpt")[1]
+    return again
+
+
+@tier_settings("quick")
+@given(policy=st.sampled_from(["IRIX", "Equip", "PDPA"]), cut=st.floats(5.0, 150.0))
+def test_mid_span_cut_closed(policy, cut):
+    if policy not in _uninterrupted:
+        reference = _closed(policy)
+        reference.run()
+        _uninterrupted[policy] = _cut_digest(reference.finish())
+    session = _closed(policy)
+    session.run(until=cut)
+    with tempfile.TemporaryDirectory() as tmp:
+        restored = _save_restore(session, SimulationSession, Path(tmp))
+    restored.run()
+    assert _cut_digest(restored.finish()) == _uninterrupted[policy]
+
+
+def _stream(seed: int) -> ServeSession:
+    source = SyntheticSource(TABLE1_MIXES["w2"], 1.0, n_cpus=16, seed=seed, max_jobs=40)
+    return build_serve_session(
+        "PDPA", source, config=ExperimentConfig(n_cpus=16, seed=seed),
+        serve_config=ServeConfig(),
+    )
+
+
+def _drain(session: ServeSession) -> str:
+    session.pump.prime()
+    session.sim.run()
+    assert session.complete
+    return session.stats.digest()
+
+
+@tier_settings("quick")
+@given(seed=st.integers(0, 2), steps=st.integers(1, 120))
+def test_mid_span_cut_serve(seed, steps):
+    key = f"serve/{seed}"
+    if key not in _uninterrupted:
+        _uninterrupted[key] = _drain(_stream(seed))
+    want = _uninterrupted[key]
+    crashed = _stream(seed)
+    crashed.pump.prime()
+    crashed.sim.step(steps)
+    with tempfile.TemporaryDirectory() as tmp:
+        restored = _save_restore(crashed, ServeSession, Path(tmp))
+    assert _drain(restored) == want
+
+
+def test_cut_lands_mid_span():
+    session = _closed("PDPA")
+    session.run(until=40.0)
+    assert session.sim.logical_events > session.sim.events_fired
+    assert session.sim._live_marks > 0  # absorbable ends pending at the cut
+
+
+# ----------------------------------------------------------------------
+# (d) a reallocation exactly on an absorbed iteration end
+# ----------------------------------------------------------------------
+def test_reallocation_on_an_absorbed_iteration_end():
+    # sigma 0, 8 CPUs, a perfectly linear uninstrumented code alone on
+    # the machine: startup ends at 0.5 and every iteration takes exactly
+    # 0.5, so job 1's iteration ends fall on 1.0, 1.5, ... 3.5.  Job 2 arrives at
+    # exactly 3.5 and Equipartition halves job 1 on arrival.  The
+    # arrival was scheduled first, so it runs before the tied iteration
+    # end: the iteration that ends at 3.5 still ran on 8 CPUs, the next
+    # one starts on 4.
+    plan = [("linear", 0.0, 8), ("linear", 3.5, 8)]
+    runtime = RuntimeConfig(noise_sigma=0.0, use_selfanalyzer=False)
+    spans = _session("Equip", plan, 0, 8, runtime, False)
+    with per_iteration():
+        events = _session("Equip", plan, 0, 8, runtime, False)
+        events.run(until=3.5)
+        events.run()
+    spans.run(until=3.5)
+    log = list(spans.rm.runtimes[1].app.iteration_log)
+    assert log[-1] == (5, 8, 0.5)  # ended at 3.5, on the old allocation
+    assert spans.rm.machine.allocation_of(1) == 4
+    assert spans.sim.logical_events > spans.sim.events_fired
+    spans.run()
+    assert _state(spans) == _state(events)
+    assert _digest(spans.finish()) == _digest(events.finish())

@@ -1,7 +1,7 @@
 """Tests for the statistics toolbox."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.metrics.statistics import (
     Summary,
@@ -44,6 +44,7 @@ class TestPercentile:
         assert min(values) <= p <= max(values)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30))
+    @example([0.0, 5e-324, 5e-324])  # a*(1-f) + b*f underflowed to 0.0 at q=75
     def test_percentile_monotone_in_q(self, values):
         ps = [percentile(values, q) for q in (0, 25, 50, 75, 100)]
         assert ps == sorted(ps)
