@@ -1,7 +1,7 @@
 """Flow tier of the determinism sanitizer (``repro lint --deep``).
 
-Interprocedural effect inference, nondeterminism taint tracking, and
-LP-boundary rules over the whole project.  This ``__init__`` stays
+Interprocedural nondeterminism taint tracking and the session-state
+picklability rule over the whole project.  This ``__init__`` stays
 import-light on purpose: :mod:`repro.analysis.linter` imports
 :mod:`repro.analysis.flow.catalog` for suppression-ID validation, so
 pulling the heavy engine in here would create an import cycle.  Import

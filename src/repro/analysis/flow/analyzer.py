@@ -1,7 +1,7 @@
 """Driver for the flow tier: ``repro lint --deep``.
 
-Runs the project loader, the effect and taint analyses, and the
-boundary rules over a set of paths, then applies the exact same
+Runs the project loader, the taint analysis and the session-state
+picklability rule over a set of paths, then applies the exact same
 config/suppression machinery as the syntactic linter so one
 ``# repro: allow(DET204): why`` comment silences either tier.
 """
@@ -16,13 +16,7 @@ from repro.analysis.config import AnalysisConfig, load_config
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.linter import Linter, Suppression, is_suppressed, parse_suppressions
 
-from repro.analysis.flow.boundary import (
-    BoundaryConfig,
-    check_boundaries,
-    load_boundaries,
-)
-from repro.analysis.flow.effects import EffectAnalysis, analyze_effects
-from repro.analysis.flow.manifest import build_manifest, render_manifest
+from repro.analysis.flow.boundary import SESSION_ROOTS, check_session_state
 from repro.analysis.flow.project import Project
 from repro.analysis.flow.taint import analyze_taint
 
@@ -32,31 +26,23 @@ class FlowReport:
     """Everything the deep pass produced."""
 
     findings: List[Finding]
-    analysis: EffectAnalysis
-    boundaries: BoundaryConfig
+    project: Project
     #: findings that were silenced by inline suppressions (for audits)
     suppressed: List[Finding] = field(default_factory=list)
-
-    def manifest_text(self) -> str:
-        """The byte-stable effect manifest for this analysis."""
-        return render_manifest(build_manifest(self.analysis, self.boundaries))
 
 
 def analyze_paths(
     paths: Sequence[Union[str, Path]],
     config: Optional[AnalysisConfig] = None,
-    boundaries: Optional[BoundaryConfig] = None,
+    session_roots: Sequence[str] = SESSION_ROOTS,
 ) -> FlowReport:
     """Run the flow tier over *paths* (flow findings only)."""
-    anchor = paths[0] if paths else "."
     if config is None:
-        config = load_config(anchor)
-    if boundaries is None:
-        boundaries = load_boundaries(anchor)
+        config = load_config(paths[0] if paths else ".")
     project = Project.load(paths, config)
-    analysis = analyze_effects(project)
-    taint = analyze_taint(project)
-    raw = taint.findings + check_boundaries(analysis, boundaries)
+    raw = analyze_taint(project).findings + check_session_state(
+        project, session_roots
+    )
 
     by_posix = {
         module.posix: module for module in project.modules.values()
@@ -85,23 +71,17 @@ def analyze_paths(
             silenced.append(finding)
             continue
         kept.append(finding)
-    return FlowReport(
-        findings=kept,
-        analysis=analysis,
-        boundaries=boundaries,
-        suppressed=silenced,
-    )
+    return FlowReport(findings=kept, project=project, suppressed=silenced)
 
 
 def deep_lint(
     paths: Sequence[Union[str, Path]],
     config: Optional[AnalysisConfig] = None,
-    boundaries: Optional[BoundaryConfig] = None,
+    session_roots: Sequence[str] = SESSION_ROOTS,
 ) -> List[Finding]:
     """Syntactic + flow findings for *paths*, in canonical order."""
-    anchor = paths[0] if paths else "."
     if config is None:
-        config = load_config(anchor)
+        config = load_config(paths[0] if paths else ".")
     syntactic = Linter(config).lint_paths(paths)
-    flow = analyze_paths(paths, config=config, boundaries=boundaries)
+    flow = analyze_paths(paths, config=config, session_roots=session_roots)
     return sort_findings(syntactic + flow.findings)

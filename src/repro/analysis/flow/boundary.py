@@ -1,52 +1,26 @@
-"""LP-boundary rules: the static proof-of-disjointness for the cut.
+"""Session-state picklability (CONC303).
 
-ROADMAP item 1 wants the simulator split into logical processes.  That
-is only sound if the state each LP owns is disjoint and every cross-LP
-interaction goes through a declared channel.  The cut is declared in
-``pyproject.toml``::
-
-    [tool.repro.analysis.boundaries]
-    machine = ["repro.machine", "repro.sim"]
-    scheduler = ["repro.qs", "repro.rm"]
-    channels = ["repro.rm -> repro.machine"]
-    session-roots = ["repro.checkpoint.session.SimulationSession"]
-
-Every key except the reserved ``channels`` and ``session-roots`` names
-a *side* and lists its module prefixes (dotted-prefix matched).  A
-channel entry ``caller -> callee`` whitelists mutating calls from
-modules under *caller* into modules under *callee*.
-
-Three rules consume this manifest plus the effect analysis:
-
-CONC301
-    a call from one side into a function on the other side that
-    (transitively) mutates shared state, outside any declared channel —
-    or a direct write to a module global owned by the other side.
-CONC302
-    a module global written from both sides: no partition of modules
-    can make that state disjoint.
-CONC303
-    an unpicklable value (lambda, local function, open handle, thread
-    lock) stored on an object reachable from the declared session
-    roots.  LP state is exchanged via checkpoint envelopes (pickle);
-    classes that define ``__getstate__`` are trusted to canonicalise
-    themselves and are exempt.
+Checkpoints pickle the live simulation session, so every object
+reachable from it must survive pickling.  CONC303 flags an unpicklable
+value (lambda, local function, open handle, thread lock) stored on a
+``self`` attribute of a class reachable from :data:`SESSION_ROOTS` via
+attribute-type edges.  Classes that define ``__getstate__`` are trusted
+to canonicalise themselves and are exempt.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.config import find_pyproject, read_table
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import attr_chain
 
 from repro.analysis.flow.catalog import FLOW_RULE_INFO
-from repro.analysis.flow.effects import EffectAnalysis
 from repro.analysis.flow.project import ClassInfo, Project
+
+#: Classes whose instances are checkpoint payload.
+SESSION_ROOTS: Tuple[str, ...] = ("repro.checkpoint.session.SimulationSession",)
 
 #: Constructor origins whose instances cannot be pickled.
 _UNPICKLABLE_ORIGINS = frozenset({
@@ -56,221 +30,12 @@ _UNPICKLABLE_ORIGINS = frozenset({
 })
 
 
-def _dotted_prefix(prefix: str, name: str) -> bool:
-    """Whether *name* is *prefix* or lives under it (dotted)."""
-    return name == prefix or name.startswith(prefix + ".")
-
-
-@dataclass(frozen=True)
-class BoundaryConfig:
-    """The declared LP cut."""
-
-    #: (side name, module prefixes), sorted by side name
-    sides: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
-    #: (caller prefix, callee prefix) pairs that are allowed to mutate
-    channels: Tuple[Tuple[str, str], ...] = ()
-    #: class qnames whose instances are checkpoint/LP-exchange payload
-    session_roots: Tuple[str, ...] = ()
-    source: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return bool(self.sides or self.session_roots)
-
-    def side_of(self, qname: str) -> Optional[str]:
-        """The side owning a module/function qname (longest prefix wins)."""
-        best: Optional[str] = None
-        best_len = -1
-        for side, prefixes in self.sides:
-            for prefix in prefixes:
-                if _dotted_prefix(prefix, qname) and len(prefix) > best_len:
-                    best, best_len = side, len(prefix)
-        return best
-
-    def is_channel(self, caller_qname: str, callee_qname: str) -> bool:
-        """Whether a caller→callee mutation crosses via a declared channel."""
-        for caller_prefix, callee_prefix in self.channels:
-            if _dotted_prefix(caller_prefix, caller_qname) and _dotted_prefix(
-                callee_prefix, callee_qname
-            ):
-                return True
-        return False
-
-
-def load_boundaries(start: Union[str, Path] = ".") -> BoundaryConfig:
-    """Read ``[tool.repro.analysis.boundaries]`` above *start*."""
-    pyproject = find_pyproject(start)
-    if pyproject is None:
-        return BoundaryConfig()
-    return boundaries_from_table(
-        read_table(pyproject, "tool.repro.analysis.boundaries"),
-        source=str(pyproject),
-    )
-
-
-def boundaries_from_table(
-    table: Dict[str, object], source: Optional[str] = None
-) -> BoundaryConfig:
-    """Build a :class:`BoundaryConfig` from a raw TOML mapping."""
-
-    def str_list(value: object) -> Tuple[str, ...]:
-        if isinstance(value, str):
-            return (value,)
-        if isinstance(value, (list, tuple)):
-            return tuple(str(item) for item in value)
-        return ()
-
-    sides: List[Tuple[str, Tuple[str, ...]]] = []
-    channels: List[Tuple[str, str]] = []
-    roots: Tuple[str, ...] = ()
-    for key in sorted(table):
-        if key == "channels":
-            for entry in str_list(table[key]):
-                if "->" in entry:
-                    caller, callee = entry.split("->", 1)
-                    channels.append((caller.strip(), callee.strip()))
-        elif key == "session-roots":
-            roots = str_list(table[key])
-        else:
-            sides.append((key, str_list(table[key])))
-    return BoundaryConfig(
-        sides=tuple(sides),
-        channels=tuple(sorted(channels)),
-        session_roots=roots,
-        source=source,
-    )
-
-
-def check_boundaries(
-    analysis: EffectAnalysis, boundaries: BoundaryConfig
-) -> List[Finding]:
-    """Run CONC301/CONC302/CONC303 over the analysed project."""
-    if not boundaries:
-        return []
-    findings: List[Finding] = []
-    findings.extend(_check_cross_calls(analysis, boundaries))
-    findings.extend(_check_shared_globals(analysis, boundaries))
-    findings.extend(_check_session_state(analysis.project, boundaries))
-    return findings
-
-
-def _finding(
-    project: Project, module_name: str, line: int, col: int, rule: str, message: str
-) -> Finding:
-    info = FLOW_RULE_INFO[rule]
-    return Finding(
-        path=project.modules[module_name].posix,
-        line=line,
-        column=col,
-        rule=rule,
-        severity=info.severity,
-        message=message,
-        hint=info.hint,
-    )
-
-
-def _check_cross_calls(
-    analysis: EffectAnalysis, boundaries: BoundaryConfig
-) -> List[Finding]:
-    """CONC301: mutating calls and global writes across the cut."""
-    project = analysis.project
-    findings: List[Finding] = []
-    for qname in sorted(project.functions):
-        fn = project.functions[qname]
-        caller_side = boundaries.side_of(fn.module)
-        if caller_side is None:
-            continue
-        for site in analysis.calls.get(qname, []):
-            callee = project.functions.get(site.callee)
-            if callee is None:
-                continue
-            callee_side = boundaries.side_of(callee.module)
-            if callee_side is None or callee_side == caller_side:
-                continue
-            callee_fx = analysis.effects_of(site.callee)
-            if not callee_fx.mutates_shared_state():
-                continue
-            if boundaries.is_channel(fn.module, site.callee):
-                continue
-            what = []
-            if callee_fx.self_writes:
-                what.append(
-                    "mutates " + ", ".join(
-                        f"self.{attr}" for attr in sorted(callee_fx.self_writes)[:3]
-                    )
-                )
-            if callee_fx.param_writes:
-                what.append(
-                    "mutates parameter(s) "
-                    + ", ".join(sorted(callee_fx.param_writes)[:3])
-                )
-            if callee_fx.global_writes:
-                what.append(
-                    "writes " + ", ".join(sorted(callee_fx.global_writes)[:3])
-                )
-            findings.append(_finding(
-                project, fn.module, site.line, site.col, "CONC301",
-                f"[{caller_side}→{callee_side}] {qname} calls {site.callee}, "
-                f"which {'; '.join(what)} — not a declared channel",
-            ))
-        # direct writes to a global owned by the other side
-        direct = analysis.direct.get(qname)
-        if direct is None:
-            continue
-        for key in sorted(direct.global_writes):
-            owner_module = key.split(":", 1)[0]
-            owner_side = boundaries.side_of(owner_module)
-            if owner_side is None or owner_side == caller_side:
-                continue
-            if boundaries.is_channel(fn.module, owner_module):
-                continue
-            findings.append(_finding(
-                project, fn.module, fn.node.lineno, fn.node.col_offset, "CONC301",
-                f"[{caller_side}→{owner_side}] {qname} writes module global "
-                f"{key} across the LP cut",
-            ))
-    return findings
-
-
-def _check_shared_globals(
-    analysis: EffectAnalysis, boundaries: BoundaryConfig
-) -> List[Finding]:
-    """CONC302: one global, writers on both sides."""
-    project = analysis.project
-    writers_of: Dict[str, Set[str]] = {}
-    for qname in sorted(analysis.direct):
-        for key in analysis.direct[qname].global_writes:
-            writers_of.setdefault(key, set()).add(qname)
-    findings: List[Finding] = []
-    for key in sorted(writers_of):
-        owner_module, global_name = key.split(":", 1)
-        module = project.modules.get(owner_module)
-        if module is None:
-            continue
-        sides: Dict[str, List[str]] = {}
-        for writer in sorted(writers_of[key]):
-            side = boundaries.side_of(project.functions[writer].module)
-            if side is not None:
-                sides.setdefault(side, []).append(writer)
-        if len(sides) < 2:
-            continue
-        info = module.globals.get(global_name)
-        line = info.line if info is not None else 1
-        description = "; ".join(
-            f"{side}: {', '.join(writers[:2])}" for side, writers in sorted(sides.items())
-        )
-        findings.append(_finding(
-            project, owner_module, line, 0, "CONC302",
-            f"module global {key} is written from both sides of the LP cut "
-            f"({description})",
-        ))
-    return findings
-
-
-def _check_session_state(
-    project: Project, boundaries: BoundaryConfig
+def check_session_state(
+    project: Project, session_roots: Sequence[str] = SESSION_ROOTS
 ) -> List[Finding]:
     """CONC303: unpicklable values on session-reachable objects."""
-    reachable = _reachable_classes(project, boundaries.session_roots)
+    rule = FLOW_RULE_INFO["CONC303"]
+    reachable = _reachable_classes(project, session_roots)
     findings: List[Finding] = []
     for class_qname in sorted(reachable):
         info = project.classes[class_qname]
@@ -301,13 +66,19 @@ def _check_session_state(
                     reason = _unpicklable_reason(value, local_defs, module.imports)
                     if reason is None:
                         continue
-                    findings.append(_finding(
-                        project, info.module, target.lineno, target.col_offset,
-                        "CONC303",
-                        f"{class_qname}.{target.attr} holds {reason} but the "
-                        "class is reachable from session state "
-                        f"({', '.join(boundaries.session_roots)}) and defines "
-                        "no __getstate__",
+                    findings.append(Finding(
+                        path=module.posix,
+                        line=target.lineno,
+                        column=target.col_offset,
+                        rule="CONC303",
+                        severity=rule.severity,
+                        message=(
+                            f"{class_qname}.{target.attr} holds {reason} but "
+                            "the class is reachable from session state "
+                            f"({', '.join(session_roots)}) and defines no "
+                            "__getstate__"
+                        ),
+                        hint=rule.hint,
                     ))
     return findings
 

@@ -61,28 +61,12 @@ FLOW_RULES: Tuple[FlowRuleInfo, ...] = (
         "sorted before escaping is fine).",
     ),
     FlowRuleInfo(
-        id="CONC301",
-        title="cross-boundary mutation outside a declared channel",
-        severity="error",
-        hint="Route the interaction through a channel declared in "
-        "[tool.repro.analysis.boundaries], or move the callee across "
-        "the LP cut.",
-    ),
-    FlowRuleInfo(
-        id="CONC302",
-        title="module global mutated from both sides of the LP cut",
-        severity="error",
-        hint="Split the global per side or own it on one side behind a "
-        "channel interface; shared mutable globals cannot be "
-        "partitioned between logical processes.",
-    ),
-    FlowRuleInfo(
         id="CONC303",
         title="unpicklable value reachable from session state",
         severity="error",
-        hint="Session state must survive pickling for checkpoints and "
-        "LP-state exchange: replace lambdas/local functions with "
-        "module-level ones, drop handles/locks in __getstate__.",
+        hint="Session state must survive pickling for checkpoints: "
+        "replace lambdas/local functions with module-level ones, drop "
+        "handles/locks in __getstate__.",
     ),
 )
 

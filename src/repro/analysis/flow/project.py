@@ -2,11 +2,10 @@
 
 The syntactic linter judges one file at a time; the flow layer needs
 the *whole* project: which modules exist, which functions and classes
-they define, what every module-level name is, and — the hard part —
-which project function a call expression lands in.  This module builds
-that model from source text alone (nothing is imported, same contract
-as the linter) and resolves calls through four mechanisms, tried in
-order:
+they define, and — the hard part — which project function a call
+expression lands in.  This module builds that model from source text
+alone (nothing is imported, same contract as the linter) and resolves
+calls through four mechanisms, tried in order:
 
 1. **Imports** — ``from repro.sim.engine import Simulator`` makes
    ``Simulator(...)`` resolve to ``repro.sim.engine.Simulator.__init__``.
@@ -43,12 +42,6 @@ AMBIENT_METHODS = frozenset({
     "popitem", "read", "readline", "readlines", "remove", "reverse",
     "setdefault", "sort", "split", "strip", "update", "values",
     "write", "writelines",
-})
-
-#: Expressions that build a mutable container at module level.
-_MUTABLE_BUILDERS = frozenset({
-    "list", "dict", "set", "bytearray", "deque", "defaultdict",
-    "Counter", "OrderedDict",
 })
 
 
@@ -114,17 +107,6 @@ class ClassInfo:
 
 
 @dataclass
-class GlobalInfo:
-    """One module-level binding."""
-
-    name: str
-    module: str
-    line: int
-    #: whether the bound value is a mutable container expression
-    mutable: bool
-
-
-@dataclass
 class ModuleInfo:
     """One parsed module plus its top-level inventory."""
 
@@ -137,18 +119,6 @@ class ModuleInfo:
     is_sim: bool
     functions: Dict[str, str] = field(default_factory=dict)  # name -> qname
     classes: Dict[str, str] = field(default_factory=dict)  # name -> qname
-    globals: Dict[str, GlobalInfo] = field(default_factory=dict)
-
-
-def _is_mutable_builder(node: ast.AST) -> bool:
-    """Whether an expression builds a mutable container."""
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        chain = attr_chain(node.func)
-        return bool(chain) and chain[-1] in _MUTABLE_BUILDERS
-    return False
 
 
 def module_name_for(path: Path) -> str:
@@ -178,9 +148,6 @@ class Project:
         self.classes: Dict[str, ClassInfo] = {}
         #: method name -> sorted list of defining class qnames
         self.methods_by_name: Dict[str, List[str]] = {}
-        #: resolution bookkeeping for the manifest's honesty stats
-        self.resolved_calls = 0
-        self.unresolved_calls = 0
 
     # ------------------------------------------------------------------
     # loading
@@ -234,7 +201,7 @@ class Project:
         self._harvest(module)
 
     def _harvest(self, module: ModuleInfo) -> None:
-        """Collect top-level functions, classes and globals."""
+        """Collect top-level functions and classes."""
         for node in module.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info = self._function_info(module, node, cls=None)
@@ -242,8 +209,6 @@ class Project:
                 self.functions[info.qname] = info
             elif isinstance(node, ast.ClassDef):
                 self._harvest_class(module, node)
-            else:
-                self._harvest_global(module, node)
 
     def _harvest_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
         qname = f"{module.name}.{node.name}"
@@ -291,22 +256,6 @@ class Project:
             params=params,
             param_annotations=annotations,
         )
-
-    def _harvest_global(self, module: ModuleInfo, node: ast.stmt) -> None:
-        targets: List[ast.expr] = []
-        value: Optional[ast.AST] = None
-        if isinstance(node, ast.Assign):
-            targets, value = list(node.targets), node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        for target in targets:
-            if isinstance(target, ast.Name):
-                module.globals[target.id] = GlobalInfo(
-                    name=target.id,
-                    module=module.name,
-                    line=node.lineno,
-                    mutable=value is not None and _is_mutable_builder(value),
-                )
 
     def _index(self) -> None:
         by_name: Dict[str, List[str]] = {}
@@ -412,10 +361,6 @@ class Project:
         module = self.modules[caller.module]
         func = call.func
         candidates = self._resolve_candidates(caller, module, func, local_types)
-        if candidates:
-            self.resolved_calls += 1
-        else:
-            self.unresolved_calls += 1
         return sorted(set(candidates))
 
     def _resolve_candidates(

@@ -35,9 +35,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules.base import attr_chain
+from repro.analysis.rules.randomness import ENTROPY_ORIGINS, GLOBAL_RANDOM_FNS
+from repro.analysis.rules.wallclock import MONOTONIC_ORIGINS, WALLCLOCK_ORIGINS
 
 from repro.analysis.flow.catalog import FLOW_RULE_INFO
-from repro.analysis.flow.effects import classify_source
 from repro.analysis.flow.project import FunctionInfo, ModuleInfo, Project
 
 #: Consumers whose result does not depend on input ordering.
@@ -66,6 +67,34 @@ _KIND_LABEL = {
     "ident": "id()/hash() value",
     "order": "set-iteration order",
 }
+
+_CLOCK_DOTTED = frozenset(".".join(t) for t in WALLCLOCK_ORIGINS)
+_MONO_DOTTED = frozenset(".".join(t) for t in MONOTONIC_ORIGINS)
+_ENTROPY_DOTTED = frozenset(".".join(t) for t in ENTROPY_ORIGINS)
+
+
+def classify_source(origin: str, has_args: bool) -> Optional[str]:
+    """Nondeterminism kind of a resolved call origin, if any.
+
+    Returns ``"wallclock"``, ``"monotonic"``, ``"rng"`` or ``None``.
+    Matches the syntactic rules' origin tables: ``random.*`` global
+    draws, unseeded ``random.Random()``, ``numpy.random``, entropy
+    sources, and the clock families.
+    """
+    if origin in _CLOCK_DOTTED:
+        return "wallclock"
+    if origin in _MONO_DOTTED:
+        return "monotonic"
+    parts = origin.split(".")
+    if len(parts) >= 2 and parts[0] == "random" and parts[-1] in GLOBAL_RANDOM_FNS:
+        return "rng"
+    if origin == "random.Random" and not has_args:
+        return "rng"
+    if parts[:2] == ["numpy", "random"]:
+        return "rng"
+    if origin in _ENTROPY_DOTTED or parts[0] == "secrets":
+        return "rng"
+    return None
 
 
 @dataclass(frozen=True, order=True)

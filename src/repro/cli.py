@@ -329,15 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--deep", action="store_true",
-        help="also run the interprocedural flow tier: effect/taint "
-             "analysis (DET2xx) and LP-boundary rules (CONC3xx); with "
+        help="also run the interprocedural flow tier: taint analysis "
+             "(DET2xx) and session-state picklability (CONC303); with "
              "--changed the whole project is analysed but only "
              "findings in changed files are reported",
-    )
-    p_lint.add_argument(
-        "--update-manifest", action="store_true",
-        help="with --deep: regenerate the committed effect manifest "
-             "(effects-manifest.json next to pyproject.toml)",
     )
 
     p_torture = sub.add_parser(
@@ -346,9 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_torture.add_argument(
         "--protocol", default="all",
-        choices=("all", "serve-journal", "sweep-journal", "checkpoint",
-                 "cache", "status"),
-        help="which durability protocol to torture (default: all five)",
+        choices=("all", "journal", "checkpoint", "cache", "status"),
+        help="which durability protocol to torture (default: all four)",
     )
     p_torture.add_argument(
         "--budget", type=int, default=400, metavar="N",
@@ -597,12 +591,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static determinism sanitizer; exit code 1 on findings."""
     from repro.analysis import lint_paths, render_json, render_text
 
-    if args.update_manifest and not args.deep:
-        raise SystemExit("--update-manifest requires --deep")
     changed_only: Optional[List[str]] = None
     if args.changed:
         changed_only = _changed_python_files()
-        if not changed_only and not args.update_manifest:
+        if not changed_only:
             print("clean: no changed Python files")
             return 0
         paths = changed_only
@@ -610,7 +602,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         paths = args.paths
     findings = lint_paths(paths) if paths else []
     if args.deep:
-        findings = _deep_findings(args, paths, changed_only, findings)
+        findings = _deep_findings(paths, changed_only, findings)
     if args.format == "json":
         print(render_json(findings))
     else:
@@ -619,12 +611,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _deep_findings(
-    args: argparse.Namespace,
     paths: List[str],
     changed_only: Optional[List[str]],
     findings: List,
 ) -> List:
-    """Add the flow tier's findings (and maybe rewrite the manifest).
+    """Add the flow tier's findings.
 
     With ``--changed``, the flow analysis still runs over the default
     project root — interprocedural results are only meaningful for a
@@ -634,7 +625,6 @@ def _deep_findings(
     import os
 
     from repro.analysis import sort_findings
-    from repro.analysis.config import find_pyproject
     from repro.analysis.flow.analyzer import analyze_paths
 
     flow_roots = paths if changed_only is None else ["src/repro"]
@@ -643,13 +633,6 @@ def _deep_findings(
     if changed_only is not None:
         changed_set = {os.path.realpath(path) for path in changed_only}
         flow = [f for f in flow if os.path.realpath(f.path) in changed_set]
-    if args.update_manifest:
-        anchor = flow_roots[0] if flow_roots else "."
-        pyproject = find_pyproject(anchor)
-        root = pyproject.parent if pyproject is not None else Path(".")
-        target = root / "effects-manifest.json"
-        target.write_text(report.manifest_text(), encoding="utf-8")
-        print(f"effect manifest written: {target}", file=sys.stderr)
     return sort_findings(list(findings) + flow)
 
 

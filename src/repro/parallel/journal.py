@@ -15,45 +15,28 @@ whose cache entry rotted after the journal was written — is recomputed.
 Because payloads are canonical JSON, a resumed sweep is byte-identical
 to an uninterrupted one.
 
-Torn tails are expected, not fatal: a record interrupted mid-write
-(power loss between ``write`` and ``fsync``) leaves a final line that
-does not parse; :meth:`SweepJournal.load` stops at the first such line
-and the cell is simply recomputed.
-
-Duplicate keys are tolerated the same way: a cell journalled twice —
-a crash after the fsync but before the in-memory index updated, two
-attempts racing a retry, or a journal resumed mid-append — yields two
-intact records for one key.  The **last** record wins (it describes
-the most recent completion) and the occurrence is counted in
-:attr:`SweepJournal.duplicates` rather than treated as corruption.
-Both degradations compose: a journal with duplicated entries *and* a
-torn tail still loads every intact record before the tear.
-
-Write failures are **permanent** (fsyncgate semantics): after any
-failed append the journal marks itself :attr:`SweepJournal.broken`
-and every later append raises
-:class:`~repro.storage.layer.JournalWriteError` — a failed ``fsync``
-may have dropped the dirty pages while marking them clean, so a retry
-that "succeeds" proves nothing.  The runner degrades to unjournaled
-execution (results stay correct, resume coverage is honestly reduced
-and counted in the sweep stats) rather than trusting a lying journal.
+Durability is the shared :class:`~repro.storage.journal.RecordJournal`
+machinery: a torn tail (power loss between ``write`` and ``fsync``)
+stops the load at the first bad line and that cell is simply
+recomputed; a cell journalled twice — a crash after the fsync but
+before the in-memory index updated, or two attempts racing a retry —
+resolves last-wins (the most recent completion) and is counted in
+:attr:`SweepJournal.duplicates`.  Write failures are permanent
+(fsyncgate): the runner then degrades to unjournaled execution —
+results stay correct, resume coverage is honestly reduced and counted
+in the sweep stats — rather than trusting a lying journal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Optional
 
-from repro.storage.layer import (
-    JournalWriteError,
-    ragged_tail as _ragged_tail,
-    StorageHandle,
-    StorageLayer,
-    default_storage,
-)
+from repro.storage.journal import RecordJournal
+from repro.storage.layer import JournalWriteError
+
+__all__ = ["JournalEntry", "JournalWriteError", "SweepJournal", "payload_digest"]
 
 
 def payload_digest(payload: str) -> str:
@@ -94,108 +77,15 @@ class JournalEntry:
         )
 
 
-class SweepJournal:
-    """Append-only JSONL journal of completed sweep cells.
+class SweepJournal(RecordJournal[JournalEntry]):
+    """Append-only, fsync'd JSONL journal of completed sweep cells."""
 
-    Parameters
-    ----------
-    path:
-        Journal file.  Parent directories are created on first append.
-    resume:
-        ``True`` loads surviving records and appends after them;
-        ``False`` (a fresh sweep) truncates any existing journal.
-    storage:
-        The :class:`~repro.storage.layer.StorageLayer` all IO goes
-        through; defaults to the process-wide pass-through layer.
-    """
-
-    def __init__(self, path: os.PathLike, resume: bool = False,
-                 storage: Optional[StorageLayer] = None) -> None:
-        self.path = Path(path)
-        self.resume = resume
-        self.storage = storage if storage is not None else default_storage()
-        self.entries: Dict[str, JournalEntry] = {}
-        self.torn_tail = False
-        #: intact records whose key had already appeared (last wins)
-        self.duplicates = 0
-        #: the failure that permanently closed this journal to writes
-        self.broken: Optional[BaseException] = None
-        if resume:
-            self.entries = dict(self.load(self.path))
-            if self.torn_tail or _ragged_tail(self.path):
-                self._compact()
-        elif self.path.exists():
-            self.storage.unlink(self.path)
-        self._handle: Optional[StorageHandle] = None
-
-    def _compact(self) -> None:
-        """Atomically rewrite the journal to end at a record boundary.
-
-        Appending in ``ab`` mode after a torn tail would put every new
-        record *behind* the unparseable line, where no future recovery
-        can see it — and a tail missing only its newline would merge
-        with the next record into garbage.  Resume therefore rewrites
-        the intact records
-        (crash-safely, via the temp-fsync-rename protocol) before the
-        journal accepts appends.  If the rewrite itself fails the
-        journal opens broken: its entries are still good for resume
-        decisions, but writes are refused rather than silently
-        unrecoverable.
-        """
-        payload = b"".join(
-            entry.to_json().encode("utf-8") + b"\n"
-            for entry in self.entries.values()
-        )
-        try:
-            self.storage.write_atomic(
-                self.path, payload, sync_file=True, sync_dir=True
-            )
-        except OSError as exc:
-            self.broken = exc
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def load(self, path: Path) -> Iterator[tuple]:
-        """Yield ``(key, entry)`` for every intact record in *path*.
-
-        Stops at the first line that fails to parse — by construction
-        that can only be a torn tail (records are written atomically
-        from the journal's point of view: single ``write`` + fsync).
-        A key appearing more than once yields each occurrence in file
-        order — consumed through ``dict()`` the **last** record wins —
-        and bumps :attr:`duplicates`.
-        """
-        if not path.exists():
-            return
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return
-        seen = set()
-        for line in raw.split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                entry = JournalEntry.from_json(line.decode("utf-8"))
-            except (ValueError, KeyError, UnicodeDecodeError):
-                self.torn_tail = True
-                break
-            if entry.key in seen:
-                self.duplicates += 1
-            seen.add(entry.key)
-            yield entry.key, entry
+    entry_type = JournalEntry
 
     def get(self, key: str) -> Optional[JournalEntry]:
         """The journalled entry for *key*, or ``None``."""
         return self.entries.get(key)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
     def append(self, key: str, payload: str, label: str = "") -> JournalEntry:
         """Durably record that *key* completed with *payload*.
 
@@ -211,32 +101,7 @@ class SweepJournal:
             journal breaks permanently instead of retrying).  The
             entry is *not* indexed as written.
         """
-        if self.broken is not None:
-            raise JournalWriteError(self.path, self.broken)
-        entry = JournalEntry(
+        return self._write(JournalEntry(
             key=key, digest=payload_digest(payload),
             length=len(payload), label=label,
-        )
-        try:
-            if self._handle is None:
-                self._handle = self.storage.open_append(self.path)
-            self._handle.write(entry.to_json().encode("utf-8") + b"\n")
-            self._handle.flush()
-            self._handle.fsync()
-        except OSError as exc:
-            self.broken = exc
-            raise JournalWriteError(self.path, exc) from exc
-        self.entries[key] = entry
-        return entry
-
-    def close(self) -> None:
-        """Close the underlying file handle (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        ))

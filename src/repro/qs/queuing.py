@@ -84,7 +84,6 @@ class NanosQS:
     def schedule_submissions(self) -> None:
         """Schedule every job's arrival event on the simulator."""
         for job in self.jobs:
-            # repro: allow(CONC301): event-channel send — schedule_at is the LP event interface; becomes a channel message under the PARSIR cut (docs/lp-boundary-audit.md)
             self.sim.schedule_at(
                 job.submit_time,
                 self._on_arrival,
@@ -104,7 +103,6 @@ class NanosQS:
         if any(existing.job_id == job.job_id for existing in self.jobs):
             raise ValueError(f"duplicate job id {job.job_id}")
         self.jobs.append(job)
-        # repro: allow(CONC301): event-channel send — schedule_at is the LP event interface; becomes a channel message under the PARSIR cut (docs/lp-boundary-audit.md)
         self.sim.schedule_at(
             job.submit_time,
             self._on_arrival,
@@ -169,7 +167,6 @@ class NanosQS:
             self.trace.record_fault(FaultRecord(
                 now, "job_requeue", job.job_id, detail=reason, value=delay,
             ))
-        # repro: allow(CONC301): event-channel send — schedule_after is the LP event interface; becomes a channel message under the PARSIR cut (docs/lp-boundary-audit.md)
         self.sim.schedule_after(
             delay, self._on_requeue, job, label=f"requeue:{job.job_id}"
         )

@@ -15,38 +15,21 @@ means the source stopped being deterministic — different code, edited
 SWF file, wrong seed — and recovery refuses rather than silently
 diverging (the ``stream-recovery`` validation invariant).
 
-The same degradation tolerances as the sweep journal apply: a torn
-tail (crash mid-write) stops the load at the first unparseable line,
-and duplicate sequence numbers — a crash between fsync and snapshot,
-then a restart re-drawing the same arrival — are resolved last-wins
-and counted in :attr:`ArrivalJournal.duplicates`.
-
-Write failures are **permanent** (fsyncgate semantics): after any
-failed append — and a failed ``fsync`` in particular, which may have
-silently discarded the dirty pages — the journal marks itself
-:attr:`ArrivalJournal.broken` and every append raises
-:class:`~repro.storage.layer.JournalWriteError`.  Retrying would let
-a "successful" second fsync acknowledge bytes the kernel already
-threw away.  All IO goes through a
-:class:`~repro.storage.layer.StorageLayer`, which also fsyncs the
-parent directory when the journal file is first created (a record is
-only as durable as the directory entry that reaches it).
+Durability — fsync before the arrival is offered, torn-tail and
+ragged-tail compaction on resume, last-wins duplicate sequence numbers
+(a crash between fsync and snapshot, then a restart re-drawing the
+same arrival), and the permanent fsyncgate ``broken`` state — is the
+shared :class:`~repro.storage.journal.RecordJournal` machinery; this
+module adds the arrival record and its replay lookups.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, List
 
-from repro.storage.layer import (
-    JournalWriteError,
-    ragged_tail as _ragged_tail,
-    StorageHandle,
-    StorageLayer,
-    default_storage,
-)
+from repro.storage.journal import RecordJournal
+from repro.storage.layer import JournalWriteError
 
 __all__ = ["ArrivalJournal", "JournalEntry", "JournalWriteError"]
 
@@ -64,6 +47,11 @@ class JournalEntry:
         self.app = app
         self.submit = submit
         self.request = request
+
+    @property
+    def key(self) -> int:
+        """The journal key: the arrival's sequence number."""
+        return self.seq
 
     def matches_job(self, job: Any) -> bool:
         """Whether a re-drawn job is identical to the journalled one.
@@ -116,114 +104,11 @@ class JournalEntry:
         )
 
 
-class ArrivalJournal:
-    """Append-only, fsync'd JSONL journal of drawn arrivals.
+class ArrivalJournal(RecordJournal[JournalEntry]):
+    """Append-only, fsync'd JSONL journal of drawn arrivals, keyed by seq."""
 
-    Parameters
-    ----------
-    path:
-        Journal file.  Parent directories are created on first append.
-    resume:
-        ``True`` loads surviving records (a restart); ``False`` (a
-        fresh service) truncates any existing journal.
-    storage:
-        The :class:`~repro.storage.layer.StorageLayer` all IO goes
-        through; defaults to the process-wide pass-through layer.
-    """
+    entry_type = JournalEntry
 
-    def __init__(self, path: os.PathLike, resume: bool = False,
-                 storage: Optional[StorageLayer] = None) -> None:
-        self.path = Path(path)
-        self.resume = resume
-        self.storage = storage if storage is not None else default_storage()
-        self.entries: Dict[int, JournalEntry] = {}
-        self.torn_tail = False
-        #: intact records whose seq had already appeared (last wins)
-        self.duplicates = 0
-        #: the failure that permanently closed this journal to writes
-        self.broken: Optional[BaseException] = None
-        if resume:
-            self.entries = dict(self.load(self.path))
-            if self.torn_tail or _ragged_tail(self.path):
-                self._compact()
-        elif self.path.exists():
-            self.storage.unlink(self.path)
-        self._handle: Optional[StorageHandle] = None
-
-    def _compact(self) -> None:
-        """Atomically rewrite the journal to end at a record boundary.
-
-        Appending in ``ab`` mode after a torn tail would put every new
-        record *behind* the unparseable line, where no future recovery
-        can see it — and a tail missing only its newline would merge
-        with the next record into garbage.  Resume therefore rewrites
-        the intact records (crash-safely, via the temp-fsync-rename
-        protocol) before the journal accepts appends.  If the rewrite
-        itself fails the journal opens broken: its entries are still
-        good for replay, but writes are refused rather than silently
-        unrecoverable.
-        """
-        payload = b"".join(
-            self.entries[seq].to_json().encode("utf-8") + b"\n"
-            for seq in sorted(self.entries)
-        )
-        try:
-            self.storage.write_atomic(
-                self.path, payload, sync_file=True, sync_dir=True
-            )
-        except OSError as exc:
-            self.broken = exc
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def load(self, path: Path) -> Iterator[Tuple[int, JournalEntry]]:
-        """Yield ``(seq, entry)`` for every intact record in *path*.
-
-        Stops at the first unparseable line — by construction that can
-        only be a torn tail (each record is one ``write`` + fsync).
-        Duplicate seqs yield each occurrence in file order; consumed
-        through ``dict()`` the **last** record wins.
-        """
-        if not path.exists():
-            return
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return
-        seen = set()
-        for line in raw.split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                entry = JournalEntry.from_json(line.decode("utf-8"))
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                self.torn_tail = True
-                break
-            if entry.seq in seen:
-                self.duplicates += 1
-            seen.add(entry.seq)
-            yield entry.seq, entry
-
-    def tail_after(self, seq: int) -> List[JournalEntry]:
-        """Journalled entries with sequence numbers beyond *seq*, in order.
-
-        These are the arrivals drawn after the snapshot at *seq* was
-        taken — the replay-verify expectations for recovery.
-        """
-        return [self.entries[s] for s in sorted(self.entries) if s > seq]
-
-    @property
-    def max_seq(self) -> int:
-        """Highest journalled sequence number (0 when empty)."""
-        return max(self.entries, default=0)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
     def append(self, entry: JournalEntry) -> None:
         """Durably record one drawn arrival.
 
@@ -240,27 +125,17 @@ class ArrivalJournal:
             durability; the journal is permanently broken instead and
             the entry is *not* indexed as written.
         """
-        if self.broken is not None:
-            raise JournalWriteError(self.path, self.broken)
-        try:
-            if self._handle is None:
-                self._handle = self.storage.open_append(self.path)
-            self._handle.write(entry.to_json().encode("utf-8") + b"\n")
-            self._handle.flush()
-            self._handle.fsync()
-        except OSError as exc:
-            self.broken = exc
-            raise JournalWriteError(self.path, exc) from exc
-        self.entries[entry.seq] = entry
+        self._write(entry)
 
-    def close(self) -> None:
-        """Close the underlying file handle (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+    def tail_after(self, seq: int) -> List[JournalEntry]:
+        """Journalled entries with sequence numbers beyond *seq*, in order.
 
-    def __enter__(self) -> "ArrivalJournal":
-        return self
+        These are the arrivals drawn after the snapshot at *seq* was
+        taken — the replay-verify expectations for recovery.
+        """
+        return [self.entries[s] for s in sorted(self.entries) if s > seq]
 
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+    @property
+    def max_seq(self) -> int:
+        """Highest journalled sequence number (0 when empty)."""
+        return max(self.entries, default=0)

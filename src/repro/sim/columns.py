@@ -8,56 +8,27 @@ into contiguous *columns* (structure-of-arrays) and exposes *batched
 kernels* that process a whole partition, node, or candidate vector per
 call.
 
-Backend selection happens once, at import time, behind one interface:
+Storage is dependency-free ``array``/``bytearray`` packed columns, and
+each kernel is a tight scalar loop inside a single function call.  The
+kernels perform the same elementwise IEEE-754 double operations in the
+same order as the retained scalar reference implementations
+(``reference_*`` below), and the kernel-parity suite
+(tests/test_columns.py) pins them bit-identical, including NaN/inf/-0.0
+payloads.
 
-* ``numpy`` arrays when numpy is importable (and not disabled), with
-  vectorized kernels for the float-heavy paths;
-* dependency-free ``array``/``bytearray`` packed columns otherwise,
-  with tight scalar loops inside a single function call.
-
-Both backends are required to produce **bit-identical** results — the
-kernels only ever perform the same elementwise IEEE-754 double
-operations in the same order as the retained scalar reference
-implementations (``reference_*`` below), and the kernel-parity suite
-(tests/test_columns.py) pins all three against each other, including
-NaN/inf/-0.0 payloads.  Set ``REPRO_COLUMNS_BACKEND=python`` to force
-the fallback (the no-numpy CI leg does), or ``=numpy`` to fail fast
-when numpy is missing.
-
-Serialization is canonical and backend-independent: columns pickle as
-little-endian packed bytes (``struct``), never as numpy arrays or
-Python object lists, so checkpoint envelopes shrink and stay
-byte-identical across backends.
+Serialization is canonical: columns pickle as little-endian packed
+bytes (``struct``), never as Python object lists, so checkpoint
+envelopes stay small and byte-stable.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from array import array
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-_env_backend = os.environ.get("REPRO_COLUMNS_BACKEND", "")  # repro: allow(DET110): backend choice is output-invariant by contract — the kernel-parity suite pins the numpy and fallback backends to bit-identical results, so this toggle selects an implementation, never a behaviour
-if _env_backend == "python":
-    _np = None
-elif _env_backend == "numpy":
-    if _np is None:
-        raise ImportError(
-            "REPRO_COLUMNS_BACKEND=numpy requested but numpy is not importable"
-        )
-elif _env_backend:
-    raise ValueError(
-        f"REPRO_COLUMNS_BACKEND must be 'numpy' or 'python', got {_env_backend!r}"
-    )
-
-HAVE_NUMPY = _np is not None
-#: The column backend selected at import time ("numpy" or "python").
-BACKEND = "numpy" if HAVE_NUMPY else "python"
+#: The column backend; stamped into benchmark rows.
+BACKEND = "python"
 
 # Health codes (mirrored by repro.machine.cpu.CpuHealth; kept as plain
 # ints here so the columns module has no dependency on the machine
@@ -68,12 +39,6 @@ HEALTH_OFFLINE = 2
 
 #: Owner column value meaning "idle" (no job owns the CPU).
 NO_OWNER = -1
-
-# Below this batch size the numpy backend uses the same scalar loops as
-# the fallback: array round-trips cost more than they save on a handful
-# of elements.  Results are bit-identical either way (parity-tested),
-# so this is purely a latency knob.
-_VECTOR_MIN = 24
 
 
 def _pack_f64(values: Sequence[float]) -> bytes:
@@ -118,19 +83,11 @@ class CpuColumns:
     per-record (the trace API is row-oriented) and happens in ascending
     position order — exactly the order the old per-CPU loops used.
 
-    Storage is always packed ``array``/``bytearray`` columns — scalar
-    indexing into them is as fast as lists, and pickled bytes are
-    identical under both backends.  When numpy is available the float
-    kernels additionally hold *zero-copy* ``np.frombuffer`` views over
-    the same buffers and switch to vectorized updates for large
-    batches; writes through a view land in the packed column, so the
-    two paths share one source of truth.  (The columns never resize,
-    so the buffers — and the views — stay valid for the store's
-    lifetime.)
+    Storage is packed ``array``/``bytearray`` columns: scalar indexing
+    into them is as fast as lists, and they pickle as packed bytes.
     """
 
-    __slots__ = ("n", "owner", "app", "since", "busy", "switches", "health",
-                 "_np_since", "_np_busy")
+    __slots__ = ("n", "owner", "app", "since", "busy", "switches", "health")
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -144,15 +101,6 @@ class CpuColumns:
         self.health = bytearray(n)
         for i in range(n):
             self.owner[i] = NO_OWNER
-        self._init_views()
-
-    def _init_views(self) -> None:
-        if HAVE_NUMPY:
-            self._np_since = _np.frombuffer(self.since, dtype=_np.float64)
-            self._np_busy = _np.frombuffer(self.busy, dtype=_np.float64)
-        else:
-            self._np_since = None
-            self._np_busy = None
 
     # ------------------------------------------------------------------
     # scalar access (cold paths: faults, queries, the CpuState view)
@@ -248,32 +196,13 @@ class CpuColumns:
 
         Bursts are handed to *emit* in the order of *ids* — callers
         pass ids in the same order the old per-CPU loop iterated, so
-        trace contents are byte-identical.  ``busy[i] += now -
-        since[i]`` is elementwise, hence bit-identical between the
-        vectorized and scalar paths.
+        trace contents are byte-identical.
         """
         owner = self.owner
         since = self.since
         busy = self.busy
         app = self.app
         switches = self.switches
-        if emit is None and HAVE_NUMPY and len(ids) >= _VECTOR_MIN:
-            idx = _np.asarray(ids, dtype=_np.intp)
-            started = self._np_since[idx]
-            duration = now - started
-            if _np.any(duration < 0):
-                bad = ids[int(_np.argmax(duration < 0))]
-                raise ValueError(
-                    f"cpu {bad}: time went backwards "
-                    f"({since[bad]} -> {now})"
-                )
-            self._np_busy[idx] += duration
-            self._np_since[idx] = now
-            for i in ids:
-                owner[i] = NO_OWNER
-                app[i] = ""
-                switches[i] += 1
-            return
         for i in ids:
             started = since[i]
             duration = now - started
@@ -304,15 +233,6 @@ class CpuColumns:
         owner = self.owner
         since = self.since
         busy = self.busy
-        if emit is None and HAVE_NUMPY and self.n >= _VECTOR_MIN:
-            mask = _np.frombuffer(owner, dtype=_np.int64) != NO_OWNER
-            started = self._np_since[mask]
-            duration = now - started
-            if _np.any(duration < 0):
-                raise ValueError("flush before burst start")
-            self._np_busy[mask] += duration
-            self._np_since[mask] = now
-            return
         for i in range(self.n):
             if owner[i] == NO_OWNER:
                 continue
@@ -326,7 +246,7 @@ class CpuColumns:
             since[i] = now
 
     # ------------------------------------------------------------------
-    # canonical serialization (backend-independent, packed)
+    # canonical serialization (packed)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
         return {
@@ -347,7 +267,6 @@ class CpuColumns:
         self.busy = array("d", _unpack_f64(state["busy"]))
         self.switches = array("q", _unpack_i64(state["switches"]))
         self.health = bytearray(state["health"])
-        self._init_views()
 
 
 # ----------------------------------------------------------------------
@@ -360,23 +279,6 @@ def amdahl_many(serial_fraction: float, procs: Sequence[float]) -> List[float]:
     ``p < 1`` scales linearly (time-shared fraction of a CPU), and the
     parallel region follows ``1 / (f + (1 - f) / p)``.
     """
-    if HAVE_NUMPY and len(procs) >= _VECTOR_MIN:
-        p = _np.asarray(procs, dtype=_np.float64)
-        out = _np.empty(len(procs), dtype=_np.float64)
-        zero = p <= 0.0
-        frac = ~zero & (p < 1.0)
-        full = ~zero & ~frac
-        out[zero] = 0.0
-        out[frac] = p[frac]
-        f = serial_fraction
-        pf = p[full]
-        denom = f + (1.0 - f) / pf
-        if _np.any(denom == 0.0):
-            # exact parity with the scalar reference, which raises here
-            # (f == 0.0 with an infinite processor count)
-            raise ZeroDivisionError("float division by zero")
-        out[full] = 1.0 / denom
-        return [float(v) for v in out]
     return [reference_amdahl(serial_fraction, p) for p in procs]
 
 
@@ -401,18 +303,9 @@ def pchip_many(
     Kernel form of ``TabulatedSpeedup._compute``: below ``xs[0]`` the
     curve scales linearly through the origin, beyond ``xs[-1]`` it
     saturates flat, and interior points use the cubic Hermite basis.
-
-    This kernel is a *batched scalar loop under both backends*: the
-    Hermite basis contains ``(1 - t) ** 2``, and CPython's float
-    ``**`` (libm ``pow``) is not bit-identical to numpy's power
-    ufunc on this expression (numpy strength-reduces small integer
-    exponents to multiplication; measured divergence ~0.08% of
-    inputs).  Vectorizing it would silently fork the two backends,
-    so only the pure ``* / + -`` kernels (:func:`amdahl_many`,
-    :func:`predicted_efficiency_many`, the burst kernels) get numpy
-    paths.  The batching still pays: one call evaluates the whole
-    candidate vector against a locally-bound curve table instead of
-    re-entering the memoized scalar path per point.
+    One call evaluates the whole candidate vector against a
+    locally-bound curve table instead of re-entering the memoized
+    scalar path per point.
     """
     return [reference_pchip(xs, ys, slopes, p) for p in procs]
 
@@ -465,15 +358,6 @@ def predicted_efficiency_many(
     fit produces — clamps to *cap*, exactly as the scalar
     ``predicted_efficiency`` does.  Callers validate ``p >= 1``.
     """
-    if HAVE_NUMPY and len(procs) >= _VECTOR_MIN:
-        p = _np.asarray(procs, dtype=_np.float64)
-        out = _np.empty(len(procs), dtype=_np.float64)
-        denom = 1.0 + overhead * (p - 1.0)
-        clamped = denom <= 1.0 / cap
-        out[clamped] = cap
-        free = ~clamped
-        out[free] = _np.minimum(1.0 / denom[free], cap)
-        return [float(v) for v in out]
     return [reference_predicted_efficiency(overhead, p, cap) for p in procs]
 
 

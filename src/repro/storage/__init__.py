@@ -7,14 +7,16 @@ Modules
 * :mod:`repro.storage.layer` — the IO primitives every durability
   protocol writes through (:class:`StorageLayer`), op tracing, and
   honest fsync-failure semantics.
+* :mod:`repro.storage.journal` — :class:`RecordJournal`, the
+  write-ahead journal machinery behind the arrival and sweep journals.
 * :mod:`repro.storage.torture` — the crash-state enumerator: every
   distinct filesystem a traced run could leave behind.
-* :mod:`repro.storage.protocols` — the five protocol harnesses
-  (serve journal, sweep journal, checkpoint, cache, status) and their
-  recovery invariants, driven by ``repro torture``.
+* :mod:`repro.storage.protocols` — the four protocol harnesses
+  (journal, checkpoint, cache, status) and their recovery invariants,
+  driven by ``repro torture``.
 
-Only the plan and layer are re-exported here: the torture modules
-import the protocol implementations, which in turn import this
+Only the plan, layer and journal are re-exported here: the torture
+modules import the protocol implementations, which in turn import this
 package — keeping them out of ``__init__`` avoids the cycle and keeps
 plain journal/cache/checkpoint imports cheap.
 """
@@ -30,6 +32,7 @@ from repro.storage.layer import (
     TraceMark,
     default_storage,
 )
+from repro.storage.journal import RecordJournal
 from repro.storage.plan import FAULT_KINDS, FAULT_OPS, FailPlan, FailRule
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "FailRule",
     "JournalWriteError",
     "OpTrace",
+    "RecordJournal",
     "StorageError",
     "StorageHandle",
     "StorageLayer",

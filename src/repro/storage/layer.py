@@ -57,7 +57,6 @@ __all__ = [
     "StorageOp",
     "TraceMark",
     "default_storage",
-    "ragged_tail",
 ]
 
 
@@ -450,22 +449,6 @@ class StorageLayer:
 def parent_dir(rel_path: str) -> str:
     """Posix dirname of a trace-relative path ('' for the root)."""
     return posixpath.dirname(rel_path)
-
-
-def ragged_tail(path: os.PathLike) -> bool:
-    """Whether *path* ends mid-line: nonempty, no trailing newline.
-
-    A JSONL journal resumed in append mode must end exactly at a
-    record boundary — a final record that parses but lost only its
-    newline would silently merge with the next appended record into
-    one unparseable line.  Unreadable or missing files are not ragged
-    (there is nothing to merge with).
-    """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return False
-    return bool(raw) and not raw.endswith(b"\n")
 
 
 _DEFAULT = StorageLayer()

@@ -164,8 +164,8 @@ TORTURE_CHECK_CODES: Tuple[str, ...] = (
     "torture-coverage",
 )
 
-#: minimum distinct crash/fault states a full five-protocol torture
-#: campaign must exercise before its "clean" verdict counts (the
+#: minimum distinct crash/fault states a full torture campaign (every
+#: protocol) must exercise before its "clean" verdict counts (the
 #: acceptance floor from the robustness issue); per-protocol budgets
 #: low enough to make the floor unreachable waive it.
 TORTURE_STATE_FLOOR = 200
@@ -720,8 +720,8 @@ def validate_torture(reports, budget: int = 0) -> List[str]:
     * ``torture-invariant`` — a protocol's recovery invariant failed
       in some crash/fault state (one violation per failed state
       message, capped at 20 per protocol to keep renderings bounded).
-    * ``torture-coverage`` — the campaign claims a clean bill for all
-      five protocols but exercised fewer than
+    * ``torture-coverage`` — the campaign claims a clean bill for every
+      protocol but exercised fewer than
       :data:`TORTURE_STATE_FLOOR` distinct states; a "clean" verdict
       from a too-small campaign is not evidence.  Waived when the
       caller explicitly capped the per-protocol *budget* below 40

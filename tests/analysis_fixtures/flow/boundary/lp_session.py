@@ -1,7 +1,7 @@
 """Session-state picklability (CONC303).
 
-``SessionRoot`` is declared as a session root in the test's boundary
-config: everything reachable from it via attribute types must survive
+``SessionRoot`` is the session root the test passes in place of the
+default: everything reachable from it via attribute types must survive
 pickling.  ``Recorder`` is reachable (``self.recorder = Recorder(...)``)
 and stores an open file handle and a thread lock; the root itself
 stores a lambda.  ``Canonical`` also holds a handle but defines

@@ -2,16 +2,10 @@
 
 Every batched kernel in :mod:`repro.sim.columns` must match its
 retained scalar reference **bit for bit** — including NaN payloads,
-infinities and signed zeros — under whichever backend was selected at
-import time.  Comparisons therefore go through the packed little-endian
-byte representation (``struct.pack('<d', x)``), never ``==``: two NaNs
-compare unequal but must still carry identical bits, and ``0.0 == -0.0``
-would hide a sign flip.
-
-One subprocess test additionally pins the numpy backend against the
-dependency-free fallback (``REPRO_COLUMNS_BACKEND=python``) on a fixed
-adversarial input set, so cross-backend drift is caught even when CI
-only has one of the two environments.
+infinities and signed zeros.  Comparisons therefore go through the
+packed little-endian byte representation (``struct.pack('<d', x)``),
+never ``==``: two NaNs compare unequal but must still carry identical
+bits, and ``0.0 == -0.0`` would hide a sign flip.
 """
 
 from __future__ import annotations
@@ -19,15 +13,12 @@ from __future__ import annotations
 import math
 import pickle
 import struct
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.columns import (
-    _VECTOR_MIN,
     BACKEND,
     CpuColumns,
     IterationColumns,
@@ -44,9 +35,8 @@ from repro.sim.columns import (
 #: Any finite/NaN/inf/-0.0 double — the full IEEE-754 binary64 space.
 any_double = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
-#: Batch sizes straddling the vectorization threshold, so both the
-#: scalar and (when numpy is present) the vector code paths run.
-batch_sizes = st.integers(min_value=0, max_value=2 * _VECTOR_MIN)
+#: Longest candidate vector the kernel properties draw.
+MAX_BATCH = 48
 
 
 def bits(values) -> bytes:
@@ -60,12 +50,11 @@ def bits(values) -> bytes:
 @settings(deadline=None, max_examples=200)
 @given(
     serial_fraction=st.floats(min_value=0.0, max_value=1.0),
-    procs=st.lists(any_double, min_size=0, max_size=2 * _VECTOR_MIN),
+    procs=st.lists(any_double, min_size=0, max_size=MAX_BATCH),
 )
 def test_amdahl_many_matches_reference(serial_fraction, procs):
     # f == 0 at p == inf divides by zero in the scalar reference; the
-    # batched kernel must raise exactly where the reference does (the
-    # cross-backend probe below pins the same contract).
+    # batched kernel must raise exactly where the reference does.
     try:
         scalar = [reference_amdahl(serial_fraction, p) for p in procs]
     except ZeroDivisionError:
@@ -80,7 +69,7 @@ def test_amdahl_many_matches_reference(serial_fraction, procs):
 @given(
     overhead=any_double,
     cap=st.floats(min_value=1e-6, max_value=1e6),
-    procs=st.lists(any_double, min_size=0, max_size=2 * _VECTOR_MIN),
+    procs=st.lists(any_double, min_size=0, max_size=MAX_BATCH),
 )
 def test_predicted_efficiency_many_matches_reference(overhead, cap, procs):
     batched = predicted_efficiency_many(overhead, procs, cap)
@@ -108,7 +97,7 @@ def pchip_tables(draw):
 @settings(deadline=None, max_examples=200)
 @given(
     table=pchip_tables(),
-    procs=st.lists(any_double, min_size=0, max_size=2 * _VECTOR_MIN),
+    procs=st.lists(any_double, min_size=0, max_size=MAX_BATCH),
 )
 def test_pchip_many_matches_reference(table, procs):
     xs, ys, slopes = table
@@ -129,7 +118,7 @@ def test_kernels_accept_zero_length_vectors():
 @st.composite
 def burst_scripts(draw):
     """A machine size plus rounds of (seize, advance, release) steps."""
-    n = draw(st.integers(min_value=1, max_value=3 * _VECTOR_MIN))
+    n = draw(st.integers(min_value=1, max_value=72))
     rounds = draw(st.integers(min_value=1, max_value=4))
     script = []
     for _ in range(rounds):
@@ -145,16 +134,16 @@ def burst_scripts(draw):
 @settings(deadline=None, max_examples=100)
 @given(data=burst_scripts())
 def test_seize_release_match_scalar_path(data):
-    """The batched release/flush kernels vs their forced-scalar twins.
+    """The release/flush kernels leave the same columns with or without ``emit``.
 
-    Passing an ``emit`` callback forces the scalar loop, so the same
-    script driven through both paths must leave byte-identical columns
-    (busy/since accumulate floats; owner/switches are exact ints).
+    The same script driven with and without a burst sink must leave
+    byte-identical columns (busy/since accumulate floats;
+    owner/switches are exact ints).
     """
     n, script = data
     fast = CpuColumns(n)
     slow = CpuColumns(n)
-    sink = lambda *args: None  # noqa: E731 - forces the scalar path
+    sink = lambda *args: None  # noqa: E731 - a burst sink that drops bursts
     now = 0.0
     job = 1
     for take, dt in script:
@@ -163,8 +152,8 @@ def test_seize_release_match_scalar_path(data):
         slow.seize(free, job, f"app{job}", now)
         now += dt
         owned = [i for i in range(n) if fast.owner[i] != NO_OWNER]
-        fast.release(owned, now)           # vector path when large
-        slow.release(owned, now, emit=sink)  # always scalar
+        fast.release(owned, now)
+        slow.release(owned, now, emit=sink)
         job += 1
     fast.flush_all(now + 1.0)
     slow.flush_all(now + 1.0, emit=sink)
@@ -189,7 +178,7 @@ def test_cpu_columns_pickle_roundtrip_is_canonical():
     cols.release(list(range(0, 30, 4)), 2.25)
     clone = pickle.loads(pickle.dumps(cols))
     assert clone.__getstate__() == cols.__getstate__()
-    # the envelope is packed bytes, not object lists or numpy arrays
+    # the envelope is packed bytes, not object lists
     state = cols.__getstate__()
     assert isinstance(state["busy"], bytes) and len(state["busy"]) == 30 * 8
     assert isinstance(state["owner"], bytes) and len(state["owner"]) == 30 * 8
@@ -312,83 +301,6 @@ def test_iteration_columns_inequality():
     assert (log == object()) is NotImplemented or log != object()
 
 
-# ----------------------------------------------------------------------
-# cross-backend parity (numpy vs dependency-free fallback)
-# ----------------------------------------------------------------------
-_PROBE = r"""
-import struct, sys
-from repro.sim.columns import (
-    BACKEND, CpuColumns, amdahl_many, pchip_many, predicted_efficiency_many,
-)
-
-nan, inf = float("nan"), float("inf")
-procs = [nan, inf, -inf, -0.0, 0.0, 0.5, 1.0, 1.5, 7.0, 30.0, 59.9, 60.0,
-         1e-300, 1e300] + [float(p) for p in range(1, 41)]
-out = []
-out.extend(amdahl_many(0.03, procs))
-out.extend(amdahl_many(0.0, [p for p in procs if p != inf]))
-try:  # f == 0 at p == inf must raise under BOTH backends
-    amdahl_many(0.0, procs)
-    out.append(-1.0)
-except ZeroDivisionError:
-    out.append(1.0)
-out.extend(predicted_efficiency_many(0.02, procs, 0.7))
-out.extend(predicted_efficiency_many(-0.5, procs, 1.0))
-out.extend(pchip_many(
-    [1.0, 2.0, 4.0, 8.0], [1.0, 1.9, 3.4, 5.5], [1.0, 0.9, 0.6, 0.2], procs,
-))
-cols = CpuColumns(40)
-cols.seize(list(range(0, 40, 2)), 9, "hydro2d", 0.125)
-cols.release(list(range(0, 40, 2)), 2.75)
-cols.seize(list(range(40)), 2, "swim", 3.5)
-cols.flush_all(11.0625)
-out.extend(cols.busy)
-out.extend(cols.since)
-sys.stdout.write(BACKEND + ":" + struct.pack("<%dd" % len(out), *out).hex())
-"""
-
-
-def _probe_kernels(backend: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", _PROBE],
-        capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": "src", "REPRO_COLUMNS_BACKEND": backend,
-             "PATH": "/usr/bin:/bin"},
-        cwd=str(__import__("pathlib").Path(__file__).resolve().parent.parent),
-    )
-    return result.stdout
-
-
-def test_numpy_and_fallback_backends_are_bit_identical():
-    """The two backends must agree on every output bit.
-
-    Runs the same adversarial kernel probe in two subprocesses — one
-    forced to the fallback, one on the default backend — and compares
-    the hex dumps.  On a machine without numpy both probes take the
-    fallback path and the test degenerates to a (still useful)
-    determinism check across processes.
-    """
-    fallback = _probe_kernels("python")
-    default = _probe_kernels("")
-    assert fallback.startswith("python:")
-    assert fallback.split(":", 1)[1] == default.split(":", 1)[1], (
-        "columnar kernels diverge between the %s backend and the "
-        "dependency-free fallback" % default.split(":", 1)[0]
-    )
-
-
 def test_backend_constant_is_consistent():
-    assert BACKEND in ("numpy", "python")
-    try:
-        import numpy  # noqa: F401
-        has_numpy = True
-    except ImportError:
-        has_numpy = False
-    import os
-    forced = os.environ.get("REPRO_COLUMNS_BACKEND", "")
-    if forced == "python":
-        assert BACKEND == "python"
-    elif has_numpy:
-        assert BACKEND == "numpy"
-    else:
-        assert BACKEND == "python"
+    # perfbench stamps the backend into every result row
+    assert BACKEND == "python"

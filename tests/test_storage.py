@@ -8,20 +8,25 @@ Four aspects under test:
   writes, fsyncgate page-drop emulation (failed fsync truncates to
   the last synced size), crash points that survive ``except
   Exception`` cleanup, and the atomic write protocol;
-* **wired protocols degraded behaviors** — both journals break
-  permanently on the first IO failure (satellite 1), the status
-  writer fsyncs before renaming (satellite 2), the cache degrades to
-  "not cached" with an honest counter (satellite 3), the checkpoint
-  writer fails typed with the previous envelope intact;
-* **torn-tail compaction** — resuming a torn journal rewrites it so
-  later appends stay recoverable, including the hypothesis
-  fixed-point property over every torn prefix (satellite 4).
+* **wired protocols degraded behaviors** — the record journal breaks
+  permanently on the first IO failure, the status writer fsyncs
+  before renaming, the cache degrades to "not cached" with an honest
+  counter, the checkpoint writer fails typed with the previous
+  envelope intact;
+* **the record journal** — resuming a torn or ragged journal rewrites
+  it so later appends stay recoverable, a line that parses but is no
+  record counts as a tear, the on-disk bytes match golden digests,
+  and the hypothesis fixed-point property holds over every torn
+  prefix.  Journal tests run over both entry types: the service's
+  arrivals and the sweep's cells.
 """
 
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
+from typing import Any, Callable, Hashable, List, NamedTuple, Type
 
 import pytest
 from hypothesis import given, strategies as st
@@ -47,9 +52,37 @@ from repro.storage.layer import (
 from repro.storage.plan import FailPlan, FailRule
 
 
-def entry(seq: int) -> JournalEntry:
-    return JournalEntry(seq=seq, job_id=100 + seq, app="w2",
+def entry(seq: int, app: str = "w2") -> JournalEntry:
+    return JournalEntry(seq=seq, job_id=100 + seq, app=app,
                         submit=1.5 * seq, request=4)
+
+
+class Kind(NamedTuple):
+    """One journal flavour: its class, how to append record *n*, its key."""
+
+    name: str
+    journal: Type[Any]
+    add: Callable[[Any, int, str], None]
+    key: Callable[[int], Hashable]
+
+    def keys(self, *numbers: int) -> List[Hashable]:
+        return [self.key(n) for n in numbers]
+
+
+KINDS = (
+    Kind("arrivals", ArrivalJournal,
+         lambda journal, n, tag="": journal.append(entry(n, app="w2" + tag)),
+         lambda n: n),
+    Kind("cells", SweepJournal,
+         lambda journal, n, tag="": journal.append(
+             f"k{n}", f"payload-{n}{tag}", label=f"c{n}"),
+         lambda n: f"k{n}"),
+)
+
+
+@pytest.fixture(params=KINDS, ids=[k.name for k in KINDS])
+def kind(request) -> Kind:
+    return request.param
 
 
 class TestFailPlan:
@@ -189,7 +222,7 @@ class TestStorageLayer:
 
 
 class TestJournalFsyncgate:
-    """Satellite 1: after a failed append, journals break permanently."""
+    """After a failed append, the journal breaks permanently."""
 
     # a failed write never lands; a failed flush breaks the journal
     # but the record already reached the kernel (recovering it is
@@ -200,33 +233,21 @@ class TestJournalFsyncgate:
         ("flush", [1, 2, 3]),
         ("fsync", [1, 2]),
     ])
-    def test_arrival_journal_breaks_permanently(self, tmp_path, nth_op,
-                                                recovered_seqs):
+    def test_journal_breaks_permanently(self, tmp_path, kind, nth_op,
+                                        recovered_seqs):
         layer = StorageLayer(plan=FailPlan.single(nth_op, nth=3))
-        journal = ArrivalJournal(tmp_path / "j.jsonl", storage=layer)
-        journal.append(entry(1))
-        journal.append(entry(2))
+        journal = kind.journal(tmp_path / "j.jsonl", storage=layer)
+        kind.add(journal, 1)
+        kind.add(journal, 2)
         with pytest.raises(JournalWriteError):
-            journal.append(entry(3))
+            kind.add(journal, 3)
         assert journal.broken is not None
         # the plan only fires once; the refusal is the journal's own
         with pytest.raises(JournalWriteError):
-            journal.append(entry(4))
-        assert sorted(journal.entries) == [1, 2]
-        recovered = ArrivalJournal(tmp_path / "j.jsonl", resume=True)
-        assert sorted(recovered.entries) == recovered_seqs
-
-    def test_sweep_journal_breaks_permanently(self, tmp_path):
-        layer = StorageLayer(plan=FailPlan.single("fsync", nth=2))
-        journal = SweepJournal(tmp_path / "s.journal", storage=layer)
-        journal.append("k1", "payload-one")
-        with pytest.raises(JournalWriteError):
-            journal.append("k2", "payload-two")
-        with pytest.raises(JournalWriteError):
-            journal.append("k3", "payload-three")
-        assert journal.broken is not None
-        recovered = SweepJournal(tmp_path / "s.journal", resume=True)
-        assert list(recovered.entries) == ["k1"]
+            kind.add(journal, 4)
+        assert list(journal.entries) == kind.keys(1, 2)
+        resumed = kind.journal(tmp_path / "j.jsonl", resume=True)
+        assert list(resumed.entries) == kind.keys(*recovered_seqs)
 
     def test_fsyncgate_failed_append_leaves_no_torn_record(self, tmp_path):
         # the truncate-to-synced-size emulation means the failed
@@ -320,42 +341,109 @@ class TestCheckpointWriter:
         assert not target.exists()
 
 
-class TestTornTailCompaction:
-    def _journal_bytes(self, tmp_path, n=6) -> bytes:
-        journal = ArrivalJournal(tmp_path / "full.jsonl")
-        for seq in range(1, n + 1):
-            journal.append(entry(seq))
-        journal.close()
-        return (tmp_path / "full.jsonl").read_bytes()
+def _journal_bytes(kind: Kind, path, numbers) -> bytes:
+    journal = kind.journal(path)
+    for n in numbers:
+        kind.add(journal, n)
+    journal.close()
+    return path.read_bytes()
 
-    def test_append_after_torn_resume_stays_recoverable(self, tmp_path):
-        raw = self._journal_bytes(tmp_path)
+
+class TestTornTailCompaction:
+    def test_append_after_torn_resume_stays_recoverable(self, tmp_path,
+                                                        kind):
+        raw = _journal_bytes(kind, tmp_path / "full.jsonl", range(1, 7))
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes(raw[:-9])  # tear the last record
-        journal = ArrivalJournal(torn, resume=True)
+        journal = kind.journal(torn, resume=True)
         assert journal.torn_tail
-        assert sorted(journal.entries) == [1, 2, 3, 4, 5]
-        journal.append(entry(6))
+        assert list(journal.entries) == kind.keys(1, 2, 3, 4, 5)
+        kind.add(journal, 6)
         journal.close()
-        # without compaction-on-resume, entry 6 would hide behind the
+        # without compaction-on-resume, record 6 would hide behind the
         # unparseable line and recovery would stop at 5
-        recovered = ArrivalJournal(torn, resume=True)
+        recovered = kind.journal(torn, resume=True)
         assert not recovered.torn_tail
-        assert sorted(recovered.entries) == [1, 2, 3, 4, 5, 6]
+        assert list(recovered.entries) == kind.keys(1, 2, 3, 4, 5, 6)
 
-    def test_sweep_journal_compacts_on_resume(self, tmp_path):
-        journal = SweepJournal(tmp_path / "s.journal")
-        journal.append("k1", "one")
-        journal.append("k2", "two")
+    @pytest.mark.parametrize("bad", ["123", "[1]", "nulled"])
+    def test_wrong_shape_record_is_a_torn_tail(self, tmp_path, kind, bad):
+        # valid JSON that is no record stops the load like a torn line
+        path = tmp_path / "j.jsonl"
+        raw = _journal_bytes(kind, path, (1, 2))
+        last = raw.splitlines()[-1]
+        if bad == "nulled":
+            fields = dict.fromkeys(json.loads(last))
+            bad = json.dumps({**fields, "v": 1})
+        path.write_bytes(raw + bad.encode() + b"\n" + last + b"\n")
+        journal = kind.journal(path, resume=True)
+        assert journal.torn_tail
+        assert journal.duplicates == 0  # nothing behind the bad line
+        assert list(journal.entries) == kind.keys(1, 2)
+        kind.add(journal, 3)
         journal.close()
-        path = tmp_path / "s.journal"
-        path.write_bytes(path.read_bytes()[:-7])
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.torn_tail
-        resumed.append("k3", "three")
-        resumed.close()
-        recovered = SweepJournal(path, resume=True)
-        assert list(recovered.entries) == ["k1", "k3"]
+        recovered = kind.journal(path, resume=True)
+        assert list(recovered.entries) == kind.keys(1, 2, 3)
+
+
+#: What each scenario leaves on disk: the keys of the records the file
+#: holds, in file order, and the SHA-256 of its bytes.  The digests are
+#: the bytes the arrival and sweep journals wrote before they shared
+#: one implementation; compaction must keep first-seen key order.
+GOLDEN = {
+    ("arrivals", "fresh"): (
+        [1, 2, 3, 4],
+        "18723f1b34c5bfac29b7a824ed55ae9ff8e47db1ac0327b1604558cdd122f104"),
+    ("arrivals", "torn"): (
+        [1, 2, 3, 5],
+        "6e2b6b5b27ce411427ca326fef089d9e55be220e79b483fa37a6ddd5359c38dc"),
+    ("arrivals", "ragged"): (
+        [1, 2, 3, 4, 5],
+        "b222b43e67ca479e43063ed25f62546a0700921c62cfbaab2718d916a5ef4ae5"),
+    ("arrivals", "duplicates"): (
+        [1, 2, 3, 5],
+        "ccb108f992077c1a74b9386e6429c3d1f329b7ba4d02ef99b4482c41d9b49ab2"),
+    ("cells", "fresh"): (
+        ["k1", "k2", "k3", "k4"],
+        "7e79788d17a946ca02b39a2feb9c1419b33ccf494dd49c52d959ed925d4ce579"),
+    ("cells", "torn"): (
+        ["k1", "k2", "k3", "k5"],
+        "af219881100644c8076de16c1602f11d5e5a0a709568690c95f859469351a995"),
+    ("cells", "ragged"): (
+        ["k1", "k2", "k3", "k4", "k5"],
+        "4f50c8baf0db8bd4d233bb84051d0a66171b6f9253f85bb427d2733c3838157b"),
+    ("cells", "duplicates"): (
+        ["k1", "k2", "k3", "k5"],
+        "9d593fc4c29d4f8e6834c542690a4adb758a87e346d1595c7adc304e8a3b11c9"),
+}
+
+
+def _golden_scenario(kind: Kind, scenario: str, path) -> bytes:
+    """Fresh appends, or a resume after a torn tail, a ragged tail, or
+    a journal holding a duplicate key, then one more append."""
+    if scenario == "fresh":
+        return _journal_bytes(kind, path, (1, 2, 3, 4))
+    if scenario == "duplicates":
+        journal = kind.journal(path)
+        for n, tag in ((1, ""), (2, ""), (3, ""), (2, "-again"), (4, "")):
+            kind.add(journal, n, tag)
+        journal.close()
+        path.write_bytes(path.read_bytes()[:-9])
+    else:
+        raw = _journal_bytes(kind, path, (1, 2, 3, 4))
+        path.write_bytes(raw[:-9] if scenario == "torn" else raw[:-1])
+    journal = kind.journal(path, resume=True)
+    kind.add(journal, 5)
+    journal.close()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["fresh", "torn", "ragged", "duplicates"])
+def test_journal_bytes_match_golden(tmp_path, kind, scenario):
+    keys, digest = GOLDEN[kind.name, scenario]
+    raw = _golden_scenario(kind, scenario, tmp_path / "j.jsonl")
+    assert list(kind.journal(tmp_path / "j.jsonl", resume=True).entries) == keys
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def _reference_journal_bytes(tmp_path) -> bytes:
