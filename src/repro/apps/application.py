@@ -36,7 +36,7 @@ class AppClass(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApplicationSpec:
     """Static description of an application.
 
@@ -201,7 +201,7 @@ class ApplicationSpec:
         return self.speedup_model.speedup(processes) * fold_factor
 
 
-@dataclass
+@dataclass(slots=True)
 class IterativeApplication:
     """Dynamic execution state of one running application instance.
 

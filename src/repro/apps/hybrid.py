@@ -101,6 +101,8 @@ class HybridSpeedup(SpeedupCurve):
     semantics as rigid-application folding.
     """
 
+    __slots__ = ("process_weights", "inner", "balanced")
+
     def __init__(
         self,
         process_weights: Sequence[float],

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.columns import amdahl_many, pchip_many
+from repro.sim.slots import set_slot_state, slot_state
 
 
 #: Cap on memoized (procs -> speedup) entries per curve instance.  The
@@ -43,10 +44,11 @@ class SpeedupCurve:
     per-(app, procs) cache — the same allocations are re-evaluated on
     every iteration, report and policy decision, which made repeated
     curve evaluation one of the simulator's hottest paths.
+
+    Subclasses set ``name``, the human-readable name used in reports.
     """
 
-    #: human-readable name used in reports
-    name: str = "speedup"
+    __slots__ = ("name", "_speedup_cache")
 
     def speedup(self, procs: float) -> float:
         """Return the speedup with ``procs`` processors (procs >= 0)."""
@@ -107,9 +109,12 @@ class SpeedupCurve:
         # The memo cache is derived state: dropping it keeps checkpoint
         # envelopes small and canonical (its insertion order depends on
         # evaluation history).  speedup() lazily rebuilds it.
-        state = dict(self.__dict__)
+        state = slot_state(self)
         state.pop("_speedup_cache", None)
         return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        set_slot_state(self, state)
 
     def efficiency(self, procs: float) -> float:
         """Return ``S(p)/p``; defined as 1.0 at ``p == 0`` by convention."""
@@ -143,6 +148,8 @@ class AmdahlSpeedup(SpeedupCurve):
         The fraction ``f`` of the work that cannot be parallelised.
         ``f = 0`` gives ideal linear speedup.
     """
+
+    __slots__ = ("serial_fraction",)
 
     def __init__(self, serial_fraction: float, name: str = "amdahl") -> None:
         if not 0.0 <= serial_fraction <= 1.0:
@@ -196,6 +203,8 @@ class TabulatedSpeedup(SpeedupCurve):
         ``(1, 1.0)`` or start at procs >= 1; procs values must be
         strictly increasing.
     """
+
+    __slots__ = ("_xs", "_ys", "_slopes")
 
     def __init__(self, points: Sequence[Tuple[float, float]], name: str = "tabulated") -> None:
         if len(points) < 2:
@@ -275,6 +284,8 @@ class DegradingSpeedup(SpeedupCurve):
         Fractional loss of speedup per processor past the peak
         (e.g. 0.005 means 0.5% loss per extra processor).
     """
+
+    __slots__ = ("base", "peak_procs", "decay_per_proc")
 
     def __init__(
         self,

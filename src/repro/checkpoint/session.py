@@ -89,7 +89,10 @@ class CheckpointPlan:
         Snapshot file; each save atomically replaces the previous one,
         so the file always holds the latest complete snapshot.
     every_events:
-        Snapshot after every N fired events (``None`` disables).
+        Snapshot after every N logical events (``None`` disables):
+        fired events plus iteration ends absorbed without firing
+        (:attr:`~repro.sim.engine.Simulator.logical_events`), so the
+        cadence is the one the per-iteration event path would have.
     every_sim_seconds:
         Snapshot when simulation time advances this far past the last
         snapshot (``None`` disables).  Both cadences may be active;
@@ -126,6 +129,11 @@ class SimulationSession:
     #: envelope kind tag; subclasses (the serve session) override it so
     #: a snapshot can never be restored as the wrong session flavour
     KIND = "simulation-session"
+
+    __slots__ = (
+        "policy_name", "load", "config", "sim", "rm", "qs", "trace", "jobs",
+        "workload", "request_overrides",
+    )
 
     def __init__(
         self,

@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="N",
-        help="autosnapshot every N simulation events (requires "
+        help="autosnapshot every N logical simulation events: fired "
+             "events plus absorbed iteration ends (requires "
              "--checkpoint-dir; default 1000 when no cadence is given)",
     )
     parser.add_argument(

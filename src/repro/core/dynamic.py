@@ -26,7 +26,7 @@ from repro.rm.base import AllocationDecision, SystemView
 from repro.runtime.selfanalyzer import PerformanceReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynamicTargetConfig:
     """Bounds and slope of the load-adaptive target.
 
@@ -77,6 +77,8 @@ class DynamicTargetPDPA(PDPA):
     """PDPA whose ``target_eff`` tracks the system load."""
 
     name = "PDPA(dyn-target)"
+
+    __slots__ = ("dynamic", "_queued_jobs", "target_history")
 
     def __init__(
         self,

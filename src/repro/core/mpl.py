@@ -32,6 +32,8 @@ from repro.core.states import PdpaJobState
 class MplPolicy:
     """Decides when the queuing system may start a new application."""
 
+    __slots__ = ("params",)
+
     def __init__(self, params: PDPAParams) -> None:
         self.params = params
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
-@dataclass
+@dataclass(slots=True)
 class PDPAParams:
     """Runtime-tunable PDPA parameters.
 

@@ -49,6 +49,8 @@ class PDPA(SchedulingPolicy):
             for name in ("on_report", "wants_admission", "set_params")
         )
 
+    __slots__ = ("params", "mpl_policy", "job_states")
+
     def __init__(self, params: Optional[PDPAParams] = None) -> None:
         self.params = params or PDPAParams()
         self.mpl_policy = MplPolicy(self.params)

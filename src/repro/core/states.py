@@ -35,7 +35,7 @@ class AppState(enum.Enum):
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class PdpaJobState:
     """PDPA's per-application memory.
 

@@ -52,6 +52,8 @@ class FixedMplPDPA(PDPA):
 
     name = "PDPA(fixed-mpl)"
 
+    __slots__ = ("fixed_mpl",)
+
     def __init__(self, params: Optional[PDPAParams] = None, mpl: int = 4) -> None:
         super().__init__(params)
         self.fixed_mpl = mpl
@@ -73,6 +75,8 @@ class NoRelativeSpeedupPDPA(PDPA):
     """
 
     name = "PDPA(no-relspeedup)"
+
+    __slots__ = ()
 
     def on_report(self, job, report, system):  # type: ignore[override]
         state = self.job_states.get(job.job_id)

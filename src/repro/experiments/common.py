@@ -43,7 +43,7 @@ from repro.sim.rng import RandomStreams
 POLICY_NAMES = ("IRIX", "Equip", "Equal_eff", "PDPA")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Everything needed to reproduce one run.
 

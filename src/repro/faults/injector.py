@@ -22,7 +22,6 @@ plan data and all randomness comes from the named ``"faults"`` stream.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.faults.plan import (
@@ -43,6 +42,8 @@ from repro.sim.rng import RandomStreams
 
 class FaultInjector:
     """Schedules one plan's faults and runs the recovery sweep."""
+
+    __slots__ = ("sim", "plan", "rm", "qs", "trace", "_rng", "_installed", "_progress")
 
     def __init__(
         self,
@@ -185,7 +186,7 @@ class FaultInjector:
         if u < loss.drop_prob + loss.corrupt_prob:
             factor = self._rng.uniform(loss.corrupt_low, loss.corrupt_high)
             self._record("report_corrupt", job.job_id, value=factor)
-            return replace(report, speedup=report.speedup * factor)
+            return report._replace(speedup=report.speedup * factor)
         return report
 
     # ------------------------------------------------------------------

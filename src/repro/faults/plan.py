@@ -22,7 +22,7 @@ from typing import Optional, Tuple, Union
 from repro.qs.queuing import RetryConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CpuFault:
     """One CPU goes OFFLINE at ``time``.
 
@@ -45,7 +45,7 @@ class CpuFault:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeSlowdown:
     """A NUMA node drops to ``factor`` of full speed at ``time``.
 
@@ -71,7 +71,7 @@ class NodeSlowdown:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobCrash:
     """An application dies abruptly at ``time``.
 
@@ -88,7 +88,7 @@ class JobCrash:
             raise ValueError(f"fault time must be >= 0, got {self.time}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobHang:
     """An application livelocks at ``time``: it keeps its processors
     but never progresses until the watchdog kills it."""
@@ -101,7 +101,7 @@ class JobHang:
             raise ValueError(f"fault time must be >= 0, got {self.time}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportLoss:
     """Stochastic SelfAnalyzer report loss/corruption.
 
@@ -145,7 +145,7 @@ class ReportLoss:
 FaultEvent = Union[CpuFault, NodeSlowdown, JobCrash, JobHang]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultPlan:
     """A complete fault scenario plus its degradation parameters.
 

@@ -25,6 +25,7 @@ from repro.machine.cpu import CpuHealth, CpuState, burst_emitter
 from repro.machine.topology import NumaTopology
 from repro.metrics.trace import TraceRecorder
 from repro.sim.columns import HEALTH_OFFLINE, CpuColumns
+from repro.sim.slots import set_slot_state, slot_state
 
 
 class MachineError(RuntimeError):
@@ -47,6 +48,12 @@ class Machine:
         Optional recorder receiving bursts, migrations and
         reallocation records.
     """
+
+    __slots__ = (
+        "n_cpus", "topology", "trace", "_emit", "_cols", "cpus", "_partitions",
+        "_app_names", "_node_speed", "_free", "_n_offline", "_n_allocated",
+        "_node_of", "_nodes_monotonic", "_dist_rows",
+    )
 
     def __init__(
         self,
@@ -106,7 +113,7 @@ class Machine:
         # fixed-point contract.  Sorted lists are the canonical form.
         # The per-CPU views and the distance cache are derived state:
         # dropping them shrinks the envelope and they rebuild exactly.
-        state = dict(self.__dict__)
+        state = slot_state(self)
         del state["cpus"]
         del state["_dist_rows"]
         del state["_emit"]
@@ -121,7 +128,7 @@ class Machine:
         state["_partitions"] = {
             job: set(cpus) for job, cpus in state["_partitions"].items()
         }
-        self.__dict__.update(state)
+        set_slot_state(self, state)
         self._dist_rows = {}
         self._emit = burst_emitter(self.trace)
         self.cpus = [

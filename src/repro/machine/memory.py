@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalityConfig:
     """Parameters of the locality model.
 
@@ -65,7 +65,7 @@ class LocalityConfig:
             raise ValueError(f"floor must be in [0, 1], got {self.floor}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _JobLocality:
     """Locality trajectory of one job: value at a reference time."""
 
@@ -75,6 +75,8 @@ class _JobLocality:
 
 class LocalityModel:
     """Tracks per-job memory locality and the resulting speed factor."""
+
+    __slots__ = ("config", "_jobs")
 
     def __init__(self, config: LocalityConfig = LocalityConfig()) -> None:
         self.config = config

@@ -27,6 +27,8 @@ class NumaTopology:
         a multiple.
     """
 
+    __slots__ = ("n_cpus", "cpus_per_node")
+
     def __init__(self, n_cpus: int, cpus_per_node: int = 2) -> None:
         if n_cpus < 1:
             raise ValueError(f"n_cpus must be >= 1, got {n_cpus}")

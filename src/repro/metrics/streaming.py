@@ -163,20 +163,6 @@ class ClassFold:
             "max_request": self.response.max_procs,
         }
 
-    def __getstate__(self) -> Dict[str, Any]:
-        return {
-            "response": self.response,
-            "execution": self.execution,
-            "wait": self.wait,
-            "max_response": self.max_response,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.response = state["response"]
-        self.execution = state["execution"]
-        self.wait = state["wait"]
-        self.max_response = state["max_response"]
-
 
 class StreamingStats:
     """Incremental workload aggregates with O(classes + reservoir) memory.
@@ -188,6 +174,14 @@ class StreamingStats:
     """
 
     RESERVOIR_CAPACITY = 256
+
+    __slots__ = (
+        "tau", "by_app", "overall", "slowdown", "makespan", "first_submit",
+        "attempts", "submitted", "admitted", "shed_rejected", "shed_dropped",
+        "deferred", "completed", "failed", "requeues", "overload_events",
+        "peak_backlog", "peak_mpl", "backlog_samples", "mpl_samples",
+        "utilization_samples",
+    )
 
     def __init__(
         self,

@@ -17,11 +17,10 @@ Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Burst:
+class Burst(NamedTuple):
     """A maximal interval during which one CPU ran one application."""
 
     cpu: int
@@ -36,8 +35,7 @@ class Burst:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class ReallocationRecord:
+class ReallocationRecord(NamedTuple):
     """One allocation change applied to a running job."""
 
     time: float
@@ -47,8 +45,7 @@ class ReallocationRecord:
     new_procs: int
 
 
-@dataclass(frozen=True)
-class MplSample:
+class MplSample(NamedTuple):
     """Multiprogramming level observed at a point in time."""
 
     time: float
@@ -56,8 +53,7 @@ class MplSample:
     queued_jobs: int
 
 
-@dataclass(frozen=True)
-class FaultRecord:
+class FaultRecord(NamedTuple):
     """One fault or recovery event observed during the run.
 
     ``kind`` is a small vocabulary shared by the injector, the machine
@@ -89,7 +85,7 @@ class FaultRecord:
     value: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SyntheticCpuLoad:
     """Aggregate burst statistics for time-shared execution.
 
@@ -122,6 +118,11 @@ class SyntheticCpuLoad:
 
 class TraceRecorder:
     """Collects all measurement records for one workload execution."""
+
+    __slots__ = (
+        "n_cpus", "bursts", "reallocations", "mpl_samples", "faults",
+        "migrations", "synthetic", "_horizon",
+    )
 
     def __init__(self, n_cpus: int) -> None:
         if n_cpus < 1:
@@ -232,6 +233,11 @@ class FoldingTraceRecorder(TraceRecorder):
     returns empty — streaming analyses read
     :class:`~repro.metrics.streaming.StreamingStats` instead.
     """
+
+    __slots__ = (
+        "burst_count", "burst_busy", "cpu_busy", "mpl_sample_count",
+        "max_running", "reallocation_count", "fault_counts",
+    )
 
     def __init__(self, n_cpus: int) -> None:
         super().__init__(n_cpus)

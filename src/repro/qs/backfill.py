@@ -41,6 +41,8 @@ class BackfillQS(NanosQS):
     computation reads the running jobs' allocations through it.
     """
 
+    __slots__ = ("backfilled_jobs",)
+
     def __init__(
         self,
         sim: Simulator,

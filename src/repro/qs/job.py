@@ -34,7 +34,7 @@ class JobState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One submitted instance of an application."""
 

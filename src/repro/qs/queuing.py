@@ -23,7 +23,7 @@ from repro.rm.manager import BaseResourceManager
 from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetryConfig:
     """Retry policy for jobs killed by faults.
 
@@ -55,6 +55,11 @@ class RetryConfig:
 
 class NanosQS:
     """FCFS queue coordinated with the resource manager."""
+
+    __slots__ = (
+        "sim", "rm", "jobs", "trace", "retry", "queue", "completed", "failed",
+        "requeue_count", "_in_try_start",
+    )
 
     def __init__(
         self,

@@ -56,7 +56,7 @@ SHED = "shed"
 BLOCKED = "blocked"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IngressConfig:
     """Admission-control knobs for the streaming queue.
 
@@ -92,6 +92,11 @@ class IngressConfig:
 
 class StreamingQS(NanosQS):
     """FCFS queue with bounded ingress and fold-on-completion metrics."""
+
+    __slots__ = (
+        "ingress", "stats", "peak_queue", "backoff_pending", "pruned_completed",
+        "pruned_failed", "_last_job_id", "on_capacity_available", "_overloaded",
+    )
 
     def __init__(
         self,

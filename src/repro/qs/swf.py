@@ -105,7 +105,7 @@ class SwfJob:
         return cls(**kwargs)
 
 
-@dataclass
+@dataclass(slots=True)
 class SwfParseStats:
     """Skip-with-count bookkeeping for dirty real-world SWF logs.
 

@@ -81,7 +81,15 @@ AllocationDecision = Dict[int, int]
 
 
 class SchedulingPolicy(ABC):
-    """Base class for processor-allocation policies."""
+    """Base class for processor-allocation policies.
+
+    Policies are part of every session snapshot, so each subclass
+    declares ``__slots__``; a subclass that takes its own
+    multiprogramming level declares a ``fixed_mpl`` slot, which
+    shadows the class-level default below.
+    """
+
+    __slots__ = ()
 
     #: Policy name used in reports and result tables.
     name: str = "policy"

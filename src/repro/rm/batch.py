@@ -27,6 +27,8 @@ class BatchFCFS(SchedulingPolicy):
     #: no job-count limit: admission is gated by free processors only
     fixed_mpl: Optional[int] = None
 
+    __slots__ = ("reserve_for_head", "_next_request")
+
     def __init__(self, reserve_for_head: bool = True) -> None:
         #: when True, the head-of-queue job's request gates admission
         #: (strict FCFS, no backfilling); the queuing system only asks

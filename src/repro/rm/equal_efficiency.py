@@ -116,6 +116,8 @@ class EqualEfficiency(SchedulingPolicy):
     #: the overhead fit is driven by SelfAnalyzer reports
     uses_reports = True
 
+    __slots__ = ("fixed_mpl", "_overheads")
+
     def __init__(self, mpl: int = 4) -> None:
         if mpl < 1:
             raise ValueError(f"multiprogramming level must be >= 1, got {mpl}")

@@ -68,6 +68,8 @@ class Equipartition(SchedulingPolicy):
 
     name = "Equip"
 
+    __slots__ = ("fixed_mpl",)
+
     def __init__(self, mpl: int = 4) -> None:
         if mpl < 1:
             raise ValueError(f"multiprogramming level must be >= 1, got {mpl}")

@@ -36,7 +36,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GangConfig:
     """Gang-scheduler parameters.
 
@@ -93,6 +93,8 @@ class GangScheduler(BaseResourceManager):
     """Time-sliced gang scheduling over Ousterhout rows."""
 
     name = "Gang"
+
+    __slots__ = ("config", "_requests", "_rows", "_segment_start")
 
     def __init__(
         self,

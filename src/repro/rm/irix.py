@@ -37,9 +37,10 @@ from repro.rm.manager import BaseResourceManager
 from repro.runtime.nthlib import NO_SPAN_LIMIT, RuntimeConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.slots import set_slot_state, slot_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IrixConfig:
     """Calibration of the IRIX time-sharing model.
 
@@ -99,6 +100,8 @@ class IrixResourceManager(BaseResourceManager):
 
     name = "IRIX"
 
+    __slots__ = ("config", "_threads", "_segment_start", "_migration_debt", "_offline")
+
     def __init__(
         self,
         sim: Simulator,
@@ -128,13 +131,13 @@ class IrixResourceManager(BaseResourceManager):
         # Sorted canonical form: set iteration order depends on
         # insertion history, and snapshot bytes must not (see
         # Machine.__getstate__).
-        state = dict(self.__dict__)
+        state = slot_state(self)
         state["_offline"] = sorted(self._offline)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         state["_offline"] = set(state["_offline"])
-        self.__dict__.update(state)
+        set_slot_state(self, state)
 
     # ------------------------------------------------------------------
     # admission: fixed multiprogramming level, no coordination

@@ -26,6 +26,7 @@ from repro.runtime.nthlib import NthLibRuntime, RuntimeConfig, RuntimeHost
 from repro.runtime.selfanalyzer import PerformanceReport
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.slots import set_slot_state, slot_state
 
 
 def _no_state_change() -> None:
@@ -42,6 +43,13 @@ def _no_job_killed(job: Job, reason: str) -> None:
 
 class BaseResourceManager(RuntimeHost):
     """Common plumbing for both execution models."""
+
+    __slots__ = (
+        "sim", "n_cpus", "streams", "trace", "runtime_config", "runtimes",
+        "jobs", "reports", "last_report_time", "reallocation_count",
+        "locality", "report_filter", "on_state_change", "on_job_finished",
+        "on_job_killed",
+    )
 
     def __init__(
         self,
@@ -303,6 +311,8 @@ class _LiveSystemView(SystemView):
 class SpaceSharedResourceManager(BaseResourceManager):
     """The NANOS RM: policy-driven exclusive partitions."""
 
+    __slots__ = ("machine", "policy", "_views", "_live_view", "clocked_admission")
+
     def __init__(
         self,
         sim: Simulator,
@@ -330,13 +340,13 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # pickling: the view table is derived state
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
+        state = slot_state(self)
         del state["_views"]
         del state["_live_view"]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
+        set_slot_state(self, state)
         self._views = {
             job_id: JobView(
                 job=job,

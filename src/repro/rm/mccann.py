@@ -80,6 +80,8 @@ class McCannDynamic(SchedulingPolicy):
 
     name = "Dynamic"
 
+    __slots__ = ("fixed_mpl", "_parallelism")
+
     def __init__(self, mpl: int = 4) -> None:
         if mpl < 1:
             raise ValueError(f"multiprogramming level must be >= 1, got {mpl}")

@@ -57,6 +57,8 @@ class RuntimeHost:
     real behaviour.
     """
 
+    __slots__ = ()
+
     def current_allocation(self, job: Job) -> int:
         """Processors currently granted to *job* (its thread count)."""
         raise NotImplementedError
@@ -132,7 +134,7 @@ class JobPhase(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuntimeConfig:
     """Execution-model parameters.
 
@@ -173,6 +175,12 @@ class RuntimeConfig:
 
 class NthLibRuntime:
     """Executes one job's phases as discrete events."""
+
+    __slots__ = (
+        "sim", "job", "host", "config", "app", "analyzer", "tuner",
+        "_streams", "_noise_stream", "phase", "_last_iter_procs", "_pending",
+        "_span", "_budget", "hung",
+    )
 
     def __init__(
         self,

@@ -30,13 +30,12 @@ one reason the paper imposes thresholds rather than exact targets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.sim.columns import RunningMean
 
 
-@dataclass(frozen=True)
-class PerformanceReport:
+class PerformanceReport(NamedTuple):
     """One performance sample delivered to the resource manager."""
 
     job_id: int
@@ -57,7 +56,7 @@ class PerformanceReport:
         return self.speedup / self.procs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelfAnalyzerConfig:
     """Tunable parameters of the analyzer.
 
@@ -105,6 +104,11 @@ class SelfAnalyzerConfig:
 
 class SelfAnalyzer:
     """Per-job runtime performance analyzer."""
+
+    __slots__ = (
+        "job_id", "config", "_baseline", "_t_base", "_base_speedup",
+        "_measured", "_skip", "_last_procs", "reports",
+    )
 
     def __init__(self, job_id: int, config: Optional[SelfAnalyzerConfig] = None) -> None:
         self.job_id = job_id

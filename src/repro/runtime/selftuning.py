@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelfTuningConfig:
     """Hill-climber parameters.
 
@@ -63,6 +63,11 @@ class SelfTuningConfig:
 
 class SelfTuner:
     """Online search for the fastest processor count <= the allocation."""
+
+    __slots__ = (
+        "config", "_current", "_probing", "_samples", "_best_time",
+        "_backoff", "moves",
+    )
 
     def __init__(self, config: Optional[SelfTuningConfig] = None) -> None:
         self.config = config or SelfTuningConfig()

@@ -32,6 +32,7 @@ from repro.serve.journal import JournalEntry
 from repro.serve.source import ArrivalSource
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.slots import set_slot_state, slot_state
 
 if TYPE_CHECKING:
     from repro.experiments.common import ExperimentConfig
@@ -66,7 +67,7 @@ class StreamDivergenceError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServeConfig:
     """Service-level knobs layered over the experiment config.
 
@@ -107,6 +108,11 @@ class ArrivalPump:
     after the source is exhausted), so the pump adds O(1) to the event
     queue and to every snapshot.
     """
+
+    __slots__ = (
+        "sim", "qs", "source", "blocked_job", "exhausted", "draining", "replay",
+        "replay_verified", "on_draw", "_pending", "_resuming",
+    )
 
     def __init__(self, sim: Simulator, qs: StreamingQS, source: ArrivalSource) -> None:
         self.sim = sim
@@ -231,9 +237,12 @@ class ArrivalPump:
     # pickling: the host hook is not simulation state
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
+        state = slot_state(self)
         state["on_draw"] = None
         return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        set_slot_state(self, state)
 
 
 class ServeSession(SimulationSession):
@@ -246,6 +255,8 @@ class ServeSession(SimulationSession):
     """
 
     KIND = "serve-session"
+
+    __slots__ = ("serve_config", "source", "pump")
 
     def __init__(
         self,

@@ -18,15 +18,19 @@ from repro.qs.job import Job
 from repro.qs.swf import SwfJob, SwfParseStats
 from repro.qs.workload import WorkloadMix
 from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.slots import set_slot_state, slot_state
 
 __all__ = ["ArrivalSource", "SyntheticSource", "SwfSource"]
 
 
 class ArrivalSource:
-    """Interface: a pull-based stream of jobs with monotone submit times."""
+    """Interface: a pull-based stream of jobs with monotone submit times.
 
-    #: jobs drawn so far (monotone; the journal cursors against it)
-    drawn: int = 0
+    Subclasses keep ``drawn``, the jobs drawn so far (monotone; the
+    journal cursors against it).
+    """
+
+    __slots__ = ("drawn",)
 
     def draw(self) -> Optional[Job]:
         """Return the next job, or ``None`` when the stream is exhausted."""
@@ -55,6 +59,11 @@ class SyntheticSource(ArrivalSource):
     named substreams of a dedicated :class:`RandomStreams` derived
     from (seed, "serve-source"); job ids count up from 1.
     """
+
+    __slots__ = (
+        "mix", "load", "n_cpus", "seed", "max_jobs", "overrides", "_apps",
+        "total_rate", "streams", "_clock",
+    )
 
     def __init__(
         self,
@@ -148,6 +157,12 @@ class SwfSource(ArrivalSource):
     FIFO or other non-seekable stream works for live runs but cannot
     be restored mid-stream (the journal still covers recovery).
     """
+
+    __slots__ = (
+        "path", "max_jobs", "_catalog_names", "_catalog", "_executables",
+        "parse_stats", "_offset", "_lineno", "_last_submit", "_handle",
+        "_exhausted",
+    )
 
     def __init__(
         self,
@@ -269,6 +284,9 @@ class SwfSource(ArrivalSource):
 
     # -- pickling: offset, not handle ------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
+        state = slot_state(self)
         state["_handle"] = None
         return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        set_slot_state(self, state)

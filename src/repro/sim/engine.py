@@ -34,6 +34,8 @@ import heapq
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from repro.sim.slots import set_slot_state, slot_state
+
 #: compaction threshold: the queue physically drops lazily-deleted
 #: events once the heap holds at least this many entries and live
 #: events make up less than half of them.  Keeps long-running
@@ -142,6 +144,8 @@ class EventQueue:
     bookkeeping funnels through :meth:`_purge`, so the live count
     stays consistent no matter how cancel / peek / pop interleave.
     """
+
+    __slots__ = ("_heap", "_live", "_noted_pending")
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
@@ -315,6 +319,13 @@ class Simulator:
     #: Priority for events that must observe everything else first.
     PRIORITY_LATE = 1000
 
+    __slots__ = (
+        "_now", "_queue", "_seq", "_running", "_stopped", "_events_fired",
+        "_marks", "_live_marks", "_absorbed", "_observer", "_ckpt_hook",
+        "_ckpt_every_events", "_ckpt_every_seconds", "_ckpt_next_events",
+        "_ckpt_next_time",
+    )
+
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue = EventQueue()
@@ -345,12 +356,15 @@ class Simulator:
         mid-``run`` restores as a quiescent, runnable simulator with
         neither attached (re-attach after restore if wanted).
         """
-        state = dict(self.__dict__)
+        state = slot_state(self)
         state["_running"] = False
         state["_stopped"] = False
         state["_observer"] = None
         state["_ckpt_hook"] = None
         return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        set_slot_state(self, state)
 
     @property
     def now(self) -> float:

@@ -41,6 +41,8 @@ class RandomStreams:
     False
     """
 
+    __slots__ = ("_master_seed", "_streams")
+
     def __init__(self, master_seed: int = 0) -> None:
         self._master_seed = int(master_seed)
         self._streams: Dict[str, random.Random] = {}

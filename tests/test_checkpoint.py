@@ -9,6 +9,8 @@ silently-wrong run.
 
 from __future__ import annotations
 
+import enum
+import io
 import os
 import pickle
 from pathlib import Path
@@ -26,6 +28,7 @@ from repro.checkpoint import (
     read_snapshot,
     write_snapshot,
 )
+from repro.checkpoint.session import PICKLE_PROTOCOL
 from repro.experiments.common import (
     ExperimentConfig,
     build_session,
@@ -34,6 +37,8 @@ from repro.experiments.common import (
 from repro.faults.scenarios import build_scenario
 from repro.parallel.cache import canonical_dumps
 from repro.qs.workload import TABLE1_MIXES, generate_workload
+from repro.serve.session import ServeConfig, build_serve_session
+from repro.serve.source import SyntheticSource
 from repro.sim.rng import RandomStreams
 from repro.validate import validate_checkpoint
 
@@ -166,6 +171,85 @@ class TestAutosnapshot:
         clone = pickle.loads(pickle.dumps(session))
         assert clone.sim._ckpt_hook is None
         session.sim.clear_checkpoint_hook()
+
+
+class _RecordingPickler(pickle.Pickler):
+    """Pickles like ``save()`` and keeps every object it visits."""
+
+    def __init__(self) -> None:
+        super().__init__(io.BytesIO(), protocol=PICKLE_PROTOCOL)
+        self.seen = []
+
+    def reducer_override(self, obj):
+        self.seen.append(obj)
+        return NotImplemented
+
+
+def _classes_with_dict(session):
+    """``repro`` classes whose instances in *session*'s pickle have a ``__dict__``."""
+    pickler = _RecordingPickler()
+    pickler.dump(session)
+    return sorted({
+        f"{type(obj).__module__}.{type(obj).__qualname__}"
+        for obj in pickler.seen
+        if type(obj).__module__.startswith("repro.")
+        and not isinstance(obj, enum.Enum)
+        and hasattr(obj, "__dict__")
+    })
+
+
+#: closed runs long enough that every policy and fault scenario is
+#: mid-run at t=100, with bursts, reports and fault records on record
+LAYOUT_CONFIG = ExperimentConfig(n_cpus=16, duration=60.0, seed=5)
+LAYOUT_SESSIONS = ["serve"] + [
+    f"{policy}/{scenario}"
+    for policy in ("IRIX", "Equip", "Equal_eff", "PDPA")
+    for scenario in ("none", "cpukill8", "flaky-reports", "brownout")
+]
+
+
+def _layout_session(name):
+    if name == "serve":
+        source = SyntheticSource(
+            TABLE1_MIXES["w2"], load=1.0, n_cpus=16, seed=0, max_jobs=30
+        )
+        session = build_serve_session(
+            "PDPA", source, config=ExperimentConfig(n_cpus=16, seed=0),
+            serve_config=ServeConfig(),
+        )
+        session.pump.prime()
+        while session.source.drawn < 15 and session.sim.step(1):
+            pass
+        return session
+    policy, scenario = name.split("/")
+    config = LAYOUT_CONFIG
+    if scenario != "none":
+        config = config.with_faults(build_scenario(scenario, config.n_cpus))
+    session = _session(policy, config)
+    session.run(until=100.0)
+    return session
+
+
+class TestSnapshotLayout:
+    """Nothing a snapshot pickles keeps an instance ``__dict__``.
+
+    Pickling reads an object's ``__dict__``, which on CPython 3.11+
+    turns its inline attribute values into a real dict for good, and
+    later attribute access on it misses its fast path; unpickling
+    writes through the same dict.  So every ``repro`` class reachable
+    from a session declares ``__slots__`` (or is a ``NamedTuple``),
+    live and restored alike; enum members are exempt.
+    """
+
+    @pytest.mark.parametrize("name", LAYOUT_SESSIONS)
+    def test_no_pickled_object_has_an_instance_dict(self, name, tmp_path):
+        session = _layout_session(name)
+        assert not session.complete
+        path = tmp_path / "layout.ckpt"
+        session.save(path)
+        assert _classes_with_dict(session) == []
+        restored = type(session).restore(path)
+        assert _classes_with_dict(restored) == []
 
 
 class TestEnvelope:

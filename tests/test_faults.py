@@ -6,8 +6,6 @@ no-fault byte-identity guarantee, and the cpukill8 acceptance scenario
 under PDPA, Equipartition and IRIX.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.experiments.common import ExperimentConfig, run_workload
@@ -435,6 +433,6 @@ class TestInjectorUnits:
             job_id=1, time=0.0, iteration=5, procs=4,
             speedup=3.0, iter_time=1.0,
         )
-        scaled = dataclasses.replace(report, speedup=report.speedup * 1.5)
+        scaled = report._replace(speedup=report.speedup * 1.5)
         assert scaled.speedup == pytest.approx(4.5)
         assert scaled.efficiency == pytest.approx(4.5 / 4)

@@ -50,17 +50,17 @@ class TestFcfs:
 
 
 class TestMplEnforcement:
-    def test_fixed_mpl_respected(self, linear_app):
+    def test_fixed_mpl_respected(self, linear_app, monkeypatch):
         jobs = [Job(i, linear_app, submit_time=0.0, request=4)
                 for i in range(1, 7)]
         sim, trace, rm, qs = build(jobs, mpl=2)
         max_running = 0
-        original = rm.start_job
-        def counting_start(job):
+        original = SpaceSharedResourceManager.start_job
+        def counting_start(self, job):
             nonlocal max_running
-            original(job)
-            max_running = max(max_running, rm.running_count)
-        rm.start_job = counting_start
+            original(self, job)
+            max_running = max(max_running, self.running_count)
+        monkeypatch.setattr(SpaceSharedResourceManager, "start_job", counting_start)
         sim.run()
         assert qs.all_done
         assert max_running <= 2

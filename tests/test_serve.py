@@ -549,11 +549,11 @@ class TestServeService:
         journal = ArrivalJournal(tmp_path / "j.jsonl", resume=True)
         assert len(journal) == session.source.drawn
 
-    def test_deadlock_is_diagnosed(self, tmp_path):
+    def test_deadlock_is_diagnosed(self, tmp_path, monkeypatch):
         session = make_session(max_jobs=3)
         # a queue that can never start anything: the degenerate config
         # the exit protocol exists to catch
-        session.qs.try_start = lambda: None
+        monkeypatch.setattr(StreamingQS, "try_start", lambda self: None)
         status = tmp_path / "status.json"
         service = ServeService(session, status_path=status)
         assert service.run(handle_signals=False) == EXIT_DEADLOCK

@@ -338,9 +338,11 @@ def _closed(policy: str) -> SimulationSession:
 def _cut_digest(out: Any) -> str:
     """Result bytes plus the trace, bursts in sorted order.
 
-    A restored machine flushes its final bursts in another CPU order
-    (a pre-existing property of Machine pickling, not of spans), so
-    the order-sensitive trace digest is not compared across a cut.
+    A restored machine can release a finished job's CPUs, and so emit
+    their bursts, in another order (``Machine.finish_job`` walks a set
+    that restore rebuilt from a sorted list; a property of Machine
+    pickling, not of spans), so the order-sensitive trace digest is not
+    compared across a cut.
     """
     trace = out.trace
     body = repr((canonical_dumps(out.result.to_dict()), sorted(map(repr, trace.bursts)),

@@ -176,16 +176,16 @@ class TestPchipSlopes:
 
 
 class TestMemoization:
-    def test_compute_called_once_per_procs(self):
+    def test_compute_called_once_per_procs(self, monkeypatch):
         calls = []
         curve = AmdahlSpeedup(0.05)
-        original = curve._compute
+        original = AmdahlSpeedup._compute
 
-        def counting(procs):
+        def counting(self, procs):
             calls.append(procs)
-            return original(procs)
+            return original(self, procs)
 
-        curve._compute = counting
+        monkeypatch.setattr(AmdahlSpeedup, "_compute", counting)
         for _ in range(5):
             curve.speedup(8)
         assert calls == [8]
