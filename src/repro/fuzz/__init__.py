@@ -5,10 +5,11 @@ protocol the paper defines — QS↔RM coordinated admission, NthLib
 malleability at iteration boundaries, SelfAnalyzer-driven reallocation,
 fault recovery — needs an adversarial harness.  This package provides:
 
-* :mod:`repro.fuzz.oracle` — the invariants of :mod:`repro.validate`
-  reformulated as an *incremental* oracle callable on live state
-  between any two events (CPU conservation, job conservation,
-  allocation bounds, MPL respect, fault-capacity accounting).
+* :mod:`repro.fuzz.oracle` — the *incremental* oracle callable on
+  live state between any two events: :mod:`repro.validate`'s own
+  trace checker and stream audit, plus the checks that need the live
+  object graph (CPU conservation, job conservation, allocation bounds,
+  MPL respect, policy sync, no wedge).
 * :mod:`repro.fuzz.targets` — a live Simulator+RM+QS session wrapped
   as a fuzzable target, for each space-sharing policy and the cluster
   coordinator, including checkpoint round-trips at arbitrary cut
@@ -38,7 +39,7 @@ rule.
 
 from repro.fuzz.corpus import load_corpus, replay_corpus, write_corpus
 from repro.fuzz.differential import differential_check, random_stimulus
-from repro.fuzz.oracle import ORACLE_CHECKS, ORACLE_PARITY, LiveOracle
+from repro.fuzz.oracle import LiveOracle
 from repro.fuzz.profiles import register_profiles
 from repro.fuzz.statemachine import machine_for
 from repro.fuzz.stimulus import apply_op
@@ -55,8 +56,6 @@ __all__ = [
     "FUZZ_STREAM_POLICIES",
     "FuzzTarget",
     "LiveOracle",
-    "ORACLE_CHECKS",
-    "ORACLE_PARITY",
     "apply_op",
     "differential_check",
     "load_corpus",

@@ -1,27 +1,30 @@
 """Incremental invariant oracle, callable on live simulation state.
 
 :mod:`repro.validate` audits *completed* runs from their output shape
-(records, bursts, fault logs).  This module states the same invariants
-against the **live** object graph — machine books, RM tables, QS
-queues, the event heap — so the protocol fuzzer can assert them
-between any two events.  Each oracle check is incremental: cursors
-remember how much of the trace was already audited, so a call costs
-O(new records + live state), not O(history).
+(records, bursts, fault logs).  The protocol fuzzer asserts invariants
+between any two events instead, and this module is its oracle.  Each
+invariant is implemented once:
 
-Parity with the post-hoc validators is a contract: every violation
-code reachable through ``validate_run`` / ``validate_sweep`` /
-``validate_checkpoint`` maps to an oracle check in
-:data:`ORACLE_PARITY`, and a completeness test fails the build if the
-two drift.
+* the trace invariants (``burst-sanity``, ``realloc-chain``) are
+  :class:`repro.validate.TraceChecker`, one per trace, fed the records
+  each op appended;
+* the stream invariants are :func:`repro.validate.validate_stream`,
+  run verbatim;
+* the checks here are the ones that need the live object graph —
+  machine books, RM tables, QS queues, the event heap — which a
+  finished run no longer has.
+
+Every check is incremental or stated over current state, so a call
+costs O(new records + live state), not O(history).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.machine.machine import MachineError
 from repro.qs.job import JobState
-from repro.validate import Violation, validate_race
+from repro.validate import TraceChecker, Violation, validate_run, validate_stream
 
 if TYPE_CHECKING:
     from repro.fuzz.targets import FuzzTarget
@@ -29,88 +32,20 @@ if TYPE_CHECKING:
 #: tolerance for floating-point time comparisons (same as validate)
 _EPS = 1e-6
 
-#: Every check the live oracle implements.  ``LiveOracle.check`` runs
-#: the per-rule checks in this order; ``ckpt-roundtrip`` is driven by
-#: the checkpoint stimulus (it mutates state), and the sweep/race
-#: checks are module functions usable mid-sweep.
-ORACLE_CHECKS: Tuple[str, ...] = (
-    "cpu-books",
-    "cpu-conservation",
-    "fault-offline",
-    "alloc-bounds",
-    "mpl-bound",
-    "job-conservation",
-    "job-retry",
-    "realloc-chain",
-    "burst-sanity",
-    "policy-sync",
-    "cluster-coscheduling",
-    "no-wedge",
-    "stream-invariants",
-    "ckpt-roundtrip",
-    "sweep-accounting",
-    "sweep-journal",
-    "race",
-)
-
-#: Post-hoc validator code -> live oracle check covering it.  The
-#: completeness test asserts every code in
-#: ``validate.RUN_CHECK_CODES`` / ``SWEEP_CHECK_CODES`` /
-#: ``CHECKPOINT_CHECK_CODES`` appears here, and that every value names
-#: a real oracle check.
-ORACLE_PARITY: Dict[str, str] = {
-    # validate_run
-    "job-accounting": "job-conservation",
-    "burst-sanity": "burst-sanity",
-    "capacity": "cpu-conservation",
-    "trace-consistency": "burst-sanity",
-    "realloc-chain": "realloc-chain",
-    "fault-offline-overlap": "fault-offline",
-    "fault-capacity": "cpu-conservation",
-    "fault-requeue-terminal": "job-conservation",
-    "race-ambiguous": "race",
-    # validate_sweep
-    "sweep-lost-cell": "sweep-accounting",
-    "sweep-stats-balance": "sweep-accounting",
-    "sweep-journal": "sweep-journal",
-    # validate_checkpoint
-    "ckpt-envelope": "ckpt-roundtrip",
-    "ckpt-restore": "ckpt-roundtrip",
-    "ckpt-meta": "ckpt-roundtrip",
-    "ckpt-compaction": "ckpt-roundtrip",
-    "ckpt-wedged": "no-wedge",
-    # validate_stream (streaming targets run the full post-hoc stream
-    # audit between every two events; the recovery invariant is also
-    # re-proven by every serve checkpoint round-trip)
-    "stream-conservation": "stream-invariants",
-    "stream-bounded-queue": "stream-invariants",
-    "stream-recovery": "stream-invariants",
-}
-
-
 class LiveOracle:
     """Audits a live :class:`~repro.fuzz.targets.FuzzTarget` mid-run.
 
-    Stateful: cursors track the already-audited prefix of the trace
-    (bursts, reallocations, kills) and the terminal states already
-    observed, so terminal transitions are checked for monotonicity.
-    Checkpoint swaps are transparent — the restored graph is at the
-    same point in history, so every cursor stays valid.
+    Stateful: one :class:`~repro.validate.TraceChecker` per trace
+    holds the cursors over the already-audited records, and the
+    terminal states already observed are kept so terminal transitions
+    are checked for monotonicity.  Checkpoint swaps are transparent —
+    the restored graph is at the same point in history, so every
+    cursor stays valid.
     """
 
     def __init__(self) -> None:
-        #: per-trace-index count of bursts already audited
-        self._burst_idx: Dict[int, int] = {}
-        #: per-(trace index, cpu) end time of the last audited burst
-        self._burst_end: Dict[Tuple[int, int], float] = {}
-        #: reallocation records already audited
-        self._realloc_idx = 0
-        #: job_kill fault records already ingested from the trace
-        self._kill_idx = 0
-        #: per-job kill times not yet matched to a chain restart
-        self._pending_kills: Dict[int, List[float]] = {}
-        #: per-job expected ``old_procs`` of the next reallocation
-        self._expected: Dict[int, int] = {}
+        #: one trace checker per entry of ``target.recorded()``
+        self._checkers: List[TraceChecker] = []
         #: job_id -> (state value, end_time) once terminal
         self._terminal: Dict[int, Tuple[str, Optional[float]]] = {}
 
@@ -127,8 +62,7 @@ class LiveOracle:
         problems.extend(self.check_mpl_bound(target))
         problems.extend(self.check_job_conservation(target))
         problems.extend(self.check_job_retry(target))
-        problems.extend(self.check_realloc_chain(target))
-        problems.extend(self.check_burst_sanity(target))
+        problems.extend(self.check_trace(target))
         problems.extend(self.check_policy_sync(target))
         problems.extend(self.check_cluster_coscheduling(target))
         problems.extend(self.check_no_wedge(target))
@@ -385,94 +319,20 @@ class LiveOracle:
         return problems
 
     # ------------------------------------------------------------------
-    # trace cursors (validate: burst-sanity, trace-consistency,
-    # realloc-chain)
+    # trace invariants (burst-sanity, realloc-chain)
     # ------------------------------------------------------------------
-    def check_realloc_chain(self, target: "FuzzTarget") -> List[Violation]:
-        """New reallocation records chain from the previous allocation.
-
-        A fault kill releases the whole partition without a
-        reallocation record, so a retried job's chain restarts from
-        zero — same rule as the post-hoc check, applied as the records
-        appear.
-        """
-        problems = []
-        records = target.reallocations()
-        kills = target.kill_faults()
-        for fault in kills[self._kill_idx:]:
-            self._pending_kills.setdefault(fault.target, []).append(fault.time)
-        self._kill_idx = len(kills)
-        for record in records[self._realloc_idx:]:
-            pending = self._pending_kills.get(record.job_id, [])
-            # Kills strictly before this record reset the chain; a
-            # kill at the same timestamp (start, kill and restart can
-            # share one simulated instant) is consumed lazily, only as
-            # the explanation for a restart the chain would otherwise
-            # reject — same tie rule as the post-hoc validator.
-            while pending and pending[0] < record.time - _EPS:
-                pending.pop(0)
-                self._expected[record.job_id] = 0
-            expected = self._expected.get(record.job_id, 0)
-            if record.old_procs != expected:
-                if (record.old_procs == 0
-                        and pending
-                        and pending[0] <= record.time + _EPS):
-                    pending.pop(0)
-                else:
-                    problems.append(Violation(
-                        "realloc-chain", "alloc",
-                        f"job {record.job_id}: reallocation chain broken at "
-                        f"t={record.time:.3f} (expected old={expected}, "
-                        f"recorded old={record.old_procs})",
-                    ))
-            if record.new_procs < 1:
-                problems.append(Violation(
-                    "realloc-chain", "alloc",
-                    f"job {record.job_id}: allocated {record.new_procs} "
-                    f"CPUs at t={record.time:.3f}",
-                ))
-            self._expected[record.job_id] = record.new_procs
-        self._realloc_idx = len(records)
-        return problems
-
-    def check_burst_sanity(self, target: "FuzzTarget") -> List[Violation]:
-        """New bursts: positive, on a real CPU, closed in the past,
-        never overlapping the previous burst of their CPU."""
+    def check_trace(self, target: "FuzzTarget") -> List[Violation]:
+        """Feed each trace's new records to its :class:`TraceChecker`."""
         problems = []
         now = target.sim.now
-        for index, trace in enumerate(target.traces()):
-            if trace is None:
-                continue
-            bursts = trace.bursts
-            for burst in bursts[self._burst_idx.get(index, 0):]:
-                if burst.duration <= 0:
-                    problems.append(Violation(
-                        "burst-sanity", "trace",
-                        f"machine {index} cpu {burst.cpu}: non-positive "
-                        f"burst {burst}",
-                    ))
-                if not 0 <= burst.cpu < trace.n_cpus:
-                    problems.append(Violation(
-                        "burst-sanity", "trace",
-                        f"machine {index}: burst on unknown cpu {burst.cpu}",
-                    ))
-                    continue
-                if burst.end > now + _EPS:
-                    problems.append(Violation(
-                        "burst-sanity", "trace",
-                        f"machine {index} cpu {burst.cpu}: burst ends at "
-                        f"{burst.end:.3f}, after now ({now:.3f})",
-                    ))
-                last_end = self._burst_end.get((index, burst.cpu))
-                if last_end is not None and burst.start < last_end - _EPS:
-                    problems.append(Violation(
-                        "burst-sanity", "trace",
-                        f"machine {index} cpu {burst.cpu}: burst "
-                        f"[{burst.start:.3f},{burst.end:.3f}] overlaps the "
-                        f"previous burst ending at {last_end:.3f}",
-                    ))
-                self._burst_end[(index, burst.cpu)] = burst.end
-            self._burst_idx[index] = len(bursts)
+        for index, (n_cpus, bursts, reallocations, faults) in enumerate(
+            target.recorded()
+        ):
+            if index == len(self._checkers):
+                self._checkers.append(TraceChecker(n_cpus))
+            problems.extend(
+                self._checkers[index].feed(bursts, reallocations, faults, now)
+            )
         return problems
 
     # ------------------------------------------------------------------
@@ -576,20 +436,18 @@ class LiveOracle:
         """
         if not getattr(target, "is_stream", False):
             return []
-        from repro.validate import validate_stream
-
-        return list(validate_stream(target.session))
+        return validate_stream(target.session)
 
 
 def final_audit(target: "FuzzTarget") -> List[Violation]:
-    """Post-hoc audit of a fully drained target (validator parity).
+    """Post-hoc audit of a fully drained target.
 
     After a drain that completed every job, the live session must also
     satisfy the *post-hoc* validators — the completed run is harvested
-    through ``session.finish()`` and passed to ``validate_run``.  Any
-    disagreement between the silent live oracle and a complaining
-    post-hoc validator (or vice versa) is itself a finding: the two
-    formulations are contractually equivalent.
+    through ``session.finish()`` and passed to ``validate_run``, which
+    adds the checks that need a finished run's job records and whole
+    trace (job accounting, capacity, trace consistency, fault
+    invariants) and re-checks the flushed final bursts.
 
     Incomplete targets return no problems here (the live oracle's
     ``no-wedge`` check already flagged a wedge); cluster targets have
@@ -598,137 +456,8 @@ def final_audit(target: "FuzzTarget") -> List[Violation]:
     finished, so their post-hoc audit is ``validate_stream`` over the
     drained session instead of ``validate_run`` over a harvest.
     """
-    from repro.validate import validate_run, validate_stream
-
     if not target.qs.all_done or target.is_cluster:
         return []
     if target.is_stream:
-        return list(validate_stream(target.session))
-    out = target.session.finish()
-    return [
-        v if isinstance(v, Violation) else Violation("post-hoc", "job", str(v))
-        for v in validate_run(out)
-    ]
-
-
-# ----------------------------------------------------------------------
-# harness-level checks (mid-sweep counterparts of validate_sweep)
-# ----------------------------------------------------------------------
-def check_sweep_accounting(
-    stats: Any,
-    cells: Optional[Any] = None,
-    payloads: Optional[Any] = None,
-    final: bool = True,
-) -> List[Violation]:
-    """Sweep books balance; with cells/payloads, no cell is lost.
-
-    Mid-sweep (``final=False``) the accounted cells may trail the
-    total; at the end they must match it exactly.
-    """
-    problems = []
-    accounted = (
-        stats.cache_hits + stats.resumed + stats.executed + stats.quarantined
-    )
-    if final and accounted != stats.cells:
-        problems.append(Violation(
-            "sweep-accounting", "sweep",
-            f"stats unbalanced: {accounted} accounted != {stats.cells} cells",
-        ))
-    elif not final and accounted > stats.cells:
-        problems.append(Violation(
-            "sweep-accounting", "sweep",
-            f"stats overcounted mid-sweep: {accounted} accounted > "
-            f"{stats.cells} cells",
-        ))
-    if cells is not None and payloads is not None:
-        quarantined = {f.key for f in stats.failures}
-        for cell, payload in zip(cells, payloads):
-            if payload is None and cell.key not in quarantined:
-                problems.append(Violation(
-                    "sweep-accounting", "sweep",
-                    f"cell {cell.key!r}: lost (no payload, not quarantined)",
-                ))
-            if payload is not None and cell.key in quarantined:
-                problems.append(Violation(
-                    "sweep-accounting", "sweep",
-                    f"cell {cell.key!r}: both quarantined and completed",
-                ))
-        if len(payloads) != len(cells):
-            problems.append(Violation(
-                "sweep-accounting", "sweep",
-                f"payload count {len(payloads)} != cell count {len(cells)}",
-            ))
-    return problems
-
-
-def check_sweep_journal(runner: Any, cells: Any, payloads: Any) -> List[Violation]:
-    """Every completed cell journalled with an honest digest."""
-    from repro.parallel import cell_key, payload_digest
-
-    journal = getattr(runner, "journal", None)
-    if journal is None or runner.cache is None:
-        return []
-    problems = []
-    for cell, payload in zip(cells, payloads):
-        if payload is None:
-            continue
-        entry = journal.get(cell_key(cell.fn, cell.params))
-        if entry is None:
-            problems.append(Violation(
-                "sweep-journal", "sweep",
-                f"cell {cell.key!r}: completed but not journalled",
-            ))
-        elif not entry.matches(payload):
-            problems.append(Violation(
-                "sweep-journal", "sweep",
-                f"cell {cell.key!r}: journal digest {entry.digest[:12]}… "
-                f"does not match payload digest "
-                f"{payload_digest(payload)[:12]}…",
-            ))
-    return problems
-
-
-def check_race(race: Any) -> List[Violation]:
-    """Determinism-sanitizer findings as oracle violations."""
-    return list(validate_race(race))
-
-
-#: name -> callable resolver used by the completeness test; LiveOracle
-#: methods are looked up by attribute, module functions directly.
-_METHOD_OF: Mapping[str, str] = {
-    "cpu-books": "check_cpu_books",
-    "cpu-conservation": "check_cpu_conservation",
-    "fault-offline": "check_fault_offline",
-    "alloc-bounds": "check_alloc_bounds",
-    "mpl-bound": "check_mpl_bound",
-    "job-conservation": "check_job_conservation",
-    "job-retry": "check_job_retry",
-    "realloc-chain": "check_realloc_chain",
-    "burst-sanity": "check_burst_sanity",
-    "policy-sync": "check_policy_sync",
-    "cluster-coscheduling": "check_cluster_coscheduling",
-    "no-wedge": "check_no_wedge",
-    "stream-invariants": "check_stream_invariants",
-}
-
-
-def resolve_check(name: str) -> Any:
-    """The callable implementing oracle check *name* (KeyError if none).
-
-    ``ckpt-roundtrip`` lives on the target (it mutates state through a
-    save/restore cycle); the sweep/race checks are module functions;
-    everything else is a :class:`LiveOracle` method.
-    """
-    if name in _METHOD_OF:
-        return getattr(LiveOracle, _METHOD_OF[name])
-    if name == "ckpt-roundtrip":
-        from repro.fuzz.targets import FuzzTarget
-
-        return FuzzTarget.checkpoint_roundtrip
-    if name == "sweep-accounting":
-        return check_sweep_accounting
-    if name == "sweep-journal":
-        return check_sweep_journal
-    if name == "race":
-        return check_race
-    raise KeyError(f"unknown oracle check {name!r}")
+        return validate_stream(target.session)
+    return validate_run(target.session.finish())

@@ -29,7 +29,7 @@ from repro.checkpoint import SimulationSession, read_snapshot
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.topology import ClusterSpec
 from repro.experiments.common import ExperimentConfig, build_session
-from repro.metrics.trace import FaultRecord, ReallocationRecord, TraceRecorder
+from repro.metrics.trace import Burst, FaultRecord, ReallocationRecord
 from repro.qs.job import Job, JobState
 from repro.qs.queuing import NanosQS, RetryConfig
 from repro.qs.streaming import BLOCKED, IngressConfig
@@ -61,6 +61,11 @@ FUZZ_RETRY = RetryConfig(max_retries=1, backoff_base=1.0, backoff_cap=4.0)
 
 #: event budget for drains — far above any stimulus the fuzzer emits
 _DRAIN_MAX_EVENTS = 200_000
+
+#: one trace's records as the oracle reads them (see FuzzTarget.recorded)
+Recorded = Tuple[
+    int, List[Burst], List[ReallocationRecord], List[FaultRecord]
+]
 
 
 def _fuzz_apps() -> Dict[str, ApplicationSpec]:
@@ -201,23 +206,21 @@ class FuzzTarget:
             return list(self.rm.machines)
         return [self.rm.machine]
 
-    def traces(self) -> List[Optional[TraceRecorder]]:
-        """Trace recorders aligned with :meth:`machines`."""
-        if self.is_cluster:
-            return list(self.rm.traces)
-        return [self.session.trace]
+    def recorded(self) -> List[Recorded]:
+        """Each trace's ``(n_cpus, bursts, reallocations, faults)`` so far.
 
-    def reallocations(self) -> List[ReallocationRecord]:
-        """Every reallocation record so far, in recording order."""
+        The lists are the recorders' own, appended in recording order.
+        The cluster records bursts per node but reallocations on the
+        coordinator, so it gets one more entry holding only those.
+        """
+        traces = self.rm.traces if self.is_cluster else [self.session.trace]
+        records: List[Recorded] = [
+            (trace.n_cpus, trace.bursts, trace.reallocations, trace.faults)
+            for trace in traces
+        ]
         if self.is_cluster:
-            return list(self.rm.reallocations)
-        return list(self.session.trace.reallocations)
-
-    def kill_faults(self) -> List[FaultRecord]:
-        """``job_kill`` fault records so far (empty on cluster)."""
-        if self.is_cluster:
-            return []
-        return self.session.trace.faults_of_kind("job_kill")
+            records.append((self.n_cpus, [], self.rm.reallocations, []))
+        return records
 
     def allocation_of(self, job_id: int) -> int:
         """Processors *job_id* currently holds (cluster: co-scheduled)."""

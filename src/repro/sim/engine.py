@@ -31,7 +31,6 @@ Example
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.sim.slots import set_slot_state, slot_state
@@ -329,7 +328,9 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue = EventQueue()
-        self._seq = itertools.count()
+        #: the next insertion sequence number (a plain int: itertools
+        #: objects stop pickling in Python 3.14)
+        self._seq = 0
         self._running = False
         self._stopped = False
         self._events_fired = 0
@@ -424,7 +425,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event {label!r} at t={time} before now={self._now}"
             )
-        event = Event(max(time, self._now), priority, next(self._seq), callback, args, label)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(max(time, self._now), priority, seq, callback, args, label)
         self._queue.push(event)
         return event
 
@@ -445,9 +448,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
-        event = Event(
-            self._now + delay, priority, next(self._seq), callback, args, label
-        )
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(self._now + delay, priority, seq, callback, args, label)
         self._queue.push(event)
         return event
 
@@ -474,7 +477,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
-        mark = [self._now + delay, next(self._seq), absorb, fire, args, label]
+        seq = self._seq
+        self._seq = seq + 1
+        mark = [self._now + delay, seq, absorb, fire, args, label]
         heapq.heappush(self._marks, mark)
         self._live_marks += 1
         return mark

@@ -11,8 +11,8 @@ Checked invariants
 ------------------
 * **job accounting** — every record has ``submit <= start <= end``;
   response = wait + execution.
-* **burst sanity** — bursts have positive duration and never overlap
-  on the same CPU.
+* **burst sanity** — bursts have positive duration, lie on a CPU of
+  the machine and never overlap on the same CPU.
 * **capacity** — at no instant do concurrent bursts exceed the
   machine size.
 * **trace/record consistency** — a job's bursts fall inside its
@@ -24,6 +24,13 @@ Checked invariants
   burst overlaps an offline window of its CPU; concurrent bursts never
   exceed the *healthy* capacity of the moment; every requeued job
   reaches a terminal state (DONE or FAILED).
+
+Burst sanity and the reallocation chains are written once, as the
+incremental :class:`TraceChecker`: ``validate_run`` feeds it a finished
+trace in one call, and the fuzzer's live oracle
+(:class:`repro.fuzz.oracle.LiveOracle`) feeds it each op's new records
+between events.  The other run invariants need the job records of a
+finished run; the live oracle checks their live-state counterparts.
 
 Alongside the per-run invariants, :func:`validate_sweep` audits the
 **harness** after a sweep: no cell may be lost (every slot is either a
@@ -39,7 +46,8 @@ submissions must be conserved across admitted/shed/live/terminal
 states, a configured ingress bound must never have been exceeded (the
 recorded peak is checked, so the bound cannot lie retroactively), and
 a restored session must have consumed every arrival-journal replay
-expectation — the recovery fixed point.
+expectation — the recovery fixed point.  The fuzzer's live oracle runs
+it verbatim between events.
 
 :func:`validate_checkpoint` audits a **snapshot file**: the envelope
 must verify (magic, lengths, sha256), the payload must restore into a
@@ -56,9 +64,12 @@ invariant failures like any other, via :func:`validate_race`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import RunOutput
+from repro.metrics.trace import Burst, FaultRecord, ReallocationRecord
 from repro.qs.job import JobState
 
 #: tolerance for floating-point time comparisons
@@ -78,8 +89,8 @@ class Violation(str):
 
     A ``str`` subclass, so every existing consumer — ``== []`` checks,
     substring matching, ``"\\n".join`` — keeps working unchanged,
-    while the fuzzer, the CLI and the completeness tests can dispatch
-    on the stable ``code`` instead of parsing prose.
+    while the fuzzer, the CLI and the tests can dispatch on the
+    stable ``code`` instead of parsing prose.
     """
 
     __slots__ = ("code", "layer")
@@ -105,64 +116,15 @@ class Violation(str):
         return f"[{self.layer}/{self.code}] {self}"
 
 
-def render_violations(problems: Iterable[str]) -> str:
-    """Render violations one per line, identically on every surface.
-
-    Plain strings (legacy producers) render as-is; :class:`Violation`
-    records render through :meth:`Violation.render`.
-    """
-    return "\n".join(
-        p.render() if isinstance(p, Violation) else str(p) for p in problems
-    )
+def render_violations(problems: Iterable[Violation]) -> str:
+    """Render violations one per line, identically on every surface."""
+    return "\n".join(p.render() for p in problems)
 
 
-def _ordered(problems: List[str]) -> List[str]:
+def _ordered(problems: List[Violation]) -> List[Violation]:
     """Deterministic order: by (layer, code), stable within a group."""
-    def sort_key(item: Tuple[int, str]) -> Tuple[int, str, int]:
-        index, problem = item
-        if isinstance(problem, Violation):
-            return (LAYER_ORDER.index(problem.layer), problem.code, index)
-        return (len(LAYER_ORDER), "", index)
-    return [p for _, p in sorted(enumerate(problems), key=sort_key)]
+    return sorted(problems, key=lambda p: (LAYER_ORDER.index(p.layer), p.code))
 
-
-#: Violation codes each entry point can emit.  The fuzz oracle's
-#: parity map must cover every one of these (enforced by a
-#: completeness test), so the post-hoc validators and the mid-run
-#: oracle cannot drift apart.
-RUN_CHECK_CODES: Tuple[str, ...] = (
-    "job-accounting",
-    "burst-sanity",
-    "capacity",
-    "trace-consistency",
-    "realloc-chain",
-    "fault-offline-overlap",
-    "fault-capacity",
-    "fault-requeue-terminal",
-    "race-ambiguous",
-)
-SWEEP_CHECK_CODES: Tuple[str, ...] = (
-    "sweep-lost-cell",
-    "sweep-stats-balance",
-    "sweep-journal",
-    "race-ambiguous",
-)
-CHECKPOINT_CHECK_CODES: Tuple[str, ...] = (
-    "ckpt-envelope",
-    "ckpt-restore",
-    "ckpt-meta",
-    "ckpt-compaction",
-    "ckpt-wedged",
-)
-STREAM_CHECK_CODES: Tuple[str, ...] = (
-    "stream-conservation",
-    "stream-bounded-queue",
-    "stream-recovery",
-)
-TORTURE_CHECK_CODES: Tuple[str, ...] = (
-    "torture-invariant",
-    "torture-coverage",
-)
 
 #: minimum distinct crash/fault states a full torture campaign (every
 #: protocol) must exercise before its "clean" verdict counts (the
@@ -171,7 +133,7 @@ TORTURE_CHECK_CODES: Tuple[str, ...] = (
 TORTURE_STATE_FLOOR = 200
 
 
-def validate_race(race) -> List[str]:
+def validate_race(race) -> List[Violation]:
     """Determinism-sanitizer findings rendered as invariant violations.
 
     *race* is a :class:`~repro.analysis.race.RaceDetector` or a
@@ -189,19 +151,20 @@ def validate_race(race) -> List[str]:
     ]
 
 
-def validate_run(out: RunOutput, race=None) -> List[str]:
+def validate_run(out: RunOutput, race=None) -> List[Violation]:
     """Audit one run; returns human-readable violations (empty = ok).
 
     *race* optionally carries the run's ``--sanitize`` detector (or
     its stats); ambiguous event cohorts it found are appended as
     violations.
     """
-    problems: List[str] = []
-    problems.extend(_check_job_accounting(out))
-    problems.extend(_check_burst_sanity(out))
+    trace = out.trace
+    problems = _check_job_accounting(out)
+    problems.extend(TraceChecker(trace.n_cpus).feed(
+        trace.bursts, trace.reallocations, trace.faults
+    ))
     problems.extend(_check_capacity(out))
     problems.extend(_check_trace_consistency(out))
-    problems.extend(_check_reallocation_chains(out))
     problems.extend(_check_fault_invariants(out))
     problems.extend(validate_race(race))
     return _ordered(problems)
@@ -217,12 +180,142 @@ def assert_valid(out: RunOutput, race=None) -> None:
         )
 
 
+_time = attrgetter("time")
+_start = attrgetter("start")
+
+
+def _overlap(cpu: int, a: Burst, b: Burst) -> Violation:
+    return Violation(
+        "burst-sanity", "trace",
+        f"cpu {cpu}: overlapping bursts "
+        f"[{a.start:.3f},{a.end:.3f}] ({a.app_name}) and "
+        f"[{b.start:.3f},{b.end:.3f}] ({b.app_name})",
+    )
+
+
+class TraceChecker:
+    """``burst-sanity`` and ``realloc-chain`` over one trace, fed incrementally.
+
+    The one implementation of both checks: :func:`validate_run` feeds
+    it a finished trace in one call, and the fuzzer's live oracle keeps
+    one checker per trace and feeds it each op's new records.  Cursors
+    remember how much of each recorded list was already checked, so a
+    call costs O(new records); the recorded lists themselves are the
+    event stream, so nothing is recorded twice.
+
+    Within one call, bursts are taken by start time and reallocations
+    and kills by time, as a post-hoc sort of the whole trace would take
+    them.  Feeding a recorded trace in time-ordered prefixes, as the
+    live oracle does between events, finds what one whole feed finds.
+    """
+
+    __slots__ = ("n_cpus", "_cursors", "_placed", "_expected", "_kills")
+
+    def __init__(self, n_cpus: int) -> None:
+        self.n_cpus = n_cpus
+        #: bursts, reallocations and faults already checked
+        self._cursors = (0, 0, 0)
+        #: per CPU: the bursts checked so far, sorted by start
+        self._placed: Dict[int, List[Burst]] = {}
+        #: per job: the ``old_procs`` its next reallocation must carry
+        self._expected: Dict[int, int] = {}
+        #: per job: kill times not yet matched to a chain restart
+        self._kills: Dict[int, List[float]] = {}
+
+    def feed(
+        self,
+        bursts: Sequence[Burst],
+        reallocations: Sequence[ReallocationRecord],
+        faults: Sequence[FaultRecord],
+        now: Optional[float] = None,
+    ) -> List[Violation]:
+        """Check the records appended to the three lists since the last call.
+
+        *now*, the live clock, also flags bursts that end after it.
+        """
+        seen_bursts, seen_reallocs, seen_faults = self._cursors
+        self._cursors = (len(bursts), len(reallocations), len(faults))
+        kills = [f for f in faults[seen_faults:] if f.kind == "job_kill"]
+        for fault in sorted(kills, key=_time):
+            self._kills.setdefault(fault.target, []).append(fault.time)
+        problems = self._check_chain(sorted(reallocations[seen_reallocs:], key=_time))
+        problems.extend(self._check_bursts(sorted(bursts[seen_bursts:], key=_start), now))
+        return problems
+
+    def _check_chain(self, records: List[ReallocationRecord]) -> List[Violation]:
+        problems = []
+        for record in records:
+            job_id = record.job_id
+            kills = self._kills.get(job_id, [])
+            expected = self._expected.get(job_id, 0)
+            # Kills strictly before this record definitely reset the
+            # chain.  A kill at the *same* timestamp is ambiguous in
+            # the flat record streams — a job can start, be killed and
+            # restart within one simulated instant — so a tied kill is
+            # consumed lazily, only when it is the explanation for a
+            # restart (old_procs == 0) the chain would otherwise
+            # reject.
+            while kills and kills[0] < record.time - _EPS:
+                kills.pop(0)
+                expected = 0
+            if record.old_procs != expected:
+                if (record.old_procs == 0
+                        and kills and kills[0] <= record.time + _EPS):
+                    kills.pop(0)
+                else:
+                    problems.append(Violation(
+                        "realloc-chain", "alloc",
+                        f"job {job_id}: reallocation chain broken at "
+                        f"t={record.time:.3f} (expected old={expected}, "
+                        f"recorded old={record.old_procs})",
+                    ))
+            if record.new_procs < 1:
+                problems.append(Violation(
+                    "realloc-chain", "alloc",
+                    f"job {job_id}: allocated {record.new_procs} CPUs at "
+                    f"t={record.time:.3f}",
+                ))
+            self._expected[job_id] = record.new_procs
+        return problems
+
+    def _check_bursts(self, bursts: List[Burst], now: Optional[float]) -> List[Violation]:
+        problems = []
+        for burst in bursts:
+            cpu, start, end = burst.cpu, burst.start, burst.end
+            if end <= start:
+                problems.append(Violation(
+                    "burst-sanity", "trace",
+                    f"cpu {cpu}: non-positive burst {burst}",
+                ))
+            if not 0 <= cpu < self.n_cpus:
+                problems.append(Violation(
+                    "burst-sanity", "trace", f"burst on unknown cpu {cpu}"
+                ))
+                continue
+            if now is not None and end > now + _EPS:
+                problems.append(Violation(
+                    "burst-sanity", "trace",
+                    f"cpu {cpu}: burst ends at {end:.3f}, after now ({now:.3f})",
+                ))
+            # Compare with the neighbours by start time, as a post-hoc
+            # sort would.  Fed in time order, a burst ends after every
+            # checked one, so it has a successor only if it contains it.
+            placed = self._placed.setdefault(cpu, [])
+            index = bisect_right(placed, start, key=_start)
+            if index > 0 and start < placed[index - 1].end - _EPS:
+                problems.append(_overlap(cpu, placed[index - 1], burst))
+            if index < len(placed) and placed[index].start < end - _EPS:
+                problems.append(_overlap(cpu, burst, placed[index]))
+            placed.insert(index, burst)
+        return problems
+
+
 def validate_sweep(
     runner,
     cells: Sequence,
     payloads: Sequence[Optional[str]],
     race=None,
-) -> List[str]:
+) -> List[Violation]:
     """Audit one completed sweep of the experiment harness.
 
     *runner* is the :class:`~repro.parallel.SweepRunner` that executed
@@ -236,7 +329,7 @@ def validate_sweep(
     """
     from repro.parallel import cell_key, payload_digest
 
-    problems: List[str] = []
+    problems: List[Violation] = []
     stats = runner.last_stats
 
     # 1. No lost cells: every slot holds a payload or an accounted
@@ -311,7 +404,9 @@ def validate_sweep(
     return _ordered(problems)
 
 
-def validate_checkpoint(path, expected_config=None, session_cls=None) -> List[str]:
+def validate_checkpoint(
+    path, expected_config=None, session_cls=None
+) -> List[Violation]:
     """Audit one checkpoint snapshot; returns violations (empty = ok).
 
     Verifies the envelope (magic, section lengths, sha256), restores
@@ -346,7 +441,7 @@ def validate_checkpoint(path, expected_config=None, session_cls=None) -> List[st
             "ckpt-restore", "checkpoint", f"restore ({exc.kind}): {exc}"
         )]
 
-    problems: List[str] = []
+    problems: List[Violation] = []
     sim = session.sim
     for field, actual in (
         ("sim_time", sim.now),
@@ -386,7 +481,7 @@ def validate_checkpoint(path, expected_config=None, session_cls=None) -> List[st
     return _ordered(problems)
 
 
-def validate_stream(session, race=None) -> List[str]:
+def validate_stream(session, race=None) -> List[Violation]:
     """Audit a streaming (:class:`~repro.serve.ServeSession`) service.
 
     Callable at *any* instant — between run-loop batches, at drain, or
@@ -407,7 +502,7 @@ def validate_stream(session, race=None) -> List[str]:
       replay expectation; leftovers mean the source under-drew and the
       restored stream is NOT a fixed point of the crashed one.
     """
-    problems: List[str] = []
+    problems: List[Violation] = []
     stats = session.qs.stats
     qs = session.qs
     pump = session.pump
@@ -486,27 +581,7 @@ def validate_stream(session, race=None) -> List[str]:
     return _ordered(problems)
 
 
-def assert_stream_valid(session, race=None) -> None:
-    """Raise ``AssertionError`` listing all stream violations, if any."""
-    problems = validate_stream(session, race=race)
-    if problems:
-        raise AssertionError(
-            f"{len(problems)} stream invariant violation(s):\n"
-            + render_violations(problems)
-        )
-
-
-def assert_sweep_valid(runner, cells, payloads, race=None) -> None:
-    """Raise ``AssertionError`` listing all sweep violations, if any."""
-    problems = validate_sweep(runner, cells, payloads, race=race)
-    if problems:
-        raise AssertionError(
-            f"{len(problems)} sweep invariant violation(s):\n"
-            + render_violations(problems)
-        )
-
-
-def _check_job_accounting(out: RunOutput) -> List[str]:
+def _check_job_accounting(out: RunOutput) -> List[Violation]:
     problems = []
     for record in out.result.records:
         if not (record.submit_time - _EPS <= record.start_time <= record.end_time + _EPS):
@@ -526,30 +601,7 @@ def _check_job_accounting(out: RunOutput) -> List[str]:
     return problems
 
 
-def _check_burst_sanity(out: RunOutput) -> List[str]:
-    problems = []
-    by_cpu = {}
-    for burst in out.trace.bursts:
-        if burst.duration <= 0:
-            problems.append(Violation(
-                "burst-sanity", "trace",
-                f"cpu {burst.cpu}: non-positive burst {burst}",
-            ))
-        by_cpu.setdefault(burst.cpu, []).append(burst)
-    for cpu, bursts in sorted(by_cpu.items()):
-        bursts.sort(key=lambda b: b.start)
-        for a, b in zip(bursts, bursts[1:]):
-            if b.start < a.end - _EPS:
-                problems.append(Violation(
-                    "burst-sanity", "trace",
-                    f"cpu {cpu}: overlapping bursts "
-                    f"[{a.start:.3f},{a.end:.3f}] ({a.app_name}) and "
-                    f"[{b.start:.3f},{b.end:.3f}] ({b.app_name})",
-                ))
-    return problems
-
-
-def _check_capacity(out: RunOutput) -> List[str]:
+def _check_capacity(out: RunOutput) -> List[Violation]:
     """Sweep burst edges; concurrent bursts must fit the machine."""
     events = []
     for burst in out.trace.bursts:
@@ -570,7 +622,7 @@ def _check_capacity(out: RunOutput) -> List[str]:
     return []
 
 
-def _check_trace_consistency(out: RunOutput) -> List[str]:
+def _check_trace_consistency(out: RunOutput) -> List[Violation]:
     problems = []
     windows = {
         record.job_id: (record.start_time, record.end_time)
@@ -590,57 +642,7 @@ def _check_trace_consistency(out: RunOutput) -> List[str]:
     return problems
 
 
-def _check_reallocation_chains(out: RunOutput) -> List[str]:
-    problems = []
-    by_job: Dict[int, list] = {}
-    for record in sorted(out.trace.reallocations, key=lambda r: r.time):
-        by_job.setdefault(record.job_id, []).append(record)
-    # A fault kill releases the whole partition without a reallocation
-    # record, so the chain of a retried job restarts from zero.
-    kills: Dict[int, List[float]] = {}
-    for fault in out.trace.faults:
-        if fault.kind == "job_kill":
-            kills.setdefault(fault.target, []).append(fault.time)
-    for job_id, chain in sorted(by_job.items()):
-        kill_times = sorted(kills.get(job_id, []))
-        expected = 0
-        next_kill = 0
-        for record in chain:
-            # Kills strictly before this record definitely reset the
-            # chain.  A kill at the *same* timestamp is ambiguous in
-            # the flat record streams — a job can start, be killed and
-            # restart within one simulated instant — so a tied kill is
-            # consumed lazily, only when it is the explanation for a
-            # restart (old_procs == 0) the chain would otherwise
-            # reject.
-            while (next_kill < len(kill_times)
-                   and kill_times[next_kill] < record.time - _EPS):
-                expected = 0
-                next_kill += 1
-            if record.old_procs != expected:
-                if (record.old_procs == 0
-                        and next_kill < len(kill_times)
-                        and kill_times[next_kill] <= record.time + _EPS):
-                    next_kill += 1
-                else:
-                    problems.append(Violation(
-                        "realloc-chain", "alloc",
-                        f"job {job_id}: reallocation chain broken at "
-                        f"t={record.time:.3f} (expected old={expected}, "
-                        f"recorded old={record.old_procs})",
-                    ))
-            expected = record.new_procs
-        for record in chain:
-            if record.new_procs < 1:
-                problems.append(Violation(
-                    "realloc-chain", "alloc",
-                    f"job {job_id}: allocated {record.new_procs} CPUs at "
-                    f"t={record.time:.3f}",
-                ))
-    return problems
-
-
-def _check_fault_invariants(out: RunOutput) -> List[str]:
+def _check_fault_invariants(out: RunOutput) -> List[Violation]:
     """Fault-mode bookkeeping; no-op for runs without fault records."""
     faults = out.trace.faults
     if not faults:
@@ -711,7 +713,7 @@ def _check_fault_invariants(out: RunOutput) -> List[str]:
     return problems
 
 
-def validate_torture(reports, budget: int = 0) -> List[str]:
+def validate_torture(reports, budget: int = 0) -> List[Violation]:
     """Check a storage-torture campaign's verdict and its coverage.
 
     *reports* is the :func:`repro.storage.protocols.run_torture`
@@ -730,7 +732,7 @@ def validate_torture(reports, budget: int = 0) -> List[str]:
     """
     from repro.storage.protocols import PROTOCOL_NAMES
 
-    problems: List[str] = []
+    problems: List[Violation] = []
     for report in reports:
         for message in report.violations[:20]:
             problems.append(Violation(

@@ -185,13 +185,18 @@ class _RecordingPickler(pickle.Pickler):
         return NotImplemented
 
 
-def _classes_with_dict(session):
-    """``repro`` classes whose instances in *session*'s pickle have a ``__dict__``."""
+def _pickled_objects(session):
+    """Every object *session*'s pickle visits."""
     pickler = _RecordingPickler()
     pickler.dump(session)
+    return pickler.seen
+
+
+def _classes_with_dict(session):
+    """``repro`` classes whose instances in *session*'s pickle have a ``__dict__``."""
     return sorted({
         f"{type(obj).__module__}.{type(obj).__qualname__}"
-        for obj in pickler.seen
+        for obj in _pickled_objects(session)
         if type(obj).__module__.startswith("repro.")
         and not isinstance(obj, enum.Enum)
         and hasattr(obj, "__dict__")
@@ -250,6 +255,18 @@ class TestSnapshotLayout:
         assert _classes_with_dict(session) == []
         restored = type(session).restore(path)
         assert _classes_with_dict(restored) == []
+
+    @pytest.mark.parametrize("name", ["serve", "PDPA/cpukill8"])
+    def test_no_pickled_object_is_an_itertools_instance(self, name, tmp_path):
+        # Python 3.14 drops pickling from itertools (3.12 and 3.13 warn).
+        session = _layout_session(name)
+        path = tmp_path / "layout.ckpt"
+        session.save(path)
+        for graph in (session, type(session).restore(path)):
+            assert [
+                type(obj).__name__ for obj in _pickled_objects(graph)
+                if type(obj).__module__ == "itertools"
+            ] == []
 
 
 class TestEnvelope:

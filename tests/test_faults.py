@@ -313,7 +313,7 @@ class TestGracefulDegradation:
 # acceptance scenario: 8 CPUs die mid-workload
 # ----------------------------------------------------------------------
 class TestCpuKill8Acceptance:
-    @pytest.mark.parametrize("policy", ["PDPA", "Equip", "IRIX"])
+    @pytest.mark.parametrize("policy", ["PDPA", "Equip", "Equal_eff", "IRIX"])
     def test_completes_with_degraded_metrics(self, policy):
         config = ExperimentConfig(n_cpus=64, seed=3)
         plan = build_scenario("cpukill8", 64)

@@ -1,16 +1,14 @@
 """Tests for the stateful protocol fuzzer (:mod:`repro.fuzz`).
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
-1. **completeness** — every violation code the post-hoc validators can
-   emit maps to a live oracle check (the parity table cannot drift);
-2. **detection** — the oracle actually flags seeded corruption, and a
+1. **detection** — the oracle actually flags seeded corruption, and a
    seeded protocol mutation is found, shrunk, and reproduced from the
    captured stimulus (the fuzzer is a working bug-finder, not a
    tautology);
-3. **determinism** — the same seed explores the same rule sequences
+2. **determinism** — the same seed explores the same rule sequences
    and reaches the same verdict, campaign and CLI alike;
-4. **differential agreement** — all policies replay a shared stimulus
+3. **differential agreement** — all policies replay a shared stimulus
    without disagreeing on conservation properties.
 """
 
@@ -21,29 +19,11 @@ import pytest
 from repro.cli import main
 from repro.fuzz.corpus import replay_stimulus
 from repro.fuzz.differential import differential_check, random_stimulus
-from repro.fuzz.oracle import (
-    ORACLE_CHECKS,
-    ORACLE_PARITY,
-    LiveOracle,
-    resolve_check,
-)
+from repro.fuzz.oracle import LiveOracle
 from repro.fuzz.runner import run_campaign
 from repro.fuzz.stimulus import OP_KINDS, Stimulus, apply_op
 from repro.fuzz.targets import FUZZ_POLICIES, FuzzTarget
 from repro.qs.queuing import NanosQS
-from repro.validate import (
-    CHECKPOINT_CHECK_CODES,
-    RUN_CHECK_CODES,
-    STREAM_CHECK_CODES,
-    SWEEP_CHECK_CODES,
-)
-
-ALL_POSTHOC_CODES = (
-    RUN_CHECK_CODES
-    + SWEEP_CHECK_CODES
-    + CHECKPOINT_CHECK_CODES
-    + STREAM_CHECK_CODES
-)
 
 
 def _dropped_kill(self, job, reason):
@@ -53,39 +33,6 @@ def _dropped_kill(self, job, reason):
     picklable — the fuzzer's checkpoint rule must keep working while
     the mutation is live.
     """
-
-
-
-class TestOracleCompleteness:
-    """Satellite 3: validator/oracle parity is checked by the build."""
-
-    def test_every_posthoc_code_has_an_oracle_equivalent(self):
-        missing = [c for c in ALL_POSTHOC_CODES if c not in ORACLE_PARITY]
-        assert missing == [], (
-            f"post-hoc validator codes without a live oracle equivalent: "
-            f"{missing} — add the incremental check to repro.fuzz.oracle "
-            f"and record the mapping in ORACLE_PARITY"
-        )
-
-    def test_parity_table_has_no_stale_entries(self):
-        stale = [c for c in ORACLE_PARITY if c not in ALL_POSTHOC_CODES]
-        assert stale == [], f"ORACLE_PARITY maps unknown validator codes: {stale}"
-
-    def test_parity_targets_are_real_checks(self):
-        bogus = {
-            code: check
-            for code, check in ORACLE_PARITY.items()
-            if check not in ORACLE_CHECKS
-        }
-        assert bogus == {}
-
-    def test_every_oracle_check_resolves_to_a_callable(self):
-        for name in ORACLE_CHECKS:
-            assert callable(resolve_check(name)), name
-
-    def test_unknown_check_raises(self):
-        with pytest.raises(KeyError):
-            resolve_check("definitely-not-a-check")
 
 
 #: a scripted stimulus touching every op kind that is meaningful on

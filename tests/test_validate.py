@@ -1,11 +1,20 @@
 """Tests for the run validator — including failure injection."""
 
+from bisect import insort
+from operator import attrgetter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.experiments.common import ExperimentConfig, run_workload
+from repro.faults import build_scenario
+from repro.fuzz.profiles import tier_settings
+from repro.metrics.faults import offline_windows
 from repro.metrics.stats import JobRecord
-from repro.metrics.trace import Burst, ReallocationRecord
-from repro.validate import assert_valid, validate_run
+from repro.metrics.trace import Burst, FaultRecord, ReallocationRecord
+from repro.qs.job import JobState
+from repro.validate import TraceChecker, assert_valid, validate_run
 
 CONFIG = ExperimentConfig(seed=3)
 
@@ -13,6 +22,12 @@ CONFIG = ExperimentConfig(seed=3)
 @pytest.fixture(scope="module")
 def clean_run():
     return run_workload("PDPA", "w3", 0.6, CONFIG)
+
+
+@pytest.fixture(scope="module")
+def cpukill8_run():
+    plan = build_scenario("cpukill8", CONFIG.n_cpus)
+    return run_workload("PDPA", "w3", 0.6, CONFIG.with_faults(plan))
 
 
 class TestCleanRuns:
@@ -102,6 +117,50 @@ class TestFailureInjection:
         problems = validate_run(out)
         assert any("allocated 0 CPUs" in p for p in problems)
 
+    def _fresh_cpukill8(self):
+        plan = build_scenario("cpukill8", CONFIG.n_cpus)
+        out = run_workload("PDPA", "w3", 0.6, CONFIG.with_faults(plan))
+        assert validate_run(out) == []
+        return out
+
+    def test_detects_burst_on_offline_cpu(self):
+        out = self._fresh_cpukill8()
+        cpu, windows = sorted(offline_windows(out.trace).items())[0]
+        t0, t1 = windows[0]
+        out.trace.bursts.append(Burst(
+            cpu=cpu, job_id=999, app_name="ghost",
+            start=t0 + 1.0, end=min(t0 + 2.0, t1),
+        ))
+        problems = validate_run(out)
+        assert any(p.code == "fault-offline-overlap" for p in problems)
+        assert any("overlaps offline window" in p for p in problems)
+
+    def test_detects_bursts_beyond_healthy_capacity(self):
+        # Every CPU busy for one second while all eight cpukill8 CPUs
+        # are down: never more bursts than CPUs, but more than the
+        # healthy ones.
+        out = self._fresh_cpukill8()
+        down = offline_windows(out.trace)
+        t = max(spans[0][0] for spans in down.values()) + 0.5
+        busy = {b.cpu for b in out.trace.bursts if b.start < t + 1 and b.end > t}
+        for cpu in range(out.trace.n_cpus):
+            if cpu not in busy:
+                out.trace.bursts.append(Burst(
+                    cpu=cpu, job_id=999, app_name="ghost", start=t, end=t + 1,
+                ))
+        problems = validate_run(out)
+        assert any(p.code == "fault-capacity" for p in problems)
+        assert not any(p.code == "capacity" for p in problems)
+
+    def test_detects_requeued_job_never_finishing(self):
+        out = self._fresh_cpukill8()
+        requeued = out.trace.faults_of_kind("job_requeue")[0].target
+        job = next(j for j in out.jobs if j.job_id == requeued)
+        job.state = JobState.QUEUED
+        problems = validate_run(out)
+        assert any(p.code == "fault-requeue-terminal" for p in problems)
+        assert any(f"job {requeued}: requeued" in p for p in problems)
+
     def test_assert_valid_raises_with_details(self):
         out = self._fresh()
         victim = out.result.records[0]
@@ -114,3 +173,81 @@ class TestFailureInjection:
         )
         with pytest.raises(AssertionError, match="violation"):
             assert_valid(out)
+
+
+def _injected(trace, case):
+    """Copies of *trace*'s bursts, reallocations and faults, with *case*
+    injected where the recorder would have appended it."""
+    bursts = list(trace.bursts)
+    reallocations = list(trace.reallocations)
+    faults = list(trace.faults)
+    start = reallocations[0]
+    assert start.old_procs == 0
+    if case == "overlap":
+        first = bursts[0]
+        ghost = Burst(
+            cpu=first.cpu, job_id=999, app_name="ghost",
+            start=first.start + first.duration / 4, end=first.end + 1.0,
+        )
+        insort(bursts, ghost, key=attrgetter("end"))
+    elif case == "broken-chain":
+        reallocations.insert(1, start._replace(old_procs=start.new_procs + 1))
+    elif case == "kill-restart-same-instant":
+        # start, kill and restart within one simulated instant: legal
+        reallocations.insert(1, start)
+        kill = FaultRecord(start.time, "job_kill", start.job_id, "crash")
+        insort(faults, kill, key=attrgetter("time"))
+    return bursts, reallocations, faults
+
+
+def _prefix_counts(bursts, reallocations, faults):
+    """``(time, n_bursts, n_reallocations, n_faults)`` after each record,
+    in time order.  A burst is recorded when it ends; within one
+    instant a kill comes before reallocations, as a restart is recorded
+    after the kill it follows."""
+    order = sorted(
+        [(f.time, 2) for f in faults]
+        + [(r.time, 1) for r in reallocations]
+        + [(b.end, 0) for b in bursts],
+        key=lambda entry: (entry[0], -entry[1]),
+    )
+    counts = [0, 0, 0]
+    prefixes = []
+    for time, which in order:
+        counts[which] += 1
+        prefixes.append((time, *counts))
+    return prefixes
+
+
+class TestTraceCheckerPrefixes:
+    """Fed the time-ordered prefixes the live oracle sees between
+    events, the trace checker finds exactly what one whole feed finds."""
+
+    #: injected case -> violation codes one whole feed must report
+    CASES = {
+        "clean": set(),
+        "overlap": {"burst-sanity"},
+        "broken-chain": {"realloc-chain"},
+        "kill-restart-same-instant": set(),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @tier_settings("quick")
+    @given(cuts=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12))
+    def test_prefix_feeds_match_one_whole_feed(self, cpukill8_run, case, cuts):
+        n_cpus = cpukill8_run.trace.n_cpus
+        bursts, reallocations, faults = _injected(cpukill8_run.trace, case)
+        whole = TraceChecker(n_cpus).feed(bursts, reallocations, faults)
+        assert {v.code for v in whole} == self.CASES[case]
+
+        prefixes = _prefix_counts(bursts, reallocations, faults)
+        checker = TraceChecker(n_cpus)
+        found = []
+        for cut in sorted({int(f * len(prefixes)) for f in cuts}):
+            now, n_bursts, n_reallocs, n_faults = prefixes[cut]
+            found += checker.feed(
+                bursts[:n_bursts], reallocations[:n_reallocs],
+                faults[:n_faults], now,
+            )
+        found += checker.feed(bursts, reallocations, faults)
+        assert sorted(v.render() for v in found) == sorted(v.render() for v in whole)
