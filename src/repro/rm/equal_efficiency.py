@@ -26,12 +26,13 @@ construction and are reproduced faithfully:
 
 from __future__ import annotations
 
-from typing import Dict
+import heapq
+from typing import Dict, Optional, Tuple
 
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
+from repro.runtime.nthlib import NO_SPAN_LIMIT
 from repro.runtime.selfanalyzer import PerformanceReport
-from repro.sim.columns import predicted_efficiency_many
 
 #: Efficiency predictions are clamped to this ceiling so that a
 #: negative fitted overhead (superlinear measurement) cannot produce
@@ -66,7 +67,8 @@ def water_fill(
     Every job starts at one CPU; each remaining CPU goes to the job
     whose *next* CPU has the highest extrapolated efficiency, until
     CPUs run out or all jobs reach their requests.  Ties break on job
-    id for determinism.
+    id for determinism.  The result lists the jobs in *requests*'
+    order, which is the order the resource manager resizes them in.
     """
     if total_cpus < len(requests):
         raise ValueError(
@@ -76,37 +78,83 @@ def water_fill(
     remaining = total_cpus - len(requests)
     if remaining <= 0:
         return allocation
-    # Each job's marginal efficiency at p = 2..request depends only on
-    # its fitted overhead, so evaluate the whole column in one batched
-    # kernel call per job instead of re-deriving one point per round
-    # of the greedy loop below.
-    order = sorted(requests)
-    eff_cols = {
-        jid: predicted_efficiency_many(
-            overheads.get(jid, 0.0),
-            range(2, requests[jid] + 1),
-            MAX_PREDICTED_EFFICIENCY,
-        )
-        for jid in order
-        if requests[jid] >= 2
-    }
-    while remaining > 0:
-        best_jid = None
-        best_eff = 0.0
-        for jid in order:
-            current = allocation[jid]
-            if current >= requests[jid]:
-                continue
-            # column index for p = current + 1 (the column starts at p=2)
-            eff = eff_cols[jid][current - 1]
-            if eff > best_eff:
-                best_eff = eff
-                best_jid = jid
-        if best_jid is None:
-            break
-        allocation[best_jid] += 1
+    # One entry per job below its request: its next CPU, keyed
+    # (-eff, job id), so the heap's top is the highest efficiency and
+    # ties go to the lower id.  Only a job's next point is evaluated.
+    heap = [
+        (-predicted_efficiency(overheads.get(jid, 0.0), 2), jid)
+        for jid, request in requests.items()
+        if request >= 2
+    ]
+    heapq.heapify(heap)
+    while remaining > 0 and heap:
+        neg_eff, jid = heap[0]
+        if neg_eff >= 0.0:
+            break  # no candidate CPU has a positive efficiency
+        granted = allocation[jid] + 1
+        allocation[jid] = granted
         remaining -= 1
+        if granted < requests[jid]:
+            eff = predicted_efficiency(overheads.get(jid, 0.0), granted + 1)
+            heapq.heapreplace(heap, (-eff, jid))
+        else:
+            heapq.heappop(heap)
     return allocation
+
+
+def is_water_fill(
+    total_cpus: int,
+    requests: Dict[int, int],
+    overheads: Dict[int, float],
+    allocation: Dict[int, int],
+) -> bool:
+    """Whether ``water_fill(total_cpus, requests, overheads) == allocation``
+    for an *allocation* of exactly the jobs in *requests*.
+
+    Decided in O(jobs), with two ``predicted_efficiency`` calls per
+    job instead of a refill.  With every overhead >= 0 each job's
+    column of marginal efficiencies is non-increasing, so the greedy
+    grants the points (job j, CPU p >= 2) in increasing order of the
+    key ``(-eff_j(p), j, p)``: within a job the key grows with p, and
+    across jobs the job id is the greedy's tie rule.  *allocation* is
+    the greedy's answer exactly when its granted points are a prefix
+    of that order of the greedy's length:
+
+    1. every job holds between 1 CPU and its request;
+    2. the CPUs the jobs hold beyond their first total
+       ``min(total_cpus - jobs, sum(request - 1))``;
+    3. the largest key of any job's last granted CPU is below the
+       smallest key of any job's next one.
+
+    A negative overhead (a superlinear fit, whose column rises) or
+    fewer CPUs than jobs answers False: the caller then runs the
+    greedy, so False is always safe.
+    """
+    jobs = len(requests)
+    if total_cpus < jobs:
+        return False
+    held_above_one = wanted = 0
+    last: Optional[Tuple[float, int, int]] = None
+    upcoming: Optional[Tuple[float, int, int]] = None
+    for jid, request in requests.items():
+        a = overheads.get(jid, 0.0)
+        held = allocation[jid]
+        if not a >= 0.0 or not 1 <= held <= request:
+            return False
+        held_above_one += held - 1
+        wanted += request - 1
+        if held >= 2:
+            key = (-predicted_efficiency(a, held), jid, held)
+            if last is None or key > last:
+                last = key
+        if held < request:
+            key = (-predicted_efficiency(a, held + 1), jid, held + 1)
+            if upcoming is None or key < upcoming:
+                upcoming = key
+    if held_above_one != min(total_cpus - jobs, wanted):
+        return False
+    # The greedy grants no CPU whose efficiency underflowed to zero.
+    return last is None or (last[0] < 0.0 and (upcoming is None or last < upcoming))
 
 
 class EqualEfficiency(SchedulingPolicy):
@@ -143,8 +191,27 @@ class EqualEfficiency(SchedulingPolicy):
     def on_report(
         self, job: Job, report: PerformanceReport, system: SystemView
     ) -> AllocationDecision:
-        self._overheads[job.job_id] = fit_overhead(report.procs, report.efficiency)
+        self.absorb_report(job, report, system)
         return self._rebalance(system, {})
+
+    # Iteration spans: a report is a no-op when the refit water-fill
+    # hands every job the CPUs it already holds.
+    def span_budget(self, job: Job) -> int:
+        return NO_SPAN_LIMIT
+
+    def report_is_noop(
+        self, job: Job, procs: int, speedup: float, system: SystemView
+    ) -> bool:
+        views = system.jobs
+        return is_water_fill(
+            system.total_cpus,
+            {jid: view.request for jid, view in views.items()},
+            {**self._overheads, job.job_id: fit_overhead(procs, speedup / procs)},
+            {jid: view.allocation for jid, view in views.items()},
+        )
+
+    def absorb_report(self, job: Job, report: PerformanceReport, system: SystemView) -> None:
+        self._overheads[job.job_id] = fit_overhead(report.procs, report.efficiency)
 
     def on_job_removed(self, job: Job) -> None:
         self._overheads.pop(job.job_id, None)

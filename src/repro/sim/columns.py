@@ -347,28 +347,6 @@ def reference_pchip(
     )
 
 
-def predicted_efficiency_many(
-    overhead: float, procs: Sequence[float], cap: float
-) -> List[float]:
-    """Evaluate ``min(1 / (1 + a * (p - 1)), cap)`` at a vector of points.
-
-    Kernel form of the equal-efficiency RM's analytic efficiency model
-    (``eff(p) = 1 / (1 + a (p - 1))``).  A denominator at or below
-    ``1 / cap`` — including the negative denominators a superlinear
-    fit produces — clamps to *cap*, exactly as the scalar
-    ``predicted_efficiency`` does.  Callers validate ``p >= 1``.
-    """
-    return [reference_predicted_efficiency(overhead, p, cap) for p in procs]
-
-
-def reference_predicted_efficiency(overhead: float, procs: float, cap: float) -> float:
-    """Retained scalar reference for :func:`predicted_efficiency_many`."""
-    denom = 1.0 + overhead * (procs - 1.0)
-    if denom <= 1.0 / cap:
-        return cap
-    return min(1.0 / denom, cap)
-
-
 # ----------------------------------------------------------------------
 # per-job timing columns
 # ----------------------------------------------------------------------

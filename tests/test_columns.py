@@ -26,10 +26,8 @@ from repro.sim.columns import (
     RunningMean,
     amdahl_many,
     pchip_many,
-    predicted_efficiency_many,
     reference_amdahl,
     reference_pchip,
-    reference_predicted_efficiency,
 )
 
 #: Any finite/NaN/inf/-0.0 double — the full IEEE-754 binary64 space.
@@ -65,18 +63,6 @@ def test_amdahl_many_matches_reference(serial_fraction, procs):
     assert bits(batched) == bits(scalar)
 
 
-@settings(deadline=None, max_examples=200)
-@given(
-    overhead=any_double,
-    cap=st.floats(min_value=1e-6, max_value=1e6),
-    procs=st.lists(any_double, min_size=0, max_size=MAX_BATCH),
-)
-def test_predicted_efficiency_many_matches_reference(overhead, cap, procs):
-    batched = predicted_efficiency_many(overhead, procs, cap)
-    scalar = [reference_predicted_efficiency(overhead, p, cap) for p in procs]
-    assert bits(batched) == bits(scalar)
-
-
 @st.composite
 def pchip_tables(draw):
     """A plausible (xs, ys, slopes) curve table: xs strictly increasing."""
@@ -108,7 +94,6 @@ def test_pchip_many_matches_reference(table, procs):
 
 def test_kernels_accept_zero_length_vectors():
     assert amdahl_many(0.1, []) == []
-    assert predicted_efficiency_many(0.05, [], 0.7) == []
     assert pchip_many([1.0, 2.0], [1.0, 1.9], [1.0, 0.8], []) == []
 
 

@@ -5,12 +5,15 @@ from hypothesis import given, strategies as st
 
 from repro.fuzz.profiles import tier_settings
 
+from repro.apps.application import AppClass, ApplicationSpec
+from repro.apps.speedup import AmdahlSpeedup
 from repro.qs.job import Job
 from repro.rm.base import JobView, SystemView
 from repro.rm.equal_efficiency import (
     MAX_PREDICTED_EFFICIENCY,
     EqualEfficiency,
     fit_overhead,
+    is_water_fill,
     predicted_efficiency,
     water_fill,
 )
@@ -152,3 +155,182 @@ class TestPolicy:
     def test_mpl_validation(self):
         with pytest.raises(ValueError):
             EqualEfficiency(mpl=0)
+
+
+# ----------------------------------------------------------------------
+# the heap greedy and the no-op proof against the scan they replace
+# ----------------------------------------------------------------------
+def scan_water_fill(total_cpus, requests, overheads):
+    """Reference: the scan ``water_fill`` the heap greedy replaced.
+
+    Every round scans all jobs in id order for the highest next-CPU
+    efficiency (strictly greater wins, so ties go to the lower id).
+    """
+    if total_cpus < len(requests):
+        raise ValueError(f"{len(requests)} jobs on {total_cpus} CPUs")
+    allocation = {jid: 1 for jid in requests}
+    remaining = total_cpus - len(requests)
+    order = sorted(requests)
+    while remaining > 0:
+        best_jid = None
+        best_eff = 0.0
+        for jid in order:
+            current = allocation[jid]
+            if current >= requests[jid]:
+                continue
+            eff = predicted_efficiency(overheads.get(jid, 0.0), current + 1)
+            if eff > best_eff:
+                best_eff = eff
+                best_jid = jid
+        if best_jid is None:
+            break
+        allocation[best_jid] += 1
+        remaining -= 1
+    return allocation
+
+
+#: exactly 0.0 (all-tie columns), negatives (superlinear fits, clamped
+#: at MAX_PREDICTED_EFFICIENCY), tiny ones for which 1 + a(p-1) can
+#: round to 1, ordinary ones and steep ones; None leaves the job unfitted
+overheads = st.one_of(
+    st.just(0.0),
+    st.floats(-1.0, 0.0),
+    st.floats(0.0, 1e-15),
+    st.floats(0.0, 2.0),
+    st.sampled_from([1e3, 1e6, 1e12, 1e300]),
+    st.none(),
+)
+
+#: job id -> (request, overhead or None), in an arbitrary key order
+job_tables = st.dictionaries(
+    st.integers(1, 12), st.tuples(st.integers(1, 40), overheads),
+    min_size=1, max_size=8,
+)
+
+
+def split(jobs):
+    requests = {jid: request for jid, (request, _) in jobs.items()}
+    fitted = {jid: a for jid, (_, a) in jobs.items() if a is not None}
+    return requests, fitted
+
+
+def candidate_allocation(draw, total, requests, fitted):
+    """A greedy answer, or one perturbed into a near miss."""
+    def greedy(cpus):
+        return water_fill(cpus, requests, fitted) if cpus >= len(requests) \
+            else {jid: 1 for jid in requests}
+
+    allocation = greedy(total)
+    jids = list(allocation)
+    kind = draw(st.sampled_from(["greedy", "nudge", "move", "over-request", "other-total"]))
+    if kind == "nudge":
+        allocation[draw(st.sampled_from(jids))] += draw(st.sampled_from([-1, 1]))
+    elif kind == "move":
+        giver, taker = draw(st.sampled_from(jids)), draw(st.sampled_from(jids))
+        allocation[giver] -= 1
+        allocation[taker] += 1
+    elif kind == "over-request":
+        jid = draw(st.sampled_from(jids))
+        allocation[jid] = requests[jid] + draw(st.integers(1, 3))
+    elif kind == "other-total":
+        allocation = greedy(total + draw(st.sampled_from([-3, -1, 1, 3])))
+    return allocation
+
+
+def greedy_agrees(total, requests, fitted, allocation):
+    """What the proof must answer: the greedy's verdict, False when a
+    fit is superlinear (its column rises, so no ordering argument)."""
+    if total < len(requests) or any(a < 0 for a in fitted.values()):
+        return False
+    return water_fill(total, requests, fitted) == allocation
+
+
+#: the jobs' application: the proof reads only their requests
+LINEAR = ApplicationSpec(
+    name="ee-linear", app_class=AppClass.HIGH,
+    speedup_model=AmdahlSpeedup(0.0, name="ee-linear"),
+    iterations=10, t_iter_seq=8.0, t_startup=0.0, t_teardown=0.0,
+    default_request=30,
+)
+
+
+class TestHeapAndProof:
+    @tier_settings("determinism")
+    @given(total=st.integers(1, 64), jobs=job_tables)
+    def test_heap_matches_scan(self, total, jobs):
+        requests, fitted = split(jobs)
+        if total < len(requests):
+            with pytest.raises(ValueError):
+                water_fill(total, requests, fitted)
+            return
+        # key order is part of the output: _apply resizes in it
+        assert list(water_fill(total, requests, fitted).items()) == \
+            list(scan_water_fill(total, requests, fitted).items())
+
+    @tier_settings("determinism")
+    @given(total=st.integers(1, 64), jobs=job_tables, data=st.data())
+    def test_proof_matches_greedy(self, total, jobs, data):
+        requests, fitted = split(jobs)
+        allocation = candidate_allocation(data.draw, total, requests, fitted)
+        assert is_water_fill(total, requests, fitted, allocation) == \
+            greedy_agrees(total, requests, fitted, allocation)
+
+    @tier_settings("standard")
+    @given(
+        total=st.integers(1, 64),
+        jobs=job_tables,
+        procs=st.integers(1, 40),
+        eff=st.one_of(st.sampled_from([1.0, 1.25, 0.5]), st.floats(0.01, 2.0)),
+        data=st.data(),
+    )
+    def test_report_is_noop_matches_on_report(self, total, jobs, procs, eff, data):
+        requests, fitted = split(jobs)
+        reporter = data.draw(st.sampled_from(sorted(requests)))
+        speedup = procs * eff
+        refit = {**fitted, reporter: fit_overhead(procs, speedup / procs)}
+        allocation = candidate_allocation(data.draw, total, requests, refit)
+        jobs_by_id = {jid: Job(jid, LINEAR, submit_time=0.0, request=requests[jid])
+                      for jid in requests}
+        system = SystemView(total, {
+            jid: JobView(job=jobs_by_id[jid], allocation=allocation[jid]) for jid in requests
+        })
+        policy = EqualEfficiency()
+        policy._overheads.update(fitted)
+        noop = policy.report_is_noop(jobs_by_id[reporter], procs, speedup, system)
+        expected = greedy_agrees(total, requests, refit, allocation)
+        assert noop == expected
+        if expected:
+            decision = policy.on_report(
+                jobs_by_id[reporter], report(reporter, procs, speedup), system
+            )
+            assert decision == allocation
+
+    def test_absorb_report_refits_like_on_report(self, linear_app):
+        absorbed, reported = EqualEfficiency(), EqualEfficiency()
+        job = Job(1, linear_app, submit_time=0.0, request=30)
+        system = view_of(linear_app, {1: 20}, total=40)
+        sample = report(1, 20, speedup=20 * 0.83)
+        absorbed.absorb_report(job, sample, system)
+        reported.on_report(job, sample, system)
+        assert absorbed.overhead_of(1) == reported.overhead_of(1) == \
+            fit_overhead(20, sample.efficiency)
+
+    def test_all_tie_columns_grant_in_id_order(self):
+        # a = 0 everywhere: every CPU ties at efficiency 1, so the
+        # lower id fills up to its request before the next one grows
+        alloc = water_fill(10, {3: 5, 1: 5, 2: 5}, {})
+        assert list(alloc.items()) == [(3, 1), (1, 5), (2, 4)]
+        assert is_water_fill(10, {3: 5, 1: 5, 2: 5}, {}, alloc)
+        assert not is_water_fill(10, {3: 5, 1: 5, 2: 5}, {}, {3: 1, 1: 4, 2: 5})
+
+    def test_superlinear_fit_is_never_proved(self):
+        alloc = water_fill(10, {1: 5, 2: 5}, {1: -0.05})
+        assert not is_water_fill(10, {1: 5, 2: 5}, {1: -0.05}, alloc)
+
+    def test_zero_efficiency_cpu_is_never_proved(self):
+        # a = 1e308 overflows 1 + a(p-1) at p = 3: that CPU's efficiency
+        # is 0, so the greedy stops with a CPU left over rather than
+        # grant it, and the allocation that holds it is not its answer
+        requests, fitted = {1: 3, 2: 3}, {1: 1e308, 2: 1e308}
+        assert water_fill(5, requests, fitted) == {1: 2, 2: 2}
+        assert not is_water_fill(5, requests, fitted, {1: 3, 2: 2})

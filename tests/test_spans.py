@@ -5,7 +5,7 @@ fired as an event (:mod:`repro.runtime.nthlib`).  Every test here pins
 that the output is the one the per-iteration path produced:
 
 * golden digests captured from the per-iteration implementation for
-  the four policies on w1-w4, two policies under three fault
+  the four policies on w1-w4, three policies under three fault
   scenarios, and the serve stack with and without autosnapshots;
 * a hypothesis differential against the same run with the span budget
   faked to 1 (every iteration end fires), compared mid-run too;
@@ -86,6 +86,9 @@ GOLDEN = {
     "Equip/w3/cpukill8": "a606832a8c116998:04ed5d0898e4e476",
     "Equip/w3/flaky-reports": "1aadbaeb330338d1:bcbef057157af774",
     "Equip/w3/brownout": "118aaaf0e1de8083:406b75a700c1796e",
+    "Equal_eff/w3/cpukill8": "d5cdcd51027d242a:fc0f5e431b2623dc",
+    "Equal_eff/w3/flaky-reports": "6600cf4b376ec6cd:67500484f046d771",
+    "Equal_eff/w3/brownout": "b6cf0afcebe4d6f3:1b52f12632b923cf",
 }
 
 #: serve stats digest, PDPA on a 200-job w2 stream
@@ -164,18 +167,23 @@ def test_serve_golden_digest_with_and_without_autosnapshots(tmp_path):
 # ----------------------------------------------------------------------
 @contextmanager
 def span_budget(budget: Optional[int]) -> Iterator[None]:
-    """Fake every opted-in host's span budget (None: leave it alone).
+    """Cap every host's span budget at *budget* (None: leave it alone).
 
-    Runtimes read the budget when their job starts, so only runs that
-    start jobs inside the block see the fake.
+    A host that opted out keeps its budget of 1: its policy's
+    ``report_is_noop`` need not be exact for it (a PDPA subclass that
+    overrides ``on_report`` inherits PDPA's proof).  Runtimes read the
+    budget when their job starts, so only runs that start jobs inside
+    the block see the cap.
     """
     if budget is None:
         yield
         return
     hosts = (IrixResourceManager, SpaceSharedResourceManager)
     saved = [(cls, cls.__dict__["span_budget"]) for cls in hosts]
-    for cls, _ in saved:
-        cls.span_budget = lambda self, job: budget  # type: ignore[method-assign]
+    for cls, original in saved:
+        cls.span_budget = (  # type: ignore[method-assign]
+            lambda self, job, own=original: min(own(self, job), budget)
+        )
     try:
         yield
     finally:
@@ -263,6 +271,7 @@ def _state(session: SimulationSession) -> tuple:
         repr(session.sim._seq),  # same insertion sequence numbers
         runtimes,
         sorted(getattr(policy, "job_states", {}).items()),
+        sorted(getattr(policy, "_overheads", {}).items()),
         sorted(rm.reports.items()),
         sorted(rm.last_report_time.items()),
         sorted((j, v.allocation, v.last_report) for j, v in views.items()),
@@ -282,9 +291,8 @@ job_plans = st.lists(
 )
 
 
-@tier_settings("slow")
-@given(
-    policy=st.sampled_from(["IRIX"] + sorted(POLICIES)),
+#: everything but the policy that the differential draws
+run_shapes = dict(
     plan=job_plans,
     seed=st.integers(0, 3),
     n_cpus=st.sampled_from([8, 12]),
@@ -296,8 +304,25 @@ job_plans = st.lists(
     cuts=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=3),
     cap=st.sampled_from([None, 2, 5]),
 )
-def test_spans_match_the_per_iteration_path(policy, plan, seed, n_cpus, sigma, locality,
-                                            report_interval, skip, reset, cuts, cap):
+
+
+@tier_settings("slow")
+@given(policy=st.sampled_from(["IRIX"] + sorted(POLICIES)), **run_shapes)
+def test_spans_match_the_per_iteration_path(policy, **shape):
+    _check_spans_match(policy, **shape)
+
+
+@tier_settings("slow")
+@given(**run_shapes)
+def test_equal_eff_spans_match_the_per_iteration_path(**shape):
+    # the sampled run gives each policy about 1/7 of its examples;
+    # Equal_eff's proof, the only one that reads every job's
+    # allocation, gets a full budget of its own
+    _check_spans_match("Equal_eff", **shape)
+
+
+def _check_spans_match(policy, plan, seed, n_cpus, sigma, locality,
+                       report_interval, skip, reset, cuts, cap):
     runtime = RuntimeConfig(
         noise_sigma=sigma,
         analyzer=SelfAnalyzerConfig(report_interval=report_interval, skip_after_realloc=skip),
@@ -362,7 +387,7 @@ def _save_restore(session: Any, cls: Any, workdir: Path) -> Any:
 
 
 @tier_settings("quick")
-@given(policy=st.sampled_from(["IRIX", "Equip", "PDPA"]), cut=st.floats(5.0, 150.0))
+@given(policy=st.sampled_from(["IRIX", "Equip", "Equal_eff", "PDPA"]), cut=st.floats(5.0, 150.0))
 def test_mid_span_cut_closed(policy, cut):
     if policy not in _uninterrupted:
         reference = _closed(policy)
