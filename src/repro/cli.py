@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.experiments import fig3, fig5_table2, fig7_fig8, tables, workloads
 from repro.experiments.common import POLICY_NAMES, ExperimentConfig, run_workload
@@ -52,6 +52,26 @@ from repro.qs.streaming import SHED_POLICIES
 from repro.qs.swf import jobs_to_swf, write_swf
 from repro.qs.workload import TABLE1_MIXES, generate_workload
 from repro.sim.rng import RandomStreams
+
+_Number = TypeVar("_Number", int, float)
+
+
+def _positive(convert: Callable[[str], _Number]) -> Callable[[str], _Number]:
+    """An argparse ``type`` that makes a value <= 0 a usage error."""
+
+    def parse(text: str) -> _Number:
+        value = convert(text)
+        if not value > 0:  # also refuses nan
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = convert.__name__
+    return parse
+
+
+positive_int = _positive(int)
+positive_float = _positive(float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument("--cpus", type=int, default=60, help="machine size (default 60)")
+    parser.add_argument("--cpus", type=positive_int, default=60,
+                        help="machine size (default 60)")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help="worker processes for sweep-shaped commands "
              "(compare/mpl/tables/ablations/report); 1 = serial (default)",
     )
@@ -133,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one workload under one policy")
     p_run.add_argument("policy", choices=POLICY_NAMES)
     p_run.add_argument("workload", choices=sorted(TABLE1_MIXES))
-    p_run.add_argument("--load", type=float, default=1.0, help="load fraction (0.6/0.8/1.0)")
+    p_run.add_argument("--load", type=positive_float, default=1.0,
+                       help="load fraction (0.6/0.8/1.0)")
     p_run.add_argument("--mpl", type=int, default=4, help="(base) multiprogramming level")
     p_run.add_argument("--prv", metavar="FILE",
                        help="export the execution trace in Paraver format")
@@ -153,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="figure-style policy comparison")
     p_cmp.add_argument("workload", choices=sorted(TABLE1_MIXES))
-    p_cmp.add_argument("--loads", type=float, nargs="+", default=[0.6, 0.8, 1.0])
+    p_cmp.add_argument("--loads", type=positive_float, nargs="+", default=[0.6, 0.8, 1.0])
     p_cmp.add_argument("--policies", nargs="+", default=list(POLICY_NAMES),
                        choices=POLICY_NAMES)
     p_cmp.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
@@ -165,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mpl = sub.add_parser("mpl", help="Fig. 8 dynamic multiprogramming level")
     p_mpl.add_argument("--workload", choices=sorted(TABLE1_MIXES), default="w2")
-    p_mpl.add_argument("--load", type=float, default=1.0)
+    p_mpl.add_argument("--load", type=positive_float, default=1.0)
 
     sub.add_parser("tables", help="Tables 1, 3 and 4")
 
     p_abl = sub.add_parser("ablations", help="run the PDPA design-choice ablations")
     p_abl.add_argument("--workload", choices=sorted(TABLE1_MIXES), default="w3")
-    p_abl.add_argument("--load", type=float, default=1.0)
+    p_abl.add_argument("--load", type=positive_float, default=1.0)
 
     p_report = sub.add_parser(
         "report", help="regenerate every table/figure into a markdown report"
@@ -183,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swf = sub.add_parser("swf", help="generate a workload trace in SWF format")
     p_swf.add_argument("workload", choices=sorted(TABLE1_MIXES))
-    p_swf.add_argument("--load", type=float, default=1.0)
+    p_swf.add_argument("--load", type=positive_float, default=1.0)
 
     p_replay = sub.add_parser(
         "replay",
@@ -257,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
              "of the synthetic generator",
     )
     p_serve.add_argument(
-        "--load", type=float, default=1.0,
+        "--load", type=positive_float, default=1.0,
         help="offered load for the synthetic generator; >1 oversubscribes "
              "on purpose (default 1.0)",
     )

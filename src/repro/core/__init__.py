@@ -21,7 +21,6 @@ from repro.core.params import PDPAParams
 from repro.core.states import AppState, PdpaJobState, Transition, evaluate_transition
 from repro.core.mpl import MplPolicy
 from repro.core.pdpa import PDPA
-from repro.core.dynamic import DynamicTargetConfig, DynamicTargetPDPA
 
 __all__ = [
     "PDPAParams",
@@ -31,6 +30,4 @@ __all__ = [
     "evaluate_transition",
     "MplPolicy",
     "PDPA",
-    "DynamicTargetConfig",
-    "DynamicTargetPDPA",
 ]

@@ -39,7 +39,7 @@ class PDPA(SchedulingPolicy):
     uses_reports = True
     #: whether no-op reports may be absorbed into iteration spans; a
     #: subclass that reacts to reports or admission queries in its own
-    #: way (DynamicTargetPDPA re-targets on queue length) opts out
+    #: way (the ablations' FixedMplPDPA and NoRelativeSpeedupPDPA) opts out
     _absorbs_reports = True
 
     def __init_subclass__(cls, **kwargs: Any) -> None:

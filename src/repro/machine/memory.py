@@ -21,10 +21,10 @@ IRIX configuration) moves the working set over.
 * a job's execution rate is scaled by
   ``1 - max_slowdown * (1 - locality)``.
 
-Stable policies (PDPA, Equipartition) barely notice; policies that
-reshuffle the machine on every noisy report (Equal_efficiency, the
-McCann Dynamic model) pay a sustained locality tax — the quantitative
-form of the paper's critique.
+Stable policies (PDPA, Equipartition) barely notice; a policy that
+reshuffles the machine on every noisy report (Equal_efficiency) pays a
+sustained locality tax — the quantitative form of the paper's
+critique.
 """
 
 from __future__ import annotations

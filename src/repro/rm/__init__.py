@@ -17,9 +17,7 @@ from repro.rm.manager import BaseResourceManager, SpaceSharedResourceManager
 from repro.rm.equipartition import Equipartition
 from repro.rm.equal_efficiency import EqualEfficiency
 from repro.rm.irix import IrixConfig, IrixResourceManager
-from repro.rm.mccann import McCannDynamic
 from repro.rm.batch import BatchFCFS
-from repro.rm.gang import GangConfig, GangScheduler
 
 __all__ = [
     "JobView",
@@ -31,8 +29,5 @@ __all__ = [
     "EqualEfficiency",
     "IrixConfig",
     "IrixResourceManager",
-    "McCannDynamic",
     "BatchFCFS",
-    "GangConfig",
-    "GangScheduler",
 ]

@@ -27,13 +27,11 @@ class BatchFCFS(SchedulingPolicy):
     #: no job-count limit: admission is gated by free processors only
     fixed_mpl: Optional[int] = None
 
-    __slots__ = ("reserve_for_head", "_next_request")
+    __slots__ = ("_next_request",)
 
-    def __init__(self, reserve_for_head: bool = True) -> None:
-        #: when True, the head-of-queue job's request gates admission
-        #: (strict FCFS, no backfilling); the queuing system only asks
-        #: "may one more start", so the gate is the free-CPU count.
-        self.reserve_for_head = reserve_for_head
+    def __init__(self) -> None:
+        #: processor request of the queue head, which gates admission
+        #: (strict FCFS, no backfilling)
         self._next_request: Optional[int] = None
 
     def note_head_request(self, request: Optional[int]) -> None:
@@ -42,9 +40,10 @@ class BatchFCFS(SchedulingPolicy):
         The NANOS QS asks for admission before revealing the job; a
         caller that knows the head's request can set it here so the
         admission answer is exact.  Without it the policy admits
-        whenever at least one CPU is free, and the arrival hook clamps
-        the allocation — which would violate rigidity — so the
-        experiment runners always provide it.
+        whenever at least one CPU is free, and the arrival hook raises
+        :class:`ValueError` when the request does not fit (a rigid job
+        cannot be clamped), so the space-sharing RM's ``can_admit``
+        always passes the queuing system's head request through.
         """
         self._next_request = request
 

@@ -81,8 +81,7 @@ class BaseResourceManager(RuntimeHost):
         ] = None
         #: invoked after any event that may change admission decisions.
         #: Module-level defaults (not lambdas) keep a freshly built RM
-        #: picklable: sessions checkpoint this object graph, and LP
-        #: state exchange will ship it between processes.
+        #: picklable: sessions checkpoint this object graph.
         self.on_state_change: Callable[[], None] = _no_state_change
         #: invoked with each job that completes
         self.on_job_finished: Callable[[Job], None] = _no_job_finished

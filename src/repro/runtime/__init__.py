@@ -9,23 +9,15 @@ These are the application-side halves of the NANOS environment:
 * :mod:`repro.runtime.nthlib` is the parallel runtime: it executes the
   application's phases on the simulator, reacts to allocation changes
   decided by the resource manager, and forwards SelfAnalyzer reports.
-* :mod:`repro.runtime.periodicity` is the Dynamic Periodicity Detector
-  used when applications are only available as binaries and the
-  iterative structure must be discovered at runtime.
 """
 
-from repro.runtime.periodicity import PeriodicityDetector
 from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnalyzerConfig
-from repro.runtime.selftuning import SelfTuner, SelfTuningConfig
 from repro.runtime.nthlib import JobPhase, NthLibRuntime, RuntimeConfig
 
 __all__ = [
-    "PeriodicityDetector",
     "PerformanceReport",
     "SelfAnalyzer",
     "SelfAnalyzerConfig",
-    "SelfTuner",
-    "SelfTuningConfig",
     "JobPhase",
     "NthLibRuntime",
     "RuntimeConfig",

@@ -41,7 +41,6 @@ from typing import Any, Callable, List, Optional, Union
 from repro.apps.application import IterativeApplication
 from repro.qs.job import Job
 from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnalyzerConfig
-from repro.runtime.selftuning import SelfTuner, SelfTuningConfig
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
 
@@ -53,8 +52,9 @@ class RuntimeHost:
     """Interface NthLib expects from the resource manager.
 
     The default implementations raise so that partial hosts fail
-    loudly; :class:`repro.rm.manager.ResourceManager` provides the
-    real behaviour.
+    loudly; :class:`repro.rm.manager.SpaceSharedResourceManager` and
+    :class:`repro.rm.irix.IrixResourceManager` provide the real
+    behaviour.
     """
 
     __slots__ = ()
@@ -150,10 +150,6 @@ class RuntimeConfig:
         (SGI-MP library) has no SelfAnalyzer and never reports.
     analyzer:
         SelfAnalyzer configuration (ignored when disabled).
-    self_tuning:
-        When set, each malleable job runs Nguyen et al.'s *SelfTuning*
-        at the runtime level: it may use fewer processors than
-        allocated if its own measurements say that is faster.
     reset_analyzer_on_phase_change:
         When True, the SelfAnalyzer re-measures its baseline at every
         declared work-phase boundary — the compiler-inserted reset the
@@ -165,7 +161,6 @@ class RuntimeConfig:
     noise_sigma: float = 0.015
     use_selfanalyzer: bool = True
     analyzer: SelfAnalyzerConfig = SelfAnalyzerConfig()
-    self_tuning: Optional[SelfTuningConfig] = None
     reset_analyzer_on_phase_change: bool = False
 
     def __post_init__(self) -> None:
@@ -177,7 +172,7 @@ class NthLibRuntime:
     """Executes one job's phases as discrete events."""
 
     __slots__ = (
-        "sim", "job", "host", "config", "app", "analyzer", "tuner",
+        "sim", "job", "host", "config", "app", "analyzer",
         "_streams", "_noise_stream", "phase", "_last_iter_procs", "_pending",
         "_span", "_budget", "hung",
     )
@@ -202,11 +197,6 @@ class NthLibRuntime:
         self.analyzer: Optional[SelfAnalyzer] = (
             SelfAnalyzer(job.job_id, self.config.analyzer) if use_analyzer else None
         )
-        self.tuner: Optional[SelfTuner] = (
-            SelfTuner(self.config.self_tuning)
-            if self.config.self_tuning is not None and job.spec.malleable
-            else None
-        )
         self._streams = streams
         self._noise_stream = f"iter-noise:{job.job_id}"
         self.phase = JobPhase.CREATED
@@ -214,7 +204,7 @@ class NthLibRuntime:
         #: handle of the next scheduled phase event (for abort/hang)
         self._pending: Optional[Union[Event, List[Any]]] = None
         #: iteration ends absorbed since the last one that fired, and
-        #: the host's cap on them (SelfTuner jobs absorb nothing)
+        #: the host's cap on them
         self._span = 0
         self._budget = 1
         #: True once hang() froze this runtime (it stops progressing
@@ -230,7 +220,7 @@ class NthLibRuntime:
             raise RuntimeError(f"job {self.job.job_id}: started twice")
         self.phase = JobPhase.STARTUP
         # asked once: hosts fix their budget before any job starts
-        self._budget = 1 if self.tuner is not None else self.host.span_budget(self.job)
+        self._budget = self.host.span_budget(self.job)
         duration = self.job.spec.t_startup * self._noise()
         self._pending = self.sim.schedule_after(
             duration, self._startup_done, label=f"startup:{self.job.job_id}"
@@ -259,8 +249,6 @@ class NthLibRuntime:
         procs = allocation
         if self.analyzer is not None and self.analyzer.in_baseline:
             procs = self.analyzer.baseline_allocation(allocation)
-        elif self.tuner is not None:
-            procs = self.tuner.proposal(allocation)
         speedup = self.host.iteration_speedup(self.job, procs)
         changed_by = (
             0 if self._last_iter_procs is None else procs - self._last_iter_procs
@@ -311,10 +299,6 @@ class NthLibRuntime:
     ) -> None:
         iteration = self.app.completed_iterations
         self.app.record_iteration(procs, duration)
-        if self.tuner is not None and not (
-            self.analyzer is not None and self.analyzer.in_baseline
-        ):
-            self.tuner.observe(procs, duration)
         if self.analyzer is not None:
             report = self.analyzer.on_iteration(self.sim.now, iteration, procs, duration)
             if report is not None:

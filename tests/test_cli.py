@@ -29,6 +29,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "PDPA", "w9"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--cpus", "0", "run", "PDPA", "w1"],
+        ["--cpus", "-4", "serve", "PDPA"],
+        ["--jobs", "0", "mpl", "--workload", "w2"],
+        ["run", "PDPA", "w1", "--load", "0"],
+        ["run", "PDPA", "w1", "--load", "nan"],
+        ["compare", "w1", "--loads", "0.6", "0"],
+        ["mpl", "--load", "-1"],
+        ["ablations", "--load", "0"],
+        ["swf", "w1", "--load", "0"],
+        ["serve", "PDPA", "--load", "0"],
+    ], ids=" ".join)
+    def test_non_positive_numbers_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_non_numeric_keeps_the_type_name(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--cpus", "many", "run", "PDPA", "w1"])
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_speedups(self, capsys):

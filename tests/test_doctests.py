@@ -4,14 +4,12 @@ import doctest
 
 import pytest
 
-import repro.runtime.periodicity
 import repro.sim.engine
 import repro.sim.rng
 
 MODULES = [
     repro.sim.engine,
     repro.sim.rng,
-    repro.runtime.periodicity,
 ]
 
 

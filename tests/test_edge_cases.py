@@ -147,15 +147,3 @@ class TestComparisonEdges:
         with pytest.raises(ZeroDivisionError):
             comparison.ratio("x", "response", "A", "B", 1.0)
 
-
-class TestDynamicTargetEdges:
-    def test_retarget_noop_when_unchanged(self):
-        from repro.core.dynamic import DynamicTargetConfig, DynamicTargetPDPA
-
-        policy = DynamicTargetPDPA(
-            dynamic=DynamicTargetConfig(min_target=0.7, max_target=0.7)
-        )
-        view = SystemView(60, {})
-        policy.wants_admission(view, queued_jobs=0)
-        # Constant bounds: the target never moves, history stays empty.
-        assert policy.target_history == []

@@ -1,23 +1,13 @@
-"""Tests for the related-work policies: McCann Dynamic and Batch FCFS."""
+"""Tests for the batch FCFS baseline (rigid exact-request partitions)."""
 
 import pytest
-from hypothesis import given, strategies as st
-
-from repro.fuzz.profiles import tier_settings
 
 from repro.experiments.common import ExperimentConfig, run_jobs_with_policy
 from repro.qs.job import Job
 from repro.qs.workload import TABLE1_MIXES, generate_workload
 from repro.rm.base import JobView, SystemView
 from repro.rm.batch import BatchFCFS
-from repro.rm.mccann import McCannDynamic, proportional_shares
-from repro.runtime.selfanalyzer import PerformanceReport
 from repro.sim.rng import RandomStreams
-
-
-def report(job_id, procs, speedup):
-    return PerformanceReport(job_id=job_id, time=1.0, iteration=3,
-                             procs=procs, speedup=speedup, iter_time=1.0)
 
 
 def view_of(app, allocations, requests=None, total=60):
@@ -27,86 +17,6 @@ def view_of(app, allocations, requests=None, total=60):
         job = Job(job_id, app, submit_time=0.0, request=request)
         jobs[job_id] = JobView(job=job, allocation=alloc)
     return SystemView(total, jobs)
-
-
-class TestProportionalShares:
-    def test_equal_parallelism_equal_shares(self):
-        shares = proportional_shares(60, {1: 30, 2: 30}, {1: 20.0, 2: 20.0})
-        assert shares[1] == shares[2] == 30
-
-    def test_parallelism_skews_allocation(self):
-        shares = proportional_shares(40, {1: 40, 2: 40}, {1: 30.0, 2: 3.0})
-        assert shares[1] > 3 * shares[2]
-        assert shares[1] + shares[2] == 40
-
-    def test_caps_and_floors(self):
-        shares = proportional_shares(40, {1: 4, 2: 40}, {1: 100.0, 2: 1.0})
-        assert shares[1] <= 4
-        assert shares[2] >= 1
-
-    def test_unknown_jobs_count_as_fully_parallel(self):
-        shares = proportional_shares(30, {1: 30, 2: 30}, {})
-        assert shares[1] == shares[2] == 15
-
-    def test_too_many_jobs_raises(self):
-        with pytest.raises(ValueError):
-            proportional_shares(1, {1: 2, 2: 2}, {})
-
-    @tier_settings("standard")
-    @given(
-        total=st.integers(4, 80),
-        jobs=st.dictionaries(
-            st.integers(1, 10),
-            st.tuples(st.integers(1, 40), st.floats(1.0, 40.0)),
-            min_size=1, max_size=6,
-        ),
-    )
-    def test_conservation_and_bounds(self, total, jobs):
-        requests = {jid: req for jid, (req, _) in jobs.items()}
-        parallelism = {jid: par for jid, (_, par) in jobs.items()}
-        if total < len(requests):
-            return
-        shares = proportional_shares(total, requests, parallelism)
-        assert sum(shares.values()) <= total
-        for jid in requests:
-            assert 1 <= shares[jid] <= max(1, requests[jid])
-
-
-class TestMcCannDynamic:
-    def test_reallocates_on_every_report(self, linear_app, flat_app):
-        policy = McCannDynamic()
-        good = Job(1, linear_app, submit_time=0.0, request=30)
-        bad = Job(2, flat_app, submit_time=0.0, request=30)
-        system = view_of(linear_app, {1: 20, 2: 20}, total=40)
-        decision = policy.on_report(bad, report(2, 20, speedup=1.5), system)
-        assert decision[1] > decision[2]
-        decision = policy.on_report(good, report(1, 20, speedup=19.0), system)
-        assert decision[1] > decision[2]
-
-    def test_many_reallocations_end_to_end(self):
-        # The related-work critique: "results in a large number of
-        # reallocations" — far more than Equipartition's.
-        config = ExperimentConfig(seed=6)
-        jobs = generate_workload(
-            TABLE1_MIXES["w2"], 1.0, n_cpus=config.n_cpus,
-            duration=config.duration,
-            streams=RandomStreams(config.seed).spawn("workload"),
-        )
-        dynamic = run_jobs_with_policy(McCannDynamic(), jobs, config, 1.0)
-        from repro.experiments.common import run_workload
-        equip = run_workload("Equip", "w2", 1.0, config)
-        assert dynamic.result.reallocations > 2 * equip.result.reallocations
-        assert all(r.end_time > 0 for r in dynamic.result.records)
-
-    def test_state_cleanup(self, linear_app):
-        policy = McCannDynamic()
-        policy._parallelism[1] = 5.0
-        policy.on_job_removed(Job(1, linear_app, submit_time=0.0))
-        assert 1 not in policy._parallelism
-
-    def test_mpl_validation(self):
-        with pytest.raises(ValueError):
-            McCannDynamic(mpl=0)
 
 
 class TestBatchFCFS:

@@ -6,8 +6,10 @@ from repro.core.mpl import MplPolicy
 from repro.core.params import PDPAParams
 from repro.core.pdpa import PDPA
 from repro.core.states import AppState, PdpaJobState
+from repro.experiments.ablations import FixedMplPDPA, NoRelativeSpeedupPDPA
 from repro.qs.job import Job
 from repro.rm.base import JobView, SystemView
+from repro.runtime.nthlib import NO_SPAN_LIMIT
 from repro.runtime.selfanalyzer import PerformanceReport
 
 
@@ -226,3 +228,35 @@ class TestRuntimeParameterChange:
         assert policy.states_summary() == {
             "NO_REF": 0, "INC": 0, "DEC": 1, "STABLE": 2,
         }
+
+
+class _Renamed(PDPA):
+    name = "PDPA(renamed)"
+    __slots__ = ()
+
+
+def _overriding(method):
+    """A PDPA subclass whose *method* is a pass-through override."""
+
+    def passthrough(self, *args):
+        return getattr(PDPA, method)(self, *args)
+
+    return type(f"Overrides_{method}", (PDPA,), {"__slots__": (), method: passthrough})
+
+
+class TestSpanOptOut:
+    """``PDPA.__init_subclass__``: a subclass that overrides how reports,
+    admission or parameters are handled may not absorb iteration ends."""
+
+    @pytest.mark.parametrize("policy_class, budget", [
+        pytest.param(PDPA, NO_SPAN_LIMIT, id="PDPA"),
+        pytest.param(_Renamed, NO_SPAN_LIMIT, id="name-only"),
+        pytest.param(_overriding("on_report"), 1, id="on_report"),
+        pytest.param(_overriding("wants_admission"), 1, id="wants_admission"),
+        pytest.param(_overriding("set_params"), 1, id="set_params"),
+        pytest.param(FixedMplPDPA, 1, id="FixedMplPDPA"),
+        pytest.param(NoRelativeSpeedupPDPA, 1, id="NoRelativeSpeedupPDPA"),
+    ])
+    def test_span_budget(self, policy_class, budget, linear_app):
+        job = Job(1, linear_app, submit_time=0.0, request=8)
+        assert policy_class().span_budget(job) == budget

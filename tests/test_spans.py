@@ -27,7 +27,6 @@ from hypothesis import given, strategies as st
 from repro.apps.application import AppClass, ApplicationSpec
 from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
 from repro.checkpoint import CheckpointPlan, SimulationSession, read_snapshot
-from repro.core.dynamic import DynamicTargetPDPA
 from repro.core.pdpa import PDPA
 from repro.experiments.ablations import FixedMplPDPA, NoRelativeSpeedupPDPA
 from repro.experiments.common import (
@@ -221,7 +220,6 @@ POLICIES = {
     "Equip": Equipartition,
     "PDPA": PDPA,
     "Equal_eff": EqualEfficiency,
-    "DynamicTargetPDPA": DynamicTargetPDPA,
     "FixedMplPDPA": FixedMplPDPA,
     "NoRelativeSpeedupPDPA": NoRelativeSpeedupPDPA,
 }

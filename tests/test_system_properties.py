@@ -83,21 +83,15 @@ def test_any_workload_completes_and_validates(policy, jobs, seed):
 
 
 def _make_extension_policy(name):
-    if name == "Dynamic":
-        from repro.rm.mccann import McCannDynamic
-        return McCannDynamic()
     if name == "Batch":
         from repro.rm.batch import BatchFCFS
         return BatchFCFS()
-    if name == "DynTarget":
-        from repro.core.dynamic import DynamicTargetPDPA
-        return DynamicTargetPDPA()
     raise ValueError(name)
 
 
 @tier_settings("quick")
 @given(jobs=workloads(), seed=st.integers(0, 3))
-@pytest.mark.parametrize("policy_name", ["Dynamic", "Batch", "DynTarget"])
+@pytest.mark.parametrize("policy_name", ["Batch"])
 def test_extension_policies_complete_and_validate(policy_name, jobs, seed):
     from repro.experiments.common import run_jobs_with_policy
 
