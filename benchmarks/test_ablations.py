@@ -114,10 +114,8 @@ def test_ablation_noise_sensitivity(benchmark, config):
         rounds=1, iterations=1,
     )
     print()
-    print(format_table(
-        ["noise sigma", "PDPA reallocs", "Equal_eff reallocs"],
-        [[s, p, e] for s, p, e in rows],
-        title="Ablation — measurement-noise sensitivity (w2, 100%)",
+    print(ablations.render_noise_sweep(
+        rows, "Ablation — measurement-noise sensitivity (w2, 100%)"
     ))
     # Equal_efficiency's reallocation count explodes with noise;
     # PDPA's stays of the same order.

@@ -1,23 +1,14 @@
-"""Benches for the implemented §6 extensions and substrate models.
+"""Bench for the memory-locality substrate model.
 
-Not paper figures — these quantify the future-work features the paper
-sketches (MPI folding, MPI+OpenMP balancing, clusters of SMPs) and the
-memory-locality model behind the paper's stability argument.
+Not a paper figure — it quantifies the page-migration locality model
+behind the paper's stability argument.
 """
 
 from dataclasses import replace
 
-from repro.apps.application import AppClass, ApplicationSpec
-from repro.apps.hybrid import HybridSpeedup
-from repro.apps.speedup import AmdahlSpeedup
-from repro.cluster import ClusterCoordinator, ClusterSpec
-from repro.experiments.common import ExperimentConfig, run_jobs, run_workload
+from repro.experiments.common import run_workload
 from repro.machine.memory import LocalityConfig
 from repro.metrics.stats import format_table
-from repro.qs.job import Job
-from repro.qs.queuing import NanosQS
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 
 
 def test_extension_locality_tax(benchmark, config):
@@ -58,75 +49,3 @@ def test_extension_locality_tax(benchmark, config):
     assert eq_tax >= pdpa_tax - 0.03, (
         "the unstable policy should pay at least as much locality tax"
     )
-
-
-def test_extension_hybrid_balancing(benchmark):
-    """MPI+OpenMP: bottleneck-first distribution vs uniform."""
-
-    def run_pair():
-        results = {}
-        for balanced in (False, True):
-            curve = HybridSpeedup([3.0, 1.0, 1.0, 1.0], AmdahlSpeedup(0.03),
-                                  balanced=balanced)
-            spec = ApplicationSpec(
-                name="hybrid", app_class=AppClass.MEDIUM,
-                speedup_model=curve, iterations=40, t_iter_seq=6.0,
-                default_request=24,
-            )
-            cfg = ExperimentConfig(n_cpus=32, seed=1, noise_sigma=0.0)
-            out = run_jobs("PDPA", [Job(1, spec, submit_time=0.0)], cfg)
-            results[balanced] = out.result.records[0].execution_time
-        return results
-
-    results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    print()
-    print(f"hybrid 4-process app (3:1:1:1 imbalance) under PDPA:")
-    print(f"  uniform  distribution: {results[False]:.1f} s")
-    print(f"  balanced distribution: {results[True]:.1f} s "
-          f"({results[False] / results[True]:.2f}x faster)")
-    assert results[True] < results[False] * 0.85
-
-
-def test_extension_cluster_coscheduling(benchmark):
-    """Cluster of SMPs: the coordinated search works across nodes."""
-
-    def run_cluster():
-        from repro.apps.catalog import APSI, BT, HYDRO2D
-
-        sim = Simulator()
-        cluster = ClusterSpec(n_nodes=4, cpus_per_node=16,
-                              internode_penalty=0.06)
-        coordinator = ClusterCoordinator(sim, cluster, RandomStreams(2))
-        jobs = []
-        specs = [BT, APSI, HYDRO2D, APSI, BT, APSI, HYDRO2D, APSI]
-        for i, spec in enumerate(specs, start=1):
-            jobs.append(Job(i, spec, submit_time=2.0 * i))
-        qs = NanosQS(sim, coordinator, jobs)
-        qs.schedule_submissions()
-        sim.run()
-        coordinator.finalize()
-        assert qs.all_done
-        return coordinator, jobs
-
-    coordinator, jobs = benchmark.pedantic(run_cluster, rounds=1, iterations=1)
-    print()
-    rows = []
-    for job in jobs:
-        path = " -> ".join(
-            str(r.new_procs)
-            for r in coordinator.reallocations if r.job_id == job.job_id
-        )
-        rows.append([job.job_id, job.app_name, job.request, path,
-                     round(job.execution_time, 1)])
-    print(format_table(
-        ["job", "app", "request", "co-scheduled allocations", "exec (s)"],
-        rows,
-        title="Extension — coordinated PDPA on a 4x16 cluster of SMPs",
-    ))
-    assert coordinator.co_scheduling_holds()
-    # hydro2d jobs were shrunk towards their efficiency frontier.
-    hydro_finals = [
-        [r.new_procs for r in coordinator.reallocations if r.job_id == job.job_id][-1]
-        for job in jobs if job.app_name == "hydro2d"
-    ]
-    assert all(final <= 16 for final in hydro_finals)

@@ -44,7 +44,6 @@ DEFAULT_SIM_PATHS: Tuple[str, ...] = (
     "repro/faults/",
     "repro/apps/",
     "repro/metrics/",
-    "repro/cluster/",
 )
 
 #: The one sanctioned wall-clock site (see repro/experiments/clock.py).

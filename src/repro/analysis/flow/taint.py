@@ -127,10 +127,6 @@ class TaintSummary:
     sinks: FrozenSet[ParamSink] = frozenset()
 
 
-def _kinds(taints: Set[Taint]) -> Set[str]:
-    return {t.kind for t in taints if t.concrete}
-
-
 def _describe(taints: Set[Taint], kinds: FrozenSet[str]) -> str:
     parts = sorted(
         f"{_KIND_LABEL[t.kind]} (line {t.detail})"

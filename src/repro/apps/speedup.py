@@ -22,9 +22,8 @@ has no third-party dependencies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.sim.columns import amdahl_many, pchip_many
 from repro.sim.slots import set_slot_state, slot_state
 
 
@@ -63,47 +62,9 @@ class SpeedupCurve:
             value = cache[procs] = self._compute(procs)
         return value
 
-    def speedup_many(self, procs: Sequence[float]) -> List[float]:
-        """Evaluate the curve at a whole vector of processor counts.
-
-        The policies' search loops (PDPA's efficiency search, the
-        equal-efficiency water-fill) evaluate the same curve at many
-        candidate allocations per decision; this entry point answers
-        all of them in one call.  Cache hits are served from the same
-        memo :meth:`speedup` uses; only the misses reach the batched
-        kernel, and the values stored back are bit-identical to what
-        point-by-point evaluation would have produced.
-        """
-        try:
-            cache = self._speedup_cache
-        except AttributeError:
-            cache = self._speedup_cache = {}
-        out: List[Optional[float]] = [None] * len(procs)
-        miss_idx: List[int] = []
-        misses: List[float] = []
-        for i, p in enumerate(procs):
-            value = cache.get(p)
-            if value is None:
-                miss_idx.append(i)
-                misses.append(p)
-            else:
-                out[i] = value
-        if misses:
-            values = self._compute_many(misses)
-            for i, p, value in zip(miss_idx, misses, values):
-                if len(cache) >= _SPEEDUP_CACHE_LIMIT:
-                    cache.clear()
-                cache[p] = value
-                out[i] = value
-        return out  # type: ignore[return-value]
-
     def _compute(self, procs: float) -> float:
         """Uncached speedup evaluation; implemented by subclasses."""
         raise NotImplementedError
-
-    def _compute_many(self, procs: Sequence[float]) -> List[float]:
-        """Batched uncached evaluation; subclasses override with kernels."""
-        return [self._compute(p) for p in procs]
 
     def __getstate__(self) -> Dict[str, Any]:
         # The memo cache is derived state: dropping it keeps checkpoint
@@ -166,9 +127,6 @@ class AmdahlSpeedup(SpeedupCurve):
             return procs
         f = self.serial_fraction
         return 1.0 / (f + (1.0 - f) / procs)
-
-    def _compute_many(self, procs: Sequence[float]) -> List[float]:
-        return amdahl_many(self.serial_fraction, procs)
 
 
 def _pchip_slopes(xs: Sequence[float], ys: Sequence[float]) -> List[float]:
@@ -261,9 +219,6 @@ class TabulatedSpeedup(SpeedupCurve):
             + h01 * ys[hi]
             + h11 * h * self._slopes[hi]
         )
-
-    def _compute_many(self, procs: Sequence[float]) -> List[float]:
-        return pchip_many(self._xs, self._ys, self._slopes, procs)
 
 
 class DegradingSpeedup(SpeedupCurve):

@@ -56,13 +56,20 @@ from repro.sim.rng import RandomStreams
 _Number = TypeVar("_Number", int, float)
 
 
-def _positive(convert: Callable[[str], _Number]) -> Callable[[str], _Number]:
-    """An argparse ``type`` that makes a value <= 0 a usage error."""
+def _bounded(
+    convert: Callable[[str], _Number], zero_ok: bool = False
+) -> Callable[[str], _Number]:
+    """An argparse ``type`` that makes a value < 0 (or <= 0) a usage error.
+
+    Zero is accepted only with *zero_ok*, for flags where it means
+    something (no retries, an unbounded budget).
+    """
 
     def parse(text: str) -> _Number:
         value = convert(text)
-        if not value > 0:  # also refuses nan
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (value >= 0 if zero_ok else value > 0):  # also refuses nan
+            bound = "non-negative" if zero_ok else "positive"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
 
     # argparse names the type in its "invalid int value" message
@@ -70,8 +77,9 @@ def _positive(convert: Callable[[str], _Number]) -> Callable[[str], _Number]:
     return parse
 
 
-positive_int = _positive(int)
-positive_float = _positive(float)
+positive_int = _bounded(int)
+positive_float = _bounded(float)
+non_negative_int = _bounded(int, zero_ok=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,12 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore --cache-dir (compute every cell fresh)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SEC",
+        "--timeout", type=positive_float, default=None, metavar="SEC",
         help="per-cell wall-clock timeout for sweep cells; hung workers "
              "are killed and the cell retried (enables supervision)",
     )
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=non_negative_int, default=None, metavar="N",
         help="re-attempts for a crashed/hung/lost sweep cell before it is "
              "quarantined as a poison cell (default 2 when supervision "
              "is enabled; enables supervision)",
@@ -130,13 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
              "--restore` or, for sweep cells, automatically on retry)",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+        "--checkpoint-every", type=positive_int, default=None, metavar="N",
         help="autosnapshot every N logical simulation events: fired "
              "events plus absorbed iteration ends (requires "
              "--checkpoint-dir; default 1000 when no cadence is given)",
     )
     parser.add_argument(
-        "--checkpoint-interval", type=float, default=None, metavar="SEC",
+        "--checkpoint-interval", type=positive_float, default=None, metavar="SEC",
         help="autosnapshot every SEC simulated seconds (requires "
              "--checkpoint-dir; may be combined with --checkpoint-every)",
     )
@@ -156,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("workload", choices=sorted(TABLE1_MIXES))
     p_run.add_argument("--load", type=positive_float, default=1.0,
                        help="load fraction (0.6/0.8/1.0)")
-    p_run.add_argument("--mpl", type=int, default=4, help="(base) multiprogramming level")
+    p_run.add_argument("--mpl", type=positive_int, default=4,
+                       help="(base) multiprogramming level")
     p_run.add_argument("--prv", metavar="FILE",
                        help="export the execution trace in Paraver format")
     p_run.add_argument("--faults", choices=sorted(SCENARIOS), metavar="SCENARIO",
@@ -229,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument(
         "--policies", nargs="+", default=None, metavar="POLICY",
-        help="policies to fuzz (default: Equip Equal_eff PDPA Cluster)",
+        help="policies to fuzz (default: Equip Equal_eff PDPA)",
     )
     p_fuzz.add_argument(
         "--profile", choices=("ci", "dev", "nightly"), default="dev",
@@ -237,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
              "nightly=deep (default: dev)",
     )
     p_fuzz.add_argument(
-        "--budget", type=int, default=None, metavar="N",
+        "--budget", type=positive_int, default=None, metavar="N",
         help="hypothesis examples per policy (overrides --profile)",
     )
     p_fuzz.add_argument(
-        "--steps", type=int, default=None, metavar="N",
+        "--steps", type=positive_int, default=None, metavar="N",
         help="max rules per example (overrides --profile)",
     )
     p_fuzz.add_argument(
@@ -368,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which durability protocol to torture (default: all four)",
     )
     p_torture.add_argument(
-        "--budget", type=int, default=400, metavar="N",
+        "--budget", type=non_negative_int, default=400, metavar="N",
         help="max crash states checked per protocol; 0 = unbounded "
              "(default: 400)",
     )
@@ -677,15 +686,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz.differential import differential_check, random_stimulus
     from repro.fuzz.profiles import CAMPAIGN_BUDGETS
     from repro.fuzz.runner import run_campaign
-    from repro.fuzz.targets import FUZZ_POLICIES, FUZZ_STREAM_POLICIES
+    from repro.fuzz.targets import FUZZ_POLICIES
 
-    valid = FUZZ_STREAM_POLICIES if args.stream else FUZZ_POLICIES
-    policies = tuple(args.policies) if args.policies else valid
+    policies = tuple(args.policies) if args.policies else FUZZ_POLICIES
     for policy in policies:
-        if policy not in valid:
+        if policy not in FUZZ_POLICIES:
             raise SystemExit(
                 f"error: unknown policy {policy!r} "
-                f"(choose from {', '.join(valid)})"
+                f"(choose from {', '.join(FUZZ_POLICIES)})"
             )
     budget, steps = CAMPAIGN_BUDGETS[args.profile]
     if args.budget is not None:
@@ -1106,10 +1114,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         ))
         sweep = ablations.run_noise_sweep(config=_config(args), runner=_runner(args))
         print()
-        print(format_table(
-            ["noise sigma", "PDPA reallocs", "Equal_eff reallocs"],
-            [[s, p, e] for s, p, e in sweep],
-            title="Measurement-noise sensitivity (w2, 100%)",
+        print(ablations.render_noise_sweep(
+            sweep, "Measurement-noise sensitivity (w2, 100%)"
         ))
     elif args.command == "swf":
         jobs = generate_workload(

@@ -355,6 +355,19 @@ def run_noise_sweep(
     ]
 
 
+def render_noise_sweep(rows: Sequence[Tuple[float, int, int]], title: str) -> str:
+    """Tabulate :func:`run_noise_sweep` rows.
+
+    Sigma prints with ``:g``: the table's one-decimal float format
+    would label 0, 0.015 and 0.05 as ``0.0``, ``0.0`` and ``0.1``.
+    """
+    return format_table(
+        ["noise sigma", "PDPA reallocs", "Equal_eff reallocs"],
+        [[f"{sigma:g}", pdpa, equal_eff] for sigma, pdpa, equal_eff in rows],
+        title=title,
+    )
+
+
 def render_rows(rows: Sequence[AblationRow], title: str) -> str:
     """Tabulate ablation rows."""
     return format_table(

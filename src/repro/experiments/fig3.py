@@ -18,7 +18,7 @@ DEFAULT_PROCS = (1, 2, 4, 8, 12, 16, 20, 24, 30, 40, 50, 60)
 def speedup_table(procs: Sequence[int] = DEFAULT_PROCS) -> Dict[str, List[float]]:
     """Speedup of each catalog application at the given counts."""
     return {
-        name: spec.speedup_model.speedup_many(list(procs))
+        name: [spec.speedup_model.speedup(p) for p in procs]
         for name, spec in APP_CATALOG.items()
     }
 

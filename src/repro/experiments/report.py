@@ -15,7 +15,6 @@ from repro.analysis.race import RaceDetector
 from repro.experiments import ablations, fig3, fig5_table2, fig7_fig8, tables, workloads
 from repro.experiments.clock import ReportClock
 from repro.experiments.common import ExperimentConfig
-from repro.metrics.stats import format_table
 from repro.parallel import SweepRunner
 
 
@@ -150,10 +149,7 @@ def generate_report(
         noise = ablations.run_noise_sweep(config=config, runner=runner)
         parts.append(_section(
             "Ablation — measurement noise",
-            format_table(
-                ["sigma", "PDPA reallocs", "Equal_eff reallocs"],
-                [[s, p, e] for s, p, e in noise],
-            ),
+            ablations.render_noise_sweep(noise, "w2, load 100%"),
         ))
 
     elapsed = clock.elapsed()

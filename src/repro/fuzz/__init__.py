@@ -11,9 +11,8 @@ fault recovery — needs an adversarial harness.  This package provides:
   object graph (CPU conservation, job conservation, allocation bounds,
   MPL respect, policy sync, no wedge).
 * :mod:`repro.fuzz.targets` — a live Simulator+RM+QS session wrapped
-  as a fuzzable target, for each space-sharing policy and the cluster
-  coordinator, including checkpoint round-trips at arbitrary cut
-  points.
+  as a fuzzable target, for each space-sharing policy, including
+  checkpoint round-trips at arbitrary cut points.
 * :mod:`repro.fuzz.stimulus` — the op vocabulary (arrival, progress,
   fault, repair, crash, forced allocation, checkpoint) with a JSON
   codec, so any interleaving is replayable.
@@ -46,14 +45,12 @@ from repro.fuzz.stimulus import apply_op
 from repro.fuzz.targets import (
     FUZZ_N_CPUS,
     FUZZ_POLICIES,
-    FUZZ_STREAM_POLICIES,
     FuzzTarget,
 )
 
 __all__ = [
     "FUZZ_N_CPUS",
     "FUZZ_POLICIES",
-    "FUZZ_STREAM_POLICIES",
     "FuzzTarget",
     "LiveOracle",
     "apply_op",

@@ -18,7 +18,7 @@ Policies may differ on *who* gets CPUs, never on *how many exist*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.fuzz.oracle import LiveOracle
 from repro.fuzz.stimulus import Stimulus, apply_op
@@ -64,9 +64,8 @@ def differential_check(
 ) -> DifferentialResult:
     """Replay one op list under every policy; audit each step + the end.
 
-    The op interpreter's deterministic guards already absorb surface
-    differences (the cluster coordinator skips fault ops), so the same
-    list is meaningful everywhere.  After the drain, every submitted
+    The op interpreter's deterministic guards make the same list
+    meaningful everywhere.  After the drain, every submitted
     job must be terminal under every policy — schedulers may reorder
     work, not lose it.
     """

@@ -35,7 +35,7 @@ _EPS = 1e-6
 class LiveOracle:
     """Audits a live :class:`~repro.fuzz.targets.FuzzTarget` mid-run.
 
-    Stateful: one :class:`~repro.validate.TraceChecker` per trace
+    Stateful: a :class:`~repro.validate.TraceChecker` over the trace
     holds the cursors over the already-audited records, and the
     terminal states already observed are kept so terminal transitions
     are checked for monotonicity.  Checkpoint swaps are transparent —
@@ -44,8 +44,8 @@ class LiveOracle:
     """
 
     def __init__(self) -> None:
-        #: one trace checker per entry of ``target.recorded()``
-        self._checkers: List[TraceChecker] = []
+        #: checker of the target's trace, built on the first check
+        self._checker: Optional[TraceChecker] = None
         #: job_id -> (state value, end_time) once terminal
         self._terminal: Dict[int, Tuple[str, Optional[float]]] = {}
 
@@ -64,7 +64,6 @@ class LiveOracle:
         problems.extend(self.check_job_retry(target))
         problems.extend(self.check_trace(target))
         problems.extend(self.check_policy_sync(target))
-        problems.extend(self.check_cluster_coscheduling(target))
         problems.extend(self.check_no_wedge(target))
         problems.extend(self.check_stream_invariants(target))
         return problems
@@ -73,16 +72,12 @@ class LiveOracle:
     # CPU conservation (validate: capacity, fault-capacity)
     # ------------------------------------------------------------------
     def check_cpu_books(self, target: "FuzzTarget") -> List[Violation]:
-        """Each machine's incremental books match its CPU ground truth."""
-        problems = []
-        for index, machine in enumerate(target.machines()):
-            try:
-                machine.check_invariants()
-            except MachineError as exc:
-                problems.append(Violation(
-                    "cpu-books", "alloc", f"machine {index}: {exc}"
-                ))
-        return problems
+        """The machine's incremental books match its CPU ground truth."""
+        try:
+            target.rm.machine.check_invariants()
+        except MachineError as exc:
+            return [Violation("cpu-books", "alloc", str(exc))]
+        return []
 
     def check_cpu_conservation(self, target: "FuzzTarget") -> List[Violation]:
         """No lost or phantom CPUs: free + allocated == healthy.
@@ -94,37 +89,34 @@ class LiveOracle:
         this identity broke first.
         """
         problems = []
-        for index, machine in enumerate(target.machines()):
-            free = machine.free_cpus
-            allocated = machine.allocated_cpus
-            healthy = machine.healthy_cpus
-            if free + allocated != healthy:
-                problems.append(Violation(
-                    "cpu-conservation", "alloc",
-                    f"machine {index}: free {free} + allocated {allocated} "
-                    f"!= healthy {healthy} (of {machine.n_cpus}) — "
-                    f"lost or phantom CPUs",
-                ))
-            total = sum(machine.allocations().values())
-            if total != allocated:
-                problems.append(Violation(
-                    "cpu-conservation", "alloc",
-                    f"machine {index}: partitions hold {total} CPUs but "
-                    f"allocated count says {allocated}",
-                ))
+        machine = target.rm.machine
+        free = machine.free_cpus
+        allocated = machine.allocated_cpus
+        healthy = machine.healthy_cpus
+        if free + allocated != healthy:
+            problems.append(Violation(
+                "cpu-conservation", "alloc",
+                f"free {free} + allocated {allocated} != healthy {healthy} "
+                f"(of {machine.n_cpus}) — lost or phantom CPUs",
+            ))
+        total = sum(machine.allocations().values())
+        if total != allocated:
+            problems.append(Violation(
+                "cpu-conservation", "alloc",
+                f"partitions hold {total} CPUs but allocated count "
+                f"says {allocated}",
+            ))
         return problems
 
     def check_fault_offline(self, target: "FuzzTarget") -> List[Violation]:
         """No OFFLINE CPU may be owned (live form of offline-overlap)."""
         problems = []
-        for index, machine in enumerate(target.machines()):
-            for cpu in machine.cpus:
-                if not cpu.allocatable and cpu.owner is not None:
-                    problems.append(Violation(
-                        "fault-offline", "fault",
-                        f"machine {index}: offline CPU {cpu.cpu_id} still "
-                        f"owned by job {cpu.owner}",
-                    ))
+        for cpu in target.rm.machine.cpus:
+            if not cpu.allocatable and cpu.owner is not None:
+                problems.append(Violation(
+                    "fault-offline", "fault",
+                    f"offline CPU {cpu.cpu_id} still owned by job {cpu.owner}",
+                ))
         return problems
 
     # ------------------------------------------------------------------
@@ -134,7 +126,7 @@ class LiveOracle:
         """Every running job holds between 1 and ``request`` CPUs."""
         problems = []
         for job in target.running_jobs():
-            alloc = target.allocation_of(job.job_id)
+            alloc = target.rm.machine.allocation_of(job.job_id)
             if alloc < 1:
                 problems.append(Violation(
                     "alloc-bounds", "alloc",
@@ -322,18 +314,13 @@ class LiveOracle:
     # trace invariants (burst-sanity, realloc-chain)
     # ------------------------------------------------------------------
     def check_trace(self, target: "FuzzTarget") -> List[Violation]:
-        """Feed each trace's new records to its :class:`TraceChecker`."""
-        problems = []
-        now = target.sim.now
-        for index, (n_cpus, bursts, reallocations, faults) in enumerate(
-            target.recorded()
-        ):
-            if index == len(self._checkers):
-                self._checkers.append(TraceChecker(n_cpus))
-            problems.extend(
-                self._checkers[index].feed(bursts, reallocations, faults, now)
-            )
-        return problems
+        """Feed the trace's new records to the :class:`TraceChecker`."""
+        trace = target.session.trace
+        if self._checker is None:
+            self._checker = TraceChecker(trace.n_cpus)
+        return self._checker.feed(
+            trace.bursts, trace.reallocations, trace.faults, target.sim.now
+        )
 
     # ------------------------------------------------------------------
     # policy coherence
@@ -356,46 +343,12 @@ class LiveOracle:
             believed = getattr(state, "allocation", None)
             if state is None or believed is None:
                 continue
-            actual = target.allocation_of(job_id)
+            actual = target.rm.machine.allocation_of(job_id)
             if believed != actual:
                 problems.append(Violation(
                     "policy-sync", "alloc",
                     f"job {job_id}: policy believes allocation {believed} "
                     f"but the machine holds {actual}",
-                ))
-        return problems
-
-    def check_cluster_coscheduling(self, target: "FuzzTarget") -> List[Violation]:
-        """Cluster targets: equal slices on every node a job spans."""
-        coord = target.rm
-        if not hasattr(coord, "co_scheduling_holds"):
-            return []
-        problems = []
-        if not coord.co_scheduling_holds():
-            problems.append(Violation(
-                "cluster-coscheduling", "alloc",
-                "co-scheduling broken: a job holds unequal slices "
-                "across its spanned nodes",
-            ))
-        state_ids = set(coord.states)
-        job_ids = set(coord.jobs)
-        if state_ids != job_ids:
-            problems.append(Violation(
-                "cluster-coscheduling", "alloc",
-                f"placement table {sorted(state_ids)} disagrees with the "
-                f"running table {sorted(job_ids)}",
-            ))
-        for job_id in sorted(job_ids & state_ids):
-            state = coord.states[job_id]
-            held = sum(
-                coord.machines[node].allocation_of(job_id)
-                for node in state.nodes
-            )
-            if held != state.total_cpus:
-                problems.append(Violation(
-                    "cluster-coscheduling", "alloc",
-                    f"job {job_id}: nodes hold {held} CPUs but the "
-                    f"placement says {state.total_cpus}",
                 ))
         return problems
 
@@ -450,13 +403,12 @@ def final_audit(target: "FuzzTarget") -> List[Violation]:
     invariants) and re-checks the flushed final bursts.
 
     Incomplete targets return no problems here (the live oracle's
-    ``no-wedge`` check already flagged a wedge); cluster targets have
-    no ``RunOutput`` surface, so the live oracle is their only audit.
-    Streaming targets folded (and pruned) their records as jobs
-    finished, so their post-hoc audit is ``validate_stream`` over the
-    drained session instead of ``validate_run`` over a harvest.
+    ``no-wedge`` check already flagged a wedge).  Streaming targets
+    folded (and pruned) their records as jobs finished, so their
+    post-hoc audit is ``validate_stream`` over the drained session
+    instead of ``validate_run`` over a harvest.
     """
-    if not target.qs.all_done or target.is_cluster:
+    if not target.qs.all_done:
         return []
     if target.is_stream:
         return validate_stream(target.session)

@@ -11,13 +11,12 @@ rule sequences and lands on the same shrunk counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from hypothesis import HealthCheck, settings
 from hypothesis.stateful import run_state_machine_as_test
 
 from repro.fuzz.statemachine import FailureRecord, machine_for
-from repro.fuzz.targets import FUZZ_POLICIES, FUZZ_STREAM_POLICIES
 
 
 @dataclass
@@ -83,24 +82,3 @@ def run_campaign(
             )
         result.failure = failure
     return result
-
-
-def run_campaigns(
-    policies: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    budget: int = 60,
-    steps: int = 50,
-    stream: bool = False,
-) -> List[CampaignResult]:
-    """One campaign per policy, in the given (deterministic) order.
-
-    With *stream* the campaigns drive the serve stack; the default
-    policy set then excludes the cluster coordinator, which has no
-    streaming twin.
-    """
-    if policies is None:
-        policies = FUZZ_STREAM_POLICIES if stream else FUZZ_POLICIES
-    return [
-        run_campaign(policy, seed, budget, steps, stream=stream)
-        for policy in policies
-    ]

@@ -21,11 +21,10 @@ Ops
     Run *dt* simulated seconds forward.
 ``cpu_fail {cpu, transient}`` / ``cpu_repair {cpu}``
     Take a CPU offline through the RM's fault hook / bring it back.
-    Skipped on the cluster coordinator (no fault surface yet) and when
-    the machine would lose its last allocatable CPU.
+    Skipped when the machine would lose its last allocatable CPU.
 ``crash {victim}``
     Kill the *victim*-th running job (modulo the running count), as an
-    application crash would.  Skipped when nothing runs or on cluster.
+    application crash would.  Skipped when nothing runs.
 ``force {victim, procs}``
     Impose an allocation outside the policy (graceful-degradation
     path), clamped to ``[1, request]``.  Same skip rules as ``crash``.
@@ -141,8 +140,6 @@ def apply_op(target: FuzzTarget, op: Dict[str, Any]) -> List[Violation]:
         target.advance_time(dt)
         return []
     if kind == "cpu_fail":
-        if target.is_cluster:
-            return []  # the coordinator has no fault surface yet
         cpu = int(op.get("cpu", 0)) % target.n_cpus
         machine = target.rm.machine
         if machine.healthy_cpus <= 1:
@@ -150,14 +147,10 @@ def apply_op(target: FuzzTarget, op: Dict[str, Any]) -> List[Violation]:
         target.rm.on_cpu_failed(cpu, permanent=not bool(op.get("transient")))
         return []
     if kind == "cpu_repair":
-        if target.is_cluster:
-            return []
         cpu = int(op.get("cpu", 0)) % target.n_cpus
         target.rm.on_cpu_repaired(cpu)
         return []
     if kind == "crash":
-        if target.is_cluster:
-            return []  # kill_job is a space-sharing RM surface
         running = target.running_jobs()
         if not running:
             return []
@@ -165,8 +158,6 @@ def apply_op(target: FuzzTarget, op: Dict[str, Any]) -> List[Violation]:
         target.rm.kill_job(victim, reason="fuzz: injected crash")
         return []
     if kind == "force":
-        if target.is_cluster:
-            return []
         running = target.running_jobs()
         if not running:
             return []

@@ -1,9 +1,9 @@
 """Live Simulator+RM+QS sessions wrapped as fuzzable targets.
 
 A :class:`FuzzTarget` is one policy's full coordination stack — the
-DES engine, the resource manager (or cluster coordinator), the queuing
-system, and the trace recorder — assembled exactly as the experiment
-runner assembles it, but driven op-by-op instead of to completion.
+DES engine, the resource manager, the queuing system, and the trace
+recorder — assembled exactly as the experiment runner assembles it,
+but driven op-by-op instead of to completion.
 The stimulus layer (:mod:`repro.fuzz.stimulus`) mutates it; the oracle
 (:mod:`repro.fuzz.oracle`) audits it between any two events.
 
@@ -26,31 +26,23 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.apps.application import AppClass, ApplicationSpec
 from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
 from repro.checkpoint import SimulationSession, read_snapshot
-from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.topology import ClusterSpec
 from repro.experiments.common import ExperimentConfig, build_session
-from repro.metrics.trace import Burst, FaultRecord, ReallocationRecord
-from repro.qs.job import Job, JobState
+from repro.qs.job import Job
 from repro.qs.queuing import NanosQS, RetryConfig
 from repro.qs.streaming import BLOCKED, IngressConfig
 from repro.qs.workload import TABLE1_MIXES
 from repro.serve.session import ServeConfig, build_serve_session
 from repro.serve.source import SyntheticSource
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 from repro.validate import Violation, validate_checkpoint, validate_stream
 
-#: machine size of every fuzz target (cluster: 4 nodes x 4 CPUs)
+#: machine size of every fuzz target
 FUZZ_N_CPUS = 16
 
-#: policies the fuzzer drives; "Cluster" is the multi-SMP coordinator
-#: (IRIX is time-shared — no partitions, no fault surface — so the
+#: policies the fuzzer drives, batch and streaming alike (IRIX is
+#: time-shared — no partitions, no fault surface — so the
 #: space-sharing invariants do not apply to it)
-FUZZ_POLICIES: Tuple[str, ...] = ("Equip", "Equal_eff", "PDPA", "Cluster")
-
-#: policies the *streaming* fuzzer drives (the serve stack wraps the
-#: space-sharing RMs; the cluster coordinator has no streaming twin)
-FUZZ_STREAM_POLICIES: Tuple[str, ...] = ("Equip", "Equal_eff", "PDPA")
+FUZZ_POLICIES: Tuple[str, ...] = ("Equip", "Equal_eff", "PDPA")
 
 #: ingress bound of streaming targets — small enough that a handful of
 #: submissions reaches the shed path
@@ -61,11 +53,6 @@ FUZZ_RETRY = RetryConfig(max_retries=1, backoff_base=1.0, backoff_cap=4.0)
 
 #: event budget for drains — far above any stimulus the fuzzer emits
 _DRAIN_MAX_EVENTS = 200_000
-
-#: one trace's records as the oracle reads them (see FuzzTarget.recorded)
-Recorded = Tuple[
-    int, List[Burst], List[ReallocationRecord], List[FaultRecord]
-]
 
 
 def _fuzz_apps() -> Dict[str, ApplicationSpec]:
@@ -130,8 +117,7 @@ class FuzzTarget:
     Parameters
     ----------
     policy:
-        One of :data:`FUZZ_POLICIES` (streaming:
-        :data:`FUZZ_STREAM_POLICIES`).
+        One of :data:`FUZZ_POLICIES`.
     seed:
         Master seed for the session's RNG streams.
     stream:
@@ -144,13 +130,7 @@ class FuzzTarget:
     """
 
     def __init__(self, policy: str, seed: int = 0, stream: bool = False) -> None:
-        if stream:
-            if policy not in FUZZ_STREAM_POLICIES:
-                raise ValueError(
-                    f"unknown stream fuzz policy {policy!r}; expected one "
-                    f"of {FUZZ_STREAM_POLICIES}"
-                )
-        elif policy not in FUZZ_POLICIES:
+        if policy not in FUZZ_POLICIES:
             raise ValueError(
                 f"unknown fuzz policy {policy!r}; expected one of {FUZZ_POLICIES}"
             )
@@ -163,8 +143,6 @@ class FuzzTarget:
         config = fuzz_config(seed)
         if stream:
             self.session = _build_stream_session(policy, config)
-        elif policy == "Cluster":
-            self.session = _build_cluster_session(config)
         else:
             self.session = build_session(policy, [], config, load=0.0)
         # A small retry budget so the FAILED path is reachable; the
@@ -182,7 +160,7 @@ class FuzzTarget:
 
     @property
     def rm(self) -> Any:
-        """The resource manager or cluster coordinator."""
+        """The resource manager."""
         return self.session.rm
 
     @property
@@ -191,43 +169,9 @@ class FuzzTarget:
         return self.session.qs
 
     @property
-    def is_cluster(self) -> bool:
-        """Whether this target drives the cluster coordinator."""
-        return self.policy == "Cluster"
-
-    @property
     def is_stream(self) -> bool:
         """Whether this target drives the open-system serve stack."""
         return self.stream
-
-    def machines(self) -> List[Any]:
-        """Every machine model of the target (one, or one per node)."""
-        if self.is_cluster:
-            return list(self.rm.machines)
-        return [self.rm.machine]
-
-    def recorded(self) -> List[Recorded]:
-        """Each trace's ``(n_cpus, bursts, reallocations, faults)`` so far.
-
-        The lists are the recorders' own, appended in recording order.
-        The cluster records bursts per node but reallocations on the
-        coordinator, so it gets one more entry holding only those.
-        """
-        traces = self.rm.traces if self.is_cluster else [self.session.trace]
-        records: List[Recorded] = [
-            (trace.n_cpus, trace.bursts, trace.reallocations, trace.faults)
-            for trace in traces
-        ]
-        if self.is_cluster:
-            records.append((self.n_cpus, [], self.rm.reallocations, []))
-        return records
-
-    def allocation_of(self, job_id: int) -> int:
-        """Processors *job_id* currently holds (cluster: co-scheduled)."""
-        if self.is_cluster:
-            state = self.rm.states.get(job_id)
-            return state.total_cpus if state is not None else 0
-        return self.rm.machine.allocation_of(job_id)
 
     def fixed_mpl(self) -> Optional[int]:
         """The policy's fixed multiprogramming level, if it has one."""
@@ -440,14 +384,7 @@ def _session_fingerprint(session: SimulationSession) -> Tuple[Any, ...]:
          job.end_time, job.attempts)
         for job in session.qs.jobs
     )
-    rm = session.rm
-    if hasattr(rm, "machines"):  # cluster coordinator
-        allocations = tuple(
-            tuple(sorted(machine.allocations().items()))
-            for machine in rm.machines
-        )
-    else:
-        allocations = (tuple(sorted(rm.machine.allocations().items())),)
+    allocations = tuple(sorted(session.rm.machine.allocations().items()))
     # Streaming sessions fold terminal jobs into bounded aggregates and
     # prune the objects — the digest is the part of history the job
     # tuple no longer carries.
@@ -506,24 +443,3 @@ def _build_stream_session(policy: str, config: ExperimentConfig) -> Any:
     )
     session.pump.prime()  # draws nothing (max_jobs=0) and exhausts
     return session
-
-
-def _build_cluster_session(config: ExperimentConfig) -> SimulationSession:
-    """Assemble the cluster coordinator exactly as an experiment would.
-
-    4 nodes x 4 CPUs = the same 16 processors as the space-sharing
-    targets, so differential conservation properties compare like with
-    like.
-    """
-    cluster = ClusterSpec(n_nodes=4, cpus_per_node=FUZZ_N_CPUS // 4)
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
-    coordinator = ClusterCoordinator(
-        sim, cluster, streams,
-        params=config.pdpa,
-        runtime_config=config.runtime_config(),
-    )
-    qs = NanosQS(sim, coordinator, [], trace=None)
-    return SimulationSession(
-        "Cluster", 0.0, config, sim, coordinator, qs, trace=None, jobs=[],
-    )

@@ -116,11 +116,6 @@ class CpuState:
         self._cols.owner[self._pos] = -1 if value is None else value
 
     @property
-    def owner_app(self) -> str:
-        """Application name of the owning job (``""`` when idle)."""
-        return self._cols.app[self._pos]
-
-    @property
     def since(self) -> float:
         """Time the current burst (busy or idle) started."""
         return float(self._cols.since[self._pos])

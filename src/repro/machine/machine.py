@@ -19,7 +19,7 @@ and books stay byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.machine.cpu import CpuHealth, CpuState, burst_emitter
 from repro.machine.topology import NumaTopology
@@ -413,11 +413,6 @@ class Machine:
     # ------------------------------------------------------------------
     # placement internals
     # ------------------------------------------------------------------
-    def _free_cpu_ids(self) -> List[int]:
-        # Sorted for determinism: callers rely on ascending-id order to
-        # break placement ties exactly as the old full scan did.
-        return sorted(self._free)
-
     def _dist_row(self, node: int) -> List[int]:
         """Hypercube hop count from *node* to every node (cached)."""
         row = self._dist_rows.get(node)

@@ -1,26 +1,22 @@
 """Columnar hot-core state: packed per-CPU/per-job columns + batched kernels.
 
-The simulator's three hottest computations — per-CPU burst accounting,
-speedup-curve evaluation, and SelfAnalyzer iteration timing — used to
-run as per-object scalar Python (one attribute update or one memoized
-curve call per entity per event).  This module restructures that state
-into contiguous *columns* (structure-of-arrays) and exposes *batched
-kernels* that process a whole partition, node, or candidate vector per
-call.
+Per-CPU burst accounting and SelfAnalyzer iteration timing keep their
+state in contiguous *columns* (structure-of-arrays) instead of one
+Python object per entity, and the burst accounting exposes *batched
+kernels* that process a whole partition per call.
 
 Storage is dependency-free ``array``/``bytearray`` packed columns, and
 each kernel is a tight scalar loop inside a single function call.  The
 kernels perform the same elementwise IEEE-754 double operations in the
-same order as the retained scalar reference implementations
-(``reference_*`` below), and the kernel-parity suite
-(tests/test_columns.py) pins them bit-identical, including NaN/inf/-0.0
+same order as the scalar paths the per-CPU view uses
+(``CpuColumns.assign_one`` and ``flush_one``), and the parity suite
+(tests/test_columns.py) pins the columns' bits, including NaN/inf/-0.0
 payloads.
 
 Serialization is canonical: columns pickle as little-endian packed
 bytes (``struct``), never as Python object lists, so checkpoint
 envelopes stay small and byte-stable.
 """
-
 from __future__ import annotations
 
 import struct
@@ -267,84 +263,6 @@ class CpuColumns:
         self.busy = array("d", _unpack_f64(state["busy"]))
         self.switches = array("q", _unpack_i64(state["switches"]))
         self.health = bytearray(state["health"])
-
-
-# ----------------------------------------------------------------------
-# speedup-curve kernels
-# ----------------------------------------------------------------------
-def amdahl_many(serial_fraction: float, procs: Sequence[float]) -> List[float]:
-    """Evaluate Amdahl's law at a vector of processor counts.
-
-    Kernel form of ``AmdahlSpeedup._compute``: ``p <= 0`` maps to 0.0,
-    ``p < 1`` scales linearly (time-shared fraction of a CPU), and the
-    parallel region follows ``1 / (f + (1 - f) / p)``.
-    """
-    return [reference_amdahl(serial_fraction, p) for p in procs]
-
-
-def reference_amdahl(serial_fraction: float, procs: float) -> float:
-    """Retained scalar reference for :func:`amdahl_many` (bit-exact)."""
-    if procs <= 0:
-        return 0.0
-    if procs < 1.0:
-        return procs
-    f = serial_fraction
-    return 1.0 / (f + (1.0 - f) / procs)
-
-
-def pchip_many(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    slopes: Sequence[float],
-    procs: Sequence[float],
-) -> List[float]:
-    """Evaluate a monotone cubic (PCHIP) curve at a vector of points.
-
-    Kernel form of ``TabulatedSpeedup._compute``: below ``xs[0]`` the
-    curve scales linearly through the origin, beyond ``xs[-1]`` it
-    saturates flat, and interior points use the cubic Hermite basis.
-    One call evaluates the whole candidate vector against a
-    locally-bound curve table instead of re-entering the memoized
-    scalar path per point.
-    """
-    return [reference_pchip(xs, ys, slopes, p) for p in procs]
-
-
-def reference_pchip(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    slopes: Sequence[float],
-    procs: float,
-) -> float:
-    """Retained scalar reference for :func:`pchip_many` (bit-exact)."""
-    if procs <= 0:
-        return 0.0
-    if procs < xs[0]:
-        return procs * ys[0] / xs[0]
-    if procs >= xs[-1]:
-        return ys[-1]
-    lo, hi = 0, len(xs) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= procs:
-            lo = mid
-        else:
-            hi = mid
-    h = xs[hi] - xs[lo]
-    t = (procs - xs[lo]) / h
-    # Keep the exact expression shapes of the original scalar code
-    # (including ``** 2``): pow is not bit-identical to multiplication
-    # here, and these bits are pinned by the byte-identity suite.
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
-    h01 = t * t * (3 - 2 * t)
-    h11 = t * t * (t - 1)
-    return (
-        h00 * ys[lo]
-        + h10 * h * slopes[lo]
-        + h01 * ys[hi]
-        + h11 * h * slopes[hi]
-    )
 
 
 # ----------------------------------------------------------------------

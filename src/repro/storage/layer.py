@@ -41,7 +41,6 @@ Durability contract implemented here rather than in each caller:
 from __future__ import annotations
 
 import os
-import posixpath
 from pathlib import Path
 from typing import IO, List, Optional
 
@@ -444,11 +443,6 @@ class StorageLayer:
         """Mark everything done so far as durably acknowledged."""
         if self.trace is not None:
             self.trace.mark(label, data)
-
-
-def parent_dir(rel_path: str) -> str:
-    """Posix dirname of a trace-relative path ('' for the root)."""
-    return posixpath.dirname(rel_path)
 
 
 _DEFAULT = StorageLayer()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.ablations import (
     FixedMplPDPA,
+    render_noise_sweep,
     render_rows,
     run_coordination_ablation,
     run_noise_sweep,
@@ -88,6 +89,12 @@ class TestNoiseSweep:
         # Noise inflates Equal_efficiency's reallocations much more
         # than PDPA's.
         assert (eq1 - eq0) > (pdpa1 - pdpa0)
+
+    def test_render_labels_each_sigma_distinctly(self):
+        rows = [(0.0, 38, 205), (0.015, 40, 310), (0.05, 44, 479), (0.1, 47, 620)]
+        text = render_noise_sweep(rows, title="noise")
+        labels = [line.split()[0] for line in text.splitlines()[-len(rows):]]
+        assert labels == ["0", "0.015", "0.05", "0.1"]
 
 
 class TestFixedMplPdpaAdmission:

@@ -6,6 +6,14 @@ from repro.cli import build_parser, main
 from repro.qs.swf import parse_swf
 
 
+#: argv cases whose flag gives 0 a meaning (no retries, an unbounded
+#: budget), so only a negative value is a usage error
+ZERO_ALLOWED = [
+    ["--retries", "-1", "mpl", "--workload", "w2"],
+    ["torture", "--budget", "-1"],
+]
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -40,12 +48,27 @@ class TestParser:
         ["ablations", "--load", "0"],
         ["swf", "w1", "--load", "0"],
         ["serve", "PDPA", "--load", "0"],
+        ["run", "PDPA", "w1", "--mpl", "0"],
+        ["--checkpoint-every", "0", "run", "PDPA", "w1"],
+        ["--checkpoint-interval", "-1", "run", "PDPA", "w1"],
+        ["--timeout", "-1", "mpl", "--workload", "w2"],
+        ["fuzz", "--budget", "0"],
+        ["fuzz", "--budget", "-2"],
+        ["fuzz", "--steps", "0"],
+        *ZERO_ALLOWED,
     ], ids=" ".join)
     def test_non_positive_numbers_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "must be positive" in capsys.readouterr().err
+        bound = "non-negative" if argv in ZERO_ALLOWED else "positive"
+        assert f"must be {bound}" in capsys.readouterr().err
+
+    def test_rejected_fuzz_budget_writes_no_counterexample(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--budget", "0", "--corpus-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_numeric_keeps_the_type_name(self, capsys):
         with pytest.raises(SystemExit):

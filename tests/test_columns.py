@@ -24,77 +24,15 @@ from repro.sim.columns import (
     IterationColumns,
     NO_OWNER,
     RunningMean,
-    amdahl_many,
-    pchip_many,
-    reference_amdahl,
-    reference_pchip,
 )
 
 #: Any finite/NaN/inf/-0.0 double — the full IEEE-754 binary64 space.
 any_double = st.floats(allow_nan=True, allow_infinity=True, width=64)
 
-#: Longest candidate vector the kernel properties draw.
-MAX_BATCH = 48
-
 
 def bits(values) -> bytes:
     """Packed byte image of a float vector — the bit-exact comparator."""
     return struct.pack("<%dd" % len(values), *values)
-
-
-# ----------------------------------------------------------------------
-# float kernels vs scalar references
-# ----------------------------------------------------------------------
-@settings(deadline=None, max_examples=200)
-@given(
-    serial_fraction=st.floats(min_value=0.0, max_value=1.0),
-    procs=st.lists(any_double, min_size=0, max_size=MAX_BATCH),
-)
-def test_amdahl_many_matches_reference(serial_fraction, procs):
-    # f == 0 at p == inf divides by zero in the scalar reference; the
-    # batched kernel must raise exactly where the reference does.
-    try:
-        scalar = [reference_amdahl(serial_fraction, p) for p in procs]
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            amdahl_many(serial_fraction, procs)
-        return
-    batched = amdahl_many(serial_fraction, procs)
-    assert bits(batched) == bits(scalar)
-
-
-@st.composite
-def pchip_tables(draw):
-    """A plausible (xs, ys, slopes) curve table: xs strictly increasing."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    gaps = draw(st.lists(
-        st.floats(min_value=1e-3, max_value=64.0), min_size=n, max_size=n
-    ))
-    xs = []
-    x = draw(st.floats(min_value=0.5, max_value=4.0))
-    for gap in gaps:
-        xs.append(x)
-        x += gap
-    ys = draw(st.lists(any_double, min_size=n, max_size=n))
-    slopes = draw(st.lists(any_double, min_size=n, max_size=n))
-    return xs, ys, slopes
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    table=pchip_tables(),
-    procs=st.lists(any_double, min_size=0, max_size=MAX_BATCH),
-)
-def test_pchip_many_matches_reference(table, procs):
-    xs, ys, slopes = table
-    batched = pchip_many(xs, ys, slopes, procs)
-    scalar = [reference_pchip(xs, ys, slopes, p) for p in procs]
-    assert bits(batched) == bits(scalar)
-
-
-def test_kernels_accept_zero_length_vectors():
-    assert amdahl_many(0.1, []) == []
-    assert pchip_many([1.0, 2.0], [1.0, 1.9], [1.0, 0.8], []) == []
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.metrics.paraver import _app_symbols, execution_view
 from repro.metrics.trace import Burst, TraceRecorder
 from repro.qs.job import Job
 from repro.rm.base import JobView, SchedulingPolicy, SystemView
-from repro.sim.rng import RandomStreams
 
 
 class TestMachineEdges:
@@ -89,52 +88,6 @@ class TestPolicyContractEdges:
         assert view.job_id == 1
         assert view.request == 12
         assert view.efficiency is None
-
-
-class TestClusterEdges:
-    def test_start_job_without_free_node_raises(self, linear_app):
-        from repro.cluster import ClusterCoordinator, ClusterSpec
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        coordinator = ClusterCoordinator(
-            sim, ClusterSpec(1, 4), RandomStreams(0)
-        )
-        coordinator.start_job(Job(1, linear_app, submit_time=0.0, request=4))
-        with pytest.raises(RuntimeError, match="no node"):
-            coordinator.start_job(Job(2, linear_app, submit_time=0.0, request=4))
-
-    def test_growth_room_tracks_the_tightest_node(self, linear_app):
-        from repro.cluster import ClusterCoordinator, ClusterSpec
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        coordinator = ClusterCoordinator(
-            sim, ClusterSpec(2, 8), RandomStreams(0)
-        )
-        # Spanning job: 4+4; a single-node job tightens one node.
-        coordinator.start_job(Job(1, linear_app, submit_time=0.0, request=8))
-        coordinator.start_job(Job(2, linear_app, submit_time=0.0, request=3))
-        spanning = coordinator.states[1]
-        tightest = min(
-            coordinator.machines[n].free_cpus for n in spanning.nodes
-        )
-        assert coordinator.growth_room(spanning) == tightest * 2
-
-    def test_stale_cluster_report_is_ignored(self, linear_app):
-        from repro.cluster import ClusterCoordinator, ClusterSpec
-        from repro.runtime.selfanalyzer import PerformanceReport
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        coordinator = ClusterCoordinator(sim, ClusterSpec(2, 8), RandomStreams(0))
-        job = Job(1, linear_app, submit_time=0.0, request=8)
-        coordinator.start_job(job)
-        before = coordinator.states[1].total_cpus
-        stale = PerformanceReport(job_id=1, time=1.0, iteration=3,
-                                  procs=before + 2, speedup=2.0, iter_time=1.0)
-        coordinator.deliver_report(job, stale)
-        assert coordinator.states[1].total_cpus == before
 
 
 class TestComparisonEdges:

@@ -1,5 +1,8 @@
 """Tests for the experiment harnesses (small configurations)."""
 
+import hashlib
+import struct
+
 import pytest
 
 from repro.experiments import fig3, fig5_table2, fig7_fig8, tables, workloads
@@ -7,8 +10,32 @@ from repro.experiments.common import ExperimentConfig, average_results, run_work
 
 CONFIG = ExperimentConfig(seed=2)
 
+#: counts reaching every branch of the catalog's curves: zero, a
+#: time-shared fraction, an interior non-integer, and points at and
+#: past the last control point (60)
+FIG3_BRANCH_PROCS = (0, 0.5, 1, 2.5, 13.7, 60, 64, 100)
+
+
+def _table_digest(table):
+    """SHA-256 over every value's little-endian double, apps by name."""
+    h = hashlib.sha256()
+    for name in sorted(table):
+        for value in table[name]:
+            h.update(struct.pack("<d", value))
+    return h.hexdigest()
+
 
 class TestFig3:
+    @pytest.mark.parametrize("procs, digest", [
+        (fig3.DEFAULT_PROCS,
+         "bb79a0206010dc0e29bdb4dfbc12689002dd291413ec9536916b10ac5b6cff6d"),
+        (FIG3_BRANCH_PROCS,
+         "97df6be2a8281962ef7b41994babfe155fae13b85a19077ba62fcc33a9b93e34"),
+    ], ids=["default", "branches"])
+    def test_speedup_table_values_are_pinned(self, procs, digest):
+        # Bit-exact: any change to a curve's arithmetic moves the digest.
+        assert _table_digest(fig3.speedup_table(procs)) == digest
+
     def test_speedup_table_covers_catalog(self):
         table = fig3.speedup_table()
         assert set(table) == {"swim", "bt.A", "hydro2d", "apsi"}

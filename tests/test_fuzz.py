@@ -36,7 +36,7 @@ def _dropped_kill(self, job, reason):
 
 
 #: a scripted stimulus touching every op kind that is meaningful on
-#: every policy (fault ops are skipped on the cluster by design)
+#: every policy
 SCRIPTED_OPS = [
     {"kind": "submit", "app": "fz-linear", "request": 8},
     {"kind": "step", "n": 3},
@@ -84,7 +84,7 @@ class TestLiveOracleDetects:
             apply_op(target, {"kind": "step", "n": 2})
             assert target.running_jobs(), "job should be mid-flight"
             assert oracle.check(target) == []
-            machine = target.machines()[0]
+            machine = target.rm.machine
             owned = next(c for c in machine.cpus if c.owner is not None)
             owned.owner = None  # steal a CPU behind the books' back
             violations = oracle.check(target)
