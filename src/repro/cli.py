@@ -47,6 +47,7 @@ from typing import Callable, List, Optional, TypeVar
 from repro.experiments import fig3, fig5_table2, fig7_fig8, tables, workloads
 from repro.experiments.common import POLICY_NAMES, ExperimentConfig, run_workload
 from repro.faults.scenarios import SCENARIOS, build_scenario
+from repro.metrics.paraver import MIN_VIEW_WIDTH
 from repro.metrics.stats import format_table
 from repro.qs.streaming import SHED_POLICIES
 from repro.qs.swf import jobs_to_swf, write_swf
@@ -57,18 +58,23 @@ _Number = TypeVar("_Number", int, float)
 
 
 def _bounded(
-    convert: Callable[[str], _Number], zero_ok: bool = False
+    convert: Callable[[str], _Number], minimum: Optional[int] = None
 ) -> Callable[[str], _Number]:
-    """An argparse ``type`` that makes a value < 0 (or <= 0) a usage error.
+    """An argparse ``type`` that makes an out-of-range value a usage error.
 
-    Zero is accepted only with *zero_ok*, for flags where it means
-    something (no retries, an unbounded budget).
+    Without *minimum* the value must be positive.  With it the value
+    must be at least *minimum*: 0 for flags where zero means something
+    (no retries, an unbounded budget), more where the consumer needs
+    it (a view's width).
     """
+    if minimum is None:
+        bound = "positive"
+    else:
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
 
     def parse(text: str) -> _Number:
         value = convert(text)
-        if not (value >= 0 if zero_ok else value > 0):  # also refuses nan
-            bound = "non-negative" if zero_ok else "positive"
+        if not (value > 0 if minimum is None else value >= minimum):  # also refuses nan
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
         return value
 
@@ -79,7 +85,7 @@ def _bounded(
 
 positive_int = _bounded(int)
 positive_float = _bounded(float)
-non_negative_int = _bounded(int, zero_ok=True)
+non_negative_int = _bounded(int, minimum=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=POLICY_NAMES)
     p_cmp.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
 
-    p_view = sub.add_parser("view", help="Fig. 5 execution views (w1, 100%)")
-    p_view.add_argument("--width", type=int, default=100)
+    p_view = sub.add_parser("view", help="Fig. 5 execution views (w1, 100%%)")
+    p_view.add_argument("--width", type=_bounded(int, MIN_VIEW_WIDTH), default=100)
 
     sub.add_parser("table2", help="Table 2 burst/migration statistics")
 

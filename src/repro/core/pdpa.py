@@ -193,37 +193,36 @@ class PDPA(SchedulingPolicy):
         transition = evaluate_transition(
             state, report.speedup, report.procs, self.params, system.free_cpus
         )
-        self._settle(state, report, was_stable, transition.next_state,
-                     transition.next_allocation, transition.resource_limited)
+        next_state = transition.next_state
+        if was_stable and next_state is not AppState.STABLE:
+            state.stable_exits += 1
+        state.remember(next_state, transition.next_allocation, report.speedup,
+                       resource_limited=transition.resource_limited)
+        if was_stable and next_state is AppState.STABLE:
+            self._ratchet(state, report.efficiency)
         if transition.next_allocation == current:
             return {}
         return {job.job_id: transition.next_allocation}
 
     @staticmethod
-    def _settle(state: PdpaJobState, report: PerformanceReport, was_stable: bool,
-                next_state: AppState, next_allocation: int,
-                resource_limited: bool) -> None:
-        """Record one evaluated report in the job's memory."""
-        if was_stable and next_state is not AppState.STABLE:
-            state.stable_exits += 1
-        state.remember(report.time, next_state, next_allocation,
-                       report.speedup, resource_limited=resource_limited)
-        if was_stable and next_state is AppState.STABLE \
-                and state.stable_eff is not None:
-            # Ratchet the settled-performance reference upward: slow
-            # drifts (page-migration recovery, warming caches) must not
-            # masquerade as the genuine performance change §4.2.4 waits
-            # for.
-            state.stable_eff = max(state.stable_eff, report.efficiency)
+    def _ratchet(state: PdpaJobState, efficiency: float) -> None:
+        """Raise a STABLE job's settled-performance reference to *efficiency*.
+
+        Slow drifts (page-migration recovery, warming caches) must not
+        masquerade as the genuine performance change §4.2.4 waits for.
+        """
+        if state.stable_eff is not None:
+            state.stable_eff = max(state.stable_eff, efficiency)
 
     # ------------------------------------------------------------------
     # iteration spans: a report that keeps a STABLE job STABLE at its
-    # allocation changes nothing admission or any partition depends on
+    # allocation changes nothing admission or any partition depends on,
+    # and of PDPA's memory moves only the ratchet
     # ------------------------------------------------------------------
     def span_budget(self, job: Job) -> int:
         return NO_SPAN_LIMIT if self._absorbs_reports else 1
 
-    def report_is_noop(
+    def absorb_report(
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:
         state = self.job_states.get(job.job_id)
@@ -231,14 +230,10 @@ class PDPA(SchedulingPolicy):
             return False
         if procs != system.view_of(job.job_id).allocation:
             return True  # on_report skips a stale report untouched
-        return holds_stable(state, speedup, procs, self.params, system.free_cpus)
-
-    def absorb_report(self, job: Job, report: PerformanceReport, system: SystemView) -> None:
-        if report.procs != system.view_of(job.job_id).allocation:
-            return
-        state = self.job_states[job.job_id]
-        self._settle(state, report, True, AppState.STABLE, state.allocation,
-                     state.resource_limited)
+        if not holds_stable(state, speedup, procs, self.params, system.free_cpus):
+            return False
+        self._ratchet(state, speedup / procs)
+        return True
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -17,8 +17,8 @@ unit-testable, independent of the machine and simulator.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from repro.core.params import PDPAParams
 
@@ -63,10 +63,8 @@ class PdpaJobState:
     resource_limited: bool = False
     #: number of times this job left STABLE (ping-pong limiter)
     stable_exits: int = 0
-    #: (time, state, allocation) history for diagnostics
-    history: List[Tuple[float, AppState, int]] = field(default_factory=list)
 
-    def remember(self, time: float, new_state: AppState, new_allocation: int,
+    def remember(self, new_state: AppState, new_allocation: int,
                  speedup: float, resource_limited: bool = False) -> None:
         """Apply a transition, updating the recent-past memory."""
         if new_allocation != self.allocation:
@@ -83,7 +81,6 @@ class PdpaJobState:
             self.resource_limited = False
         self.state = new_state
         self.allocation = new_allocation
-        self.history.append((time, new_state, new_allocation))
 
     @property
     def is_settled(self) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.metrics.stats import fold_sum
 from repro.metrics.trace import TraceRecorder
 
 
@@ -106,11 +107,11 @@ def fault_statistics(
     """Compute the :class:`FaultStats` of one run from its trace."""
     end = trace.horizon if horizon is None else horizon
     windows = offline_windows(trace, end)
-    downtime = sum(t1 - t0 for spans in windows.values() for t0, t1 in spans)
+    downtime = fold_sum(t1 - t0 for spans in windows.values() for t0, t1 in spans)
     repairs = [t1 - t0 for spans in windows.values() for t0, t1 in spans]
     capacity = trace.n_cpus * end
     availability = 1.0 if capacity <= 0 else max(0.0, 1.0 - downtime / capacity)
-    mttr = sum(repairs) / len(repairs) if repairs else 0.0
+    mttr = fold_sum(repairs) / len(repairs) if repairs else 0.0
 
     def count(kind: str) -> int:
         return sum(
@@ -121,7 +122,7 @@ def fault_statistics(
     return FaultStats(
         availability=availability,
         mttr=mttr,
-        lost_work=sum(f.value for f in trace.faults if f.kind == "job_kill"),
+        lost_work=fold_sum(f.value for f in trace.faults if f.kind == "job_kill"),
         cpu_failures=count("cpu_fail"),
         cpu_repairs=count("cpu_repair"),
         crashes=count("job_crash"),

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.metrics.stats import fold_sum
 from repro.metrics.trace import TraceRecorder
 
 
@@ -36,7 +37,7 @@ def burst_statistics(trace: TraceRecorder) -> BurstStatistics:
     execution.
     """
     total_bursts = float(len(trace.bursts))
-    total_burst_time = sum(b.duration for b in trace.bursts)
+    total_burst_time = fold_sum(b.duration for b in trace.bursts)
     active_cpus = {b.cpu for b in trace.bursts}
     for cpu, load in trace.synthetic.items():
         total_bursts += load.bursts
@@ -79,6 +80,10 @@ def _app_symbols(trace: TraceRecorder) -> Dict[str, str]:
     return mapping
 
 
+#: narrowest execution view :func:`execution_view` renders
+MIN_VIEW_WIDTH = 10
+
+
 def execution_view(
     trace: TraceRecorder,
     width: int = 100,
@@ -91,8 +96,8 @@ def execution_view(
     the application that occupied the CPU for most of the bin ('.' for
     idle, '#' for time-shared chaos where several applications ran).
     """
-    if width < 10:
-        raise ValueError(f"width must be >= 10, got {width}")
+    if width < MIN_VIEW_WIDTH:
+        raise ValueError(f"width must be >= {MIN_VIEW_WIDTH}, got {width}")
     horizon = t_end if t_end is not None else trace.horizon
     if horizon <= 0:
         return "(empty trace)"
@@ -164,5 +169,5 @@ def mean_allocation(trace: TraceRecorder, job_id: int) -> float:
     end = max(b.end for b in bursts)
     if end <= start:
         return 0.0
-    cpu_seconds = sum(b.duration for b in bursts)
+    cpu_seconds = fold_sum(b.duration for b in bursts)
     return cpu_seconds / (end - start)

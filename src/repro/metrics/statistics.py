@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.metrics.stats import fold_sum
+
 #: Threshold (seconds) below which execution times are clamped in the
 #: bounded-slowdown metric, so tiny jobs do not dominate it.
 DEFAULT_SLOWDOWN_TAU = 10.0
@@ -62,8 +64,6 @@ def mean(values: Sequence[float]) -> float:
     """
     if not values:
         raise ValueError("cannot take the mean of no values")
-    from repro.metrics.stats import fold_sum
-
     return fold_sum(values) / len(values)
 
 
@@ -73,7 +73,7 @@ def std(values: Sequence[float]) -> float:
     if n < 2:
         return 0.0
     m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / (n - 1))
+    return math.sqrt(fold_sum((v - m) ** 2 for v in values) / (n - 1))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
+from repro.metrics.stats import fold_sum
+
 
 class Burst(NamedTuple):
     """A maximal interval during which one CPU ran one application."""
@@ -201,8 +203,8 @@ class TraceRecorder:
 
     def busy_time(self) -> float:
         """Total CPU-seconds of recorded activity (real + synthetic)."""
-        real = sum(b.duration for b in self.bursts)
-        synthetic = sum(load.busy_time for load in self.synthetic.values())
+        real = fold_sum(b.duration for b in self.bursts)
+        synthetic = fold_sum(load.busy_time for load in self.synthetic.values())
         return real + synthetic
 
     def cpu_utilization(self, t_end: Optional[float] = None) -> float:
@@ -276,7 +278,7 @@ class FoldingTraceRecorder(TraceRecorder):
 
     # -- queries over the folds ------------------------------------------
     def busy_time(self) -> float:
-        synthetic = sum(load.busy_time for load in self.synthetic.values())
+        synthetic = fold_sum(load.busy_time for load in self.synthetic.values())
         return self.burst_busy + synthetic
 
     def faults_of_kind(self, kind: str) -> List[FaultRecord]:

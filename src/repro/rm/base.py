@@ -25,7 +25,6 @@ class JobView:
 
     job: Job
     allocation: int
-    last_report: Optional[PerformanceReport] = None
 
     @property
     def job_id(self) -> int:
@@ -37,13 +36,6 @@ class JobView:
         """Processors the job requested at submission."""
         assert self.job.request is not None
         return self.job.request
-
-    @property
-    def efficiency(self) -> Optional[float]:
-        """Latest measured efficiency, if any report arrived yet."""
-        if self.last_report is None:
-            return None
-        return self.last_report.efficiency
 
 
 class SystemView:
@@ -129,22 +121,22 @@ class SchedulingPolicy(ABC):
 
         The default of 1 absorbs nothing: every report goes through
         :meth:`on_report`.  A policy that opts in must make
-        :meth:`report_is_noop` and :meth:`absorb_report` exact.
+        :meth:`absorb_report` exact.
         """
         return 1
 
-    def report_is_noop(
+    def absorb_report(
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:
-        """Whether a report would change nothing observable (pure).
+        """Prove a report of *speedup* on *procs* a no-op and apply it.
 
-        ``True`` promises that :meth:`on_report` would return no
-        decision and change nothing :meth:`wants_admission` reads.
+        True promises that :meth:`on_report` would return no decision
+        and change nothing :meth:`wants_admission` reads, and that the
+        state changes it would make have been made.  False must leave
+        the policy exactly as it was: the report then takes the full
+        path.
         """
         return False
-
-    def absorb_report(self, job: Job, report: PerformanceReport, system: SystemView) -> None:
-        """Make the state changes :meth:`on_report` makes for a no-op report."""
 
     def wants_admission(self, system: SystemView, queued_jobs: int) -> bool:
         """Whether the queuing system may start one more job now.

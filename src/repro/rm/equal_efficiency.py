@@ -191,7 +191,7 @@ class EqualEfficiency(SchedulingPolicy):
     def on_report(
         self, job: Job, report: PerformanceReport, system: SystemView
     ) -> AllocationDecision:
-        self.absorb_report(job, report, system)
+        self._overheads[job.job_id] = fit_overhead(report.procs, report.efficiency)
         return self._rebalance(system, {})
 
     # Iteration spans: a report is a no-op when the refit water-fill
@@ -199,19 +199,20 @@ class EqualEfficiency(SchedulingPolicy):
     def span_budget(self, job: Job) -> int:
         return NO_SPAN_LIMIT
 
-    def report_is_noop(
+    def absorb_report(
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:
+        overhead = fit_overhead(procs, speedup / procs)
         views = system.jobs
-        return is_water_fill(
+        if not is_water_fill(
             system.total_cpus,
             {jid: view.request for jid, view in views.items()},
-            {**self._overheads, job.job_id: fit_overhead(procs, speedup / procs)},
+            {**self._overheads, job.job_id: overhead},
             {jid: view.allocation for jid, view in views.items()},
-        )
-
-    def absorb_report(self, job: Job, report: PerformanceReport, system: SystemView) -> None:
-        self._overheads[job.job_id] = fit_overhead(report.procs, report.efficiency)
+        ):
+            return False
+        self._overheads[job.job_id] = overhead
+        return True
 
     def on_job_removed(self, job: Job) -> None:
         self._overheads.pop(job.job_id, None)

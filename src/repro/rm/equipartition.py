@@ -92,7 +92,7 @@ class Equipartition(SchedulingPolicy):
     def span_budget(self, job: Job) -> int:
         return NO_SPAN_LIMIT
 
-    def report_is_noop(
+    def absorb_report(
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:
         return True

@@ -148,6 +148,9 @@ class IrixResourceManager(BaseResourceManager):
     def _allocation(self, job_id: int) -> int:
         return self._threads[job_id]
 
+    def current_allocation(self, job: Job) -> int:
+        return self._threads[job.job_id]
+
     @property
     def effective_cpus(self) -> int:
         """CPUs still healthy (time-sharing spreads over all of them)."""

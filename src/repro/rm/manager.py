@@ -46,7 +46,7 @@ class BaseResourceManager(RuntimeHost):
 
     __slots__ = (
         "sim", "n_cpus", "streams", "trace", "runtime_config", "runtimes",
-        "jobs", "reports", "last_report_time", "reallocation_count",
+        "jobs", "last_report_time", "reallocation_count",
         "locality", "report_filter", "on_state_change", "on_job_finished",
         "on_job_killed",
     )
@@ -66,7 +66,6 @@ class BaseResourceManager(RuntimeHost):
         self.runtime_config = runtime_config or RuntimeConfig()
         self.runtimes: Dict[int, NthLibRuntime] = {}
         self.jobs: Dict[int, Job] = {}
-        self.reports: Dict[int, PerformanceReport] = {}
         #: time each job last delivered a report (or was launched);
         #: graceful degradation uses this to detect stale measurements
         self.last_report_time: Dict[int, float] = {}
@@ -115,11 +114,7 @@ class BaseResourceManager(RuntimeHost):
     def system_view(self) -> SystemView:
         """Snapshot used by policies and diagnostics."""
         views = {
-            job_id: JobView(
-                job=job,
-                allocation=self._allocation(job_id),
-                last_report=self.reports.get(job_id),
-            )
+            job_id: JobView(job=job, allocation=self._allocation(job_id))
             for job_id, job in self.jobs.items()
         }
         return SystemView(self.effective_cpus, views)
@@ -174,7 +169,6 @@ class BaseResourceManager(RuntimeHost):
     def _forget_job(self, job_id: int) -> None:
         del self.jobs[job_id]
         del self.runtimes[job_id]
-        self.reports.pop(job_id, None)
         self.last_report_time.pop(job_id, None)
 
     def _release_job(self, job: Job) -> None:
@@ -228,10 +222,6 @@ class BaseResourceManager(RuntimeHost):
         self._accept_report(job, report)
 
     def _accept_report(self, job: Job, report: PerformanceReport) -> None:
-        self._store_report(job, report)
-
-    def _store_report(self, job: Job, report: PerformanceReport) -> None:
-        self.reports[job.job_id] = report
         self.last_report_time[job.job_id] = self.sim.now
 
     def current_allocation(self, job: Job) -> int:
@@ -347,11 +337,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
     def __setstate__(self, state: Dict[str, object]) -> None:
         set_slot_state(self, state)
         self._views = {
-            job_id: JobView(
-                job=job,
-                allocation=self.machine.allocation_of(job_id),
-                last_report=self.reports.get(job_id),
-            )
+            job_id: JobView(job=job, allocation=self.machine.allocation_of(job_id))
             for job_id, job in self.jobs.items()
         }
         self._live_view = _LiveSystemView(self)
@@ -378,9 +364,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
     def _launch_runtime(self, job: Job) -> None:
         super()._launch_runtime(job)
         self._views[job.job_id] = JobView(
-            job=job,
-            allocation=self.machine.allocation_of(job.job_id),
-            last_report=self.reports.get(job.job_id),
+            job=job, allocation=self.machine.allocation_of(job.job_id)
         )
 
     def _forget_job(self, job_id: int) -> None:
@@ -435,14 +419,8 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     # reports
     # ------------------------------------------------------------------
-    def _store_report(self, job: Job, report: PerformanceReport) -> None:
-        BaseResourceManager._store_report(self, job, report)
-        view = self._views.get(job.job_id)
-        if view is not None:
-            view.last_report = report
-
     def _accept_report(self, job: Job, report: PerformanceReport) -> None:
-        self._store_report(job, report)
+        super()._accept_report(job, report)
         system = self.system_view()
         decision = self.policy.on_report(job, report, system)
         self.policy.validate_decision(decision, system, arriving=None)
@@ -450,23 +428,23 @@ class SpaceSharedResourceManager(BaseResourceManager):
         self.on_state_change()
 
     # ------------------------------------------------------------------
-    # iteration spans: the policy proves reports no-ops.  A report
-    # filter draws the shared "faults" stream on every report, so while
-    # one is installed every report takes the full path.
+    # iteration spans: the policy proves a report a no-op and applies
+    # it in one pass.  A report filter draws the shared "faults" stream
+    # on every report, so while one is installed every report takes the
+    # full path.
     # ------------------------------------------------------------------
     def span_budget(self, job: Job) -> int:
         if self.report_filter is not None or self.clocked_admission:
             return 1
         return self.policy.span_budget(job)
 
-    def report_is_noop(self, job: Job, procs: int, speedup: float) -> bool:
-        return self.report_filter is None and self.policy.report_is_noop(
+    def absorb_report(self, job: Job, procs: int, speedup: float) -> bool:
+        if self.report_filter is not None or not self.policy.absorb_report(
             job, procs, speedup, self._live_view
-        )
-
-    def absorb_report(self, job: Job, report: PerformanceReport) -> None:
-        self._store_report(job, report)
-        self.policy.absorb_report(job, report, self._live_view)
+        ):
+            return False
+        self.last_report_time[job.job_id] = self.sim.now
+        return True
 
     # ------------------------------------------------------------------
     # fault handling (driven by repro.faults.FaultInjector)

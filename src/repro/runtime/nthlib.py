@@ -13,7 +13,7 @@ processors allocated to the application".  In this reproduction it
   count, and forwards its performance reports to the resource manager.
 
 The resource manager side of the protocol is any object implementing
-the three callbacks documented on :class:`RuntimeHost`.
+the callbacks documented on :class:`RuntimeHost`.
 
 Iteration spans
 ---------------
@@ -21,14 +21,17 @@ Most iteration ends change nothing anyone else can see: the report is
 ignored (Equipartition, IRIX) or leaves a settled PDPA job where it
 is.  Such an end is scheduled as an *absorbable* event
 (:meth:`~repro.sim.engine.Simulator.schedule_absorbable`).  At its
-instant the runtime predicts the report without side effects and asks
-the host whether it is a no-op; if so it finishes the iteration on the
-spot — the same log entry, SelfAnalyzer update, report bookkeeping
-(:meth:`RuntimeHost.absorb_report`) and next-iteration draws as the
-event would have made — and no event fires.  Otherwise the end fires
-as the usual ``iter:`` event.  The absorbed ends before one that fires
-form an *iteration span*; a host's :meth:`RuntimeHost.span_budget`
-caps its length, and the default of 1 keeps every end an event.
+instant the runtime asks whether the SelfAnalyzer reports now and, if
+it does, hands the host the report's processors and speedup
+(:meth:`RuntimeHost.absorb_report`), which proves the report a no-op
+and applies it in one pass.  If the host takes it, the runtime
+finishes the iteration on the spot — the same log entry, SelfAnalyzer
+counters and next-iteration draws as the event would have made, but
+no :class:`~repro.runtime.selfanalyzer.PerformanceReport` — and no
+event fires.  Otherwise nothing has changed and the end fires as the
+usual ``iter:`` event.  The absorbed ends before one that fires form
+an *iteration span*; a host's :meth:`RuntimeHost.span_budget` caps its
+length, and the default of 1 keeps every end an event.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, List, Optional, Union
 
 from repro.apps.application import IterativeApplication
 from repro.qs.job import Job
@@ -91,30 +94,25 @@ class RuntimeHost:
         """Most iteration ends of *job* one span may cover.
 
         Asked once, when the job starts.  ``1`` (the default) makes
-        every iteration end an event.  A host
-        that returns more promises that :meth:`report_is_noop` is
-        exact and that nothing else it does depends on when an
-        iteration ends: an absorbed end skips ``deliver_report`` and
-        with it the state-change notification to the queuing system.
+        every iteration end an event.  A host that returns more
+        promises that :meth:`absorb_report` is exact and that nothing
+        else it does depends on when an iteration ends: an absorbed
+        end skips ``deliver_report`` and with it the state-change
+        notification to the queuing system.
         """
         return 1
 
-    def report_is_noop(self, job: Job, procs: int, speedup: float) -> bool:
-        """Whether a report of *speedup* on *procs* would change nothing.
+    def absorb_report(self, job: Job, procs: int, speedup: float) -> bool:
+        """Take a report of *speedup* on *procs* if it is a no-op.
 
-        Asked, without side effects, at the instant the report is due:
-        ``True`` only when delivering it could neither move an
-        allocation nor change what the queuing system is told.
+        Called at the instant the report is due, in place of
+        :meth:`deliver_report`.  Answers True, having made the state
+        changes delivering it would have made, only when delivering it
+        could neither move an allocation nor change what the queuing
+        system is told; otherwise answers False having changed
+        nothing.  The default takes no report.
         """
         return False
-
-    def absorb_report(self, job: Job, report: PerformanceReport) -> None:
-        """Take a report :meth:`report_is_noop` admitted.
-
-        Must leave the host exactly as :meth:`deliver_report` would
-        have; the default simply delivers it.
-        """
-        self.deliver_report(job, report)
 
     def job_completed(self, job: Job) -> None:
         """Notification that *job* finished its last phase."""
@@ -231,33 +229,39 @@ class NthLibRuntime:
         self._begin_iteration()
 
     def _begin_iteration(self) -> None:
-        if self.app.remaining_iterations <= 0:
+        app = self.app
+        job = self.job
+        iteration = app.completed_iterations
+        if iteration >= app.spec.iterations:
             self._begin_teardown()
             return
+        analyzer = self.analyzer
         if (
-            self.config.reset_analyzer_on_phase_change
-            and self.analyzer is not None
-            and any(start == self.app.completed_iterations
-                    for start, _ in self.job.spec.work_phases)
+            analyzer is not None
+            and self.config.reset_analyzer_on_phase_change
+            and any(start == iteration for start, _ in job.spec.work_phases)
         ):
-            self.analyzer.reset_baseline()
-        allocation = self.host.current_allocation(self.job)
+            analyzer.reset_baseline()
+        host = self.host
+        allocation = host.current_allocation(job)
         if allocation < 1:
             raise RuntimeError(
-                f"job {self.job.job_id}: zero allocation while iterating"
+                f"job {job.job_id}: zero allocation while iterating"
             )
         procs = allocation
-        if self.analyzer is not None and self.analyzer.in_baseline:
-            procs = self.analyzer.baseline_allocation(allocation)
-        speedup = self.host.iteration_speedup(self.job, procs)
-        changed_by = (
-            0 if self._last_iter_procs is None else procs - self._last_iter_procs
-        )
-        duration = self.app.iteration_duration_from_speedup(
-            speedup, alloc_changed_by=changed_by, noise_factor=self._noise()
+        if analyzer is not None and analyzer.in_baseline:
+            procs = analyzer.baseline_allocation(allocation)
+        speedup = host.iteration_speedup(job, procs)
+        last = self._last_iter_procs
+        duration = app.iteration_duration_from_speedup(
+            speedup,
+            alloc_changed_by=0 if last is None else procs - last,
+            noise_factor=self._streams.lognormal_factor(
+                self._noise_stream, self.config.noise_sigma
+            ),
         )
         self._last_iter_procs = procs
-        label = f"iter:{self.job.job_id}:{self.app.completed_iterations}"
+        label = f"iter:{job.job_id}:{iteration}"
         if self._span + 1 < self._budget:
             self._pending = self.sim.schedule_absorbable(
                 duration, self._absorb_end, self._end_iteration, procs, duration,
@@ -270,40 +274,38 @@ class NthLibRuntime:
 
     def _end_iteration(self, procs: int, duration: float) -> None:
         self._span = 0
-        self._finish_iteration(procs, duration, self.host.deliver_report)
+        app = self.app
+        iteration = app.completed_iterations
+        app.record_iteration(procs, duration)
+        analyzer = self.analyzer
+        if analyzer is not None:
+            report = analyzer.on_iteration(self.sim.now, iteration, procs, duration)
+            if report is not None:
+                self.host.deliver_report(self.job, report)
+        self._begin_iteration()
 
     def _absorb_end(self, procs: int, duration: float) -> bool:
         """End the iteration without an event if its report is a no-op.
 
-        Returns False, having changed nothing, when the report the
-        SelfAnalyzer is about to make needs the full delivery path.
+        Returns False, having changed nothing, when the host declines
+        the report the SelfAnalyzer is about to make: it then needs the
+        full delivery path.
         """
         analyzer = self.analyzer
         if (
             analyzer is not None
             and analyzer.would_report(procs)
-            and not self.host.report_is_noop(
+            and not self.host.absorb_report(
                 self.job, procs, analyzer.estimate_speedup(procs, duration)
             )
         ):
             return False
         self._span += 1
-        self._finish_iteration(procs, duration, self.host.absorb_report)
-        return True
-
-    def _finish_iteration(
-        self,
-        procs: int,
-        duration: float,
-        deliver: Callable[[Job, PerformanceReport], None],
-    ) -> None:
-        iteration = self.app.completed_iterations
         self.app.record_iteration(procs, duration)
-        if self.analyzer is not None:
-            report = self.analyzer.on_iteration(self.sim.now, iteration, procs, duration)
-            if report is not None:
-                deliver(self.job, report)
+        if analyzer is not None:
+            analyzer.commit(procs, duration)
         self._begin_iteration()
+        return True
 
     def _begin_teardown(self) -> None:
         self.phase = JobPhase.TEARDOWN

@@ -30,7 +30,7 @@ one reason the paper imposes thresholds rather than exact targets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from repro.sim.columns import RunningMean
 
@@ -107,7 +107,7 @@ class SelfAnalyzer:
 
     __slots__ = (
         "job_id", "config", "_baseline", "_t_base", "_base_speedup",
-        "_measured", "_skip", "_last_procs", "reports",
+        "_measured", "_skip", "_last_procs",
     )
 
     def __init__(self, job_id: int, config: Optional[SelfAnalyzerConfig] = None) -> None:
@@ -122,7 +122,6 @@ class SelfAnalyzer:
         self._measured = 0
         self._skip = 0
         self._last_procs: Optional[int] = None
-        self.reports: List[PerformanceReport] = []
 
     # ------------------------------------------------------------------
     # baseline handling
@@ -164,7 +163,19 @@ class SelfAnalyzer:
             raise ValueError(f"iteration duration must be positive, got {duration}")
         if procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
+        if not self.commit(procs, duration):
+            return None
+        speedup = self.estimate_speedup(procs, duration)
+        # positional: this runs once per measured iteration
+        return PerformanceReport(self.job_id, time, iteration, procs, speedup, duration)
 
+    def commit(self, procs: int, duration: float) -> bool:
+        """Count one finished iteration; True when it is due a report.
+
+        The counter half of :meth:`on_iteration`, without the report:
+        a caller that already took the report through another path
+        (an absorbed iteration end) moves the counters with this.
+        """
         if self._t_base is None:
             self._baseline.add(duration, procs)
             if self._baseline.count >= self.config.baseline_iterations:
@@ -173,7 +184,7 @@ class SelfAnalyzer:
                     self._baseline.max_procs
                 )
             self._last_procs = procs
-            return None
+            return False
 
         if self._last_procs is not None and procs != self._last_procs:
             # Allocation changed: the next skip_after_realloc
@@ -183,20 +194,13 @@ class SelfAnalyzer:
 
         if self._skip > 0:
             self._skip -= 1
-            return None
+            return False
 
         self._measured += 1
-        if self._measured % self.config.report_interval != 0:
-            return None
-
-        speedup = self.estimate_speedup(procs, duration)
-        # positional: this runs once per measured iteration
-        report = PerformanceReport(self.job_id, time, iteration, procs, speedup, duration)
-        self.reports.append(report)
-        return report
+        return self._measured % self.config.report_interval == 0
 
     def would_report(self, procs: int) -> bool:
-        """Whether :meth:`on_iteration` on *procs* would return a report.
+        """Whether :meth:`commit` on *procs* would answer True.
 
         Side-effect free, so a caller can decide how to deliver the
         report before the analyzer's counters move.
@@ -238,11 +242,6 @@ class SelfAnalyzer:
             return 1.0
         slope = (cfg.assumed_base_speedup - 1.0) / (cfg.baseline_procs - 1)
         return 1.0 + slope * (procs - 1)
-
-    @property
-    def last_report(self) -> Optional[PerformanceReport]:
-        """Most recent report, if any."""
-        return self.reports[-1] if self.reports else None
 
     def reset_baseline(self) -> None:
         """Discard the baseline and re-measure it.

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -12,6 +14,18 @@ ZERO_ALLOWED = [
     ["--retries", "-1", "mpl", "--workload", "w2"],
     ["torture", "--budget", "-1"],
 ]
+
+#: argv cases whose flag needs more than a positive value
+RAISED_FLOOR = {
+    ("view", "--width", "9"): ">= 10",
+}
+
+
+def _subcommands():
+    """Every subcommand build_parser() registers."""
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return sorted(subparsers.choices)
 
 
 class TestParser:
@@ -56,13 +70,24 @@ class TestParser:
         ["fuzz", "--budget", "-2"],
         ["fuzz", "--steps", "0"],
         *ZERO_ALLOWED,
+        *map(list, RAISED_FLOOR),
     ], ids=" ".join)
     def test_non_positive_numbers_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        bound = "non-negative" if argv in ZERO_ALLOWED else "positive"
+        bound = RAISED_FLOOR.get(tuple(argv))
+        if bound is None:
+            bound = "non-negative" if argv in ZERO_ALLOWED else "positive"
         assert f"must be {bound}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [[], *([name] for name in _subcommands())],
+                             ids=lambda argv: " ".join(argv) or "top-level")
+    def test_help_exits_cleanly(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_rejected_fuzz_budget_writes_no_counterexample(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -87,7 +87,7 @@ class TestPolicyContractEdges:
         view = JobView(job=job, allocation=6)
         assert view.job_id == 1
         assert view.request == 12
-        assert view.efficiency is None
+        assert view.allocation == 6
 
 
 class TestComparisonEdges:

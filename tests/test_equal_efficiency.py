@@ -1,5 +1,8 @@
 """Unit tests for the Equal_efficiency policy."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -284,6 +287,9 @@ class TestHeapAndProof:
         data=st.data(),
     )
     def test_report_is_noop_matches_on_report(self, total, jobs, procs, eff, data):
+        """absorb_report proves and applies in one pass: False leaves
+        the policy as it was, True leaves it as on_report would, and
+        on_report then hands every job the CPUs it holds."""
         requests, fitted = split(jobs)
         reporter = data.draw(st.sampled_from(sorted(requests)))
         speedup = procs * eff
@@ -296,22 +302,26 @@ class TestHeapAndProof:
         })
         policy = EqualEfficiency()
         policy._overheads.update(fitted)
-        noop = policy.report_is_noop(jobs_by_id[reporter], procs, speedup, system)
-        expected = greedy_agrees(total, requests, refit, allocation)
-        assert noop == expected
-        if expected:
-            decision = policy.on_report(
-                jobs_by_id[reporter], report(reporter, procs, speedup), system
-            )
-            assert decision == allocation
+        before, reported = pickle.dumps(policy), copy.deepcopy(policy)
+        absorbed = policy.absorb_report(jobs_by_id[reporter], procs, speedup, system)
+        assert absorbed == greedy_agrees(total, requests, refit, allocation)
+        if not absorbed:
+            assert pickle.dumps(policy) == before, "declined after changing state"
+            return
+        decision = reported.on_report(
+            jobs_by_id[reporter], report(reporter, procs, speedup), system
+        )
+        assert decision == allocation
+        assert pickle.dumps(policy) == pickle.dumps(reported), "absorbed unlike on_report"
+        assert policy.overhead_of(reporter) == refit[reporter]
 
     def test_absorb_report_refits_like_on_report(self, linear_app):
         absorbed, reported = EqualEfficiency(), EqualEfficiency()
-        job = Job(1, linear_app, submit_time=0.0, request=30)
-        system = view_of(linear_app, {1: 20}, total=40)
+        job = Job(1, linear_app, submit_time=0.0, request=20)
+        system = view_of(linear_app, {1: 20}, requests={1: 20}, total=40)
         sample = report(1, 20, speedup=20 * 0.83)
-        absorbed.absorb_report(job, sample, system)
-        reported.on_report(job, sample, system)
+        assert absorbed.absorb_report(job, sample.procs, sample.speedup, system)
+        assert reported.on_report(job, sample, system) == {1: 20}
         assert absorbed.overhead_of(1) == reported.overhead_of(1) == \
             fit_overhead(20, sample.efficiency)
 

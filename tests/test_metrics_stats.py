@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.metrics.faults import fault_statistics
+from repro.metrics.paraver import burst_statistics, mean_allocation
 from repro.metrics.stats import (
     ClassSummary,
     JobRecord,
     WorkloadResult,
+    fold_sum,
     format_table,
     summarize_by_app,
 )
+from repro.metrics.trace import Burst, FaultRecord, FoldingTraceRecorder, TraceRecorder
 from repro.qs.job import Job
 
 
@@ -104,3 +108,38 @@ class TestFormatTable:
     def test_mismatched_row_raises(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [["only-one"]])
+
+
+class TestLeftFoldSums:
+    """Float aggregates over a trace are strict left folds on every
+    interpreter.  ``1e16 + 1.0 + 1.0`` folds to ``1e16`` (each 1.0 is
+    half an ulp and rounds away), while the builtin ``sum`` on CPython
+    3.12+ compensates to ``1.0000000000000002e16``."""
+
+    DURATIONS = (1e16, 1.0, 1.0)
+
+    def test_fold_sum_is_the_left_fold(self):
+        assert fold_sum(self.DURATIONS) == 1e16
+
+    def test_busy_time_folds_bursts_and_synthetic_loads(self):
+        bursts, synthetic = TraceRecorder(3), FoldingTraceRecorder(3)
+        for cpu, duration in enumerate(self.DURATIONS):
+            bursts.record_burst(Burst(cpu, 1, "a", 0.0, duration))
+            synthetic.record_timeshare_segment(cpu, 0.0, duration, 1, 0.25)
+        assert bursts.busy_time() == 1e16
+        assert synthetic.busy_time() == 1e16
+        stats = burst_statistics(bursts)
+        assert stats.avg_burst_time == 1e16 / 3
+        # the job's CPU-seconds over its span [0, 1e16]
+        assert mean_allocation(bursts, 1) == 1.0
+
+    def test_fault_statistics_fold_downtime_repairs_and_lost_work(self):
+        trace = TraceRecorder(3)
+        for cpu, duration in enumerate(self.DURATIONS):
+            trace.record_fault(FaultRecord(0.0, "cpu_fail", cpu))
+            trace.record_fault(FaultRecord(duration, "cpu_repair", cpu))
+            trace.record_fault(FaultRecord(duration, "job_kill", cpu, value=duration))
+        stats = fault_statistics(trace)
+        assert stats.availability == 1.0 - 1e16 / (3 * 1e16)
+        assert stats.mttr == 1e16 / 3
+        assert stats.lost_work == 1e16

@@ -1,12 +1,19 @@
 """Unit tests for the PDPA policy object and its MPL coordination."""
 
-import pytest
+import copy
+import pickle
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.apps.application import AppClass, ApplicationSpec
+from repro.apps.speedup import AmdahlSpeedup
 from repro.core.mpl import MplPolicy
 from repro.core.params import PDPAParams
 from repro.core.pdpa import PDPA
 from repro.core.states import AppState, PdpaJobState
 from repro.experiments.ablations import FixedMplPDPA, NoRelativeSpeedupPDPA
+from repro.fuzz.profiles import tier_settings
 from repro.qs.job import Job
 from repro.rm.base import JobView, SystemView
 from repro.runtime.nthlib import NO_SPAN_LIMIT
@@ -118,6 +125,75 @@ class TestReports:
         policy.on_report(job, report(1, 20, speedup=5.0), system)
         assert state.state is AppState.DEC
         assert state.stable_exits == 1
+
+
+#: the jobs' application: absorb_report reads only their allocations
+LINEAR = ApplicationSpec(
+    name="pdpa-linear", app_class=AppClass.HIGH,
+    speedup_model=AmdahlSpeedup(0.0, name="pdpa-linear"),
+    iterations=10, t_iter_seq=8.0, t_startup=0.0, t_teardown=0.0,
+    default_request=16,
+)
+
+#: efficiencies on and around the default thresholds (target 0.7,
+#: high 0.9, 5% hysteresis), so STABLE jobs both hold and move
+efficiencies = st.one_of(
+    st.sampled_from([0.6, 0.665, 0.7, 0.8, 0.9, 0.945, 1.0, 1.2]),
+    st.floats(0.05, 2.0),
+)
+
+#: per job: request, automaton state, stable_eff, resource_limited,
+#: stable_exits, and (prev_allocation, prev_speedup) or None
+pdpa_jobs = st.lists(
+    st.tuples(
+        st.integers(1, 16),
+        st.sampled_from(list(AppState)),
+        st.one_of(st.none(), efficiencies),
+        st.booleans(),
+        st.integers(0, 5),
+        st.one_of(st.none(), st.tuples(st.integers(1, 16), st.floats(0.1, 16.0))),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+class TestAbsorbContract:
+    @tier_settings("standard")
+    @given(jobs=pdpa_jobs, free=st.integers(0, 8), eff=efficiencies, data=st.data())
+    def test_absorb_report_contract(self, jobs, free, eff, data):
+        """One pass proves and applies: False leaves the policy as it
+        was, True leaves it as on_report would, and on_report then
+        moves no allocation."""
+        policy = PDPA()
+        views = {}
+        for jid, (request, app_state, stable_eff, limited, exits, prev) in \
+                enumerate(jobs, start=1):
+            allocation = data.draw(st.integers(1, request))
+            views[jid] = JobView(
+                job=Job(jid, LINEAR, submit_time=0.0, request=request),
+                allocation=allocation,
+            )
+            policy.job_states[jid] = PdpaJobState(
+                jid, request, allocation, app_state,
+                prev_allocation=None if prev is None else prev[0],
+                prev_speedup=None if prev is None else prev[1],
+                stable_eff=stable_eff, resource_limited=limited, stable_exits=exits,
+            )
+        system = SystemView(sum(v.allocation for v in views.values()) + free, views)
+        reporter = data.draw(st.sampled_from(sorted(views)))
+        held = views[reporter].allocation
+        # mostly fresh, sometimes measured on another allocation (stale)
+        procs = data.draw(st.one_of(st.just(held), st.integers(1, 16)))
+        speedup = procs * eff
+        job = views[reporter].job
+        before, reported = pickle.dumps(policy), copy.deepcopy(policy)
+        absorbed = policy.absorb_report(job, procs, speedup, system)
+        if not absorbed:
+            assert pickle.dumps(policy) == before, "declined after changing state"
+            return
+        decision = reported.on_report(job, report(reporter, procs, speedup), system)
+        assert decision == {}
+        assert pickle.dumps(policy) == pickle.dumps(reported), "absorbed unlike on_report"
 
 
 class TestCompletion:

@@ -268,15 +268,15 @@ class TestTransitionFlags:
 
     def test_remember_tracks_stable_entry(self):
         s = state(20)
-        s.remember(1.0, AppState.STABLE, 20, speedup=16.0)
+        s.remember(AppState.STABLE, 20, speedup=16.0)
         assert s.stable_eff == pytest.approx(0.8)
-        s.remember(2.0, AppState.DEC, 16, speedup=10.0)
+        s.remember(AppState.DEC, 16, speedup=10.0)
         assert s.stable_eff is None
         assert s.resource_limited is False
 
     def test_remember_keeps_resource_limited_flag(self):
         s = state(20)
-        s.remember(1.0, AppState.STABLE, 20, speedup=19.0, resource_limited=True)
+        s.remember(AppState.STABLE, 20, speedup=19.0, resource_limited=True)
         assert s.resource_limited
 
 
@@ -336,15 +336,15 @@ class TestTransitionInvariants:
 class TestPdpaJobStateMemory:
     def test_remember_updates_history_on_change(self):
         s = state(20)
-        s.remember(1.0, AppState.INC, 24, speedup=19.0)
+        s.remember(AppState.INC, 24, speedup=19.0)
         assert s.prev_allocation == 20
         assert s.prev_speedup == 19.0
         assert s.allocation == 24
-        assert s.history == [(1.0, AppState.INC, 24)]
+        assert s.state is AppState.INC
 
     def test_remember_keeps_memory_when_allocation_unchanged(self):
         s = state(20)
-        s.remember(1.0, AppState.STABLE, 20, speedup=16.0)
+        s.remember(AppState.STABLE, 20, speedup=16.0)
         assert s.prev_allocation is None  # "allocations different from
         assert s.prev_speedup is None     #  the current one"
 

@@ -106,10 +106,20 @@ class TestRigidExecution:
         expected = iterating / rigid_app.folded_speedup(16, 8)
         assert job.execution_time == pytest.approx(expected, rel=0.01)
 
-    def test_rigid_job_is_uninstrumented(self, rigid_app):
+    def test_rigid_job_is_uninstrumented(self, rigid_app, monkeypatch):
+        reports = []
+        monkeypatch.setattr(
+            SpaceSharedResourceManager, "deliver_report",
+            lambda rm, job, report: reports.append(report),
+        )
+        monkeypatch.setattr(
+            SpaceSharedResourceManager, "absorb_report",
+            lambda rm, job, procs, speedup: reports.append(speedup) or True,
+        )
         job, rm, policy = self._run_one(rigid_app, granted=16)
         # No SelfAnalyzer: the paper's MPI support is future work.
-        assert rm.reports == {}
+        assert job.state is JobState.DONE
+        assert reports == []
 
     def test_pdpa_marks_rigid_jobs_stable_immediately(self, rigid_app):
         sim = Simulator()

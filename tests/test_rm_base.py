@@ -51,6 +51,11 @@ class TestDefaultAdmission:
         system = system_of(linear_app, {1: 4})
         assert policy.on_report(system.jobs[1].job, None, system) == {}
 
+    def test_default_absorb_report_declines(self, linear_app):
+        policy = MinimalPolicy()
+        system = system_of(linear_app, {1: 4})
+        assert policy.absorb_report(system.jobs[1].job, 4, 4.0, system) is False
+
     def test_default_on_job_removed_is_noop(self, linear_app):
         MinimalPolicy().on_job_removed(Job(1, linear_app, submit_time=0.0))
 

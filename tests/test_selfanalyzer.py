@@ -1,7 +1,9 @@
 """Unit tests for the NANOS SelfAnalyzer."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.fuzz.profiles import tier_settings
 from repro.runtime.selfanalyzer import SelfAnalyzer, SelfAnalyzerConfig
 
 
@@ -130,12 +132,34 @@ class TestReportCadence:
 
     def test_reports_accumulate_and_last_report(self):
         a = analyzer(skip_after_realloc=0)
-        assert a.last_report is None
-        a.on_iteration(0.0, 0, 1, 10.0)
-        a.on_iteration(1.0, 1, 2, 5.0)
-        a.on_iteration(2.0, 2, 2, 5.0)
-        assert len(a.reports) == 2
-        assert a.last_report is a.reports[-1]
+        assert a.on_iteration(0.0, 0, 1, 10.0) is None  # baseline
+        reports = [a.on_iteration(1.0, 1, 2, 5.0), a.on_iteration(2.0, 2, 2, 5.0)]
+        assert [(r.time, r.iteration, r.procs) for r in reports] == [
+            (1.0, 1, 2), (2.0, 2, 2),
+        ]
+        assert all(r.speedup == pytest.approx(2.0) for r in reports)
+
+    @tier_settings("standard")
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(1, 4), st.sampled_from([0.5, 1.0, 2.5])), max_size=30
+        ),
+        report_interval=st.integers(1, 3),
+        skip_after_realloc=st.integers(0, 2),
+        baseline_iterations=st.integers(1, 3),
+    )
+    def test_commit_is_on_iteration_without_the_report(self, steps, **config):
+        committed, reported = analyzer(**config), analyzer(**config)
+        for i, (procs, duration) in enumerate(steps):
+            due = committed.would_report(procs)
+            assert committed.commit(procs, duration) is due
+            report = reported.on_iteration(float(i), i, procs, duration)
+            assert (report is not None) is due
+            if due:
+                assert report.speedup == committed.estimate_speedup(procs, duration)
+        counters = ("t_base", "_base_speedup", "_measured", "_skip", "_last_procs")
+        assert [getattr(committed, name) for name in counters] == \
+            [getattr(reported, name) for name in counters]
 
     def test_input_validation(self):
         a = analyzer()

@@ -169,7 +169,7 @@ def span_budget(budget: Optional[int]) -> Iterator[None]:
     """Cap every host's span budget at *budget* (None: leave it alone).
 
     A host that opted out keeps its budget of 1: its policy's
-    ``report_is_noop`` need not be exact for it (a PDPA subclass that
+    ``absorb_report`` need not be exact for it (a PDPA subclass that
     overrides ``on_report`` inherits PDPA's proof).  Runtimes read the
     budget when their job starts, so only runs that start jobs inside
     the block see the cap.
@@ -258,7 +258,7 @@ def _state(session: SimulationSession) -> tuple:
             job_id, runtime.phase, list(runtime.app.iteration_log),
             None if analyzer is None else (
                 analyzer.t_base, analyzer._measured, analyzer._skip,
-                analyzer._last_procs, list(analyzer.reports),
+                analyzer._last_procs, analyzer._base_speedup,
             ),
         ))
     policy = getattr(rm, "policy", None)
@@ -270,9 +270,8 @@ def _state(session: SimulationSession) -> tuple:
         runtimes,
         sorted(getattr(policy, "job_states", {}).items()),
         sorted(getattr(policy, "_overheads", {}).items()),
-        sorted(rm.reports.items()),
         sorted(rm.last_report_time.items()),
-        sorted((j, v.allocation, v.last_report) for j, v in views.items()),
+        sorted((j, v.allocation) for j, v in views.items()),
         sorted((name, s.getstate()) for name, s in rm.streams._streams.items()),
         [(j.job_id, j.state, j.start_time, j.end_time) for j in session.jobs],
     )
