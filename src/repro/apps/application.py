@@ -17,11 +17,10 @@ Origin 2000 — the paper stresses "reallocations are not free").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.apps.speedup import SpeedupCurve
-from repro.sim.columns import IterationColumns
 
 
 class AppClass(enum.Enum):
@@ -213,22 +212,18 @@ class IterativeApplication:
     completed_iterations: int = 0
     started: bool = False
     finished: bool = False
-    #: history of (iteration_index, procs, duration) for analysis,
-    #: held as packed columns (compares equal to a list of tuples)
-    iteration_log: IterationColumns = field(default_factory=IterationColumns)
 
     @property
     def remaining_iterations(self) -> int:
         """Iterations still to execute."""
         return self.spec.iterations - self.completed_iterations
 
-    def record_iteration(self, procs: float, duration: float) -> None:
-        """Mark one iteration as done and log its measured duration."""
+    def record_iteration(self) -> None:
+        """Mark one iteration as done."""
         if self.finished:
             raise RuntimeError(f"{self.spec.name}: iteration after completion")
-        if self.remaining_iterations <= 0:
+        if self.completed_iterations >= self.spec.iterations:
             raise RuntimeError(f"{self.spec.name}: no iterations remaining")
-        self.iteration_log.append((self.completed_iterations, procs, duration))
         self.completed_iterations += 1
 
     def iteration_duration(

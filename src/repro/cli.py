@@ -40,6 +40,7 @@ byte-identical, and ambiguous cohorts make the exit code non-zero.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional, TypeVar
@@ -65,7 +66,7 @@ def _bounded(
     Without *minimum* the value must be positive.  With it the value
     must be at least *minimum*: 0 for flags where zero means something
     (no retries, an unbounded budget), more where the consumer needs
-    it (a view's width).
+    it (a view's width).  A float must also be finite.
     """
     if minimum is None:
         bound = "positive"
@@ -76,6 +77,8 @@ def _bounded(
         value = convert(text)
         if not (value > 0 if minimum is None else value >= minimum):  # also refuses nan
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         return value
 
     # argparse names the type in its "invalid int value" message
@@ -86,6 +89,7 @@ def _bounded(
 positive_int = _bounded(int)
 positive_float = _bounded(float)
 non_negative_int = _bounded(int, minimum=0)
+non_negative_float = _bounded(float, minimum=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
              "race reports)",
     )
     p_replay.add_argument("snapshot", help="checkpoint snapshot file")
-    p_replay.add_argument("--until", type=float, default=None, metavar="T",
+    p_replay.add_argument("--until", type=non_negative_float, default=None, metavar="T",
                           help="replay to simulated time T "
                                "(default: run to completion)")
     p_replay.add_argument("--save", metavar="FILE",
@@ -299,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
              "on purpose (default 1.0)",
     )
     p_serve.add_argument(
-        "--max-jobs", type=int, default=100, metavar="N",
+        "--max-jobs", type=non_negative_int, default=100, metavar="N",
         help="stop drawing after N arrivals; 0 streams until the source "
              "ends (SWF) — the synthetic generator never ends "
              "(default 100)",
     )
     p_serve.add_argument(
-        "--ingress-limit", type=int, default=0, metavar="N",
+        "--ingress-limit", type=non_negative_int, default=0, metavar="N",
         help="bounded ingress queue size; 0 = unbounded (default)",
     )
     p_serve.add_argument(
@@ -323,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="atomically-replaced heartbeat status file",
     )
     p_serve.add_argument(
-        "--watchdog", type=float, default=None, metavar="SEC",
+        "--watchdog", type=positive_float, default=None, metavar="SEC",
         help="exit nonzero (after a best-effort snapshot) when no "
              "progress happens for SEC wall seconds",
     )
     p_serve.add_argument(
-        "--step-events", type=int, default=2048, metavar="N",
+        "--step-events", type=positive_int, default=2048, metavar="N",
         help="events per run-loop batch (bounds prune/heartbeat/signal "
              "latency; default 2048)",
     )

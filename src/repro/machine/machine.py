@@ -51,7 +51,7 @@ class Machine:
 
     __slots__ = (
         "n_cpus", "topology", "trace", "_emit", "_cols", "cpus", "_partitions",
-        "_app_names", "_node_speed", "_free", "_n_offline", "_n_allocated",
+        "_app_names", "node_speed", "_free", "_n_offline", "_n_allocated",
         "_node_of", "_nodes_monotonic", "_dist_rows",
     )
 
@@ -79,8 +79,9 @@ class Machine:
         ]
         self._partitions: Dict[int, Set[int]] = {}
         self._app_names: Dict[int, str] = {}
-        #: speed factor per degraded NUMA node (absent = full speed)
-        self._node_speed: Dict[int, float] = {}
+        #: speed factor per degraded NUMA node (absent = full speed);
+        #: read-only outside this class: empty means no node is slow
+        self.node_speed: Dict[int, float] = {}
         # Incrementally maintained views of the CPU list, so the hot
         # queries (free_cpus / healthy_cpus, every allocation decision)
         # are O(1) instead of O(n_cpus) scans.  Invariants are checked
@@ -361,7 +362,7 @@ class Machine:
         was_offline = cpu.health is CpuHealth.OFFLINE
         node = self.topology.node_of(cpu_id)
         cpu.health = (
-            CpuHealth.DEGRADED if node in self._node_speed else CpuHealth.ONLINE
+            CpuHealth.DEGRADED if node in self.node_speed else CpuHealth.ONLINE
         )
         if was_offline:
             self._n_offline -= 1
@@ -378,7 +379,7 @@ class Machine:
         if not 0.0 < factor <= 1.0:
             raise MachineError(f"node speed factor must be in (0, 1], got {factor}")
         cpus = self.topology.cpus_of_node(node)
-        self._node_speed[node] = factor
+        self.node_speed[node] = factor
         for cpu_id in cpus:
             if self.cpus[cpu_id].health is CpuHealth.ONLINE:
                 self.cpus[cpu_id].health = CpuHealth.DEGRADED
@@ -387,7 +388,7 @@ class Machine:
     def restore_node(self, node: int, now: float) -> List[int]:
         """Restore a degraded NUMA node to full speed; returns its CPUs."""
         cpus = self.topology.cpus_of_node(node)
-        self._node_speed.pop(node, None)
+        self.node_speed.pop(node, None)
         for cpu_id in cpus:
             if self.cpus[cpu_id].health is CpuHealth.DEGRADED:
                 self.cpus[cpu_id].health = CpuHealth.ONLINE
@@ -400,13 +401,13 @@ class Machine:
         thread, so the partition runs at the *minimum* factor of its
         CPUs' nodes.
         """
-        if not self._node_speed:
+        if not self.node_speed:
             return 1.0
         partition = self._partitions.get(job_id)
         if not partition:
             return 1.0
         return min(
-            self._node_speed.get(self.topology.node_of(cpu_id), 1.0)
+            self.node_speed.get(self.topology.node_of(cpu_id), 1.0)
             for cpu_id in partition
         )
 

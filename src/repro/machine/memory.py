@@ -132,8 +132,20 @@ class LocalityModel:
         return 1.0 - gap * math.exp(-elapsed / self.config.migration_tau)
 
     def speed_factor(self, job_id: int, now: float) -> float:
-        """Execution-rate multiplier in (1 - max_slowdown, 1]."""
-        locality = self.locality(job_id, now)
+        """Execution-rate multiplier in (1 - max_slowdown, 1].
+
+        :meth:`locality` inline, the same float operations in the same
+        order: the runtime asks this once per iteration.
+        """
+        state = self._jobs.get(job_id)
+        if state is None or state.value == 1.0:
+            return 1.0  # 1.0 - max_slowdown * 0.0 is exactly 1.0
+        elapsed = now - state.since
+        if not elapsed > 0.0:
+            elapsed = 0.0  # max(0.0, elapsed)
+        locality = 1.0 - (1.0 - state.value) * math.exp(
+            -elapsed / self.config.migration_tau
+        )
         return 1.0 - self.config.max_slowdown * (1.0 - locality)
 
     @property

@@ -13,6 +13,7 @@ as the specification requires.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Union
 
@@ -83,8 +84,9 @@ class SwfJob:
         Raises
         ------
         ValueError
-            On a malformed line (wrong field count or non-numeric
-            fields).
+            On a malformed line (wrong field count, or a field that is
+            not a finite number: ``nan`` and ``inf`` parse as floats
+            but are no SWF value).
         """
         parts = line.split()
         if len(parts) != len(SWF_FIELDS):
@@ -98,10 +100,10 @@ class SwfJob:
             "queue", "partition", "preceding_job",
         }
         for name, raw in zip(SWF_FIELDS, parts):
-            if name in int_fields:
-                kwargs[name] = int(float(raw))
-            else:
-                kwargs[name] = float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(f"SWF field {name} is not finite: {line!r}")
+            kwargs[name] = int(value) if name in int_fields else value
         return cls(**kwargs)
 
 

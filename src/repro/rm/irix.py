@@ -100,7 +100,9 @@ class IrixResourceManager(BaseResourceManager):
 
     name = "IRIX"
 
-    __slots__ = ("config", "_threads", "_segment_start", "_migration_debt", "_offline")
+    __slots__ = (
+        "config", "_threads", "_segment_start", "_migration_debt", "_offline", "_shares",
+    )
 
     def __init__(
         self,
@@ -126,18 +128,24 @@ class IrixResourceManager(BaseResourceManager):
         #: CPUs currently failed (the time-sharing model has no
         #: per-CPU placement, so a set of ids is all we need)
         self._offline: Set[int] = set()
+        #: effective_procs(threads) memoised by thread count for the
+        #: current segment; _account_segment, which runs before every
+        #: change to _threads or _offline, clears it
+        self._shares: Dict[int, float] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
         # Sorted canonical form: set iteration order depends on
         # insertion history, and snapshot bytes must not (see
-        # Machine.__getstate__).
+        # Machine.__getstate__).  The share memo is derived state.
         state = slot_state(self)
         state["_offline"] = sorted(self._offline)
+        del state["_shares"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         state["_offline"] = set(state["_offline"])
         set_slot_state(self, state)
+        self._shares = {}
 
     # ------------------------------------------------------------------
     # admission: fixed multiprogramming level, no coordination
@@ -204,8 +212,22 @@ class IrixResourceManager(BaseResourceManager):
         share /= 1.0 + interference
         return max(share, 0.05)
 
-    def iteration_speed_procs(self, job: Job, nominal_procs: int) -> float:
-        return self.effective_procs(self._threads[job.job_id])
+    def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
+        """Execution rate for the next iteration.
+
+        The job's curve (for a rigid job, its folded processes) at the
+        effective CPU share of its threads, which every job's threads
+        and the healthy CPUs decide; *nominal_procs* plays no part.
+        """
+        threads = self._threads[job.job_id]
+        share = self._shares.get(threads)
+        if share is None:
+            share = self._shares[threads] = self.effective_procs(threads)
+        spec = job.spec
+        if spec.malleable:
+            return spec.speedup_model.speedup(share)
+        assert job.request is not None
+        return spec.folded_speedup(job.request, share)
 
     def span_budget(self, job: Job) -> int:
         # The SGI-MP runtime never reports, and an iteration end touches
@@ -235,6 +257,7 @@ class IrixResourceManager(BaseResourceManager):
     # analytic trace accounting
     # ------------------------------------------------------------------
     def _account_segment(self) -> None:
+        self._shares.clear()
         now = self.sim.now
         duration = now - self._segment_start
         self._segment_start = now

@@ -206,10 +206,6 @@ class BaseResourceManager(RuntimeHost):
         """A degraded NUMA node recovered full speed."""
         self._record_fault("node_restore", node, value=1.0)
 
-    def _fault_speed_factor(self, job: Job) -> float:
-        """Slowdown from degraded hardware (1.0 when healthy)."""
-        return 1.0
-
     # ------------------------------------------------------------------
     # RuntimeHost defaults
     # ------------------------------------------------------------------
@@ -226,31 +222,6 @@ class BaseResourceManager(RuntimeHost):
 
     def current_allocation(self, job: Job) -> int:
         return self._allocation(job.job_id)
-
-    def iteration_speed_procs(self, job: Job, nominal_procs: int) -> float:
-        return float(nominal_procs)
-
-    def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
-        """Execution rate for the next iteration.
-
-        Malleable applications run at their curve's speedup for the
-        granted processors.  Rigid applications always run
-        ``request`` processes; when the partition is smaller, the
-        processes are folded onto it and the rate scales with the
-        allocation fraction (paper §6's folding approach for MPI).
-        """
-        speed_procs = self.iteration_speed_procs(job, nominal_procs)
-        if job.spec.malleable:
-            speedup = job.spec.speedup_model.speedup(speed_procs)
-        else:
-            assert job.request is not None
-            speedup = job.spec.folded_speedup(job.request, speed_procs)
-        if self.locality is not None:
-            speedup *= self.locality.speed_factor(job.job_id, self.sim.now)
-        fault_factor = self._fault_speed_factor(job)
-        if fault_factor != 1.0:
-            speedup *= fault_factor
-        return speedup
 
 
 class _LiveSystemView(SystemView):
@@ -447,11 +418,37 @@ class SpaceSharedResourceManager(BaseResourceManager):
         return True
 
     # ------------------------------------------------------------------
+    # execution rate
+    # ------------------------------------------------------------------
+    def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
+        """Execution rate for the next iteration.
+
+        Malleable applications run at their curve's speedup for the
+        granted processors.  Rigid applications always run
+        ``request`` processes; when the partition is smaller, the
+        processes are folded onto it and the rate scales with the
+        allocation fraction (paper §6's folding approach for MPI).
+        Memory locality and degraded nodes then slow the partition
+        down; the machine is asked only while some node is degraded.
+        """
+        spec = job.spec
+        if spec.malleable:
+            speedup = spec.speedup_model.speedup(float(nominal_procs))
+        else:
+            assert job.request is not None
+            speedup = spec.folded_speedup(job.request, float(nominal_procs))
+        if self.locality is not None:
+            speedup *= self.locality.speed_factor(job.job_id, self.sim.now)
+        machine = self.machine
+        if machine.node_speed:
+            fault_factor = machine.partition_speed_factor(job.job_id)
+            if fault_factor != 1.0:
+                speedup *= fault_factor
+        return speedup
+
+    # ------------------------------------------------------------------
     # fault handling (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
-    def _fault_speed_factor(self, job: Job) -> float:
-        return self.machine.partition_speed_factor(job.job_id)
-
     def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> None:
         """A CPU failed: shrink capacity and repair the owner's partition.
 

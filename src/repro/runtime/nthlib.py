@@ -20,18 +20,21 @@ Iteration spans
 Most iteration ends change nothing anyone else can see: the report is
 ignored (Equipartition, IRIX) or leaves a settled PDPA job where it
 is.  Such an end is scheduled as an *absorbable* event
-(:meth:`~repro.sim.engine.Simulator.schedule_absorbable`).  At its
-instant the runtime asks whether the SelfAnalyzer reports now and, if
-it does, hands the host the report's processors and speedup
-(:meth:`RuntimeHost.absorb_report`), which proves the report a no-op
-and applies it in one pass.  If the host takes it, the runtime
-finishes the iteration on the spot — the same log entry, SelfAnalyzer
-counters and next-iteration draws as the event would have made, but
-no :class:`~repro.runtime.selfanalyzer.PerformanceReport` — and no
-event fires.  Otherwise nothing has changed and the end fires as the
-usual ``iter:`` event.  The absorbed ends before one that fires form
-an *iteration span*; a host's :meth:`RuntimeHost.span_budget` caps its
-length, and the default of 1 keeps every end an event.
+(:meth:`~repro.sim.engine.Simulator.schedule_absorbable`) whose owner
+is the runtime: it holds the iteration in flight, its processors and
+duration, and the engine calls its :meth:`NthLibRuntime.absorb` at
+the end's instant.  The runtime asks whether the SelfAnalyzer reports
+now and, if it does, hands the host the report's processors and
+speedup (:meth:`RuntimeHost.absorb_report`), which proves the report
+a no-op and applies it in one pass.  If the host takes it, the runtime
+finishes the iteration on the spot — the same iteration count,
+SelfAnalyzer counters and next-iteration draws as the event would have
+made, but no :class:`~repro.runtime.selfanalyzer.PerformanceReport` —
+and no event fires.  Otherwise nothing has changed and
+:meth:`NthLibRuntime.fire` runs as the usual ``iter:`` event.  The
+absorbed ends before one that fires form an *iteration span*; a host's
+:meth:`RuntimeHost.span_budget` caps its length, and the default of 1
+keeps every end an event.
 """
 
 from __future__ import annotations
@@ -66,25 +69,18 @@ class RuntimeHost:
         """Processors currently granted to *job* (its thread count)."""
         raise NotImplementedError
 
-    def iteration_speed_procs(self, job: Job, nominal_procs: int) -> float:
-        """Effective processors powering the next iteration.
-
-        Equal to ``nominal_procs`` under space sharing; under the
-        time-shared IRIX model it is the fractional CPU share the
-        job's threads actually receive.
-        """
-        raise NotImplementedError
-
     def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
         """Execution rate (speedup over sequential) of the next iteration.
 
-        The default evaluates the application's own speedup curve at
-        the effective processor share.  Hosts override it for
-        execution modes the curve cannot express directly — e.g.
-        rigid applications folded onto fewer processors.
+        Asked once per iteration, as it begins on *nominal_procs*.  The
+        host evaluates the application's speedup curve at the processor
+        share the iteration really gets — *nominal_procs* under space
+        sharing, the fractional CPU share of the job's threads under
+        the time-shared IRIX model — folds rigid applications onto
+        their partition, and applies whatever slows the partition down
+        (memory locality, degraded nodes).
         """
-        speed_procs = self.iteration_speed_procs(job, nominal_procs)
-        return job.spec.speedup_model.speedup(speed_procs)
+        raise NotImplementedError
 
     def deliver_report(self, job: Job, report: PerformanceReport) -> None:
         """Receive a SelfAnalyzer performance report."""
@@ -171,7 +167,7 @@ class NthLibRuntime:
 
     __slots__ = (
         "sim", "job", "host", "config", "app", "analyzer",
-        "_streams", "_noise_stream", "phase", "_last_iter_procs", "_pending",
+        "_streams", "_noise_stream", "phase", "_procs", "_duration", "_pending",
         "_span", "_budget", "hung",
     )
 
@@ -198,7 +194,10 @@ class NthLibRuntime:
         self._streams = streams
         self._noise_stream = f"iter-noise:{job.job_id}"
         self.phase = JobPhase.CREATED
-        self._last_iter_procs: Optional[int] = None
+        #: processors and duration of the iteration in flight (of the
+        #: last one begun; 0 processors before the first)
+        self._procs = 0
+        self._duration = 0.0
         #: handle of the next scheduled phase event (for abort/hang)
         self._pending: Optional[Union[Event, List[Any]]] = None
         #: iteration ends absorbed since the last one that fired, and
@@ -251,59 +250,54 @@ class NthLibRuntime:
         procs = allocation
         if analyzer is not None and analyzer.in_baseline:
             procs = analyzer.baseline_allocation(allocation)
-        speedup = host.iteration_speedup(job, procs)
-        last = self._last_iter_procs
+        last = self._procs
         duration = app.iteration_duration_from_speedup(
-            speedup,
-            alloc_changed_by=0 if last is None else procs - last,
-            noise_factor=self._streams.lognormal_factor(
-                self._noise_stream, self.config.noise_sigma
-            ),
+            host.iteration_speedup(job, procs),
+            procs - last if last else 0,
+            self._streams.lognormal_factor(self._noise_stream, self.config.noise_sigma),
         )
-        self._last_iter_procs = procs
+        self._procs = procs
+        self._duration = duration
         label = f"iter:{job.job_id}:{iteration}"
         if self._span + 1 < self._budget:
-            self._pending = self.sim.schedule_absorbable(
-                duration, self._absorb_end, self._end_iteration, procs, duration,
-                label=label,
-            )
+            self._pending = self.sim.schedule_absorbable(duration, self, label)
         else:
-            self._pending = self.sim.schedule_after(
-                duration, self._end_iteration, procs, duration, label=label
-            )
+            self._pending = self.sim.schedule_after(duration, self.fire, label=label)
 
-    def _end_iteration(self, procs: int, duration: float) -> None:
+    def fire(self) -> None:
+        """End the iteration in flight as an event (engine hook)."""
         self._span = 0
         app = self.app
         iteration = app.completed_iterations
-        app.record_iteration(procs, duration)
+        app.record_iteration()
         analyzer = self.analyzer
         if analyzer is not None:
-            report = analyzer.on_iteration(self.sim.now, iteration, procs, duration)
+            report = analyzer.on_iteration(
+                self.sim.now, iteration, self._procs, self._duration
+            )
             if report is not None:
                 self.host.deliver_report(self.job, report)
         self._begin_iteration()
 
-    def _absorb_end(self, procs: int, duration: float) -> bool:
-        """End the iteration without an event if its report is a no-op.
+    def absorb(self) -> bool:
+        """End the iteration in flight without an event if its report is
+        a no-op (engine hook).
 
         Returns False, having changed nothing, when the host declines
-        the report the SelfAnalyzer is about to make: it then needs the
-        full delivery path.
+        the report the SelfAnalyzer is about to make: the end then
+        fires, for the full delivery path.
         """
         analyzer = self.analyzer
-        if (
-            analyzer is not None
-            and analyzer.would_report(procs)
-            and not self.host.absorb_report(
-                self.job, procs, analyzer.estimate_speedup(procs, duration)
-            )
-        ):
-            return False
-        self._span += 1
-        self.app.record_iteration(procs, duration)
         if analyzer is not None:
+            procs = self._procs
+            duration = self._duration
+            if analyzer.would_report(procs) and not self.host.absorb_report(
+                self.job, procs, analyzer.estimate_speedup(procs, duration)
+            ):
+                return False
             analyzer.commit(procs, duration)
+        self._span += 1
+        self.app.record_iteration()
         self._begin_iteration()
         return True
 

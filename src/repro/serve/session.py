@@ -96,7 +96,7 @@ class ServeConfig:
             raise ValueError(f"step_events must be >= 1, got {self.step_events}")
         if self.heartbeat_seconds < 0:
             raise ValueError("heartbeat_seconds must be >= 0")
-        if self.watchdog_seconds is not None and self.watchdog_seconds <= 0:
+        if self.watchdog_seconds is not None and not self.watchdog_seconds > 0:
             raise ValueError("watchdog_seconds must be positive")
 
 

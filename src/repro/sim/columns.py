@@ -315,69 +315,3 @@ class RunningMean:
         self.total = _unpack_f64(state[0])[0]
         self.count = state[1]
         self.max_procs = state[2]
-
-
-class IterationColumns:
-    """Columnar (iteration, procs, duration) log for one application.
-
-    Replaces a per-iteration list of 3-tuples (three boxed objects plus
-    a tuple per row) with three packed columns, cutting both resident
-    size and checkpoint bytes.  Rows materialize lazily on access;
-    equality against a plain list of tuples is preserved for callers
-    that compare logs directly.
-    """
-
-    __slots__ = ("iterations", "procs", "durations")
-
-    def __init__(self) -> None:
-        self.iterations = array("q")
-        self.procs = array("q")
-        self.durations = array("d")
-
-    def append(self, row: Tuple[int, int, float]) -> None:
-        self.iterations.append(row[0])
-        self.procs.append(row[1])
-        self.durations.append(row[2])
-
-    def __len__(self) -> int:
-        return len(self.iterations)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [
-                (self.iterations[i], self.procs[i], self.durations[i])
-                for i in range(*index.indices(len(self.iterations)))
-            ]
-        return (self.iterations[index], self.procs[index], self.durations[index])
-
-    def __iter__(self):
-        for i in range(len(self.iterations)):
-            yield (self.iterations[i], self.procs[i], self.durations[i])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IterationColumns):
-            return (
-                self.iterations == other.iterations
-                and self.procs == other.procs
-                and self.durations == other.durations
-            )
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self) and all(
-                tuple(a) == tuple(b) for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IterationColumns({list(self)!r})"
-
-    def __getstate__(self) -> Dict[str, bytes]:
-        return {
-            "iterations": _pack_i64(self.iterations),
-            "procs": _pack_i64(self.procs),
-            "durations": _pack_f64(self.durations),
-        }
-
-    def __setstate__(self, state: Dict[str, bytes]) -> None:
-        self.iterations = array("q", _unpack_i64(state["iterations"]))
-        self.procs = array("q", _unpack_i64(state["procs"]))
-        self.durations = array("d", _unpack_f64(state["durations"]))

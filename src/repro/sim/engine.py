@@ -10,11 +10,11 @@ Besides ordinary events the simulator keeps *absorbable* events
 (:meth:`Simulator.schedule_absorbable`), the iteration ends of
 :mod:`repro.runtime.nthlib`.  One is ordered exactly like an ordinary
 event of the same time and priority.  When its turn comes the engine
-first offers it to its ``absorb`` callback; if that finishes the work,
+first asks its owner to ``absorb()`` it; if that finishes the work,
 nothing fires: the observer does not see it and ``events_fired`` does
-not count it.  Otherwise it fires as an ordinary event under the key
-it already had.  A run of absorbed iteration ends closed by one that
-fires is an *iteration span* (docs/performance.md).
+not count it.  Otherwise the owner's ``fire()`` runs as an ordinary
+event under the key it already had.  A run of absorbed iteration ends
+closed by one that fires is an *iteration span* (docs/performance.md).
 
 Example
 -------
@@ -31,6 +31,8 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.sim.slots import set_slot_state, slot_state
@@ -334,9 +336,9 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._events_fired = 0
-        #: absorbable events, each a list ``[time, seq, absorb, fire,
-        #: args, label]`` so the heap compares (time, seq) in C;
-        #: ``absorb`` is None once the entry was cancelled or consumed
+        #: absorbable events, each a list ``[time, seq, owner, label]``
+        #: so the heap compares (time, seq) in C; ``owner`` is None once
+        #: the entry was cancelled or consumed
         self._marks: List[List[Any]] = []
         self._live_marks = 0
         #: absorbable events that completed without firing
@@ -345,6 +347,9 @@ class Simulator:
         self._ckpt_hook: Optional[Callable[[], None]] = None
         self._ckpt_every_events: Optional[int] = None
         self._ckpt_every_seconds: Optional[float] = None
+        #: logical-event count and clock at which the hook is next due
+        #: (armed by set_checkpoint_hook; sys.maxsize and infinity for
+        #: a cadence that is off)
         self._ckpt_next_events = 0
         self._ckpt_next_time = 0.0
 
@@ -403,7 +408,7 @@ class Simulator:
         one, without popping anything.
         """
         labels = [event.label for event in self._queue._heap if not event._cancelled]
-        labels.extend(mark[5] for mark in self._marks if mark[2] is not None)
+        labels.extend(mark[3] for mark in self._marks if mark[2] is not None)
         return sorted(labels)
 
     def schedule_at(
@@ -454,32 +459,26 @@ class Simulator:
         self._queue.push(event)
         return event
 
-    def schedule_absorbable(
-        self,
-        delay: float,
-        absorb: Callable[..., bool],
-        fire: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-    ) -> List[Any]:
+    def schedule_absorbable(self, delay: float, owner: Any, label: str = "") -> List[Any]:
         """Schedule an event that may complete without firing.
 
-        It is ordered exactly like ``schedule_after(delay, fire, *args,
+        It is ordered exactly like ``schedule_after(delay, owner.fire,
         label=label)``: same time, :attr:`PRIORITY_NORMAL`, the next
         insertion sequence number.  When its turn comes the clock
-        advances to it and ``absorb(*args)`` runs first.  If it returns
-        True the work is done: nothing fires, the observer is not
-        called and :attr:`events_fired` does not count it (the
+        advances to it and ``owner.absorb()`` runs first.  If it
+        returns True the work is done: nothing fires, the observer is
+        not called and :attr:`events_fired` does not count it (the
         checkpoint hook still sees it, see :attr:`logical_events`).
-        Otherwise ``fire(*args)`` runs as an ordinary event under the
+        Otherwise ``owner.fire()`` runs as an ordinary event under the
         same key; ``absorb`` must have changed nothing in that case.
-        Returns a handle for :meth:`cancel`.
+        The owner holds whatever both calls need, and has at most one
+        absorbable event pending.  Returns a handle for :meth:`cancel`.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
         seq = self._seq
         self._seq = seq + 1
-        mark = [self._now + delay, seq, absorb, fire, args, label]
+        mark = [self._now + delay, seq, owner, label]
         heapq.heappush(self._marks, mark)
         self._live_marks += 1
         return mark
@@ -577,21 +576,20 @@ class Simulator:
         self._ckpt_hook = None
 
     def _arm_checkpoint(self) -> None:
-        if self._ckpt_every_events is not None:
-            self._ckpt_next_events = self.logical_events + self._ckpt_every_events
-        if self._ckpt_every_seconds is not None:
-            self._ckpt_next_time = self._now + self._ckpt_every_seconds
+        every = self._ckpt_every_events
+        self._ckpt_next_events = (
+            sys.maxsize if every is None else self.logical_events + every
+        )
+        seconds = self._ckpt_every_seconds
+        self._ckpt_next_time = math.inf if seconds is None else self._now + seconds
 
     def _checkpoint_tick(self) -> None:
         """Fire the checkpoint hook if a cadence threshold passed."""
-        due = (
-            (self._ckpt_every_events is not None
-             and self.logical_events >= self._ckpt_next_events)
-            or (self._ckpt_every_seconds is not None
-                and self._now >= self._ckpt_next_time)
-        )
-        if not due:
-            return
+        if (self._events_fired + self._absorbed >= self._ckpt_next_events
+                or self._now >= self._ckpt_next_time):
+            self._checkpoint()
+
+    def _checkpoint(self) -> None:
         hook = self._ckpt_hook
         assert hook is not None
         hook()
@@ -600,9 +598,9 @@ class Simulator:
     def _next(self, horizon: Optional[float]) -> Optional[Event]:
         """Pop the next event to fire at or before *horizon*.
 
-        Absorbable events that come first are offered to their
-        ``absorb`` callback on the way; one that declines fires as an
-        ordinary event with its own key, which is the smallest left.
+        Absorbable events that come first are offered to their owner's
+        ``absorb()`` on the way; one that declines fires as an ordinary
+        event with its own key, which is the smallest left.
         """
         queue = self._queue
         marks = self._marks
@@ -623,18 +621,22 @@ class Simulator:
             if horizon is not None and mark[0] > horizon:
                 return None
             heapq.heappop(marks)
-            absorb = mark[2]
-            if absorb is None:
+            owner = mark[2]
+            if owner is None:
                 continue
             mark[2] = None
             self._live_marks -= 1
-            self._now = mark[0]
-            if absorb(*mark[4]):
-                self._absorbed += 1
-                if self._ckpt_hook is not None:
-                    self._checkpoint_tick()
+            now = self._now = mark[0]
+            if owner.absorb():
+                absorbed = self._absorbed = self._absorbed + 1
+                # _checkpoint_tick's test, inline: it runs on every
+                # absorbed end
+                if self._ckpt_hook is not None and (
+                        self._events_fired + absorbed >= self._ckpt_next_events
+                        or now >= self._ckpt_next_time):
+                    self._checkpoint()
                 continue
-            event = Event(mark[0], normal, mark[1], mark[3], mark[4], mark[5])
+            event = Event(now, normal, mark[1], owner.fire, (), mark[3])
             event._fired = True
             return event
         return queue.pop_before(horizon)

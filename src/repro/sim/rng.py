@@ -12,9 +12,13 @@ applications was executed in all the scheduling policies evaluated".
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import struct
 from typing import Any, Dict, List, Optional, Tuple
+
+#: ``random.NV_MAGICCONST``, computed the same way
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -115,7 +119,19 @@ class RandomStreams:
         rng = self._streams.get(name)
         if rng is None:
             rng = self.stream(name)
-        return rng.lognormvariate(0.0, sigma)
+        # rng.lognormvariate(0.0, sigma) inline: the Kinderman-Monahan
+        # loop of random.normalvariate (the same on CPython 3.10-3.13),
+        # with its draws and float operations in the same order.  Its
+        # ``mu + z * sigma`` is dropped with mu = 0.0, which changes no
+        # bit of the result: exp(-0.0) == exp(0.0).
+        draw = rng.random
+        log = math.log
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return math.exp(z * sigma)
 
     def exponential(self, name: str, mean: float) -> float:
         """Draw an exponential variate with the given mean (>0)."""

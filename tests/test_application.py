@@ -72,22 +72,24 @@ class TestIterativeApplication:
     def test_iteration_accounting(self):
         app = IterativeApplication(make_spec())
         assert app.remaining_iterations == 10
-        app.record_iteration(4, 0.5)
+        app.record_iteration()
         assert app.completed_iterations == 1
         assert app.remaining_iterations == 9
-        assert app.iteration_log == [(0, 4, 0.5)]
+        app.record_iteration()
+        assert (app.completed_iterations, app.remaining_iterations) == (2, 8)
+        assert not app.finished
 
     def test_cannot_record_past_the_end(self):
         app = IterativeApplication(make_spec(iterations=1))
-        app.record_iteration(1, 2.0)
+        app.record_iteration()
         with pytest.raises(RuntimeError):
-            app.record_iteration(1, 2.0)
+            app.record_iteration()
 
     def test_cannot_record_after_finish(self):
         app = IterativeApplication(make_spec())
         app.finished = True
         with pytest.raises(RuntimeError):
-            app.record_iteration(1, 2.0)
+            app.record_iteration()
 
     def test_iteration_duration_basic(self):
         app = IterativeApplication(make_spec())

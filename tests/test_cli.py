@@ -13,6 +13,20 @@ from repro.qs.swf import parse_swf
 ZERO_ALLOWED = [
     ["--retries", "-1", "mpl", "--workload", "w2"],
     ["torture", "--budget", "-1"],
+    ["serve", "PDPA", "--max-jobs", "-1"],
+    ["serve", "PDPA", "--ingress-limit", "-2"],
+    ["replay", "snap.ckpt", "--until", "nan"],
+    ["replay", "snap.ckpt", "--until", "-1"],
+]
+
+#: argv cases whose value is in range but infinite
+NON_FINITE = [
+    ["run", "PDPA", "w1", "--load", "inf"],
+    ["serve", "PDPA", "--load", "inf"],
+    ["serve", "PDPA", "--watchdog", "inf"],
+    ["replay", "snap.ckpt", "--until", "inf"],
+    ["--timeout", "inf", "mpl", "--workload", "w2"],
+    ["--checkpoint-interval", "inf", "run", "PDPA", "w1"],
 ]
 
 #: argv cases whose flag needs more than a positive value
@@ -69,7 +83,11 @@ class TestParser:
         ["fuzz", "--budget", "0"],
         ["fuzz", "--budget", "-2"],
         ["fuzz", "--steps", "0"],
+        ["serve", "PDPA", "--watchdog", "nan"],
+        ["serve", "PDPA", "--watchdog", "0"],
+        ["serve", "PDPA", "--step-events", "0"],
         *ZERO_ALLOWED,
+        *NON_FINITE,
         *map(list, RAISED_FLOOR),
     ], ids=" ".join)
     def test_non_positive_numbers_are_usage_errors(self, argv, capsys):
@@ -78,7 +96,11 @@ class TestParser:
         assert exc.value.code == 2
         bound = RAISED_FLOOR.get(tuple(argv))
         if bound is None:
-            bound = "non-negative" if argv in ZERO_ALLOWED else "positive"
+            bound = (
+                "non-negative" if argv in ZERO_ALLOWED
+                else "finite" if argv in NON_FINITE
+                else "positive"
+            )
         assert f"must be {bound}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [[], *([name] for name in _subcommands())],

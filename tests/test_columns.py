@@ -10,7 +10,6 @@ bits, and ``0.0 == -0.0`` would hide a sign flip.
 
 from __future__ import annotations
 
-import math
 import pickle
 import struct
 
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 from repro.sim.columns import (
     BACKEND,
     CpuColumns,
-    IterationColumns,
     NO_OWNER,
     RunningMean,
 )
@@ -160,68 +158,6 @@ def test_running_mean_pickle_preserves_bits(samples):
     clone = pickle.loads(pickle.dumps(fold))
     assert bits([clone.total]) == bits([fold.total])
     assert (clone.count, clone.max_procs) == (fold.count, fold.max_procs)
-
-
-# ----------------------------------------------------------------------
-# iteration-log columns
-# ----------------------------------------------------------------------
-finite_rows = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=512),
-        st.floats(allow_nan=False, allow_infinity=True, width=64),
-    ),
-    max_size=32,
-)
-
-
-@settings(deadline=None, max_examples=100)
-@given(rows=finite_rows)
-def test_iteration_columns_behave_like_list_of_tuples(rows):
-    log = IterationColumns()
-    for row in rows:
-        log.append(row)
-    assert log == rows
-    assert list(log) == rows
-    assert len(log) == len(rows)
-    assert log[:] == rows
-    if rows:
-        assert log[0] == rows[0]
-        assert log[-1] == rows[-1]
-        assert log[1:-1] == rows[1:-1]
-
-
-@settings(deadline=None, max_examples=100)
-@given(rows=st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=512),
-        any_double,
-    ),
-    max_size=32,
-))
-def test_iteration_columns_pickle_preserves_bits(rows):
-    log = IterationColumns()
-    for row in rows:
-        log.append(row)
-    clone = pickle.loads(pickle.dumps(log))
-    # == cannot see through NaN durations (NaN != NaN); the bit-exact
-    # column comparison below is the real check
-    if not any(math.isnan(d) for d in log.durations):
-        assert clone == log
-    assert bits(clone.durations) == bits(log.durations)
-    assert list(clone.iterations) == list(log.iterations)
-    assert list(clone.procs) == list(log.procs)
-    state = log.__getstate__()
-    assert all(isinstance(blob, bytes) for blob in state.values())
-
-
-def test_iteration_columns_inequality():
-    log = IterationColumns()
-    log.append((0, 4, 1.25))
-    assert log != [(0, 4, 1.5)]
-    assert log != [(0, 4, 1.25), (1, 4, 1.0)]
-    assert (log == object()) is NotImplemented or log != object()
 
 
 def test_backend_constant_is_consistent():

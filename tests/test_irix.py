@@ -1,13 +1,24 @@
 """Unit tests for the IRIX time-sharing model."""
 
-import pytest
+import pickle
+import struct
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.apps.application import AppClass, ApplicationSpec
+from repro.apps.speedup import AmdahlSpeedup
+from repro.fuzz.profiles import tier_settings
 from repro.metrics.paraver import burst_statistics
 from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job, JobState
 from repro.rm.irix import IrixConfig, IrixResourceManager
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
 
 
 def make_rm(n_cpus=8, config=None, trace=True):
@@ -158,3 +169,70 @@ class TestAccounting:
         rm.finalize()
         # All 4 cpus busy for the whole run.
         assert trace.busy_time() == pytest.approx(4 * end, rel=0.01)
+
+
+#: a short malleable code and a short rigid one, so runs finish jobs
+MEMO_APPS = [
+    ApplicationSpec(
+        name="memo-amdahl", app_class=AppClass.HIGH,
+        speedup_model=AmdahlSpeedup(0.1, name="memo-amdahl"),
+        iterations=6, t_iter_seq=2.0, t_startup=0.2, t_teardown=0.2,
+    ),
+    ApplicationSpec(
+        name="memo-rigid", app_class=AppClass.MEDIUM,
+        speedup_model=AmdahlSpeedup(0.3, name="memo-rigid"),
+        iterations=4, t_iter_seq=1.5, t_startup=0.1, t_teardown=0.1,
+        default_request=6,
+    ).as_rigid(),
+]
+
+memo_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["start", "finish", "fail", "repair", "run"]),
+        st.integers(0, 15),
+    ),
+    max_size=30,
+)
+
+
+class TestShareMemo:
+    """The share an iteration runs at is memoised per segment; after
+    any op it must equal the uncached ``effective_procs``."""
+
+    @tier_settings("standard")
+    @given(ops=memo_ops)
+    def test_memoised_share_is_effective_procs(self, ops):
+        sim, trace, rm = make_rm(n_cpus=12, config=IrixConfig(mpl=6))
+        started = 0
+        for op, arg in ops:
+            if op == "start" and rm.running_count < rm.config.mpl:
+                started += 1
+                spec = MEMO_APPS[arg % len(MEMO_APPS)]
+                rm.start_job(Job(started, spec, submit_time=sim.now, request=arg + 1))
+            elif op == "finish" and rm.jobs:
+                rm.kill_job(rm.jobs[sorted(rm.jobs)[arg % len(rm.jobs)]])
+            elif op == "fail":
+                rm.on_cpu_failed(arg % rm.n_cpus)
+            elif op == "repair":
+                rm.on_cpu_repaired(arg % rm.n_cpus)
+            elif op == "run":
+                sim.run(until=sim.now + arg / 4)  # iterations begin, jobs finish
+            for threads, share in rm._shares.items():
+                assert bits(share) == bits(rm.effective_procs(threads))
+            for job_id, job in rm.jobs.items():
+                threads = rm._threads[job_id]
+                want = rm.effective_procs(threads)
+                speedup = (job.spec.speedup_model.speedup(want) if job.spec.malleable
+                           else job.spec.folded_speedup(job.request, want))
+                assert bits(rm.iteration_speedup(job, threads)) == bits(speedup)
+                assert bits(rm._shares[threads]) == bits(want)
+
+    def test_memo_is_not_pickled(self, linear_app):
+        sim, trace, rm = make_rm()
+        rm.start_job(Job(1, linear_app, submit_time=0.0, request=4))
+        rm.iteration_speedup(rm.jobs[1], 4)
+        assert rm._shares
+        clone = pickle.loads(pickle.dumps(rm))
+        assert clone._shares == {}
+        assert bits(clone.iteration_speedup(clone.jobs[1], 4)) == \
+            bits(rm.iteration_speedup(rm.jobs[1], 4))

@@ -21,8 +21,8 @@ class FakeHost(RuntimeHost):
     def current_allocation(self, job):
         return self.allocation
 
-    def iteration_speed_procs(self, job, nominal_procs):
-        return nominal_procs * self.speed_factor
+    def iteration_speedup(self, job, nominal_procs):
+        return job.spec.speedup_model.speedup(nominal_procs * self.speed_factor)
 
     def deliver_report(self, job, report):
         self.reports.append(report)

@@ -208,6 +208,19 @@ class TestIngressConfig:
             IngressConfig(overload_factor=0.0)
 
 
+class TestServeConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(step_events=0),
+        dict(heartbeat_seconds=-1.0),
+        dict(watchdog_seconds=0.0),
+        dict(watchdog_seconds=-5.0),
+        dict(watchdog_seconds=float("nan")),  # NaN > 0 and NaN <= 0 are both False
+    ])
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError):
+            ServeConfig(**bad)
+
+
 class TestAdmissionControl:
     def _job(self, session, job_id, request=4):
         return Job(job_id=job_id, spec=APP_CATALOG["bt.A"],

@@ -55,6 +55,7 @@ from repro.serve.session import ServeConfig, ServeSession, build_serve_session
 from repro.serve.source import SyntheticSource
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.iteration_ends import IterationEnd, record_iteration_ends
 
 # ----------------------------------------------------------------------
 # (a) golden digests of the per-iteration implementation
@@ -247,15 +248,20 @@ def _session(policy: str, plan: List[tuple], seed: int, n_cpus: int,
     return _assemble_session(policy, rm, sim, trace, jobs, config, 0.0)
 
 
-def _state(session: SimulationSession) -> tuple:
-    """Everything an iteration end leaves behind, at this instant."""
+def _state(session: SimulationSession, ends: Dict[Any, List[IterationEnd]]) -> tuple:
+    """Everything an iteration end leaves behind, at this instant.
+
+    *ends* is the :func:`record_iteration_ends` log the session ran
+    under: every iteration end so far, with its procs, duration and
+    time.
+    """
     rm = session.rm
     runtimes = []
     for job_id in sorted(rm.runtimes):
         runtime = rm.runtimes[job_id]
         analyzer = runtime.analyzer
         runtimes.append((
-            job_id, runtime.phase, list(runtime.app.iteration_log),
+            job_id, runtime.phase, runtime.app.completed_iterations,
             None if analyzer is None else (
                 analyzer.t_base, analyzer._measured, analyzer._skip,
                 analyzer._last_procs, analyzer._base_speedup,
@@ -267,6 +273,7 @@ def _state(session: SimulationSession) -> tuple:
         session.sim.now,
         session.sim.logical_events,
         repr(session.sim._seq),  # same insertion sequence numbers
+        ends.get(session.sim, []),
         runtimes,
         sorted(getattr(policy, "job_states", {}).items()),
         sorted(getattr(policy, "_overheads", {}).items()),
@@ -326,16 +333,17 @@ def _check_spans_match(policy, plan, seed, n_cpus, sigma, locality,
         reset_analyzer_on_phase_change=reset,
     )
     args = (policy, plan, seed, n_cpus, runtime, locality)
-    spans = _session(*args)
-    events = _session(*args)
-    # every simulated second, plus a few arbitrary instants
-    for cut in sorted(set(cuts) | {float(t) for t in range(1, 80)}) + [None]:
-        with span_budget(cap):  # the hosts' own budget, or a short cap
-            spans.run(until=cut)
-        with per_iteration():
-            events.run(until=cut)
-        assert _state(spans) == _state(events)
-    assert _state(spans) == _state(events)
+    with record_iteration_ends() as ends:
+        spans = _session(*args)
+        events = _session(*args)
+        # every simulated second, plus a few arbitrary instants
+        for cut in sorted(set(cuts) | {float(t) for t in range(1, 80)}) + [None]:
+            with span_budget(cap):  # the hosts' own budget, or a short cap
+                spans.run(until=cut)
+            with per_iteration():
+                events.run(until=cut)
+            assert _state(spans, ends) == _state(events, ends)
+    assert _state(spans, ends) == _state(events, ends)
     assert spans.sim.logical_events == events.sim.events_fired
     assert _digest(spans.finish()) == _digest(events.finish())
 
@@ -448,16 +456,17 @@ def test_reallocation_on_an_absorbed_iteration_end():
     # one starts on 4.
     plan = [("linear", 0.0, 8), ("linear", 3.5, 8)]
     runtime = RuntimeConfig(noise_sigma=0.0, use_selfanalyzer=False)
-    spans = _session("Equip", plan, 0, 8, runtime, False)
-    with per_iteration():
-        events = _session("Equip", plan, 0, 8, runtime, False)
-        events.run(until=3.5)
-        events.run()
-    spans.run(until=3.5)
-    log = list(spans.rm.runtimes[1].app.iteration_log)
-    assert log[-1] == (5, 8, 0.5)  # ended at 3.5, on the old allocation
-    assert spans.rm.machine.allocation_of(1) == 4
-    assert spans.sim.logical_events > spans.sim.events_fired
-    spans.run()
-    assert _state(spans) == _state(events)
+    with record_iteration_ends() as ends:
+        spans = _session("Equip", plan, 0, 8, runtime, False)
+        with per_iteration():
+            events = _session("Equip", plan, 0, 8, runtime, False)
+            events.run(until=3.5)
+            events.run()
+        spans.run(until=3.5)
+        job1 = [end for end in ends[spans.sim] if end[0] == 1]
+        assert job1[-1] == (1, 5, 8, 0.5, 3.5)  # ended at 3.5, on the old allocation
+        assert spans.rm.machine.allocation_of(1) == 4
+        assert spans.sim.logical_events > spans.sim.events_fired
+        spans.run()
+    assert _state(spans, ends) == _state(events, ends)
     assert _digest(spans.finish()) == _digest(events.finish())

@@ -14,6 +14,22 @@ from repro.qs.swf import (
     parse_swf,
     write_swf,
 )
+from repro.serve.source import SwfSource
+
+#: values ``float()`` accepts that are no SWF number, in one float field
+#: and one int field (``int(float("inf"))`` raises OverflowError)
+NON_FINITE = [
+    (name, value)
+    for name in ("submit_time", "requested_procs")
+    for value in ("nan", "inf", "-inf")
+]
+
+
+def with_field(line: str, name: str, value: str) -> str:
+    """*line* with one field replaced."""
+    parts = line.split()
+    parts[SWF_FIELDS.index(name)] = value
+    return " ".join(parts)
 
 
 class TestRecordCodec:
@@ -42,6 +58,12 @@ class TestRecordCodec:
     def test_non_numeric_field_raises(self):
         line = " ".join(["x"] * 18)
         with pytest.raises(ValueError):
+            SwfJob.from_line(line)
+
+    @pytest.mark.parametrize("name,value", NON_FINITE)
+    def test_non_finite_field_raises(self, name, value):
+        line = with_field("3 4.0 1 10 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1", name, value)
+        with pytest.raises(ValueError, match=f"{name} is not finite"):
             SwfJob.from_line(line)
 
     @given(
@@ -131,6 +153,12 @@ garbage line that is not SWF
 4 9.0 1 -1 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1
 """
 
+#: eight ordered records, enough to interleave every NON_FINITE line
+CLEAN_LOG = "".join(
+    f"{i} {2.5 * i} 1 10 4 -1 -1 {2 * i} -1 -1 1 1 1 {i % 3 + 1} 1 1 -1 -1\n"
+    for i in range(1, 9)
+)
+
 
 class TestLenientParsing:
     """The incremental lenient reader (``iter_swf``) and its stats.
@@ -212,3 +240,35 @@ class TestLenientParsing:
         with open(path) as handle:
             records = list(iter_swf(handle, strict=False))
         assert len(records) == 3
+
+    @pytest.mark.parametrize("name,value", NON_FINITE)
+    def test_strict_names_a_non_finite_line(self, name, value):
+        lines = CLEAN_LOG.splitlines()
+        lines[2] = with_field(lines[2], name, value)
+        with pytest.raises(ValueError, match=f"line 3: SWF field {name} is not finite"):
+            parse_swf("\n".join(lines))
+
+    def test_lenient_drops_non_finite_lines_as_malformed(self, tmp_path):
+        # every NON_FINITE case on its own line, between the clean ones:
+        # the records are the clean log's, as if those lines were deleted
+        clean = CLEAN_LOG.splitlines()
+        dirty = [clean[0]]
+        for (name, value), line in zip(NON_FINITE, clean[1:]):
+            dirty += [with_field(line, name, value), line]
+        dirty += clean[len(NON_FINITE) + 1:]
+        text = "\n".join(dirty) + "\n"
+        stats = SwfParseStats()
+        assert parse_swf(text, strict=False, stats=stats) == parse_swf(CLEAN_LOG)
+        assert (stats.malformed, stats.out_of_order) == (len(NON_FINITE), 0)
+        # the streaming service's reader skips the same lines
+        sources = []
+        for name, body in (("clean.swf", CLEAN_LOG), ("dirty.swf", text)):
+            path = tmp_path / name
+            path.write_text(body)
+            sources.append(SwfSource(str(path)))
+        drawn = [[(j.job_id, j.app_name, j.submit_time, j.request)
+                  for j in iter(source.draw, None)] for source in sources]
+        for source in sources:
+            source.close()
+        assert drawn[1] == drawn[0]
+        assert sources[1].parse_stats.malformed == len(NON_FINITE)

@@ -7,6 +7,7 @@ from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
 from repro.core.pdpa import PDPA
 from repro.experiments.common import ExperimentConfig, run_jobs_with_policy
 from repro.qs.job import Job
+from tests.iteration_ends import record_iteration_ends
 
 
 def phased_spec(phases, iterations=20, **overrides):
@@ -65,7 +66,7 @@ class TestIterationDurations:
         for _ in range(4):
             d = app.iteration_duration(2)  # speedup 2
             durations.append(d)
-            app.record_iteration(2, d)
+            app.record_iteration()
         assert durations[0] == pytest.approx(1.0)
         assert durations[1] == pytest.approx(1.0)
         assert durations[2] == pytest.approx(3.0)
@@ -93,12 +94,14 @@ class TestAnalyzerReset:
             ),
         )
         job = Job(1, spec, submit_time=0.0)
-        rm.start_job(job)
-        runtime = rm.runtimes[1]
-        sim.run()
+        with record_iteration_ends() as ends:
+            rm.start_job(job)
+            runtime = rm.runtimes[1]
+            sim.run()
         # the last iteration is a measured one: its report is the
-        # analyzer's estimate for its logged duration
-        _, procs, duration = runtime.app.iteration_log[-1]
+        # analyzer's estimate for its recorded duration
+        job_id, iteration, procs, duration, _ = ends[sim][-1]
+        assert (job_id, iteration) == (1, spec.iterations - 1)
         return procs, runtime.analyzer.estimate_speedup(procs, duration)
 
     def test_without_reset_speedups_go_stale(self):
