@@ -1,11 +1,11 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper: it runs
-the relevant workloads once (``benchmark.pedantic`` with a single
-round — these are simulations, not microbenchmarks), prints the
-regenerated rows/series, and asserts the *shape* of the paper's
-result.  Run with ``pytest benchmarks/ --benchmark-only -s`` to see
-the tables.
+Every benchmark regenerates one table or figure of the paper: it calls
+the experiment harness once (these are simulations, not
+microbenchmarks), prints the regenerated rows/series, and asserts the
+*shape* of the paper's result.  Run with
+``pytest benchmarks/ --ignore=benchmarks/test_soak_serve.py -s`` to see
+the tables (the soak has its own nightly job).
 """
 
 from __future__ import annotations

@@ -10,12 +10,8 @@ from repro.experiments import ablations
 from repro.metrics.stats import format_table
 
 
-def test_ablation_coordination(benchmark, config):
-    rows = benchmark.pedantic(
-        ablations.run_coordination_ablation,
-        kwargs=dict(workload="w3", load=1.0, config=config),
-        rounds=1, iterations=1,
-    )
+def test_ablation_coordination(config):
+    rows = ablations.run_coordination_ablation(workload="w3", load=1.0, config=config)
     print()
     print(ablations.render_rows(rows, "Ablation — coordination (w3, 100%)"))
     full, fixed, equip = rows
@@ -25,12 +21,8 @@ def test_ablation_coordination(benchmark, config):
     assert fixed.mean_response < 1.5 * equip.mean_response
 
 
-def test_ablation_relative_speedup(benchmark, config):
-    allocs = benchmark.pedantic(
-        ablations.run_relspeedup_ablation,
-        kwargs=dict(config=config),
-        rounds=1, iterations=1,
-    )
+def test_ablation_relative_speedup(config):
+    allocs = ablations.run_relspeedup_ablation(config=config)
     print()
     print(f"final swim allocation with RelativeSpeedup check:    {allocs['with']:.0f}")
     print(f"final swim allocation without RelativeSpeedup check: {allocs['without']:.0f}")
@@ -40,17 +32,14 @@ def test_ablation_relative_speedup(benchmark, config):
     assert allocs["without"] >= allocs["with"] + 4
 
 
-def test_ablation_batch_vs_coordination(benchmark, config):
+def test_ablation_batch_vs_coordination(config):
     """PDPA vs batch FCFS (with and without EASY backfilling).
 
     Run on the untuned w3 (apsi requesting 30): the traditional
     schedulers must trust the request, PDPA measures and shrinks.
     """
-    results = benchmark.pedantic(
-        ablations.run_batch_comparison,
-        kwargs=dict(workload="w3", load=1.0, config=config,
-                    request_overrides={"apsi": 30}),
-        rounds=1, iterations=1,
+    results = ablations.run_batch_comparison(
+        workload="w3", load=1.0, config=config, request_overrides={"apsi": 30}
     )
     print()
     print(ablations.render_rows(
@@ -63,12 +52,9 @@ def test_ablation_batch_vs_coordination(benchmark, config):
     assert backfill.mean_response <= plain.mean_response + 1e-6
 
 
-def test_ablation_target_sweep(benchmark, config):
-    rows = benchmark.pedantic(
-        ablations.run_target_sweep,
-        kwargs=dict(targets=(0.5, 0.7, 0.9), workload="w2", load=1.0,
-                    config=config),
-        rounds=1, iterations=1,
+def test_ablation_target_sweep(config):
+    rows = ablations.run_target_sweep(
+        targets=(0.5, 0.7, 0.9), workload="w2", load=1.0, config=config
     )
     print()
     print(format_table(
@@ -82,13 +68,10 @@ def test_ablation_target_sweep(benchmark, config):
     assert by_target[0.9].max_mpl >= by_target[0.5].max_mpl
 
 
-def test_ablation_step_sweep(benchmark, config):
+def test_ablation_step_sweep(config):
     """Search granularity: transitions vs convergence speed."""
-    rows = benchmark.pedantic(
-        ablations.run_step_sweep,
-        kwargs=dict(steps=(1, 2, 4, 8), workload="w3", load=1.0,
-                    config=config),
-        rounds=1, iterations=1,
+    rows = ablations.run_step_sweep(
+        steps=(1, 2, 4, 8), workload="w3", load=1.0, config=config
     )
     print()
     print(format_table(
@@ -106,12 +89,9 @@ def test_ablation_step_sweep(benchmark, config):
     assert max(responses) < 1.6 * min(responses)
 
 
-def test_ablation_noise_sensitivity(benchmark, config):
-    rows = benchmark.pedantic(
-        ablations.run_noise_sweep,
-        kwargs=dict(sigmas=(0.0, 0.015, 0.05), workload="w2", load=1.0,
-                    config=config),
-        rounds=1, iterations=1,
+def test_ablation_noise_sensitivity(config):
+    rows = ablations.run_noise_sweep(
+        sigmas=(0.0, 0.015, 0.05), workload="w2", load=1.0, config=config
     )
     print()
     print(ablations.render_noise_sweep(

@@ -11,7 +11,7 @@ from repro.machine.memory import LocalityConfig
 from repro.metrics.stats import format_table
 
 
-def test_extension_locality_tax(benchmark, config):
+def test_extension_locality_tax(config):
     """Locality model: unstable policies pay, stable ones do not."""
 
     def run_grid():
@@ -30,7 +30,7 @@ def test_extension_locality_tax(benchmark, config):
             )
         return grid
 
-    grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+    grid = run_grid()
     print()
     rows = []
     for policy, (base, taxed, reallocs) in grid.items():

@@ -12,12 +12,9 @@ from repro.experiments.common import run_workload
 from repro.metrics.paraver import mean_allocation
 
 
-def test_fig10_workload4(benchmark, config, seeds):
-    comparison = benchmark.pedantic(
-        workloads.run_comparison,
-        args=("w4",),
-        kwargs=dict(loads=(0.6, 0.8, 1.0), seeds=seeds, config=config),
-        rounds=1, iterations=1,
+def test_fig10_workload4(config, seeds):
+    comparison = workloads.run_comparison(
+        "w4", loads=(0.6, 0.8, 1.0), seeds=seeds, config=config
     )
     print()
     print(workloads.render(comparison, title="[Fig. 10]"))

@@ -9,12 +9,9 @@ applications with "nothing to improve".
 from repro.experiments import workloads
 
 
-def test_fig4_workload1(benchmark, config, seeds):
-    comparison = benchmark.pedantic(
-        workloads.run_comparison,
-        args=("w1",),
-        kwargs=dict(loads=(0.6, 0.8, 1.0), seeds=seeds, config=config),
-        rounds=1, iterations=1,
+def test_fig4_workload1(config, seeds):
+    comparison = workloads.run_comparison(
+        "w1", loads=(0.6, 0.8, 1.0), seeds=seeds, config=config
     )
     print()
     print(workloads.render(comparison, title="[Fig. 4]"))

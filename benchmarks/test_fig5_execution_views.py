@@ -8,12 +8,8 @@ differentiate the execution of the different applications on it."
 from repro.experiments import fig5_table2
 
 
-def test_fig5_execution_views(benchmark, config):
-    result = benchmark.pedantic(
-        fig5_table2.run,
-        kwargs=dict(policies=("IRIX", "PDPA"), load=1.0, config=config),
-        rounds=1, iterations=1,
-    )
+def test_fig5_execution_views(config):
+    result = fig5_table2.run(policies=("IRIX", "PDPA"), load=1.0, config=config)
     print()
     print(fig5_table2.render_fig5(result, width=90))
 

@@ -10,12 +10,9 @@ from repro.experiments import workloads
 from repro.metrics.paraver import mean_allocation
 
 
-def test_fig6_workload2(benchmark, config, seeds):
-    comparison = benchmark.pedantic(
-        workloads.run_comparison,
-        args=("w2",),
-        kwargs=dict(loads=(0.6, 0.8, 1.0), seeds=seeds, config=config),
-        rounds=1, iterations=1,
+def test_fig6_workload2(config, seeds):
+    comparison = workloads.run_comparison(
+        "w2", loads=(0.6, 0.8, 1.0), seeds=seeds, config=config
     )
     print()
     print(workloads.render(comparison, title="[Fig. 6]"))

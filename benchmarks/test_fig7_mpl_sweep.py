@@ -10,12 +10,10 @@ and let PDPA dynamically adjust it."
 from repro.experiments import fig7_fig8
 
 
-def test_fig7_mpl_sweep(benchmark, config):
-    sweep = benchmark.pedantic(
-        fig7_fig8.run_mpl_sweep,
-        kwargs=dict(workload="w2", loads=(0.8, 1.0), mpls=(2, 3, 4),
-                    policies=("Equip", "PDPA"), config=config),
-        rounds=1, iterations=1,
+def test_fig7_mpl_sweep(config):
+    sweep = fig7_fig8.run_mpl_sweep(
+        workload="w2", loads=(0.8, 1.0), mpls=(2, 3, 4),
+        policies=("Equip", "PDPA"), config=config,
     )
     print()
     print(fig7_fig8.render_fig7(sweep))

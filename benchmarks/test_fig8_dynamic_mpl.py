@@ -9,12 +9,8 @@ six applications).
 from repro.experiments import fig7_fig8
 
 
-def test_fig8_dynamic_mpl(benchmark, config):
-    timeline = benchmark.pedantic(
-        fig7_fig8.run_fig8,
-        kwargs=dict(workload="w2", load=1.0, config=config),
-        rounds=1, iterations=1,
-    )
+def test_fig8_dynamic_mpl(config):
+    timeline = fig7_fig8.run_fig8(workload="w2", load=1.0, config=config)
     print()
     print(fig7_fig8.render_fig8(timeline))
 

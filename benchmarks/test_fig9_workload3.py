@@ -11,12 +11,9 @@ from repro.experiments import workloads
 from repro.metrics.paraver import max_mpl
 
 
-def test_fig9_workload3(benchmark, config, seeds):
-    comparison = benchmark.pedantic(
-        workloads.run_comparison,
-        args=("w3",),
-        kwargs=dict(loads=(0.6, 0.8, 1.0), seeds=seeds, config=config),
-        rounds=1, iterations=1,
+def test_fig9_workload3(config, seeds):
+    comparison = workloads.run_comparison(
+        "w3", loads=(0.6, 0.8, 1.0), seeds=seeds, config=config
     )
     print()
     print(workloads.render(comparison, title="[Fig. 9]"))

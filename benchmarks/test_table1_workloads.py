@@ -16,8 +16,8 @@ def _generate_all():
     return traces
 
 
-def test_table1_workloads(benchmark):
-    traces = benchmark.pedantic(_generate_all, rounds=1, iterations=1)
+def test_table1_workloads():
+    traces = _generate_all()
     print()
     print(tables.render_table1())
 

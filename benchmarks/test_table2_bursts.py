@@ -9,12 +9,8 @@ magnitude above the space-sharing policies, bursts ~50x shorter.
 from repro.experiments import fig5_table2
 
 
-def test_table2_bursts(benchmark, config):
-    result = benchmark.pedantic(
-        fig5_table2.run,
-        kwargs=dict(policies=("IRIX", "PDPA", "Equip"), load=1.0, config=config),
-        rounds=1, iterations=1,
-    )
+def test_table2_bursts(config):
+    result = fig5_table2.run(policies=("IRIX", "PDPA", "Equip"), load=1.0, config=config)
     print()
     print(fig5_table2.render_table2(result))
 

@@ -11,10 +11,8 @@ raising the multiprogramming level.
 from repro.experiments import tables
 
 
-def test_table3_w3_untuned(benchmark, config):
-    result = benchmark.pedantic(
-        tables.run_table3, kwargs=dict(config=config), rounds=1, iterations=1
-    )
+def test_table3_w3_untuned(config):
+    result = tables.run_table3(config=config)
     print()
     print(tables.render_table3(result))
 

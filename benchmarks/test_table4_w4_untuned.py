@@ -9,10 +9,8 @@ a maximum of 30 percent in the execution time of some applications"
 from repro.experiments import tables
 
 
-def test_table4_w4_untuned(benchmark, config):
-    result = benchmark.pedantic(
-        tables.run_table4, kwargs=dict(config=config), rounds=1, iterations=1
-    )
+def test_table4_w4_untuned(config):
+    result = tables.run_table4(config=config)
     print()
     print(tables.render_table4(result))
 

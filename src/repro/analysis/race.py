@@ -9,8 +9,9 @@ the code never declared an order, and any refactor that reorders the
 scheduling calls silently reorders the simulation.
 
 :class:`RaceDetector` attaches to a
-:class:`~repro.sim.engine.Simulator` as an observer.  It groups fired
-events into same-timestamp cohorts, verifies that the declared
+:class:`~repro.sim.engine.Simulator` as an observer.  It groups events
+— fired ones, and the absorbed iteration ends the engine hands its
+``on_absorbed`` — into same-timestamp cohorts, verifies that the declared
 tie-break key ``(priority, seq)`` totally orders each cohort (it must,
 by construction — a violation indicates engine corruption), and
 classifies every priority tie:
@@ -74,7 +75,8 @@ class RaceFinding:
 class RaceStats:
     """Bookkeeping for one (or several accumulated) sanitized runs.
 
-    ``events`` counts observed event firings; ``cohorts`` counts
+    ``events`` counts observed events, fired or absorbed (the
+    simulator's logical events); ``cohorts`` counts
     same-timestamp groups of two or more events; ``ties`` counts
     priority groups ordered only by insertion sequence; ``ambiguous``
     counts the subset whose members run different callbacks.
@@ -165,6 +167,10 @@ class RaceDetector:
         self._cohort.append(
             (event.priority, event.seq, callback_identity(event.callback), event.label)
         )
+
+    #: an iteration end absorbed without firing (engine observer hook)
+    #: joins its cohort exactly as the event it stands for would have
+    on_absorbed = on_event
 
     def finish(self) -> RaceStats:
         """Close the pending cohort and return the stats."""

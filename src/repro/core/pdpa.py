@@ -24,7 +24,6 @@ from repro.core.params import PDPAParams
 from repro.core.states import AppState, PdpaJobState, evaluate_transition, holds_stable
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
-from repro.runtime.nthlib import NO_SPAN_LIMIT
 from repro.runtime.selfanalyzer import PerformanceReport
 
 
@@ -37,9 +36,9 @@ class PDPA(SchedulingPolicy):
     #: the 4-state automaton is driven by SelfAnalyzer reports, so
     #: graceful degradation (repro.faults) must cover missing reports
     uses_reports = True
-    #: whether no-op reports may be absorbed into iteration spans; a
-    #: subclass that reacts to reports or admission queries in its own
-    #: way (the ablations' FixedMplPDPA and NoRelativeSpeedupPDPA) opts out
+    #: whether absorb_report may take no-op reports; a subclass that
+    #: reacts to reports or admission queries in its own way (the
+    #: ablations' FixedMplPDPA and NoRelativeSpeedupPDPA) declines them
     _absorbs_reports = True
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
@@ -219,12 +218,11 @@ class PDPA(SchedulingPolicy):
     # allocation changes nothing admission or any partition depends on,
     # and of PDPA's memory moves only the ratchet
     # ------------------------------------------------------------------
-    def span_budget(self, job: Job) -> int:
-        return NO_SPAN_LIMIT if self._absorbs_reports else 1
-
     def absorb_report(
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:
+        if not self._absorbs_reports:
+            return False
         state = self.job_states.get(job.job_id)
         if state is None:
             return False

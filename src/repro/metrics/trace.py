@@ -221,35 +221,19 @@ class FoldingTraceRecorder(TraceRecorder):
     The closed-system recorder appends one object per burst, MPL sample
     and reallocation — O(events) memory, fatal for a long-lived
     service.  This variant exposes the exact same recording API (the
-    machine, RMs and QS cannot tell them apart) but *folds* each record
-    into fixed-size aggregates instead of retaining it:
-
-    * bursts → count, total busy time, and a fixed ``n_cpus``-sized
-      per-CPU busy column (so :meth:`busy_time` / ``cpu_utilization``
-      still answer exactly);
-    * MPL samples → count and running max;
-    * reallocations → count;
-    * faults → per-kind counts (the kind vocabulary is finite).
-
-    The per-record query surface (``bursts_for_cpu`` and friends)
-    returns empty — streaming analyses read
+    machine, RMs and QS cannot tell them apart) but retains no record:
+    it keeps the total busy time of the bursts (so :meth:`busy_time`
+    and ``cpu_utilization`` still answer exactly) and the trace
+    horizon.  The per-record query surface (``bursts_for_cpu`` and
+    friends) returns empty — streaming analyses read
     :class:`~repro.metrics.streaming.StreamingStats` instead.
     """
 
-    __slots__ = (
-        "burst_count", "burst_busy", "cpu_busy", "mpl_sample_count",
-        "max_running", "reallocation_count", "fault_counts",
-    )
+    __slots__ = ("burst_busy",)
 
     def __init__(self, n_cpus: int) -> None:
         super().__init__(n_cpus)
-        self.burst_count = 0
         self.burst_busy = 0.0
-        self.cpu_busy: List[float] = [0.0] * n_cpus
-        self.mpl_sample_count = 0
-        self.max_running = 0
-        self.reallocation_count = 0
-        self.fault_counts: Dict[str, int] = {}
 
     # -- folds replacing the append paths --------------------------------
     def record_burst(self, burst: Burst) -> None:
@@ -257,23 +241,16 @@ class FoldingTraceRecorder(TraceRecorder):
             raise ValueError(f"negative burst duration: {burst}")
         if burst.duration == 0:
             return
-        self.burst_count += 1
         self.burst_busy += burst.duration
-        self.cpu_busy[burst.cpu] += burst.duration
         self._horizon = max(self._horizon, burst.end)
 
     def record_reallocation(self, record: ReallocationRecord) -> None:
-        self.reallocation_count += 1
         self._horizon = max(self._horizon, record.time)
 
     def record_mpl(self, time: float, running: int, queued: int) -> None:
-        self.mpl_sample_count += 1
-        if running > self.max_running:
-            self.max_running = running
         self._horizon = max(self._horizon, time)
 
     def record_fault(self, record: FaultRecord) -> None:
-        self.fault_counts[record.kind] = self.fault_counts.get(record.kind, 0) + 1
         self._horizon = max(self._horizon, record.time)
 
     # -- queries over the folds ------------------------------------------

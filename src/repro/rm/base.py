@@ -115,26 +115,18 @@ class SchedulingPolicy(ABC):
         """React to a performance report (default: no change)."""
         return {}
 
-    def span_budget(self, job: Job) -> int:
-        """Most iteration ends of *job* one span may cover (see
-        :meth:`repro.runtime.nthlib.RuntimeHost.span_budget`).
-
-        The default of 1 absorbs nothing: every report goes through
-        :meth:`on_report`.  A policy that opts in must make
-        :meth:`absorb_report` exact.
-        """
-        return 1
-
     def absorb_report(
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:
         """Prove a report of *speedup* on *procs* a no-op and apply it.
 
-        True promises that :meth:`on_report` would return no decision
-        and change nothing :meth:`wants_admission` reads, and that the
+        The policy's one opt-in to iteration spans (see
+        :meth:`repro.runtime.nthlib.RuntimeHost.absorb_report`).  True
+        promises that :meth:`on_report` would return no decision and
+        change nothing :meth:`wants_admission` reads, and that the
         state changes it would make have been made.  False must leave
         the policy exactly as it was: the report then takes the full
-        path.
+        path.  The default takes no report.
         """
         return False
 

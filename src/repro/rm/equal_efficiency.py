@@ -31,7 +31,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
-from repro.runtime.nthlib import NO_SPAN_LIMIT
 from repro.runtime.selfanalyzer import PerformanceReport
 
 #: Efficiency predictions are clamped to this ceiling so that a
@@ -196,9 +195,6 @@ class EqualEfficiency(SchedulingPolicy):
 
     # Iteration spans: a report is a no-op when the refit water-fill
     # hands every job the CPUs it already holds.
-    def span_budget(self, job: Job) -> int:
-        return NO_SPAN_LIMIT
-
     def absorb_report(
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:

@@ -17,7 +17,6 @@ from typing import Dict, List, Tuple
 
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
-from repro.runtime.nthlib import NO_SPAN_LIMIT
 
 
 def equal_shares(total_cpus: int, requests: Dict[int, int]) -> Dict[int, int]:
@@ -89,9 +88,6 @@ class Equipartition(SchedulingPolicy):
 
     # Reports are ignored, so every one is a no-op: iteration ends are
     # absorbed until something else needs an event.
-    def span_budget(self, job: Job) -> int:
-        return NO_SPAN_LIMIT
-
     def absorb_report(
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:

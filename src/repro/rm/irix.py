@@ -34,7 +34,7 @@ from typing import Any, Dict, Optional, Set
 from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job
 from repro.rm.manager import BaseResourceManager
-from repro.runtime.nthlib import NO_SPAN_LIMIT, RuntimeConfig
+from repro.runtime.nthlib import RuntimeConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.slots import set_slot_state, slot_state
@@ -228,11 +228,6 @@ class IrixResourceManager(BaseResourceManager):
             return spec.speedup_model.speedup(share)
         assert job.request is not None
         return spec.folded_speedup(job.request, share)
-
-    def span_budget(self, job: Job) -> int:
-        # The SGI-MP runtime never reports, and an iteration end touches
-        # nothing but its own job: none of them needs to be an event.
-        return NO_SPAN_LIMIT
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -293,7 +293,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
         self._live_view = _LiveSystemView(self)
         #: set by a queuing system whose admission answer depends on
         #: the clock (EASY backfilling): every report must then re-run
-        #: admission, so no iteration end may be absorbed
+        #: admission, so no report may be absorbed
         self.clocked_admission = False
 
     # ------------------------------------------------------------------
@@ -401,18 +401,13 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     # iteration spans: the policy proves a report a no-op and applies
     # it in one pass.  A report filter draws the shared "faults" stream
-    # on every report, so while one is installed every report takes the
-    # full path.
+    # on every report, and clocked admission must be re-asked at every
+    # report, so under either every report takes the full path.
     # ------------------------------------------------------------------
-    def span_budget(self, job: Job) -> int:
-        if self.report_filter is not None or self.clocked_admission:
-            return 1
-        return self.policy.span_budget(job)
-
     def absorb_report(self, job: Job, procs: int, speedup: float) -> bool:
-        if self.report_filter is not None or not self.policy.absorb_report(
-            job, procs, speedup, self._live_view
-        ):
+        if self.report_filter is not None or self.clocked_admission:
+            return False
+        if not self.policy.absorb_report(job, procs, speedup, self._live_view):
             return False
         self.last_report_time[job.job_id] = self.sim.now
         return True

@@ -17,30 +17,29 @@ the callbacks documented on :class:`RuntimeHost`.
 
 Iteration spans
 ---------------
-Most iteration ends change nothing anyone else can see: the report is
-ignored (Equipartition, IRIX) or leaves a settled PDPA job where it
-is.  Such an end is scheduled as an *absorbable* event
+Most iteration ends change nothing anyone else can see: no report is
+due, or the report is ignored (Equipartition) or leaves a settled
+PDPA job where it is.  So every iteration end is scheduled as an
+*absorbable* event
 (:meth:`~repro.sim.engine.Simulator.schedule_absorbable`) whose owner
 is the runtime: it holds the iteration in flight, its processors and
 duration, and the engine calls its :meth:`NthLibRuntime.absorb` at
 the end's instant.  The runtime asks whether the SelfAnalyzer reports
 now and, if it does, hands the host the report's processors and
 speedup (:meth:`RuntimeHost.absorb_report`), which proves the report
-a no-op and applies it in one pass.  If the host takes it, the runtime
-finishes the iteration on the spot — the same iteration count,
-SelfAnalyzer counters and next-iteration draws as the event would have
-made, but no :class:`~repro.runtime.selfanalyzer.PerformanceReport` —
-and no event fires.  Otherwise nothing has changed and
-:meth:`NthLibRuntime.fire` runs as the usual ``iter:`` event.  The
-absorbed ends before one that fires form an *iteration span*; a host's
-:meth:`RuntimeHost.span_budget` caps its length, and the default of 1
-keeps every end an event.
+a no-op and applies it in one pass.  If no report is due or the host
+takes it, the runtime finishes the iteration on the spot — the same
+iteration count, SelfAnalyzer counters and next-iteration draws as the
+event would have made, but no
+:class:`~repro.runtime.selfanalyzer.PerformanceReport` — and no event
+fires.  Otherwise nothing has changed and :meth:`NthLibRuntime.fire`
+runs as the usual ``iter:`` event.  The absorbed ends before one that
+fires form an *iteration span*.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass
 from typing import Any, List, Optional, Union
 
@@ -49,9 +48,6 @@ from repro.qs.job import Job
 from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnalyzerConfig
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
-
-#: span budget of a host that never needs an iteration end to fire
-NO_SPAN_LIMIT = sys.maxsize
 
 
 class RuntimeHost:
@@ -86,18 +82,6 @@ class RuntimeHost:
         """Receive a SelfAnalyzer performance report."""
         raise NotImplementedError
 
-    def span_budget(self, job: Job) -> int:
-        """Most iteration ends of *job* one span may cover.
-
-        Asked once, when the job starts.  ``1`` (the default) makes
-        every iteration end an event.  A host that returns more
-        promises that :meth:`absorb_report` is exact and that nothing
-        else it does depends on when an iteration ends: an absorbed
-        end skips ``deliver_report`` and with it the state-change
-        notification to the queuing system.
-        """
-        return 1
-
     def absorb_report(self, job: Job, procs: int, speedup: float) -> bool:
         """Take a report of *speedup* on *procs* if it is a no-op.
 
@@ -107,6 +91,12 @@ class RuntimeHost:
         could neither move an allocation nor change what the queuing
         system is told; otherwise answers False having changed
         nothing.  The default takes no report.
+
+        An iteration end that makes no report, or whose report this
+        hook takes, completes without an event and skips
+        ``deliver_report`` with the state-change notification to the
+        queuing system.  So nothing else a host does may depend on
+        when an iteration ends.
         """
         return False
 
@@ -168,7 +158,7 @@ class NthLibRuntime:
     __slots__ = (
         "sim", "job", "host", "config", "app", "analyzer",
         "_streams", "_noise_stream", "phase", "_procs", "_duration", "_pending",
-        "_span", "_budget", "hung",
+        "hung",
     )
 
     def __init__(
@@ -200,10 +190,6 @@ class NthLibRuntime:
         self._duration = 0.0
         #: handle of the next scheduled phase event (for abort/hang)
         self._pending: Optional[Union[Event, List[Any]]] = None
-        #: iteration ends absorbed since the last one that fired, and
-        #: the host's cap on them
-        self._span = 0
-        self._budget = 1
         #: True once hang() froze this runtime (it stops progressing
         #: but stays in its phase, exactly like a livelocked binary)
         self.hung = False
@@ -216,8 +202,6 @@ class NthLibRuntime:
         if self.phase is not JobPhase.CREATED:
             raise RuntimeError(f"job {self.job.job_id}: started twice")
         self.phase = JobPhase.STARTUP
-        # asked once: hosts fix their budget before any job starts
-        self._budget = self.host.span_budget(self.job)
         duration = self.job.spec.t_startup * self._noise()
         self._pending = self.sim.schedule_after(
             duration, self._startup_done, label=f"startup:{self.job.job_id}"
@@ -258,15 +242,12 @@ class NthLibRuntime:
         )
         self._procs = procs
         self._duration = duration
-        label = f"iter:{job.job_id}:{iteration}"
-        if self._span + 1 < self._budget:
-            self._pending = self.sim.schedule_absorbable(duration, self, label)
-        else:
-            self._pending = self.sim.schedule_after(duration, self.fire, label=label)
+        self._pending = self.sim.schedule_absorbable(
+            duration, self, f"iter:{job.job_id}:{iteration}"
+        )
 
     def fire(self) -> None:
         """End the iteration in flight as an event (engine hook)."""
-        self._span = 0
         app = self.app
         iteration = app.completed_iterations
         app.record_iteration()
@@ -296,7 +277,6 @@ class NthLibRuntime:
             ):
                 return False
             analyzer.commit(procs, duration)
-        self._span += 1
         self.app.record_iteration()
         self._begin_iteration()
         return True

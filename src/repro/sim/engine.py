@@ -11,10 +11,11 @@ Besides ordinary events the simulator keeps *absorbable* events
 :mod:`repro.runtime.nthlib`.  One is ordered exactly like an ordinary
 event of the same time and priority.  When its turn comes the engine
 first asks its owner to ``absorb()`` it; if that finishes the work,
-nothing fires: the observer does not see it and ``events_fired`` does
-not count it.  Otherwise the owner's ``fire()`` runs as an ordinary
-event under the key it already had.  A run of absorbed iteration ends
-closed by one that fires is an *iteration span* (docs/performance.md).
+nothing fires: ``events_fired`` does not count it, and an observer
+sees it only through its optional ``on_absorbed``.  Otherwise the
+owner's ``fire()`` runs as an ordinary event under the key it already
+had.  A run of absorbed iteration ends closed by one that fires is an
+*iteration span* (docs/performance.md).
 
 Example
 -------
@@ -58,8 +59,8 @@ class Event:
 
     Events should be created through :meth:`Simulator.schedule_at` or
     :meth:`Simulator.schedule_after`, never directly.  An event can be
-    cancelled before it fires; cancellation is O(1) (the event is left
-    in the heap and skipped when popped).
+    cancelled before it fires (:meth:`Simulator.cancel`); cancellation
+    is O(1) (the event is left in the heap and skipped when popped).
 
     Attributes
     ----------
@@ -72,7 +73,7 @@ class Event:
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "label",
-                 "_cancelled", "_fired", "_cancel_noted")
+                 "_cancelled", "_fired")
 
     def __init__(
         self,
@@ -91,23 +92,10 @@ class Event:
         self.label = label
         self._cancelled = False
         self._fired = False
-        self._cancel_noted = False
-
-    def cancel(self) -> None:
-        """Prevent this event from firing.
-
-        Cancelling an already-fired or already-cancelled event is a
-        harmless no-op.  Prefer :meth:`Simulator.cancel` (or
-        :meth:`EventQueue.cancel`), which also keeps the queue's live
-        count correct immediately; a bare ``cancel()`` is reconciled
-        lazily when the event reaches the top of the heap.
-        """
-        if not self._fired:
-            self._cancelled = True
 
     @property
     def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
+        """Whether the event was cancelled before it fired."""
         return self._cancelled
 
     @property
@@ -140,20 +128,17 @@ class Event:
 class EventQueue:
     """Min-heap of :class:`Event` objects with lazy deletion.
 
-    Cancellation never removes an event from the heap; the event is
-    marked and skipped when it reaches the top.  All lazy-deletion
-    bookkeeping funnels through :meth:`_purge`, so the live count
-    stays consistent no matter how cancel / peek / pop interleave.
+    Cancellation (:meth:`cancel`, the only way to cancel) marks the
+    event and adjusts the live count at once; the event stays in the
+    heap and is dropped when it reaches the top (:meth:`_purge`) or
+    when :meth:`compact` rebuilds the heap.
     """
 
-    __slots__ = ("_heap", "_live", "_noted_pending")
+    __slots__ = ("_heap", "_live")
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._live = 0
-        #: cancellations pre-paid through the legacy note_cancelled()
-        #: hook, to be reconciled when the events surface in _purge().
-        self._noted_pending = 0
 
     def push(self, event: Event) -> None:
         """Insert *event* into the queue."""
@@ -171,37 +156,16 @@ class EventQueue:
         if event._fired or event._cancelled:
             return False
         event._cancelled = True
-        event._cancel_noted = True
         self._live -= 1
-        self._check_live()
         self._maybe_compact()
         return True
 
     def _purge(self) -> None:
-        """Drop cancelled events from the top of the heap.
-
-        The single place lazy deletion happens.  Events cancelled
-        through :meth:`cancel` were already accounted; events cancelled
-        behind the queue's back (bare ``Event.cancel()``) are accounted
-        here, consuming any pre-paid ``note_cancelled`` credits first.
-        """
+        """Drop cancelled events from the top of the heap (already
+        accounted by :meth:`cancel`)."""
         heap = self._heap
         while heap and heap[0]._cancelled:
-            event = heapq.heappop(heap)
-            if not event._cancel_noted:
-                event._cancel_noted = True
-                if self._noted_pending > 0:
-                    self._noted_pending -= 1
-                else:
-                    self._live -= 1
-        self._check_live()
-
-    def _check_live(self) -> None:
-        if self._live < 0:
-            raise SimulationError(
-                "event queue live count went negative — an event was "
-                "cancelled twice or after it fired"
-            )
+            heapq.heappop(heap)
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event.
@@ -240,18 +204,6 @@ class EventQueue:
         event = self.peek()
         return None if event is None else event.time
 
-    def note_cancelled(self) -> None:
-        """Bookkeeping hook called when a pushed event is cancelled.
-
-        Legacy path for callers that cancel via ``Event.cancel()``
-        directly; prefer :meth:`cancel`.  The decrement is recorded as
-        pre-paid so :meth:`_purge` does not double-count the event.
-        """
-        self._live -= 1
-        self._noted_pending += 1
-        self._check_live()
-        self._maybe_compact()
-
     def _maybe_compact(self) -> None:
         """Compact when the dead fraction of the heap grows too large."""
         if (len(self._heap) >= _COMPACT_MIN_HEAP
@@ -265,29 +217,17 @@ class EventQueue:
         (or before a snapshot) the dead entries are reclaimed here.
         Pop order is unaffected: event ordering is a total order
         (time, priority, insertion sequence), so re-heapifying the
-        survivors cannot change which event surfaces next.  The same
-        bookkeeping rules as :meth:`_purge` apply to events cancelled
-        behind the queue's back, and the ``_live`` invariant — live
-        count equals the number of non-cancelled events in the heap —
-        is checked afterwards.
+        survivors cannot change which event surfaces next.  The
+        ``_live`` invariant — live count equals the number of
+        non-cancelled events in the heap — is checked afterwards.
         """
         heap = self._heap
         if self._live == len(heap):
             return
-        survivors: List[Event] = []
-        for event in heap:
-            if not event._cancelled:
-                survivors.append(event)
-            elif not event._cancel_noted:
-                event._cancel_noted = True
-                if self._noted_pending > 0:
-                    self._noted_pending -= 1
-                else:
-                    self._live -= 1
+        survivors = [event for event in heap if not event._cancelled]
         heapq.heapify(survivors)
         self._heap = survivors
-        self._check_live()
-        if self._noted_pending == 0 and self._live != len(survivors):
+        if self._live != len(survivors):
             raise SimulationError(
                 f"event-queue compaction broke the live invariant: "
                 f"_live={self._live} but {len(survivors)} live events remain"
@@ -322,7 +262,7 @@ class Simulator:
 
     __slots__ = (
         "_now", "_queue", "_seq", "_running", "_stopped", "_events_fired",
-        "_marks", "_live_marks", "_absorbed", "_observer", "_ckpt_hook",
+        "_marks", "_live_marks", "_absorbed", "_observer", "_on_absorbed", "_ckpt_hook",
         "_ckpt_every_events", "_ckpt_every_seconds", "_ckpt_next_events",
         "_ckpt_next_time",
     )
@@ -344,6 +284,8 @@ class Simulator:
         #: absorbable events that completed without firing
         self._absorbed = 0
         self._observer: Optional[Any] = None
+        #: the observer's optional ``on_absorbed`` (None without one)
+        self._on_absorbed: Optional[Callable[[Event], None]] = None
         self._ckpt_hook: Optional[Callable[[], None]] = None
         self._ckpt_every_events: Optional[int] = None
         self._ckpt_every_seconds: Optional[float] = None
@@ -366,6 +308,7 @@ class Simulator:
         state["_running"] = False
         state["_stopped"] = False
         state["_observer"] = None
+        state["_on_absorbed"] = None
         state["_ckpt_hook"] = None
         return state
 
@@ -466,9 +409,10 @@ class Simulator:
         label=label)``: same time, :attr:`PRIORITY_NORMAL`, the next
         insertion sequence number.  When its turn comes the clock
         advances to it and ``owner.absorb()`` runs first.  If it
-        returns True the work is done: nothing fires, the observer is
-        not called and :attr:`events_fired` does not count it (the
-        checkpoint hook still sees it, see :attr:`logical_events`).
+        returns True the work is done: nothing fires and
+        :attr:`events_fired` does not count it (the observer's
+        ``on_absorbed`` and the checkpoint hook still see it, see
+        :attr:`logical_events`).
         Otherwise ``owner.fire()`` runs as an ordinary event under the
         same key; ``absorb`` must have changed nothing in that case.
         The owner holds whatever both calls need, and has at most one
@@ -505,8 +449,11 @@ class Simulator:
         """Attach an event observer (e.g. the ``--sanitize`` detector).
 
         The observer's ``on_event(event)`` is called for every event
-        the run loop fires, *before* the event's callback executes.
-        Observers must only observe: they get the live
+        the run loop fires, *before* the event's callback executes.  Its
+        optional ``on_absorbed(event)`` is called after each absorbable
+        event that completed without firing, with the event it stood
+        for: ``Event(time, PRIORITY_NORMAL, seq, owner.fire, (),
+        label)``.  Observers must only observe: they get the
         :class:`Event` for inspection but must not mutate it,
         schedule, or cancel — the engine's byte-identity contract is
         that a run with an observer equals a run without one.  One
@@ -514,10 +461,12 @@ class Simulator:
         unobserved hot path to a single attribute check per event.
         """
         self._observer = observer
+        self._on_absorbed = getattr(observer, "on_absorbed", None)
 
     def detach_observer(self) -> None:
         """Remove the attached observer, if any."""
         self._observer = None
+        self._on_absorbed = None
 
     def compact(self) -> None:
         """Reclaim lazily-deleted events from the queue now.
@@ -629,6 +578,8 @@ class Simulator:
             now = self._now = mark[0]
             if owner.absorb():
                 absorbed = self._absorbed = self._absorbed + 1
+                if self._on_absorbed is not None:
+                    self._on_absorbed(Event(now, normal, mark[1], owner.fire, (), mark[3]))
                 # _checkpoint_tick's test, inline: it runs on every
                 # absorbed end
                 if self._ckpt_hook is not None and (

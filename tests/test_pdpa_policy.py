@@ -16,7 +16,6 @@ from repro.experiments.ablations import FixedMplPDPA, NoRelativeSpeedupPDPA
 from repro.fuzz.profiles import tier_settings
 from repro.qs.job import Job
 from repro.rm.base import JobView, SystemView
-from repro.runtime.nthlib import NO_SPAN_LIMIT
 from repro.runtime.selfanalyzer import PerformanceReport
 
 
@@ -322,17 +321,27 @@ def _overriding(method):
 
 class TestSpanOptOut:
     """``PDPA.__init_subclass__``: a subclass that overrides how reports,
-    admission or parameters are handled may not absorb iteration ends."""
+    admission or parameters are handled declines every report offered
+    to ``absorb_report``, so each one takes the full path."""
 
-    @pytest.mark.parametrize("policy_class, budget", [
-        pytest.param(PDPA, NO_SPAN_LIMIT, id="PDPA"),
-        pytest.param(_Renamed, NO_SPAN_LIMIT, id="name-only"),
-        pytest.param(_overriding("on_report"), 1, id="on_report"),
-        pytest.param(_overriding("wants_admission"), 1, id="wants_admission"),
-        pytest.param(_overriding("set_params"), 1, id="set_params"),
-        pytest.param(FixedMplPDPA, 1, id="FixedMplPDPA"),
-        pytest.param(NoRelativeSpeedupPDPA, 1, id="NoRelativeSpeedupPDPA"),
+    @pytest.mark.parametrize("policy_class, absorbs", [
+        pytest.param(PDPA, True, id="PDPA"),
+        pytest.param(_Renamed, True, id="name-only"),
+        pytest.param(_overriding("on_report"), False, id="on_report"),
+        pytest.param(_overriding("wants_admission"), False, id="wants_admission"),
+        pytest.param(_overriding("set_params"), False, id="set_params"),
+        pytest.param(FixedMplPDPA, False, id="FixedMplPDPA"),
+        pytest.param(NoRelativeSpeedupPDPA, False, id="NoRelativeSpeedupPDPA"),
     ])
-    def test_span_budget(self, policy_class, budget, linear_app):
-        job = Job(1, linear_app, submit_time=0.0, request=8)
-        assert policy_class().span_budget(job) == budget
+    def test_span_budget(self, policy_class, absorbs):
+        """Unbounded spans (the no-op report is absorbed) or every
+        report an event (it is declined, leaving the policy as it was)."""
+        policy = policy_class()
+        job = Job(1, LINEAR, submit_time=0.0, request=16)
+        policy.job_states[1] = PdpaJobState(1, 16, 10, AppState.STABLE, stable_eff=0.8)
+        system = SystemView(16, {1: JobView(job=job, allocation=10)})
+        before = copy.deepcopy(policy.job_states)
+        # efficiency 0.8 on the held 10 CPUs keeps the job STABLE there
+        assert policy.absorb_report(job, 10, 8.0, system) is absorbs
+        if not absorbs:
+            assert policy.job_states == before

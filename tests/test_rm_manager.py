@@ -171,3 +171,32 @@ class TestSystemView:
         assert rm.can_admit(queued_jobs=1)
         rm.start_job(Job(1, linear_app, submit_time=0.0))
         assert not rm.can_admit(queued_jobs=1)
+
+
+class TestAbsorbReport:
+    """The RM's span hook declines every report while a report filter
+    is installed or admission is clocked (EASY backfilling), though
+    Equipartition's own hook takes every report."""
+
+    def _running(self, linear_app):
+        sim, machine, trace, rm = make_rm(Equipartition())
+        job = Job(1, linear_app, submit_time=0.0, request=8)
+        rm.start_job(job)
+        sim.run(until=1.0)
+        return rm, job
+
+    def test_takes_a_noop_report(self, linear_app):
+        rm, job = self._running(linear_app)
+        assert rm.absorb_report(job, 8, 8.0)
+        assert rm.last_report_time[1] == 1.0
+
+    @pytest.mark.parametrize("mode", ["report_filter", "clocked_admission"])
+    def test_declines_every_report(self, mode, linear_app):
+        rm, job = self._running(linear_app)
+        if mode == "report_filter":
+            rm.report_filter = lambda job, report: report
+        else:
+            rm.clocked_admission = True
+        before = dict(rm.last_report_time)
+        assert not rm.absorb_report(job, 8, 8.0)
+        assert rm.last_report_time == before

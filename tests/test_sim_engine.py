@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
-import pytest
+from typing import Any, List, Optional, Tuple
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from repro.fuzz.profiles import tier_settings
 from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
 
 
@@ -124,19 +128,6 @@ class TestCancelAfterFire:
         sim.run()
         assert seen == ["x"]
 
-    def test_bare_event_cancel_after_fire_is_noop(self, sim):
-        event = sim.schedule_at(1.0, lambda: None)
-        sim.run()
-        event.cancel()
-        assert not event.cancelled
-
-    def test_live_count_negative_raises(self):
-        q = EventQueue()
-        q.push(Event(1.0, 0, 0, lambda: None, (), "t"))
-        q.note_cancelled()
-        with pytest.raises(SimulationError, match="negative"):
-            q.note_cancelled()
-
 
 class TestLazyDeletionInterleavings:
     def _event(self, time, seq=0):
@@ -156,34 +147,6 @@ class TestLazyDeletionInterleavings:
         q.cancel(events[4])
         assert [q.pop().time for _ in range(2)] == [3.0, 5.0]
         assert q.pop() is None
-        assert len(q) == 0
-
-    def test_mixed_bare_and_queue_cancel(self):
-        q = EventQueue()
-        events = [self._event(float(t), seq=t) for t in range(4)]
-        for event in events:
-            q.push(event)
-        # Legacy path: bare cancel + note_cancelled credit.
-        events[0].cancel()
-        q.note_cancelled()
-        # Modern path on another event.
-        q.cancel(events[1])
-        assert len(q) == 2
-        assert q.pop() is events[2]
-        assert q.pop() is events[3]
-        assert q.pop() is None
-        assert len(q) == 0
-
-    def test_cancel_then_queue_cancel_counts_once(self):
-        q = EventQueue()
-        event = self._event(1.0)
-        q.push(event)
-        q.push(self._event(2.0, seq=1))
-        event.cancel()          # bare, unaccounted
-        assert not q.cancel(event)  # queue cancel must refuse a second count
-        q.note_cancelled()      # legacy credit for the bare cancel
-        assert len(q) == 1
-        assert q.pop().time == 2.0
         assert len(q) == 0
 
     def test_pop_before_horizon_leaves_later_events(self):
@@ -299,8 +262,7 @@ class TestEventQueue:
         early = self._event(1.0, seq=1)
         q.push(early)
         q.push(self._event(2.0, seq=2))
-        early.cancel()
-        q.note_cancelled()
+        assert q.cancel(early)
         popped = q.pop()
         assert popped is not None and popped.time == 2.0
 
@@ -309,8 +271,7 @@ class TestEventQueue:
         early = self._event(1.0, seq=1)
         q.push(early)
         q.push(self._event(3.0, seq=2))
-        early.cancel()
-        q.note_cancelled()
+        assert q.cancel(early)
         assert q.peek_time() == 3.0
 
     def test_empty_queue(self):
@@ -364,51 +325,6 @@ class TestCompaction:
             q.cancel(event)
         assert len(q._heap) == 39
         assert len(q) == 39
-
-    def test_note_cancelled_path_also_triggers_compaction(self):
-        q = EventQueue()
-        events = self._fill(q, 80)
-        for event in events[:41]:
-            event.cancel()      # behind the queue's back
-            q.note_cancelled()  # pre-paid credit
-        assert len(q._heap) == 39
-        assert q._noted_pending == 0  # credits consumed by the compaction
-        assert len(q) == 39
-
-    def test_unnoted_bare_cancels_defer_to_lazy_deletion(self):
-        q = EventQueue()
-        events = self._fill(q, 10)
-        for event in events[:4]:
-            event.cancel()  # no note_cancelled: _live is stale
-        # All cancels unaccounted: the fast path sees a clean heap and
-        # leaves reconciliation to the lazy purge on the next pop.
-        q.compact()
-        assert len(q._heap) == 10
-        popped = q.pop()
-        assert popped is not None and popped.seq == 4
-        assert len(q) == 5
-
-    def test_compact_handles_unnoted_bare_cancels(self):
-        q = EventQueue()
-        events = self._fill(q, 10)
-        q.cancel(events[9])  # one accounted cancel makes _live diverge
-        for event in events[:4]:
-            event.cancel()  # no note_cancelled: _live is stale
-        q.compact()
-        assert len(q._heap) == 5
-        assert len(q) == 5
-
-    def test_compact_mixed_noted_and_unnoted_cancels(self):
-        q = EventQueue()
-        events = self._fill(q, 12)
-        q.cancel(events[0])
-        events[1].cancel()
-        q.note_cancelled()
-        events[2].cancel()  # unnoted
-        q.compact()
-        assert len(q._heap) == 9
-        assert len(q) == 9
-        assert q._noted_pending == 0
 
     def test_pop_order_identical_with_and_without_compaction(self):
         def build():
@@ -477,3 +393,145 @@ class TestCheckpointHook:
         sim.clear_checkpoint_hook()
         sim.run()
         assert len(ticks) == 2
+
+
+# ----------------------------------------------------------------------
+# absorbable events against the plain events they stand for
+# ----------------------------------------------------------------------
+class _World:
+    """One schedule, driven either with absorbable marks or, with
+    *plain*, with every mark scheduled as the ``owner.fire`` event it
+    stands for.  Every handle is kept in scheduling order, so both
+    worlds cancel the same events."""
+
+    def __init__(self, plain: bool) -> None:
+        self.sim = Simulator()
+        self.plain = plain
+        self.log: List[Tuple[float, str]] = []
+        self.handles: List[Any] = []
+
+    def event(self, delay: float, priority: int, label: str) -> None:
+        self.handles.append(self.sim.schedule_after(
+            delay, self.log_now, label, priority=priority, label=label
+        ))
+
+    def mark(self, delay: float, owner: "_Owner", label: str) -> None:
+        if self.plain:
+            handle = self.sim.schedule_after(delay, owner.fire, label=label)
+        else:
+            handle = self.sim.schedule_absorbable(delay, owner, label)
+        self.handles.append(handle)
+
+    def log_now(self, label: str) -> None:
+        self.log.append((self.sim.now, label))
+
+    def cancel(self, picks: List[int]) -> None:
+        for pick in picks:
+            if self.handles:
+                self.sim.cancel(self.handles[pick % len(self.handles)])
+
+    def state(self) -> tuple:
+        sim = self.sim
+        return (list(self.log), sim.now, sim.logical_events, sim.pending_events,
+                sim.live_labels())
+
+
+class _Owner:
+    """An absorbable event's owner: each end does the same work however
+    it completes (logs, then schedules its next end and, once, a plain
+    follow-up), and ``absorb`` declines by a drawn pattern."""
+
+    def __init__(self, world: _World, name: str, pattern: List[bool],
+                 hops: List[float], follow_up: Optional[Tuple[float, int]]) -> None:
+        self.world = world
+        self.name = name
+        self.pattern = pattern
+        self.asked = 0
+        self.hops = list(hops)
+        self.follow_up = follow_up
+        self.ends = 0
+
+    def absorb(self) -> bool:
+        takes = self.pattern[self.asked % len(self.pattern)]
+        self.asked += 1
+        if takes:
+            self._end()
+        return takes
+
+    def fire(self) -> None:
+        self._end()
+
+    def _end(self) -> None:
+        world = self.world
+        world.log_now(f"{self.name}.{self.ends}")
+        self.ends += 1
+        if self.follow_up is not None:
+            delay, priority = self.follow_up
+            self.follow_up = None
+            world.event(delay, priority, f"{self.name}+")
+        if self.hops:
+            world.mark(self.hops.pop(0), self, f"{self.name}.{self.ends}")
+
+
+_NORMAL = Simulator.PRIORITY_NORMAL
+_PRIORITIES = [Simulator.PRIORITY_EARLY, _NORMAL, Simulator.PRIORITY_LATE]
+#: a coarse grid makes same-time ties across kinds and priorities likely
+_delays = st.integers(0, 8).map(lambda k: k * 0.5)
+_plain = st.tuples(st.just("event"), _delays, st.sampled_from(_PRIORITIES))
+_absorbable = st.tuples(
+    st.just("mark"), _delays,
+    st.lists(st.booleans(), min_size=1, max_size=4),  # absorb or decline, cycled
+    st.lists(_delays, max_size=3),  # the owner's later ends
+    st.one_of(st.none(), st.tuples(_delays, st.sampled_from(_PRIORITIES))),
+)
+_picks = st.lists(st.integers(0, 63), max_size=2)  # handles to cancel
+_slices = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("until"), st.integers(0, 24).map(lambda k: k * 0.5)),
+            st.tuples(st.just("step"), st.integers(0, 4)),
+        ),
+        _picks,
+    ),
+    max_size=6,
+)
+
+
+class TestAbsorbableEvents:
+    @tier_settings("standard")
+    @given(schedule=st.lists(st.one_of(_plain, _absorbable), min_size=1, max_size=10),
+           cancels=_picks, slices=_slices)
+    # same-time ties at NORMAL priority, decided by sequence alone
+    @example(schedule=[("mark", 0.5, [True], [], None), ("event", 0.5, _NORMAL)],
+             cancels=[], slices=[])
+    @example(schedule=[("event", 0.5, _NORMAL), ("mark", 0.5, [False], [0.0], (0.0, _NORMAL))],
+             cancels=[], slices=[])
+    def test_marks_match_the_plain_events_they_stand_for(self, schedule, cancels, slices):
+        worlds = [_World(plain=False), _World(plain=True)]
+        for world in worlds:
+            for i, item in enumerate(schedule):
+                if item[0] == "event":
+                    world.event(item[1], item[2], f"e{i}")
+                else:
+                    _, delay, pattern, hops, follow_up = item
+                    owner = _Owner(world, f"m{i}", pattern, hops, follow_up)
+                    world.mark(delay, owner, f"m{i}.0")
+            world.cancel(cancels)
+        marks, events = worlds
+        assert marks.state() == events.state()
+        for (kind, value), picks in slices:
+            if kind == "until":
+                assert marks.sim.run(until=value) == events.sim.run(until=value)
+            else:
+                # step(n) counts fired events; the plain world fires
+                # every logical event the marks' world got through
+                before = marks.sim.logical_events
+                marks.sim.step(value)
+                events.sim.step(marks.sim.logical_events - before)
+            for world in worlds:
+                world.sim.compact()
+                world.cancel(picks)
+            assert marks.state() == events.state()
+        assert marks.sim.run() == events.sim.run()
+        assert marks.state() == events.state()
+        assert events.sim.events_fired == events.sim.logical_events

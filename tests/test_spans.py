@@ -7,23 +7,25 @@ that the output is the one the per-iteration path produced:
 * golden digests captured from the per-iteration implementation for
   the four policies on w1-w4, three policies under three fault
   scenarios, and the serve stack with and without autosnapshots;
-* a hypothesis differential against the same run with the span budget
-  faked to 1 (every iteration end fires), compared mid-run too;
+* a hypothesis differential against the same run with every iteration
+  end scheduled as a plain event, compared mid-run too;
 * mid-span checkpoint cuts, closed and serve;
-* a reallocation landing exactly on an absorbed iteration end.
+* a reallocation landing exactly on an absorbed iteration end, and the
+  race the sanitizer finds there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.analysis.race import RaceDetector
 from repro.apps.application import AppClass, ApplicationSpec
 from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
 from repro.checkpoint import CheckpointPlan, SimulationSession, read_snapshot
@@ -48,7 +50,7 @@ from repro.rm.equal_efficiency import EqualEfficiency
 from repro.rm.equipartition import Equipartition
 from repro.rm.irix import IrixConfig, IrixResourceManager
 from repro.rm.manager import SpaceSharedResourceManager
-from repro.runtime.nthlib import RuntimeConfig
+from repro.runtime.nthlib import NthLibRuntime, RuntimeConfig
 from repro.runtime.selfanalyzer import SelfAnalyzerConfig
 from repro.serve.service import ServeService
 from repro.serve.session import ServeConfig, ServeSession, build_serve_session
@@ -166,34 +168,57 @@ def test_serve_golden_digest_with_and_without_autosnapshots(tmp_path):
 # (b) differential against the per-iteration path
 # ----------------------------------------------------------------------
 @contextmanager
-def span_budget(budget: Optional[int]) -> Iterator[None]:
-    """Cap every host's span budget at *budget* (None: leave it alone).
+def per_iteration() -> Iterator[None]:
+    """Every iteration end fires, as before spans.
 
-    A host that opted out keeps its budget of 1: its policy's
-    ``absorb_report`` need not be exact for it (a PDPA subclass that
-    overrides ``on_report`` inherits PDPA's proof).  Runtimes read the
-    budget when their job starts, so only runs that start jobs inside
-    the block see the cap.
+    Each absorbable end scheduled inside the block is scheduled as the
+    plain event it stands for, ``schedule_after(delay, owner.fire)``:
+    the same time, priority and sequence number.
     """
-    if budget is None:
-        yield
-        return
-    hosts = (IrixResourceManager, SpaceSharedResourceManager)
-    saved = [(cls, cls.__dict__["span_budget"]) for cls in hosts]
-    for cls, original in saved:
-        cls.span_budget = (  # type: ignore[method-assign]
-            lambda self, job, own=original: min(own(self, job), budget)
-        )
+    original = Simulator.schedule_absorbable
+
+    def schedule_event(sim: Simulator, delay: float, owner: Any, label: str = "") -> Any:
+        return sim.schedule_after(delay, owner.fire, label=label)
+
+    Simulator.schedule_absorbable = schedule_event  # type: ignore[method-assign]
     try:
         yield
     finally:
-        for cls, original in saved:
-            cls.span_budget = original  # type: ignore[method-assign]
+        Simulator.schedule_absorbable = original  # type: ignore[method-assign]
 
 
-def per_iteration() -> Any:
-    """Budget 1: every iteration end fires, as before spans."""
-    return span_budget(1)
+@contextmanager
+def span_cap(cap: Optional[int]) -> Iterator[None]:
+    """Fire at least every *cap*-th iteration end of each job (None: no cap).
+
+    Inside the block each runtime absorbs at most ``cap - 1`` ends in a
+    row and the next one declines and fires, so ends also fire at
+    points no host would choose.
+    """
+    if cap is None:
+        yield
+        return
+    absorb, fire = NthLibRuntime.absorb, NthLibRuntime.fire
+    in_a_row: Dict[NthLibRuntime, int] = {}
+
+    def capped_absorb(runtime: NthLibRuntime) -> bool:
+        absorbed = in_a_row.get(runtime, 0)
+        if absorbed + 1 >= cap or not absorb(runtime):
+            return False
+        in_a_row[runtime] = absorbed + 1
+        return True
+
+    def counted_fire(runtime: NthLibRuntime) -> None:
+        in_a_row[runtime] = 0
+        fire(runtime)
+
+    NthLibRuntime.absorb = capped_absorb  # type: ignore[method-assign]
+    NthLibRuntime.fire = counted_fire  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        NthLibRuntime.absorb = absorb  # type: ignore[method-assign]
+        NthLibRuntime.fire = fire  # type: ignore[method-assign]
 
 
 def _app(name: str, **kwargs: Any) -> ApplicationSpec:
@@ -333,13 +358,12 @@ def _check_spans_match(policy, plan, seed, n_cpus, sigma, locality,
         reset_analyzer_on_phase_change=reset,
     )
     args = (policy, plan, seed, n_cpus, runtime, locality)
-    with record_iteration_ends() as ends:
+    with record_iteration_ends() as ends, span_cap(cap):
         spans = _session(*args)
         events = _session(*args)
         # every simulated second, plus a few arbitrary instants
         for cut in sorted(set(cuts) | {float(t) for t in range(1, 80)}) + [None]:
-            with span_budget(cap):  # the hosts' own budget, or a short cap
-                spans.run(until=cut)
+            spans.run(until=cut)
             with per_iteration():
                 events.run(until=cut)
             assert _state(spans, ends) == _state(events, ends)
@@ -446,20 +470,23 @@ def test_cut_lands_mid_span():
 # ----------------------------------------------------------------------
 # (d) a reallocation exactly on an absorbed iteration end
 # ----------------------------------------------------------------------
+#: sigma 0, 8 CPUs, a perfectly linear uninstrumented code alone on the
+#: machine: startup ends at 0.5 and every iteration takes exactly 0.5,
+#: so job 1's iteration ends fall on 1.0, 1.5, ... 3.5.  Job 2 arrives
+#: at exactly 3.5, at the same priority as that end.
+TIED_PLAN = [("linear", 0.0, 8), ("linear", 3.5, 8)]
+UNINSTRUMENTED = RuntimeConfig(noise_sigma=0.0, use_selfanalyzer=False)
+
+
 def test_reallocation_on_an_absorbed_iteration_end():
-    # sigma 0, 8 CPUs, a perfectly linear uninstrumented code alone on
-    # the machine: startup ends at 0.5 and every iteration takes exactly
-    # 0.5, so job 1's iteration ends fall on 1.0, 1.5, ... 3.5.  Job 2 arrives at
-    # exactly 3.5 and Equipartition halves job 1 on arrival.  The
-    # arrival was scheduled first, so it runs before the tied iteration
-    # end: the iteration that ends at 3.5 still ran on 8 CPUs, the next
-    # one starts on 4.
-    plan = [("linear", 0.0, 8), ("linear", 3.5, 8)]
-    runtime = RuntimeConfig(noise_sigma=0.0, use_selfanalyzer=False)
+    # Equipartition halves job 1 when job 2 arrives.  The arrival was
+    # scheduled first, so it runs before the tied iteration end: the
+    # iteration that ends at 3.5 still ran on 8 CPUs, the next one
+    # starts on 4.
     with record_iteration_ends() as ends:
-        spans = _session("Equip", plan, 0, 8, runtime, False)
+        spans = _session("Equip", TIED_PLAN, 0, 8, UNINSTRUMENTED, False)
         with per_iteration():
-            events = _session("Equip", plan, 0, 8, runtime, False)
+            events = _session("Equip", TIED_PLAN, 0, 8, UNINSTRUMENTED, False)
             events.run(until=3.5)
             events.run()
         spans.run(until=3.5)
@@ -470,3 +497,22 @@ def test_reallocation_on_an_absorbed_iteration_end():
         spans.run()
     assert _state(spans, ends) == _state(events, ends)
     assert _digest(spans.finish()) == _digest(events.finish())
+
+
+def test_sanitizer_sees_a_race_with_an_absorbed_iteration_end():
+    # the arrival and the iteration end at 3.5 are ordered by insertion
+    # alone; the end is absorbed, and the race detector still sees it
+    stats = []
+    for path in (per_iteration, nullcontext):
+        detector = RaceDetector()
+        with path():
+            session = _session("Equip", TIED_PLAN, 0, 8, UNINSTRUMENTED, False)
+            session.run(sanitizer=detector)
+        stats.append(detector.finish())
+    events, spans = stats
+    assert session.sim.events_fired < session.sim.logical_events == spans.events
+    assert [finding.describe() for finding in spans.error_findings] == [
+        "ambiguous cohort at t=3.500000 priority=100: order decided by insertion only"
+        " — [NanosQS._on_arrival('submit:2'), NthLibRuntime.fire('iter:1:5')]"
+    ]
+    assert spans == events
