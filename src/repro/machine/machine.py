@@ -19,6 +19,7 @@ and books stay byte-identical.
 
 from __future__ import annotations
 
+from itertools import chain, groupby, islice
 from typing import Any, Dict, List, Optional, Set
 
 from repro.machine.cpu import CpuHealth, CpuState, burst_emitter
@@ -52,7 +53,7 @@ class Machine:
     __slots__ = (
         "n_cpus", "topology", "trace", "_emit", "_cols", "cpus", "_partitions",
         "_app_names", "node_speed", "_free", "_n_offline", "_n_allocated",
-        "_node_of", "_nodes_monotonic", "_dist_rows",
+        "_node_of", "_dist_rows",
     )
 
     def __init__(
@@ -90,16 +91,10 @@ class Machine:
         self._n_offline = 0
         self._n_allocated = 0
         #: cpu id -> NUMA node, precomputed for the placement hot path
+        #: (non-decreasing in cpu id: see NumaTopology)
         self._node_of: List[int] = [
             self.topology.node_of(i) for i in range(n_cpus)
         ]
-        # With node ids monotone in cpu id (true for the default
-        # layout), sorting free CPUs by (node, id) is the identity on
-        # an id-sorted list, so new-partition placement can skip the
-        # sort entirely.
-        self._nodes_monotonic = all(
-            self._node_of[i] <= self._node_of[i + 1] for i in range(n_cpus - 1)
-        )
         #: per-node hypercube-distance rows, built lazily (derived)
         self._dist_rows: Dict[int, List[int]] = {}
 
@@ -244,7 +239,9 @@ class Machine:
                 f"job {job_id} has no partition to release "
                 f"(jobs holding partitions: {self.running_jobs()})"
             )
-        released = list(self._partitions[job_id])
+        # id order, not the set's: bursts are emitted in release order,
+        # and a restore rebuilds the set from a sorted list
+        released = sorted(self._partitions[job_id])
         self._cols.release(released, now, self._emit)
         self._n_allocated -= len(released)
         if self._n_offline:
@@ -423,15 +420,28 @@ class Machine:
             self._dist_rows[node] = row
         return row
 
+    def _node_runs(self, cpus: List[int]) -> List[List[int]]:
+        """Split id-sorted *cpus* (either direction) into one run per node.
+
+        Node ids never decrease with cpu id (see NumaTopology), so each
+        node's CPUs are adjacent in the list.
+        """
+        return [list(run) for _, run in groupby(cpus, self._node_of.__getitem__)]
+
     def _grow(self, job_id: int, count: int, now: float) -> None:
         """Grow the partition by *count* CPUs closest to it.
 
-        Placement picks from the free set in ascending-id order with
-        NUMA-affinity ranking; the batched ``seize`` kernel then
-        assigns all chosen CPUs in one call.  All chosen CPUs come
-        from the free set, which only ever holds idle allocatable
-        CPUs, so no burst closes and no migration is possible here;
-        seize() enforces idleness.
+        Placement takes free CPUs in (hop distance to the partition,
+        cpu id) order: a new partition takes the lowest ids, which is
+        the most compact run because node ids grow with cpu ids.  The
+        id-sorted free list therefore falls into one run per node, and
+        a stable sort of those runs by their node's distance (the
+        minimum hop count to any of the partition's nodes, 0 on-node)
+        gives that order without a key per CPU.  The batched
+        ``seize`` kernel then assigns all chosen CPUs in one call.
+        All chosen CPUs come from the free set, which only ever holds
+        idle allocatable CPUs, so no burst closes and no migration is
+        possible here; seize() enforces idleness.
         """
         partition = self._partitions[job_id]
         free = sorted(self._free)
@@ -441,37 +451,18 @@ class Machine:
                 f"(partition {sorted(partition)}, free {free}, "
                 f"offline {self.offline_cpus()})"
             )
-        node_of = self._node_of
         if not partition:
-            # New partition: take the most compact run of free CPUs by
-            # sorting on node and preferring whole nodes.  With node
-            # ids monotone in cpu id (the default layout) the
-            # id-sorted list already is that order.
-            if not self._nodes_monotonic:
-                free.sort(key=lambda c: (node_of[c], c))
             chosen = free[:count]
         else:
-            # Distance from a candidate to the partition only depends
-            # on NUMA nodes, so compute the minimum hop count once per
-            # node from the cached distance rows (0 on-node; two
-            # distinct nodes always differ in >= 1 bit, matching the
-            # old max(dist, 1)).  The decorated sort reproduces the
-            # old (distance, cpu_id) affinity order without a
-            # per-element key callback.
-            part_nodes = {node_of[p] for p in partition}
-            rows = [
-                self._dist_row(node) for node in part_nodes  # repro: allow(DET105): order only feeds min(), which is order-independent
-            ]
-            dmin: Dict[int, int] = {}
-            decorated = []
-            for cpu_id in free:
-                node = node_of[cpu_id]
-                dist = dmin.get(node)
-                if dist is None:
-                    dist = dmin[node] = min(row[node] for row in rows)
-                decorated.append((dist, cpu_id))
-            decorated.sort()
-            chosen = [pair[1] for pair in decorated[:count]]
+            node_of = self._node_of
+            part_nodes = set(map(node_of.__getitem__, partition))
+            dist_row = self._dist_row
+            runs = self._node_runs(free)
+            # hop distance is symmetric: read the candidate's own row
+            runs.sort(key=lambda run: min(
+                map(dist_row(node_of[run[0]]).__getitem__, part_nodes)
+            ))
+            chosen = list(islice(chain.from_iterable(runs), count))
         self._cols.seize(chosen, job_id, self._app_names[job_id], now)
         partition.update(chosen)
         self._free.difference_update(chosen)
@@ -481,25 +472,17 @@ class Machine:
         """Release *count* CPUs from the least-populated nodes first.
 
         Giving back stragglers keeps the remaining partition compact,
-        preserving data locality for the job that shrinks.  One
-        composite-key sort — (node population, node id desc, cpu id
-        desc) — reproduces the old nodes-then-cpus nested victim
-        ordering; the batched ``release`` kernel closes the victims'
-        bursts in that exact order.
+        preserving data locality for the job that shrinks.  Victims go
+        in (node population, node id desc, cpu id desc) order: the
+        partition sorted by descending id falls into one run per node
+        in descending node order, and a stable sort of those runs by
+        length gives that order.  The batched ``release`` kernel
+        closes the victims' bursts in exactly that order.
         """
         partition = self._partitions[job_id]
-        node_of = self._node_of
-        population: Dict[int, int] = {}
-        decorated = []
-        for cpu_id in partition:
-            node = node_of[cpu_id]
-            population[node] = population.get(node, 0) + 1
-            decorated.append((node, cpu_id))
-        keyed = [
-            (population[node], -node, -cpu_id) for node, cpu_id in decorated
-        ]
-        keyed.sort()
-        victims = [-key[2] for key in keyed[:count]]
+        runs = self._node_runs(sorted(partition, reverse=True))
+        runs.sort(key=len)
+        victims = list(islice(chain.from_iterable(runs), count))
         self._cols.release(victims, now, self._emit)
         partition.difference_update(victims)
         self._n_allocated -= count

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set
+from typing import Dict
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,26 +95,21 @@ class LocalityModel:
         """Forget a completed job (unknown ids are tolerated)."""
         self._jobs.pop(job_id, None)
 
-    def on_reallocation(
-        self,
-        job_id: int,
-        old_cpus: Iterable[int],
-        new_cpus: Iterable[int],
-        now: float,
-    ) -> None:
-        """Account a partition change.
+    def on_reallocation(self, job_id: int, kept: int, size: int, now: float) -> None:
+        """Account a partition change to *size* CPUs, *kept* of them held before.
 
-        Locality drops to the retained fraction of the *new* partition
-        (CPUs kept hold local pages; newly acquired ones do not),
-        scaled by the current locality.
+        Locality drops to the retained fraction ``kept / size`` of the
+        *new* partition (CPUs kept hold local pages; newly acquired
+        ones do not), scaled by the current locality.  The caller
+        passes counts, not CPU sets: a shrink keeps all *size* CPUs it
+        is left with, a grow keeps every CPU it held, and a partition
+        that lost one CPU to a failure keeps the ones that survived.
         """
         if job_id not in self._jobs:
             raise KeyError(f"job {job_id} is not tracked")
-        old_set: Set[int] = set(old_cpus)
-        new_set: Set[int] = set(new_cpus)
-        if not new_set:
-            return
-        retained = len(old_set & new_set) / len(new_set)
+        if not 0 <= kept <= size or size < 1:
+            raise ValueError(f"job {job_id}: cannot keep {kept} of {size} CPUs")
+        retained = kept / size
         current = self.locality(job_id, now)
         new_value = max(self.config.floor, current * retained)
         self._jobs[job_id] = _JobLocality(value=new_value, since=now)

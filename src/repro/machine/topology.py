@@ -25,6 +25,11 @@ class NumaTopology:
         CPUs per NUMA node (Origin 2000 nodes hold 2; the default of 2
         matches it).  The last node may be smaller if ``n_cpus`` is not
         a multiple.
+
+    Nodes hold consecutive CPU ids (``node_of(cpu)`` is
+    ``cpu // cpus_per_node``), so node ids never decrease as CPU ids
+    grow.  The machine's placement relies on it: in an id-sorted list
+    of CPUs each node's CPUs are adjacent.
     """
 
     __slots__ = ("n_cpus", "cpus_per_node")

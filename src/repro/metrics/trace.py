@@ -143,9 +143,10 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     def record_burst(self, burst: Burst) -> None:
         """Append a finished burst (zero-length bursts are dropped)."""
-        if burst.duration < 0:
+        duration = burst.duration
+        if duration < 0:
             raise ValueError(f"negative burst duration: {burst}")
-        if burst.duration == 0:
+        if duration == 0:
             return
         self.bursts.append(burst)
         self._horizon = max(self._horizon, burst.end)
@@ -237,11 +238,12 @@ class FoldingTraceRecorder(TraceRecorder):
 
     # -- folds replacing the append paths --------------------------------
     def record_burst(self, burst: Burst) -> None:
-        if burst.duration < 0:
+        duration = burst.duration
+        if duration < 0:
             raise ValueError(f"negative burst duration: {burst}")
-        if burst.duration == 0:
+        if duration == 0:
             return
-        self.burst_busy += burst.duration
+        self.burst_busy += duration
         self._horizon = max(self._horizon, burst.end)
 
     def record_reallocation(self, record: ReallocationRecord) -> None:

@@ -30,7 +30,7 @@ import heapq
 from typing import Dict, Optional, Tuple
 
 from repro.qs.job import Job
-from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
+from repro.rm.base import AllocationDecision, JobView, SchedulingPolicy, SystemView
 from repro.runtime.selfanalyzer import PerformanceReport
 
 #: Efficiency predictions are clamped to this ceiling so that a
@@ -48,12 +48,16 @@ def fit_overhead(procs: int, efficiency: float) -> float:
     return (1.0 / efficiency - 1.0) / (procs - 1)
 
 
+#: the denominator at or below which the ceiling binds
+_CLAMP_DENOMINATOR = 1.0 / MAX_PREDICTED_EFFICIENCY
+
+
 def predicted_efficiency(a: float, procs: int) -> float:
     """Extrapolated efficiency at *procs* for overhead parameter *a*."""
     if procs < 1:
         raise ValueError(f"procs must be >= 1, got {procs}")
     denominator = 1.0 + a * (procs - 1)
-    if denominator <= 1.0 / MAX_PREDICTED_EFFICIENCY:
+    if denominator <= _CLAMP_DENOMINATOR:
         return MAX_PREDICTED_EFFICIENCY
     return min(1.0 / denominator, MAX_PREDICTED_EFFICIENCY)
 
@@ -77,25 +81,39 @@ def water_fill(
     remaining = total_cpus - len(requests)
     if remaining <= 0:
         return allocation
-    # One entry per job below its request: its next CPU, keyed
+    # One entry per job below its request: its next CPU p, keyed
     # (-eff, job id), so the heap's top is the highest efficiency and
-    # ties go to the lower id.  Only a job's next point is evaluated.
-    heap = [
-        (-predicted_efficiency(overheads.get(jid, 0.0), 2), jid)
-        for jid, request in requests.items()
-        if request >= 2
-    ]
+    # ties go to the lower id.  The entry also carries the job's
+    # overhead and request, which the unique job id keeps out of every
+    # comparison.  Only a job's next point is evaluated, with
+    # predicted_efficiency's formula and clamp inline: the denominator
+    # is 1 + a(p - 1), and above the clamp's threshold 1 / denominator
+    # is already below the ceiling.
+    heap = []
+    for jid, request in requests.items():
+        if request >= 2:
+            a = overheads.get(jid, 0.0)
+            denominator = 1.0 + a  # p = 2
+            heap.append((
+                -MAX_PREDICTED_EFFICIENCY if denominator <= _CLAMP_DENOMINATOR
+                else -1.0 / denominator,
+                jid, a, request,
+            ))
     heapq.heapify(heap)
     while remaining > 0 and heap:
-        neg_eff, jid = heap[0]
+        neg_eff, jid, a, request = heap[0]
         if neg_eff >= 0.0:
             break  # no candidate CPU has a positive efficiency
         granted = allocation[jid] + 1
         allocation[jid] = granted
         remaining -= 1
-        if granted < requests[jid]:
-            eff = predicted_efficiency(overheads.get(jid, 0.0), granted + 1)
-            heapq.heapreplace(heap, (-eff, jid))
+        if granted < request:
+            denominator = 1.0 + a * granted  # p = granted + 1
+            heapq.heapreplace(heap, (
+                -MAX_PREDICTED_EFFICIENCY if denominator <= _CLAMP_DENOMINATOR
+                else -1.0 / denominator,
+                jid, a, request,
+            ))
         else:
             heapq.heappop(heap)
     return allocation
@@ -103,57 +121,72 @@ def water_fill(
 
 def is_water_fill(
     total_cpus: int,
-    requests: Dict[int, int],
+    views: Dict[int, JobView],
     overheads: Dict[int, float],
-    allocation: Dict[int, int],
+    reporter: int,
+    refit: float,
 ) -> bool:
-    """Whether ``water_fill(total_cpus, requests, overheads) == allocation``
-    for an *allocation* of exactly the jobs in *requests*.
+    """Whether the water-fill with *reporter*'s overhead refit to
+    *refit* hands every viewed job the CPUs it holds.
 
-    Decided in O(jobs), with two ``predicted_efficiency`` calls per
-    job instead of a refill.  With every overhead >= 0 each job's
-    column of marginal efficiencies is non-increasing, so the greedy
-    grants the points (job j, CPU p >= 2) in increasing order of the
-    key ``(-eff_j(p), j, p)``: within a job the key grows with p, and
-    across jobs the job id is the greedy's tie rule.  *allocation* is
-    the greedy's answer exactly when its granted points are a prefix
-    of that order of the greedy's length:
+    That is ``water_fill(total_cpus, requests, {**overheads, reporter:
+    refit}) == allocations``, with the requests and allocations read
+    from the view table *views*, decided in O(jobs) without a refill
+    or a copy.  With every overhead >= 0 each job's column of marginal
+    efficiencies is non-increasing, so the greedy grants the points
+    (job j, CPU p >= 2) in increasing order of the key
+    ``(-eff_j(p), j, p)``: within a job the key grows with p, and
+    across jobs the job id is the greedy's tie rule.  The greedy stops
+    when the CPUs run out, every job holds its request, or the next
+    point's efficiency is 0 (``1 + a(p - 1)`` overflowed), so the
+    allocation is its answer exactly when its granted points are a
+    prefix of that order at which the greedy stops:
 
-    1. every job holds between 1 CPU and its request;
-    2. the CPUs the jobs hold beyond their first total
-       ``min(total_cpus - jobs, sum(request - 1))``;
-    3. the largest key of any job's last granted CPU is below the
-       smallest key of any job's next one.
+    1. every job holds between 1 CPU and its request, and the CPUs
+       held beyond each job's first total at most ``total_cpus - jobs``;
+    2. no granted point has efficiency 0, and the largest key of any
+       job's last granted CPU is below the smallest key of any job's
+       next one;
+    3. that total is ``total_cpus - jobs``, or no job has a next CPU,
+       or the smallest next key has efficiency 0.
 
     A negative overhead (a superlinear fit, whose column rises) or
     fewer CPUs than jobs answers False: the caller then runs the
-    greedy, so False is always safe.
+    greedy, so False is always safe.  The overhead is tested first
+    because with ``a >= 0`` and ``p >= 2`` the denominator
+    ``1 + a(p - 1)`` is at least 1, so neither of
+    :func:`predicted_efficiency`'s clamps binds and the efficiency is
+    ``1 / (1 + a(p - 1))`` exactly.
     """
-    jobs = len(requests)
+    jobs = len(views)
     if total_cpus < jobs:
         return False
-    held_above_one = wanted = 0
+    held_above_one = 0
     last: Optional[Tuple[float, int, int]] = None
     upcoming: Optional[Tuple[float, int, int]] = None
-    for jid, request in requests.items():
-        a = overheads.get(jid, 0.0)
-        held = allocation[jid]
-        if not a >= 0.0 or not 1 <= held <= request:
+    for jid, view in views.items():
+        a = refit if jid == reporter else overheads.get(jid, 0.0)
+        if not a >= 0.0:
+            return False
+        held = view.allocation
+        request = view.job.request
+        if not 1 <= held <= request:
             return False
         held_above_one += held - 1
-        wanted += request - 1
         if held >= 2:
-            key = (-predicted_efficiency(a, held), jid, held)
+            key = (-1.0 / (1.0 + a * (held - 1)), jid, held)
             if last is None or key > last:
                 last = key
         if held < request:
-            key = (-predicted_efficiency(a, held + 1), jid, held + 1)
+            key = (-1.0 / (1.0 + a * held), jid, held + 1)
             if upcoming is None or key < upcoming:
                 upcoming = key
-    if held_above_one != min(total_cpus - jobs, wanted):
-        return False
-    # The greedy grants no CPU whose efficiency underflowed to zero.
-    return last is None or (last[0] < 0.0 and (upcoming is None or last < upcoming))
+    if held_above_one > total_cpus - jobs:
+        return False  # 1.
+    if last is not None and not (last[0] < 0.0 and (upcoming is None or last < upcoming)):
+        return False  # 2.
+    # 3.: an efficiency of 0 is the key -0.0
+    return upcoming is None or held_above_one == total_cpus - jobs or upcoming[0] >= 0.0
 
 
 class EqualEfficiency(SchedulingPolicy):
@@ -199,12 +232,8 @@ class EqualEfficiency(SchedulingPolicy):
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:
         overhead = fit_overhead(procs, speedup / procs)
-        views = system.jobs
         if not is_water_fill(
-            system.total_cpus,
-            {jid: view.request for jid, view in views.items()},
-            {**self._overheads, job.job_id: overhead},
-            {jid: view.allocation for jid, view in views.items()},
+            system.total_cpus, system.jobs, self._overheads, job.job_id, overhead
         ):
             return False
         self._overheads[job.job_id] = overhead

@@ -14,7 +14,7 @@ to it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.machine.cpu import CpuHealth
 from repro.machine.machine import Machine
@@ -455,10 +455,6 @@ class SpaceSharedResourceManager(BaseResourceManager):
         """
         if self.machine.cpu_health(cpu_id) is CpuHealth.OFFLINE:
             return  # duplicate fault on an already-offline CPU
-        pre_owner = self.machine.cpus[cpu_id].owner
-        old_cpus = (
-            self.machine.partition_of(pre_owner) if pre_owner is not None else None
-        )
         owner = self.machine.fail_cpu(cpu_id, self.sim.now)
         self._record_fault(
             "cpu_fail", cpu_id, detail="permanent" if permanent else "transient"
@@ -471,10 +467,9 @@ class SpaceSharedResourceManager(BaseResourceManager):
                 # partition returns to its pre-fault size, so neither
                 # the policy nor the realloc trace sees a change.
                 self.machine.resize_job(owner, current + 1, self.sim.now)
-                if self.locality is not None and old_cpus is not None:
-                    self.locality.on_reallocation(
-                        owner, old_cpus, self.machine.partition_of(owner), self.sim.now
-                    )
+                if self.locality is not None:
+                    # the replacement is new; the surviving CPUs are kept
+                    self.locality.on_reallocation(owner, current, current + 1, self.sim.now)
                 self._record_fault(
                     "fallback", owner,
                     detail=f"replaced failed cpu {cpu_id} from free pool",
@@ -482,10 +477,8 @@ class SpaceSharedResourceManager(BaseResourceManager):
                 )
             elif current >= 1:
                 # No spare CPU: the partition runs one short.
-                if self.locality is not None and old_cpus is not None:
-                    self.locality.on_reallocation(
-                        owner, old_cpus, self.machine.partition_of(owner), self.sim.now
-                    )
+                if self.locality is not None:
+                    self.locality.on_reallocation(owner, current, current, self.sim.now)
                 self._record_realloc(job, current + 1, current)
                 self.policy.note_forced_allocation(owner, current)
             else:
@@ -528,15 +521,13 @@ class SpaceSharedResourceManager(BaseResourceManager):
         if procs == current:
             return current
         job = self.jobs[job_id]
-        old_cpus = self.machine.partition_of(job_id)
         self.machine.resize_job(job_id, procs, self.sim.now)
         view = self._views.get(job_id)
         if view is not None:
             view.allocation = procs
         if self.locality is not None:
-            self.locality.on_reallocation(
-                job_id, old_cpus, self.machine.partition_of(job_id), self.sim.now
-            )
+            # a shrink keeps every CPU left, a grow every CPU it held
+            self.locality.on_reallocation(job_id, min(current, procs), procs, self.sim.now)
         self._record_realloc(job, current, procs)
         self.policy.note_forced_allocation(job_id, procs)
         self._record_fault("fallback", job_id, detail=reason, value=float(procs))
@@ -550,28 +541,27 @@ class SpaceSharedResourceManager(BaseResourceManager):
         """Resize partitions, shrinking before growing."""
         if not decision:
             return
-        shrinks: List[int] = []
-        grows: List[int] = []
+        machine = self.machine
+        shrinks: List[Tuple[int, int, int]] = []
+        grows: List[Tuple[int, int, int]] = []
         for job_id, procs in decision.items():
             if job_id not in self.jobs:
                 raise KeyError(f"decision names unknown job {job_id}")
-            current = self.machine.allocation_of(job_id)
+            current = machine.allocation_of(job_id)
             if procs < current:
-                shrinks.append(job_id)
+                shrinks.append((job_id, current, procs))
             elif procs > current:
-                grows.append(job_id)
-        for job_id in shrinks + grows:
-            old = self.machine.allocation_of(job_id)
-            new = decision[job_id]
-            old_cpus = self.machine.partition_of(job_id)
-            self.machine.resize_job(job_id, new, self.sim.now)
+                grows.append((job_id, current, procs))
+        now = self.sim.now
+        locality = self.locality
+        for job_id, old, new in shrinks + grows:
+            machine.resize_job(job_id, new, now)
             view = self._views.get(job_id)
             if view is not None:
                 view.allocation = new
-            if self.locality is not None and new != old:
-                self.locality.on_reallocation(
-                    job_id, old_cpus, self.machine.partition_of(job_id), self.sim.now
-                )
+            if locality is not None:
+                # a shrink keeps every CPU left, a grow every CPU it held
+                locality.on_reallocation(job_id, min(old, new), new, now)
             self._record_realloc(self.jobs[job_id], old, new)
 
     def _record_realloc(self, job: Job, old: int, new: int) -> None:

@@ -1,10 +1,11 @@
 """Unit tests for the Equal_efficiency policy."""
 
 import copy
+import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.fuzz.profiles import tier_settings
 
@@ -163,8 +164,9 @@ class TestPolicy:
 # ----------------------------------------------------------------------
 # the heap greedy and the no-op proof against the scan they replace
 # ----------------------------------------------------------------------
-def scan_water_fill(total_cpus, requests, overheads):
-    """Reference: the scan ``water_fill`` the heap greedy replaced.
+def scan_grants(total_cpus, requests, overheads):
+    """Reference: the scan ``water_fill`` the heap greedy replaced, as
+    the job ids it grants a CPU to, in grant order.
 
     Every round scans all jobs in id order for the highest next-CPU
     efficiency (strictly greater wins, so ties go to the lower id).
@@ -172,9 +174,9 @@ def scan_water_fill(total_cpus, requests, overheads):
     if total_cpus < len(requests):
         raise ValueError(f"{len(requests)} jobs on {total_cpus} CPUs")
     allocation = {jid: 1 for jid in requests}
-    remaining = total_cpus - len(requests)
+    grants = []
     order = sorted(requests)
-    while remaining > 0:
+    while len(grants) < total_cpus - len(requests):
         best_jid = None
         best_eff = 0.0
         for jid in order:
@@ -188,19 +190,30 @@ def scan_water_fill(total_cpus, requests, overheads):
         if best_jid is None:
             break
         allocation[best_jid] += 1
-        remaining -= 1
+        grants.append(best_jid)
+    return grants
+
+
+def granted(requests, grants):
+    """The allocation after *grants*, in *requests*' key order."""
+    allocation = {jid: 1 for jid in requests}
+    for jid in grants:
+        allocation[jid] += 1
     return allocation
 
 
 #: exactly 0.0 (all-tie columns), negatives (superlinear fits, clamped
 #: at MAX_PREDICTED_EFFICIENCY), tiny ones for which 1 + a(p-1) can
-#: round to 1, ordinary ones and steep ones; None leaves the job unfitted
+#: round to 1, ordinary ones, steep ones, and infinity, whose every
+#: CPU past the first has efficiency exactly 0 (the greedy stops
+#: before it); None leaves the job unfitted
 overheads = st.one_of(
     st.just(0.0),
     st.floats(-1.0, 0.0),
     st.floats(0.0, 1e-15),
     st.floats(0.0, 2.0),
     st.sampled_from([1e3, 1e6, 1e12, 1e300]),
+    st.just(math.inf),
     st.none(),
 )
 
@@ -240,6 +253,19 @@ def candidate_allocation(draw, total, requests, fitted):
     return allocation
 
 
+def one_step_from(allocation):
+    """Every allocation one CPU away: each job nudged by one, and one
+    CPU moved between each ordered pair of jobs."""
+    for jid in allocation:
+        for step in (-1, 1):
+            yield {**allocation, jid: allocation[jid] + step}
+    for giver in allocation:
+        for taker in allocation:
+            if giver != taker:
+                yield {**allocation, giver: allocation[giver] - 1,
+                       taker: allocation[taker] + 1}
+
+
 def greedy_agrees(total, requests, fitted, allocation):
     """What the proof must answer: the greedy's verdict, False when a
     fit is superlinear (its column rises, so no ordering argument)."""
@@ -257,26 +283,54 @@ LINEAR = ApplicationSpec(
 )
 
 
+def views_of(requests, allocation):
+    """The view table the proof reads: each job holding its allocation."""
+    return {
+        jid: JobView(job=Job(jid, LINEAR, submit_time=0.0, request=request),
+                     allocation=allocation[jid])
+        for jid, request in requests.items()
+    }
+
+
 class TestHeapAndProof:
     @tier_settings("determinism")
     @given(total=st.integers(1, 64), jobs=job_tables)
+    # two ordinary fits compete for every CPU: any shift of p moves a grant
+    @example(total=16, jobs={1: (16, 0.1), 2: (16, 0.3)})
     def test_heap_matches_scan(self, total, jobs):
+        """The heap grants in the scan's order: its answer matches at
+        every machine size up to *total*, each a prefix of the next."""
         requests, fitted = split(jobs)
         if total < len(requests):
             with pytest.raises(ValueError):
                 water_fill(total, requests, fitted)
             return
-        # key order is part of the output: _apply resizes in it
-        assert list(water_fill(total, requests, fitted).items()) == \
-            list(scan_water_fill(total, requests, fitted).items())
+        grants = scan_grants(total, requests, fitted)
+        for cpus in range(len(requests), total + 1):
+            # key order is part of the output: _apply resizes in it
+            assert list(water_fill(cpus, requests, fitted).items()) == \
+                list(granted(requests, grants[:cpus - len(requests)]).items())
 
     @tier_settings("determinism")
-    @given(total=st.integers(1, 64), jobs=job_tables, data=st.data())
-    def test_proof_matches_greedy(self, total, jobs, data):
+    @given(total=st.integers(1, 64), jobs=job_tables, stale=overheads, data=st.data())
+    def test_proof_matches_greedy(self, total, jobs, stale, data):
+        """The proof reads the view table with the reporter's refit in
+        place of its overhead in the table, which must not count."""
         requests, fitted = split(jobs)
+        reporter = data.draw(st.sampled_from(sorted(requests)))
+        refit = fitted.get(reporter, 0.0)
+        table = {jid: a for jid, a in fitted.items() if jid != reporter}
+        if stale is not None:
+            table[reporter] = stale
         allocation = candidate_allocation(data.draw, total, requests, fitted)
-        assert is_water_fill(total, requests, fitted, allocation) == \
-            greedy_agrees(total, requests, fitted, allocation)
+        answer = greedy_agrees(total, requests, fitted, allocation)
+        assert is_water_fill(total, views_of(requests, allocation), table, reporter, refit) == \
+            answer
+        if answer:
+            # and every near miss around the greedy's answer
+            for near in one_step_from(allocation):
+                assert is_water_fill(total, views_of(requests, near), table, reporter, refit) \
+                    == greedy_agrees(total, requests, fitted, near), near
 
     @tier_settings("standard")
     @given(
@@ -328,19 +382,30 @@ class TestHeapAndProof:
     def test_all_tie_columns_grant_in_id_order(self):
         # a = 0 everywhere: every CPU ties at efficiency 1, so the
         # lower id fills up to its request before the next one grows
-        alloc = water_fill(10, {3: 5, 1: 5, 2: 5}, {})
+        requests = {3: 5, 1: 5, 2: 5}
+        alloc = water_fill(10, requests, {})
         assert list(alloc.items()) == [(3, 1), (1, 5), (2, 4)]
-        assert is_water_fill(10, {3: 5, 1: 5, 2: 5}, {}, alloc)
-        assert not is_water_fill(10, {3: 5, 1: 5, 2: 5}, {}, {3: 1, 1: 4, 2: 5})
+        assert is_water_fill(10, views_of(requests, alloc), {}, 3, 0.0)
+        assert not is_water_fill(10, views_of(requests, {3: 1, 1: 4, 2: 5}), {}, 3, 0.0)
+
+    def test_allocation_beyond_the_machine_is_never_proved(self):
+        # every job at its request and one CPU more than the machine
+        # has: the columns and the frontier alone would pass it
+        requests = {1: 3, 2: 1}
+        assert water_fill(3, requests, {}) == {1: 2, 2: 1}
+        assert not is_water_fill(3, views_of(requests, {1: 3, 2: 1}), {}, 1, 0.0)
 
     def test_superlinear_fit_is_never_proved(self):
-        alloc = water_fill(10, {1: 5, 2: 5}, {1: -0.05})
-        assert not is_water_fill(10, {1: 5, 2: 5}, {1: -0.05}, alloc)
+        requests = {1: 5, 2: 5}
+        alloc = water_fill(10, requests, {1: -0.05})
+        assert not is_water_fill(10, views_of(requests, alloc), {1: 0.0}, 1, -0.05)
 
     def test_zero_efficiency_cpu_is_never_proved(self):
         # a = 1e308 overflows 1 + a(p-1) at p = 3: that CPU's efficiency
         # is 0, so the greedy stops with a CPU left over rather than
-        # grant it, and the allocation that holds it is not its answer
+        # grant it: the allocation that holds it is not its answer, and
+        # the one it stops at is
         requests, fitted = {1: 3, 2: 3}, {1: 1e308, 2: 1e308}
         assert water_fill(5, requests, fitted) == {1: 2, 2: 2}
-        assert not is_water_fill(5, requests, fitted, {1: 3, 2: 2})
+        assert not is_water_fill(5, views_of(requests, {1: 3, 2: 2}), fitted, 1, 1e308)
+        assert is_water_fill(5, views_of(requests, {1: 2, 2: 2}), fitted, 1, 1e308)

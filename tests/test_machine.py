@@ -1,5 +1,7 @@
 """Unit and property tests for the machine model."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,9 @@ from repro.fuzz.profiles import tier_settings
 
 from repro.machine.cpu import CpuState
 from repro.machine.machine import Machine, MachineError
+from repro.machine.topology import NumaTopology
 from repro.metrics.trace import TraceRecorder
+from repro.sim.columns import HEALTH_OFFLINE
 
 
 class TestCpuState:
@@ -150,6 +154,22 @@ class TestPlacement:
         machine.start_job(1, "a", 5, 0.0)
         machine.start_job(2, "b", 7, 0.0)
         assert not set(machine.partition_of(1)) & set(machine.partition_of(2))
+
+
+class TestRestore:
+    def test_restored_machine_releases_like_the_original(self):
+        # this history leaves the partition's set iterating 0 1 2 4 3 5
+        # 6 7, while a restore rebuilds it from the sorted list: a
+        # finished job's bursts come out in id order either way
+        machine = Machine(16, trace=TraceRecorder(16))
+        machine.start_job(1, "a", 6, 1.0)
+        machine.resize_job(1, 3, 2.0)
+        machine.resize_job(1, 8, 3.0)
+        restored = pickle.loads(pickle.dumps(machine))
+        for copy in (machine, restored):
+            copy.finish_job(1, 4.0)
+        assert machine.trace.bursts == restored.trace.bursts
+        assert [b.cpu for b in machine.trace.bursts[-8:]] == list(range(8))
 
 
 class TestMigrationAccounting:
@@ -310,3 +330,132 @@ class TestMachineInvariants:
                 seen |= part
             assert len(seen) <= 12
             assert machine.free_cpus == 12 - len(seen)
+
+
+# ----------------------------------------------------------------------
+# grouped placement against the decorated sorts it replaced
+# ----------------------------------------------------------------------
+class DecoratedSortMachine(Machine):
+    """Reference: placement by one decorated sort over every CPU.
+
+    A grow ranks free CPUs by (hop distance to the partition, cpu id),
+    a new partition by (node, cpu id); a shrink ranks the partition's
+    CPUs by (node population, node id desc, cpu id desc).
+    """
+
+    def _grow(self, job_id, count, now):
+        partition = self._partitions[job_id]
+        free = sorted(self._free)
+        if len(free) < count:
+            raise MachineError(f"job {job_id}: need {count} free CPUs, have {len(free)}")
+        node_of = self._node_of
+        if not partition:
+            free.sort(key=lambda c: (node_of[c], c))
+            chosen = free[:count]
+        else:
+            rows = [self._dist_row(node) for node in {node_of[p] for p in partition}]
+            decorated = sorted(
+                (min(row[node_of[cpu_id]] for row in rows), cpu_id) for cpu_id in free
+            )
+            chosen = [cpu_id for _, cpu_id in decorated[:count]]
+        self._cols.seize(chosen, job_id, self._app_names[job_id], now)
+        partition.update(chosen)
+        self._free.difference_update(chosen)
+        self._n_allocated += count
+
+    def _shrink(self, job_id, count, now):
+        partition = self._partitions[job_id]
+        node_of = self._node_of
+        population = {}
+        for cpu_id in partition:
+            population[node_of[cpu_id]] = population.get(node_of[cpu_id], 0) + 1
+        keyed = sorted(
+            (population[node_of[cpu_id]], -node_of[cpu_id], -cpu_id) for cpu_id in partition
+        )
+        victims = [-key[2] for key in keyed[:count]]
+        self._cols.release(victims, now, self._emit)
+        partition.difference_update(victims)
+        self._n_allocated -= count
+        health = self._cols.health
+        self._free.update(cpu_id for cpu_id in victims if health[cpu_id] != HEALTH_OFFLINE)
+        return count
+
+
+@st.composite
+def placement_histories(draw):
+    """A machine layout and a random op sequence, faults included.
+
+    Each op is ``(kind, pick, size, dt)``; ``pick`` and ``size`` are
+    read against the machine's state (see :func:`_apply_op`), so
+    nearly every op starts, resizes or finishes a real partition.
+    """
+    n_cpus = draw(st.integers(2, 24))
+    cpus_per_node = draw(st.integers(1, 4))
+    ops = draw(st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["start"] * 2 + ["resize"] * 4
+                + ["finish", "fail", "repair", "degrade", "restore"]
+            ),
+            st.integers(0, 99), st.integers(0, 99), st.floats(0.0, 3.0),
+        ),
+        min_size=1, max_size=40,
+    ))
+    return n_cpus, cpus_per_node, ops
+
+
+def _apply_op(machine, op, pick, size, now):
+    """Apply one op: a start takes the next job id and up to every free
+    CPU, a resize or finish picks a running job, a resize to any size
+    from 1 to its partition plus the free CPUs.  Returns the outcome,
+    or the message when the machine rejects the op."""
+    running = machine.running_jobs()
+    free = machine.free_cpus
+    try:
+        if op == "start":
+            job_id = max(running, default=0) + 1
+            return machine.start_job(job_id, f"app{job_id}", 1 + size % max(free, 1), now)
+        if op in ("resize", "finish") and running:
+            job_id = running[pick % len(running)]
+            if op == "finish":
+                return machine.finish_job(job_id, now)
+            bound = machine.allocation_of(job_id) + free
+            return machine.resize_job(job_id, 1 + size % bound, now)
+        if op == "fail":
+            return machine.fail_cpu(pick % machine.n_cpus, now)
+        if op == "repair":
+            return machine.repair_cpu(pick % machine.n_cpus, now)
+        if op == "degrade":
+            return machine.degrade_node(pick % machine.topology.n_nodes, 0.5, now)
+        if op == "restore":
+            return machine.restore_node(pick % machine.topology.n_nodes, now)
+        return None
+    except MachineError as exc:
+        return ("rejected", str(exc))
+
+
+class TestPlacementParity:
+    @tier_settings("standard")
+    @given(placement_histories())
+    def test_grouped_placement_matches_decorated_sorts(self, history):
+        n_cpus, cpus_per_node, ops = history
+        machines = [
+            cls(n_cpus, NumaTopology(n_cpus, cpus_per_node), trace=TraceRecorder(n_cpus))
+            for cls in (Machine, DecoratedSortMachine)
+        ]
+        now = 0.0
+        for op, pick, size, dt in ops:
+            now += dt
+            outcomes = [_apply_op(machine, op, pick, size, now) for machine in machines]
+            assert outcomes[0] == outcomes[1], (op, pick, size)
+            grouped, reference = machines
+            # set iteration order follows insertion order: the chosen
+            # CPUs went in in the same order
+            assert [(j, list(p)) for j, p in grouped._partitions.items()] == \
+                [(j, list(p)) for j, p in reference._partitions.items()]
+            assert grouped.trace.bursts == reference.trace.bursts
+            assert grouped.trace.migrations == reference.trace.migrations
+            assert sorted(grouped._free) == sorted(reference._free)
+        for machine in machines:
+            machine.finalize(now + 1.0)
+        assert machines[0].trace.bursts == machines[1].trace.bursts

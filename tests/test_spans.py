@@ -64,33 +64,35 @@ from tests.iteration_ends import IterationEnd, record_iteration_ends
 # ----------------------------------------------------------------------
 GOLDEN_CONFIG = ExperimentConfig(n_cpus=32, seed=11)
 
-#: WorkloadResult sha256 prefix : trace_digest prefix, load 1.0
+#: WorkloadResult sha256 prefix : trace_digest prefix, load 1.0.  The
+#: 13 runs that finish a job whose CPU set iterated out of id order were
+#: re-pinned when ``Machine.finish_job`` began releasing in id order.
 GOLDEN = {
     "IRIX/w1": "e07d8fbe1190a5b2:b5bb7de317083ba5",
     "IRIX/w2": "1b398ad94e5031ac:a00e9b32cbddc189",
     "IRIX/w3": "5b4bcfbd03e3a08c:c7135545babc4a80",
     "IRIX/w4": "e0fbb71235df3c78:c52a08bd6db19457",
-    "Equip/w1": "a843c305606c4b3d:dbc5473852036f89",
+    "Equip/w1": "a843c305606c4b3d:7a6fa183e704ad44",
     "Equip/w2": "ff0596463a9f04f0:263e2e3ae54dc624",
     "Equip/w3": "1aadbaeb330338d1:c95d21a7112167af",
-    "Equip/w4": "d881f2adf7c96303:1763b2670eebade9",
-    "Equal_eff/w1": "1e046f6df428c000:52f680a5a99f8752",
-    "Equal_eff/w2": "a82da1b6fc6cf052:796c67c20eb7f59d",
-    "Equal_eff/w3": "1473f8014b601bc2:fae522ad3134cac0",
-    "Equal_eff/w4": "c76571bf840a29ec:f7d5a713185f9028",
+    "Equip/w4": "d881f2adf7c96303:5d1f292c6cf6462f",
+    "Equal_eff/w1": "1e046f6df428c000:a634aa3e65d518c2",
+    "Equal_eff/w2": "c578f46b875c18b6:8976247c71627f4d",
+    "Equal_eff/w3": "1473f8014b601bc2:e3769c1257bacccd",
+    "Equal_eff/w4": "c76571bf840a29ec:cfdbe32e1f8c2672",
     "PDPA/w1": "27055dc3c0d2462f:afedcdc2a0fb9781",
     "PDPA/w2": "581d1755e0ee037a:5e0ad8ced7abf19c",
-    "PDPA/w3": "37e36303f347ad79:8234af71ec8d2161",
+    "PDPA/w3": "37e36303f347ad79:2c8c066080ea7c9b",
     "PDPA/w4": "eef272b93186e1f0:526eb9e1f7b0739a",
-    "PDPA/w3/cpukill8": "fd1726979f2767c3:4223b59429a8d71f",
+    "PDPA/w3/cpukill8": "fd1726979f2767c3:bdd25b7a70f25caa",
     "PDPA/w3/flaky-reports": "d737c9ed7a4255ad:f099d4256ac30e7f",
-    "PDPA/w3/brownout": "0da0e405782482d5:db54229744c1dba9",
-    "Equip/w3/cpukill8": "a606832a8c116998:04ed5d0898e4e476",
+    "PDPA/w3/brownout": "0da0e405782482d5:3c56c4add1b8accd",
+    "Equip/w3/cpukill8": "a606832a8c116998:a3d4d10bc52a414d",
     "Equip/w3/flaky-reports": "1aadbaeb330338d1:bcbef057157af774",
     "Equip/w3/brownout": "118aaaf0e1de8083:406b75a700c1796e",
-    "Equal_eff/w3/cpukill8": "d5cdcd51027d242a:fc0f5e431b2623dc",
-    "Equal_eff/w3/flaky-reports": "6600cf4b376ec6cd:67500484f046d771",
-    "Equal_eff/w3/brownout": "b6cf0afcebe4d6f3:1b52f12632b923cf",
+    "Equal_eff/w3/cpukill8": "d5cdcd51027d242a:66174b27220b2c1f",
+    "Equal_eff/w3/flaky-reports": "72bb4d9f7551469d:7e933a3e663b0188",
+    "Equal_eff/w3/brownout": "b6cf0afcebe4d6f3:859732575edaba78",
 }
 
 #: serve stats digest, PDPA on a 200-job w2 stream
@@ -379,29 +381,19 @@ CUT_CONFIG = ExperimentConfig(n_cpus=16, duration=60.0, seed=5)
 _uninterrupted: Dict[str, str] = {}
 
 
-def _closed(policy: str) -> SimulationSession:
+def _closed(policy: str, config: ExperimentConfig = CUT_CONFIG) -> SimulationSession:
     from repro.qs.workload import generate_workload
 
     jobs = generate_workload(
-        TABLE1_MIXES["w1"], 1.0, n_cpus=CUT_CONFIG.n_cpus, duration=CUT_CONFIG.duration,
-        streams=RandomStreams(CUT_CONFIG.seed).spawn("workload"),
+        TABLE1_MIXES["w1"], 1.0, n_cpus=config.n_cpus, duration=config.duration,
+        streams=RandomStreams(config.seed).spawn("workload"),
     )
-    return build_session(policy, jobs, CUT_CONFIG, load=1.0, workload="w1")
+    return build_session(policy, jobs, config, load=1.0, workload="w1")
 
 
 def _cut_digest(out: Any) -> str:
-    """Result bytes plus the trace, bursts in sorted order.
-
-    A restored machine can release a finished job's CPUs, and so emit
-    their bursts, in another order (``Machine.finish_job`` walks a set
-    that restore rebuilt from a sorted list; a property of Machine
-    pickling, not of spans), so the order-sensitive trace digest is not
-    compared across a cut.
-    """
-    trace = out.trace
-    body = repr((canonical_dumps(out.result.to_dict()), sorted(map(repr, trace.bursts)),
-                 tuple(trace.reallocations), tuple(trace.mpl_samples), trace.migrations))
-    return hashlib.sha256(body.encode()).hexdigest()
+    """The result bytes plus the plain, order-sensitive trace digest."""
+    return f"{canonical_dumps(out.result.to_dict())}:{trace_digest(out)}"
 
 
 def _save_restore(session: Any, cls: Any, workdir: Path) -> Any:
@@ -428,6 +420,24 @@ def test_mid_span_cut_closed(policy, cut):
         restored = _save_restore(session, SimulationSession, Path(tmp))
     restored.run()
     assert _cut_digest(restored.finish()) == _uninterrupted[policy]
+
+
+def test_restore_leaves_result_and_trace_as_uninterrupted():
+    """Equip/w1 on 16 CPUs, seed 5, cut at t=100: a restored machine
+    rebuilds each partition's CPU set from a sorted list, so a finished
+    job whose set iterated in another order emitted its bursts in that
+    other order (the trace diverged at burst 124 of 136), and the
+    result's burst-folded means moved in the last bit.  Releasing in id
+    order makes the restored run equal the uninterrupted one."""
+    config = ExperimentConfig(n_cpus=16, seed=5)
+    reference = _closed("Equip", config)
+    reference.run()
+    session = _closed("Equip", config)
+    session.run(until=100.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        restored = _save_restore(session, SimulationSession, Path(tmp))
+    restored.run()
+    assert _cut_digest(restored.finish()) == _cut_digest(reference.finish())
 
 
 def _stream(seed: int) -> ServeSession:
