@@ -111,11 +111,13 @@ class LiveOracle:
     def check_fault_offline(self, target: "FuzzTarget") -> List[Violation]:
         """No OFFLINE CPU may be owned (live form of offline-overlap)."""
         problems = []
-        for cpu in target.rm.machine.cpus:
-            if not cpu.allocatable and cpu.owner is not None:
+        machine = target.rm.machine
+        for cpu_id in machine.offline_cpus():
+            owner = machine.owner_of(cpu_id)
+            if owner is not None:
                 problems.append(Violation(
                     "fault-offline", "fault",
-                    f"offline CPU {cpu.cpu_id} still owned by job {cpu.owner}",
+                    f"offline CPU {cpu_id} still owned by job {owner}",
                 ))
         return problems
 

@@ -8,29 +8,46 @@ were, keep partitions compact on the NUMA fabric — but applied to
 exclusive partitions, which is what makes the space-sharing policies
 stable (few migrations, long bursts; see Table 2 of the paper).
 
-Per-CPU ownership/burst state lives in one packed
-:class:`repro.sim.columns.CpuColumns` store; ``self.cpus`` holds
-lightweight views for scalar access.  The partition operations drive
-the *batched* column kernels — one ``seize``/``release`` call per
-event instead of one ``CpuState.assign`` call per CPU — processing
-ids in exactly the order the old per-CPU loops did, so trace contents
-and books stay byte-identical.
+Each CPU's state is one slot in three plain lists indexed by CPU id:
+``_owner`` (the owning job id, or ``None`` when idle), ``_since`` (the
+start of the current burst) and ``_health`` (a :class:`CpuHealth`).
+A grow seizes its chosen CPUs in one loop; a finish, a shrink and a
+CPU failure all close their bursts through the one ``_release`` loop,
+and ``finalize`` flushes whatever is still open, in id order.  A
+burst takes its application name from the owner's partition.
 """
 
 from __future__ import annotations
 
+import enum
 from itertools import chain, groupby, islice
 from typing import Any, Dict, List, Optional, Set
 
-from repro.machine.cpu import CpuHealth, CpuState, burst_emitter
 from repro.machine.topology import NumaTopology
-from repro.metrics.trace import TraceRecorder
-from repro.sim.columns import HEALTH_OFFLINE, CpuColumns
+from repro.metrics.trace import Burst, TraceRecorder
 from repro.sim.slots import set_slot_state, slot_state
 
 
 class MachineError(RuntimeError):
     """Raised on invalid partition operations (overcommit, unknown job)."""
+
+
+class CpuHealth(enum.Enum):
+    """Health of one CPU, as seen by the allocator.
+
+    * ``ONLINE`` — fully functional (the only state the no-fault path
+      ever sees);
+    * ``DEGRADED`` — functional but slow, e.g. its NUMA node's router
+      or memory is throttled; still allocatable;
+    * ``OFFLINE`` — failed; never allocatable until repaired.
+    """
+
+    ONLINE = "online"
+    DEGRADED = "degraded"
+    OFFLINE = "offline"
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.value
 
 
 class Machine:
@@ -51,9 +68,9 @@ class Machine:
     """
 
     __slots__ = (
-        "n_cpus", "topology", "trace", "_emit", "_cols", "cpus", "_partitions",
-        "_app_names", "node_speed", "_free", "_n_offline", "_n_allocated",
-        "_node_of", "_dist_rows",
+        "n_cpus", "topology", "trace", "_owner", "_since", "_health",
+        "_partitions", "_app_names", "node_speed", "_free", "_n_offline",
+        "_n_allocated", "_node_of", "_dist_rows",
     )
 
     def __init__(
@@ -71,19 +88,17 @@ class Machine:
                 f"topology covers {self.topology.n_cpus} CPUs, machine has {n_cpus}"
             )
         self.trace = trace
-        #: burst-emission callback for the column kernels (None when
-        #: untraced); a closure, so derived — rebuilt on unpickle.
-        self._emit = burst_emitter(trace)
-        self._cols = CpuColumns(n_cpus)
-        self.cpus: List[CpuState] = [
-            CpuState(i, self._cols, i) for i in range(n_cpus)
-        ]
+        #: per CPU: the owning job id (None when idle), the start of
+        #: the current burst, and the health
+        self._owner: List[Optional[int]] = [None] * n_cpus
+        self._since: List[float] = [0.0] * n_cpus
+        self._health: List[CpuHealth] = [CpuHealth.ONLINE] * n_cpus
         self._partitions: Dict[int, Set[int]] = {}
         self._app_names: Dict[int, str] = {}
         #: speed factor per degraded NUMA node (absent = full speed);
         #: read-only outside this class: empty means no node is slow
         self.node_speed: Dict[int, float] = {}
-        # Incrementally maintained views of the CPU list, so the hot
+        # Incrementally maintained views of the CPU lists, so the hot
         # queries (free_cpus / healthy_cpus, every allocation decision)
         # are O(1) instead of O(n_cpus) scans.  Invariants are checked
         # against the ground truth by check_invariants().
@@ -107,12 +122,10 @@ class Machine:
         # makes snapshot bytes depend on how a partition was assembled
         # and breaks the checkpoint layer's save→restore→save
         # fixed-point contract.  Sorted lists are the canonical form.
-        # The per-CPU views and the distance cache are derived state:
-        # dropping them shrinks the envelope and they rebuild exactly.
+        # The distance cache is derived state: dropping it shrinks the
+        # envelope and it rebuilds exactly.
         state = slot_state(self)
-        del state["cpus"]
         del state["_dist_rows"]
-        del state["_emit"]
         state["_free"] = sorted(self._free)
         state["_partitions"] = {
             job: sorted(cpus) for job, cpus in self._partitions.items()
@@ -126,10 +139,6 @@ class Machine:
         }
         set_slot_state(self, state)
         self._dist_rows = {}
-        self._emit = burst_emitter(self.trace)
-        self.cpus = [
-            CpuState(i, self._cols, i) for i in range(self.n_cpus)
-        ]
 
     # ------------------------------------------------------------------
     # queries
@@ -164,6 +173,10 @@ class Machine:
     def allocations(self) -> Dict[int, int]:
         """Mapping of job id to partition size."""
         return {job: len(cpus) for job, cpus in self._partitions.items()}
+
+    def owner_of(self, cpu_id: int) -> Optional[int]:
+        """Job id that owns one CPU, or ``None`` when it is idle."""
+        return self._owner[cpu_id]
 
     # ------------------------------------------------------------------
     # partition management
@@ -241,44 +254,52 @@ class Machine:
             )
         # id order, not the set's: bursts are emitted in release order,
         # and a restore rebuilds the set from a sorted list
-        released = sorted(self._partitions[job_id])
-        self._cols.release(released, now, self._emit)
-        self._n_allocated -= len(released)
-        if self._n_offline:
-            health = self._cols.health
-            self._free.update(
-                cpu_id for cpu_id in released if health[cpu_id] != HEALTH_OFFLINE
-            )
-        else:
-            self._free.update(released)
+        self._release(sorted(self._partitions[job_id]), now)
         del self._partitions[job_id]
         del self._app_names[job_id]
 
     def finalize(self, now: float) -> None:
-        """Flush all in-progress bursts into the trace (end of run)."""
-        self._cols.flush_all(now, self._emit)
+        """Flush all in-progress bursts into the trace, in id order (end of run).
+
+        Each owned CPU's burst closes at *now* and a new one starts
+        there, so a second call emits nothing.
+        """
+        record = None if self.trace is None else self.trace.record_burst
+        since = self._since
+        for cpu_id, job_id in enumerate(self._owner):
+            if job_id is None:
+                continue
+            started = since[cpu_id]
+            if now < started:
+                raise ValueError(f"cpu {cpu_id}: flush before burst start")
+            if record is not None:
+                record(Burst(cpu_id, job_id, self._app_names[job_id], started, now))
+            since[cpu_id] = now
         self.check_invariants()
 
     def check_invariants(self) -> None:
         """Verify the incremental books against the CPU ground truth.
 
-        Recomputes the free set, offline count and allocation count by
-        scanning ``self.cpus`` / ``self._partitions`` and raises
+        Recomputes the free set, offline count and allocation count
+        from the per-CPU lists and ``self._partitions`` and raises
         :class:`MachineError` on any divergence.  Cheap enough to call
         once per run (finalize) and from tests after every mutation.
         """
-        true_offline = sum(1 for c in self.cpus if not c.allocatable)
+        owner = self._owner
+        health = self._health
+        true_offline = health.count(CpuHealth.OFFLINE)
         true_free = {
-            c.cpu_id for c in self.cpus if c.idle and c.allocatable
+            cpu_id for cpu_id in range(self.n_cpus)
+            if owner[cpu_id] is None and health[cpu_id] is not CpuHealth.OFFLINE
         }
         true_allocated = sum(len(p) for p in self._partitions.values())
         owned = set()
         for job_id, partition in self._partitions.items():
             for cpu_id in partition:
-                if self.cpus[cpu_id].owner != job_id:
+                if owner[cpu_id] != job_id:
                     raise MachineError(
                         f"invariant violation: CPU {cpu_id} in partition of "
-                        f"job {job_id} but owned by {self.cpus[cpu_id].owner}"
+                        f"job {job_id} but owned by {owner[cpu_id]}"
                     )
                 if cpu_id in owned:
                     raise MachineError(
@@ -306,11 +327,14 @@ class Machine:
     # ------------------------------------------------------------------
     def cpu_health(self, cpu_id: int) -> CpuHealth:
         """Health of one CPU (IndexError on bad id)."""
-        return self.cpus[cpu_id].health
+        return self._health[cpu_id]
 
     def offline_cpus(self) -> List[int]:
         """Ids of CPUs currently OFFLINE."""
-        return [c.cpu_id for c in self.cpus if c.health is CpuHealth.OFFLINE]
+        return [
+            cpu_id for cpu_id, health in enumerate(self._health)
+            if health is CpuHealth.OFFLINE
+        ]
 
     def fail_cpu(self, cpu_id: int, now: float) -> Optional[int]:
         """Take one CPU OFFLINE; returns the job that owned it (if any).
@@ -329,42 +353,43 @@ class Machine:
         """
         if not 0 <= cpu_id < self.n_cpus:
             raise MachineError(f"no such CPU {cpu_id} (machine has {self.n_cpus})")
-        cpu = self.cpus[cpu_id]
-        if cpu.health is CpuHealth.OFFLINE:
+        if self._health[cpu_id] is CpuHealth.OFFLINE:
             return None
         if self.healthy_cpus <= 1:
             raise MachineError(
                 f"cannot take CPU {cpu_id} offline: it is the last "
                 f"allocatable CPU (offline: {self.offline_cpus()})"
             )
-        owner = cpu.owner
+        owner = self._owner[cpu_id]
         if owner is not None:
-            cpu.assign(None, "", now, self.trace)
+            self._release([cpu_id], now)
             self._partitions[owner].discard(cpu_id)
-            self._n_allocated -= 1
             if self.trace is not None:
                 self.trace.record_migrations(1)
-        cpu.health = CpuHealth.OFFLINE
+        self._health[cpu_id] = CpuHealth.OFFLINE
         self._n_offline += 1
         self._free.discard(cpu_id)
         return owner
 
     def repair_cpu(self, cpu_id: int, now: float) -> bool:
-        """Bring a failed/degraded CPU back ONLINE; True if state changed."""
+        """Bring a failed CPU back; True if it was OFFLINE.
+
+        The CPU comes back DEGRADED while its node is slow, else
+        ONLINE.  A CPU that has not failed is left alone: a DEGRADED
+        one is slow because of its node, and only ``restore_node``
+        clears that.
+        """
         if not 0 <= cpu_id < self.n_cpus:
             raise MachineError(f"no such CPU {cpu_id} (machine has {self.n_cpus})")
-        cpu = self.cpus[cpu_id]
-        if cpu.health is CpuHealth.ONLINE:
+        if self._health[cpu_id] is not CpuHealth.OFFLINE:
             return False
-        was_offline = cpu.health is CpuHealth.OFFLINE
-        node = self.topology.node_of(cpu_id)
-        cpu.health = (
-            CpuHealth.DEGRADED if node in self.node_speed else CpuHealth.ONLINE
+        self._health[cpu_id] = (
+            CpuHealth.DEGRADED if self._node_of[cpu_id] in self.node_speed
+            else CpuHealth.ONLINE
         )
-        if was_offline:
-            self._n_offline -= 1
-            if cpu.idle:
-                self._free.add(cpu_id)
+        self._n_offline -= 1
+        # an OFFLINE CPU is never owned: fail_cpu evicts its owner
+        self._free.add(cpu_id)
         return True
 
     def degrade_node(self, node: int, factor: float, now: float) -> List[int]:
@@ -377,18 +402,20 @@ class Machine:
             raise MachineError(f"node speed factor must be in (0, 1], got {factor}")
         cpus = self.topology.cpus_of_node(node)
         self.node_speed[node] = factor
+        health = self._health
         for cpu_id in cpus:
-            if self.cpus[cpu_id].health is CpuHealth.ONLINE:
-                self.cpus[cpu_id].health = CpuHealth.DEGRADED
+            if health[cpu_id] is CpuHealth.ONLINE:
+                health[cpu_id] = CpuHealth.DEGRADED
         return cpus
 
     def restore_node(self, node: int, now: float) -> List[int]:
         """Restore a degraded NUMA node to full speed; returns its CPUs."""
         cpus = self.topology.cpus_of_node(node)
         self.node_speed.pop(node, None)
+        health = self._health
         for cpu_id in cpus:
-            if self.cpus[cpu_id].health is CpuHealth.DEGRADED:
-                self.cpus[cpu_id].health = CpuHealth.ONLINE
+            if health[cpu_id] is CpuHealth.DEGRADED:
+                health[cpu_id] = CpuHealth.ONLINE
         return cpus
 
     def partition_speed_factor(self, job_id: int) -> float:
@@ -437,11 +464,10 @@ class Machine:
         id-sorted free list therefore falls into one run per node, and
         a stable sort of those runs by their node's distance (the
         minimum hop count to any of the partition's nodes, 0 on-node)
-        gives that order without a key per CPU.  The batched
-        ``seize`` kernel then assigns all chosen CPUs in one call.
-        All chosen CPUs come from the free set, which only ever holds
-        idle allocatable CPUs, so no burst closes and no migration is
-        possible here; seize() enforces idleness.
+        gives that order without a key per CPU.  All chosen CPUs come
+        from the free set, which only ever holds idle allocatable CPUs,
+        so no burst closes and no migration is possible here; the
+        seizing loop refuses a CPU that is not idle.
         """
         partition = self._partitions[job_id]
         free = sorted(self._free)
@@ -463,7 +489,15 @@ class Machine:
                 map(dist_row(node_of[run[0]]).__getitem__, part_nodes)
             ))
             chosen = list(islice(chain.from_iterable(runs), count))
-        self._cols.seize(chosen, job_id, self._app_names[job_id], now)
+        owner = self._owner
+        since = self._since
+        for cpu_id in chosen:
+            if owner[cpu_id] is not None:
+                raise ValueError(
+                    f"cpu {cpu_id}: seize of non-idle CPU (owner {owner[cpu_id]})"
+                )
+            owner[cpu_id] = job_id
+            since[cpu_id] = now
         partition.update(chosen)
         self._free.difference_update(chosen)
         self._n_allocated += count
@@ -476,21 +510,41 @@ class Machine:
         in (node population, node id desc, cpu id desc) order: the
         partition sorted by descending id falls into one run per node
         in descending node order, and a stable sort of those runs by
-        length gives that order.  The batched ``release`` kernel
-        closes the victims' bursts in exactly that order.
+        length gives that order.  Their bursts close in exactly that
+        order.
         """
         partition = self._partitions[job_id]
         runs = self._node_runs(sorted(partition, reverse=True))
         runs.sort(key=len)
         victims = list(islice(chain.from_iterable(runs), count))
-        self._cols.release(victims, now, self._emit)
+        self._release(victims, now)
         partition.difference_update(victims)
-        self._n_allocated -= count
-        if self._n_offline:
-            health = self._cols.health
-            self._free.update(
-                cpu_id for cpu_id in victims if health[cpu_id] != HEALTH_OFFLINE
-            )
-        else:
-            self._free.update(victims)
         return count
+
+    def _release(self, cpu_ids: List[int], now: float) -> None:
+        """Return the owned CPUs *cpu_ids* to idle, closing their bursts.
+
+        The one loop that closes bursts when CPUs leave a partition (a
+        finish, a shrink or a failure).  Bursts reach the trace in the
+        order of *cpu_ids*; releasing before a burst's start raises
+        ``ValueError``.  The caller removes the CPUs from the partition.
+        A partition never holds an OFFLINE CPU (``fail_cpu`` releases
+        one before marking it), so every released CPU is free again.
+        """
+        record = None if self.trace is None else self.trace.record_burst
+        owner = self._owner
+        since = self._since
+        app_names = self._app_names
+        for cpu_id in cpu_ids:
+            started = since[cpu_id]
+            if now < started:
+                raise ValueError(
+                    f"cpu {cpu_id}: time went backwards ({started} -> {now})"
+                )
+            if record is not None:
+                job_id = owner[cpu_id]
+                record(Burst(cpu_id, job_id, app_names[job_id], started, now))
+            owner[cpu_id] = None
+            since[cpu_id] = now
+        self._n_allocated -= len(cpu_ids)
+        self._free.update(cpu_ids)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.machine.cpu import CpuHealth
-from repro.machine.machine import Machine
+from repro.machine.machine import CpuHealth, Machine
 from repro.machine.memory import LocalityModel
 from repro.metrics.trace import FaultRecord, ReallocationRecord, TraceRecorder
 from repro.qs.job import Job

@@ -1,11 +1,12 @@
-"""Kernel-parity suite for the columnar hot core.
+"""Bit-exactness suite for :mod:`repro.sim.columns`.
 
-Every batched kernel in :mod:`repro.sim.columns` must match its
-retained scalar reference **bit for bit** — including NaN payloads,
-infinities and signed zeros.  Comparisons therefore go through the
-packed little-endian byte representation (``struct.pack('<d', x)``),
-never ``==``: two NaNs compare unequal but must still carry identical
-bits, and ``0.0 == -0.0`` would hide a sign flip.
+:class:`~repro.sim.columns.RunningMean` must match an explicit left
+fold **bit for bit** — including NaN payloads, infinities and signed
+zeros — and keep those bits through pickling.  Comparisons therefore
+go through the packed little-endian byte representation
+(``struct.pack('<d', x)``), never ``==``: two NaNs compare unequal but
+must still carry identical bits, and ``0.0 == -0.0`` would hide a sign
+flip.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.columns import (
-    BACKEND,
-    CpuColumns,
-    NO_OWNER,
-    RunningMean,
-)
+from repro.sim.columns import BACKEND, RunningMean
 
 #: Any finite/NaN/inf/-0.0 double — the full IEEE-754 binary64 space.
 any_double = st.floats(allow_nan=True, allow_infinity=True, width=64)
@@ -34,79 +30,7 @@ def bits(values) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# burst accounting: batched kernels vs the scalar path
-# ----------------------------------------------------------------------
-@st.composite
-def burst_scripts(draw):
-    """A machine size plus rounds of (seize, advance, release) steps."""
-    n = draw(st.integers(min_value=1, max_value=72))
-    rounds = draw(st.integers(min_value=1, max_value=4))
-    script = []
-    for _ in range(rounds):
-        take = draw(st.lists(
-            st.integers(min_value=0, max_value=n - 1),
-            min_size=0, max_size=n, unique=True,
-        ))
-        dt = draw(st.floats(min_value=0.0, max_value=1e6))
-        script.append((take, dt))
-    return n, script
-
-
-@settings(deadline=None, max_examples=100)
-@given(data=burst_scripts())
-def test_seize_release_match_scalar_path(data):
-    """The release/flush kernels leave the same columns with or without ``emit``.
-
-    The same script driven with and without a burst sink must leave
-    byte-identical columns (busy/since accumulate floats;
-    owner/switches are exact ints).
-    """
-    n, script = data
-    fast = CpuColumns(n)
-    slow = CpuColumns(n)
-    sink = lambda *args: None  # noqa: E731 - a burst sink that drops bursts
-    now = 0.0
-    job = 1
-    for take, dt in script:
-        free = [i for i in take if fast.owner[i] == NO_OWNER]
-        fast.seize(free, job, f"app{job}", now)
-        slow.seize(free, job, f"app{job}", now)
-        now += dt
-        owned = [i for i in range(n) if fast.owner[i] != NO_OWNER]
-        fast.release(owned, now)
-        slow.release(owned, now, emit=sink)
-        job += 1
-    fast.flush_all(now + 1.0)
-    slow.flush_all(now + 1.0, emit=sink)
-    assert bits(fast.busy) == bits(slow.busy)
-    assert bits(fast.since) == bits(slow.since)
-    assert list(fast.owner) == list(slow.owner)
-    assert list(fast.switches) == list(slow.switches)
-    assert fast.app == slow.app
-
-
-def test_release_zero_length_partition_is_noop():
-    cols = CpuColumns(4)
-    before = cols.__getstate__()
-    cols.seize([], 7, "app7", 1.0)
-    cols.release([], 2.0)
-    assert cols.__getstate__() == before
-
-
-def test_cpu_columns_pickle_roundtrip_is_canonical():
-    cols = CpuColumns(30)
-    cols.seize(list(range(0, 30, 2)), 3, "swim", 1.5)
-    cols.release(list(range(0, 30, 4)), 2.25)
-    clone = pickle.loads(pickle.dumps(cols))
-    assert clone.__getstate__() == cols.__getstate__()
-    # the envelope is packed bytes, not object lists
-    state = cols.__getstate__()
-    assert isinstance(state["busy"], bytes) and len(state["busy"]) == 30 * 8
-    assert isinstance(state["owner"], bytes) and len(state["owner"]) == 30 * 8
-
-
-# ----------------------------------------------------------------------
-# SelfAnalyzer running-sum columns
+# SelfAnalyzer running sums
 # ----------------------------------------------------------------------
 @settings(deadline=None, max_examples=200)
 @given(samples=st.lists(

@@ -20,8 +20,7 @@ from repro.faults import (
     ReportLoss,
     build_scenario,
 )
-from repro.machine.cpu import CpuHealth
-from repro.machine.machine import Machine, MachineError
+from repro.machine.machine import CpuHealth, Machine, MachineError
 from repro.metrics.faults import fault_statistics, offline_windows
 from repro.metrics.timeline import capacity_timeline
 from repro.metrics.trace import TraceRecorder
@@ -130,6 +129,17 @@ class TestMachineHealth:
         assert machine.allocation_of(1) == 7
         assert victim not in machine.partition_of(1)
 
+    def test_repair_leaves_a_cpu_that_has_not_failed_alone(self):
+        machine = Machine(8)
+        machine.degrade_node(0, 0.5, now=1.0)
+        assert not machine.repair_cpu(0, now=2.0)
+        assert not machine.repair_cpu(7, now=2.0)
+        assert machine.cpu_health(0) is CpuHealth.DEGRADED
+        machine.fail_cpu(0, now=3.0)
+        assert machine.repair_cpu(0, now=4.0)
+        assert machine.cpu_health(0) is CpuHealth.DEGRADED  # its node is still slow
+        machine.check_invariants()
+
     def test_offline_cpu_not_allocated(self):
         machine = Machine(4)
         machine.fail_cpu(0, now=0.0)
@@ -225,6 +235,24 @@ class TestGracefulDegradation:
         assert 0.0 < stats.mttr <= 20.0 + 1e-9
         steps = capacity_timeline(out.trace)
         assert [c for _, c in steps] == [32, 31, 32]
+        assert_valid(out)
+
+    def test_late_repair_of_a_degraded_cpu_records_nothing(self):
+        # the second fault finds CPU 0 OFFLINE and is ignored, but its
+        # repair stays scheduled: at t=85 it finds the CPU back and
+        # DEGRADED (node 0 is slow), which only restore_node clears
+        plan = FaultPlan(events=(
+            NodeSlowdown(10.0, node=0, factor=0.5, restore_after=500.0),
+            CpuFault(20.0, cpu=0, repair_after=30.0),
+            CpuFault(25.0, cpu=0, repair_after=60.0),
+        ))
+        out = run_with_plan("Equip", plan, config=ExperimentConfig(n_cpus=16, seed=3))
+        cpu_records = [
+            (f.kind, f.time) for f in out.trace.faults if f.kind.startswith("cpu_")
+        ]
+        assert cpu_records == [("cpu_fail", 20.0), ("cpu_repair", 50.0)]
+        stats = fault_statistics(out.trace)
+        assert (stats.cpu_failures, stats.cpu_repairs) == (1, 1)
         assert_valid(out)
 
     def test_node_slowdown_slows_jobs(self):

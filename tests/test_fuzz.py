@@ -23,6 +23,7 @@ from repro.fuzz.oracle import LiveOracle
 from repro.fuzz.runner import run_campaign
 from repro.fuzz.stimulus import OP_KINDS, Stimulus, apply_op
 from repro.fuzz.targets import FUZZ_POLICIES, FuzzTarget
+from repro.machine.machine import CpuHealth
 from repro.qs.queuing import NanosQS
 
 
@@ -85,11 +86,29 @@ class TestLiveOracleDetects:
             assert target.running_jobs(), "job should be mid-flight"
             assert oracle.check(target) == []
             machine = target.rm.machine
-            owned = next(c for c in machine.cpus if c.owner is not None)
-            owned.owner = None  # steal a CPU behind the books' back
+            owned = machine.partition_of(target.running_jobs()[0].job_id)[0]
+            machine._owner[owned] = None  # steal a CPU behind the books' back
             violations = oracle.check(target)
             codes = {v.code for v in violations}
             assert codes & {"cpu-books", "cpu-conservation"}, violations
+
+    def test_owned_offline_cpu_flagged(self):
+        with FuzzTarget("Equip") as target:
+            oracle = LiveOracle()
+            apply_op(target, {"kind": "submit", "app": "fz-linear", "request": 4})
+            apply_op(target, {"kind": "step", "n": 2})
+            assert target.running_jobs(), "job should be mid-flight"
+            assert oracle.check(target) == []
+            machine = target.rm.machine
+            job_id = target.running_jobs()[0].job_id
+            owned = machine.partition_of(job_id)[0]
+            # fail a CPU behind the books' back, leaving its owner on it
+            machine._health[owned] = CpuHealth.OFFLINE
+            violations = oracle.check(target)
+            expected = f"offline CPU {owned} still owned by job {job_id}"
+            assert any(
+                v.code == "fault-offline" and expected in v for v in violations
+            ), violations
 
     def test_unaccounted_killed_job_flagged(self, monkeypatch):
         # Protocol mutation: the QS drops its kill hook, so a crashed

@@ -7,60 +7,9 @@ from hypothesis import given, strategies as st
 
 from repro.fuzz.profiles import tier_settings
 
-from repro.machine.cpu import CpuState
 from repro.machine.machine import Machine, MachineError
 from repro.machine.topology import NumaTopology
-from repro.metrics.trace import TraceRecorder
-from repro.sim.columns import HEALTH_OFFLINE
-
-
-class TestCpuState:
-    def test_assign_emits_burst_on_switch(self):
-        trace = TraceRecorder(1)
-        cpu = CpuState(0)
-        cpu.assign(1, "a", 0.0, trace)
-        cpu.assign(2, "b", 5.0, trace)
-        assert len(trace.bursts) == 1
-        burst = trace.bursts[0]
-        assert (burst.job_id, burst.start, burst.end) == (1, 0.0, 5.0)
-        assert burst.app_name == "a"
-
-    def test_assign_same_owner_is_noop(self):
-        trace = TraceRecorder(1)
-        cpu = CpuState(0)
-        cpu.assign(1, "a", 0.0, trace)
-        cpu.assign(1, "a", 3.0, trace)
-        assert trace.bursts == []
-
-    def test_assign_returns_previous_owner(self):
-        cpu = CpuState(0)
-        assert cpu.assign(1, "a", 0.0) is None
-        assert cpu.assign(2, "b", 1.0) == 1
-        assert cpu.assign(None, "", 2.0) == 2
-
-    def test_busy_time_accumulates(self):
-        cpu = CpuState(0)
-        cpu.assign(1, "a", 0.0)
-        cpu.assign(None, "", 4.0)
-        cpu.assign(2, "b", 10.0)
-        cpu.assign(None, "", 11.0)
-        assert cpu.busy_time == pytest.approx(5.0)
-
-    def test_flush_closes_open_burst(self):
-        trace = TraceRecorder(1)
-        cpu = CpuState(0)
-        cpu.assign(1, "a", 0.0, trace)
-        cpu.flush(7.0, trace)
-        assert trace.bursts[0].end == 7.0
-        # Flushing twice must not double-count.
-        cpu.flush(7.0, trace)
-        assert len(trace.bursts) == 1
-
-    def test_time_backwards_raises(self):
-        cpu = CpuState(0)
-        cpu.assign(1, "a", 5.0)
-        with pytest.raises(ValueError):
-            cpu.assign(2, "b", 4.0)
+from repro.metrics.trace import Burst, TraceRecorder
 
 
 class TestMachineLifecycle:
@@ -170,6 +119,45 @@ class TestRestore:
             copy.finish_job(1, 4.0)
         assert machine.trace.bursts == restored.trace.bursts
         assert [b.cpu for b in machine.trace.bursts[-8:]] == list(range(8))
+
+
+class TestBursts:
+    def test_release_emits_one_burst_with_the_owner_app_name(self):
+        trace = TraceRecorder(4)
+        machine = Machine(4, trace=trace)
+        machine.start_job(1, "a", 1, 0.0)
+        machine.start_job(2, "b", 3, 1.0)
+        machine.finish_job(1, 5.0)
+        assert trace.bursts == [Burst(0, 1, "a", 0.0, 5.0)]
+        machine.resize_job(2, 2, 6.0)  # gives back CPU 1, alone on node 0
+        assert trace.bursts[1:] == [Burst(1, 2, "b", 1.0, 6.0)]
+
+    def test_finalize_twice_emits_each_open_burst_once(self):
+        trace = TraceRecorder(4)
+        machine = Machine(4, trace=trace)
+        machine.start_job(1, "a", 2, 1.0)
+        machine.finalize(7.0)
+        machine.finalize(7.0)
+        assert trace.bursts == [Burst(0, 1, "a", 1.0, 7.0), Burst(1, 1, "a", 1.0, 7.0)]
+
+    @pytest.mark.parametrize("release", [
+        lambda machine: machine.finish_job(1, 4.0),
+        lambda machine: machine.resize_job(1, 1, 4.0),
+        lambda machine: machine.fail_cpu(0, 4.0),
+        lambda machine: machine.finalize(4.0),
+    ], ids=["finish", "shrink", "fail", "finalize"])
+    def test_release_before_burst_start_raises(self, release):
+        machine = Machine(4)  # untraced: the machine's own check must refuse
+        machine.start_job(1, "a", 2, 5.0)
+        with pytest.raises(ValueError, match="backwards|before burst start"):
+            release(machine)
+
+    def test_seizing_an_owned_cpu_is_refused(self):
+        machine = Machine(4)
+        machine.start_job(1, "a", 1, 0.0)
+        machine._free.add(0)  # corrupt the books: job 1's CPU looks free
+        with pytest.raises(ValueError, match="non-idle"):
+            machine.start_job(2, "b", 1, 1.0)
 
 
 class TestMigrationAccounting:
@@ -358,7 +346,9 @@ class DecoratedSortMachine(Machine):
                 (min(row[node_of[cpu_id]] for row in rows), cpu_id) for cpu_id in free
             )
             chosen = [cpu_id for _, cpu_id in decorated[:count]]
-        self._cols.seize(chosen, job_id, self._app_names[job_id], now)
+        for cpu_id in chosen:
+            self._owner[cpu_id] = job_id
+            self._since[cpu_id] = now
         partition.update(chosen)
         self._free.difference_update(chosen)
         self._n_allocated += count
@@ -373,11 +363,8 @@ class DecoratedSortMachine(Machine):
             (population[node_of[cpu_id]], -node_of[cpu_id], -cpu_id) for cpu_id in partition
         )
         victims = [-key[2] for key in keyed[:count]]
-        self._cols.release(victims, now, self._emit)
+        self._release(victims, now)
         partition.difference_update(victims)
-        self._n_allocated -= count
-        health = self._cols.health
-        self._free.update(cpu_id for cpu_id in victims if health[cpu_id] != HEALTH_OFFLINE)
         return count
 
 
@@ -419,8 +406,10 @@ def _apply_op(machine, op, pick, size, now):
             job_id = running[pick % len(running)]
             if op == "finish":
                 return machine.finish_job(job_id, now)
+            # a job that lost its only CPU with none free has bound 0:
+            # its resize to 1 is then rejected
             bound = machine.allocation_of(job_id) + free
-            return machine.resize_job(job_id, 1 + size % bound, now)
+            return machine.resize_job(job_id, 1 + size % max(bound, 1), now)
         if op == "fail":
             return machine.fail_cpu(pick % machine.n_cpus, now)
         if op == "repair":

@@ -408,18 +408,32 @@ def _save_restore(session: Any, cls: Any, workdir: Path) -> Any:
 
 
 @tier_settings("quick")
-@given(policy=st.sampled_from(["IRIX", "Equip", "Equal_eff", "PDPA"]), cut=st.floats(5.0, 150.0))
-def test_mid_span_cut_closed(policy, cut):
-    if policy not in _uninterrupted:
-        reference = _closed(policy)
+@given(
+    policy=st.sampled_from(["IRIX", "Equip", "Equal_eff", "PDPA"]),
+    scenario=st.sampled_from(["none", "cpukill8", "brownout"]),
+    data=st.data(),
+)
+def test_mid_span_cut_closed(policy, scenario, data):
+    """A faulted cut lands after the scenario's first fault (cpukill8
+    fails CPUs from t=80, brownout slows nodes from t=70), so the
+    snapshot holds OFFLINE or DEGRADED CPUs."""
+    config = CUT_CONFIG
+    if scenario == "none":
+        cut = data.draw(st.floats(5.0, 150.0), label="cut")
+    else:
+        config = config.with_faults(build_scenario(scenario, config.n_cpus))
+        cut = data.draw(st.floats(80.0, 145.0), label="cut")
+    key = f"{policy}/{scenario}"
+    if key not in _uninterrupted:
+        reference = _closed(policy, config)
         reference.run()
-        _uninterrupted[policy] = _cut_digest(reference.finish())
-    session = _closed(policy)
+        _uninterrupted[key] = _cut_digest(reference.finish())
+    session = _closed(policy, config)
     session.run(until=cut)
     with tempfile.TemporaryDirectory() as tmp:
         restored = _save_restore(session, SimulationSession, Path(tmp))
     restored.run()
-    assert _cut_digest(restored.finish()) == _uninterrupted[policy]
+    assert _cut_digest(restored.finish()) == _uninterrupted[key]
 
 
 def test_restore_leaves_result_and_trace_as_uninterrupted():
