@@ -17,7 +17,7 @@ This is the experiment behind the paper's Tables 3 and 4.
 Run:  python examples/untuned_server.py
 """
 
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, run_workload
 from repro.experiments.tables import render_table3, render_table4, run_table3, run_table4
 from repro.metrics.paraver import allocation_timeline
 
@@ -32,9 +32,11 @@ def main() -> None:
     print(f"PDPA raised the multiprogramming level to {table3.pdpa.max_mpl} jobs;")
     print(f"Equipartition stayed at its fixed level of {table3.equip.max_mpl}.")
 
-    # Show PDPA's search shrinking one apsi job from 30 CPUs down.
-    apsi_jobs = [j for j in table3.pdpa_out.jobs if j.app_name == "apsi"]
-    steps = allocation_timeline(table3.pdpa_out.trace, apsi_jobs[0].job_id)
+    # Show PDPA's search shrinking one apsi job from 30 CPUs down: the
+    # table only keeps results, so rerun the PDPA cell for its trace.
+    pdpa = run_workload("PDPA", "w3", 0.6, config, request_overrides={"apsi": 30})
+    apsi_jobs = [j for j in pdpa.jobs if j.app_name == "apsi"]
+    steps = allocation_timeline(pdpa.trace, apsi_jobs[0].job_id)
     path = " -> ".join(str(procs) for _, procs in steps)
     print(f"PDPA's allocation search for apsi job {apsi_jobs[0].job_id}: {path}")
 

@@ -121,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout", type=positive_float, default=None, metavar="SEC",
-        help="per-cell wall-clock timeout for sweep cells; hung workers "
-             "are killed and the cell retried (enables supervision)",
+        help="per-cell wall-clock timeout for pooled sweep cells (--jobs "
+             "> 1); hung workers are killed and the cell retried "
+             "(default: no timeout)",
     )
     parser.add_argument(
-        "--retries", type=non_negative_int, default=None, metavar="N",
+        "--retries", type=non_negative_int, default=2, metavar="N",
         help="re-attempts for a crashed/hung/lost sweep cell before it is "
-             "quarantined as a poison cell (default 2 when supervision "
-             "is enabled; enables supervision)",
+             "quarantined as a poison cell (default 2)",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -438,7 +438,7 @@ def _checkpoint_cadence(args: argparse.Namespace):
 
 
 def _runner(args: argparse.Namespace):
-    """Sweep runner from the global flags; ``None`` means plain serial."""
+    """The supervised sweep runner the global flags describe."""
     from pathlib import Path
 
     from repro.parallel import (
@@ -455,13 +455,6 @@ def _runner(args: argparse.Namespace):
     if args.resume and cache is None:
         raise SystemExit("--resume requires --cache-dir (the journal lives there)")
 
-    supervision = None
-    if args.timeout is not None or args.retries is not None or args.strict:
-        supervision = SupervisionPolicy(
-            timeout=args.timeout,
-            retries=args.retries if args.retries is not None else 2,
-        )
-
     journal = None
     if cache is not None:
         journal = SweepJournal(
@@ -477,13 +470,10 @@ def _runner(args: argparse.Namespace):
             every_sim_seconds=cadence[1],
         )
 
-    if (args.jobs == 1 and cache is None and supervision is None
-            and checkpoint is None):
-        return None
     return SweepRunner(
         jobs=args.jobs,
         cache=cache,
-        supervision=supervision,
+        supervision=SupervisionPolicy(timeout=args.timeout, retries=args.retries),
         journal=journal,
         strict=args.strict,
         checkpoint=checkpoint,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.race import RaceDetector
 from repro.checkpoint import CheckpointPlan, SimulationSession
@@ -348,18 +348,18 @@ def workload_cell_spec(
     )
 
 
-def run_workload_cells(
+def run_cells(
     cells: Sequence[SweepCell],
     runner: Optional[SweepRunner] = None,
-) -> List[WorkloadResult]:
-    """Execute workload cells through a runner, in submission order.
+) -> List[Any]:
+    """Execute cells through a runner; every record, in submission order.
 
     With ``runner=None`` a serial, uncached runner is used — the
     records are byte-identical either way, because every path funnels
     through the same canonical-JSON encoding.
 
     Experiments need every record: if the runner quarantined poison
-    cells (supervised mode), this raises
+    cells, this raises
     :class:`~repro.parallel.errors.PoisonCellError` naming them rather
     than rendering tables with holes.  By then every *other* cell is
     already cached and journalled, so a re-run is cheap.
@@ -382,7 +382,15 @@ def run_workload_cells(
             f"record: {detail}",
         )
         raise error from None
-    return [WorkloadResult.from_dict(record) for record in records]
+    return records
+
+
+def run_workload_cells(
+    cells: Sequence[SweepCell],
+    runner: Optional[SweepRunner] = None,
+) -> List[WorkloadResult]:
+    """:func:`run_cells` over workload cells, decoded to results."""
+    return [WorkloadResult.from_dict(record) for record in run_cells(cells, runner)]
 
 
 def average_results(results: Sequence[WorkloadResult]) -> Dict[str, Dict[str, float]]:

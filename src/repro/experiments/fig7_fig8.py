@@ -17,11 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import (
     ExperimentConfig,
-    run_workload,
+    run_cells,
     run_workload_cells,
     workload_cell_spec,
 )
-from repro.metrics.paraver import mpl_timeline
 from repro.metrics.stats import WorkloadResult, format_table
 from repro.parallel import SweepCell, SweepRunner
 
@@ -54,8 +53,8 @@ def run_mpl_sweep(
 ) -> MplSweepResult:
     """Execute the Fig. 7 sweep.
 
-    With a :class:`~repro.parallel.SweepRunner` the cells fan out over
-    its worker pool (and cache); results are identical either way.
+    The cells run through *runner* (a serial ``SweepRunner()`` when
+    ``None``); a worker pool and cache give identical results.
     """
     base = config or ExperimentConfig()
     sweep = MplSweepResult(workload=workload, loads=tuple(loads), mpls=tuple(mpls))
@@ -63,17 +62,11 @@ def run_mpl_sweep(
         (policy, mpl, load)
         for policy in policies for mpl in mpls for load in loads
     ]
-    if runner is not None:
-        cells = [
-            workload_cell_spec(policy, workload, load, base.with_mpl(mpl))
-            for policy, mpl, load in combos
-        ]
-        for combo, result in zip(combos, run_workload_cells(cells, runner)):
-            sweep.results[combo] = result
-    else:
-        for policy, mpl, load in combos:
-            out = run_workload(policy, workload, load, base.with_mpl(mpl))
-            sweep.results[(policy, mpl, load)] = out.result
+    cells = [
+        workload_cell_spec(policy, workload, load, base.with_mpl(mpl))
+        for policy, mpl, load in combos
+    ]
+    sweep.results.update(zip(combos, run_workload_cells(cells, runner)))
     return sweep
 
 
@@ -117,17 +110,14 @@ def run_fig8(
     runner: Optional[SweepRunner] = None,
 ) -> List[Tuple[float, int]]:
     """The (time, MPL) series PDPA decided — the data behind Fig. 8."""
-    if runner is not None:
-        cfg = config or ExperimentConfig()
-        cell = SweepCell(
-            key=f"fig8/{workload}/load={load:g}/seed={cfg.seed}",
-            fn="repro.parallel.cells:mpl_timeline_cell",
-            params={"workload": workload, "load": load, "config": cfg},
-        )
-        record = runner.run([cell])[0]
-        return [(float(t), int(level)) for t, level in record["timeline"]]
-    out = run_workload("PDPA", workload, load, config)
-    return mpl_timeline(out.trace)
+    cfg = config or ExperimentConfig()
+    cell = SweepCell(
+        key=f"fig8/{workload}/load={load:g}/seed={cfg.seed}",
+        fn="repro.parallel.cells:mpl_timeline_cell",
+        params={"workload": workload, "load": load, "config": cfg},
+    )
+    (record,) = run_cells([cell], runner)
+    return [(float(t), int(level)) for t, level in record["timeline"]]
 
 
 def render_fig8(timeline: Sequence[Tuple[float, int]], width: int = 80) -> str:

@@ -17,8 +17,6 @@ from typing import Dict, List, Optional
 
 from repro.experiments.common import (
     ExperimentConfig,
-    RunOutput,
-    run_workload,
     run_workload_cells,
     workload_cell_spec,
 )
@@ -58,20 +56,12 @@ def render_table1() -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class UntunedResult:
-    """Equip-vs-PDPA comparison for one untuned workload.
-
-    ``equip_out``/``pdpa_out`` carry the full run artefacts (trace,
-    jobs) on the serial path; they are ``None`` when the comparison was
-    produced through a :class:`~repro.parallel.SweepRunner`, which only
-    transports the serialisable :class:`WorkloadResult` records.
-    """
+    """Equip-vs-PDPA comparison for one untuned workload."""
 
     workload: str
     load: float
     equip: WorkloadResult
     pdpa: WorkloadResult
-    equip_out: Optional[RunOutput] = None
-    pdpa_out: Optional[RunOutput] = None
 
     def speedup_percent(self, app: str, metric: str) -> float:
         """PDPA improvement over Equipartition, in percent.
@@ -103,29 +93,17 @@ def run_untuned(
 ) -> UntunedResult:
     """Run one untuned workload under Equipartition and PDPA.
 
-    The serial default also returns the raw :class:`RunOutput`
-    artefacts; with a runner both policies go through the sweep
-    executor and only the results travel back.
+    Both policies are cells run through *runner* (a serial
+    ``SweepRunner()`` when ``None``).
     """
     config = config or ExperimentConfig()
-    if runner is not None:
-        cells = [
-            workload_cell_spec(policy, workload, load, config,
-                               request_overrides=overrides)
-            for policy in ("Equip", "PDPA")
-        ]
-        equip, pdpa = run_workload_cells(cells, runner)
-        return UntunedResult(workload=workload, load=load, equip=equip, pdpa=pdpa)
-    equip_out = run_workload("Equip", workload, load, config, request_overrides=overrides)
-    pdpa_out = run_workload("PDPA", workload, load, config, request_overrides=overrides)
-    return UntunedResult(
-        workload=workload,
-        load=load,
-        equip=equip_out.result,
-        pdpa=pdpa_out.result,
-        equip_out=equip_out,
-        pdpa_out=pdpa_out,
-    )
+    cells = [
+        workload_cell_spec(policy, workload, load, config,
+                           request_overrides=overrides)
+        for policy in ("Equip", "PDPA")
+    ]
+    equip, pdpa = run_workload_cells(cells, runner)
+    return UntunedResult(workload=workload, load=load, equip=equip, pdpa=pdpa)
 
 
 def run_table3(

@@ -17,7 +17,6 @@ from repro.experiments.common import (
     POLICY_NAMES,
     ExperimentConfig,
     average_results,
-    run_workload,
     run_workload_cells,
     workload_cell_spec,
 )
@@ -88,39 +87,25 @@ def run_comparison(
     """Run one workload under every (policy, load), averaged over seeds.
 
     This is the largest sweep of the reproduction
-    (``policies × loads × seeds`` independent executions); with a
-    :class:`~repro.parallel.SweepRunner` the cells fan out over its
-    worker pool and cache, with results identical to the serial path.
+    (``policies × loads × seeds`` independent executions); the cells
+    run through *runner* (a serial ``SweepRunner()`` when ``None``),
+    so a worker pool and cache give results identical to the serial
+    path.
     """
     base = config or ExperimentConfig()
     comparison = ComparisonResult(
         workload=workload, loads=tuple(loads), policies=tuple(policies)
     )
     combos = [(policy, load) for policy in policies for load in loads]
-    if runner is not None:
-        cells = [
-            workload_cell_spec(policy, workload, load, base.with_seed(seed),
-                               request_overrides=request_overrides)
-            for policy, load in combos
-            for seed in seeds
-        ]
-        flat = iter(run_workload_cells(cells, runner))
-        for policy, load in combos:
-            results = [next(flat) for _ in seeds]
-            comparison.raw[(policy, load)] = results
-            comparison.data[(policy, load)] = average_results(results)
-        return comparison
+    cells = [
+        workload_cell_spec(policy, workload, load, base.with_seed(seed),
+                           request_overrides=request_overrides)
+        for policy, load in combos
+        for seed in seeds
+    ]
+    flat = iter(run_workload_cells(cells, runner))
     for policy, load in combos:
-        results = []
-        for seed in seeds:
-            out = run_workload(
-                policy,
-                workload,
-                load,
-                base.with_seed(seed),
-                request_overrides=request_overrides,
-            )
-            results.append(out.result)
+        results = [next(flat) for _ in seeds]
         comparison.raw[(policy, load)] = results
         comparison.data[(policy, load)] = average_results(results)
     return comparison

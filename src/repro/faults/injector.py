@@ -117,8 +117,10 @@ class FaultInjector:
             # refuse the fault rather than deadlock the workload.
             self._record("cpu_fail", event.cpu, detail="skipped: last healthy CPU")
             return
-        self.rm.on_cpu_failed(event.cpu, permanent=event.repair_after is None)
-        if event.repair_after is not None:
+        # A fault the RM ignored (the CPU is already offline) gets no
+        # repair: it would end the earlier outage early.
+        taken = self.rm.on_cpu_failed(event.cpu, permanent=event.repair_after is None)
+        if taken and event.repair_after is not None:
             self.sim.schedule_after(
                 event.repair_after, self.rm.on_cpu_repaired, event.cpu,
                 label=f"fault:repair:{event.cpu}",

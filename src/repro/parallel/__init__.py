@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`~repro.parallel.runner.SweepRunner` — process-pool executor
-  with a byte-identical serial fallback and ordered result collection;
+* :class:`~repro.parallel.runner.SweepRunner` — supervised process-pool
+  executor with a byte-identical serial reference, results in order;
 * :class:`~repro.parallel.runner.SweepCell` — one unit of sweep work;
 * :class:`~repro.parallel.supervisor.SupervisionPolicy` — per-cell
   timeouts, bounded retries with backoff, poison-cell quarantine;
@@ -15,8 +15,7 @@ Public surface:
 * :class:`~repro.parallel.cache.ResultCache` — content-addressed
   on-disk cache keyed by config + code version, integrity-checked;
 * :mod:`~repro.parallel.errors` — the :class:`CellError` taxonomy for
-  harness faults (crash / timeout / worker-lost / corrupt / poison);
-* :func:`~repro.parallel.runner.derive_seed` — stable per-cell seeds.
+  harness faults (crash / timeout / worker-lost / corrupt / poison).
 
 Cell functions themselves live in :mod:`repro.parallel.cells` and are
 resolved lazily by dotted path, keeping this package import-cycle-free
@@ -45,7 +44,6 @@ from repro.parallel.runner import (
     SweepCheckpointPolicy,
     SweepRunner,
     SweepStats,
-    derive_seed,
     execute_cell,
     resolve_cell_fn,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "canonical_dumps",
     "cell_key",
     "code_version",
-    "derive_seed",
     "execute_cell",
     "payload_digest",
     "resolve_cell_fn",

@@ -8,13 +8,13 @@ load, seed) cells; :class:`SweepRunner` fans those cells out over
   carries its own :class:`~repro.experiments.common.ExperimentConfig`
   with an explicit master seed), so where it executes cannot change
   its result.  Every record is normalised through canonical JSON, and
-  the serial fallback (``jobs=1``) produces byte-identical records.
+  the serial reference (``jobs=1``) produces byte-identical records.
 * **Ordered collection** — results come back in submission order no
   matter which worker finishes first.
 * **Caching** — with a :class:`~repro.parallel.cache.ResultCache`,
   finished cells are stored content-addressed (config + code version),
   so re-runs of unchanged cells are served from disk.
-* **Supervision** — with a
+* **Supervision** — under every runner's
   :class:`~repro.parallel.supervisor.SupervisionPolicy`, crashed or
   hung cells are retried with backoff, broken pools are rebuilt, and
   cells that keep failing are quarantined as *poison cells* and
@@ -27,11 +27,9 @@ load, seed) cells; :class:`SweepRunner` fans those cells out over
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import json
 import logging
-import multiprocessing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -184,18 +182,6 @@ class SweepStats:
         return ", ".join(parts)
 
 
-def derive_seed(base_seed: int, *parts: object) -> int:
-    """Deterministic per-cell seed from a base seed and cell identity.
-
-    Stable across processes and Python versions (unlike ``hash``), so a
-    sweep can give every cell its own independent stream while staying
-    reproducible: ``derive_seed(0, "w2", "PDPA", 1.0)`` is a constant.
-    """
-    text = ":".join([str(base_seed)] + [repr(p) for p in parts])
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF
-
-
 def resolve_cell_fn(fn: str) -> Callable[..., Any]:
     """Import the module-level function a cell names."""
     module_name, sep, attr = fn.partition(":")
@@ -233,14 +219,14 @@ def _worker(index: int, fn: str, params: Mapping[str, Any]) -> Tuple[int, str]:
 
 
 class SweepRunner:
-    """Executes sweep cells, optionally in parallel and/or cached.
+    """Executes sweep cells under supervision, optionally in parallel and/or cached.
 
     Parameters
     ----------
     jobs:
         Worker processes.  ``1`` (the default) runs every cell in the
-        calling process — the serial fallback, byte-identical to the
-        parallel path.
+        calling process — the serial reference, byte-identical to the
+        worker pool that any larger value supervises.
     cache:
         Optional :class:`ResultCache`; ``None`` disables caching.
     mp_context:
@@ -248,19 +234,19 @@ class SweepRunner:
         ``multiprocessing.get_context("spawn")``); defaults to the
         platform default.
     supervision:
-        Optional :class:`SupervisionPolicy`.  ``None`` keeps PR 2's
-        fail-fast behaviour: the first cell failure propagates.  With
-        a policy, failures are retried and poison cells quarantined
-        (their slot in :meth:`run` is ``None``; see ``strict``).
+        The :class:`SupervisionPolicy` every cell runs under (default
+        ``SupervisionPolicy()``: two retries with backoff, no
+        timeout).  A cell that exhausts its retries is quarantined
+        (its slot in :meth:`run` is ``None``; see ``strict``).
     journal:
         Optional :class:`SweepJournal`.  Completions are durably
         appended; a journal opened with ``resume=True`` replays
         journalled cells (verified against the cache) without
         re-executing them.
     strict:
-        With supervision, raise
-        :class:`~repro.parallel.errors.PoisonCellError` as soon as any
-        cell exhausts its retry budget instead of quarantining it.
+        Raise :class:`~repro.parallel.errors.PoisonCellError` as soon
+        as any cell exhausts its retry budget instead of quarantining
+        it.
     checkpoint:
         Optional :class:`SweepCheckpointPolicy`.  Checkpointable cells
         autosnapshot on its cadence and resume from their last
@@ -273,7 +259,7 @@ class SweepRunner:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         mp_context: Optional[Any] = None,
-        supervision: Optional[SupervisionPolicy] = None,
+        supervision: SupervisionPolicy = SupervisionPolicy(),
         journal: Optional[SweepJournal] = None,
         strict: bool = False,
         checkpoint: Optional[SweepCheckpointPolicy] = None,
@@ -350,24 +336,17 @@ class SweepRunner:
                 if keys[index] is not None:
                     self._journal_entry(keys[index], payload, cells[index].key)
 
-            if self.supervision is None:
-                if self.jobs == 1 or len(pending) == 1:
-                    for i in pending:
-                        complete(i, execute_cell(exec_cells[i].fn, exec_cells[i].params))
-                else:
-                    self._run_pool_fail_fast(exec_cells, pending, complete)
-            elif self.jobs == 1:
+            if self.jobs == 1:
                 quarantined = run_serial_supervised(
                     exec_cells, pending, self.supervision, execute_cell,
                     complete, stats=stats, strict=self.strict,
                 )
             else:
-                supervisor = PoolSupervisor(
+                quarantined = PoolSupervisor(
                     exec_cells, self.supervision, _worker, complete, stats,
                     jobs=self.jobs, mp_context=self.mp_context,
                     strict=self.strict,
-                )
-                quarantined = supervisor.run(pending)
+                ).run(pending)
 
         missing = [
             i for i, p in enumerate(payloads)
@@ -452,39 +431,6 @@ class SweepRunner:
                     "cells", exc,
                 )
             stats.storage_degraded += 1
-
-    # ------------------------------------------------------------------
-    # unsupervised pool (PR 2 semantics: first failure aborts)
-    # ------------------------------------------------------------------
-    def _run_pool_fail_fast(
-        self,
-        cells: Sequence[SweepCell],
-        pending: Sequence[int],
-        complete: Callable[[int, str], None],
-    ) -> None:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-        ctx = self.mp_context or multiprocessing.get_context()
-        workers = min(self.jobs, len(pending))
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-        except (OSError, ValueError, ImportError, RuntimeError):
-            # mp context unusable (no /dev/shm, sandboxed semaphores,
-            # ...): degrade to the serial path rather than failing.
-            self.last_stats.degraded += len(pending)
-            for i in pending:
-                complete(i, execute_cell(cells[i].fn, cells[i].params))
-            return
-        with pool:
-            futures = {
-                pool.submit(_worker, i, cells[i].fn, dict(cells[i].params))
-                for i in pending
-            }
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, payload = future.result()
-                    complete(index, payload)
 
     def _store(self, key: Optional[str], payload: Optional[str]) -> None:
         if self.cache is not None and key is not None and payload is not None:

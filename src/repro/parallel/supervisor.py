@@ -1,10 +1,11 @@
 """Supervised execution of sweep cells over a worker pool.
 
-PR 2's :class:`~repro.parallel.runner.SweepRunner` fanned cells over a
-``ProcessPoolExecutor`` and called ``future.result()`` — one crashed,
-hung or SIGKILL'd worker aborted the whole sweep and threw away every
-completed cell.  This module adds the supervision loop around that
-pool:
+A bare ``ProcessPoolExecutor`` whose futures are read with
+``future.result()`` lets one crashed, hung or SIGKILL'd worker abort
+the whole sweep and throw away every completed cell.  Every
+:class:`~repro.parallel.runner.SweepRunner` therefore runs its cells
+under this module's supervision loop — :class:`PoolSupervisor` over a
+pool, :func:`run_serial_supervised` in-process for ``jobs=1``:
 
 * **per-cell timeouts** — a cell's clock starts when its future is
   first observed running; past the deadline the pool is torn down

@@ -167,20 +167,21 @@ class IrixResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     # fault handling: capacity shrinks, every running job slows down
     # ------------------------------------------------------------------
-    def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> None:
+    def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> bool:
         if not 0 <= cpu_id < self.n_cpus or cpu_id in self._offline:
-            return
+            return False
         if self.effective_cpus <= 1:
             self._record_fault(
                 "cpu_fail", cpu_id, detail="skipped: last healthy CPU"
             )
-            return
+            return False
         self._account_segment()
         self._offline.add(cpu_id)
         self._record_fault(
             "cpu_fail", cpu_id, detail="permanent" if permanent else "transient"
         )
         self.on_state_change()
+        return True
 
     def on_cpu_repaired(self, cpu_id: int) -> None:
         if cpu_id not in self._offline:

@@ -186,11 +186,18 @@ class BaseResourceManager(RuntimeHost):
                 FaultRecord(self.sim.now, kind, target, detail, value)
             )
 
-    def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> None:
-        """A CPU went offline.  Subclasses shrink capacity/partitions."""
+    def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> bool:
+        """A CPU went offline.  Subclasses shrink capacity/partitions.
+
+        Returns whether the fault took the CPU offline: an ignored
+        fault (the CPU was already offline, or it is the last healthy
+        one) returns False, and the fault injector schedules no repair
+        for it.
+        """
         self._record_fault("cpu_fail", cpu_id,
                            detail="permanent" if permanent else "transient")
         self.on_state_change()
+        return True
 
     def on_cpu_repaired(self, cpu_id: int) -> None:
         """A previously failed CPU is usable again."""
@@ -443,7 +450,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     # fault handling (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
-    def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> None:
+    def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> bool:
         """A CPU failed: shrink capacity and repair the owner's partition.
 
         Recovery, in order of preference: grow the partition back from
@@ -453,7 +460,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
         the job so the queuing system can retry it.
         """
         if self.machine.cpu_health(cpu_id) is CpuHealth.OFFLINE:
-            return  # duplicate fault on an already-offline CPU
+            return False  # duplicate fault on an already-offline CPU
         owner = self.machine.fail_cpu(cpu_id, self.sim.now)
         self._record_fault(
             "cpu_fail", cpu_id, detail="permanent" if permanent else "transient"
@@ -483,11 +490,12 @@ class SpaceSharedResourceManager(BaseResourceManager):
             else:
                 # The job's only CPU died and nothing is free.
                 self.kill_job(job, reason=f"lost last CPU {cpu_id}")
-                return  # kill_job already notified the state change
+                return True  # kill_job already notified the state change
             view = self._views.get(owner)
             if view is not None:
                 view.allocation = self.machine.allocation_of(owner)
         self.on_state_change()
+        return True
 
     def on_cpu_repaired(self, cpu_id: int) -> None:
         if self.machine.repair_cpu(cpu_id, self.sim.now):

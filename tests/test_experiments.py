@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import fig3, fig5_table2, fig7_fig8, tables, workloads
 from repro.experiments.common import ExperimentConfig, average_results, run_workload
+from repro.parallel import PoisonCellError, SupervisionPolicy, SweepRunner
 
 CONFIG = ExperimentConfig(seed=2)
 
@@ -166,6 +167,18 @@ class TestFig7Fig8:
         text = fig7_fig8.render_fig8(timeline, width=40)
         assert "Fig. 8" in text
         assert f"peak {peak}" in text
+
+    def test_fig8_quarantined_cell_raises_poison(self):
+        # A quarantined cell leaves no record; run_fig8 must say which
+        # cell failed and why instead of indexing the hole.
+        runner = SweepRunner(supervision=SupervisionPolicy(retries=0))
+        with pytest.raises(PoisonCellError) as exc:
+            fig7_fig8.run_fig8(
+                workload="w9", config=ExperimentConfig(n_cpus=16, duration=30.0),
+                runner=runner,
+            )
+        assert "fig8/w9/load=1/seed=0" in str(exc.value)
+        assert "KeyError" in str(exc.value)
 
     def test_fig8_render_empty(self):
         assert "no samples" in fig7_fig8.render_fig8([])

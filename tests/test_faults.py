@@ -238,8 +238,8 @@ class TestGracefulDegradation:
         assert_valid(out)
 
     def test_late_repair_of_a_degraded_cpu_records_nothing(self):
-        # the second fault finds CPU 0 OFFLINE and is ignored, but its
-        # repair stays scheduled: at t=85 it finds the CPU back and
+        # the second fault finds CPU 0 OFFLINE and is ignored, so it
+        # schedules no repair; the first repair brings the CPU back
         # DEGRADED (node 0 is slow), which only restore_node clears
         plan = FaultPlan(events=(
             NodeSlowdown(10.0, node=0, factor=0.5, restore_after=500.0),
@@ -253,6 +253,26 @@ class TestGracefulDegradation:
         assert cpu_records == [("cpu_fail", 20.0), ("cpu_repair", 50.0)]
         stats = fault_statistics(out.trace)
         assert (stats.cpu_failures, stats.cpu_repairs) == (1, 1)
+        assert_valid(out)
+
+    @pytest.mark.parametrize("policy", ["IRIX", "Equip", "PDPA"])
+    @pytest.mark.parametrize("repair_after,repairs", [(60.0, [80.0]), (None, [])],
+                             ids=["transient", "permanent"])
+    def test_second_fault_on_offline_cpu_schedules_no_repair(
+            self, policy, repair_after, repairs):
+        # The second fault is ignored (CPU 0 is already offline); its
+        # 10 s repair must not end the first outage at t=35, nor bring
+        # back a CPU whose first fault was permanent.
+        plan = FaultPlan(events=(
+            CpuFault(20.0, cpu=0, repair_after=repair_after),
+            CpuFault(25.0, cpu=0, repair_after=10.0),
+        ))
+        out = run_with_plan(policy, plan, config=ExperimentConfig(n_cpus=16, seed=3))
+        assert [f.time for f in out.trace.faults if f.kind == "cpu_repair"] == repairs
+        stats = fault_statistics(out.trace)
+        assert (stats.cpu_failures, stats.cpu_repairs) == (1, len(repairs))
+        if repairs:
+            assert stats.mttr == pytest.approx(60.0)
         assert_valid(out)
 
     def test_node_slowdown_slows_jobs(self):

@@ -33,7 +33,6 @@ from repro.parallel import (
     canonical_dumps,
     cell_key,
     code_version,
-    derive_seed,
     execute_cell,
     payload_digest,
 )
@@ -52,25 +51,6 @@ def _echo_cells(n):
                   params={"i": i, "x": i * 0.1})
         for i in range(n)
     ]
-
-
-class TestDeriveSeed:
-    def test_stable_value(self):
-        # Pinned: changing this breaks reproducibility of published sweeps.
-        assert derive_seed(0, "w2", "PDPA", 1.0) == 1526550351
-
-    def test_differs_by_part(self):
-        seeds = {
-            derive_seed(0, "w2", "PDPA", 1.0),
-            derive_seed(0, "w2", "PDPA", 0.8),
-            derive_seed(0, "w3", "PDPA", 1.0),
-            derive_seed(1, "w2", "PDPA", 1.0),
-        }
-        assert len(seeds) == 4
-
-    def test_fits_in_31_bits(self):
-        for i in range(50):
-            assert 0 <= derive_seed(i, "x") < 2 ** 31
 
 
 class TestCellKey:
@@ -163,11 +143,16 @@ class TestSweepRunner:
         assert SweepRunner(jobs=4).run([]) == []
 
     def test_worker_exception_propagates(self):
+        # The worker's ValueError is retried, then quarantined; the
+        # experiment surfaces it as a poison cell naming the cause.
         cells = [SweepCell(key="bad", fn="repro.parallel.cells:workload_cell",
                            params={"policy": "NoSuchPolicy", "workload": "w1",
                                    "load": 1.0, "config": CONFIG})]
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=2).run(cells)
+        runner = SweepRunner(jobs=2)
+        with pytest.raises(PoisonCellError) as exc:
+            run_workload_cells(cells, runner)
+        assert "bad" in str(exc.value) and "ValueError" in str(exc.value)
+        assert runner.last_stats.quarantined == 1
 
 
 def _guard_cells():
@@ -261,8 +246,8 @@ class TestSweepStats:
         cells = _echo_cells(3)
         cells[1] = SweepCell(key="boom", fn="tests.chaos_cells:crash_cell",
                              params={"i": 1})
-        runner = SweepRunner()  # serial, unsupervised: crash propagates
-        with pytest.raises(RuntimeError):
+        runner = SweepRunner(supervision=FAST, strict=True)  # poison aborts
+        with pytest.raises(PoisonCellError):
             runner.run_serialized(cells)
         assert runner.last_stats.executed == 1  # only cell 0 completed
 
@@ -339,6 +324,21 @@ class TestSupervisedRetries:
         runner = SweepRunner(jobs=jobs, supervision=FAST, strict=True)
         with pytest.raises(PoisonCellError):
             runner.run(cells)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_default_runner_retries_then_quarantines(self, jobs):
+        # No supervision argument: the default policy still retries.
+        cells = [SweepCell(key="boom", fn="tests.chaos_cells:crash_cell"),
+                 *_echo_cells(1)]
+        runner = SweepRunner(jobs=jobs)
+        records = runner.run(cells)
+        assert records[0] is None and records[1]["i"] == 0
+        stats = runner.last_stats
+        assert stats.retried == SupervisionPolicy().retries
+        assert stats.quarantined == 1
+        (failure,) = stats.failures
+        assert failure.kind == "crash"
+        assert failure.attempts == SupervisionPolicy().max_attempts
 
     def test_flaky_cell_recovers_and_payload_is_clean(self, tmp_path):
         cells = [SweepCell(
@@ -608,25 +608,19 @@ class TestGracefulDegradation:
         def __getattr__(self, name):
             raise OSError("no multiprocessing primitives available")
 
-    @pytest.mark.parametrize("supervised", [False, True])
-    def test_unusable_mp_context_degrades_to_serial(self, supervised):
+    @pytest.mark.parametrize("explicit_policy", [False, True])
+    def test_unusable_mp_context_degrades_to_serial(self, explicit_policy):
         cells = _echo_cells(4)
         runner = SweepRunner(
             jobs=4,
             mp_context=self._BrokenContext(),
-            supervision=FAST if supervised else None,
+            **({"supervision": FAST} if explicit_policy else {}),
         )
-        with pytest.warns(RuntimeWarning) if supervised else _nowarn():
+        with pytest.warns(RuntimeWarning):
             payloads = runner.run_serialized(cells)
         assert payloads == SweepRunner().run_serialized(cells)
         assert runner.last_stats.degraded == 4
         assert runner.last_stats.executed == 4
-
-
-def _nowarn():
-    import contextlib
-
-    return contextlib.nullcontext()
 
 
 class TestJournalDuplicates:
