@@ -46,7 +46,7 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Type, TypeVar
 
 from repro.checkpoint.errors import (
     CheckpointCorruptError,
@@ -58,6 +58,7 @@ from repro.parallel.cache import canonical_dumps, code_version
 if TYPE_CHECKING:  # import cycle: common builds sessions
     from repro.experiments.common import ExperimentConfig, RunOutput
     from repro.metrics.trace import TraceRecorder
+    from repro.qs.job import Job
     from repro.qs.queuing import NanosQS
     from repro.rm.manager import BaseResourceManager
     from repro.sim.engine import Simulator
@@ -67,6 +68,8 @@ if TYPE_CHECKING:  # import cycle: common builds sessions
 #: version restore under another (the code-version check still pins
 #: the *repro* sources exactly).
 PICKLE_PROTOCOL = 4
+
+S = TypeVar("S", bound="SimulationSession")
 
 
 def config_digest(config: Any) -> str:
@@ -131,7 +134,7 @@ class SimulationSession:
     KIND = "simulation-session"
 
     __slots__ = (
-        "policy_name", "load", "config", "sim", "rm", "qs", "trace", "jobs",
+        "policy_name", "load", "config", "sim", "rm", "qs", "trace",
         "workload", "request_overrides",
     )
 
@@ -144,7 +147,6 @@ class SimulationSession:
         rm: "BaseResourceManager",
         qs: "NanosQS",
         trace: "TraceRecorder",
-        jobs: List[Any],
         workload: Optional[str] = None,
         request_overrides: Optional[Dict[str, int]] = None,
     ) -> None:
@@ -155,9 +157,13 @@ class SimulationSession:
         self.rm = rm
         self.qs = qs
         self.trace = trace
-        self.jobs = jobs
         self.workload = workload
         self.request_overrides = request_overrides
+
+    @property
+    def jobs(self) -> List["Job"]:
+        """Every job of the run: a read-only view of ``qs.jobs``."""
+        return self.qs.jobs
 
     # ------------------------------------------------------------------
     # identity
@@ -206,13 +212,13 @@ class SimulationSession:
     # ------------------------------------------------------------------
     @classmethod
     def restore(
-        cls,
+        cls: Type[S],
         path: Path,
         expected_config: Optional["ExperimentConfig"] = None,
         expected_policy: Optional[str] = None,
         expected_workload: Optional[str] = None,
         expected_load: Optional[float] = None,
-    ) -> "SimulationSession":
+    ) -> S:
         """Load a snapshot, verifying integrity and compatibility.
 
         Raises the :mod:`repro.checkpoint.errors` taxonomy: corrupt

@@ -46,14 +46,18 @@ from pathlib import Path
 from typing import Callable, List, Optional, TypeVar
 
 from repro.experiments import fig3, fig5_table2, fig7_fig8, tables, workloads
-from repro.experiments.common import POLICY_NAMES, ExperimentConfig, run_workload
+from repro.experiments.common import (
+    POLICY_NAMES,
+    ExperimentConfig,
+    run_workload,
+    workload_jobs,
+)
 from repro.faults.scenarios import SCENARIOS, build_scenario
 from repro.metrics.paraver import MIN_VIEW_WIDTH
 from repro.metrics.stats import format_table
 from repro.qs.streaming import SHED_POLICIES
 from repro.qs.swf import jobs_to_swf, write_swf
-from repro.qs.workload import TABLE1_MIXES, generate_workload
-from repro.sim.rng import RandomStreams
+from repro.qs.workload import TABLE1_MIXES
 
 _Number = TypeVar("_Number", int, float)
 
@@ -163,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the determinism sanitizer's event-race detector to "
              "every in-process simulation; the report goes to stderr and "
              "ambiguous same-timestamp cohorts fail the command "
-             "(sweep cells in worker processes are not observed)",
+             "(sweep cells are not observed)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1012,23 +1016,27 @@ def cmd_compare(args: argparse.Namespace) -> str:
 def _sanitizer(args: argparse.Namespace):
     """The event-race detector under ``--sanitize``, else ``None``.
 
-    Sweep-shaped commands fan their cells out to worker processes the
-    observer cannot reach; a stderr note says so rather than silently
-    sanitizing nothing.
+    The detector never observes a sweep cell; a stderr note names each
+    command that runs any, rather than silently sanitizing less.
     """
     if not args.sanitize:
         return None
     from repro.analysis.race import RaceDetector
 
-    if args.command in ("compare", "mpl", "tables", "speedups", "swf"):
+    if args.command in ("speedups", "swf"):
+        print(f"[sanitize] note: `{args.command}` simulates nothing",
+              file=sys.stderr)
+        return None
+    share = {"compare": "all", "mpl": "all", "tables": "all",
+             "ablations": "some", "report": "some"}.get(args.command)
+    if share is not None:
         print(
-            f"[sanitize] note: `{args.command}` is sweep-shaped or "
-            "simulation-free; its cells run outside this process and are "
-            "not observed",
+            f"[sanitize] note: `{args.command}` runs {share} of its "
+            "simulations as sweep cells, and sweep cells are not observed, "
+            "whether they run serially, in the pool or come from the cache",
             file=sys.stderr,
         )
-        return None
-    return RaceDetector()
+    return None if share == "all" else RaceDetector()
 
 
 def _finish_sanitizer(detector) -> int:
@@ -1118,13 +1126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             sweep, "Measurement-noise sensitivity (w2, 100%)"
         ))
     elif args.command == "swf":
-        jobs = generate_workload(
-            TABLE1_MIXES[args.workload],
-            args.load,
-            n_cpus=args.cpus,
-            streams=RandomStreams(args.seed).spawn("workload"),
-        )
-        records = jobs_to_swf(jobs)
+        records = jobs_to_swf(workload_jobs(args.workload, args.load, _config(args)))
         print(write_swf(records, header={
             "Workload": args.workload,
             "Load": f"{args.load:.2f}",

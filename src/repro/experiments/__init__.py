@@ -14,7 +14,6 @@ from repro.experiments.common import (
     average_results,
     make_space_policy,
     run_jobs,
-    run_jobs_with_policy,
     run_workload,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "average_results",
     "make_space_policy",
     "run_jobs",
-    "run_jobs_with_policy",
     "run_workload",
 ]

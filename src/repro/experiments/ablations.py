@@ -19,7 +19,7 @@ paper credits for PDPA's behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.race import RaceDetector
 from repro.apps.application import AppClass, ApplicationSpec
@@ -30,17 +30,19 @@ from repro.core.states import AppState
 from repro.qs.job import Job
 from repro.experiments.common import (
     ExperimentConfig,
-    RunOutput,
-    run_jobs_with_policy,
+    build_session,
+    run_jobs,
     run_workload,
     run_workload_cells,
     workload_cell_spec,
+    workload_jobs,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel import SweepRunner
-from repro.qs.workload import TABLE1_MIXES, generate_workload
+from repro.parallel import SweepCell, SweepRunner
+from repro.qs.backfill import BackfillQS
+from repro.qs.queuing import NanosQS
 from repro.rm.base import SystemView
-from repro.sim.rng import RandomStreams
+from repro.rm.batch import BatchFCFS
 
 
 class FixedMplPDPA(PDPA):
@@ -113,16 +115,9 @@ def _row(label: str, result: WorkloadResult) -> AblationRow:
     )
 
 
-def _workload_jobs(workload: str, load: float, config: ExperimentConfig,
-                   request_overrides=None):
-    return generate_workload(
-        TABLE1_MIXES[workload],
-        load,
-        n_cpus=config.n_cpus,
-        duration=config.duration,
-        streams=RandomStreams(config.seed).spawn("workload"),
-        request_overrides=request_overrides,
-    )
+def _tagged(cell: SweepCell, tag: str) -> SweepCell:
+    """*cell* with the value its sweep varies appended to its label."""
+    return replace(cell, key=f"{cell.key}/{tag}")
 
 
 def run_coordination_ablation(
@@ -137,9 +132,9 @@ def run_coordination_ablation(
     versus the allocation search alone.
     """
     config = config or ExperimentConfig()
-    fixed = run_jobs_with_policy(
+    fixed = run_jobs(
         FixedMplPDPA(config.pdpa, mpl=config.mpl),
-        _workload_jobs(workload, load, config),
+        workload_jobs(workload, load, config),
         config,
         load,
         sanitizer=sanitizer,
@@ -199,7 +194,7 @@ def run_relspeedup_ablation(
         jobs = [
             Job(i, blocker_spec, submit_time=0.0) for i in range(1, 5)
         ] + [Job(5, swim_spec, submit_time=2.0)]
-        out = run_jobs_with_policy(policy, jobs, config, load)
+        out = run_jobs(policy, jobs, config, load)
         steps = allocation_timeline(out.trace, 5)
         results[label] = float(steps[-1][1])
     return results
@@ -222,55 +217,23 @@ def run_batch_comparison(
     while PDPA measures, shrinks them to their 2-CPU frontier, and
     raises the multiprogramming level — backfilling cannot recover
     that, because it never shrinks a running job.
-    """
-    from repro.metrics.paraver import burst_statistics, max_mpl
-    from repro.metrics.stats import JobRecord, WorkloadResult
-    from repro.metrics.trace import TraceRecorder
-    from repro.machine.machine import Machine
-    from repro.qs.backfill import BackfillQS
-    from repro.qs.queuing import NanosQS
-    from repro.rm.batch import BatchFCFS
-    from repro.rm.manager import SpaceSharedResourceManager
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
 
+    Every row runs on the stack :func:`build_session` assembles, so a
+    fault plan in *config* strikes the batch rows as it strikes PDPA.
+    """
     config = config or ExperimentConfig()
 
-    def run_batch(qs_class) -> RunOutput:
-        sim = Simulator()
-        trace = TraceRecorder(config.n_cpus)
-        machine = Machine(config.n_cpus, trace=trace)
-        rm = SpaceSharedResourceManager(
-            sim, machine, BatchFCFS(), RandomStreams(config.seed), trace,
-            config.runtime_config(), locality=config.locality_model(),
-        )
-        jobs = _workload_jobs(workload, load, config,
-                              request_overrides=request_overrides)
-        qs = qs_class(sim, rm, jobs, trace)
-        qs.schedule_submissions()
-        sim.run(max_events=config.max_events)
-        if not qs.all_done:
-            raise RuntimeError("batch workload did not complete")
-        rm.finalize()
-        records = [JobRecord.from_job(job) for job in jobs]
-        stats = burst_statistics(trace)
-        makespan = max(r.end_time for r in records)
-        result = WorkloadResult(
-            policy=f"Batch+{qs_class.__name__}", load=load, records=records,
-            makespan=makespan, migrations=stats.migrations,
-            avg_burst_time=stats.avg_burst_time,
-            avg_bursts_per_cpu=stats.avg_bursts_per_cpu,
-            reallocations=rm.reallocation_count,
-            max_mpl=max_mpl(trace),
-            cpu_utilization=trace.cpu_utilization(makespan),
-        )
-        return RunOutput(result=result, trace=trace, rm=rm, jobs=jobs)
+    def run_batch(qs_class: Type[NanosQS]) -> WorkloadResult:
+        jobs = workload_jobs(workload, load, config, request_overrides)
+        session = build_session(BatchFCFS(), jobs, config, load, qs_class=qs_class)
+        session.run()
+        return session.finish().result
 
     return [
         _row("PDPA", run_workload("PDPA", workload, load, config,
                                   request_overrides=request_overrides).result),
-        _row("Batch + EASY backfill", run_batch(BackfillQS).result),
-        _row("Batch FCFS", run_batch(NanosQS).result),
+        _row("Batch + EASY backfill", run_batch(BackfillQS)),
+        _row("Batch FCFS", run_batch(NanosQS)),
     ]
 
 
@@ -289,7 +252,11 @@ def run_target_sweep(
             config.pdpa, target_eff=target, high_eff=max(config.pdpa.high_eff, target)
         )
         cfgs.append(replace(config, pdpa=params))
-    cells = [workload_cell_spec("PDPA", workload, load, cfg) for cfg in cfgs]
+    cells = [
+        _tagged(workload_cell_spec("PDPA", workload, load, cfg),
+                f"target_eff={cfg.pdpa.target_eff:g}")
+        for cfg in cfgs
+    ]
     results = run_workload_cells(cells, runner)
     return [
         (target, _row(f"target={target:.1f}", result))
@@ -314,11 +281,11 @@ def run_step_sweep(
     """
     config = config or ExperimentConfig()
     cells = [
-        workload_cell_spec(
+        _tagged(workload_cell_spec(
             "PDPA", workload, load,
             replace(config, pdpa=replace(config.pdpa, step=step)),
             request_overrides={"apsi": 30},
-        )
+        ), f"step={step}")
         for step in steps
     ]
     results = run_workload_cells(cells, runner)
@@ -343,8 +310,9 @@ def run_noise_sweep(
     """
     config = config or ExperimentConfig()
     cells = [
-        workload_cell_spec(policy, workload, load,
-                           replace(config, noise_sigma=sigma))
+        _tagged(workload_cell_spec(policy, workload, load,
+                                   replace(config, noise_sigma=sigma)),
+                f"sigma={sigma:g}")
         for sigma in sigmas
         for policy in ("PDPA", "Equal_eff")
     ]

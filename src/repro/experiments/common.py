@@ -3,7 +3,8 @@
 Runs one workload trace under one scheduling policy on a fresh
 simulated machine and returns a :class:`~repro.metrics.stats.WorkloadResult`
 plus the raw trace for deeper analyses (execution views, MPL
-timelines, burst statistics).
+timelines, burst statistics).  It is the one place a run's stack is
+assembled, for closed runs and for :mod:`repro.serve.session` alike.
 
 The four policy names match the paper's evaluation: ``IRIX``,
 ``Equip``, ``Equal_eff`` and ``PDPA``.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type, TypeVar, Union
 
 from repro.analysis.race import RaceDetector
 from repro.checkpoint import CheckpointPlan, SimulationSession
@@ -27,7 +28,7 @@ from repro.metrics.stats import WorkloadResult
 from repro.metrics.trace import TraceRecorder
 from repro.parallel import SweepCell, SweepRunner
 from repro.qs.job import Job
-from repro.qs.queuing import NanosQS
+from repro.qs.queuing import NanosQS, RetryConfig
 from repro.qs.workload import TABLE1_MIXES, WorkloadMix, generate_workload
 from repro.rm.base import SchedulingPolicy
 from repro.rm.equal_efficiency import EqualEfficiency
@@ -41,6 +42,8 @@ from repro.sim.rng import RandomStreams
 
 #: The four policies of the paper's evaluation.
 POLICY_NAMES = ("IRIX", "Equip", "Equal_eff", "PDPA")
+
+Q = TypeVar("Q", bound=NanosQS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,51 +137,85 @@ def make_space_policy(name: str, config: ExperimentConfig) -> SchedulingPolicy:
     raise ValueError(f"unknown space-sharing policy {name!r}; IRIX is time-shared")
 
 
+def build_resource_manager(
+    policy: Union[str, SchedulingPolicy],
+    config: ExperimentConfig,
+    sim: Simulator,
+    trace: TraceRecorder,
+) -> BaseResourceManager:
+    """The manager one run executes under, on a fresh machine.
+
+    *policy* is a paper name or any :class:`SchedulingPolicy` instance;
+    only ``"IRIX"`` time-shares, every other policy is space-shared.
+    """
+    streams = RandomStreams(config.seed)
+    runtime_config = config.runtime_config()
+    if isinstance(policy, str):
+        if policy not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
+        if policy == "IRIX":
+            irix = replace(config.irix, mpl=config.mpl)
+            return IrixResourceManager(sim, config.n_cpus, streams, trace, irix, runtime_config)
+        policy = make_space_policy(policy, config)
+    return SpaceSharedResourceManager(
+        sim, Machine(config.n_cpus, trace=trace), policy, streams, trace,
+        runtime_config, locality=config.locality_model(),
+    )
+
+
+def build_queue(
+    config: ExperimentConfig,
+    sim: Simulator,
+    rm: BaseResourceManager,
+    trace: TraceRecorder,
+    make_queue: Callable[[Optional[RetryConfig]], Q],
+) -> Q:
+    """Build the queuing system and install the config's fault plan.
+
+    *make_queue* gets the plan's retry policy (``None`` without one).
+    """
+    plan = config.faults
+    if plan is None or plan.empty:
+        return make_queue(None)
+    qs = make_queue(plan.retry_config())
+    FaultInjector(sim, plan, rm, qs, RandomStreams(config.seed), trace).install()
+    return qs
+
+
 def build_session(
-    policy_name: str,
+    policy: Union[str, SchedulingPolicy],
     jobs: Sequence[Job],
     config: Optional[ExperimentConfig] = None,
     load: float = 0.0,
     workload: Optional[str] = None,
     request_overrides: Optional[Mapping[str, int]] = None,
+    qs_class: Type[NanosQS] = NanosQS,
 ) -> SimulationSession:
     """Assemble one workload execution as a checkpointable session.
 
-    Builds the simulator, resource manager, queuing system, trace
-    recorder and (when configured) fault injector, schedules every
-    submission, and returns the whole graph as a
+    Builds the simulator, resource manager, queuing system (a
+    *qs_class*), trace recorder and (when configured) fault injector,
+    schedules every submission, and returns the whole graph as a
     :class:`~repro.checkpoint.SimulationSession` — ready to
     :meth:`~repro.checkpoint.SimulationSession.run`, save, or restore.
     """
     config = config or ExperimentConfig()
-    if policy_name not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {policy_name!r}; expected one of {POLICY_NAMES}")
     sim = Simulator()
-    streams = RandomStreams(config.seed)
     trace = TraceRecorder(config.n_cpus)
-    runtime_config = config.runtime_config()
-
-    rm: BaseResourceManager
-    if policy_name == "IRIX":
-        irix = replace(config.irix, mpl=config.mpl)
-        rm = IrixResourceManager(
-            sim, config.n_cpus, streams, trace, irix, runtime_config
-        )
-    else:
-        machine = Machine(config.n_cpus, trace=trace)
-        policy = make_space_policy(policy_name, config)
-        rm = SpaceSharedResourceManager(
-            sim, machine, policy, streams, trace, runtime_config,
-            locality=config.locality_model(),
-        )
-    return _assemble_session(
-        policy_name, rm, sim, trace, jobs, config, load,
-        workload=workload, request_overrides=request_overrides,
+    rm = build_resource_manager(policy, config, sim, trace)
+    qs = build_queue(config, sim, rm, trace,
+                     lambda retry: qs_class(sim, rm, list(jobs), trace, retry=retry))
+    qs.schedule_submissions()
+    return SimulationSession(
+        policy if isinstance(policy, str) else policy.name,
+        load, config, sim, rm, qs, trace,
+        workload=workload,
+        request_overrides=dict(request_overrides) if request_overrides else None,
     )
 
 
 def run_jobs(
-    policy_name: str,
+    policy: Union[str, SchedulingPolicy],
     jobs: Sequence[Job],
     config: Optional[ExperimentConfig] = None,
     load: float = 0.0,
@@ -187,68 +224,15 @@ def run_jobs(
 ) -> RunOutput:
     """Execute a job list under one policy and collect all metrics.
 
+    *policy* is a name or an instance, as for :func:`build_session`.
     *sanitizer* attaches the event-race detector
     (:class:`~repro.analysis.race.RaceDetector`) to the simulator for
     this run; it observes event ordering and never perturbs results.
     *checkpoint* autosnapshots the run on the plan's cadence; neither
     changes the result by a byte.
     """
-    session = build_session(policy_name, jobs, config, load=load)
+    session = build_session(policy, jobs, config, load=load)
     return _drive(session, sanitizer=sanitizer, checkpoint=checkpoint)
-
-
-def run_jobs_with_policy(
-    policy: SchedulingPolicy,
-    jobs: Sequence[Job],
-    config: Optional[ExperimentConfig] = None,
-    load: float = 0.0,
-    sanitizer: Optional[RaceDetector] = None,
-    checkpoint: Optional[CheckpointPlan] = None,
-) -> RunOutput:
-    """Execute a job list under a caller-supplied policy instance.
-
-    Useful for ablations and extensions: any
-    :class:`~repro.rm.base.SchedulingPolicy` subclass plugs in.
-    """
-    config = config or ExperimentConfig()
-    sim = Simulator()
-    streams = RandomStreams(config.seed)
-    trace = TraceRecorder(config.n_cpus)
-    machine = Machine(config.n_cpus, trace=trace)
-    rm = SpaceSharedResourceManager(
-        sim, machine, policy, streams, trace, config.runtime_config(),
-        locality=config.locality_model(),
-    )
-    session = _assemble_session(policy.name, rm, sim, trace, jobs, config, load)
-    return _drive(session, sanitizer=sanitizer, checkpoint=checkpoint)
-
-
-def _assemble_session(
-    policy_name: str,
-    rm: BaseResourceManager,
-    sim: Simulator,
-    trace: TraceRecorder,
-    jobs: Sequence[Job],
-    config: ExperimentConfig,
-    load: float,
-    workload: Optional[str] = None,
-    request_overrides: Optional[Mapping[str, int]] = None,
-) -> SimulationSession:
-    """Wire the queuing system and fault injector; schedule submissions."""
-    inject = config.faults is not None and not config.faults.empty
-    retry = config.faults.retry_config() if inject else None
-    job_list = list(jobs)
-    qs = NanosQS(sim, rm, job_list, trace, retry=retry)
-    if inject:
-        assert config.faults is not None
-        streams = RandomStreams(config.seed)
-        FaultInjector(sim, config.faults, rm, qs, streams, trace).install()
-    qs.schedule_submissions()
-    return SimulationSession(
-        policy_name, load, config, sim, rm, qs, trace, job_list,
-        workload=workload,
-        request_overrides=dict(request_overrides) if request_overrides else None,
-    )
 
 
 def _drive(
@@ -265,6 +249,21 @@ def _drive(
     if sanitizer is not None:
         sanitizer.finish()
     return session.finish()
+
+
+def workload_jobs(
+    workload: str | WorkloadMix,
+    load: float,
+    config: ExperimentConfig,
+    request_overrides: Optional[Mapping[str, int]] = None,
+) -> List[Job]:
+    """The Table 1 trace a run executes; every policy sees the same jobs."""
+    mix = TABLE1_MIXES[workload] if isinstance(workload, str) else workload
+    return generate_workload(
+        mix, load, n_cpus=config.n_cpus, duration=config.duration,
+        streams=RandomStreams(config.seed).spawn("workload"),
+        request_overrides=request_overrides,
+    )
 
 
 def run_workload(
@@ -295,20 +294,12 @@ def run_workload(
             expected_workload=workload_name,
             expected_load=load,
         )
-        return _drive(session, sanitizer=sanitizer, checkpoint=checkpoint)
-    mix = TABLE1_MIXES[workload] if isinstance(workload, str) else workload
-    jobs = generate_workload(
-        mix,
-        load,
-        n_cpus=config.n_cpus,
-        duration=config.duration,
-        streams=RandomStreams(config.seed).spawn("workload"),
-        request_overrides=request_overrides,
-    )
-    session = build_session(
-        policy_name, jobs, config, load=load, workload=workload_name,
-        request_overrides=request_overrides,
-    )
+    else:
+        session = build_session(
+            policy_name, workload_jobs(workload, load, config, request_overrides),
+            config, load=load, workload=workload_name,
+            request_overrides=request_overrides,
+        )
     return _drive(session, sanitizer=sanitizer, checkpoint=checkpoint)
 
 

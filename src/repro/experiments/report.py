@@ -43,9 +43,10 @@ def generate_report(
 
     *clock* is the injected elapsed-time source (the repository's one
     sanctioned wall-clock site); *sanitizer* attaches the event-race
-    detector to every **in-process** simulation (sweep cells execute
-    in worker processes and are not observed).  The sanitizer only
-    observes: the report text is byte-identical with or without it.
+    detector to every simulation the report drives itself (sweep cells
+    are not observed, whether they run serially, in the pool or come
+    from the cache).  The sanitizer only observes: the report text is
+    byte-identical with or without it.
     """
     config = config or ExperimentConfig()
     clock = clock or ReportClock()

@@ -202,17 +202,12 @@ class FuzzTarget:
         )
         self._next_job_id += 1
         if self.is_stream:
-            # offer() owns the accounting (admitted jobs land in
-            # qs.jobs, which IS session.jobs for a serve session);
-            # reject/drop-oldest never return BLOCKED.
+            # offer() owns the accounting; reject/drop-oldest never
+            # return BLOCKED.
             outcome = self.qs.offer(job)
             assert outcome != BLOCKED
-            return job
-        # The session and the QS each keep their own job list (sharing
-        # the Job objects); both must see dynamic submissions or the
-        # accounting invariants compare different universes.
-        self.qs.submit(job)
-        self.session.jobs.append(job)
+        else:
+            self.qs.submit(job)
         return job
 
     def prune(self) -> int:

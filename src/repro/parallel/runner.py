@@ -30,6 +30,7 @@ from __future__ import annotations
 import importlib
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -299,7 +300,15 @@ class SweepRunner:
         return [None if p is None else json.loads(p) for p in payloads]
 
     def run_serialized(self, cells: Sequence[SweepCell]) -> List[Optional[str]]:
-        """Like :meth:`run` but returns the canonical-JSON payloads."""
+        """Like :meth:`run` but returns the canonical-JSON payloads.
+
+        Refuses, before anything runs, cells that share a label:
+        failures and journal entries name cells by label.
+        """
+        labels = Counter(cell.key for cell in cells)
+        repeated = sorted(key for key, count in labels.items() if count > 1)
+        if repeated:
+            raise ValueError(f"sweep labels must be unique; repeated: {repeated}")
         stats = SweepStats(cells=len(cells))
         self.last_stats = stats
         payloads: List[Optional[str]] = [None] * len(cells)

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job
-from repro.qs.queuing import NanosQS
+from repro.qs.queuing import NanosQS, RetryConfig
 from repro.rm.manager import SpaceSharedResourceManager
 from repro.sim.engine import Simulator
 
@@ -49,10 +49,11 @@ class BackfillQS(NanosQS):
         rm: SpaceSharedResourceManager,
         jobs: List[Job],
         trace: Optional[TraceRecorder] = None,
+        retry: Optional[RetryConfig] = None,
     ) -> None:
         if not isinstance(rm, SpaceSharedResourceManager):
             raise TypeError("EASY backfilling needs a space-shared manager")
-        super().__init__(sim, rm, jobs, trace)
+        super().__init__(sim, rm, jobs, trace, retry)
         # whether a candidate finishes before the head's reservation
         # depends on the clock, so admission must re-run at every report
         rm.clocked_admission = True

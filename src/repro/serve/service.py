@@ -202,7 +202,7 @@ class ServeService:
         them deterministically and each is verified against its
         journalled record before any genuinely new arrival is drawn.
         """
-        session = ServeSession.restore_stream(
+        session = ServeSession.restore(
             Path(snapshot_path),
             expected_config=expected_config,
             expected_policy=expected_policy,

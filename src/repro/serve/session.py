@@ -20,7 +20,7 @@ restored run silently diverge from the crashed one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.checkpoint.session import SimulationSession, config_digest
@@ -31,7 +31,6 @@ from repro.qs.streaming import ADMITTED, BLOCKED, SHED, IngressConfig, Streaming
 from repro.serve.journal import JournalEntry
 from repro.serve.source import ArrivalSource
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 from repro.sim.slots import set_slot_state, slot_state
 
 if TYPE_CHECKING:
@@ -272,7 +271,7 @@ class ServeSession(SimulationSession):
         pump: ArrivalPump,
     ) -> None:
         super().__init__(
-            policy_name, load, config, sim, rm, qs, trace, jobs=qs.jobs,
+            policy_name, load, config, sim, rm, qs, trace,
             workload=f"stream:{source.describe()['kind']}",
         )
         self.serve_config = serve_config
@@ -316,43 +315,12 @@ class ServeSession(SimulationSession):
         Aggregates were folded at completion time, so pruning never
         changes a digest — only the working set.
         """
-        pruned = self.qs.prune_terminal(getattr(self.rm, "streams", None))
-        # qs.jobs was rebound by the prune; keep the session's alias fresh
-        self.jobs = self.qs.jobs
-        return pruned
+        return self.qs.prune_terminal(getattr(self.rm, "streams", None))
 
     def save(self, path: Any, label: str = "") -> None:
         """Prune, then snapshot — envelopes stay O(live jobs)."""
         self.prune()
         super().save(path, label=label)
-
-    # ------------------------------------------------------------------
-    # restore plumbing
-    # ------------------------------------------------------------------
-    @classmethod
-    def restore_stream(
-        cls,
-        path: Any,
-        expected_config: Optional["ExperimentConfig"] = None,
-        expected_policy: Optional[str] = None,
-        replay: Optional[List[JournalEntry]] = None,
-    ) -> "ServeSession":
-        """Restore a serve snapshot and arm journal replay verification.
-
-        *replay* is the arrival-journal tail beyond the snapshot's draw
-        cursor (see :meth:`repro.serve.journal.ArrivalJournal.tail_after`);
-        the restored pump re-draws and verifies each entry before any
-        new arrival is trusted.
-        """
-        session = cls.restore(
-            path,
-            expected_config=expected_config,
-            expected_policy=expected_policy,
-        )
-        assert isinstance(session, ServeSession)
-        if replay:
-            session.pump.set_replay(replay)
-        return session
 
 
 def build_serve_session(
@@ -365,57 +333,23 @@ def build_serve_session(
 ) -> ServeSession:
     """Assemble the streaming twin of ``experiments.common.build_session``.
 
-    Same machine/RM/policy wiring, but with the bounded-memory parts
-    swapped in: :class:`FoldingTraceRecorder` for the trace,
+    Same resource-manager and fault wiring, with the bounded-memory
+    parts swapped in: :class:`FoldingTraceRecorder` for the trace,
     :class:`StreamingQS` for the queue, and an :class:`ArrivalPump`
     instead of preloaded submissions.
     """
-    from repro.experiments.common import (
-        POLICY_NAMES,
-        ExperimentConfig,
-        make_space_policy,
-    )
-    from repro.faults.injector import FaultInjector
-    from repro.machine.machine import Machine
-    from repro.rm.irix import IrixResourceManager
-    from repro.rm.manager import BaseResourceManager, SpaceSharedResourceManager
+    from repro.experiments.common import ExperimentConfig, build_queue, build_resource_manager
 
     config = config or ExperimentConfig()
     serve_config = serve_config or ServeConfig()
-    if policy_name not in POLICY_NAMES:
-        raise ValueError(
-            f"unknown policy {policy_name!r}; expected one of {POLICY_NAMES}"
-        )
+    ingress = serve_config.ingress
     sim = Simulator()
-    streams = RandomStreams(config.seed)
     trace = FoldingTraceRecorder(config.n_cpus)
-    runtime_config = config.runtime_config()
-
-    rm: BaseResourceManager
-    if policy_name == "IRIX":
-        irix = replace(config.irix, mpl=config.mpl)
-        rm = IrixResourceManager(
-            sim, config.n_cpus, streams, trace, irix, runtime_config
-        )
-    else:
-        machine = Machine(config.n_cpus, trace=trace)
-        policy = make_space_policy(policy_name, config)
-        rm = SpaceSharedResourceManager(
-            sim, machine, policy, streams, trace, runtime_config,
-            locality=config.locality_model(),
-        )
-
-    inject = config.faults is not None and not config.faults.empty
-    retry = config.faults.retry_config() if inject else None
+    rm = build_resource_manager(policy_name, config, sim, trace)
     stats = StreamingStats(reservoir_seed=reservoir_seed)
-    qs = StreamingQS(
-        sim, rm, trace, retry=retry, ingress=serve_config.ingress, stats=stats
-    )
-    if inject:
-        assert config.faults is not None
-        FaultInjector(
-            sim, config.faults, rm, qs, RandomStreams(config.seed), trace
-        ).install()
+    qs = build_queue(config, sim, rm, trace, lambda retry: StreamingQS(
+        sim, rm, trace, retry=retry, ingress=ingress, stats=stats,
+    ))
     pump = ArrivalPump(sim, qs, source)
     qs.on_capacity_available = pump.resume
     return ServeSession(

@@ -321,9 +321,9 @@ def validate_sweep(
     *runner* is the :class:`~repro.parallel.SweepRunner` that executed
     *cells* (its ``last_stats``, cache and journal are inspected);
     *payloads* is what :meth:`run_serialized` returned.  *race*
-    optionally carries sanitizer results for the in-process runs that
-    framed the sweep (sweep cells themselves execute in worker
-    processes and are not observed).  Returns human-readable
+    optionally carries sanitizer results for the runs that framed the
+    sweep (sweep cells themselves are not observed, whether they run
+    serially, in the pool or come from the cache).  Returns human-readable
     violations (empty = clean); sanitizer findings come last, as the
     report footer.
     """

@@ -6,12 +6,19 @@ from repro.experiments.ablations import (
     FixedMplPDPA,
     render_noise_sweep,
     render_rows,
+    run_batch_comparison,
     run_coordination_ablation,
     run_noise_sweep,
     run_relspeedup_ablation,
+    run_step_sweep,
     run_target_sweep,
 )
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, build_session, workload_jobs
+from repro.faults.scenarios import build_scenario
+from repro.parallel import SweepRunner
+from repro.qs.backfill import BackfillQS
+from repro.rm.batch import BatchFCFS
+from repro.validate import validate_run
 
 CONFIG = ExperimentConfig(seed=4)
 
@@ -67,6 +74,55 @@ class TestBatchComparison:
         pdpa, backfill, plain = rows
         assert pdpa.mean_response < 0.6 * backfill.mean_response
         assert pdpa.mean_response < 0.6 * plain.mean_response
+
+
+class TestBatchComparisonFaults:
+    """The batch rows run on the shared stack, fault plan included."""
+
+    FAULTED = ExperimentConfig(seed=0).with_faults(build_scenario("cpukill8", 60))
+
+    def test_fault_plan_strikes_every_row(self):
+        clean = run_batch_comparison("w3", load=0.6, config=ExperimentConfig(seed=0))
+        faulted = run_batch_comparison("w3", load=0.6, config=self.FAULTED)
+        assert [row.label for row in faulted] == [row.label for row in clean]
+        for before, after in zip(clean, faulted):
+            assert after.mean_response != before.mean_response, after.label
+
+    def test_faulted_backfill_run_validates(self):
+        session = build_session(
+            BatchFCFS(), workload_jobs("w3", 0.6, self.FAULTED), self.FAULTED,
+            0.6, qs_class=BackfillQS,
+        )
+        session.run()
+        out = session.finish()
+        assert any(record.kind == "cpu_fail" for record in out.trace.faults)
+        assert validate_run(out) == []
+
+
+class _Captured(Exception):
+    pass
+
+
+class _CapturingRunner(SweepRunner):
+    """Records the cells a sweep submits instead of running them."""
+
+    def run_serialized(self, cells):
+        self.cells = list(cells)
+        raise _Captured
+
+
+@pytest.mark.parametrize("sweep, tag", [
+    (run_noise_sweep, "/sigma=0.015"),
+    (run_target_sweep, "/target_eff=0.7"),
+    (run_step_sweep, "/step=4"),
+])
+def test_sweep_cells_are_labelled_by_their_value(sweep, tag):
+    runner = _CapturingRunner()
+    with pytest.raises(_Captured):
+        sweep(config=CONFIG, runner=runner)
+    labels = [cell.key for cell in runner.cells]
+    assert len(set(labels)) == len(labels)
+    assert any(label.endswith(tag) for label in labels)
 
 
 class TestTargetSweep:

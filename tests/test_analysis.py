@@ -457,6 +457,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "not observed" in err
 
+    def test_sanitize_note_is_accurate_for_serial_sweeps(self, capsys):
+        from repro.cli import main
+
+        # --jobs 1: the cells run in this process, just unobserved
+        assert main(["--sanitize", "--cpus", "16", "mpl", "--workload", "w2"]) == 0
+        err = capsys.readouterr().err
+        assert "outside this process" not in err
+        assert ("`mpl` runs all of its simulations as sweep cells, and sweep "
+                "cells are not observed, whether they run serially, in the "
+                "pool or come from the cache") in err
+        assert "run(s)" not in err
+
+    def test_sanitize_notes_the_unobserved_part_of_ablations(self, capsys):
+        from repro.cli import main
+
+        assert main(["--sanitize", "--cpus", "16", "ablations", "--workload", "w3"]) == 0
+        err = capsys.readouterr().err
+        assert "`ablations` runs some of its simulations as sweep cells" in err
+        # the coordination ablation's three runs are observed
+        assert "[sanitize] 3 run(s)" in err
+
 
 class TestReportClock:
     def test_fake_clock_makes_elapsed_deterministic(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.common import ExperimentConfig, run_jobs_with_policy
+from repro.experiments.common import ExperimentConfig, run_jobs
 from repro.qs.job import Job
 from repro.qs.workload import TABLE1_MIXES, generate_workload
 from repro.rm.base import JobView, SystemView
@@ -51,7 +51,7 @@ class TestBatchFCFS:
         config = ExperimentConfig(n_cpus=16, seed=0, noise_sigma=0.0)
         jobs = [Job(i, linear_app, submit_time=0.0, request=10)
                 for i in (1, 2, 3)]
-        out = run_jobs_with_policy(BatchFCFS(), jobs, config)
+        out = run_jobs(BatchFCFS(), jobs, config)
         records = sorted(out.result.records, key=lambda r: r.start_time)
         # Strictly serial execution despite 6 CPUs sitting idle.
         assert records[1].start_time >= records[0].end_time - 1e-6
@@ -65,5 +65,5 @@ class TestBatchFCFS:
             duration=config.duration,
             streams=RandomStreams(config.seed).spawn("workload"),
         )
-        out = run_jobs_with_policy(BatchFCFS(), jobs, config, 0.6)
+        out = run_jobs(BatchFCFS(), jobs, config, 0.6)
         assert all(r.end_time > 0 for r in out.result.records)

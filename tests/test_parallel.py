@@ -8,6 +8,7 @@ would.  These tests pin that guarantee down, including under fault
 injection.
 """
 
+import dataclasses
 import json
 import multiprocessing
 
@@ -141,6 +142,22 @@ class TestSweepRunner:
 
     def test_empty_sweep(self):
         assert SweepRunner(jobs=4).run([]) == []
+
+    def test_repeated_label_rejected_before_anything_runs(self, tmp_path):
+        # Two cells differing only in a field the default label omits:
+        # one fails, and a shared label would pin its failure on both.
+        config = ExperimentConfig(n_cpus=16, duration=30.0)
+        cells = [
+            workload_cell_spec("PDPA", "w2", 1.0,
+                               dataclasses.replace(config, noise_sigma=sigma))
+            for sigma in (-1.0, 0.0)
+        ]
+        runner = SweepRunner(cache=ResultCache(tmp_path),
+                             supervision=SupervisionPolicy(retries=0))
+        with pytest.raises(ValueError, match="PDPA/w2/load=1/seed=0/mpl=4"):
+            runner.run(cells)
+        assert runner.last_stats.cells == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_worker_exception_propagates(self):
         # The worker's ValueError is retried, then quarantined; the

@@ -475,7 +475,7 @@ class TestSessionRecovery:
         snapshot = tmp_path / "serve.ckpt"
         crashed.save(snapshot)
 
-        restored = ServeSession.restore_stream(snapshot)
+        restored = ServeSession.restore(snapshot)
         drain(restored)
         assert restored.stats.digest() == want
         assert validate_stream(restored) == []
@@ -498,7 +498,8 @@ class TestSessionRecovery:
 
         resumed = ArrivalJournal(tmp_path / "j.jsonl", resume=True)
         tail = resumed.tail_after(cursor)
-        restored = ServeSession.restore_stream(snapshot, replay=tail)
+        restored = ServeSession.restore(snapshot)
+        restored.pump.set_replay(tail)
         drain(restored)
         assert restored.pump.replay == []
         assert restored.pump.replay_verified == len(tail)
@@ -514,7 +515,8 @@ class TestSessionRecovery:
             seq=cursor + 1, job_id=cursor + 1, app="bt.A",
             submit=0.125, request=63,
         )
-        restored = ServeSession.restore_stream(snapshot, replay=[bogus])
+        restored = ServeSession.restore(snapshot)
+        restored.pump.set_replay([bogus])
         with pytest.raises(StreamDivergenceError) as excinfo:
             drain(restored)
         assert f"seq {cursor + 1}" in str(excinfo.value)
@@ -528,7 +530,7 @@ class TestSessionRecovery:
         snapshot = tmp_path / "serve.ckpt"
         session.save(snapshot)
         with pytest.raises(CheckpointError):
-            ServeSession.restore_stream(snapshot, expected_policy="PDPA")
+            ServeSession.restore(snapshot, expected_policy="PDPA")
 
     def test_meta_carries_serve_identity(self, tmp_path):
         from repro.checkpoint import read_meta

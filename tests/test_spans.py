@@ -31,12 +31,7 @@ from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
 from repro.checkpoint import CheckpointPlan, SimulationSession, read_snapshot
 from repro.core.pdpa import PDPA
 from repro.experiments.ablations import FixedMplPDPA, NoRelativeSpeedupPDPA
-from repro.experiments.common import (
-    ExperimentConfig,
-    _assemble_session,
-    build_session,
-    run_workload,
-)
+from repro.experiments.common import ExperimentConfig, build_session, run_workload
 from repro.faults.scenarios import build_scenario
 from repro.fuzz.profiles import tier_settings
 from repro.machine.machine import Machine
@@ -45,6 +40,7 @@ from repro.metrics.trace import TraceRecorder
 from repro.parallel.cache import canonical_dumps
 from repro.parallel.cells import trace_digest
 from repro.qs.job import Job
+from repro.qs.queuing import NanosQS
 from repro.qs.workload import TABLE1_MIXES
 from repro.rm.equal_efficiency import EqualEfficiency
 from repro.rm.equipartition import Equipartition
@@ -272,7 +268,9 @@ def _session(policy: str, plan: List[tuple], seed: int, n_cpus: int,
             sim, Machine(n_cpus, trace=trace), POLICIES[policy](), streams, trace,
             runtime, locality=config.locality_model(),
         )
-    return _assemble_session(policy, rm, sim, trace, jobs, config, 0.0)
+    qs = NanosQS(sim, rm, jobs, trace)
+    qs.schedule_submissions()
+    return SimulationSession(policy, 0.0, config, sim, rm, qs, trace)
 
 
 def _state(session: SimulationSession, ends: Dict[Any, List[IterationEnd]]) -> tuple:

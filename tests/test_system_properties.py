@@ -93,11 +93,9 @@ def _make_extension_policy(name):
 @given(jobs=workloads(), seed=st.integers(0, 3))
 @pytest.mark.parametrize("policy_name", ["Batch"])
 def test_extension_policies_complete_and_validate(policy_name, jobs, seed):
-    from repro.experiments.common import run_jobs_with_policy
-
     fresh = [Job(j.job_id, j.spec, j.submit_time, j.request) for j in jobs]
     config = ExperimentConfig(n_cpus=N_CPUS, seed=seed, duration=30.0)
-    out = run_jobs_with_policy(_make_extension_policy(policy_name), fresh, config)
+    out = run_jobs(_make_extension_policy(policy_name), fresh, config)
     assert len(out.result.records) == len(jobs)
     problems = validate_run(out)
     assert problems == [], f"{policy_name}: {problems}"

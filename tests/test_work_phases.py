@@ -5,7 +5,7 @@ import pytest
 from repro.apps.application import AppClass, ApplicationSpec, IterativeApplication
 from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
 from repro.core.pdpa import PDPA
-from repro.experiments.common import ExperimentConfig, run_jobs_with_policy
+from repro.experiments.common import ExperimentConfig, run_jobs
 from repro.qs.job import Job
 from tests.iteration_ends import record_iteration_ends
 
@@ -155,7 +155,7 @@ class TestPdpaAdaptation:
         )
         config = ExperimentConfig(n_cpus=24, seed=1, noise_sigma=0.0)
         policy = PDPA(config.pdpa)
-        out = run_jobs_with_policy(
+        out = run_jobs(
             policy, [Job(1, spec, submit_time=0.0)], config
         )
         # The job completed, and PDPA shrank it after the phase change:
@@ -196,7 +196,7 @@ class TestPdpaAdaptation:
             Job(1, blocker, submit_time=0.0),
             Job(2, spec, submit_time=1.0),
         ]
-        out = run_jobs_with_policy(policy, jobs, config)
+        out = run_jobs(policy, jobs, config)
         changes = [r.new_procs for r in out.trace.reallocations if r.job_id == 2]
         # After the work drops 4x, measured speedup at the same procs
         # rises 4x; efficiency exceeds both high_eff and the settled
