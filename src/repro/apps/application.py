@@ -267,12 +267,16 @@ class IterativeApplication:
         """
         if speedup <= 0:
             raise ValueError(f"speedup must be positive, got {speedup}")
-        base = self.spec.iter_seq_time_at(self.completed_iterations) / speedup
-        base *= 1.0 + self.spec.measurement_overhead
+        spec = self.spec
+        # iter_seq_time_at's own shortcut, without the call per iteration
+        seq = spec.iter_seq_time_at(self.completed_iterations) if spec.work_phases \
+            else spec.t_iter_seq
+        base = seq / speedup
+        base *= 1.0 + spec.measurement_overhead
         base *= noise_factor
         if alloc_changed_by:
             base += (
-                self.spec.realloc_penalty
-                + self.spec.realloc_penalty_per_cpu * abs(alloc_changed_by)
+                spec.realloc_penalty
+                + spec.realloc_penalty_per_cpu * abs(alloc_changed_by)
             )
         return base

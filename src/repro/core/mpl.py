@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.params import PDPAParams
-from repro.core.states import PdpaJobState
+from repro.core.states import SETTLED_STATES, PdpaJobState
 
 
 class MplPolicy:
@@ -63,7 +63,10 @@ class MplPolicy:
             return True
         if free_cpus < 1:
             return False
-        return all(state.is_settled for state in job_states.values())
+        for state in job_states.values():
+            if state.state not in SETTLED_STATES:  # state.is_settled, inline
+                return False
+        return True
 
     def explain(
         self,

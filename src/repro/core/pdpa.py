@@ -17,14 +17,19 @@ Equal_efficiency it
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import math
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.mpl import MplPolicy
 from repro.core.params import PDPAParams
-from repro.core.states import AppState, PdpaJobState, evaluate_transition, holds_stable
+from repro.core.states import AppState, PdpaJobState, evaluate_transition, holds_stable, stable_band
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
 from repro.runtime.selfanalyzer import PerformanceReport
+
+
+def _no_plans() -> None:
+    """The plan hook before a host binds one."""
 
 
 class PDPA(SchedulingPolicy):
@@ -48,12 +53,13 @@ class PDPA(SchedulingPolicy):
             for name in ("on_report", "wants_admission", "set_params")
         )
 
-    __slots__ = ("params", "mpl_policy", "job_states")
+    __slots__ = ("params", "mpl_policy", "job_states", "_drop_plans")
 
     def __init__(self, params: Optional[PDPAParams] = None) -> None:
         self.params = params or PDPAParams()
         self.mpl_policy = MplPolicy(self.params)
         self.job_states: Dict[int, PdpaJobState] = {}
+        self._drop_plans: Callable[[], None] = _no_plans  # see bind_plans
 
     # ------------------------------------------------------------------
     # runtime parameter changes (§4.1: "These parameters can be
@@ -69,6 +75,10 @@ class PDPA(SchedulingPolicy):
         params.validate()
         self.params = params
         self.mpl_policy = MplPolicy(params)
+        self._drop_plans()  # every STABLE band reads the thresholds
+
+    def bind_plans(self, drop_plans: Callable[[], None]) -> None:
+        self._drop_plans = drop_plans
 
     # ------------------------------------------------------------------
     # multiprogramming level (coordination with the queuing system)
@@ -232,6 +242,18 @@ class PDPA(SchedulingPolicy):
             return False
         self._ratchet(state, speedup / procs)
         return True
+
+    def report_band(
+        self, job: Job, system: SystemView
+    ) -> Optional[Tuple[float, float, float]]:
+        """The STABLE band, capped at ``top``, the ratchet's reference:
+        above it a report moves ``stable_eff``, so the hook takes it."""
+        state = self.job_states.get(job.job_id)
+        if not self._absorbs_reports or state is None or state.state is not AppState.STABLE:
+            return None
+        lo, hi = stable_band(state, self.params)
+        top = math.inf if state.stable_eff is None else state.stable_eff
+        return lo, top if top < hi else hi, top
 
     # ------------------------------------------------------------------
     # diagnostics

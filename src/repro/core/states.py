@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro.core.params import PDPAParams
 
@@ -33,6 +33,10 @@ class AppState(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: the states in which a job no longer needs more processors
+SETTLED_STATES = (AppState.STABLE, AppState.DEC)
 
 
 @dataclass(slots=True)
@@ -91,7 +95,7 @@ class PdpaJobState:
         as non-blocking ("or if some applications show bad
         performance").
         """
-        return self.state in (AppState.STABLE, AppState.DEC)
+        return self.state in SETTLED_STATES
 
 
 @dataclass(frozen=True)
@@ -307,24 +311,30 @@ def _from_stable(
     return move
 
 
+def stable_band(state: PdpaJobState, params: PDPAParams) -> Tuple[float, float]:
+    """``(lo, hi)``: a STABLE application's report below ``lo`` dropped,
+    and one above ``hi`` improved (§4.2.4), each beyond its threshold
+    and away from the settled efficiency by the hysteresis."""
+    hysteresis = params.stable_hysteresis
+    lo = params.target_eff * (1.0 - hysteresis)
+    hi = params.high_eff * (1.0 + hysteresis)
+    reference = state.stable_eff
+    if reference is not None:  # min(lo, ...) and max(hi, ...), without the calls
+        below = reference * (1.0 - hysteresis)
+        lo = below if below < lo else lo
+        above = reference * (1.0 + hysteresis)
+        hi = above if above > hi and not state.resource_limited else hi
+    return lo, hi
+
+
 def _stable_move(
     state: PdpaJobState, efficiency: float, params: PDPAParams, free_cpus: int
 ) -> Union[Transition, str]:
     """The move a report makes a STABLE application take, or why it stays."""
     if state.stable_exits >= params.max_stable_exits:
         return "stable exits exhausted"
-    low = params.target_eff * (1.0 - params.stable_hysteresis)
-    high = params.high_eff * (1.0 + params.stable_hysteresis)
-    reference = state.stable_eff
-    dropped = efficiency < low and (
-        reference is None or efficiency < reference * (1.0 - params.stable_hysteresis)
-    )
-    improved = efficiency > high and (
-        state.resource_limited
-        or reference is None
-        or efficiency > reference * (1.0 + params.stable_hysteresis)
-    )
-    if dropped:
+    lo, hi = stable_band(state, params)
+    if efficiency < lo:
         shrunk = _shrunk(state, params)
         if shrunk != state.allocation:
             return Transition(
@@ -332,7 +342,7 @@ def _stable_move(
                 f"performance dropped ({efficiency:.2f}); leaving STABLE",
             )
         return "at minimum allocation"
-    if improved:
+    if efficiency > hi:
         grant = _grow(state, params, free_cpus)
         if grant > 0:
             return Transition(

@@ -198,7 +198,9 @@ class FaultInjector:
         now = self.sim.now
         self._watchdog(now)
         self._staleness_fallback(now)
-        if not self.qs.all_done:
+        # a stream is all-done between arrivals: keep sweeping while
+        # a job is live or the source may still deliver one
+        if not self.qs.drained:
             self.sim.schedule_after(
                 self.plan.sweep_interval, self._sweep, label="fault:sweep"
             )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +66,9 @@ class LocalityConfig:
 
 
 @dataclass(slots=True)
-class _JobLocality:
-    """Locality trajectory of one job: value at a reference time."""
+class LocalityRecord:
+    """Locality trajectory of one job: value at a reference time (a
+    reallocation replaces the record)."""
 
     value: float
     since: float
@@ -80,7 +81,7 @@ class LocalityModel:
 
     def __init__(self, config: LocalityConfig = LocalityConfig()) -> None:
         self.config = config
-        self._jobs: Dict[int, _JobLocality] = {}
+        self._jobs: Dict[int, LocalityRecord] = {}
 
     # ------------------------------------------------------------------
     # lifecycle hooks (called by the resource manager)
@@ -89,7 +90,7 @@ class LocalityModel:
         """A new job starts with a cold but compact working set."""
         if job_id in self._jobs:
             raise ValueError(f"job {job_id} already tracked")
-        self._jobs[job_id] = _JobLocality(value=1.0, since=now)
+        self._jobs[job_id] = LocalityRecord(value=1.0, since=now)
 
     def on_job_finish(self, job_id: int) -> None:
         """Forget a completed job (unknown ids are tolerated)."""
@@ -112,7 +113,7 @@ class LocalityModel:
         retained = kept / size
         current = self.locality(job_id, now)
         new_value = max(self.config.floor, current * retained)
-        self._jobs[job_id] = _JobLocality(value=new_value, since=now)
+        self._jobs[job_id] = LocalityRecord(value=new_value, since=now)
 
     # ------------------------------------------------------------------
     # queries
@@ -126,19 +127,24 @@ class LocalityModel:
         gap = 1.0 - state.value
         return 1.0 - gap * math.exp(-elapsed / self.config.migration_tau)
 
-    def speed_factor(self, job_id: int, now: float) -> float:
-        """Execution-rate multiplier in (1 - max_slowdown, 1].
+    def record(self, job_id: int) -> Optional[LocalityRecord]:
+        """The job's current record (None when it is not tracked)."""
+        return self._jobs.get(job_id)
 
+    def speed_factor(self, job_id: int, now: float) -> float:
+        """Execution-rate multiplier in (1 - max_slowdown, 1]."""
+        return self.factor(self._jobs.get(job_id), now)
+
+    def factor(self, record: Optional[LocalityRecord], now: float) -> float:
+        """:meth:`speed_factor` of the job whose record is *record*:
         :meth:`locality` inline, the same float operations in the same
-        order: the runtime asks this once per iteration.
-        """
-        state = self._jobs.get(job_id)
-        if state is None or state.value == 1.0:
+        order (a runtime asks at every iteration while it recovers)."""
+        if record is None or record.value == 1.0:
             return 1.0  # 1.0 - max_slowdown * 0.0 is exactly 1.0
-        elapsed = now - state.since
+        elapsed = now - record.since
         if not elapsed > 0.0:
             elapsed = 0.0  # max(0.0, elapsed)
-        locality = 1.0 - (1.0 - state.value) * math.exp(
+        locality = 1.0 - (1.0 - record.value) * math.exp(
             -elapsed / self.config.migration_tau
         )
         return 1.0 - self.config.max_slowdown * (1.0 - locality)

@@ -143,7 +143,7 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     def record_burst(self, burst: Burst) -> None:
         """Append a finished burst (zero-length bursts are dropped)."""
-        duration = burst.duration
+        duration = burst.end - burst.start  # burst.duration, without the call
         if duration < 0:
             raise ValueError(f"negative burst duration: {burst}")
         if duration == 0:

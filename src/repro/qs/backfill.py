@@ -14,7 +14,9 @@ shrink a running job, so a malleable coordinated policy still wins on
 workloads with poorly scaling codes.
 
 Runtime estimates use each job's ideal execution time at its request —
-the analogue of (honest) user-provided wall-time estimates.
+the analogue of (honest) user-provided wall-time estimates.  A job
+reserves and backfills with the width :class:`~repro.rm.batch.BatchFCFS`
+runs it on, its request capped by the healthy CPUs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import List, Optional
 from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job
 from repro.qs.queuing import NanosQS, RetryConfig
+from repro.rm.batch import batch_width
 from repro.rm.manager import SpaceSharedResourceManager
 from repro.sim.engine import Simulator
 
@@ -94,17 +97,21 @@ class BackfillQS(NanosQS):
         assert head.request is not None
         view = self.rm.system_view()
         free_now = view.free_cpus
-        shadow_time, spare_at_shadow = self._reservation(head.request, free_now, view)
+        healthy = view.total_cpus
+        shadow_time, spare_at_shadow = self._reservation(
+            batch_width(head.request, healthy), free_now, view
+        )
         if shadow_time is None:
             return None
         for candidate in self.queue[1:]:
             assert candidate.request is not None
-            if candidate.request > free_now:
+            width = batch_width(candidate.request, healthy)
+            if width > free_now:
                 continue
             finishes_before_shadow = (
                 self.sim.now + estimated_runtime(candidate) <= shadow_time + 1e-9
             )
-            fits_in_spare = candidate.request <= spare_at_shadow
+            fits_in_spare = width <= spare_at_shadow
             if finishes_before_shadow or fits_in_spare:
                 return candidate
         return None

@@ -200,6 +200,12 @@ class NanosQS:
         """Whether every submitted job reached a terminal state."""
         return len(self.completed) + len(self.failed) == len(self.jobs)
 
+    @property
+    def drained(self) -> bool:
+        """Whether every job is terminal and no more can arrive (a closed
+        queue knows its whole job list)."""
+        return self.all_done
+
     def unfinished_jobs(self) -> List[Job]:
         """Jobs not yet terminal (for end-of-run diagnostics)."""
         return [

@@ -56,6 +56,11 @@ SHED = "shed"
 BLOCKED = "blocked"
 
 
+def _no_source() -> bool:
+    """Default ``source_open``: no pump attached, nothing more arrives."""
+    return False
+
+
 @dataclass(frozen=True, slots=True)
 class IngressConfig:
     """Admission-control knobs for the streaming queue.
@@ -96,6 +101,7 @@ class StreamingQS(NanosQS):
     __slots__ = (
         "ingress", "stats", "peak_queue", "backoff_pending", "pruned_completed",
         "pruned_failed", "_last_job_id", "on_capacity_available", "_overloaded",
+        "source_open",
     )
 
     def __init__(
@@ -123,6 +129,8 @@ class StreamingQS(NanosQS):
         #: pump hook: fired when a full queue frees a slot (block policy)
         self.on_capacity_available: Optional[Callable[[], None]] = None
         self._overloaded = False
+        #: pump hook: whether the source may still deliver a job
+        self.source_open: Callable[[], bool] = _no_source
 
     # ------------------------------------------------------------------
     # bounded-ingress admission
@@ -286,6 +294,12 @@ class StreamingQS(NanosQS):
     def all_done(self) -> bool:
         """Every admitted job reached a terminal state."""
         return self.live_jobs == 0
+
+    @property
+    def drained(self) -> bool:
+        """No job is live and the source will deliver no more (a stream
+        is all-done between arrivals, too)."""
+        return self.live_jobs == 0 and not self.source_open()
 
     def unfinished_jobs(self) -> List[Job]:
         terminal = (JobState.DONE, JobState.FAILED)

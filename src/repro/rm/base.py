@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.qs.job import Job
 from repro.runtime.selfanalyzer import PerformanceReport
@@ -129,6 +129,23 @@ class SchedulingPolicy(ABC):
         path.  The default takes no report.
         """
         return False
+
+    def report_band(
+        self, job: Job, system: SystemView
+    ) -> Optional[Tuple[float, float, float]]:
+        """*job*'s no-op band ``(lo, hi, top)``, or None (the default).
+
+        A cached answer of :meth:`absorb_report`, which stays the
+        general hook: a fresh report whose efficiency lies in
+        ``[lo, hi]``, or in ``(hi, top]`` while no CPU is free, is one
+        that hook takes changing nothing but the report's time.  The
+        host keeps it until the job's allocation or policy state moves.
+        """
+        return None
+
+    def bind_plans(self, drop_plans: Callable[[], None]) -> None:
+        """Keep the host's hook that drops every plan, for bands that
+        change without a host call (PDPA's ``set_params``)."""
 
     def wants_admission(self, system: SystemView, queued_jobs: int) -> bool:
         """Whether the queuing system may start one more job now.

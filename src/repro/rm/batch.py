@@ -8,6 +8,11 @@ how classic batch queuing systems drive space-shared machines, and it
 requested does not fit the complete machine" — a 30-CPU job leaves 30
 CPUs idle on a 60-CPU machine if the next job wants 31.
 
+A job wider than the healthy machine runs on all of it: its width is
+``min(request, healthy CPUs)`` (:func:`batch_width`), and a rigid job
+folds its ``request`` processes onto that partition
+(:meth:`~repro.apps.application.ApplicationSpec.folded_speedup`).
+
 Included as a baseline for the coordination ablations; the paper
 itself evaluates only the dynamic policies.
 """
@@ -18,6 +23,11 @@ from typing import Optional
 
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
+
+
+def batch_width(request: int, healthy_cpus: int) -> int:
+    """Processors a batch job runs on: its request, capped by the machine."""
+    return min(request, healthy_cpus)
 
 
 class BatchFCFS(SchedulingPolicy):
@@ -51,16 +61,17 @@ class BatchFCFS(SchedulingPolicy):
         if queued_jobs <= 0:
             return False
         needed = self._next_request if self._next_request else 1
-        return system.free_cpus >= needed
+        return system.free_cpus >= batch_width(needed, system.total_cpus)
 
     def on_job_arrival(self, job: Job, system: SystemView) -> AllocationDecision:
         assert job.request is not None
-        if job.request > system.free_cpus:
+        width = batch_width(job.request, system.total_cpus)
+        if width > system.free_cpus:
             raise ValueError(
-                f"Batch: job {job.job_id} requests {job.request} CPUs but only "
+                f"Batch: job {job.job_id} needs {width} CPUs but only "
                 f"{system.free_cpus} are free — admission gate violated"
             )
-        return {job.job_id: job.request}
+        return {job.job_id: width}
 
     def on_job_completion(self, job: Job, system: SystemView) -> AllocationDecision:
         return {}

@@ -13,7 +13,8 @@ exactly the property PDPA improves on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, SchedulingPolicy, SystemView
@@ -92,3 +93,8 @@ class Equipartition(SchedulingPolicy):
         self, job: Job, procs: int, speedup: float, system: SystemView
     ) -> bool:
         return True
+
+    def report_band(
+        self, job: Job, system: SystemView
+    ) -> Optional[Tuple[float, float, float]]:
+        return -math.inf, math.inf, math.inf

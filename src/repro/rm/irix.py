@@ -34,7 +34,8 @@ from typing import Any, Dict, Optional, Set
 from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job
 from repro.rm.manager import BaseResourceManager
-from repro.runtime.nthlib import RuntimeConfig
+from repro.runtime.nthlib import IterationPlan, RuntimeConfig
+from repro.runtime.selfanalyzer import SelfAnalyzer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.slots import set_slot_state, slot_state
@@ -130,7 +131,8 @@ class IrixResourceManager(BaseResourceManager):
         self._offline: Set[int] = set()
         #: effective_procs(threads) memoised by thread count for the
         #: current segment; _account_segment, which runs before every
-        #: change to _threads or _offline, clears it
+        #: change to _threads or _offline, clears it and drops every
+        #: runtime's plan
         self._shares: Dict[int, float] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -155,9 +157,6 @@ class IrixResourceManager(BaseResourceManager):
 
     def _allocation(self, job_id: int) -> int:
         return self._threads[job_id]
-
-    def current_allocation(self, job: Job) -> int:
-        return self._threads[job.job_id]
 
     @property
     def effective_cpus(self) -> int:
@@ -213,12 +212,15 @@ class IrixResourceManager(BaseResourceManager):
         share /= 1.0 + interference
         return max(share, 0.05)
 
-    def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
-        """Execution rate for the next iteration.
+    def iteration_plan(
+        self, job: Job, baseline: Optional[SelfAnalyzer]
+    ) -> IterationPlan:
+        """The job's threads and the rate they run at.
 
         The job's curve (for a rigid job, its folded processes) at the
         effective CPU share of its threads, which every job's threads
-        and the healthy CPUs decide; *nominal_procs* plays no part.
+        and the healthy CPUs decide, so every change to them drops
+        every plan (:meth:`_account_segment`).  IRIX jobs never report.
         """
         threads = self._threads[job.job_id]
         share = self._shares.get(threads)
@@ -226,9 +228,14 @@ class IrixResourceManager(BaseResourceManager):
             share = self._shares[threads] = self.effective_procs(threads)
         spec = job.spec
         if spec.malleable:
-            return spec.speedup_model.speedup(share)
-        assert job.request is not None
-        return spec.folded_speedup(job.request, share)
+            speedup = spec.speedup_model.speedup(share)
+        else:
+            assert job.request is not None
+            speedup = spec.folded_speedup(job.request, share)
+        # no SelfAnalyzer, so no baseline: the threads run throughout
+        return IterationPlan(
+            threads, threads, speedup, None, None, 1.0, None, self.last_report_time
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -254,6 +261,7 @@ class IrixResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     def _account_segment(self) -> None:
         self._shares.clear()
+        self.drop_plans()
         now = self.sim.now
         duration = now - self._segment_start
         self._segment_start = now

@@ -21,8 +21,8 @@ from repro.machine.memory import LocalityModel
 from repro.metrics.trace import FaultRecord, ReallocationRecord, TraceRecorder
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, JobView, SchedulingPolicy, SystemView
-from repro.runtime.nthlib import NthLibRuntime, RuntimeConfig, RuntimeHost
-from repro.runtime.selfanalyzer import PerformanceReport
+from repro.runtime.nthlib import IterationPlan, NthLibRuntime, RuntimeConfig, RuntimeHost
+from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.slots import set_slot_state, slot_state
@@ -226,8 +226,10 @@ class BaseResourceManager(RuntimeHost):
     def _accept_report(self, job: Job, report: PerformanceReport) -> None:
         self.last_report_time[job.job_id] = self.sim.now
 
-    def current_allocation(self, job: Job) -> int:
-        return self._allocation(job.job_id)
+    def drop_plans(self) -> None:
+        """Drop every runtime's plan: something all of them read changed."""
+        for runtime in self.runtimes.values():
+            runtime.plan = None
 
 
 class _LiveSystemView(SystemView):
@@ -301,6 +303,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
         #: the clock (EASY backfilling): every report must then re-run
         #: admission, so no report may be absorbed
         self.clocked_admission = False
+        policy.bind_plans(self.drop_plans)
 
     # ------------------------------------------------------------------
     # pickling: the view table is derived state
@@ -335,9 +338,6 @@ class SpaceSharedResourceManager(BaseResourceManager):
     def _allocation(self, job_id: int) -> int:
         return self.machine.allocation_of(job_id)
 
-    def current_allocation(self, job: Job) -> int:
-        return self.machine.allocation_of(job.job_id)
-
     def _launch_runtime(self, job: Job) -> None:
         super()._launch_runtime(job)
         self._views[job.job_id] = JobView(
@@ -352,6 +352,9 @@ class SpaceSharedResourceManager(BaseResourceManager):
     def effective_cpus(self) -> int:
         """Only healthy CPUs take part in allocation decisions."""
         return self.machine.healthy_cpus
+
+    def free_cpus(self) -> int:
+        return self.machine.free_cpus
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -398,6 +401,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     def _accept_report(self, job: Job, report: PerformanceReport) -> None:
         super()._accept_report(job, report)
+        self.runtimes[job.job_id].plan = None  # the policy's state for it moves
         system = self.system_view()
         decision = self.policy.on_report(job, report, system)
         self.policy.validate_decision(decision, system, arriving=None)
@@ -416,13 +420,19 @@ class SpaceSharedResourceManager(BaseResourceManager):
         if not self.policy.absorb_report(job, procs, speedup, self._live_view):
             return False
         self.last_report_time[job.job_id] = self.sim.now
+        plan = self.runtimes[job.job_id].plan
+        if plan is not None and plan.band is not None:
+            # the report may have moved the band (PDPA's ratchet)
+            plan.band = self.policy.report_band(job, self._live_view)
         return True
 
     # ------------------------------------------------------------------
-    # execution rate
+    # the plan: what a job's iterations read until it changes
     # ------------------------------------------------------------------
-    def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
-        """Execution rate for the next iteration.
+    def iteration_plan(
+        self, job: Job, baseline: Optional[SelfAnalyzer]
+    ) -> IterationPlan:
+        """The job's allocation, rate and report band.
 
         Malleable applications run at their curve's speedup for the
         granted processors.  Rigid applications always run
@@ -432,20 +442,27 @@ class SpaceSharedResourceManager(BaseResourceManager):
         Memory locality and degraded nodes then slow the partition
         down; the machine is asked only while some node is degraded.
         """
+        job_id = job.job_id
+        machine = self.machine
+        allocation = machine.allocation_of(job_id)
+        procs = allocation if baseline is None else baseline.baseline_allocation(allocation)
         spec = job.spec
         if spec.malleable:
-            speedup = spec.speedup_model.speedup(float(nominal_procs))
+            speedup = spec.speedup_model.speedup(float(procs))
         else:
             assert job.request is not None
-            speedup = spec.folded_speedup(job.request, float(nominal_procs))
-        if self.locality is not None:
-            speedup *= self.locality.speed_factor(job.job_id, self.sim.now)
-        machine = self.machine
-        if machine.node_speed:
-            fault_factor = machine.partition_speed_factor(job.job_id)
-            if fault_factor != 1.0:
-                speedup *= fault_factor
-        return speedup
+            speedup = spec.folded_speedup(job.request, float(procs))
+        locality = self.locality
+        record = None if locality is None else locality.record(job_id)
+        if record is None or record.value == 1.0:
+            locality = None  # the factor is exactly 1.0 until it is replaced
+        fault = machine.partition_speed_factor(job_id) if machine.node_speed else 1.0
+        band = None if self.report_filter is not None or self.clocked_admission \
+            else self.policy.report_band(job, self._live_view)
+        return IterationPlan(
+            allocation, procs, speedup, locality, record, fault, band,
+            self.last_report_time,
+        )
 
     # ------------------------------------------------------------------
     # fault handling (driven by repro.faults.FaultInjector)
@@ -467,6 +484,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
         )
         if owner is not None:
             job = self.jobs[owner]
+            self.runtimes[owner].plan = None  # its partition shrank
             current = self.machine.allocation_of(owner)
             if self.machine.free_cpus > 0:
                 # Replace the lost CPU from the healthy free pool: the
@@ -504,10 +522,12 @@ class SpaceSharedResourceManager(BaseResourceManager):
 
     def on_node_degraded(self, node: int, factor: float) -> None:
         self.machine.degrade_node(node, factor, self.sim.now)
+        self.drop_plans()
         self._record_fault("node_degrade", node, value=factor)
 
     def on_node_restored(self, node: int) -> None:
         self.machine.restore_node(node, self.sim.now)
+        self.drop_plans()
         self._record_fault("node_restore", node, value=1.0)
 
     def force_allocation(self, job_id: int, procs: int, reason: str = "") -> int:
@@ -529,6 +549,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
             return current
         job = self.jobs[job_id]
         self.machine.resize_job(job_id, procs, self.sim.now)
+        self.runtimes[job_id].plan = None
         view = self._views.get(job_id)
         if view is not None:
             view.allocation = procs
@@ -563,6 +584,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
         locality = self.locality
         for job_id, old, new in shrinks + grows:
             machine.resize_job(job_id, new, now)
+            self.runtimes[job_id].plan = None
             view = self._views.get(job_id)
             if view is not None:
                 view.allocation = new

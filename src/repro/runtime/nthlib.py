@@ -25,29 +25,59 @@ PDPA job where it is.  So every iteration end is scheduled as an
 is the runtime: it holds the iteration in flight, its processors and
 duration, and the engine calls its :meth:`NthLibRuntime.absorb` at
 the end's instant.  The runtime asks whether the SelfAnalyzer reports
-now and, if it does, hands the host the report's processors and
-speedup (:meth:`RuntimeHost.absorb_report`), which proves the report
-a no-op and applies it in one pass.  If no report is due or the host
-takes it, the runtime finishes the iteration on the spot — the same
+now and, if it does, judges the report by its plan's no-op band or
+hands the host the report's processors and speedup
+(:meth:`RuntimeHost.absorb_report`), which proves the report a no-op
+and applies it in one pass.  If no report is due or the report is a
+no-op, the runtime finishes the iteration on the spot — the same
 iteration count, SelfAnalyzer counters and next-iteration draws as the
 event would have made, but no
 :class:`~repro.runtime.selfanalyzer.PerformanceReport` — and no event
 fires.  Otherwise nothing has changed and :meth:`NthLibRuntime.fire`
 runs as the usual ``iter:`` event.  The absorbed ends before one that
-fires form an *iteration span*.
+fires form an *iteration span*.  The runtime reads what its iterations
+need from the host once, as an :class:`IterationPlan`, and keeps it
+until the host drops it, so a settled job's ends make no host call.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.apps.application import IterativeApplication
+from repro.machine.memory import LocalityModel, LocalityRecord
 from repro.qs.job import Job
 from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnalyzerConfig
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.slots import set_slot_state, slot_state
+
+
+@dataclass(slots=True)
+class IterationPlan:
+    """What a job's iterations read from their host, until it drops it.
+
+    *procs* is the *allocation*, or the baseline processors while the
+    SelfAnalyzer's baseline runs, and *speedup* the curve (or folded)
+    speedup at them.  *locality* and *record* are the locality model
+    and the job's record while the record recovers (None otherwise);
+    *fault* is the partition's fault factor.  *band* is the policy's
+    no-op band ``(lo, hi, top)`` (see
+    :meth:`~repro.rm.base.SchedulingPolicy.report_band`) or None: a
+    report it settles changes only its time in *report_times*, the
+    host's table.  Snapshots do not carry plans (derived state).
+    """
+
+    allocation: int
+    procs: int
+    speedup: float
+    locality: Optional[LocalityModel]
+    record: Optional[LocalityRecord]
+    fault: float
+    band: Optional[Tuple[float, float, float]]
+    report_times: Dict[int, float]
 
 
 class RuntimeHost:
@@ -61,21 +91,23 @@ class RuntimeHost:
 
     __slots__ = ()
 
-    def current_allocation(self, job: Job) -> int:
-        """Processors currently granted to *job* (its thread count)."""
+    def iteration_plan(
+        self, job: Job, baseline: Optional[SelfAnalyzer]
+    ) -> IterationPlan:
+        """The plan for *job*'s next iterations.
+
+        *baseline* is the job's SelfAnalyzer while its baseline runs.
+        The speedup is the curve's at the processor share the
+        iterations really get — the processors under space sharing, the
+        CPU share of the job's threads under the time-shared IRIX
+        model — with rigid applications folded onto their partition.
+        The host drops the runtime's plan (``runtime.plan = None``)
+        wherever anything it holds changes.
+        """
         raise NotImplementedError
 
-    def iteration_speedup(self, job: Job, nominal_procs: int) -> float:
-        """Execution rate (speedup over sequential) of the next iteration.
-
-        Asked once per iteration, as it begins on *nominal_procs*.  The
-        host evaluates the application's speedup curve at the processor
-        share the iteration really gets — *nominal_procs* under space
-        sharing, the fractional CPU share of the job's threads under
-        the time-shared IRIX model — folds rigid applications onto
-        their partition, and applies whatever slows the partition down
-        (memory locality, degraded nodes).
-        """
+    def free_cpus(self) -> int:
+        """Processors no job holds (read for a report above a band's hi)."""
         raise NotImplementedError
 
     def deliver_report(self, job: Job, report: PerformanceReport) -> None:
@@ -86,14 +118,15 @@ class RuntimeHost:
         """Take a report of *speedup* on *procs* if it is a no-op.
 
         Called at the instant the report is due, in place of
-        :meth:`deliver_report`.  Answers True, having made the state
-        changes delivering it would have made, only when delivering it
-        could neither move an allocation nor change what the queuing
-        system is told; otherwise answers False having changed
-        nothing.  The default takes no report.
+        :meth:`deliver_report`, unless the plan's band settles it.
+        Answers True, having made the state changes delivering it would
+        have made, only when delivering it could neither move an
+        allocation nor change what the queuing system is told;
+        otherwise answers False having changed nothing.  The default
+        takes no report.
 
-        An iteration end that makes no report, or whose report this
-        hook takes, completes without an event and skips
+        An iteration end that makes no report, or whose report the band
+        or this hook takes, completes without an event and skips
         ``deliver_report`` with the state-change notification to the
         queuing system.  So nothing else a host does may depend on
         when an iteration ends.
@@ -158,7 +191,7 @@ class NthLibRuntime:
     __slots__ = (
         "sim", "job", "host", "config", "app", "analyzer",
         "_streams", "_noise_stream", "phase", "_procs", "_duration", "_pending",
-        "hung",
+        "hung", "plan",
     )
 
     def __init__(
@@ -193,6 +226,17 @@ class NthLibRuntime:
         #: True once hang() froze this runtime (it stops progressing
         #: but stays in its phase, exactly like a livelocked binary)
         self.hung = False
+        #: the host's plan for the next iterations (None: ask for one)
+        self.plan: Optional[IterationPlan] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = slot_state(self)
+        del state["plan"]  # derived state
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        set_slot_state(self, state)
+        self.plan = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -209,9 +253,9 @@ class NthLibRuntime:
 
     def _startup_done(self) -> None:
         self.phase = JobPhase.ITERATING
-        self._begin_iteration()
+        self._begin_iteration(self.sim.now)
 
-    def _begin_iteration(self) -> None:
+    def _begin_iteration(self, now: float) -> None:
         app = self.app
         job = self.job
         iteration = app.completed_iterations
@@ -219,24 +263,30 @@ class NthLibRuntime:
             self._begin_teardown()
             return
         analyzer = self.analyzer
+        plan = self.plan
         if (
             analyzer is not None
             and self.config.reset_analyzer_on_phase_change
             and any(start == iteration for start, _ in job.spec.work_phases)
         ):
             analyzer.reset_baseline()
-        host = self.host
-        allocation = host.current_allocation(job)
-        if allocation < 1:
-            raise RuntimeError(
-                f"job {job.job_id}: zero allocation while iterating"
-            )
-        procs = allocation
-        if analyzer is not None and analyzer.in_baseline:
-            procs = analyzer.baseline_allocation(allocation)
+            plan = None
+        if plan is None:
+            baseline = analyzer if analyzer is not None and analyzer.in_baseline else None
+            plan = self.host.iteration_plan(job, baseline)
+            if plan.allocation < 1:
+                raise RuntimeError(f"job {job.job_id}: zero allocation while iterating")
+            # the baseline may end with this iteration: keep no plan for it
+            self.plan = plan if baseline is None else None
+        procs = plan.procs
+        speedup = plan.speedup
+        if plan.locality is not None:
+            speedup *= plan.locality.factor(plan.record, now)
+        if plan.fault != 1.0:
+            speedup *= plan.fault
         last = self._procs
         duration = app.iteration_duration_from_speedup(
-            host.iteration_speedup(job, procs),
+            speedup,
             procs - last if last else 0,
             self._streams.lognormal_factor(self._noise_stream, self.config.noise_sigma),
         )
@@ -251,34 +301,46 @@ class NthLibRuntime:
         app = self.app
         iteration = app.completed_iterations
         app.record_iteration()
+        now = self.sim.now
         analyzer = self.analyzer
         if analyzer is not None:
-            report = analyzer.on_iteration(
-                self.sim.now, iteration, self._procs, self._duration
-            )
+            report = analyzer.on_iteration(now, iteration, self._procs, self._duration)
             if report is not None:
                 self.host.deliver_report(self.job, report)
-        self._begin_iteration()
+        self._begin_iteration(now)
 
     def absorb(self) -> bool:
         """End the iteration in flight without an event if its report is
         a no-op (engine hook).
 
-        Returns False, having changed nothing, when the host declines
-        the report the SelfAnalyzer is about to make: the end then
-        fires, for the full delivery path.
+        A report the plan's band settles changes only the report time;
+        any other goes to the host.  Returns False, having changed
+        nothing, when the host declines it: the end then fires, for the
+        full delivery path.
         """
+        # the mark's time: the engine is at this end's instant
+        now: float = self._pending[0]  # type: ignore[index]
         analyzer = self.analyzer
         if analyzer is not None:
             procs = self._procs
             duration = self._duration
-            if analyzer.would_report(procs) and not self.host.absorb_report(
-                self.job, procs, analyzer.estimate_speedup(procs, duration)
-            ):
-                return False
+            speedup = analyzer.report_speedup(procs, duration)
+            if speedup is not None:
+                plan = self.plan
+                band = None if plan is None else plan.band
+                efficiency = speedup / procs
+                if band is not None and (
+                    band[0] <= efficiency <= band[1]
+                    or band[1] < efficiency <= band[2] and self.host.free_cpus() == 0
+                ):
+                    plan.report_times[self.job.job_id] = now  # type: ignore[union-attr]
+                elif not self.host.absorb_report(self.job, procs, speedup):
+                    return False
             analyzer.commit(procs, duration)
-        self.app.record_iteration()
-        self._begin_iteration()
+        # record_iteration without its guards: this iteration began, so
+        # the application is unfinished and below its iteration count
+        self.app.completed_iterations += 1
+        self._begin_iteration(now)
         return True
 
     def _begin_teardown(self) -> None:

@@ -163,9 +163,10 @@ class SelfAnalyzer:
             raise ValueError(f"iteration duration must be positive, got {duration}")
         if procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
-        if not self.commit(procs, duration):
+        speedup = self.report_speedup(procs, duration)
+        self.commit(procs, duration)
+        if speedup is None:
             return None
-        speedup = self.estimate_speedup(procs, duration)
         # positional: this runs once per measured iteration
         return PerformanceReport(self.job_id, time, iteration, procs, speedup, duration)
 
@@ -175,6 +176,7 @@ class SelfAnalyzer:
         The counter half of :meth:`on_iteration`, without the report:
         a caller that already took the report through another path
         (an absorbed iteration end) moves the counters with this.
+        :meth:`report_speedup` tells beforehand whether it is due.
         """
         if self._t_base is None:
             self._baseline.add(duration, procs)
@@ -199,33 +201,24 @@ class SelfAnalyzer:
         self._measured += 1
         return self._measured % self.config.report_interval == 0
 
-    def would_report(self, procs: int) -> bool:
-        """Whether :meth:`commit` on *procs* would answer True.
+    def report_speedup(self, procs: int, duration: float) -> Optional[float]:
+        """The speedup :meth:`commit` on *procs* would be due to report.
 
-        Side-effect free, so a caller can decide how to deliver the
-        report before the analyzer's counters move.
+        None when it would make no report (always, before the baseline
+        measure completed).  Side-effect free, so a caller can decide
+        how to deliver the report before the analyzer's counters move.
+        The estimate is ``AF * assumed_base_speedup * t_base / duration``.
         """
         if self._t_base is None:
-            return False
+            return None
         skip = self._skip
         if self._last_procs is not None and procs != self._last_procs:
             skip = self.config.skip_after_realloc
-        return skip <= 0 and (self._measured + 1) % self.config.report_interval == 0
-
-    def estimate_speedup(self, procs: int, duration: float) -> float:
-        """Speedup estimate for an iteration of ``duration`` on ``procs``.
-
-        Raises
-        ------
-        RuntimeError
-            If called before the baseline measure completed.
-        """
-        if self._t_base is None or self._base_speedup is None:
-            raise RuntimeError("baseline measure not yet established")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        raw = self._base_speedup * self._t_base / duration
-        return max(self.config.amdahl_factor * raw, 1e-6)
+        if skip > 0 or (self._measured + 1) % self.config.report_interval:
+            return None
+        raw = self._base_speedup * self._t_base / duration  # type: ignore[operator]
+        speedup = self.config.amdahl_factor * raw
+        return 1e-6 if 1e-6 > speedup else speedup  # max(speedup, 1e-6)
 
     def _assumed_speedup_at(self, procs: int) -> float:
         """Assumed speedup for the processors the baseline actually used.

@@ -144,6 +144,10 @@ class ArrivalPump:
         """No more arrivals will ever be delivered."""
         return (self.exhausted or self.draining) and not self.blocked
 
+    def delivering(self) -> bool:
+        """Whether more arrivals may still be delivered (``not done``)."""
+        return not self.done
+
     def set_replay(self, entries: List[JournalEntry]) -> None:
         """Install the journal tail as replay-verify expectations."""
         self.replay = list(entries)
@@ -352,6 +356,7 @@ def build_serve_session(
     ))
     pump = ArrivalPump(sim, qs, source)
     qs.on_capacity_available = pump.resume
+    qs.source_open = pump.delivering
     return ServeSession(
         policy_name, load, config, serve_config,
         sim, rm, qs, trace, source, pump,

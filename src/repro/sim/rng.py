@@ -116,8 +116,9 @@ class RandomStreams:
         """
         if sigma <= 0.0:
             return 1.0
-        rng = self._streams.get(name)
-        if rng is None:
+        try:
+            rng = self._streams[name]
+        except KeyError:
             rng = self.stream(name)
         # rng.lognormvariate(0.0, sigma) inline: the Kinderman-Monahan
         # loop of random.normalvariate (the same on CPython 3.10-3.13),

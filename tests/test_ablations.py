@@ -76,6 +76,32 @@ class TestBatchComparison:
         assert pdpa.mean_response < 0.6 * plain.mean_response
 
 
+class TestBatchWidth:
+    """A batch job wider than the healthy machine runs on all of it."""
+
+    def test_requests_wider_than_the_machine_complete(self):
+        from repro.experiments.ablations import run_batch_comparison
+
+        # every untuned w3 job asks for 30 CPUs of 16
+        rows = run_batch_comparison("w3", 1.0, ExperimentConfig(n_cpus=16), {"apsi": 30})
+        assert [row.label for row in rows] == ["PDPA", "Batch + EASY backfill", "Batch FCFS"]
+        assert all(row.mean_response > 0 for row in rows)
+
+    def test_rigid_job_folds_its_request_onto_the_machine(self, linear_app):
+        from repro.experiments.common import build_session
+        from repro.qs.job import Job
+        from repro.rm.batch import BatchFCFS
+
+        jobs = [Job(1, linear_app.as_rigid(), submit_time=0.0, request=12)]
+        session = build_session(BatchFCFS(), jobs, ExperimentConfig(n_cpus=8), 1.0)
+        session.run()
+        out = session.finish()
+        assert [(r.old_procs, r.new_procs) for r in out.trace.reallocations] == [(0, 8)]
+        # 12 processes on 8 CPUs advance at S(12) * 8/12 = 8: 80 s of
+        # sequential work take about 10 s
+        assert jobs[0].end_time - jobs[0].start_time == pytest.approx(10.0, rel=0.05)
+
+
 class TestBatchComparisonFaults:
     """The batch rows run on the shared stack, fault plan included."""
 

@@ -1,0 +1,53 @@
+"""A deterministic call budget for the closed grid's iterations.
+
+Absorbed iteration ends are 97-100% of a closed run's iteration ends,
+and their constant cost sets the simulator's speed.  Each end reads
+its job's plan and calls no RM, policy or machine method until that
+job's inputs change (``repro.runtime.nthlib``).  This test counts the
+calls a whole closed grid makes per iteration, as cProfile counts them
+(Python functions and builtins alike) but timing nothing, so a change
+that puts calls back on the absorbed path fails here without
+wall-clock noise.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import Any
+
+import pytest
+
+from repro.experiments.common import ExperimentConfig, run_workload
+
+#: w1-w4 at load 1.0 on 60 CPUs, seed 7: 8,645 iterations per policy
+CONFIG = ExperimentConfig(n_cpus=60, seed=7)
+MIXES = ("w1", "w2", "w3", "w4")
+
+#: upper bounds on calls per iteration (measured: IRIX 18.6, Equip
+#: 25.2, PDPA 25.7 on CPython 3.11)
+BUDGET = {"IRIX": 20.0, "Equip": 26.0, "PDPA": 26.0}
+
+
+def calls_per_iteration(policy: str) -> float:
+    """Calls the closed grid makes for *policy*, per iteration run."""
+    calls = 0
+
+    def count(frame: Any, event: str, arg: Any) -> None:
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    iterations = 0
+    for mix in MIXES:
+        sys.setprofile(count)
+        try:
+            out = run_workload(policy, mix, 1.0, CONFIG)
+        finally:
+            sys.setprofile(None)
+        iterations += sum(job.spec.iterations for job in out.jobs)
+    return calls / iterations
+
+
+@pytest.mark.parametrize("policy", sorted(BUDGET))
+def test_calls_per_iteration_stay_in_budget(policy):
+    assert calls_per_iteration(policy) <= BUDGET[policy]

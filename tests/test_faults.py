@@ -404,6 +404,42 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
+# the recovery sweep on a stream
+# ----------------------------------------------------------------------
+class TestStreamSweep:
+    """A stream is all-done before its first arrival and between bursts,
+    so the recovery sweep keeps running while its source may deliver."""
+
+    def test_watchdog_outlives_a_late_first_arrival(self):
+        from repro.faults.scenarios import build_scenario
+        from repro.qs.workload import TABLE1_MIXES
+        from repro.serve.service import ServeService
+        from repro.serve.session import ServeConfig, build_serve_session
+        from repro.serve.source import SyntheticSource
+
+        # `repro --seed 7 --cpus 32 serve PDPA --workload w2 --load 1.0
+        # --max-jobs 500 --faults cpukill8`: the first arrival comes
+        # after the first sweep (t=10), and job 1 hangs at t=140
+        config = ExperimentConfig(n_cpus=32, seed=7)
+        config = config.with_faults(build_scenario("cpukill8", 32))
+        source = SyntheticSource(TABLE1_MIXES["w2"], 1.0, n_cpus=32, seed=7, max_jobs=500)
+        session = build_serve_session(
+            "PDPA", source, config=config, serve_config=ServeConfig(), load=1.0
+        )
+        assert ServeService(session).run(handle_signals=False) == 0
+        assert session.stats.completed == 500
+        assert session.stats.requeues >= 1  # the watchdog killed the hung job
+
+    def test_a_closed_queue_is_drained_once_all_done(self, linear_app):
+        plan = FaultPlan(events=(CpuFault(1.0, 0),))
+        sim, trace, rm, qs, jobs = TestInjectorUnits().make_stack(linear_app, plan)
+        assert not qs.drained
+        sim.run()
+        assert qs.all_done and qs.drained
+        assert sim.pending_events == 0  # the sweep chain ended with the run
+
+
+# ----------------------------------------------------------------------
 # injector unit behaviour
 # ----------------------------------------------------------------------
 class TestInjectorUnits:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.fuzz.profiles import tier_settings
-from repro.machine.memory import LocalityConfig, LocalityModel, _JobLocality
+from repro.machine.memory import LocalityConfig, LocalityModel, LocalityRecord
 
 
 class TestConfig:
@@ -105,7 +105,7 @@ def reallocate_by_sets(model, job_id, old_cpus, new_cpus, now):
     old_set, new_set = set(old_cpus), set(new_cpus)
     retained = len(old_set & new_set) / len(new_set)
     current = model.locality(job_id, now)
-    model._jobs[job_id] = _JobLocality(
+    model._jobs[job_id] = LocalityRecord(
         value=max(model.config.floor, current * retained), since=now
     )
 

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.qs.job import Job
-from repro.runtime.nthlib import JobPhase, NthLibRuntime, RuntimeConfig, RuntimeHost
+from repro.runtime.nthlib import (
+    IterationPlan,
+    JobPhase,
+    NthLibRuntime,
+    RuntimeConfig,
+    RuntimeHost,
+)
 from repro.runtime.selfanalyzer import SelfAnalyzerConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -18,11 +24,11 @@ class FakeHost(RuntimeHost):
         self.completed = []
         self.speed_factor = 1.0
 
-    def current_allocation(self, job):
-        return self.allocation
-
-    def iteration_speedup(self, job, nominal_procs):
-        return job.spec.speedup_model.speedup(nominal_procs * self.speed_factor)
+    def iteration_plan(self, job, baseline):
+        allocation = self.allocation
+        procs = allocation if baseline is None else baseline.baseline_allocation(allocation)
+        speedup = job.spec.speedup_model.speedup(procs * self.speed_factor)
+        return IterationPlan(allocation, procs, speedup, None, None, 1.0, None, {})
 
     def deliver_report(self, job, report):
         self.reports.append(report)
@@ -43,6 +49,7 @@ def make_runtime(spec, allocation=4, noise=0.0, analyzer=True, host=None,
         analyzer=analyzer_config or SelfAnalyzerConfig(),
     )
     runtime = NthLibRuntime(sim, job, host, RandomStreams(0), config)
+    host.runtime = runtime
     return sim, job, host, runtime
 
 
@@ -120,6 +127,7 @@ class TestReports:
             def deliver_report(self, job, report):
                 super().deliver_report(job, report)
                 self.allocation = 8  # RM grants more CPUs mid-run
+                self.runtime.plan = None  # ... and drops the job's plan
 
         sim, job, host, runtime = make_runtime(linear_app, allocation=4,
                                                host=GrowingHost(4))

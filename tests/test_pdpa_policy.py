@@ -195,6 +195,55 @@ class TestAbsorbContract:
         assert pickle.dumps(policy) == pickle.dumps(reported), "absorbed unlike on_report"
 
 
+class TestReportBand:
+    @tier_settings("standard")
+    @given(jobs=pdpa_jobs, free=st.integers(0, 8), eff=efficiencies, data=st.data())
+    def test_band_settles_only_reports_the_hook_takes_unchanged(self, jobs, free, eff, data):
+        """The runtime's plan settles a report by PDPA's band alone: in
+        ``[lo, hi]``, or in ``(hi, top]`` with no CPU free.  Any report
+        it settles must be one ``absorb_report`` takes while leaving the
+        policy byte-for-byte as it was."""
+        policy = PDPA()
+        views = {}
+        for jid, (request, app_state, stable_eff, limited, exits, prev) in \
+                enumerate(jobs, start=1):
+            allocation = data.draw(st.integers(1, request))
+            views[jid] = JobView(
+                job=Job(jid, LINEAR, submit_time=0.0, request=request),
+                allocation=allocation,
+            )
+            policy.job_states[jid] = PdpaJobState(
+                jid, request, allocation, app_state,
+                prev_allocation=None if prev is None else prev[0],
+                prev_speedup=None if prev is None else prev[1],
+                stable_eff=stable_eff, resource_limited=limited, stable_exits=exits,
+            )
+        system = SystemView(sum(v.allocation for v in views.values()) + free, views)
+        reporter = data.draw(st.sampled_from(sorted(views)))
+        policy.job_states[reporter].state = AppState.STABLE
+        job = views[reporter].job
+        procs = views[reporter].allocation  # a plan's report is never stale
+        speedup = procs * eff
+        band = policy.report_band(job, system)
+        assert band is not None
+        lo, hi, top = band
+        efficiency = speedup / procs
+        settled = lo <= efficiency <= hi or (hi < efficiency <= top and free == 0)
+        before = pickle.dumps(policy)
+        absorbed = policy.absorb_report(job, procs, speedup, system)
+        if settled:
+            assert absorbed, "the band settled a report the hook declines"
+            assert pickle.dumps(policy) == before, "the band missed a state change"
+
+    @pytest.mark.parametrize("app_state", [AppState.NO_REF, AppState.INC, AppState.DEC])
+    def test_no_band_outside_stable(self, app_state):
+        policy = PDPA()
+        job = Job(1, LINEAR, submit_time=0.0, request=16)
+        policy.job_states[1] = PdpaJobState(1, 16, 10, app_state)
+        system = SystemView(16, {1: JobView(job=job, allocation=10)})
+        assert policy.report_band(job, system) is None
+
+
 class TestCompletion:
     def test_completion_does_not_redistribute(self, linear_app):
         policy = PDPA()
@@ -342,6 +391,7 @@ class TestSpanOptOut:
         system = SystemView(16, {1: JobView(job=job, allocation=10)})
         before = copy.deepcopy(policy.job_states)
         # efficiency 0.8 on the held 10 CPUs keeps the job STABLE there
+        assert (policy.report_band(job, system) is not None) is absorbs
         assert policy.absorb_report(job, 10, 8.0, system) is absorbs
         if not absorbs:
             assert policy.job_states == before

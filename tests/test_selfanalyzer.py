@@ -64,10 +64,9 @@ class TestSpeedupEstimation:
         assert report.speedup == pytest.approx(5.0)
         assert report.efficiency == pytest.approx(5.0 / 8)
 
-    def test_estimate_before_baseline_raises(self):
+    def test_no_estimate_before_baseline(self):
         a = analyzer()
-        with pytest.raises(RuntimeError):
-            a.estimate_speedup(4, 1.0)
+        assert a.report_speedup(4, 1.0) is None
 
     def test_amdahl_factor_scales_estimate(self):
         a = analyzer(amdahl_factor=0.8)
@@ -151,12 +150,12 @@ class TestReportCadence:
     def test_commit_is_on_iteration_without_the_report(self, steps, **config):
         committed, reported = analyzer(**config), analyzer(**config)
         for i, (procs, duration) in enumerate(steps):
-            due = committed.would_report(procs)
-            assert committed.commit(procs, duration) is due
+            speedup = committed.report_speedup(procs, duration)
+            assert committed.commit(procs, duration) is (speedup is not None)
             report = reported.on_iteration(float(i), i, procs, duration)
-            assert (report is not None) is due
-            if due:
-                assert report.speedup == committed.estimate_speedup(procs, duration)
+            assert (report is None) is (speedup is None)
+            if report is not None:
+                assert report.speedup == speedup
         counters = ("t_base", "_base_speedup", "_measured", "_skip", "_last_procs")
         assert [getattr(committed, name) for name in counters] == \
             [getattr(reported, name) for name in counters]

@@ -167,22 +167,33 @@ def test_serve_golden_digest_with_and_without_autosnapshots(tmp_path):
 # ----------------------------------------------------------------------
 @contextmanager
 def per_iteration() -> Iterator[None]:
-    """Every iteration end fires, as before spans.
+    """Every iteration end fires and every begin asks its host afresh,
+    as before spans and plans.
 
     Each absorbable end scheduled inside the block is scheduled as the
     plain event it stands for, ``schedule_after(delay, owner.fire)``:
-    the same time, priority and sequence number.
+    the same time, priority and sequence number.  Each iteration that
+    begins inside the block first drops its runtime's plan, so the
+    host's hooks are asked at every iteration, whatever the host
+    invalidated.
     """
     original = Simulator.schedule_absorbable
+    begin = NthLibRuntime._begin_iteration
 
     def schedule_event(sim: Simulator, delay: float, owner: Any, label: str = "") -> Any:
         return sim.schedule_after(delay, owner.fire, label=label)
 
+    def begin_afresh(runtime: NthLibRuntime, now: float) -> None:
+        runtime.plan = None
+        begin(runtime, now)
+
     Simulator.schedule_absorbable = schedule_event  # type: ignore[method-assign]
+    NthLibRuntime._begin_iteration = begin_afresh  # type: ignore[method-assign]
     try:
         yield
     finally:
         Simulator.schedule_absorbable = original  # type: ignore[method-assign]
+        NthLibRuntime._begin_iteration = begin  # type: ignore[method-assign]
 
 
 @contextmanager
@@ -320,6 +331,11 @@ job_plans = st.lists(
 )
 
 
+#: RM mutations a cut may apply, each to both sessions alike: every
+#: one changes something a job's plan holds (its partition, locality
+#: record, allocation or policy state, or a node's speed)
+MUTATIONS = ("cpu_fail", "cpu_repair", "force", "kill", "degrade", "restore")
+
 #: everything but the policy that the differential draws
 run_shapes = dict(
     plan=job_plans,
@@ -330,9 +346,37 @@ run_shapes = dict(
     report_interval=st.integers(1, 3),
     skip=st.integers(0, 2),
     reset=st.booleans(),
-    cuts=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=3),
+    cuts=st.lists(
+        st.tuples(
+            st.floats(0.0, 40.0),
+            st.lists(
+                st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 99)),
+                min_size=1, max_size=3,
+            ),
+        ),
+        min_size=1, max_size=3,
+    ),
     cap=st.sampled_from([None, 2, 5]),
 )
+
+
+def _mutate(session: SimulationSession, kind: str, arg: int) -> None:
+    """Apply one RM mutation as the fault injector would."""
+    rm = session.rm
+    n_cpus = rm.n_cpus
+    running = sorted(rm.jobs)
+    if kind == "cpu_fail" and rm.effective_cpus > 1:
+        rm.on_cpu_failed(arg % n_cpus, permanent=False)
+    elif kind == "cpu_repair":
+        rm.on_cpu_repaired(arg % n_cpus)
+    elif kind == "force" and running and hasattr(rm, "force_allocation"):
+        rm.force_allocation(running[arg % len(running)], 1 + arg % n_cpus, reason="cut")
+    elif kind == "kill" and running:
+        rm.kill_job(rm.jobs[running[arg % len(running)]], reason="cut")
+    elif kind == "degrade":
+        rm.on_node_degraded(arg % (n_cpus // 2), (0.5, 0.8)[arg % 2])
+    elif kind == "restore":
+        rm.on_node_restored(arg % (n_cpus // 2))
 
 
 @tier_settings("slow")
@@ -358,15 +402,23 @@ def _check_spans_match(policy, plan, seed, n_cpus, sigma, locality,
         reset_analyzer_on_phase_change=reset,
     )
     args = (policy, plan, seed, n_cpus, runtime, locality)
+    mutations: Dict[float, List[tuple]] = {}
+    for when, ops in cuts:
+        mutations.setdefault(when, []).extend(ops)
     with record_iteration_ends() as ends, span_cap(cap):
         spans = _session(*args)
         events = _session(*args)
-        # every simulated second, plus a few arbitrary instants
-        for cut in sorted(set(cuts) | {float(t) for t in range(1, 80)}) + [None]:
+        # every simulated second, plus a few arbitrary instants, where
+        # the drawn mutations land
+        for cut in sorted(set(mutations) | {float(t) for t in range(1, 80)}) + [None]:
             spans.run(until=cut)
             with per_iteration():
                 events.run(until=cut)
             assert _state(spans, ends) == _state(events, ends)
+            for kind, arg in mutations.get(cut, []):
+                _mutate(spans, kind, arg)
+                _mutate(events, kind, arg)
+                assert _state(spans, ends) == _state(events, ends)
     assert _state(spans, ends) == _state(events, ends)
     assert spans.sim.logical_events == events.sim.events_fired
     assert _digest(spans.finish()) == _digest(events.finish())

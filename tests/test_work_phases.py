@@ -102,7 +102,7 @@ class TestAnalyzerReset:
         # analyzer's estimate for its recorded duration
         job_id, iteration, procs, duration, _ = ends[sim][-1]
         assert (job_id, iteration) == (1, spec.iterations - 1)
-        return procs, runtime.analyzer.estimate_speedup(procs, duration)
+        return procs, runtime.analyzer.report_speedup(procs, duration)
 
     def test_without_reset_speedups_go_stale(self):
         procs, speedup = self._run(reset=False)
