@@ -136,33 +136,26 @@ def _parse_minitoml_table(text: str, table: str) -> Dict[str, object]:
     return values
 
 
-def read_table(pyproject: Path, table: str) -> Dict[str, object]:
-    """The raw mapping of one dotted TOML table from *pyproject*.
+def _read_analysis_table(pyproject: Path) -> Dict[str, object]:
+    """The raw ``[tool.repro.analysis]`` mapping from *pyproject*.
 
-    Sub-tables of the requested table are dropped (values are strings
-    and string arrays only), matching what the mini-TOML fallback can
-    represent, so both parse paths agree.
+    Sub-tables are dropped (values are strings and string arrays only),
+    matching what the mini-TOML fallback can represent, so both parse
+    paths agree.
     """
     text = pyproject.read_text(encoding="utf-8")
     try:
         import tomllib
     except ImportError:
-        return _parse_minitoml_table(text, table)
+        return _parse_minitoml_table(text, "tool.repro.analysis")
     try:
         data = tomllib.loads(text)
     except tomllib.TOMLDecodeError:
         return {}
-    node: object = data
-    for part in table.split("."):
-        node = node.get(part, {}) if isinstance(node, dict) else {}
-    if not isinstance(node, dict):
+    table = data.get("tool", {}).get("repro", {}).get("analysis", {})
+    if not isinstance(table, dict):
         return {}
-    return {key: value for key, value in node.items() if not isinstance(value, dict)}
-
-
-def _read_analysis_table(pyproject: Path) -> Dict[str, object]:
-    """The raw ``[tool.repro.analysis]`` mapping from *pyproject*."""
-    return read_table(pyproject, "tool.repro.analysis")
+    return {key: value for key, value in table.items() if not isinstance(value, dict)}
 
 
 def find_pyproject(start: Union[str, Path]) -> Optional[Path]:

@@ -29,12 +29,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.config import AnalysisConfig, load_config
 from repro.analysis.findings import Finding
-from repro.analysis.flow.catalog import FLOW_RULE_IDS
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID, SUPPRESSION_RULE_ID, SourceFile
 
 #: A well-formed suppression comment (syntax in the module docstring).
 _SUPPRESSION = re.compile(
-    r"#\s*repro:\s*allow\(\s*(?P<ids>[A-Z]{3,4}\d{3}(?:\s*,\s*[A-Z]{3,4}\d{3})*)\s*\)"
+    r"#\s*repro:\s*allow\(\s*(?P<ids>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)\s*\)"
     r"(?::\s*(?P<why>.*\S))?"
 )
 #: Anything that looks like a suppression attempt, well-formed or not.
@@ -105,10 +104,7 @@ def parse_suppressions(
         ids = tuple(part.strip() for part in matched.group("ids").split(","))
         why = (matched.group("why") or "").strip()
         unknown = [
-            i for i in ids
-            if i not in RULES_BY_ID
-            and i not in FLOW_RULE_IDS
-            and i != SUPPRESSION_RULE_ID
+            i for i in ids if i not in RULES_BY_ID and i != SUPPRESSION_RULE_ID
         ]
         if unknown:
             det100(line_no, f"suppression names unknown rule(s): {', '.join(unknown)}")

@@ -373,13 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(tracked modifications plus untracked files); "
              "overrides the path arguments",
     )
-    p_lint.add_argument(
-        "--deep", action="store_true",
-        help="also run the interprocedural flow tier: taint analysis "
-             "(DET2xx) and session-state picklability (CONC303); with "
-             "--changed the whole project is analysed but only "
-             "findings in changed files are reported",
-    )
 
     p_torture = sub.add_parser(
         "torture",
@@ -627,49 +620,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static determinism sanitizer; exit code 1 on findings."""
     from repro.analysis import lint_paths, render_json, render_text
 
-    changed_only: Optional[List[str]] = None
-    if args.changed:
-        changed_only = _changed_python_files()
-        if not changed_only:
-            print("clean: no changed Python files")
-            return 0
-        paths = changed_only
-    else:
-        paths = args.paths
+    paths = _changed_python_files() if args.changed else args.paths
     findings = lint_paths(paths) if paths else []
-    if args.deep:
-        findings = _deep_findings(paths, changed_only, findings)
     if args.format == "json":
         print(render_json(findings))
+    elif not paths:
+        print("clean: no changed Python files")
     else:
         print(render_text(findings))
     return 1 if findings else 0
-
-
-def _deep_findings(
-    paths: List[str],
-    changed_only: Optional[List[str]],
-    findings: List,
-) -> List:
-    """Add the flow tier's findings.
-
-    With ``--changed``, the flow analysis still runs over the default
-    project root — interprocedural results are only meaningful for a
-    whole project — but reported findings are filtered to the changed
-    files.
-    """
-    import os
-
-    from repro.analysis import sort_findings
-    from repro.analysis.flow.analyzer import analyze_paths
-
-    flow_roots = paths if changed_only is None else ["src/repro"]
-    report = analyze_paths(flow_roots)
-    flow = report.findings
-    if changed_only is not None:
-        changed_set = {os.path.realpath(path) for path in changed_only}
-        flow = [f for f in flow if os.path.realpath(f.path) in changed_set]
-    return sort_findings(list(findings) + flow)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:

@@ -5,8 +5,11 @@ Everything a simulation computes must be a pure function of
 the human how long report generation took.  That read is concentrated
 here — ``repro/experiments/clock.py`` is the only file on the
 linter's ``wallclock-allow`` list (see ``[tool.repro.analysis]`` in
-``pyproject.toml``), so any other clock read in the library is a
-DET101/DET102 finding.
+``pyproject.toml``), so DET101/DET102 flag every *direct* clock read
+anywhere else.  They do not follow a value: a ``ReportClock()``
+reading carried into other code draws no finding.  What catches a
+host-clock value that reaches output is the cross-process
+differential, ``tests/test_determinism.py``.
 
 :class:`ReportClock` is *injected* (``generate_report(clock=...)``),
 which buys two properties:

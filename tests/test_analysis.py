@@ -92,10 +92,11 @@ class TestSuppressions:
         by_rule = {}
         for finding in findings:
             by_rule.setdefault(finding.rule, []).append(finding)
-        # one DET100 per malformed comment: bare, unknown rule, unparsable
-        assert len(by_rule["DET100"]) == 3
+        # one DET100 per malformed comment: bare, unknown rule,
+        # unparsable, and a retired rule ID
+        assert len(by_rule["DET100"]) == 4
         # and the underlying DET102 findings still fire
-        assert len(by_rule["DET102"]) == 3
+        assert len(by_rule["DET102"]) == 4
 
     def test_suppression_in_string_literal_is_ignored(self):
         text = 'HINT = "use # repro: allow(DET101): reason"\n'

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
+import subprocess
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _changed_python_files, build_parser, main
 from repro.qs.swf import parse_swf
 
 
@@ -235,3 +237,62 @@ class TestTortureCommand:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):
             main(["torture", "--protocol", "nonsense"])
+
+
+class TestChangedFiles:
+    """`repro lint --changed` against real git states."""
+
+    @pytest.fixture()
+    def repo(self, tmp_path):
+        def git(*cmd):
+            subprocess.run(
+                ["git", *cmd], cwd=tmp_path, check=True, capture_output=True
+            )
+
+        git("init", "-q")
+        git("config", "user.email", "t@example.com")
+        git("config", "user.name", "t")
+        (tmp_path / "keep.py").write_text("A = 1\n")
+        (tmp_path / "gone.py").write_text("B = 2\n")
+        (tmp_path / "old name.py").write_text("C = 3\n")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "inner.py").write_text("D = 4\n")
+        git("add", "-A")
+        git("commit", "-qm", "seed")
+        return tmp_path
+
+    def _changed_in(self, repo_dir, monkeypatch, subdir=None):
+        monkeypatch.chdir(repo_dir if subdir is None else repo_dir / subdir)
+        return _changed_python_files()
+
+    def test_clean_tree_reports_nothing(self, repo, monkeypatch):
+        assert self._changed_in(repo, monkeypatch) == []
+
+    def test_clean_tree_json_is_an_empty_array(self, repo, monkeypatch, capsys):
+        monkeypatch.chdir(repo)
+        assert main(["lint", "--changed", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
+    def test_deleted_files_are_skipped(self, repo, monkeypatch):
+        (repo / "gone.py").unlink()
+        assert self._changed_in(repo, monkeypatch) == []
+
+    def test_rename_reports_the_new_path(self, repo, monkeypatch):
+        # a staged pure rename produces an R record with two paths;
+        # before the -z/--name-status parser this crashed the command
+        subprocess.run(
+            ["git", "mv", "old name.py", "new name.py"],
+            cwd=repo, check=True, capture_output=True,
+        )
+        assert self._changed_in(repo, monkeypatch) == ["new name.py"]
+
+    def test_modified_untracked_and_non_python(self, repo, monkeypatch):
+        (repo / "keep.py").write_text("A = 2\n")
+        (repo / "fresh.py").write_text("E = 5\n")
+        (repo / "notes.txt").write_text("not python\n")
+        assert self._changed_in(repo, monkeypatch) == ["fresh.py", "keep.py"]
+
+    def test_runs_from_a_subdirectory(self, repo, monkeypatch):
+        (repo / "sub" / "inner.py").write_text("D = 5\n")
+        changed = self._changed_in(repo, monkeypatch, subdir="sub")
+        assert changed == ["inner.py"]

@@ -104,13 +104,18 @@ def _digest(out: Any) -> str:
     return f"{result[:16]}:{trace_digest(out)[:16]}"
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_golden_digest(key):
+def golden_run(key: str) -> Any:
+    """The run ``GOLDEN[key]`` pins: policy/mix[/fault scenario], load 1.0."""
     policy, mix, *fault = key.split("/")
     config = GOLDEN_CONFIG
     if fault:
         config = config.with_faults(build_scenario(fault[0], config.n_cpus))
-    assert _digest(run_workload(policy, mix, 1.0, config)) == GOLDEN[key]
+    return run_workload(policy, mix, 1.0, config)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_digest(key):
+    assert _digest(golden_run(key)) == GOLDEN[key]
 
 
 @contextmanager
