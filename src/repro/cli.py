@@ -369,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--changed", action="store_true",
-        help="lint only Python files changed relative to git HEAD "
-             "(tracked modifications plus untracked files); "
-             "overrides the path arguments",
+        help="lint only the Python files under the paths that changed "
+             "relative to git HEAD (tracked modifications plus untracked "
+             "files)",
     )
 
     p_torture = sub.add_parser(
@@ -616,11 +616,22 @@ def _changed_python_files() -> List[str]:
     return sorted(out)
 
 
+def _under(path: str, roots: List[str]) -> bool:
+    """Whether *path* is one of *roots* or lies inside one of them."""
+    target = Path(path).resolve()
+    return any(
+        target == root or root in target.parents
+        for root in (Path(r).resolve() for r in roots)
+    )
+
+
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static determinism sanitizer; exit code 1 on findings."""
     from repro.analysis import lint_paths, render_json, render_text
 
-    paths = _changed_python_files() if args.changed else args.paths
+    paths = args.paths
+    if args.changed:
+        paths = [path for path in _changed_python_files() if _under(path, args.paths)]
     findings = lint_paths(paths) if paths else []
     if args.format == "json":
         print(render_json(findings))

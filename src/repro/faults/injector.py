@@ -104,9 +104,7 @@ class FaultInjector:
                 raise TypeError(f"unknown fault event {event!r}")
         if self.plan.report_loss is not None and self.plan.report_loss.active:
             self.rm.report_filter = self._filter_report
-        self.sim.schedule_after(
-            self.plan.sweep_interval, self._sweep, label="fault:sweep"
-        )
+        self._schedule_sweep()
 
     # ------------------------------------------------------------------
     # hardware faults
@@ -121,8 +119,11 @@ class FaultInjector:
         # repair: it would end the earlier outage early.
         taken = self.rm.on_cpu_failed(event.cpu, permanent=event.repair_after is None)
         if taken and event.repair_after is not None:
+            # The CPU is back before anything else at its instant
+            # runs, such as a requeued job's restart.
             self.sim.schedule_after(
                 event.repair_after, self.rm.on_cpu_repaired, event.cpu,
+                priority=Simulator.PRIORITY_EARLY,
                 label=f"fault:repair:{event.cpu}",
             )
 
@@ -201,9 +202,14 @@ class FaultInjector:
         # a stream is all-done between arrivals: keep sweeping while
         # a job is live or the source may still deliver one
         if not self.qs.drained:
-            self.sim.schedule_after(
-                self.plan.sweep_interval, self._sweep, label="fault:sweep"
-            )
+            self._schedule_sweep()
+
+    def _schedule_sweep(self) -> None:
+        # The sweep sees every fault, crash and hang of its instant.
+        self.sim.schedule_after(
+            self.plan.sweep_interval, self._sweep,
+            priority=Simulator.PRIORITY_LATE, label="fault:sweep",
+        )
 
     def _watchdog(self, now: float) -> None:
         """Kill jobs whose runtime made no progress for hang_timeout."""

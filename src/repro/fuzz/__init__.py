@@ -7,7 +7,7 @@ fault recovery — needs an adversarial harness.  This package provides:
 
 * :mod:`repro.fuzz.oracle` — the *incremental* oracle callable on
   live state between any two events: :mod:`repro.validate`'s own
-  trace checker and stream audit, plus the checks that need the live
+  run checker and stream audit, plus the checks that need the live
   object graph (CPU conservation, job conservation, allocation bounds,
   MPL respect, policy sync, no wedge).
 * :mod:`repro.fuzz.targets` — a live Simulator+RM+QS session wrapped

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
-from repro.fuzz.oracle import LiveOracle
-from repro.fuzz.stimulus import Stimulus, apply_op
-from repro.fuzz.targets import FUZZ_APPS, FUZZ_N_CPUS, FUZZ_POLICIES, FuzzTarget
-from repro.qs.job import JobState
+from repro.fuzz.corpus import replay_stimulus
+from repro.fuzz.stimulus import Stimulus
+from repro.fuzz.targets import FUZZ_APPS, FUZZ_N_CPUS, FUZZ_POLICIES
 from repro.sim.rng import RandomStreams
 from repro.validate import Violation
 
@@ -62,40 +61,22 @@ def differential_check(
     seed: int = 0,
     policies: Sequence[str] = FUZZ_POLICIES,
 ) -> DifferentialResult:
-    """Replay one op list under every policy; audit each step + the end.
+    """Replay one op list, then a drain, under every policy.
 
     The op interpreter's deterministic guards make the same list
-    meaningful everywhere.  After the drain, every submitted
-    job must be terminal under every policy — schedulers may reorder
-    work, not lose it.
+    meaningful everywhere.  Each pass is one
+    :func:`~repro.fuzz.corpus.replay_stimulus`: the oracle after every
+    op, then the post-hoc audit.  The drain stops only with an empty
+    event queue or every job terminal, so ``no-wedge`` reports any job
+    a scheduler lost.
     """
     result = DifferentialResult()
+    drained = list(ops) + [{"kind": "drain"}]
     for policy in policies:
-        violations: List[Violation] = []
-        with FuzzTarget(policy, seed=seed) as target:
-            oracle = LiveOracle()
-            try:
-                for op in ops:
-                    violations.extend(apply_op(target, op))
-                    violations.extend(oracle.check(target))
-                    if violations:
-                        break
-                else:
-                    target.drain()
-                    violations.extend(oracle.check(target))
-                    if not violations and not target.qs.all_done:
-                        stuck = sorted(
-                            job.job_id for job in target.qs.jobs
-                            if job.state not in (JobState.DONE, JobState.FAILED)
-                        )
-                        violations.append(Violation(
-                            "job-conservation", "job",
-                            f"{policy}: jobs {stuck} never reached a "
-                            f"terminal state after a full drain",
-                        ))
-            except Exception as exc:
-                result.crashes[policy] = f"{type(exc).__name__}: {exc}"
-        result.violations[policy] = violations
+        replay = replay_stimulus(Stimulus(policy, seed, drained))
+        if replay.crash is not None:
+            result.crashes[policy] = replay.crash
+        result.violations[policy] = replay.violations
     return result
 
 

@@ -5,9 +5,10 @@
 between any two events instead, and this module is its oracle.  Each
 invariant is implemented once:
 
-* the trace invariants (``burst-sanity``, ``realloc-chain``) are
-  :class:`repro.validate.TraceChecker`, one per trace, fed the records
-  each op appended;
+* the run invariants (job accounting, burst sanity, trace
+  consistency, reallocation chains, offline overlap) are
+  :class:`repro.validate.TraceChecker`, one per run, fed the records
+  each op appended and the records of the jobs it finished;
 * the stream invariants are :func:`repro.validate.validate_stream`,
   run verbatim;
 * the checks here are the ones that need the live object graph —
@@ -23,6 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.machine.machine import MachineError
+from repro.metrics.stats import JobRecord
 from repro.qs.job import JobState
 from repro.validate import TraceChecker, Violation, validate_run, validate_stream
 
@@ -35,7 +37,7 @@ _EPS = 1e-6
 class LiveOracle:
     """Audits a live :class:`~repro.fuzz.targets.FuzzTarget` mid-run.
 
-    Stateful: a :class:`~repro.validate.TraceChecker` over the trace
+    Stateful: a :class:`~repro.validate.TraceChecker` over the run
     holds the cursors over the already-audited records, and the
     terminal states already observed are kept so terminal transitions
     are checked for monotonicity.  Checkpoint swaps are transparent —
@@ -44,8 +46,10 @@ class LiveOracle:
     """
 
     def __init__(self) -> None:
-        #: checker of the target's trace, built on the first check
+        #: checker of the target's run, built on the first check
         self._checker: Optional[TraceChecker] = None
+        #: records of the batch target's finished jobs, in completion order
+        self._records: List[JobRecord] = []
         #: job_id -> (state value, end_time) once terminal
         self._terminal: Dict[int, Tuple[str, Optional[float]]] = {}
 
@@ -69,7 +73,7 @@ class LiveOracle:
         return problems
 
     # ------------------------------------------------------------------
-    # CPU conservation (validate: capacity, fault-capacity)
+    # CPU conservation
     # ------------------------------------------------------------------
     def check_cpu_books(self, target: "FuzzTarget") -> List[Violation]:
         """The machine's incremental books match its CPU ground truth."""
@@ -83,10 +87,7 @@ class LiveOracle:
         """No lost or phantom CPUs: free + allocated == healthy.
 
         Every allocatable CPU is either idle (free pool) or owned by
-        exactly one partition; offline CPUs are neither.  The live
-        counterpart of the post-hoc ``capacity`` and ``fault-capacity``
-        sweeps: concurrent bursts can only exceed (healthy) capacity if
-        this identity broke first.
+        exactly one partition; offline CPUs are neither.
         """
         problems = []
         machine = target.rm.machine
@@ -158,7 +159,7 @@ class LiveOracle:
         return []
 
     # ------------------------------------------------------------------
-    # job conservation (validate: job-accounting, fault-requeue-terminal)
+    # job conservation (validate: fault-requeue-terminal)
     # ------------------------------------------------------------------
     def check_job_conservation(self, target: "FuzzTarget") -> List[Violation]:
         """Every job sits in exactly the bucket its state names.
@@ -313,15 +314,24 @@ class LiveOracle:
         return problems
 
     # ------------------------------------------------------------------
-    # trace invariants (burst-sanity, realloc-chain)
+    # run invariants (validate.TraceChecker)
     # ------------------------------------------------------------------
     def check_trace(self, target: "FuzzTarget") -> List[Violation]:
-        """Feed the trace's new records to the :class:`TraceChecker`."""
+        """Feed the run's new records to the :class:`TraceChecker`.
+
+        A batch target also feeds the records of the jobs each op
+        finished.  A stream target folds and prunes its finished jobs;
+        ``validate_stream`` audits those.
+        """
         trace = target.session.trace
         if self._checker is None:
             self._checker = TraceChecker(trace.n_cpus)
+        if not target.is_stream:
+            finished = target.qs.completed[len(self._records):]
+            self._records.extend(JobRecord.from_job(job) for job in finished)
         return self._checker.feed(
-            trace.bursts, trace.reallocations, trace.faults, target.sim.now
+            trace.bursts, trace.reallocations, trace.faults, self._records,
+            target.sim.now,
         )
 
     # ------------------------------------------------------------------
@@ -400,9 +410,8 @@ def final_audit(target: "FuzzTarget") -> List[Violation]:
     After a drain that completed every job, the live session must also
     satisfy the *post-hoc* validators — the completed run is harvested
     through ``session.finish()`` and passed to ``validate_run``, which
-    adds the checks that need a finished run's job records and whole
-    trace (job accounting, capacity, trace consistency, fault
-    invariants) and re-checks the flushed final bursts.
+    feeds the whole run, the flushed final bursts included, to a fresh
+    :class:`TraceChecker` and adds ``fault-requeue-terminal``.
 
     Incomplete targets return no problems here (the live oracle's
     ``no-wedge`` check already flagged a wedge).  Streaming targets

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.stats import fold_sum
-from repro.metrics.trace import TraceRecorder
+from repro.metrics.trace import FaultRecord, TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -75,28 +75,51 @@ class FaultStats:
         )
 
 
+class OfflineFold:
+    """When each CPU is offline, folded one fault record at a time.
+
+    The one statement of the rule: a ``cpu_fail`` takes its CPU offline
+    and the next ``cpu_repair`` brings it back.  Skipped injections
+    (records whose ``detail`` starts with ``"skipped"``) never took
+    effect and are ignored; a second fail of a CPU that is down, or a
+    repair of one that is up, changes nothing.  :func:`offline_windows`,
+    :func:`repro.metrics.timeline.capacity_timeline` and
+    :class:`repro.validate.TraceChecker` all read from it.
+    """
+
+    __slots__ = ("closed", "down_since")
+
+    def __init__(self) -> None:
+        #: per CPU: its [fail, repair) windows, in time order
+        self.closed: Dict[int, List[Tuple[float, float]]] = {}
+        #: per offline CPU: when it went down
+        self.down_since: Dict[int, float] = {}
+
+    def add(self, record: FaultRecord) -> int:
+        """Fold one record, in time order; returns the change in healthy CPUs."""
+        if record.detail.startswith("skipped"):
+            return 0
+        cpu = record.target
+        if record.kind == "cpu_fail" and cpu not in self.down_since:
+            self.down_since[cpu] = record.time
+            return -1
+        if record.kind == "cpu_repair" and cpu in self.down_since:
+            window = (self.down_since.pop(cpu), record.time)
+            self.closed.setdefault(cpu, []).append(window)
+            return 1
+        return 0
+
+
 def offline_windows(
     trace: TraceRecorder, horizon: Optional[float] = None
 ) -> Dict[int, List[Tuple[float, float]]]:
-    """Per-CPU [fail, repair) windows, censored at the horizon.
-
-    Skipped injections (records whose ``detail`` starts with
-    ``"skipped"``) never took effect and are excluded.  Duplicate
-    fails before a repair are collapsed into one window.
-    """
+    """Per-CPU [fail, repair) windows (see :class:`OfflineFold`), censored at the horizon."""
     end = trace.horizon if horizon is None else horizon
-    down_since: Dict[int, float] = {}
-    windows: Dict[int, List[Tuple[float, float]]] = {}
+    fold = OfflineFold()
     for record in trace.faults:
-        if record.detail.startswith("skipped"):
-            continue
-        if record.kind == "cpu_fail":
-            down_since.setdefault(record.target, record.time)
-        elif record.kind == "cpu_repair":
-            start = down_since.pop(record.target, None)
-            if start is not None:
-                windows.setdefault(record.target, []).append((start, record.time))
-    for cpu, start in down_since.items():
+        fold.add(record)
+    windows = fold.closed
+    for cpu, start in fold.down_since.items():
         windows.setdefault(cpu, []).append((start, max(end, start)))
     return windows
 

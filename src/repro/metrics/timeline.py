@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.metrics.faults import OfflineFold
 from repro.metrics.trace import TraceRecorder
 
 
@@ -142,27 +143,19 @@ def queue_timeline(trace: TraceRecorder) -> List[Tuple[float, int]]:
 def capacity_timeline(trace: TraceRecorder) -> List[Tuple[float, int]]:
     """(time, healthy CPUs) steps, from the fault records.
 
-    Starts at ``(0.0, n_cpus)``; each effective ``cpu_fail`` /
-    ``cpu_repair`` record steps the capacity down / up.  Skipped
-    injections (detail ``"skipped: ..."``) never took effect and are
-    ignored.  A run without CPU faults yields the single full-capacity
-    step.
+    Starts at ``(0.0, n_cpus)``; each record that takes a CPU offline
+    or brings one back (:class:`~repro.metrics.faults.OfflineFold`)
+    steps the capacity down or up.  A run without CPU faults yields
+    the single full-capacity step.
     """
     steps = [(0.0, trace.n_cpus)]
     capacity = trace.n_cpus
-    offline: set = set()
+    fold = OfflineFold()
     for record in sorted(trace.faults, key=lambda f: f.time):
-        if record.detail.startswith("skipped"):
-            continue
-        if record.kind == "cpu_fail" and record.target not in offline:
-            offline.add(record.target)
-            capacity -= 1
-        elif record.kind == "cpu_repair" and record.target in offline:
-            offline.discard(record.target)
-            capacity += 1
-        else:
-            continue
-        steps.append((record.time, capacity))
+        change = fold.add(record)
+        if change:
+            capacity += change
+            steps.append((record.time, capacity))
     return steps
 
 

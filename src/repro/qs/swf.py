@@ -146,6 +146,47 @@ class SwfParseStats:
         )
 
 
+def swf_line(
+    line: str, lineno: int, stats: SwfParseStats, strict: bool = True
+) -> Optional[SwfJob]:
+    """One SWF line: its record, or ``None`` for a line that holds none.
+
+    The one per-line rule of every SWF reader.  Header/comment lines
+    (``;`` per the spec, plus ``#`` which dirty logs use) and blank
+    lines hold no record.  ``strict=True`` raises :class:`ValueError`
+    on a malformed line or bogus negative runtime; ``strict=False``
+    skips them.  Every class is counted in *stats*.  A runtime of
+    exactly -1 is the spec's legal "unknown" and is never an anomaly.
+    """
+    stats.lines += 1
+    stripped = line.strip()
+    if not stripped:
+        stats.blank += 1
+        return None
+    if stripped.startswith(";") or stripped.startswith("#"):
+        stats.comments += 1
+        return None
+    try:
+        record = SwfJob.from_line(stripped)
+    except ValueError as exc:
+        if strict:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        stats.malformed += 1
+        stats.note_anomaly(lineno)
+        return None
+    if record.run_time < 0 and record.run_time != -1:  # repro: allow(DET106): -1 is the SWF spec's literal "unknown" sentinel parsed from the file, not a computed timestamp
+        if strict:
+            raise ValueError(
+                f"line {lineno}: negative run_time {record.run_time} "
+                f"(only -1 may mark an unknown runtime)"
+            )
+        stats.negative_runtime += 1
+        stats.note_anomaly(lineno)
+        return None
+    stats.records += 1
+    return record
+
+
 def iter_swf(
     source: Union[str, TextIO],
     strict: bool = True,
@@ -153,45 +194,17 @@ def iter_swf(
 ) -> Iterator[SwfJob]:
     """Stream SWF records one line at a time (constant memory).
 
-    Header/comment lines (``;`` per the spec, plus ``#`` which dirty
-    logs use) and blank lines are always skipped.  ``strict=True``
-    raises :class:`ValueError` on the first malformed line or bogus
-    negative runtime; ``strict=False`` skips them, counting each class
-    in *stats*.  A runtime of exactly -1 is the spec's legal "unknown"
-    and is never treated as an anomaly.  Submit-time ordering is not
-    enforced here (a stream cannot be sorted); see :func:`parse_swf`.
+    Each line goes through :func:`swf_line`.  Submit-time ordering is
+    not enforced here (a stream cannot be sorted); see
+    :func:`parse_swf`.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
     stats = stats if stats is not None else SwfParseStats()
     for lineno, line in enumerate(source, start=1):
-        stats.lines += 1
-        stripped = line.strip()
-        if not stripped:
-            stats.blank += 1
-            continue
-        if stripped.startswith(";") or stripped.startswith("#"):
-            stats.comments += 1
-            continue
-        try:
-            record = SwfJob.from_line(stripped)
-        except ValueError as exc:
-            if strict:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            stats.malformed += 1
-            stats.note_anomaly(lineno)
-            continue
-        if record.run_time < 0 and record.run_time != -1:  # repro: allow(DET106): -1 is the SWF spec's literal "unknown" sentinel parsed from the file, not a computed timestamp
-            if strict:
-                raise ValueError(
-                    f"line {lineno}: negative run_time {record.run_time} "
-                    f"(only -1 may mark an unknown runtime)"
-                )
-            stats.negative_runtime += 1
-            stats.note_anomaly(lineno)
-            continue
-        stats.records += 1
-        yield record
+        record = swf_line(line, lineno, stats, strict)
+        if record is not None:
+            yield record
 
 
 def parse_swf(

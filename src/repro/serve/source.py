@@ -15,7 +15,7 @@ from typing import Any, Dict, Mapping, Optional, TextIO
 from repro.apps.application import ApplicationSpec
 from repro.apps.catalog import APP_CATALOG
 from repro.qs.job import Job
-from repro.qs.swf import SwfJob, SwfParseStats
+from repro.qs.swf import SwfJob, SwfParseStats, swf_line
 from repro.qs.workload import WorkloadMix
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim.slots import set_slot_state, slot_state
@@ -145,12 +145,12 @@ class SyntheticSource(ArrivalSource):
 class SwfSource(ArrivalSource):
     """Streams jobs from a Standard Workload Format file.
 
-    The file is read incrementally (constant memory) through the
-    lenient line parser, so dirty archive logs — comment banners,
-    malformed lines, bogus negative runtimes — are skipped with
-    counts in :attr:`parse_stats`.  Submit times that go backwards
-    are clamped to the running maximum (counted as ``out_of_order``):
-    an arrival stream cannot be re-sorted.
+    The file is read incrementally (constant memory), each line through
+    the lenient :func:`repro.qs.swf.swf_line`, so dirty archive logs —
+    comment banners, malformed lines, bogus negative runtimes — are
+    skipped with counts in :attr:`parse_stats`.  Submit times that go
+    backwards are clamped to the running maximum (counted as
+    ``out_of_order``): an arrival stream cannot be re-sorted.
 
     Pickling stores the byte offset, not the handle: a restored source
     seeks back to where it stopped and re-draws identical jobs.  A
@@ -194,7 +194,6 @@ class SwfSource(ArrivalSource):
 
     def _next_record(self) -> Optional[SwfJob]:
         handle = self._file()
-        stats = self.parse_stats
         while True:
             line = handle.readline()
             if not line:
@@ -202,26 +201,9 @@ class SwfSource(ArrivalSource):
             if handle.seekable():
                 self._offset = handle.tell()
             self._lineno += 1
-            stats.lines += 1
-            stripped = line.strip()
-            if not stripped:
-                stats.blank += 1
-                continue
-            if stripped.startswith(";") or stripped.startswith("#"):
-                stats.comments += 1
-                continue
-            try:
-                record = SwfJob.from_line(stripped)
-            except ValueError:
-                stats.malformed += 1
-                stats.note_anomaly(self._lineno)
-                continue
-            if record.run_time < 0 and record.run_time != -1:
-                stats.negative_runtime += 1
-                stats.note_anomaly(self._lineno)
-                continue
-            stats.records += 1
-            return record
+            record = swf_line(line, self._lineno, self.parse_stats, strict=False)
+            if record is not None:
+                return record
 
     def _spec_for(self, record: SwfJob) -> ApplicationSpec:
         if self._executables is not None:

@@ -9,28 +9,31 @@ assert their own experiments' integrity.
 
 Checked invariants
 ------------------
-* **job accounting** — every record has ``submit <= start <= end``;
+* **job accounting** — every job record has ``submit <= start <= end``;
   response = wait + execution.
 * **burst sanity** — bursts have positive duration, lie on a CPU of
   the machine and never overlap on the same CPU.
-* **capacity** — at no instant do concurrent bursts exceed the
-  machine size.
 * **trace/record consistency** — a job's bursts fall inside its
-  [start, end] window.
+  [first start, end] window.
 * **reallocation records** — chain correctly (each change's
   ``old_procs`` equals the previous change's ``new_procs``); a chain
   restarts from zero after a fault killed the execution.
-* **fault invariants** (only when the trace has fault records) — no
-  burst overlaps an offline window of its CPU; concurrent bursts never
-  exceed the *healthy* capacity of the moment; every requeued job
-  reaches a terminal state (DONE or FAILED).
+* **fault offline overlap** — no burst overlaps an offline window of
+  its CPU (:class:`repro.metrics.faults.OfflineFold` says when a CPU
+  is offline).
+* **fault requeue terminal** — every requeued job reaches a terminal
+  state (DONE or FAILED).
 
-Burst sanity and the reallocation chains are written once, as the
-incremental :class:`TraceChecker`: ``validate_run`` feeds it a finished
-trace in one call, and the fuzzer's live oracle
-(:class:`repro.fuzz.oracle.LiveOracle`) feeds it each op's new records
-between events.  The other run invariants need the job records of a
-finished run; the live oracle checks their live-state counterparts.
+More concurrent bursts than (healthy) CPUs needs a burst on an unknown
+CPU, two overlapping bursts on one CPU, or a burst in an offline
+window, so burst sanity and the offline overlap also bound capacity.
+
+Every invariant but the last is written once, as the incremental
+:class:`TraceChecker`: ``validate_run`` feeds it a finished run in one
+call, and the fuzzer's live oracle (:class:`repro.fuzz.oracle.LiveOracle`)
+feeds it each op's new records between events.  Only the requeue
+check waits for the end of the run, because a requeued job may still
+be pending until then.
 
 Alongside the per-run invariants, :func:`validate_sweep` audits the
 **harness** after a sweep: no cell may be lost (every slot is either a
@@ -55,11 +58,6 @@ session of the current code version, the envelope meta must describe
 the restored graph exactly (cut time, events fired, pending events,
 run identity), and the restored event queue must survive compaction
 with its live-count invariant intact.
-
-Both entry points accept the ``--sanitize`` event-race detector (or
-its finished :class:`~repro.analysis.race.RaceStats`): ambiguous
-same-timestamp cohorts reported by the determinism sanitizer are
-invariant failures like any other, via :func:`validate_race`.
 """
 
 from __future__ import annotations
@@ -69,6 +67,8 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import RunOutput
+from repro.metrics.faults import OfflineFold
+from repro.metrics.stats import JobRecord
 from repro.metrics.trace import Burst, FaultRecord, ReallocationRecord
 from repro.qs.job import JobState
 
@@ -76,11 +76,10 @@ from repro.qs.job import JobState
 _EPS = 1e-6
 
 #: canonical layer order; every validator sorts its output by this,
-#: so the same violations always render in the same sequence (race
-#: findings come last — they are the report footer).
+#: so the same violations always render in the same sequence
 LAYER_ORDER: Tuple[str, ...] = (
     "job", "trace", "alloc", "fault", "stream", "sweep", "checkpoint",
-    "storage", "race",
+    "storage",
 )
 
 
@@ -133,46 +132,32 @@ def _ordered(problems: List[Violation]) -> List[Violation]:
 TORTURE_STATE_FLOOR = 200
 
 
-def validate_race(race) -> List[Violation]:
-    """Determinism-sanitizer findings rendered as invariant violations.
-
-    *race* is a :class:`~repro.analysis.race.RaceDetector` or a
-    finished :class:`~repro.analysis.race.RaceStats` (``None`` is
-    accepted and clean).  Only *error*-severity findings — cohorts
-    whose execution order is decided by insertion order alone — are
-    violations; homogeneous ties are benign and stay in the stats.
-    """
-    if race is None:
-        return []
-    stats = race.finish() if hasattr(race, "finish") else race
-    return [
-        Violation("race-ambiguous", "race", f"event race: {finding.describe()}")
-        for finding in stats.error_findings
-    ]
-
-
-def validate_run(out: RunOutput, race=None) -> List[Violation]:
+def validate_run(out: RunOutput) -> List[Violation]:
     """Audit one run; returns human-readable violations (empty = ok).
 
-    *race* optionally carries the run's ``--sanitize`` detector (or
-    its stats); ambiguous event cohorts it found are appended as
-    violations.
+    One whole feed of the run's records through :class:`TraceChecker`,
+    plus ``fault-requeue-terminal``, the one statement that holds only
+    once the run is over.
     """
     trace = out.trace
-    problems = _check_job_accounting(out)
-    problems.extend(TraceChecker(trace.n_cpus).feed(
-        trace.bursts, trace.reallocations, trace.faults
-    ))
-    problems.extend(_check_capacity(out))
-    problems.extend(_check_trace_consistency(out))
-    problems.extend(_check_fault_invariants(out))
-    problems.extend(validate_race(race))
+    problems = TraceChecker(trace.n_cpus).feed(
+        trace.bursts, trace.reallocations, trace.faults, out.result.records
+    )
+    states = {job.job_id: job.state for job in out.jobs}
+    for fault in trace.faults:
+        state = states.get(fault.target)
+        if fault.kind == "job_requeue" and state not in (JobState.DONE, JobState.FAILED):
+            problems.append(Violation(
+                "fault-requeue-terminal", "fault",
+                f"job {fault.target}: requeued at t={fault.time:.3f} but "
+                f"ended in state {state}",
+            ))
     return _ordered(problems)
 
 
-def assert_valid(out: RunOutput, race=None) -> None:
+def assert_valid(out: RunOutput) -> None:
     """Raise ``AssertionError`` listing all violations, if any."""
-    problems = validate_run(out, race=race)
+    problems = validate_run(out)
     if problems:
         raise AssertionError(
             f"{len(problems)} invariant violation(s):\n"
@@ -193,52 +178,90 @@ def _overlap(cpu: int, a: Burst, b: Burst) -> Violation:
     )
 
 
+def _outside(burst: Burst, window: Tuple[float, float]) -> List[Violation]:
+    start, end = window
+    if burst.start < start - _EPS or burst.end > end + _EPS:
+        return [Violation(
+            "trace-consistency", "trace",
+            f"job {burst.job_id}: burst [{burst.start:.3f},{burst.end:.3f}] "
+            f"outside its execution window [{start:.3f},{end:.3f}]",
+        )]
+    return []
+
+
+def _offline(burst: Burst, down: float) -> Violation:
+    # Only the start of the window: a live feed may not know its end yet.
+    return Violation(
+        "fault-offline-overlap", "fault",
+        f"cpu {burst.cpu}: burst [{burst.start:.3f},{burst.end:.3f}] "
+        f"({burst.app_name}) overlaps offline window opened at t={down:.3f}",
+    )
+
+
 class TraceChecker:
-    """``burst-sanity`` and ``realloc-chain`` over one trace, fed incrementally.
+    """Every per-run invariant over one run's records, fed incrementally.
 
-    The one implementation of both checks: :func:`validate_run` feeds
-    it a finished trace in one call, and the fuzzer's live oracle keeps
-    one checker per trace and feeds it each op's new records.  Cursors
-    remember how much of each recorded list was already checked, so a
-    call costs O(new records); the recorded lists themselves are the
-    event stream, so nothing is recorded twice.
+    The one implementation of ``job-accounting``, ``burst-sanity``,
+    ``trace-consistency``, ``realloc-chain`` and
+    ``fault-offline-overlap``: :func:`validate_run` feeds it a finished
+    run in one call, and the fuzzer's live oracle keeps one checker per
+    run and feeds it each op's new records.  Cursors remember how much
+    of each list was already checked, so a call costs O(new records);
+    the recorded lists themselves are the event stream, so nothing is
+    recorded twice.
 
-    Within one call, bursts are taken by start time and reallocations
-    and kills by time, as a post-hoc sort of the whole trace would take
-    them.  Feeding a recorded trace in time-ordered prefixes, as the
-    live oracle does between events, finds what one whole feed finds.
+    Within one call, faults are taken by time, then reallocations by
+    time, job records in the order given and bursts by start time, as
+    a post-hoc sort of the whole run would take them.  A burst whose
+    job has no record yet is checked against its window when the
+    record arrives.  Feeding a recorded run in time-ordered prefixes,
+    as the live oracle does between events, finds what one whole feed
+    finds.
     """
 
-    __slots__ = ("n_cpus", "_cursors", "_placed", "_expected", "_kills")
+    __slots__ = (
+        "n_cpus", "_cursors", "_placed", "_expected", "_kills", "_down",
+        "_windows", "_waiting",
+    )
 
     def __init__(self, n_cpus: int) -> None:
         self.n_cpus = n_cpus
-        #: bursts, reallocations and faults already checked
-        self._cursors = (0, 0, 0)
+        #: bursts, reallocations, faults and job records already checked
+        self._cursors = (0, 0, 0, 0)
         #: per CPU: the bursts checked so far, sorted by start
         self._placed: Dict[int, List[Burst]] = {}
         #: per job: the ``old_procs`` its next reallocation must carry
         self._expected: Dict[int, int] = {}
         #: per job: kill times not yet matched to a chain restart
         self._kills: Dict[int, List[float]] = {}
+        #: when each CPU is offline, from the faults checked so far
+        self._down = OfflineFold()
+        #: per job with a record: its [first start, end] window
+        self._windows: Dict[int, Tuple[float, float]] = {}
+        #: per job without a record yet: its bursts so far
+        self._waiting: Dict[int, List[Burst]] = {}
 
     def feed(
         self,
         bursts: Sequence[Burst],
         reallocations: Sequence[ReallocationRecord],
         faults: Sequence[FaultRecord],
+        records: Sequence[JobRecord],
         now: Optional[float] = None,
     ) -> List[Violation]:
-        """Check the records appended to the three lists since the last call.
+        """Check what was appended to the four lists since the last call.
 
-        *now*, the live clock, also flags bursts that end after it.
+        *records* are the finished jobs' records.  *now*, the live
+        clock, also flags bursts that end after it.
         """
-        seen_bursts, seen_reallocs, seen_faults = self._cursors
-        self._cursors = (len(bursts), len(reallocations), len(faults))
-        kills = [f for f in faults[seen_faults:] if f.kind == "job_kill"]
-        for fault in sorted(kills, key=_time):
-            self._kills.setdefault(fault.target, []).append(fault.time)
+        seen_bursts, seen_reallocs, seen_faults, seen_records = self._cursors
+        self._cursors = (len(bursts), len(reallocations), len(faults), len(records))
+        for fault in sorted(faults[seen_faults:], key=_time):
+            self._down.add(fault)
+            if fault.kind == "job_kill":
+                self._kills.setdefault(fault.target, []).append(fault.time)
         problems = self._check_chain(sorted(reallocations[seen_reallocs:], key=_time))
+        problems.extend(self._check_records(records[seen_records:]))
         problems.extend(self._check_bursts(sorted(bursts[seen_bursts:], key=_start), now))
         return problems
 
@@ -278,6 +301,30 @@ class TraceChecker:
             self._expected[job_id] = record.new_procs
         return problems
 
+    def _check_records(self, records: Sequence[JobRecord]) -> List[Violation]:
+        problems = []
+        for record in records:
+            job_id = record.job_id
+            if not (record.submit_time - _EPS <= record.start_time <= record.end_time + _EPS):
+                problems.append(Violation(
+                    "job-accounting", "job",
+                    f"job {job_id}: times out of order "
+                    f"(submit {record.submit_time}, start {record.start_time}, "
+                    f"end {record.end_time})",
+                ))
+            recomposed = record.wait_time + record.execution_time
+            if abs(recomposed - record.response_time) > _EPS:
+                problems.append(Violation(
+                    "job-accounting", "job",
+                    f"job {job_id}: wait+exec != response "
+                    f"({recomposed} != {record.response_time})",
+                ))
+            window = (record.start_time, record.end_time)
+            self._windows[job_id] = window
+            for burst in self._waiting.pop(job_id, ()):
+                problems.extend(_outside(burst, window))
+        return problems
+
     def _check_bursts(self, bursts: List[Burst], now: Optional[float]) -> List[Violation]:
         problems = []
         for burst in bursts:
@@ -287,6 +334,11 @@ class TraceChecker:
                     "burst-sanity", "trace",
                     f"cpu {cpu}: non-positive burst {burst}",
                 ))
+            window = self._windows.get(burst.job_id)
+            if window is None:
+                self._waiting.setdefault(burst.job_id, []).append(burst)
+            else:
+                problems.extend(_outside(burst, window))
             if not 0 <= cpu < self.n_cpus:
                 problems.append(Violation(
                     "burst-sanity", "trace", f"burst on unknown cpu {cpu}"
@@ -307,6 +359,14 @@ class TraceChecker:
             if index < len(placed) and placed[index].start < end - _EPS:
                 problems.append(_overlap(cpu, burst, placed[index]))
             placed.insert(index, burst)
+            # Fed in time order, every window that opened before this
+            # burst ended is known; one still open may close later.
+            for down, up in self._down.closed.get(cpu, ()):
+                if start < up - _EPS and end > down + _EPS:
+                    problems.append(_offline(burst, down))
+            down = self._down.down_since.get(cpu)
+            if down is not None and end > down + _EPS:
+                problems.append(_offline(burst, down))
         return problems
 
 
@@ -314,18 +374,13 @@ def validate_sweep(
     runner,
     cells: Sequence,
     payloads: Sequence[Optional[str]],
-    race=None,
 ) -> List[Violation]:
     """Audit one completed sweep of the experiment harness.
 
     *runner* is the :class:`~repro.parallel.SweepRunner` that executed
     *cells* (its ``last_stats``, cache and journal are inspected);
-    *payloads* is what :meth:`run_serialized` returned.  *race*
-    optionally carries sanitizer results for the runs that framed the
-    sweep (sweep cells themselves are not observed, whether they run
-    serially, in the pool or come from the cache).  Returns human-readable
-    violations (empty = clean); sanitizer findings come last, as the
-    report footer.
+    *payloads* is what :meth:`run_serialized` returned.  Returns
+    human-readable violations (empty = clean).
     """
     from repro.parallel import cell_key, payload_digest
 
@@ -397,10 +452,6 @@ def validate_sweep(
                 f"completion(s) are unjournalled, but stats claim zero "
                 f"storage degradation",
             ))
-
-    # 4. Report footer: determinism-sanitizer findings, if a detector
-    #    observed the in-process runs around this sweep.
-    problems.extend(validate_race(race))
     return _ordered(problems)
 
 
@@ -481,7 +532,7 @@ def validate_checkpoint(
     return _ordered(problems)
 
 
-def validate_stream(session, race=None) -> List[Violation]:
+def validate_stream(session) -> List[Violation]:
     """Audit a streaming (:class:`~repro.serve.ServeSession`) service.
 
     Callable at *any* instant — between run-loop batches, at drain, or
@@ -576,141 +627,7 @@ def validate_stream(session, race=None) -> List[Violation]:
             "stream-conservation", "stream",
             f"drained stream still reports {live} live job(s)",
         ))
-
-    problems.extend(validate_race(race))
     return _ordered(problems)
-
-
-def _check_job_accounting(out: RunOutput) -> List[Violation]:
-    problems = []
-    for record in out.result.records:
-        if not (record.submit_time - _EPS <= record.start_time <= record.end_time + _EPS):
-            problems.append(Violation(
-                "job-accounting", "job",
-                f"job {record.job_id}: times out of order "
-                f"(submit {record.submit_time}, start {record.start_time}, "
-                f"end {record.end_time})",
-            ))
-        recomposed = record.wait_time + record.execution_time
-        if abs(recomposed - record.response_time) > _EPS:
-            problems.append(Violation(
-                "job-accounting", "job",
-                f"job {record.job_id}: wait+exec != response "
-                f"({recomposed} != {record.response_time})",
-            ))
-    return problems
-
-
-def _check_capacity(out: RunOutput) -> List[Violation]:
-    """Sweep burst edges; concurrent bursts must fit the machine."""
-    events = []
-    for burst in out.trace.bursts:
-        events.append((burst.start, 1))
-        events.append((burst.end, -1))
-    events.sort()
-    live = 0
-    peak = 0
-    for _, delta in events:
-        live += delta
-        peak = max(peak, live)
-    if peak > out.trace.n_cpus:
-        return [Violation(
-            "capacity", "trace",
-            f"capacity exceeded: {peak} concurrent bursts on "
-            f"{out.trace.n_cpus} CPUs",
-        )]
-    return []
-
-
-def _check_trace_consistency(out: RunOutput) -> List[Violation]:
-    problems = []
-    windows = {
-        record.job_id: (record.start_time, record.end_time)
-        for record in out.result.records
-    }
-    for burst in out.trace.bursts:
-        window = windows.get(burst.job_id)
-        if window is None:
-            continue  # e.g. ablation jobs not in records
-        start, end = window
-        if burst.start < start - _EPS or burst.end > end + _EPS:
-            problems.append(Violation(
-                "trace-consistency", "trace",
-                f"job {burst.job_id}: burst [{burst.start:.3f},{burst.end:.3f}] "
-                f"outside its execution window [{start:.3f},{end:.3f}]",
-            ))
-    return problems
-
-
-def _check_fault_invariants(out: RunOutput) -> List[Violation]:
-    """Fault-mode bookkeeping; no-op for runs without fault records."""
-    faults = out.trace.faults
-    if not faults:
-        return []
-    problems = []
-
-    # 1. No burst may overlap an offline window of its CPU.
-    from repro.metrics.faults import offline_windows
-
-    down = offline_windows(out.trace)
-    for burst in out.trace.bursts:
-        for t0, t1 in down.get(burst.cpu, ()):
-            if burst.start < t1 - _EPS and burst.end > t0 + _EPS:
-                problems.append(Violation(
-                    "fault-offline-overlap", "fault",
-                    f"cpu {burst.cpu}: burst [{burst.start:.3f},{burst.end:.3f}] "
-                    f"({burst.app_name}) overlaps offline window "
-                    f"[{t0:.3f},{t1:.3f}]",
-                ))
-
-    # 2. Concurrent bursts never exceed the healthy capacity of the
-    #    moment.  At equal times: burst ends, then capacity changes,
-    #    then burst starts (eviction happens exactly at fault time).
-    events = []
-    for burst in out.trace.bursts:
-        events.append((burst.end, 0, 0))
-        events.append((burst.start, 2, 0))
-    offline: set = set()
-    for fault in sorted(faults, key=lambda f: f.time):
-        if fault.detail.startswith("skipped"):
-            continue
-        if fault.kind == "cpu_fail" and fault.target not in offline:
-            offline.add(fault.target)
-            events.append((fault.time, 1, -1))
-        elif fault.kind == "cpu_repair" and fault.target in offline:
-            offline.discard(fault.target)
-            events.append((fault.time, 1, +1))
-    events.sort()
-    live = 0
-    capacity = out.trace.n_cpus
-    for time, order, delta in events:
-        if order == 0:
-            live -= 1
-        elif order == 1:
-            capacity += delta
-        else:
-            live += 1
-        if live > capacity:
-            problems.append(Violation(
-                "fault-capacity", "fault",
-                f"healthy capacity exceeded at t={time:.3f}: "
-                f"{live} concurrent bursts on {capacity} healthy CPUs",
-            ))
-            break
-
-    # 3. Every requeued job must reach a terminal state.
-    states = {job.job_id: job.state for job in out.jobs}
-    for fault in faults:
-        if fault.kind != "job_requeue":
-            continue
-        state = states.get(fault.target)
-        if state not in (JobState.DONE, JobState.FAILED):
-            problems.append(Violation(
-                "fault-requeue-terminal", "fault",
-                f"job {fault.target}: requeued at t={fault.time:.3f} but "
-                f"ended in state {state}",
-            ))
-    return problems
 
 
 def validate_torture(reports, budget: int = 0) -> List[Violation]:

@@ -24,11 +24,9 @@ from repro.analysis import (
     sort_findings,
 )
 from repro.analysis.config import _parse_minitoml_table, load_config
-from repro.analysis.race import RaceFinding
 from repro.experiments.clock import FakeClock, ReportClock
 from repro.experiments.common import ExperimentConfig, run_workload
 from repro.sim.engine import Simulator
-from repro.validate import validate_race, validate_run, validate_sweep
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
@@ -354,54 +352,6 @@ class TestWorkloadSanitizer:
         detector = RaceDetector()
         assert build(None) == build(detector)
         assert detector.finish().events > 0
-
-
-class TestValidateIntegration:
-    def _error_stats(self):
-        stats = RaceStats(runs=1, events=10, cohorts=1, ambiguous=1)
-        stats.findings.append(RaceFinding(
-            run="w1", time=4.0, priority=100, severity="error",
-            events=(("A.step", "advance"), ("B.report", "report")),
-        ))
-        return stats
-
-    def test_validate_race_reports_ambiguous_cohorts(self):
-        problems = validate_race(self._error_stats())
-        assert len(problems) == 1
-        assert "event race" in problems[0]
-        assert "A.step" in problems[0]
-
-    def test_validate_race_accepts_detector_none_and_warnings(self):
-        assert validate_race(None) == []
-        clean = RaceDetector()
-        clean.begin_run("x")
-        assert validate_race(clean) == []
-        warn_only = RaceStats(ties=2)
-        warn_only.findings.append(RaceFinding(
-            run="", time=1.0, priority=100, severity="warning",
-            events=(("A.step", ""), ("A.step", "")),
-        ))
-        assert validate_race(warn_only) == []
-
-    def test_validate_run_appends_race_findings(self):
-        config = ExperimentConfig(seed=0)
-        out = run_workload("Equip", "w1", 0.6, config)
-        assert validate_run(out) == []
-        problems = validate_run(out, race=self._error_stats())
-        assert len(problems) == 1
-        assert "event race" in problems[0]
-
-    def test_validate_sweep_footer_carries_race_findings(self):
-        from repro.parallel import SweepStats
-
-        class StubRunner:
-            last_stats = SweepStats()
-            cache = None
-            journal = None
-
-        problems = validate_sweep(StubRunner(), [], [], race=self._error_stats())
-        assert len(problems) == 1
-        assert problems[-1].startswith("event race")
 
 
 class TestCli:

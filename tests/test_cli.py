@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from repro import cli
 from repro.cli import _changed_python_files, build_parser, main
 from repro.qs.swf import parse_swf
 
@@ -296,3 +297,26 @@ class TestChangedFiles:
         (repo / "sub" / "inner.py").write_text("D = 5\n")
         changed = self._changed_in(repo, monkeypatch, subdir="sub")
         assert changed == ["inner.py"]
+
+    def test_changed_narrows_the_given_paths(self, tmp_path, monkeypatch, capsys):
+        # A changed test file with a hazard is outside the default
+        # src/repro, which is all CI lints; naming tests/ lints it.
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "mod.py").write_text("A = 1\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_mod.py").write_text(
+            "import time\nstamp = time.time()\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            cli, "_changed_python_files",
+            lambda: ["src/repro/mod.py", "tests/test_mod.py"],
+        )
+        assert main(["lint", "--changed"]) == 0
+        assert "clean" in capsys.readouterr().out
+        assert main(["lint", "--changed", "tests"]) == 1
+        out = capsys.readouterr().out
+        assert "test_mod.py:2" in out
+        assert "mod.py:1" not in out
+        assert main(["lint", "--changed", "docs"]) == 0
+        assert "no changed Python files" in capsys.readouterr().out

@@ -24,6 +24,7 @@ from repro.fuzz.runner import run_campaign
 from repro.fuzz.stimulus import OP_KINDS, Stimulus, apply_op
 from repro.fuzz.targets import FUZZ_POLICIES, FuzzTarget
 from repro.machine.machine import CpuHealth
+from repro.qs.job import Job, JobState
 from repro.qs.queuing import NanosQS
 
 
@@ -34,6 +35,12 @@ def _dropped_kill(self, job, reason):
     picklable — the fuzzer's checkpoint rule must keep working while
     the mutation is live.
     """
+
+
+def _finished_before_start(self, now):
+    """A job mutation: the end time is stamped before the start."""
+    self.state = JobState.DONE
+    self.end_time = self.start_time - 0.5
 
 
 #: a scripted stimulus touching every op kind that is meaningful on
@@ -125,6 +132,24 @@ class TestLiveOracleDetects:
             apply_op(target, {"kind": "crash", "victim": 0})
             violations = oracle.check(target)
             assert any(v.code == "job-conservation" for v in violations), violations
+
+    def test_record_out_of_order_flagged_at_the_finishing_op(self, monkeypatch):
+        # Only the finished job's record shows the disorder; the oracle
+        # feeds it to the run checker at the op that finished the job.
+        monkeypatch.setattr(Job, "mark_finished", _finished_before_start)
+        with FuzzTarget("Equip") as target:
+            oracle = LiveOracle()
+            apply_op(target, {"kind": "submit", "app": "fz-flat", "request": 4})
+            for _ in range(100):
+                assert oracle.check(target) == []
+                apply_op(target, {"kind": "step", "n": 1})
+                if target.qs.completed:
+                    break
+            violations = oracle.check(target)
+            assert any(
+                v.code == "job-accounting" and "times out of order" in v
+                for v in violations
+            ), violations
 
 
 class TestSeededMutationCampaign:

@@ -1,6 +1,7 @@
 """Tests for the run validator — including failure injection."""
 
 from bisect import insort
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
@@ -77,6 +78,9 @@ class TestFailureInjection:
         assert any("overlapping" in p for p in problems)
 
     def test_detects_capacity_violation(self):
+        # More concurrent bursts than CPUs needs a burst on a CPU the
+        # machine does not have (or two on one CPU, or one on an
+        # offline CPU); burst-sanity reports each of those.
         out = self._fresh()
         horizon = out.trace.horizon
         for fake_cpu in range(out.trace.n_cpus + 5):
@@ -85,7 +89,8 @@ class TestFailureInjection:
                 start=0.0, end=horizon,
             ))
         problems = validate_run(out)
-        assert any("capacity exceeded" in p for p in problems)
+        assert any(p.code == "burst-sanity" for p in problems)
+        assert any("burst on unknown cpu 1000" in p for p in problems)
 
     def test_detects_burst_outside_job_window(self):
         out = self._fresh()
@@ -149,8 +154,8 @@ class TestFailureInjection:
                     cpu=cpu, job_id=999, app_name="ghost", start=t, end=t + 1,
                 ))
         problems = validate_run(out)
-        assert any(p.code == "fault-capacity" for p in problems)
-        assert not any(p.code == "capacity" for p in problems)
+        assert any(p.code == "fault-offline-overlap" for p in problems)
+        assert not any(p.code == "burst-sanity" for p in problems)
 
     def test_detects_requeued_job_never_finishing(self):
         out = self._fresh_cpukill8()
@@ -175,12 +180,15 @@ class TestFailureInjection:
             assert_valid(out)
 
 
-def _injected(trace, case):
-    """Copies of *trace*'s bursts, reallocations and faults, with *case*
-    injected where the recorder would have appended it."""
+def _injected(run, case):
+    """Copies of *run*'s bursts, reallocations, faults and job records
+    (in completion order), with *case* injected where the recorder would
+    have appended it."""
+    trace = run.trace
     bursts = list(trace.bursts)
     reallocations = list(trace.reallocations)
     faults = list(trace.faults)
+    records = sorted(run.result.records, key=attrgetter("end_time"))
     start = reallocations[0]
     assert start.old_procs == 0
     if case == "overlap":
@@ -197,23 +205,46 @@ def _injected(trace, case):
         reallocations.insert(1, start)
         kill = FaultRecord(start.time, "job_kill", start.job_id, "crash")
         insort(faults, kill, key=attrgetter("time"))
-    return bursts, reallocations, faults
+    elif case == "record-disorder":
+        # the job's record starts after it ends, so its bursts also
+        # fall outside its window
+        records[0] = replace(records[0], start_time=records[0].end_time + 5.0)
+    elif case == "burst-outside-window":
+        # on a CPU that never fails, after everything else has ended
+        record = records[0]
+        down = offline_windows(trace)
+        cpu = next(c for c in range(trace.n_cpus) if c not in down)
+        late = trace.horizon + 10.0
+        bursts.append(Burst(
+            cpu=cpu, job_id=record.job_id, app_name=record.app_name,
+            start=late, end=late + 10.0,
+        ))
+    elif case == "burst-on-offline-cpu":
+        cpu, windows = sorted(offline_windows(trace).items())[0]
+        t0, t1 = windows[0]
+        ghost = Burst(
+            cpu=cpu, job_id=999, app_name="ghost",
+            start=t0 + 1.0, end=min(t0 + 2.0, t1),
+        )
+        insort(bursts, ghost, key=attrgetter("end"))
+    return bursts, reallocations, faults, records
 
 
-def _prefix_counts(bursts, reallocations, faults):
-    """``(time, n_bursts, n_reallocations, n_faults)`` after each record,
-    in time order.  A burst is recorded when it ends; within one
-    instant a kill comes before reallocations, as a restart is recorded
-    after the kill it follows."""
-    order = sorted(
-        [(f.time, 2) for f in faults]
-        + [(r.time, 1) for r in reallocations]
-        + [(b.end, 0) for b in bursts],
-        key=lambda entry: (entry[0], -entry[1]),
+def _prefix_counts(bursts, reallocations, faults, records):
+    """``(time, n_bursts, n_reallocations, n_faults, n_records)`` after
+    each record, in time order.  A burst is recorded when it ends and a
+    job record when its job ends.  Within one instant a restart is
+    recorded after the kill it follows, and a job's record after its
+    final bursts."""
+    order = sorted(  # (time, rank within the instant, list index)
+        [(f.time, 0, 2) for f in faults]
+        + [(r.time, 1, 1) for r in reallocations]
+        + [(b.end, 2, 0) for b in bursts]
+        + [(r.end_time, 3, 3) for r in records]
     )
-    counts = [0, 0, 0]
+    counts = [0, 0, 0, 0]
     prefixes = []
-    for time, which in order:
+    for time, _, which in order:
         counts[which] += 1
         prefixes.append((time, *counts))
     return prefixes
@@ -229,6 +260,9 @@ class TestTraceCheckerPrefixes:
         "overlap": {"burst-sanity"},
         "broken-chain": {"realloc-chain"},
         "kill-restart-same-instant": set(),
+        "record-disorder": {"job-accounting", "trace-consistency"},
+        "burst-outside-window": {"trace-consistency"},
+        "burst-on-offline-cpu": {"fault-offline-overlap"},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -236,18 +270,17 @@ class TestTraceCheckerPrefixes:
     @given(cuts=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12))
     def test_prefix_feeds_match_one_whole_feed(self, cpukill8_run, case, cuts):
         n_cpus = cpukill8_run.trace.n_cpus
-        bursts, reallocations, faults = _injected(cpukill8_run.trace, case)
-        whole = TraceChecker(n_cpus).feed(bursts, reallocations, faults)
+        lists = _injected(cpukill8_run, case)
+        whole = TraceChecker(n_cpus).feed(*lists)
         assert {v.code for v in whole} == self.CASES[case]
 
-        prefixes = _prefix_counts(bursts, reallocations, faults)
+        prefixes = _prefix_counts(*lists)
         checker = TraceChecker(n_cpus)
         found = []
         for cut in sorted({int(f * len(prefixes)) for f in cuts}):
-            now, n_bursts, n_reallocs, n_faults = prefixes[cut]
+            now, *counts = prefixes[cut]
             found += checker.feed(
-                bursts[:n_bursts], reallocations[:n_reallocs],
-                faults[:n_faults], now,
+                *(items[:n] for items, n in zip(lists, counts)), now
             )
-        found += checker.feed(bursts, reallocations, faults)
+        found += checker.feed(*lists)
         assert sorted(v.render() for v in found) == sorted(v.render() for v in whole)
