@@ -797,7 +797,7 @@ def cmd_torture(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def cmd_serve(args: argparse.Namespace, sanitizer=None) -> int:
     """Run the crash-safe streaming service; return its exit code.
 
     Fresh runs assemble a source (synthetic Poisson or SWF) behind the
@@ -805,6 +805,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     last snapshot plus the journal tail, with every replayed arrival
     verified against its journalled record.  The summary on stdout is
     deterministic (simulated time and counters only, no wall clock).
+    *sanitizer* observes the service's simulator, fresh or restored;
+    its report goes to stderr, and a finding makes an otherwise clean
+    drain exit 1.
     """
     from pathlib import Path
 
@@ -880,11 +883,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (CheckpointError, OSError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
 
+    session = service.session
+    if sanitizer is not None:
+        sanitizer.begin_run(f"serve {args.policy} seed={session.config.seed}")
+        session.sim.attach_observer(sanitizer)
     try:
         code = service.run()
     except StreamDivergenceError as exc:
         raise SystemExit(f"error: {exc}")
-    session = service.session
     stats = session.stats
     phase = "deadlock" if code == EXIT_DEADLOCK else "drained"
     src = session.source.describe()
@@ -913,7 +919,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             json.dump(stats.to_dict(), handle, sort_keys=True, indent=2)
             handle.write("\n")
         print(f"aggregates written to {args.stats_out}")
-    return code
+    # serve's own exit codes take precedence over a sanitizer finding
+    sanitized = _finish_sanitizer(sanitizer)
+    return code or sanitized
 
 
 def cmd_replay(args: argparse.Namespace, sanitizer=None) -> str:
@@ -986,16 +994,21 @@ def cmd_compare(args: argparse.Namespace) -> str:
 def _sanitizer(args: argparse.Namespace):
     """The event-race detector under ``--sanitize``, else ``None``.
 
-    The detector never observes a sweep cell; a stderr note names each
-    command that runs any, rather than silently sanitizing less.
+    The detector never observes a sweep cell or a fuzz target; a
+    stderr note names each command that runs any, or that simulates
+    nothing, rather than silently sanitizing less.
     """
     if not args.sanitize:
         return None
     from repro.analysis.race import RaceDetector
 
-    if args.command in ("speedups", "swf"):
+    if args.command in ("speedups", "swf", "lint", "torture"):
         print(f"[sanitize] note: `{args.command}` simulates nothing",
               file=sys.stderr)
+        return None
+    if args.command == "fuzz":
+        print("[sanitize] note: `fuzz` checks its targets with its own "
+              "oracle, and they are not observed", file=sys.stderr)
         return None
     share = {"compare": "all", "mpl": "all", "tables": "all",
              "ablations": "some", "report": "some"}.get(args.command)
@@ -1028,6 +1041,7 @@ def _finish_sanitizer(detector) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    sanitizer = _sanitizer(args)
     if args.command == "lint":
         return cmd_lint(args)
     if args.command == "fuzz":
@@ -1035,8 +1049,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "torture":
         return cmd_torture(args)
     if args.command == "serve":
-        return cmd_serve(args)
-    sanitizer = _sanitizer(args)
+        return cmd_serve(args, sanitizer=sanitizer)
     if args.command == "speedups":
         print(fig3.render())
     elif args.command == "run":

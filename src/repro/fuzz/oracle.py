@@ -48,7 +48,7 @@ class LiveOracle:
     def __init__(self) -> None:
         #: checker of the target's run, built on the first check
         self._checker: Optional[TraceChecker] = None
-        #: records of the batch target's finished jobs, in completion order
+        #: records of the target's finished jobs, in completion order
         self._records: List[JobRecord] = []
         #: job_id -> (state value, end_time) once terminal
         self._terminal: Dict[int, Tuple[str, Optional[float]]] = {}
@@ -60,8 +60,6 @@ class LiveOracle:
         """Run every per-rule check; returns violations (empty = ok)."""
         problems: List[Violation] = []
         problems.extend(self.check_cpu_books(target))
-        problems.extend(self.check_cpu_conservation(target))
-        problems.extend(self.check_fault_offline(target))
         problems.extend(self.check_alloc_bounds(target))
         problems.extend(self.check_mpl_bound(target))
         problems.extend(self.check_job_conservation(target))
@@ -76,51 +74,16 @@ class LiveOracle:
     # CPU conservation
     # ------------------------------------------------------------------
     def check_cpu_books(self, target: "FuzzTarget") -> List[Violation]:
-        """The machine's incremental books match its CPU ground truth."""
+        """The machine's incremental books match its CPU ground truth.
+
+        Among them: free + allocated = healthy, and no OFFLINE CPU is
+        owned (:meth:`~repro.machine.machine.Machine.check_invariants`).
+        """
         try:
             target.rm.machine.check_invariants()
         except MachineError as exc:
             return [Violation("cpu-books", "alloc", str(exc))]
         return []
-
-    def check_cpu_conservation(self, target: "FuzzTarget") -> List[Violation]:
-        """No lost or phantom CPUs: free + allocated == healthy.
-
-        Every allocatable CPU is either idle (free pool) or owned by
-        exactly one partition; offline CPUs are neither.
-        """
-        problems = []
-        machine = target.rm.machine
-        free = machine.free_cpus
-        allocated = machine.allocated_cpus
-        healthy = machine.healthy_cpus
-        if free + allocated != healthy:
-            problems.append(Violation(
-                "cpu-conservation", "alloc",
-                f"free {free} + allocated {allocated} != healthy {healthy} "
-                f"(of {machine.n_cpus}) — lost or phantom CPUs",
-            ))
-        total = sum(machine.allocations().values())
-        if total != allocated:
-            problems.append(Violation(
-                "cpu-conservation", "alloc",
-                f"partitions hold {total} CPUs but allocated count "
-                f"says {allocated}",
-            ))
-        return problems
-
-    def check_fault_offline(self, target: "FuzzTarget") -> List[Violation]:
-        """No OFFLINE CPU may be owned (live form of offline-overlap)."""
-        problems = []
-        machine = target.rm.machine
-        for cpu_id in machine.offline_cpus():
-            owner = machine.owner_of(cpu_id)
-            if owner is not None:
-                problems.append(Violation(
-                    "fault-offline", "fault",
-                    f"offline CPU {cpu_id} still owned by job {owner}",
-                ))
-        return problems
 
     # ------------------------------------------------------------------
     # allocation bounds and MPL (validate: realloc-chain bounds)
@@ -319,16 +282,17 @@ class LiveOracle:
     def check_trace(self, target: "FuzzTarget") -> List[Violation]:
         """Feed the run's new records to the :class:`TraceChecker`.
 
-        A batch target also feeds the records of the jobs each op
-        finished.  A stream target folds and prunes its finished jobs;
-        ``validate_stream`` audits those.
+        With them go the records of the jobs each op finished.  A
+        stream target prunes finished jobs only in ops that fire no
+        events, after the check that fed them, so its
+        ``pruned_completed`` jobs are records already fed.
         """
         trace = target.session.trace
         if self._checker is None:
             self._checker = TraceChecker(trace.n_cpus)
-        if not target.is_stream:
-            finished = target.qs.completed[len(self._records):]
-            self._records.extend(JobRecord.from_job(job) for job in finished)
+        qs = target.qs
+        fed = len(self._records) - getattr(qs, "pruned_completed", 0)
+        self._records.extend(JobRecord.from_job(job) for job in qs.completed[fed:])
         return self._checker.feed(
             trace.bursts, trace.reallocations, trace.faults, self._records,
             target.sim.now,

@@ -27,6 +27,7 @@ from repro.apps.application import AppClass, ApplicationSpec
 from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
 from repro.checkpoint import SimulationSession, read_snapshot
 from repro.experiments.common import ExperimentConfig, build_session
+from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job
 from repro.qs.queuing import NanosQS, RetryConfig
 from repro.qs.streaming import BLOCKED, IngressConfig
@@ -414,10 +415,12 @@ def _build_stream_session(policy: str, config: ExperimentConfig) -> Any:
     ``max_jobs=0``: priming the pump exhausts it immediately, so every
     arrival comes from fuzz ``submit`` ops through ``offer()`` — the
     fuzzer controls the interleaving, not a Poisson clock — while the
-    pump/queue/stats wiring stays exactly the service's.  The shed
-    policy alternates with the seed so both deterministic shedding
-    modes are fuzzed (``block`` needs a cooperating pump and is
-    exercised by the serve unit tests instead).
+    pump/queue/stats wiring stays exactly the service's.  The trace
+    keeps every record (the service folds them), so the oracle's run
+    checker sees this target's bursts, reallocations and faults.  The
+    shed policy alternates with the seed so both deterministic
+    shedding modes are fuzzed (``block`` needs a cooperating pump and
+    is exercised by the serve unit tests instead).
     """
     ingress = IngressConfig(
         max_queue=FUZZ_INGRESS_QUEUE,
@@ -435,6 +438,7 @@ def _build_stream_session(policy: str, config: ExperimentConfig) -> Any:
         source,
         config=config,
         serve_config=ServeConfig(ingress=ingress),
+        trace=TraceRecorder(config.n_cpus),
     )
     session.pump.prime()  # draws nothing (max_jobs=0) and exhausts
     return session

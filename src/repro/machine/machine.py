@@ -282,8 +282,11 @@ class Machine:
 
         Recomputes the free set, offline count and allocation count
         from the per-CPU lists and ``self._partitions`` and raises
-        :class:`MachineError` on any divergence.  Cheap enough to call
-        once per run (finalize) and from tests after every mutation.
+        :class:`MachineError` on any divergence.  Every owned CPU sits
+        in its owner's partition and none is OFFLINE, so with the
+        counts agreeing, free + allocated = healthy and no offline CPU
+        is owned.  Cheap enough to call once per run (finalize) and
+        from tests after every mutation.
         """
         owner = self._owner
         health = self._health
@@ -305,7 +308,18 @@ class Machine:
                     raise MachineError(
                         f"invariant violation: CPU {cpu_id} in two partitions"
                     )
+                if health[cpu_id] is CpuHealth.OFFLINE:
+                    raise MachineError(
+                        f"invariant violation: OFFLINE CPU {cpu_id} in "
+                        f"partition of job {job_id}"
+                    )
                 owned.add(cpu_id)
+        for cpu_id, job_id in enumerate(owner):
+            if job_id is not None and cpu_id not in owned:
+                raise MachineError(
+                    f"invariant violation: CPU {cpu_id} owned by job {job_id} "
+                    f"but in no partition"
+                )
         if self._n_offline != true_offline:
             raise MachineError(
                 f"invariant violation: offline count {self._n_offline} != "

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.application import IterativeApplication
 from repro.machine.memory import LocalityModel, LocalityRecord
 from repro.qs.job import Job
 from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnalyzerConfig
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.slots import set_slot_state, slot_state
 
@@ -222,7 +222,7 @@ class NthLibRuntime:
         self._procs = 0
         self._duration = 0.0
         #: handle of the next scheduled phase event (for abort/hang)
-        self._pending: Optional[Union[Event, List[Any]]] = None
+        self._pending: Optional[List[Any]] = None
         #: True once hang() froze this runtime (it stops progressing
         #: but stays in its phase, exactly like a livelocked binary)
         self.hung = False
@@ -318,7 +318,7 @@ class NthLibRuntime:
         nothing, when the host declines it: the end then fires, for the
         full delivery path.
         """
-        # the mark's time: the engine is at this end's instant
+        # the entry's time: the engine is at this end's instant
         now: float = self._pending[0]  # type: ignore[index]
         analyzer = self.analyzer
         if analyzer is not None:

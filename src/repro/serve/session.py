@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.checkpoint.session import SimulationSession, config_digest
 from repro.metrics.streaming import StreamingStats
-from repro.metrics.trace import FoldingTraceRecorder
+from repro.metrics.trace import FoldingTraceRecorder, TraceRecorder
 from repro.qs.job import Job
 from repro.qs.streaming import ADMITTED, BLOCKED, SHED, IngressConfig, StreamingQS
 from repro.serve.journal import JournalEntry
@@ -334,13 +334,16 @@ def build_serve_session(
     serve_config: Optional[ServeConfig] = None,
     load: float = 0.0,
     reservoir_seed: int = 0,
+    trace: Optional[TraceRecorder] = None,
 ) -> ServeSession:
     """Assemble the streaming twin of ``experiments.common.build_session``.
 
     Same resource-manager and fault wiring, with the bounded-memory
-    parts swapped in: :class:`FoldingTraceRecorder` for the trace,
-    :class:`StreamingQS` for the queue, and an :class:`ArrivalPump`
-    instead of preloaded submissions.
+    parts swapped in: :class:`StreamingQS` for the queue, an
+    :class:`ArrivalPump` instead of preloaded submissions and, unless
+    *trace* names another recorder, a :class:`FoldingTraceRecorder`.
+    A caller that checks the trace (the stream fuzz target) passes a
+    :class:`TraceRecorder`, which keeps every record.
     """
     from repro.experiments.common import ExperimentConfig, build_queue, build_resource_manager
 
@@ -348,7 +351,8 @@ def build_serve_session(
     serve_config = serve_config or ServeConfig()
     ingress = serve_config.ingress
     sim = Simulator()
-    trace = FoldingTraceRecorder(config.n_cpus)
+    if trace is None:
+        trace = FoldingTraceRecorder(config.n_cpus)
     rm = build_resource_manager(policy_name, config, sim, trace)
     stats = StreamingStats(reservoir_seed=reservoir_seed)
     qs = build_queue(config, sim, rm, trace, lambda retry: StreamingQS(

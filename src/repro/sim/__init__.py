@@ -9,12 +9,11 @@ scheduling policies or applications.  Higher layers schedule callbacks
 on the simulator and react to each other through those callbacks.
 """
 
-from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "Event",
-    "EventQueue",
     "SimulationError",
     "Simulator",
     "RandomStreams",

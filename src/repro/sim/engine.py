@@ -6,16 +6,22 @@ the same time are ordered first by an explicit integer *priority*
 (lower runs first) and then by insertion order, which makes every run
 fully deterministic for a given seed and schedule.
 
-Besides ordinary events the simulator keeps *absorbable* events
-(:meth:`Simulator.schedule_absorbable`), the iteration ends of
-:mod:`repro.runtime.nthlib`.  One is ordered exactly like an ordinary
-event of the same time and priority.  When its turn comes the engine
-first asks its owner to ``absorb()`` it; if that finishes the work,
-nothing fires: ``events_fired`` does not count it, and an observer
-sees it only through its optional ``on_absorbed``.  Otherwise the
-owner's ``fire()`` runs as an ordinary event under the key it already
-had.  A run of absorbed iteration ends closed by one that fires is an
-*iteration span* (docs/performance.md).
+Every pending event is one list in one heap,
+``[time, priority, seq, target, args, label]``, so :mod:`heapq`
+compares the ``(time, priority, seq)`` key in C.  ``target`` is the
+callback, or for an *absorbable* event (``args`` None) its owner; it
+becomes None once the entry is cancelled or popped.  Cancelling only
+clears it (lazy deletion); the heap drops dead entries when they reach
+the top or when :meth:`Simulator.compact` sweeps them.
+
+An absorbable event (:meth:`Simulator.schedule_absorbable`) is an
+iteration end of :mod:`repro.runtime.nthlib`.  When its turn comes the
+engine first asks its owner to ``absorb()`` it; if that finishes the
+work, nothing fires: ``events_fired`` does not count it, and an
+observer sees it only through its optional ``on_absorbed``.  Otherwise
+the owner's ``fire()`` runs as an ordinary event under the key it
+already had.  A run of absorbed iteration ends closed by one that
+fires is an *iteration span* (docs/performance.md).
 
 Example
 -------
@@ -34,15 +40,15 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.sim.slots import set_slot_state, slot_state
 
-#: compaction threshold: the queue physically drops lazily-deleted
-#: events once the heap holds at least this many entries and live
-#: events make up less than half of them.  Keeps long-running
-#: simulations (and their snapshots) from accumulating unbounded
-#: cancelled-event garbage while leaving short runs alone.
+#: compaction threshold: the heap physically drops cancelled entries
+#: once it holds at least this many and live events make up less than
+#: half of them.  Keeps long-running simulations (and their snapshots)
+#: from accumulating unbounded cancelled-event garbage while leaving
+#: short runs alone.
 _COMPACT_MIN_HEAP = 64
 
 
@@ -54,197 +60,25 @@ class SimulationError(RuntimeError):
     """
 
 
-class Event:
-    """A single scheduled callback.
+class Event(NamedTuple):
+    """A fired event as an attached observer sees it.
 
-    Events should be created through :meth:`Simulator.schedule_at` or
-    :meth:`Simulator.schedule_after`, never directly.  An event can be
-    cancelled before it fires (:meth:`Simulator.cancel`); cancellation
-    is O(1) (the event is left in the heap and skipped when popped).
-
-    Attributes
-    ----------
-    time:
-        Absolute simulation time at which the callback fires.
-    priority:
-        Tie-break for events at the same time; lower fires first.
-    label:
-        Free-form description used in error messages and debugging.
+    Built only for an observer; the heap holds plain lists.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "label",
-                 "_cancelled", "_fired")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        label: str,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.label = label
-        self._cancelled = False
-        self._fired = False
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event was cancelled before it fired."""
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        """Whether this event has already been popped for execution."""
-        return self._fired
-
-    def sort_key(self) -> tuple:
-        """Ordering key: (time, priority, insertion sequence)."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Hot path: this comparison runs O(log n) times per push/pop,
-        # so avoid building the sort_key() tuples.
-        if self.time != other.time:  # repro: allow(DET106): heap ordering must match heapq's exact comparison; an epsilon here would make __lt__ intransitive and corrupt the heap
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = (
-            "cancelled" if self._cancelled
-            else "fired" if self._fired
-            else "pending"
-        )
-        return f"Event(t={self.time:.6f}, prio={self.priority}, {self.label!r}, {state})"
-
-
-class EventQueue:
-    """Min-heap of :class:`Event` objects with lazy deletion.
-
-    Cancellation (:meth:`cancel`, the only way to cancel) marks the
-    event and adjusts the live count at once; the event stays in the
-    heap and is dropped when it reaches the top (:meth:`_purge`) or
-    when :meth:`compact` rebuilds the heap.
-    """
-
-    __slots__ = ("_heap", "_live")
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._live = 0
-
-    def push(self, event: Event) -> None:
-        """Insert *event* into the queue."""
-        heapq.heappush(self._heap, event)
-        self._live += 1
-
-    def cancel(self, event: Event) -> bool:
-        """Cancel *event* with immediate live-count bookkeeping.
-
-        Returns ``True`` if the event was live and is now cancelled.
-        Cancelling an event that already fired — or was already
-        cancelled — is a true no-op, so the live count can never be
-        driven negative by repeated or late cancels.
-        """
-        if event._fired or event._cancelled:
-            return False
-        event._cancelled = True
-        self._live -= 1
-        self._maybe_compact()
-        return True
-
-    def _purge(self) -> None:
-        """Drop cancelled events from the top of the heap (already
-        accounted by :meth:`cancel`)."""
-        heap = self._heap
-        while heap and heap[0]._cancelled:
-            heapq.heappop(heap)
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event.
-
-        Returns ``None`` when the queue holds no live events.  The
-        returned event is marked fired, so a later cancel is a no-op.
-        """
-        return self.pop_before(None)
-
-    def pop_before(self, horizon: Optional[float]) -> Optional[Event]:
-        """Pop the earliest live event at or before *horizon*.
-
-        Returns ``None`` when the queue is empty or the earliest live
-        event fires strictly after *horizon* (the event stays queued).
-        ``horizon=None`` means no bound.  This is the run loop's single
-        per-event queue operation: one purge, one heappop.
-        """
-        self._purge()
-        heap = self._heap
-        if not heap:
-            return None
-        if horizon is not None and heap[0].time > horizon:
-            return None
-        event = heapq.heappop(heap)
-        event._fired = True
-        self._live -= 1
-        return event
-
-    def peek(self) -> Optional[Event]:
-        """The earliest live event without removing it, or ``None``."""
-        self._purge()
-        return self._heap[0] if self._heap else None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event, or ``None`` if empty."""
-        event = self.peek()
-        return None if event is None else event.time
-
-    def _maybe_compact(self) -> None:
-        """Compact when the dead fraction of the heap grows too large."""
-        if (len(self._heap) >= _COMPACT_MIN_HEAP
-                and self._live * 2 < len(self._heap)):
-            self.compact()
-
-    def compact(self) -> None:
-        """Physically drop every cancelled event from the heap.
-
-        Lazy deletion trades memory for O(1) cancels; on long runs
-        (or before a snapshot) the dead entries are reclaimed here.
-        Pop order is unaffected: event ordering is a total order
-        (time, priority, insertion sequence), so re-heapifying the
-        survivors cannot change which event surfaces next.  The
-        ``_live`` invariant — live count equals the number of
-        non-cancelled events in the heap — is checked afterwards.
-        """
-        heap = self._heap
-        if self._live == len(heap):
-            return
-        survivors = [event for event in heap if not event._cancelled]
-        heapq.heapify(survivors)
-        self._heap = survivors
-        if self._live != len(survivors):
-            raise SimulationError(
-                f"event-queue compaction broke the live invariant: "
-                f"_live={self._live} but {len(survivors)} live events remain"
-            )
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self.peek_time() is not None
+    time: float
+    priority: int
+    seq: int
+    callback: Callable[..., Any]
+    args: tuple
+    label: str
 
 
 class Simulator:
     """Discrete-event simulator with a monotonically advancing clock.
 
     The simulator is deliberately small: it owns the clock and the
-    event queue, and nothing else.  All domain state lives in the
+    event heap, and nothing else.  All domain state lives in the
     components that schedule callbacks on it.
 
     Parameters
@@ -261,26 +95,24 @@ class Simulator:
     PRIORITY_LATE = 1000
 
     __slots__ = (
-        "_now", "_queue", "_seq", "_running", "_stopped", "_events_fired",
-        "_marks", "_live_marks", "_absorbed", "_observer", "_on_absorbed", "_ckpt_hook",
+        "_now", "_heap", "_live", "_seq", "_running", "_stopped", "_events_fired",
+        "_absorbed", "_observer", "_on_absorbed", "_ckpt_hook",
         "_ckpt_every_events", "_ckpt_every_seconds", "_ckpt_next_events",
         "_ckpt_next_time",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue = EventQueue()
+        #: every pending entry ``[time, priority, seq, target, args, label]``
+        self._heap: List[List[Any]] = []
+        #: entries in the heap whose target is set
+        self._live = 0
         #: the next insertion sequence number (a plain int: itertools
         #: objects stop pickling in Python 3.14)
         self._seq = 0
         self._running = False
         self._stopped = False
         self._events_fired = 0
-        #: absorbable events, each a list ``[time, seq, owner, label]``
-        #: so the heap compares (time, seq) in C; ``owner`` is None once
-        #: the entry was cancelled or consumed
-        self._marks: List[List[Any]] = []
-        self._live_marks = 0
         #: absorbable events that completed without firing
         self._absorbed = 0
         self._observer: Optional[Any] = None
@@ -341,7 +173,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live events still queued (absorbable ones included)."""
-        return len(self._queue) + self._live_marks
+        return self._live
 
     def live_labels(self) -> List[str]:
         """Labels of every live (pending) event, sorted.
@@ -350,9 +182,7 @@ class Simulator:
         queued job with a pending arrival/requeue event from a lost
         one, without popping anything.
         """
-        labels = [event.label for event in self._queue._heap if not event._cancelled]
-        labels.extend(mark[3] for mark in self._marks if mark[2] is not None)
-        return sorted(labels)
+        return sorted(entry[5] for entry in self._heap if entry[3] is not None)
 
     def schedule_at(
         self,
@@ -361,8 +191,10 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_NORMAL,
         label: str = "",
-    ) -> Event:
+    ) -> List[Any]:
         """Schedule *callback(*args)* at absolute time *time*.
+
+        Returns an opaque handle for :meth:`cancel`.
 
         Raises
         ------
@@ -375,9 +207,10 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(max(time, self._now), priority, seq, callback, args, label)
-        self._queue.push(event)
-        return event
+        entry = [max(time, self._now), priority, seq, callback, args, label]
+        heapq.heappush(self._heap, entry)
+        self._live += 1
+        return entry
 
     def schedule_after(
         self,
@@ -386,21 +219,20 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_NORMAL,
         label: str = "",
-    ) -> Event:
+    ) -> List[Any]:
         """Schedule *callback(*args)* after a non-negative *delay*.
 
         Fast path of :meth:`schedule_at`: ``now + delay`` can never lie
-        in the past, so the event is built and pushed directly.  This
-        is the hottest scheduling call (every iteration end, report and
-        timer goes through it).
+        in the past.  Returns an opaque handle for :meth:`cancel`.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(self._now + delay, priority, seq, callback, args, label)
-        self._queue.push(event)
-        return event
+        entry = [self._now + delay, priority, seq, callback, args, label]
+        heapq.heappush(self._heap, entry)
+        self._live += 1
+        return entry
 
     def schedule_absorbable(self, delay: float, owner: Any, label: str = "") -> List[Any]:
         """Schedule an event that may complete without firing.
@@ -416,30 +248,34 @@ class Simulator:
         Otherwise ``owner.fire()`` runs as an ordinary event under the
         same key; ``absorb`` must have changed nothing in that case.
         The owner holds whatever both calls need, and has at most one
-        absorbable event pending.  Returns a handle for :meth:`cancel`.
+        absorbable event pending; the handle's first item is its time.
+        Returns a handle for :meth:`cancel`.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
+        # pushed inline, as in schedule_after: a shared helper would add
+        # a call to every iteration end (tests/test_call_budget.py)
         seq = self._seq
         self._seq = seq + 1
-        mark = [self._now + delay, seq, owner, label]
-        heapq.heappush(self._marks, mark)
-        self._live_marks += 1
-        return mark
+        entry = [self._now + delay, self.PRIORITY_NORMAL, seq, owner, None, label]
+        heapq.heappush(self._heap, entry)
+        self._live += 1
+        return entry
 
-    def cancel(self, event: Union[Event, List[Any]]) -> None:
+    def cancel(self, entry: List[Any]) -> None:
         """Cancel a previously scheduled (or absorbable) event.
 
         Cancelling an event that already fired (or was already
         cancelled) is a no-op — the live-event count is only adjusted
-        for events genuinely still in the queue.
+        for events genuinely still in the heap.
         """
-        if isinstance(event, list):
-            if event[2] is not None:
-                event[2] = None
-                self._live_marks -= 1
+        if entry[3] is None:
             return
-        self._queue.cancel(event)
+        entry[3] = None
+        self._live -= 1
+        size = len(self._heap)
+        if size >= _COMPACT_MIN_HEAP and self._live * 2 < size:
+            self.compact()
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
@@ -448,17 +284,17 @@ class Simulator:
     def attach_observer(self, observer: Any) -> None:
         """Attach an event observer (e.g. the ``--sanitize`` detector).
 
-        The observer's ``on_event(event)`` is called for every event
-        the run loop fires, *before* the event's callback executes.  Its
-        optional ``on_absorbed(event)`` is called after each absorbable
-        event that completed without firing, with the event it stood
-        for: ``Event(time, PRIORITY_NORMAL, seq, owner.fire, (),
-        label)``.  Observers must only observe: they get the
-        :class:`Event` for inspection but must not mutate it,
-        schedule, or cancel — the engine's byte-identity contract is
-        that a run with an observer equals a run without one.  One
-        observer at a time; ``None``-safe dispatch keeps the
-        unobserved hot path to a single attribute check per event.
+        The observer's ``on_event(event)`` is called with an
+        :class:`Event` for every event the run loop fires, *before*
+        the event's callback executes.  Its optional
+        ``on_absorbed(event)`` is called after each absorbable event
+        that completed without firing, with the event it stood for:
+        ``Event(time, PRIORITY_NORMAL, seq, owner.fire, (), label)``.
+        Observers must only observe: they must not schedule or cancel
+        — the engine's byte-identity contract is that a run with an
+        observer equals a run without one.  One observer at a time;
+        ``None``-safe dispatch keeps the unobserved hot path to a
+        single attribute check per event.
         """
         self._observer = observer
         self._on_absorbed = getattr(observer, "on_absorbed", None)
@@ -469,18 +305,26 @@ class Simulator:
         self._on_absorbed = None
 
     def compact(self) -> None:
-        """Reclaim lazily-deleted events from the queue now.
+        """Drop every cancelled entry from the heap now.
 
-        Called automatically when the dead fraction grows large and by
-        :meth:`repro.checkpoint.session.SimulationSession.save` so
-        snapshots never carry cancelled-event garbage.
+        Lazy deletion trades memory for O(1) cancels; this runs
+        automatically when the dead fraction grows large and from
+        :meth:`repro.checkpoint.session.SimulationSession.save`, so
+        snapshots never carry cancelled-event garbage.  It works in
+        place, because a cancel or a snapshot may come from inside the
+        run loop, which holds the heap.  Pop order is unaffected: the
+        key is a total order.  The live count must equal the survivors.
         """
-        self._queue.compact()
-        marks = self._marks
-        if len(marks) > self._live_marks:
-            # in place: a snapshot may be taken from inside _next()
-            marks[:] = [mark for mark in marks if mark[2] is not None]
-            heapq.heapify(marks)
+        heap = self._heap
+        if self._live == len(heap):
+            return
+        heap[:] = [entry for entry in heap if entry[3] is not None]
+        heapq.heapify(heap)
+        if self._live != len(heap):
+            raise SimulationError(
+                f"event-heap compaction broke the live invariant: "
+                f"_live={self._live} but {len(heap)} live events remain"
+            )
 
     def set_checkpoint_hook(
         self,
@@ -532,11 +376,69 @@ class Simulator:
         seconds = self._ckpt_every_seconds
         self._ckpt_next_time = math.inf if seconds is None else self._now + seconds
 
-    def _checkpoint_tick(self) -> None:
-        """Fire the checkpoint hook if a cadence threshold passed."""
-        if (self._events_fired + self._absorbed >= self._ckpt_next_events
-                or self._now >= self._ckpt_next_time):
-            self._checkpoint()
+    def _loop(self, until: Optional[float], n_events: Optional[int],
+              max_events: Optional[int]) -> int:
+        """The run loop behind :meth:`step` and :meth:`run`.
+
+        Pops entries in key order until the heap drains, the next live
+        one lies after *until*, *n_events* have fired, or :meth:`stop`;
+        returns the number fired.  An entry's target is cleared before
+        its callback or its owner's ``absorb()`` runs, so cancelling
+        the event in flight is a no-op.
+        """
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
+        self._running = True
+        self._stopped = False
+        heap = self._heap
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
+        limit = sys.maxsize if n_events is None else n_events
+        cap = sys.maxsize if max_events is None else max_events
+        fired = 0
+        try:
+            while heap and fired < limit and not self._stopped:
+                entry = heap[0]
+                target = entry[3]
+                if target is None:
+                    heappop(heap)
+                    continue
+                now = entry[0]
+                if now > horizon:
+                    break
+                heappop(heap)
+                entry[3] = None
+                self._live -= 1
+                self._now = now
+                args = entry[4]
+                if args is None and target.absorb():
+                    self._absorbed += 1
+                    if self._on_absorbed is not None:
+                        self._on_absorbed(
+                            Event(now, entry[1], entry[2], target.fire, (), entry[5])
+                        )
+                else:
+                    if args is None:
+                        target = target.fire
+                        args = ()
+                    self._events_fired += 1
+                    fired += 1
+                    if fired > cap:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events}; likely a runaway schedule"
+                        )
+                    if self._observer is not None:
+                        self._observer.on_event(
+                            Event(now, entry[1], entry[2], target, args, entry[5])
+                        )
+                    target(*args)
+                if self._ckpt_hook is not None and (
+                        self._events_fired + self._absorbed >= self._ckpt_next_events
+                        or now >= self._ckpt_next_time):
+                    self._checkpoint()
+        finally:
+            self._running = False
+        return fired
 
     def _checkpoint(self) -> None:
         hook = self._ckpt_hook
@@ -544,90 +446,22 @@ class Simulator:
         hook()
         self._arm_checkpoint()
 
-    def _next(self, horizon: Optional[float]) -> Optional[Event]:
-        """Pop the next event to fire at or before *horizon*.
-
-        Absorbable events that come first are offered to their owner's
-        ``absorb()`` on the way; one that declines fires as an ordinary
-        event with its own key, which is the smallest left.
-        """
-        queue = self._queue
-        marks = self._marks
-        normal = self.PRIORITY_NORMAL
-        while marks:
-            heap = queue._heap
-            if heap and heap[0]._cancelled:
-                queue._purge()
-                heap = queue._heap
-            mark = marks[0]
-            if heap:
-                top = heap[0]
-                # repro: allow(DET106): exact heap-key comparison, the same one Event.__lt__ makes
-                if mark[0] > top.time or (mark[0] == top.time and (
-                        top.priority < normal
-                        or (top.priority == normal and top.seq < mark[1]))):
-                    break
-            if horizon is not None and mark[0] > horizon:
-                return None
-            heapq.heappop(marks)
-            owner = mark[2]
-            if owner is None:
-                continue
-            mark[2] = None
-            self._live_marks -= 1
-            now = self._now = mark[0]
-            if owner.absorb():
-                absorbed = self._absorbed = self._absorbed + 1
-                if self._on_absorbed is not None:
-                    self._on_absorbed(Event(now, normal, mark[1], owner.fire, (), mark[3]))
-                # _checkpoint_tick's test, inline: it runs on every
-                # absorbed end
-                if self._ckpt_hook is not None and (
-                        self._events_fired + absorbed >= self._ckpt_next_events
-                        or now >= self._ckpt_next_time):
-                    self._checkpoint()
-                continue
-            event = Event(now, normal, mark[1], owner.fire, (), mark[3])
-            event._fired = True
-            return event
-        return queue.pop_before(horizon)
-
     def step(self, n_events: int = 1) -> int:
         """Fire up to *n_events* pending events; return the number fired.
 
-        The single-event sibling of :meth:`run`: the protocol fuzzer
-        (and any interactive driver) interleaves external stimuli with
-        bounded slices of simulation progress.  Semantics match the run
-        loop exactly — observer notification before each callback, the
-        checkpoint hook between events — so a run advanced entirely
-        through ``step`` is byte-identical to one driven by ``run``.
+        The bounded sibling of :meth:`run`, on the same loop: the
+        protocol fuzzer (and any interactive driver) interleaves
+        external stimuli with bounded slices of simulation progress,
+        and a run advanced entirely through ``step`` is byte-identical
+        to one driven by ``run``.  Absorbed events do not count
+        towards *n_events*.
         """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
         if n_events < 0:
             raise SimulationError(f"n_events must be >= 0, got {n_events}")
-        self._running = True
-        self._stopped = False
-        fired = 0
-        try:
-            while fired < n_events and not self._stopped:
-                event = self._next(None)
-                if event is None:
-                    break
-                self._now = event.time
-                self._events_fired += 1
-                fired += 1
-                if self._observer is not None:
-                    self._observer.on_event(event)
-                event.callback(*event.args)
-                if self._ckpt_hook is not None:
-                    self._checkpoint_tick()
-        finally:
-            self._running = False
-        return fired
+        return self._loop(None, n_events, None)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run events until the queue drains, *until* passes, or stop().
+        """Run events until the heap drains, *until* passes, or stop().
 
         Parameters
         ----------
@@ -642,32 +476,9 @@ class Simulator:
         float
             The simulation time at which the run stopped.
         """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        self._stopped = False
-        fired_this_run = 0
-        try:
-            while not self._stopped:
-                event = self._next(until)
-                if event is None:
-                    break
-                self._now = event.time
-                self._events_fired += 1
-                fired_this_run += 1
-                if max_events is not None and fired_this_run > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a runaway schedule"
-                    )
-                if self._observer is not None:
-                    self._observer.on_event(event)
-                event.callback(*event.args)
-                if self._ckpt_hook is not None:
-                    self._checkpoint_tick()
-        finally:
-            self._running = False
+        self._loop(until, None, max_events)
         if until is not None and not self._stopped:
-            # Horizon given and not stopped: whether the queue drained
+            # Horizon given and not stopped: whether the heap drained
             # or the next event lies beyond it, the clock advances to
             # the horizon.
             self._now = max(self._now, until)

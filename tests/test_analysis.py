@@ -295,12 +295,12 @@ class TestEngineObserver:
                 seen.append(event.label)
 
         sim.attach_observer(Recorder())
-        keep = sim.schedule_at(1.0, lambda: None, label="keep")
+        sim.schedule_at(1.0, lambda: None, label="keep")
         drop = sim.schedule_at(1.0, lambda: None, label="drop")
         sim.cancel(drop)
         sim.run()
         assert seen == ["keep"]
-        assert keep.fired
+        assert sim.events_fired == 1
 
     def test_detach_restores_unobserved_behaviour(self):
         sim = Simulator()

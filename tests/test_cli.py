@@ -208,6 +208,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 1" in out and "Table 3" in out and "Table 4" in out
 
+    def test_sanitize_observes_serve(self, capsys):
+        argv = ["--seed", "7", "--cpus", "16", "serve", "PDPA", "--workload", "w2",
+                "--load", "1.0", "--max-jobs", "60"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(["--sanitize"] + argv) == 0
+        sanitized = capsys.readouterr()
+        # stdout byte-identical; the report goes to stderr
+        assert sanitized.out == plain.out
+        assert "[sanitize] 1 run(s), " in sanitized.err
+        assert "[sanitize]" not in plain.err
+
+    def test_sanitize_notes_a_command_that_simulates_nothing(self, tmp_path, capsys):
+        target = tmp_path / "fine.py"
+        target.write_text("VALUES = sorted({1, 2, 3})\n")
+        assert main(["--sanitize", "lint", str(target)]) == 0
+        assert "[sanitize] note: `lint` simulates nothing" in capsys.readouterr().err
+
 
 class TestTortureCommand:
     def test_single_protocol_clean(self, tmp_path, capsys):

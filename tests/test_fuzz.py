@@ -24,6 +24,7 @@ from repro.fuzz.runner import run_campaign
 from repro.fuzz.stimulus import OP_KINDS, Stimulus, apply_op
 from repro.fuzz.targets import FUZZ_POLICIES, FuzzTarget
 from repro.machine.machine import CpuHealth
+from repro.metrics.trace import Burst
 from repro.qs.job import Job, JobState
 from repro.qs.queuing import NanosQS
 
@@ -80,41 +81,58 @@ class TestLiveOracleClean:
         assert all(op["kind"] in OP_KINDS for op in stimulus.ops)
 
 
+def _mid_flight(target, oracle):
+    """Start one Equip job and return its id and the first CPU it owns."""
+    apply_op(target, {"kind": "submit", "app": "fz-linear", "request": 4})
+    # submit + startup: iteration ends may be absorbed, so a third
+    # event could already be the teardown
+    apply_op(target, {"kind": "step", "n": 2})
+    assert target.running_jobs(), "job should be mid-flight"
+    assert oracle.check(target) == []
+    job_id = target.running_jobs()[0].job_id
+    return job_id, target.rm.machine.partition_of(job_id)[0]
+
+
 class TestLiveOracleDetects:
     """Seeded corruption: the oracle must complain, loudly and precisely."""
 
     def test_corrupted_machine_books_flagged(self):
         with FuzzTarget("Equip") as target:
             oracle = LiveOracle()
-            apply_op(target, {"kind": "submit", "app": "fz-linear", "request": 4})
-            # submit + startup: iteration ends may be absorbed, so a
-            # third event could already be the teardown
-            apply_op(target, {"kind": "step", "n": 2})
-            assert target.running_jobs(), "job should be mid-flight"
-            assert oracle.check(target) == []
-            machine = target.rm.machine
-            owned = machine.partition_of(target.running_jobs()[0].job_id)[0]
-            machine._owner[owned] = None  # steal a CPU behind the books' back
+            _, owned = _mid_flight(target, oracle)
+            # steal a CPU behind the books' back
+            target.rm.machine._owner[owned] = None
             violations = oracle.check(target)
-            codes = {v.code for v in violations}
-            assert codes & {"cpu-books", "cpu-conservation"}, violations
+            assert any(v.code == "cpu-books" for v in violations), violations
 
     def test_owned_offline_cpu_flagged(self):
         with FuzzTarget("Equip") as target:
             oracle = LiveOracle()
-            apply_op(target, {"kind": "submit", "app": "fz-linear", "request": 4})
-            apply_op(target, {"kind": "step", "n": 2})
-            assert target.running_jobs(), "job should be mid-flight"
-            assert oracle.check(target) == []
+            job_id, owned = _mid_flight(target, oracle)
             machine = target.rm.machine
-            job_id = target.running_jobs()[0].job_id
-            owned = machine.partition_of(job_id)[0]
-            # fail a CPU behind the books' back, leaving its owner on it
+            # fail a CPU behind the books' back, leaving its owner on
+            # it; the offline count agrees, so only the partition shows it
             machine._health[owned] = CpuHealth.OFFLINE
+            machine._n_offline += 1
             violations = oracle.check(target)
-            expected = f"offline CPU {owned} still owned by job {job_id}"
+            expected = f"OFFLINE CPU {owned} in partition of job {job_id}"
             assert any(
-                v.code == "fault-offline" and expected in v for v in violations
+                v.code == "cpu-books" and expected in v for v in violations
+            ), violations
+
+    def test_stray_owner_flagged(self):
+        with FuzzTarget("Equip") as target:
+            oracle = LiveOracle()
+            job_id, owned = _mid_flight(target, oracle)
+            machine = target.rm.machine
+            # drop a CPU from its partition and the allocated count, but
+            # leave it owned: it is neither free nor allocated
+            machine._partitions[job_id].discard(owned)
+            machine._n_allocated -= 1
+            violations = oracle.check(target)
+            expected = f"CPU {owned} owned by job {job_id} but in no partition"
+            assert any(
+                v.code == "cpu-books" and expected in v for v in violations
             ), violations
 
     def test_unaccounted_killed_job_flagged(self, monkeypatch):
@@ -149,6 +167,25 @@ class TestLiveOracleDetects:
             assert any(
                 v.code == "job-accounting" and "times out of order" in v
                 for v in violations
+            ), violations
+
+    def test_stream_target_burst_after_now_flagged(self):
+        # A stream target keeps its trace, so the run checker sees it.
+        with FuzzTarget("PDPA", seed=0, stream=True) as target:
+            oracle = LiveOracle()
+            for op in ({"kind": "submit", "app": "fz-linear", "request": 8},
+                       {"kind": "cpu_fail", "cpu": 3},
+                       {"kind": "step", "n": 30},
+                       {"kind": "drain"}):
+                apply_op(target, op)
+                assert oracle.check(target) == []
+            trace = target.session.trace
+            assert trace.bursts and trace.reallocations and trace.faults
+            now = target.sim.now
+            trace.record_burst(Burst(0, 1, "fz-linear", now - 1.0, now + 5.0))
+            violations = oracle.check(target)
+            assert any(
+                v.code == "burst-sanity" and "after now" in v for v in violations
             ), violations
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.fuzz.profiles import tier_settings
-from repro.sim.engine import Event, EventQueue, SimulationError, Simulator
+from repro.sim.engine import _COMPACT_MIN_HEAP, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -95,12 +95,15 @@ class TestCancellation:
 class TestCancelAfterFire:
     def test_cancel_after_fire_is_noop(self, sim):
         event = sim.schedule_at(1.0, lambda: None)
-        sim.schedule_at(2.0, lambda: None)
-        sim.run()
-        assert event.fired
+        later = sim.schedule_at(2.0, lambda: None)
+        assert sim.step() == 1
         sim.cancel(event)  # must not decrement the live count
+        assert sim.pending_events == 1
+        assert sim.live_labels() == [""]
+        sim.run()
+        assert sim.events_fired == 2
+        sim.cancel(later)
         assert sim.pending_events == 0
-        assert not event.cancelled
 
     def test_cancel_own_event_inside_callback(self, sim):
         seen = []
@@ -130,41 +133,49 @@ class TestCancelAfterFire:
 
 
 class TestLazyDeletionInterleavings:
-    def _event(self, time, seq=0):
-        return Event(time, 0, seq, lambda: None, (), "t")
+    def test_cancel_peek_pop_interleaving(self, sim):
+        seen = []
+        events = [sim.schedule_at(float(t), seen.append, t, label=f"e{t}")
+                  for t in range(6)]
+        sim.cancel(events[0])
+        assert sim.live_labels() == ["e1", "e2", "e3", "e4", "e5"]
+        sim.cancel(events[2])
+        assert sim.step() == 1
+        assert seen == [1]
+        assert sim.pending_events == 3
+        sim.cancel(events[4])
+        assert sim.step(2) == 2
+        assert seen == [1, 3, 5]
+        assert sim.step() == 0
+        assert sim.pending_events == 0
 
-    def test_cancel_peek_pop_interleaving(self):
-        q = EventQueue()
-        events = [self._event(float(t), seq=t) for t in range(6)]
-        for event in events:
-            q.push(event)
-        q.cancel(events[0])
-        assert q.peek() is events[1]
-        q.cancel(events[2])
-        popped = q.pop()
-        assert popped is events[1]
-        assert q.peek_time() == 3.0
-        q.cancel(events[4])
-        assert [q.pop().time for _ in range(2)] == [3.0, 5.0]
-        assert q.pop() is None
-        assert len(q) == 0
+    def test_popped_event_is_marked_fired(self, sim):
+        """The entry in flight is no longer live: cancelling it from its
+        own callback or its owner's absorb() changes no count."""
+        counts = []
+        handles = {}
 
-    def test_pop_before_horizon_leaves_later_events(self):
-        q = EventQueue()
-        q.push(self._event(1.0, seq=0))
-        q.push(self._event(5.0, seq=1))
-        assert q.pop_before(2.0).time == 1.0
-        assert q.pop_before(2.0) is None
-        assert len(q) == 1
-        assert q.pop_before(5.0).time == 5.0
+        class Owner:
+            def absorb(self):
+                sim.cancel(handles["mark"])
+                counts.append(sim.pending_events)
+                return True
 
-    def test_popped_event_is_marked_fired(self):
-        q = EventQueue()
-        event = self._event(1.0)
-        q.push(event)
-        assert q.pop() is event
-        assert event.fired
-        assert not q.cancel(event)
+            def fire(self):  # pragma: no cover - absorb always takes it
+                raise AssertionError("absorbed end fired")
+
+        def plain():
+            sim.cancel(handles["plain"])
+            counts.append(sim.pending_events)
+
+        handles["plain"] = sim.schedule_at(1.0, plain)
+        handles["mark"] = sim.schedule_absorbable(2.0, Owner(), "m")
+        sim.schedule_at(3.0, lambda: None)
+        sim.run()
+        assert counts == [2, 1]
+        assert sim.events_fired == 2
+        assert sim.logical_events == 3
+        assert sim.pending_events == 0
 
 
 class TestRunUntilEdgeCases:
@@ -247,104 +258,88 @@ class TestRunControl:
 
 
 class TestEventQueue:
-    def _event(self, time, priority=0, seq=0):
-        return Event(time, priority, seq, lambda: None, (), "t")
+    """The one event heap, through the simulator's surface."""
 
-    def test_pop_returns_earliest(self):
-        q = EventQueue()
-        q.push(self._event(2.0, seq=1))
-        q.push(self._event(1.0, seq=2))
-        popped = q.pop()
-        assert popped is not None and popped.time == 1.0
+    def test_peek_time_ignores_cancelled(self, sim):
+        seen = []
+        early = sim.schedule_at(1.0, seen.append, "early")
+        sim.schedule_at(3.0, seen.append, "late")
+        sim.cancel(early)
+        # a cancelled head neither fires nor holds the horizon
+        assert sim.run(until=2.0) == 2.0
+        assert seen == []
+        assert sim.step() == 1
+        assert (seen, sim.now) == (["late"], 3.0)
 
-    def test_pop_skips_cancelled(self):
-        q = EventQueue()
-        early = self._event(1.0, seq=1)
-        q.push(early)
-        q.push(self._event(2.0, seq=2))
-        assert q.cancel(early)
-        popped = q.pop()
-        assert popped is not None and popped.time == 2.0
-
-    def test_peek_time_ignores_cancelled(self):
-        q = EventQueue()
-        early = self._event(1.0, seq=1)
-        q.push(early)
-        q.push(self._event(3.0, seq=2))
-        assert q.cancel(early)
-        assert q.peek_time() == 3.0
-
-    def test_empty_queue(self):
-        q = EventQueue()
-        assert q.pop() is None
-        assert q.peek_time() is None
-        assert not q
+    def test_empty_queue(self, sim):
+        assert sim.step() == 0
+        assert sim.run() == 0.0
+        assert sim.pending_events == 0
+        assert sim.live_labels() == []
 
 
 class TestCompaction:
-    def _event(self, time, seq):
-        return Event(time, 0, seq, lambda: None, (), "t")
+    def _fill(self, sim, n, seen=None):
+        log = [] if seen is None else seen
+        return [sim.schedule_at(float(i), log.append, i) for i in range(n)]
 
-    def _fill(self, q, n, start_seq=0):
-        events = [self._event(float(i), start_seq + i) for i in range(n)]
-        for event in events:
-            q.push(event)
-        return events
-
-    def test_compact_drops_cancelled_keeps_order(self):
-        q = EventQueue()
-        events = self._fill(q, 10)
+    def test_compact_drops_cancelled_keeps_order(self, sim):
+        seen = []
+        events = self._fill(sim, 10, seen)
         for event in events[::2]:
-            q.cancel(event)
-        q.compact()
-        assert len(q._heap) == 5
-        assert len(q) == 5
-        assert [q.pop().time for _ in range(5)] == [1.0, 3.0, 5.0, 7.0, 9.0]
+            sim.cancel(event)
+        sim.compact()
+        assert len(sim._heap) == 5
+        assert sim.pending_events == 5
+        sim.run()
+        assert seen == [1, 3, 5, 7, 9]
 
-    def test_compact_on_clean_heap_is_noop(self):
-        q = EventQueue()
-        self._fill(q, 10)
-        heap_before = list(q._heap)
-        q.compact()
-        assert q._heap == heap_before
+    def test_compact_on_clean_heap_is_noop(self, sim):
+        self._fill(sim, 10)
+        heap = sim._heap
+        heap_before = list(heap)
+        sim.compact()
+        assert sim._heap is heap
+        assert sim._heap == heap_before
 
-    def test_cancel_below_threshold_does_not_compact(self):
-        q = EventQueue()
-        events = self._fill(q, 32)
+    def test_cancel_below_threshold_does_not_compact(self, sim):
+        events = self._fill(sim, _COMPACT_MIN_HEAP // 2)
         for event in events[:20]:
-            q.cancel(event)
+            sim.cancel(event)
         # dead fraction is high but the heap is under _COMPACT_MIN_HEAP
-        assert len(q._heap) == 32
-        assert len(q) == 12
+        assert len(sim._heap) == _COMPACT_MIN_HEAP // 2
+        assert sim.pending_events == _COMPACT_MIN_HEAP // 2 - 20
 
-    def test_cancel_past_threshold_compacts_automatically(self):
-        q = EventQueue()
-        events = self._fill(q, 80)
-        # cancel until live*2 < heap size: 41 cancels leaves 39 live
-        for event in events[:41]:
-            q.cancel(event)
-        assert len(q._heap) == 39
-        assert len(q) == 39
+    def test_cancel_past_threshold_compacts_automatically(self, sim):
+        events = self._fill(sim, 70)
+        events.extend(sim.schedule_absorbable(0.5 + i, object()) for i in range(10))
+        # cancel until live*2 < heap size: 41 cancels leaves 39 live;
+        # plain and absorbable entries count alike
+        for event in events[:31] + events[70:]:
+            sim.cancel(event)
+        assert len(sim._heap) == 39
+        assert sim.pending_events == 39
 
     def test_pop_order_identical_with_and_without_compaction(self):
         def build():
-            q = EventQueue()
-            events = self._fill(q, 50)
+            sim = Simulator()
+            seen = []
+            events = self._fill(sim, 50, seen)
             for event in events[7:40:3]:
-                q.cancel(event)
-            return q
+                sim.cancel(event)
+            return sim, seen
 
-        plain, compacted = build(), build()
+        (plain, plain_seen), (compacted, compacted_seen) = build(), build()
         compacted.compact()
-        order = lambda q: [e.seq for e in iter(q.pop, None)]
-        assert order(compacted) == order(plain)
+        plain.run()
+        compacted.run()
+        assert compacted_seen == plain_seen
 
-    def test_compact_detects_broken_live_invariant(self):
-        q = EventQueue()
-        self._fill(q, 10)
-        q._live = 7  # corrupt the bookkeeping behind the queue's back
+    def test_compact_detects_broken_live_invariant(self, sim):
+        self._fill(sim, 10)
+        sim._live = 7  # corrupt the bookkeeping behind the heap's back
         with pytest.raises(SimulationError, match="live invariant"):
-            q.compact()
+            sim.compact()
 
     def test_simulator_compact_preserves_run(self, sim):
         seen = []
@@ -358,6 +353,52 @@ class TestCompaction:
         assert sim.pending_events == 8
         sim.run()
         assert seen == list(range(8))
+
+    def test_compaction_inside_the_run_loop(self, sim):
+        """A callback's cancels compact the heap the loop is popping
+        from; whatever is left, and what the callback schedules after,
+        fires in key order within the same run()."""
+        seen = []
+
+        class Owner:
+            def __init__(self, name):
+                self.name = name
+
+            def absorb(self):
+                seen.append((sim.now, Simulator.PRIORITY_NORMAL, self.name))
+                return True
+
+            def fire(self):  # pragma: no cover - absorb always takes it
+                raise AssertionError("absorbed end fired")
+
+        def log(priority, name):
+            seen.append((sim.now, priority, name))
+
+        def plain(t, priority=Simulator.PRIORITY_NORMAL):
+            return sim.schedule_at(t, log, priority, f"p{t}/{priority}", priority=priority)
+
+        handles = []
+        for i in range(_COMPACT_MIN_HEAP):
+            handles.append(plain(1.0 + i % 8))
+            handles.append(sim.schedule_absorbable(1.25 + i % 8, Owner(f"m{i}")))
+
+        def cancel_then_schedule():
+            size = len(sim._heap)
+            for handle in handles[: size - 8]:
+                sim.cancel(handle)
+            assert len(sim._heap) < size  # the cancels compacted
+            for t in (1.0, 2.5, 3.0, 9.0):
+                plain(t, Simulator.PRIORITY_LATE)
+                plain(t, Simulator.PRIORITY_EARLY)
+                sim.schedule_absorbable(t - sim.now, Owner(f"n{t}"))
+
+        sim.schedule_at(0.5, cancel_then_schedule)
+        sim.run()
+        assert sim.pending_events == 0
+        assert len(seen) == 8 + 3 * 4
+        # each callback logs its own (time, priority); ties keep
+        # insertion order, which a stable sort on the key preserves
+        assert seen == sorted(seen, key=lambda item: item[:2])
 
 
 class TestCheckpointHook:
