@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.checkpoint.session.SimulationSession` — one workload
   execution as a saveable/restorable object graph;
 * :class:`~repro.checkpoint.session.CheckpointPlan` — autosnapshot
-  cadence (every N events and/or sim-seconds) and target path;
+  cadence (every N logical events) and target path;
 * :func:`~repro.checkpoint.format.write_snapshot` /
   :func:`~repro.checkpoint.format.read_snapshot` /
   :func:`~repro.checkpoint.format.read_meta` — the versioned,

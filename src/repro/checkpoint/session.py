@@ -9,8 +9,8 @@ scheduled events, the fault-injector schedule, and the
 :class:`~repro.metrics.trace.TraceRecorder` metrics accumulators —
 into one object graph that can be
 
-* **run** to completion (optionally autosnapshotting every N events
-  or sim-seconds),
+* **run** to completion (optionally autosnapshotting every N logical
+  events),
 * **saved** between two events as one pickle of the whole graph inside
   a checksummed :mod:`repro.checkpoint.format` envelope, and
 * **restored** later — in the same process or a fresh one — to
@@ -92,32 +92,20 @@ class CheckpointPlan:
         Snapshot file; each save atomically replaces the previous one,
         so the file always holds the latest complete snapshot.
     every_events:
-        Snapshot after every N logical events (``None`` disables):
+        Snapshot after every N logical events, N a positive count:
         fired events plus iteration ends absorbed without firing
         (:attr:`~repro.sim.engine.Simulator.logical_events`), so the
         cadence is the one the per-iteration event path would have.
-    every_sim_seconds:
-        Snapshot when simulation time advances this far past the last
-        snapshot (``None`` disables).  Both cadences may be active;
-        whichever trips first wins.
+        This is the one place the cadence is validated.
     """
 
     path: Path
-    every_events: Optional[int] = None
-    every_sim_seconds: Optional[float] = None
+    every_events: int
 
     def __post_init__(self) -> None:
-        if self.every_events is not None and self.every_events < 1:
+        if self.every_events < 1:
             raise ValueError(
                 f"every_events must be >= 1, got {self.every_events}"
-            )
-        if self.every_sim_seconds is not None and self.every_sim_seconds <= 0:
-            raise ValueError(
-                f"every_sim_seconds must be positive, got {self.every_sim_seconds}"
-            )
-        if self.every_events is None and self.every_sim_seconds is None:
-            raise ValueError(
-                "checkpoint plan needs every_events and/or every_sim_seconds"
             )
 
 
@@ -298,11 +286,7 @@ class SimulationSession:
             def autosave() -> None:
                 self.save(plan.path, label="auto")
 
-            self.sim.set_checkpoint_hook(
-                autosave,
-                every_events=plan.every_events,
-                every_sim_seconds=plan.every_sim_seconds,
-            )
+            self.sim.set_checkpoint_hook(autosave, plan.every_events)
         try:
             return float(self.sim.run(
                 until=until, max_events=self.config.max_events

@@ -24,12 +24,12 @@ Subcommands map one-to-one onto the experiment harnesses:
   recovery path, and assert its recovery invariant
   (``--mutate drop-fsync`` self-tests the enumerator).
 
-The global ``--checkpoint-dir`` flag (with ``--checkpoint-every`` /
-``--checkpoint-interval`` cadences) makes in-process runs and sweep
-cells autosnapshot their full simulation state; ``run --restore``
+The global ``--checkpoint-dir`` flag (with the ``--checkpoint-every``
+cadence) makes ``run`` and ``serve`` autosnapshot their full
+simulation state; every other command refuses it.  ``run --restore``
 continues a run from such a snapshot with byte-identical output, and
-``replay`` drives a snapshot forward to an arbitrary simulated time —
-the bisection tool for divergence and race reports.
+``replay`` drives a snapshot forward to a later simulated time — the
+bisection tool for divergence and race reports.
 
 The global ``--sanitize`` flag attaches the runtime half of the
 determinism sanitizer (the event-race detector) to every in-process
@@ -147,20 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
-        help="autosnapshot running simulations into DIR (atomic, "
-             "checksummed snapshots; killed runs resume via `run "
-             "--restore` or, for sweep cells, automatically on retry)",
+        help="autosnapshot `run` and `serve` into DIR (atomic, checksummed "
+             "snapshots; a killed run resumes via `run --restore` or "
+             "`serve --restore`); other commands refuse it",
     )
     parser.add_argument(
         "--checkpoint-every", type=positive_int, default=None, metavar="N",
         help="autosnapshot every N logical simulation events: fired "
              "events plus absorbed iteration ends (requires "
-             "--checkpoint-dir; default 1000 when no cadence is given)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=positive_float, default=None, metavar="SEC",
-        help="autosnapshot every SEC simulated seconds (requires "
-             "--checkpoint-dir; may be combined with --checkpoint-every)",
+             "--checkpoint-dir; default 1000)",
     )
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -233,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser(
         "replay",
         help="time-travel replay: drive a checkpoint snapshot forward "
-             "to an arbitrary simulated time (bisect divergence and "
-             "race reports)",
+             "to a later simulated time (bisect divergence and race "
+             "reports)",
     )
     p_replay.add_argument("snapshot", help="checkpoint snapshot file")
     p_replay.add_argument("--until", type=non_negative_float, default=None, metavar="T",
-                          help="replay to simulated time T "
-                               "(default: run to completion)")
+                          help="replay to simulated time T, no earlier than "
+                               "the snapshot's cut (default: run to completion)")
     p_replay.add_argument("--save", metavar="FILE",
                           help="snapshot the replayed state to FILE "
                                "(chain replays to bisect)")
@@ -414,34 +409,48 @@ def _config(args: argparse.Namespace, mpl: Optional[int] = None) -> ExperimentCo
     return config
 
 
-def _checkpoint_cadence(args: argparse.Namespace):
-    """Validated ``(every_events, every_sim_seconds)`` cadence pair.
+def _check_checkpoint_flags(args: argparse.Namespace) -> None:
+    """Refuse checkpoint flags that would otherwise be ignored.
 
-    Returns ``None`` when checkpointing is off.  Without an explicit
-    cadence, ``--checkpoint-dir`` defaults to every 1000 events.
+    Only ``run`` and ``serve`` take snapshots, so any other command
+    given ``--checkpoint-dir`` or ``--checkpoint-every`` exits with an
+    error, as does a cadence without a directory.
     """
+    given = [
+        flag for flag, value in (
+            ("--checkpoint-dir", args.checkpoint_dir),
+            ("--checkpoint-every", args.checkpoint_every),
+        ) if value is not None
+    ]
+    if given and args.command not in ("run", "serve"):
+        raise SystemExit(
+            f"error: `{args.command}` takes no snapshots, so it refuses "
+            f"{' and '.join(given)}; only `run` and `serve` take them"
+        )
+    if args.checkpoint_every is not None and args.checkpoint_dir is None:
+        raise SystemExit("error: --checkpoint-every requires --checkpoint-dir")
+
+
+def _checkpoint_plan(args: argparse.Namespace, name: str):
+    """The autosnapshot plan for snapshot *name* in ``--checkpoint-dir``.
+
+    ``None`` without the flag; the cadence defaults to 1000 events.
+    """
+    from repro.checkpoint import CheckpointPlan
+
     if args.checkpoint_dir is None:
-        if args.checkpoint_every is not None or args.checkpoint_interval is not None:
-            raise SystemExit(
-                "--checkpoint-every/--checkpoint-interval require "
-                "--checkpoint-dir"
-            )
         return None
-    every = args.checkpoint_every
-    interval = args.checkpoint_interval
-    if every is None and interval is None:
-        every = 1000
-    return every, interval
+    return CheckpointPlan(
+        path=Path(args.checkpoint_dir) / name,
+        every_events=args.checkpoint_every or 1000,
+    )
 
 
 def _runner(args: argparse.Namespace):
     """The supervised sweep runner the global flags describe."""
-    from pathlib import Path
-
     from repro.parallel import (
         ResultCache,
         SupervisionPolicy,
-        SweepCheckpointPolicy,
         SweepJournal,
         SweepRunner,
     )
@@ -458,22 +467,12 @@ def _runner(args: argparse.Namespace):
             Path(args.cache_dir) / "journal.jsonl", resume=args.resume
         )
 
-    checkpoint = None
-    cadence = _checkpoint_cadence(args)
-    if cadence is not None:
-        checkpoint = SweepCheckpointPolicy(
-            directory=Path(args.checkpoint_dir),
-            every_events=cadence[0],
-            every_sim_seconds=cadence[1],
-        )
-
     return SweepRunner(
         jobs=args.jobs,
         cache=cache,
         supervision=SupervisionPolicy(timeout=args.timeout, retries=args.retries),
         journal=journal,
         strict=args.strict,
-        checkpoint=checkpoint,
     )
 
 
@@ -485,25 +484,15 @@ def cmd_run(args: argparse.Namespace, sanitizer=None) -> str:
     from different code, config, policy, workload or load are refused
     with the checkpoint error taxonomy's message and a non-zero exit.
     """
-    from pathlib import Path
-
-    from repro.checkpoint import CheckpointError, CheckpointPlan
+    from repro.checkpoint import CheckpointError
 
     config = _config(args, mpl=args.mpl)
     if getattr(args, "faults", None):
         config = config.with_faults(build_scenario(args.faults, config.n_cpus))
-    plan = None
-    cadence = _checkpoint_cadence(args)
-    if cadence is not None:
-        name = (
-            f"{args.policy}-{args.workload}-load{args.load:g}"
-            f"-seed{args.seed}.ckpt"
-        )
-        plan = CheckpointPlan(
-            path=Path(args.checkpoint_dir) / name,
-            every_events=cadence[0],
-            every_sim_seconds=cadence[1],
-        )
+    plan = _checkpoint_plan(
+        args, f"{args.policy}-{args.workload}-load{args.load:g}-seed{args.seed}.ckpt"
+    )
+
     def _execute():
         return run_workload(args.policy, args.workload, args.load, config,
                             sanitizer=sanitizer, checkpoint=plan,
@@ -809,9 +798,7 @@ def cmd_serve(args: argparse.Namespace, sanitizer=None) -> int:
     its report goes to stderr, and a finding makes an otherwise clean
     drain exit 1.
     """
-    from pathlib import Path
-
-    from repro.checkpoint import CheckpointError, CheckpointPlan
+    from repro.checkpoint import CheckpointError
     from repro.serve.service import EXIT_DEADLOCK, ServeService
     from repro.serve.session import (
         ServeConfig,
@@ -830,14 +817,7 @@ def cmd_serve(args: argparse.Namespace, sanitizer=None) -> int:
     if args.faults:
         config = config.with_faults(build_scenario(args.faults, config.n_cpus))
 
-    plan = None
-    cadence = _checkpoint_cadence(args)
-    if cadence is not None:
-        plan = CheckpointPlan(
-            path=Path(args.checkpoint_dir) / f"serve-{args.policy}.ckpt",
-            every_events=cadence[0],
-            every_sim_seconds=cadence[1],
-        )
+    plan = _checkpoint_plan(args, f"serve-{args.policy}.ckpt")
 
     max_jobs = None if args.max_jobs == 0 else args.max_jobs
     try:
@@ -930,10 +910,9 @@ def cmd_replay(args: argparse.Namespace, sanitizer=None) -> str:
     Deterministic replay makes the snapshot a bisection tool: given a
     divergence or race report at time T, replay to just before T (with
     ``--sanitize`` to re-observe the event cohort), and ``--save`` the
-    state to chain narrower and narrower replays.
+    state to chain narrower and narrower replays.  An ``--until``
+    before the snapshot's cut is refused: replay cannot run backwards.
     """
-    from pathlib import Path
-
     from repro.checkpoint import CheckpointError, SimulationSession, read_meta
 
     try:
@@ -941,6 +920,11 @@ def cmd_replay(args: argparse.Namespace, sanitizer=None) -> str:
         session = SimulationSession.restore(Path(args.snapshot))
     except CheckpointError as exc:
         raise SystemExit(f"error: {exc}")
+    if args.until is not None and args.until < session.sim.now:
+        raise SystemExit(
+            f"error: --until {args.until:g} is before the snapshot's cut "
+            f"at t={session.sim.now:.6g}s; replay only moves forward"
+        )
     lines = [
         f"snapshot {args.snapshot}",
         f"  policy {meta['policy']}  workload {meta.get('workload') or '-'}  "
@@ -1041,6 +1025,7 @@ def _finish_sanitizer(detector) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    _check_checkpoint_flags(args)
     sanitizer = _sanitizer(args)
     if args.command == "lint":
         return cmd_lint(args)

@@ -191,7 +191,7 @@ def build_session(
     request_overrides: Optional[Mapping[str, int]] = None,
     qs_class: Type[NanosQS] = NanosQS,
 ) -> SimulationSession:
-    """Assemble one workload execution as a checkpointable session.
+    """Assemble one workload execution as a saveable session.
 
     Builds the simulator, resource manager, queuing system (a
     *qs_class*), trace recorder and (when configured) fault injector,
@@ -315,10 +315,7 @@ def workload_cell_spec(
     The cell carries the full :class:`ExperimentConfig`, so it is a
     pure function of its parameters and can execute in any worker
     process (or be served from the result cache) without changing its
-    outcome.  The cell is marked checkpointable: a runner configured
-    with a :class:`~repro.parallel.SweepCheckpointPolicy` makes it
-    autosnapshot and resume across retries (the harness flag is not
-    part of the cache key, so records stay shareable either way).
+    outcome.
     """
     config = config or ExperimentConfig()
     params: Dict[str, object] = {
@@ -333,10 +330,7 @@ def workload_cell_spec(
         f"{policy_name}/{workload}/load={load:g}"
         f"/seed={config.seed}/mpl={config.mpl}"
     )
-    return SweepCell(
-        key=key, fn="repro.parallel.cells:workload_cell", params=params,
-        harness={"checkpointable": True},
-    )
+    return SweepCell(key=key, fn="repro.parallel.cells:workload_cell", params=params)
 
 
 def run_cells(

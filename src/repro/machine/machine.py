@@ -174,10 +174,6 @@ class Machine:
         """Mapping of job id to partition size."""
         return {job: len(cpus) for job, cpus in self._partitions.items()}
 
-    def owner_of(self, cpu_id: int) -> Optional[int]:
-        """Job id that owns one CPU, or ``None`` when it is idle."""
-        return self._owner[cpu_id]
-
     # ------------------------------------------------------------------
     # partition management
     # ------------------------------------------------------------------

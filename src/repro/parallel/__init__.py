@@ -9,9 +9,6 @@ Public surface:
   timeouts, bounded retries with backoff, poison-cell quarantine;
 * :class:`~repro.parallel.journal.SweepJournal` — fsync'd write-ahead
   journal of completed cells, enabling ``--resume``;
-* :class:`~repro.parallel.runner.SweepCheckpointPolicy` — autosnapshot
-  cadence for checkpointable cells, so retried cells resume from their
-  last snapshot instead of recomputing;
 * :class:`~repro.parallel.cache.ResultCache` — content-addressed
   on-disk cache keyed by config + code version, integrity-checked;
 * :mod:`~repro.parallel.errors` — the :class:`CellError` taxonomy for
@@ -41,7 +38,6 @@ from repro.parallel.errors import (
 from repro.parallel.journal import SweepJournal, payload_digest
 from repro.parallel.runner import (
     SweepCell,
-    SweepCheckpointPolicy,
     SweepRunner,
     SweepStats,
     execute_cell,
@@ -59,7 +55,6 @@ __all__ = [
     "ResultCache",
     "SupervisionPolicy",
     "SweepCell",
-    "SweepCheckpointPolicy",
     "SweepJournal",
     "SweepRunner",
     "SweepStats",

@@ -20,78 +20,14 @@ def workload_cell(
     load: float,
     config: Any = None,
     request_overrides: Optional[Mapping[str, int]] = None,
-    checkpoint: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One (policy, workload, load) execution -> WorkloadResult record.
-
-    *checkpoint* — a harness-injected spec (``path`` plus
-    ``every_events``/``every_sim_seconds``) — turns on resume-or-fresh
-    execution: if a matching snapshot exists at the path (left by an
-    earlier attempt that was killed or timed out) the run continues
-    from it, otherwise it starts fresh; either way it autosnapshots on
-    the given cadence and deletes the snapshot once the record is
-    complete.  The record is byte-identical with or without it.
-    """
-    out = _run_workload_resumable(
-        policy, workload, load, config, request_overrides, checkpoint
-    )
-    return out.result.to_dict()
-
-
-def _run_workload_resumable(
-    policy: str,
-    workload: str,
-    load: float,
-    config: Any,
-    request_overrides: Optional[Mapping[str, int]],
-    checkpoint: Optional[Mapping[str, Any]],
-) -> Any:
-    """Run one workload, resuming from its snapshot when one survives."""
+    """One (policy, workload, load) execution -> WorkloadResult record."""
     from repro.experiments.common import run_workload
 
-    if not checkpoint:
-        return run_workload(
-            policy, workload, load, config, request_overrides=request_overrides
-        )
-
-    from pathlib import Path
-
-    from repro.checkpoint import CheckpointError, CheckpointPlan
-
-    path = Path(checkpoint["path"])
-    plan = CheckpointPlan(
-        path=path,
-        every_events=checkpoint.get("every_events"),
-        every_sim_seconds=checkpoint.get("every_sim_seconds"),
-    )
-    if path.exists():
-        try:
-            out = run_workload(
-                policy, workload, load, config,
-                request_overrides=request_overrides,
-                checkpoint=plan, restore=path,
-            )
-        except CheckpointError:
-            # Stale, corrupt or foreign snapshot: the resume shortcut
-            # is void, recompute the cell from scratch.
-            pass
-        else:
-            _discard_snapshot(path)
-            return out
     out = run_workload(
-        policy, workload, load, config,
-        request_overrides=request_overrides, checkpoint=plan,
+        policy, workload, load, config, request_overrides=request_overrides
     )
-    _discard_snapshot(path)
-    return out
-
-
-def _discard_snapshot(path: Any) -> None:
-    """Drop a finished cell's snapshot (best-effort)."""
-    try:
-        path.unlink()
-    except OSError:
-        pass
+    return out.result.to_dict()
 
 
 def mpl_timeline_cell(
@@ -116,7 +52,6 @@ def traced_workload_cell(
     load: float,
     config: Any = None,
     request_overrides: Optional[Mapping[str, int]] = None,
-    checkpoint: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """:func:`workload_cell` plus a digest of the full trace.
 
@@ -124,11 +59,11 @@ def traced_workload_cell(
     reallocations, MPL samples, faults, migrations, synthetic loads and
     per-job timestamps), so two runs with equal digests executed
     byte-identically.  Used by the determinism guard and benchmarks.
-    A restored run reproduces the digest too — the snapshot carries the
-    trace accumulators along with everything else.
     """
-    out = _run_workload_resumable(
-        policy, workload, load, config, request_overrides, checkpoint
+    from repro.experiments.common import run_workload
+
+    out = run_workload(
+        policy, workload, load, config, request_overrides=request_overrides
     )
     return {
         "result": out.result.to_dict(),

@@ -31,9 +31,8 @@ import importlib
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.parallel.cache import (
     ResultCache,
@@ -69,62 +68,11 @@ class SweepCell:
     params:
         Keyword arguments for ``fn``.  Must be picklable; for caching
         they must also canonicalise (plain values and dataclasses).
-    harness:
-        **Host-side** keyword arguments merged into the call but
-        excluded from the cache key: where the cell runs from, not
-        what it computes.  A cell's result must not depend on them —
-        that is what keeps a record cached under one harness
-        configuration valid under every other.  The reserved key
-        ``"checkpointable": True`` declares that ``fn`` accepts a
-        ``checkpoint`` spec; the runner fills one in when it has a
-        :class:`SweepCheckpointPolicy` and drops the flag otherwise.
     """
 
     key: str
     fn: str
     params: Mapping[str, Any] = field(default_factory=dict)
-    harness: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SweepCheckpointPolicy:
-    """Autosnapshot configuration for checkpointable sweep cells.
-
-    Each opted-in cell (``harness={"checkpointable": True}``) receives
-    a ``checkpoint`` spec naming a snapshot file under *directory*
-    (keyed by the cell's content-derived cache key, so two different
-    experiments can never collide on a snapshot) and the autosnapshot
-    cadence.  A cell that is retried after a crash, timeout or SIGKILL
-    finds its last autosnapshot at that path and resumes from it
-    instead of recomputing from scratch — with byte-identical output
-    either way.
-    """
-
-    directory: Path
-    every_events: Optional[int] = None
-    every_sim_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.every_events is not None and self.every_events < 1:
-            raise ValueError(
-                f"every_events must be >= 1, got {self.every_events}"
-            )
-        if self.every_sim_seconds is not None and self.every_sim_seconds <= 0:
-            raise ValueError(
-                f"every_sim_seconds must be positive, got {self.every_sim_seconds}"
-            )
-        if self.every_events is None and self.every_sim_seconds is None:
-            raise ValueError(
-                "checkpoint policy needs every_events and/or every_sim_seconds"
-            )
-
-    def spec_for(self, key: str) -> Dict[str, Any]:
-        """The ``checkpoint`` kwarg injected into one cell's call."""
-        return {
-            "path": str(Path(self.directory) / f"{key}.ckpt"),
-            "every_events": self.every_events,
-            "every_sim_seconds": self.every_sim_seconds,
-        }
 
 
 @dataclass
@@ -248,11 +196,6 @@ class SweepRunner:
         Raise :class:`~repro.parallel.errors.PoisonCellError` as soon
         as any cell exhausts its retry budget instead of quarantining
         it.
-    checkpoint:
-        Optional :class:`SweepCheckpointPolicy`.  Checkpointable cells
-        autosnapshot on its cadence and resume from their last
-        snapshot when retried, so a SIGKILL'd or timed-out cell loses
-        at most one checkpoint interval of work.
     """
 
     def __init__(
@@ -263,7 +206,6 @@ class SweepRunner:
         supervision: SupervisionPolicy = SupervisionPolicy(),
         journal: Optional[SweepJournal] = None,
         strict: bool = False,
-        checkpoint: Optional[SweepCheckpointPolicy] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -278,7 +220,6 @@ class SweepRunner:
         self.supervision = supervision
         self.journal = journal
         self.strict = strict
-        self.checkpoint = checkpoint
         #: stats of the most recent run() call
         self.last_stats = SweepStats()
         #: stats accumulated over every run() of this runner's lifetime
@@ -330,14 +271,6 @@ class SweepRunner:
 
         quarantined: List[int] = []
         if pending:
-            # Resolve harness-side call arguments (checkpoint specs,
-            # ...) for the cells that will actually execute.  Cache
-            # keys were computed above from cell.params alone, so the
-            # harness cannot perturb them.
-            exec_cells = list(cells)
-            for i in pending:
-                exec_cells[i] = self._resolve(cells[i], keys[i])
-
             def complete(index: int, payload: str) -> None:
                 payloads[index] = payload
                 stats.executed += 1
@@ -347,12 +280,12 @@ class SweepRunner:
 
             if self.jobs == 1:
                 quarantined = run_serial_supervised(
-                    exec_cells, pending, self.supervision, execute_cell,
+                    cells, pending, self.supervision, execute_cell,
                     complete, stats=stats, strict=self.strict,
                 )
             else:
                 quarantined = PoolSupervisor(
-                    exec_cells, self.supervision, _worker, complete, stats,
+                    cells, self.supervision, _worker, complete, stats,
                     jobs=self.jobs, mp_context=self.mp_context,
                     strict=self.strict,
                 ).run(pending)
@@ -364,29 +297,6 @@ class SweepRunner:
         assert not missing, f"lost cells (no payload, not quarantined): {missing}"
         self.total_stats.accumulate(stats)
         return payloads
-
-    # ------------------------------------------------------------------
-    # harness resolution
-    # ------------------------------------------------------------------
-    def _resolve(self, cell: SweepCell, key: Optional[str]) -> SweepCell:
-        """Merge a cell's harness arguments into its call parameters.
-
-        The ``checkpointable`` flag is consumed here: when this runner
-        carries a :class:`SweepCheckpointPolicy` it becomes a concrete
-        ``checkpoint`` spec (snapshot path keyed by the cell's cache
-        key), otherwise it is dropped and the cell runs plain.
-        """
-        if not cell.harness and self.checkpoint is None:
-            return cell
-        merged = dict(cell.params)
-        harness = dict(cell.harness)
-        checkpointable = bool(harness.pop("checkpointable", False))
-        merged.update(harness)
-        if checkpointable and self.checkpoint is not None:
-            merged["checkpoint"] = self.checkpoint.spec_for(
-                key if key is not None else cell_key(cell.fn, cell.params)
-            )
-        return replace(cell, params=merged, harness={})
 
     # ------------------------------------------------------------------
     # journal replay

@@ -15,7 +15,7 @@ Modules
 * :mod:`repro.serve.source` — arrival sources (synthetic Poisson
   stream, SWF file/FIFO stream).
 * :mod:`repro.serve.journal` — the fsync'd arrival journal.
-* :mod:`repro.serve.session` — :class:`ServeSession` (checkpointable
+* :mod:`repro.serve.session` — :class:`ServeSession` (saveable
   open-system session) and the arrival pump.
 * :mod:`repro.serve.service` — the long-lived process: run loop,
   signal handling, heartbeat, watchdog.

@@ -396,11 +396,7 @@ class ServeService:
                     # envelope is intact), so the service survives it.
                     self._count_storage_error("autosnapshot", exc)
 
-            session.sim.set_checkpoint_hook(
-                autosave,
-                every_events=plan.every_events,
-                every_sim_seconds=plan.every_sim_seconds,
-            )
+            session.sim.set_checkpoint_hook(autosave, plan.every_events)
         try:
             try:
                 session.pump.prime()

@@ -1,4 +1,4 @@
-"""The checkpointable open-system session and its arrival pump.
+"""The saveable open-system session and its arrival pump.
 
 A :class:`ServeSession` is a :class:`~repro.checkpoint.SimulationSession`
 whose jobs come from an :class:`~repro.serve.source.ArrivalSource`

@@ -97,8 +97,7 @@ class Simulator:
     __slots__ = (
         "_now", "_heap", "_live", "_seq", "_running", "_stopped", "_events_fired",
         "_absorbed", "_observer", "_on_absorbed", "_ckpt_hook",
-        "_ckpt_every_events", "_ckpt_every_seconds", "_ckpt_next_events",
-        "_ckpt_next_time",
+        "_ckpt_every_events", "_ckpt_next_events",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -119,13 +118,10 @@ class Simulator:
         #: the observer's optional ``on_absorbed`` (None without one)
         self._on_absorbed: Optional[Callable[[Event], None]] = None
         self._ckpt_hook: Optional[Callable[[], None]] = None
-        self._ckpt_every_events: Optional[int] = None
-        self._ckpt_every_seconds: Optional[float] = None
-        #: logical-event count and clock at which the hook is next due
-        #: (armed by set_checkpoint_hook; sys.maxsize and infinity for
-        #: a cadence that is off)
+        self._ckpt_every_events = 0
+        #: logical-event count at which the hook is next due (armed by
+        #: set_checkpoint_hook)
         self._ckpt_next_events = 0
-        self._ckpt_next_time = 0.0
 
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle support: host-side attachments are not state.
@@ -165,8 +161,8 @@ class Simulator:
         """Events fired plus absorbable events completed without firing.
 
         The count the per-iteration path would have fired: one per
-        iteration end however it completed.  Autosnapshot cadences in
-        events count these, so they keep their meaning.
+        iteration end however it completed.  The autosnapshot cadence
+        counts these, so it keeps its meaning.
         """
         return self._events_fired + self._absorbed
 
@@ -326,20 +322,14 @@ class Simulator:
                 f"_live={self._live} but {len(heap)} live events remain"
             )
 
-    def set_checkpoint_hook(
-        self,
-        hook: Callable[[], None],
-        every_events: Optional[int] = None,
-        every_sim_seconds: Optional[float] = None,
-    ) -> None:
+    def set_checkpoint_hook(self, hook: Callable[[], None], every_events: int) -> None:
         """Install *hook* to run periodically **between** events.
 
         The hook fires after an event's callback returns (or an
         absorbable event completes without firing), once
         *every_events* :attr:`logical_events` have passed since the
-        last checkpoint and/or the clock advanced *every_sim_seconds*
-        past it (whichever trips first; at least one cadence is
-        required).
+        last checkpoint.  The cadence is a positive count;
+        :class:`~repro.checkpoint.CheckpointPlan` holds that rule.
         Firing between events means the hook observes a well-defined
         prefix of the event history — the foundation of the
         checkpoint subsystem's byte-identical restore guarantee.  The
@@ -347,34 +337,13 @@ class Simulator:
         Like observers, the hook is process-local: it is dropped when
         the simulator is pickled.
         """
-        if every_events is None and every_sim_seconds is None:
-            raise SimulationError(
-                "checkpoint hook needs every_events and/or every_sim_seconds"
-            )
-        if every_events is not None and every_events < 1:
-            raise SimulationError(
-                f"every_events must be >= 1, got {every_events}"
-            )
-        if every_sim_seconds is not None and every_sim_seconds <= 0:
-            raise SimulationError(
-                f"every_sim_seconds must be positive, got {every_sim_seconds}"
-            )
         self._ckpt_hook = hook
         self._ckpt_every_events = every_events
-        self._ckpt_every_seconds = every_sim_seconds
-        self._arm_checkpoint()
+        self._ckpt_next_events = self.logical_events + every_events
 
     def clear_checkpoint_hook(self) -> None:
         """Remove the checkpoint hook, if any."""
         self._ckpt_hook = None
-
-    def _arm_checkpoint(self) -> None:
-        every = self._ckpt_every_events
-        self._ckpt_next_events = (
-            sys.maxsize if every is None else self.logical_events + every
-        )
-        seconds = self._ckpt_every_seconds
-        self._ckpt_next_time = math.inf if seconds is None else self._now + seconds
 
     def _loop(self, until: Optional[float], n_events: Optional[int],
               max_events: Optional[int]) -> int:
@@ -432,9 +401,8 @@ class Simulator:
                             Event(now, entry[1], entry[2], target, args, entry[5])
                         )
                     target(*args)
-                if self._ckpt_hook is not None and (
-                        self._events_fired + self._absorbed >= self._ckpt_next_events
-                        or now >= self._ckpt_next_time):
+                if (self._ckpt_hook is not None
+                        and self._events_fired + self._absorbed >= self._ckpt_next_events):
                     self._checkpoint()
         finally:
             self._running = False
@@ -444,7 +412,7 @@ class Simulator:
         hook = self._ckpt_hook
         assert hook is not None
         hook()
-        self._arm_checkpoint()
+        self._ckpt_next_events = self.logical_events + self._ckpt_every_events
 
     def step(self, n_events: int = 1) -> int:
         """Fire up to *n_events* pending events; return the number fired.

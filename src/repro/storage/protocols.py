@@ -67,7 +67,7 @@ from repro.storage.layer import (
     StorageLayer,
 )
 from repro.storage.plan import FailPlan
-from repro.storage.torture import CrashState, enumerate_crash_states, materialise
+from repro.storage.torture import enumerate_crash_states, materialise
 
 __all__ = [
     "JournalProtocol",

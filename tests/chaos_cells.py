@@ -17,9 +17,9 @@ production.  Each one reproduces a distinct harness failure mode:
   interrupt-and-resume tests;
 * :func:`unserialisable_cell` — returns a record only ``repr`` could
   encode, to prove ``execute_cell`` refuses to cache garbage;
-* :func:`killed_checkpoint_cell` — snapshots a half-finished workload
-  and SIGKILLs its worker; the retry must find the snapshot and resume
-  from it (it refuses to recompute from scratch).
+* :func:`killed_workload_cell` — SIGKILLs its worker halfway through
+  a workload run on the first attempt and runs the whole workload
+  cell on the retry.
 """
 
 from __future__ import annotations
@@ -76,51 +76,38 @@ def unserialisable_cell() -> Dict[str, Any]:
     return {"handle": object()}
 
 
-def killed_checkpoint_cell(
+def killed_workload_cell(
     policy: str,
     workload: str,
     load: float,
     config: Any,
     state_dir: str,
-    checkpoint: Any = None,
 ) -> Dict[str, Any]:
-    """Die mid-run leaving a snapshot; resume from it on the retry.
+    """Die halfway through a workload run; recompute it on the retry.
 
-    First attempt: runs the workload halfway, saves a snapshot exactly
-    where the autosnapshot hook would (the harness-injected
-    ``checkpoint["path"]``), then SIGKILLs its own worker — the crash
-    window of a real preemption. The supervised retry must *resume*:
-    if the snapshot is missing the cell raises instead of silently
-    recomputing, so a passing record proves the restore path ran.
+    First attempt: runs the workload to half its submission window,
+    then SIGKILLs its own worker — the crash window of a real
+    preemption.  Attempts are counted in *state_dir* (one marker file
+    each), so the count survives the worker's death.  The retry runs
+    :func:`~repro.parallel.cells.workload_cell` from scratch, as any
+    retried cell does.
     """
     from pathlib import Path
 
-    assert checkpoint, "cell must be run under a SweepCheckpointPolicy"
-    snapshot = Path(checkpoint["path"])
     state = Path(state_dir)
     state.mkdir(parents=True, exist_ok=True)
     attempt = len(list(state.glob("attempt-*"))) + 1
     (state / f"attempt-{attempt}-{os.getpid()}").touch()
 
     if attempt == 1:
-        from repro.experiments.common import build_session
-        from repro.qs.workload import TABLE1_MIXES, generate_workload
-        from repro.sim.rng import RandomStreams
+        from repro.experiments.common import build_session, workload_jobs
 
-        jobs = generate_workload(
-            TABLE1_MIXES[workload], load, n_cpus=config.n_cpus,
-            duration=config.duration,
-            streams=RandomStreams(config.seed).spawn("workload"),
-        )
-        session = build_session(policy, jobs, config, load=load,
-                                workload=workload)
+        session = build_session(policy, workload_jobs(workload, load, config),
+                                config, load=load, workload=workload)
         session.run(until=config.duration / 2)
-        session.save(snapshot, label="auto")
         os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(60)  # never reached; belt-and-braces if SIGKILL is delayed
 
-    if not snapshot.exists():
-        raise RuntimeError("chaos: retry found no snapshot to resume from")
     from repro.parallel.cells import workload_cell
 
-    return workload_cell(policy, workload, load, config,
-                         checkpoint=checkpoint)
+    return workload_cell(policy, workload, load, config)

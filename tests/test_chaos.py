@@ -356,10 +356,10 @@ class TestKillMidRunThenRestore:
         assert "policy mismatch" in mismatched.stderr
 
 
-class TestSigkilledCellResumesFromSnapshot:
-    def test_retry_resumes_from_snapshot_byte_identical(self, artifact_dir):
+class TestSigkilledWorkloadCellRecomputes:
+    def test_retry_recomputes_byte_identical(self, artifact_dir):
         from repro.experiments.common import ExperimentConfig, run_workload
-        from repro.parallel import SweepCheckpointPolicy, canonical_dumps
+        from repro.parallel import canonical_dumps
 
         config = ExperimentConfig(n_cpus=32, duration=120.0, seed=7)
         baseline = canonical_dumps(
@@ -367,30 +367,23 @@ class TestSigkilledCellResumesFromSnapshot:
         )
         victim = SweepCell(
             key="victim",
-            fn="tests.chaos_cells:killed_checkpoint_cell",
+            fn="tests.chaos_cells:killed_workload_cell",
             params={"policy": "PDPA", "workload": "w1", "load": 1.0,
                     "config": config,
                     "state_dir": str(artifact_dir / "state")},
-            harness={"checkpointable": True},
         )
         cells = [_echo(0), victim, _echo(2)]
-        policy = SweepCheckpointPolicy(
-            directory=artifact_dir / "snapshots", every_events=500
-        )
-        runner = SweepRunner(jobs=2, supervision=POLICY, checkpoint=policy)
+        runner = SweepRunner(jobs=2, supervision=POLICY)
         payloads = runner.run_serialized(cells)
 
         stats = runner.last_stats
         assert stats.quarantined == 0, [f.describe() for f in stats.failures]
         assert stats.retried >= 1  # the SIGKILL cost at least one attempt
-        # Two attempts on disk: the killed one and the resuming one.
+        # Two attempts on disk: the killed one and the recomputing one.
         attempts = list((artifact_dir / "state").glob("attempt-*"))
         assert len(attempts) == 2
-        # The record is byte-identical to an uninterrupted serial run —
-        # and the cell raises if it cannot resume, so this record was
-        # provably computed through the snapshot-restore path.
+        # The retry's record is byte-identical to an uninterrupted
+        # serial run: the killed attempt leaves nothing behind.
         assert payloads[1] == baseline
         assert payloads[0] is not None and payloads[2] is not None
-        # Consumed on success: no snapshot left behind.
-        assert list((artifact_dir / "snapshots").glob("*.ckpt")) == []
         assert validate_sweep(runner, cells, payloads) == []

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import enum
 import io
-import os
 import pickle
-from pathlib import Path
 
 import pytest
 
@@ -149,19 +147,14 @@ class TestAutosnapshot:
         assert (_result_bytes(restored)
                 == canonical_dumps(baseline.result.to_dict()))
 
-    def test_sim_time_cadence_fires(self, tmp_path):
-        plan = CheckpointPlan(path=tmp_path / "auto.ckpt",
-                              every_sim_seconds=10.0)
-        run_workload("PDPA", "w1", 1.0, CONFIG, checkpoint=plan)
-        assert read_meta(plan.path)["sim_time"] > 0
-
     def test_plan_requires_a_cadence(self, tmp_path):
-        with pytest.raises(ValueError, match="every_events"):
+        # the one statement of the cadence rule: a positive event count
+        with pytest.raises(TypeError, match="every_events"):
             CheckpointPlan(path=tmp_path / "x.ckpt")
-        with pytest.raises(ValueError, match=">= 1"):
-            CheckpointPlan(path=tmp_path / "x.ckpt", every_events=0)
-        with pytest.raises(ValueError, match="positive"):
-            CheckpointPlan(path=tmp_path / "x.ckpt", every_sim_seconds=-1.0)
+        for every in (0, -1):
+            with pytest.raises(ValueError, match=">= 1"):
+                CheckpointPlan(path=tmp_path / "x.ckpt", every_events=every)
+        assert CheckpointPlan(path=tmp_path / "x.ckpt", every_events=1).every_events == 1
 
     def test_hook_not_part_of_pickled_state(self, tmp_path):
         session = _session()
@@ -496,3 +489,19 @@ class TestReplayCli:
 
         with pytest.raises(SystemExit, match="--checkpoint-dir"):
             main(["--checkpoint-every", "10", "run", "PDPA", "w1"])
+
+    def test_replay_refuses_until_before_the_cut(self, tmp_path, capsys):
+        from repro.cli import main
+
+        session = _session()
+        session.run(until=20.0)
+        snap = tmp_path / "cut.ckpt"
+        session.save(snap)
+        saved = tmp_path / "bisect.ckpt"
+        with pytest.raises(SystemExit, match=r"before the snapshot's cut at t=20s"):
+            main(["replay", str(snap), "--until", "8", "--save", str(saved)])
+        assert not saved.exists()
+        assert capsys.readouterr().out == ""
+        # --until at the cut replays nothing but is not an error
+        assert main(["replay", str(snap), "--until", "20"]) == 0
+        assert "replayed to t=20s" in capsys.readouterr().out

@@ -29,7 +29,6 @@ NON_FINITE = [
     ["serve", "PDPA", "--watchdog", "inf"],
     ["replay", "snap.ckpt", "--until", "inf"],
     ["--timeout", "inf", "mpl", "--workload", "w2"],
-    ["--checkpoint-interval", "inf", "run", "PDPA", "w1"],
 ]
 
 #: argv cases whose flag needs more than a positive value
@@ -81,7 +80,6 @@ class TestParser:
         ["serve", "PDPA", "--load", "0"],
         ["run", "PDPA", "w1", "--mpl", "0"],
         ["--checkpoint-every", "0", "run", "PDPA", "w1"],
-        ["--checkpoint-interval", "-1", "run", "PDPA", "w1"],
         ["--timeout", "-1", "mpl", "--workload", "w2"],
         ["fuzz", "--budget", "0"],
         ["fuzz", "--budget", "-2"],
@@ -124,6 +122,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--cpus", "many", "run", "PDPA", "w1"])
         assert "invalid int value: 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--checkpoint-dir", "ck", "mpl", "--workload", "w2"],
+        ["--checkpoint-every", "50", "mpl", "--workload", "w2"],
+        ["--checkpoint-dir", "ck", "replay", "snap.ckpt"],
+        ["--checkpoint-dir", "ck", "--checkpoint-every", "50",
+         "replay", "snap.ckpt", "--until", "10"],
+    ], ids=" ".join)
+    def test_checkpoint_flags_refused_outside_run_and_serve(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # only `run` and `serve` snapshot; the refusal comes before any work
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match="only `run` and `serve`"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+        assert sorted(tmp_path.iterdir()) == []
 
 
 class TestCommands:

@@ -26,7 +26,6 @@ from repro.parallel import (
     ResultCache,
     SupervisionPolicy,
     SweepCell,
-    SweepCheckpointPolicy,
     SweepJournal,
     SweepRunner,
     UnserialisableRecord,
@@ -695,115 +694,3 @@ class TestJournalDuplicates:
         runner = SweepRunner(cache=cache, journal=journal)
         assert runner.run_serialized(cells) == fresh
         assert runner.last_stats.resumed == 2
-
-
-class TestSweepCheckpointPolicy:
-    def test_requires_a_cadence(self, tmp_path):
-        with pytest.raises(ValueError, match="every_events"):
-            SweepCheckpointPolicy(directory=tmp_path)
-        with pytest.raises(ValueError, match=">= 1"):
-            SweepCheckpointPolicy(directory=tmp_path, every_events=0)
-        with pytest.raises(ValueError, match="positive"):
-            SweepCheckpointPolicy(directory=tmp_path, every_sim_seconds=0.0)
-
-    def test_spec_names_snapshot_by_cell_key(self, tmp_path):
-        policy = SweepCheckpointPolicy(
-            directory=tmp_path, every_events=100, every_sim_seconds=5.0
-        )
-        spec = policy.spec_for("abc123")
-        assert spec == {
-            "path": str(tmp_path / "abc123.ckpt"),
-            "every_events": 100,
-            "every_sim_seconds": 5.0,
-        }
-
-
-class TestCheckpointableCells:
-    def _cell(self):
-        return workload_cell_spec("PDPA", "w1", 1.0, CONFIG)
-
-    def _snapshot_path(self, policy, cell):
-        from pathlib import Path
-
-        return Path(policy.spec_for(cell_key(cell.fn, cell.params))["path"])
-
-    def test_record_byte_identical_with_checkpointing(self, tmp_path):
-        baseline = canonical_dumps(
-            run_workload("PDPA", "w1", 1.0, CONFIG).result.to_dict()
-        )
-        policy = SweepCheckpointPolicy(
-            directory=tmp_path / "ck", every_events=200
-        )
-        runner = SweepRunner(checkpoint=policy)
-        payloads = runner.run_serialized([self._cell()])
-        assert payloads[0] == baseline
-
-    def test_snapshot_removed_after_success(self, tmp_path):
-        policy = SweepCheckpointPolicy(
-            directory=tmp_path / "ck", every_events=200
-        )
-        cell = self._cell()
-        SweepRunner(checkpoint=policy).run_serialized([cell])
-        assert not self._snapshot_path(policy, cell).exists()
-
-    def test_resume_from_surviving_snapshot(self, tmp_path):
-        from repro.checkpoint import read_meta
-        from repro.experiments.common import build_session
-        from repro.qs.workload import TABLE1_MIXES, generate_workload
-        from repro.sim.rng import RandomStreams
-
-        baseline = canonical_dumps(
-            run_workload("PDPA", "w1", 1.0, CONFIG).result.to_dict()
-        )
-        policy = SweepCheckpointPolicy(
-            directory=tmp_path / "ck", every_events=200
-        )
-        cell = self._cell()
-        # A snapshot a crashed earlier attempt would have left behind.
-        jobs = generate_workload(
-            TABLE1_MIXES["w1"], 1.0, n_cpus=CONFIG.n_cpus,
-            duration=CONFIG.duration,
-            streams=RandomStreams(CONFIG.seed).spawn("workload"),
-        )
-        session = build_session("PDPA", jobs, CONFIG, load=1.0, workload="w1")
-        session.run(until=60.0)
-        snapshot = self._snapshot_path(policy, cell)
-        session.save(snapshot, label="auto")
-        assert read_meta(snapshot)["sim_time"] == 60.0
-        payloads = SweepRunner(checkpoint=policy).run_serialized([cell])
-        assert payloads[0] == baseline
-        assert not snapshot.exists()
-
-    def test_corrupt_snapshot_falls_back_to_fresh(self, tmp_path):
-        baseline = canonical_dumps(
-            run_workload("PDPA", "w1", 1.0, CONFIG).result.to_dict()
-        )
-        policy = SweepCheckpointPolicy(
-            directory=tmp_path / "ck", every_events=200
-        )
-        cell = self._cell()
-        snapshot = self._snapshot_path(policy, cell)
-        snapshot.parent.mkdir(parents=True)
-        snapshot.write_bytes(b"rotten bytes from another era")
-        payloads = SweepRunner(checkpoint=policy).run_serialized([cell])
-        assert payloads[0] == baseline
-        assert not snapshot.exists()
-
-    def test_checkpoint_plumbing_not_in_cache_key(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        policy = SweepCheckpointPolicy(
-            directory=tmp_path / "ck", every_events=200
-        )
-        with_ckpt = SweepRunner(cache=cache, checkpoint=policy)
-        first = with_ckpt.run_serialized([self._cell()])
-        assert with_ckpt.last_stats.executed == 1
-        plain = SweepRunner(cache=cache)
-        again = plain.run_serialized([self._cell()])
-        assert plain.last_stats.cache_hits == 1
-        assert plain.last_stats.executed == 0
-        assert again == first
-
-    def test_harness_flag_survives_cell_construction(self):
-        cell = self._cell()
-        assert cell.harness == {"checkpointable": True}
-        assert "checkpoint" not in cell.params

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.metrics.statistics import (
-    Summary,
     bounded_slowdown,
     confidence_interval,
     mean,
