@@ -3,8 +3,8 @@
 
 The catalog applications reproduce the paper's Fig. 3, but the library
 is not limited to them: any malleable iterative application can be
-described with an :class:`~repro.apps.ApplicationSpec` and any speedup
-behaviour with a :class:`~repro.apps.SpeedupCurve`.
+described with an :class:`~repro.apps.application.ApplicationSpec` and any speedup
+behaviour with a :class:`~repro.apps.speedup.SpeedupCurve`.
 
 This example models a fictional in-house CFD code with an Amdahl-law
 serial fraction, builds a custom workload mixing it with the catalog's
@@ -13,8 +13,9 @@ apsi, and watches PDPA discover each job's sweet spot at runtime.
 Run:  python examples/custom_application.py
 """
 
-from repro.apps import AmdahlSpeedup, AppClass, ApplicationSpec
+from repro.apps.application import AppClass, ApplicationSpec
 from repro.apps.catalog import APSI
+from repro.apps.speedup import AmdahlSpeedup
 from repro.experiments.common import ExperimentConfig, run_jobs
 from repro.metrics.paraver import allocation_timeline, mean_allocation
 from repro.qs.job import Job

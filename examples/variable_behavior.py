@@ -22,7 +22,8 @@ Run:  python examples/variable_behavior.py
 
 from dataclasses import replace
 
-from repro.apps import AppClass, ApplicationSpec, TabulatedSpeedup
+from repro.apps.application import AppClass, ApplicationSpec
+from repro.apps.speedup import TabulatedSpeedup
 from repro.experiments.common import ExperimentConfig, run_jobs
 from repro.metrics.paraver import allocation_timeline
 from repro.qs.job import Job

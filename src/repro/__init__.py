@@ -30,44 +30,53 @@ Public surface
 * :mod:`repro.experiments` — one harness per table/figure.
 * :mod:`repro.faults` — fault injection and graceful degradation.
 * :mod:`repro.analysis` — the determinism sanitizer (lint + races).
-"""
 
-from repro.analysis import RaceDetector, lint_paths
-from repro.apps import APP_CATALOG, APSI, BT, HYDRO2D, SWIM, get_app
-from repro.core import PDPA, AppState, PDPAParams
-from repro.experiments import ExperimentConfig, RunOutput, run_jobs, run_workload
-from repro.faults import FaultInjector, FaultPlan, build_scenario
-from repro.metrics import WorkloadResult
-from repro.qs import TABLE1_MIXES, Job, generate_workload
-from repro.rm import Equipartition, EqualEfficiency, IrixResourceManager
+This module imports nothing: each name in ``__all__`` is loaded from
+its defining module on first access (PEP 562), so ``import
+repro.sim.engine`` does not pull in the rest of the package.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "APP_CATALOG",
-    "SWIM",
-    "BT",
-    "HYDRO2D",
-    "APSI",
-    "get_app",
-    "PDPA",
-    "AppState",
-    "PDPAParams",
-    "Equipartition",
-    "EqualEfficiency",
-    "IrixResourceManager",
-    "Job",
-    "TABLE1_MIXES",
-    "generate_workload",
-    "ExperimentConfig",
-    "RunOutput",
-    "run_jobs",
-    "run_workload",
-    "WorkloadResult",
-    "FaultInjector",
-    "FaultPlan",
-    "build_scenario",
-    "RaceDetector",
-    "lint_paths",
-    "__version__",
-]
+#: Public name -> the module that defines it.
+_PUBLIC = {
+    "APP_CATALOG": "repro.apps.catalog",
+    "SWIM": "repro.apps.catalog",
+    "BT": "repro.apps.catalog",
+    "HYDRO2D": "repro.apps.catalog",
+    "APSI": "repro.apps.catalog",
+    "get_app": "repro.apps.catalog",
+    "PDPA": "repro.core.pdpa",
+    "AppState": "repro.core.states",
+    "PDPAParams": "repro.core.params",
+    "Equipartition": "repro.rm.equipartition",
+    "EqualEfficiency": "repro.rm.equal_efficiency",
+    "IrixResourceManager": "repro.rm.irix",
+    "Job": "repro.qs.job",
+    "TABLE1_MIXES": "repro.qs.workload",
+    "generate_workload": "repro.qs.workload",
+    "ExperimentConfig": "repro.experiments.common",
+    "RunOutput": "repro.experiments.common",
+    "run_jobs": "repro.experiments.common",
+    "run_workload": "repro.experiments.common",
+    "WorkloadResult": "repro.metrics.stats",
+    "FaultInjector": "repro.faults.injector",
+    "FaultPlan": "repro.faults.plan",
+    "build_scenario": "repro.faults.scenarios",
+    "RaceDetector": "repro.analysis.race",
+    "lint_paths": "repro.analysis.linter",
+}
+
+__all__ = [*_PUBLIC, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    """Load a public name from its defining module on first access."""
+    module = _PUBLIC.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -17,25 +17,3 @@ across serial, parallel and resumed execution):
 See ``docs/static-analysis.md`` for the rule catalogue and how the
 sanitizer relates to the byte-identity and chaos suites.
 """
-
-from repro.analysis.config import AnalysisConfig, load_config
-from repro.analysis.findings import Finding, render_json, render_text, sort_findings
-from repro.analysis.linter import Linter, lint_paths
-from repro.analysis.race import RaceDetector, RaceFinding, RaceStats
-from repro.analysis.rules import ALL_RULES, RULES_BY_ID
-
-__all__ = [
-    "ALL_RULES",
-    "RULES_BY_ID",
-    "AnalysisConfig",
-    "Finding",
-    "Linter",
-    "RaceDetector",
-    "RaceFinding",
-    "RaceStats",
-    "lint_paths",
-    "load_config",
-    "render_json",
-    "render_text",
-    "sort_findings",
-]

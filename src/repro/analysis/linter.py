@@ -29,7 +29,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.config import AnalysisConfig, load_config
 from repro.analysis.findings import Finding
-from repro.analysis.rules import ALL_RULES, RULES_BY_ID, SUPPRESSION_RULE_ID, SourceFile
+from repro.analysis.rules import ALL_RULES, RULES_BY_ID, SUPPRESSION_RULE_ID
+from repro.analysis.rules.base import SourceFile
 
 #: A well-formed suppression comment (syntax in the module docstring).
 _SUPPRESSION = re.compile(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.analysis.rules.base import Rule, SourceFile, attr_chain, build_import_map
+from repro.analysis.rules.base import Rule
 from repro.analysis.rules.comparisons import FloatTimeEqualityRule, UnstableSortKeyRule
 from repro.analysis.rules.defaults import EnvironmentReadRule, MutableDefaultRule
 from repro.analysis.rules.ordering import FilesystemOrderRule, SetIterationRule
@@ -39,13 +39,3 @@ ALL_RULES: Tuple[Rule, ...] = (
 
 #: Rules by ID, for suppression validation and documentation.
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
-
-__all__ = [
-    "ALL_RULES",
-    "RULES_BY_ID",
-    "SUPPRESSION_RULE_ID",
-    "Rule",
-    "SourceFile",
-    "attr_chain",
-    "build_import_map",
-]

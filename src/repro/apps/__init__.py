@@ -14,37 +14,3 @@ region whose duration is governed by a calibrated speedup curve, and a
 sequential teardown phase.  This is exactly the application structure
 the NANOS SelfAnalyzer exploits.
 """
-
-from repro.apps.application import AppClass, ApplicationSpec, IterativeApplication
-from repro.apps.catalog import (
-    APP_CATALOG,
-    APSI,
-    BT,
-    HYDRO2D,
-    SWIM,
-    get_app,
-    scaled_spec,
-)
-from repro.apps.speedup import (
-    AmdahlSpeedup,
-    DegradingSpeedup,
-    SpeedupCurve,
-    TabulatedSpeedup,
-)
-
-__all__ = [
-    "AppClass",
-    "ApplicationSpec",
-    "IterativeApplication",
-    "SpeedupCurve",
-    "AmdahlSpeedup",
-    "DegradingSpeedup",
-    "TabulatedSpeedup",
-    "APP_CATALOG",
-    "SWIM",
-    "BT",
-    "HYDRO2D",
-    "APSI",
-    "get_app",
-    "scaled_spec",
-]

@@ -17,38 +17,10 @@ Public surface:
 
 See ``docs/robustness.md`` for the recovery matrix and
 ``docs/static-analysis.md`` for replay-driven race bisection.
+
+Import every name from its defining module.  ``CheckpointPlan`` is
+re-exported only because ``perfbench/workloads.py`` imports it from
+here, and the benchmark harness changes only with its baselines.
 """
 
-from repro.checkpoint.errors import (
-    CheckpointCorruptError,
-    CheckpointError,
-    CheckpointMismatchError,
-    CheckpointVersionError,
-    CheckpointWriteError,
-)
-from repro.checkpoint.format import (
-    FORMAT_REVISION,
-    read_meta,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.checkpoint.session import (
-    CheckpointPlan,
-    SimulationSession,
-    config_digest,
-)
-
-__all__ = [
-    "CheckpointCorruptError",
-    "CheckpointError",
-    "CheckpointMismatchError",
-    "CheckpointPlan",
-    "CheckpointVersionError",
-    "CheckpointWriteError",
-    "FORMAT_REVISION",
-    "SimulationSession",
-    "config_digest",
-    "read_meta",
-    "read_snapshot",
-    "write_snapshot",
-]
+from repro.checkpoint.session import CheckpointPlan  # perfbench imports it from here

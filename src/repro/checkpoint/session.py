@@ -53,7 +53,7 @@ from repro.checkpoint.errors import (
     CheckpointMismatchError,
 )
 from repro.checkpoint.format import read_snapshot, write_snapshot
-from repro.parallel.cache import canonical_dumps, code_version
+from repro.canonical import canonical_dumps, code_version
 
 if TYPE_CHECKING:  # import cycle: common builds sessions
     from repro.experiments.common import ExperimentConfig, RunOutput

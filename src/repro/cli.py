@@ -436,7 +436,7 @@ def _checkpoint_plan(args: argparse.Namespace, name: str):
 
     ``None`` without the flag; the cadence defaults to 1000 events.
     """
-    from repro.checkpoint import CheckpointPlan
+    from repro.checkpoint.session import CheckpointPlan
 
     if args.checkpoint_dir is None:
         return None
@@ -448,12 +448,10 @@ def _checkpoint_plan(args: argparse.Namespace, name: str):
 
 def _runner(args: argparse.Namespace):
     """The supervised sweep runner the global flags describe."""
-    from repro.parallel import (
-        ResultCache,
-        SupervisionPolicy,
-        SweepJournal,
-        SweepRunner,
-    )
+    from repro.parallel.cache import ResultCache
+    from repro.parallel.journal import SweepJournal
+    from repro.parallel.runner import SweepRunner
+    from repro.parallel.supervisor import SupervisionPolicy
 
     cache = None
     if args.cache_dir and not args.no_cache:
@@ -484,7 +482,7 @@ def cmd_run(args: argparse.Namespace, sanitizer=None) -> str:
     from different code, config, policy, workload or load are refused
     with the checkpoint error taxonomy's message and a non-zero exit.
     """
-    from repro.checkpoint import CheckpointError
+    from repro.checkpoint.errors import CheckpointError
 
     config = _config(args, mpl=args.mpl)
     if getattr(args, "faults", None):
@@ -516,6 +514,12 @@ def cmd_run(args: argparse.Namespace, sanitizer=None) -> str:
         with open(args.profile, "w", encoding="utf-8") as handle:
             pstats.Stats(profiler, stream=handle).sort_stats("cumulative").print_stats()
         print(f"[profile] cumulative-sorted stats written to {args.profile}",
+              file=sys.stderr)
+    if plan is not None and out.rm.sim.logical_events < plan.every_events:
+        # The first autosave fires at the cadence, so this run saved nothing.
+        print(f"[checkpoint] no snapshot written: the run ended after "
+              f"{out.rm.sim.logical_events} logical events, before the first "
+              f"autosave at {plan.every_events} (set a smaller --checkpoint-every)",
               file=sys.stderr)
     result = out.result
     rows = []
@@ -616,7 +620,8 @@ def _under(path: str, roots: List[str]) -> bool:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static determinism sanitizer; exit code 1 on findings."""
-    from repro.analysis import lint_paths, render_json, render_text
+    from repro.analysis.findings import render_json, render_text
+    from repro.analysis.linter import lint_paths
 
     paths = args.paths
     if args.changed:
@@ -798,7 +803,7 @@ def cmd_serve(args: argparse.Namespace, sanitizer=None) -> int:
     its report goes to stderr, and a finding makes an otherwise clean
     drain exit 1.
     """
-    from repro.checkpoint import CheckpointError
+    from repro.checkpoint.errors import CheckpointError
     from repro.serve.service import EXIT_DEADLOCK, ServeService
     from repro.serve.session import (
         ServeConfig,
@@ -913,7 +918,9 @@ def cmd_replay(args: argparse.Namespace, sanitizer=None) -> str:
     state to chain narrower and narrower replays.  An ``--until``
     before the snapshot's cut is refused: replay cannot run backwards.
     """
-    from repro.checkpoint import CheckpointError, SimulationSession, read_meta
+    from repro.checkpoint.errors import CheckpointError
+    from repro.checkpoint.format import read_meta
+    from repro.checkpoint.session import SimulationSession
 
     try:
         meta = read_meta(args.snapshot)

@@ -16,18 +16,3 @@ SelfAnalyzer — no a-priori information about the applications is
 needed, which is the property that makes the scheduler
 self-configuring.
 """
-
-from repro.core.params import PDPAParams
-from repro.core.states import AppState, PdpaJobState, Transition, evaluate_transition
-from repro.core.mpl import MplPolicy
-from repro.core.pdpa import PDPA
-
-__all__ = [
-    "PDPAParams",
-    "AppState",
-    "PdpaJobState",
-    "Transition",
-    "evaluate_transition",
-    "MplPolicy",
-    "PDPA",
-]

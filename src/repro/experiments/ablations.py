@@ -38,7 +38,7 @@ from repro.experiments.common import (
     workload_jobs,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel import SweepCell, SweepRunner
+from repro.parallel.runner import SweepCell, SweepRunner
 from repro.qs.backfill import BackfillQS
 from repro.qs.queuing import NanosQS
 from repro.rm.base import SystemView

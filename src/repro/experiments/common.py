@@ -14,10 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type, TypeVar, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Type,
+    TypeVar,
+    Union,
+)
 
-from repro.analysis.race import RaceDetector
-from repro.checkpoint import CheckpointPlan, SimulationSession
+from repro.checkpoint.session import CheckpointPlan, SimulationSession
 from repro.core.params import PDPAParams
 from repro.core.pdpa import PDPA
 from repro.faults.injector import FaultInjector
@@ -26,7 +37,6 @@ from repro.machine.machine import Machine
 from repro.machine.memory import LocalityConfig, LocalityModel
 from repro.metrics.stats import WorkloadResult
 from repro.metrics.trace import TraceRecorder
-from repro.parallel import SweepCell, SweepRunner
 from repro.qs.job import Job
 from repro.qs.queuing import NanosQS, RetryConfig
 from repro.qs.workload import TABLE1_MIXES, WorkloadMix, generate_workload
@@ -39,6 +49,10 @@ from repro.runtime.nthlib import RuntimeConfig
 from repro.runtime.selfanalyzer import SelfAnalyzerConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+
+if TYPE_CHECKING:  # keeps repro.analysis and repro.parallel off the run path
+    from repro.analysis.race import RaceDetector
+    from repro.parallel.runner import SweepCell, SweepRunner
 
 #: The four policies of the paper's evaluation.
 POLICY_NAMES = ("IRIX", "Equip", "Equal_eff", "PDPA")
@@ -196,8 +210,8 @@ def build_session(
     Builds the simulator, resource manager, queuing system (a
     *qs_class*), trace recorder and (when configured) fault injector,
     schedules every submission, and returns the whole graph as a
-    :class:`~repro.checkpoint.SimulationSession` — ready to
-    :meth:`~repro.checkpoint.SimulationSession.run`, save, or restore.
+    :class:`~repro.checkpoint.session.SimulationSession` — ready to
+    :meth:`~repro.checkpoint.session.SimulationSession.run`, save, or restore.
     """
     config = config or ExperimentConfig()
     sim = Simulator()
@@ -317,6 +331,8 @@ def workload_cell_spec(
     process (or be served from the result cache) without changing its
     outcome.
     """
+    from repro.parallel.runner import SweepCell
+
     config = config or ExperimentConfig()
     params: Dict[str, object] = {
         "policy": policy_name,
@@ -349,11 +365,13 @@ def run_cells(
     than rendering tables with holes.  By then every *other* cell is
     already cached and journalled, so a re-run is cheap.
     """
+    from repro.parallel.runner import SweepRunner
+
     runner = runner or SweepRunner()
     records = runner.run(cells)
     missing = [cells[i].key for i, r in enumerate(records) if r is None]
     if missing:
-        from repro.parallel import PoisonCellError
+        from repro.parallel.errors import PoisonCellError
 
         failures = {f.key: f for f in runner.last_stats.failures}
         detail = "; ".join(

@@ -22,7 +22,7 @@ from repro.experiments.common import (
     workload_cell_spec,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel import SweepCell, SweepRunner
+from repro.parallel.runner import SweepCell, SweepRunner
 
 #: Multiprogramming levels swept in Fig. 7.
 DEFAULT_MPLS = (2, 3, 4)

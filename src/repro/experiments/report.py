@@ -15,7 +15,7 @@ from repro.analysis.race import RaceDetector
 from repro.experiments import ablations, fig3, fig5_table2, fig7_fig8, tables, workloads
 from repro.experiments.clock import ReportClock
 from repro.experiments.common import ExperimentConfig
-from repro.parallel import SweepRunner
+from repro.parallel.runner import SweepRunner
 
 
 def _section(title: str, body: str) -> str:
@@ -34,7 +34,7 @@ def generate_report(
 ) -> str:
     """Run the full reproduction and return a markdown report.
 
-    With a :class:`~repro.parallel.SweepRunner`, every sweep-shaped
+    With a :class:`~repro.parallel.runner.SweepRunner`, every sweep-shaped
     section (the four figure comparisons, the Fig. 7/8 runs, Tables 3
     and 4 and the noise ablation) fans out over its worker pool and
     result cache; the report text is identical either way.  Sections

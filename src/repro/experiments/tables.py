@@ -21,7 +21,7 @@ from repro.experiments.common import (
     workload_cell_spec,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel import SweepRunner
+from repro.parallel.runner import SweepRunner
 from repro.qs.workload import TABLE1_MIXES
 
 

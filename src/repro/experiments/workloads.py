@@ -21,7 +21,7 @@ from repro.experiments.common import (
     workload_cell_spec,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel import SweepRunner
+from repro.parallel.runner import SweepRunner
 
 #: Loads evaluated in the paper.
 DEFAULT_LOADS = (0.6, 0.8, 1.0)

@@ -9,28 +9,3 @@ gracefully instead of wedging: partitions are repaired or shrunk,
 stale-measurement jobs fall back to an equal share, hung jobs are
 killed by a watchdog, and killed jobs retry with capped backoff.
 """
-
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    CpuFault,
-    FaultEvent,
-    FaultPlan,
-    JobCrash,
-    JobHang,
-    NodeSlowdown,
-    ReportLoss,
-)
-from repro.faults.scenarios import SCENARIOS, build_scenario
-
-__all__ = [
-    "CpuFault",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "JobCrash",
-    "JobHang",
-    "NodeSlowdown",
-    "ReportLoss",
-    "SCENARIOS",
-    "build_scenario",
-]

@@ -35,30 +35,3 @@ points the same machine at the open-system serve stack
 and the stream invariants (``validate_stream``) asserted after every
 rule.
 """
-
-from repro.fuzz.corpus import load_corpus, replay_corpus, write_corpus
-from repro.fuzz.differential import differential_check, random_stimulus
-from repro.fuzz.oracle import LiveOracle
-from repro.fuzz.profiles import register_profiles
-from repro.fuzz.statemachine import machine_for
-from repro.fuzz.stimulus import apply_op
-from repro.fuzz.targets import (
-    FUZZ_N_CPUS,
-    FUZZ_POLICIES,
-    FuzzTarget,
-)
-
-__all__ = [
-    "FUZZ_N_CPUS",
-    "FUZZ_POLICIES",
-    "FuzzTarget",
-    "LiveOracle",
-    "apply_op",
-    "differential_check",
-    "load_corpus",
-    "machine_for",
-    "random_stimulus",
-    "register_profiles",
-    "replay_corpus",
-    "write_corpus",
-]

@@ -25,7 +25,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps.application import AppClass, ApplicationSpec
 from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
-from repro.checkpoint import SimulationSession, read_snapshot
+from repro.checkpoint.format import read_snapshot
+from repro.checkpoint.session import SimulationSession
 from repro.experiments.common import ExperimentConfig, build_session
 from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job

@@ -10,8 +10,3 @@ are used for the workloads).  The machine tracks:
 * each CPU's health under fault injection,
 * NUMA placement, so partitions prefer topologically close CPUs.
 """
-
-from repro.machine.topology import NumaTopology
-from repro.machine.machine import CpuHealth, Machine, MachineError
-
-__all__ = ["NumaTopology", "CpuHealth", "Machine", "MachineError"]

@@ -9,78 +9,3 @@ This package plays the role of the paper's measurement tooling:
 * :mod:`repro.metrics.stats` — response-time / execution-time
   aggregation per application class.
 """
-
-from repro.metrics.stats import (
-    ClassSummary,
-    JobRecord,
-    WorkloadResult,
-    fold_sum,
-    format_table,
-    summarize_by_app,
-)
-from repro.metrics.streaming import ClassFold, Reservoir, StreamingStats
-from repro.metrics.trace import (
-    Burst,
-    FaultRecord,
-    MplSample,
-    ReallocationRecord,
-    TraceRecorder,
-)
-from repro.metrics.faults import FaultStats, fault_statistics
-from repro.metrics.paraver import (
-    BurstStatistics,
-    burst_statistics,
-    execution_view,
-    mpl_timeline,
-)
-from repro.metrics.prv import PrvTrace, export_prv, parse_prv
-from repro.metrics.statistics import (
-    Summary,
-    bounded_slowdown,
-    confidence_interval,
-    percentile,
-    summary,
-)
-from repro.metrics.timeline import (
-    AllocationStats,
-    allocation_stats,
-    allocation_stats_by_app,
-    capacity_timeline,
-    utilization_timeline,
-)
-
-__all__ = [
-    "Burst",
-    "FaultRecord",
-    "MplSample",
-    "ReallocationRecord",
-    "TraceRecorder",
-    "FaultStats",
-    "fault_statistics",
-    "BurstStatistics",
-    "burst_statistics",
-    "execution_view",
-    "mpl_timeline",
-    "JobRecord",
-    "ClassSummary",
-    "WorkloadResult",
-    "summarize_by_app",
-    "fold_sum",
-    "format_table",
-    "ClassFold",
-    "Reservoir",
-    "StreamingStats",
-    "PrvTrace",
-    "export_prv",
-    "parse_prv",
-    "Summary",
-    "bounded_slowdown",
-    "confidence_interval",
-    "percentile",
-    "summary",
-    "AllocationStats",
-    "allocation_stats",
-    "allocation_stats_by_app",
-    "capacity_timeline",
-    "utilization_timeline",
-]

@@ -35,6 +35,7 @@ import hashlib
 import random
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.canonical import canonical_dumps
 from repro.metrics.stats import ClassSummary, JobRecord, WorkloadResult
 from repro.metrics.statistics import DEFAULT_SLOWDOWN_TAU, bounded_slowdown
 from repro.sim.columns import RunningMean
@@ -262,9 +263,6 @@ class StreamingStats:
         else:
             raise ValueError(f"unknown shed kind {kind!r}")
 
-    def observe_defer(self) -> None:
-        self.deferred += 1
-
     def observe_requeue(self) -> None:
         self.requeues += 1
 
@@ -280,9 +278,6 @@ class StreamingStats:
         if mpl > self.peak_mpl:
             self.peak_mpl = mpl
         self.mpl_samples.add(float(mpl))
-
-    def sample_utilization(self, utilization: float) -> None:
-        self.utilization_samples.add(utilization)
 
     # ------------------------------------------------------------------
     # derived aggregates (the WorkloadResult conformance surface)
@@ -365,6 +360,4 @@ class StreamingStats:
 
     def digest(self) -> str:
         """SHA-256 of the canonical payload — the byte-identity anchor."""
-        from repro.parallel.cache import canonical_dumps
-
         return hashlib.sha256(canonical_dumps(self.to_dict()).encode()).hexdigest()

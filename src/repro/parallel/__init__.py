@@ -17,54 +17,12 @@ Public surface:
 Cell functions themselves live in :mod:`repro.parallel.cells` and are
 resolved lazily by dotted path, keeping this package import-cycle-free
 with :mod:`repro.experiments`.
+
+Import every name from its defining module.  The three names below
+are re-exported only because ``perfbench/workloads.py`` imports them
+from here, and the benchmark harness changes only with its baselines.
 """
 
-from repro.parallel.cache import (
-    ResultCache,
-    UnserialisableValue,
-    canonical_dumps,
-    cell_key,
-    code_version,
-)
-from repro.parallel.errors import (
-    CellCrash,
-    CellError,
-    CellTimeout,
-    CorruptResult,
-    PoisonCellError,
-    UnserialisableRecord,
-    WorkerLost,
-)
-from repro.parallel.journal import SweepJournal, payload_digest
-from repro.parallel.runner import (
-    SweepCell,
-    SweepRunner,
-    SweepStats,
-    execute_cell,
-    resolve_cell_fn,
-)
-from repro.parallel.supervisor import CellFailure, SupervisionPolicy
-
-__all__ = [
-    "CellCrash",
-    "CellError",
-    "CellFailure",
-    "CellTimeout",
-    "CorruptResult",
-    "PoisonCellError",
-    "ResultCache",
-    "SupervisionPolicy",
-    "SweepCell",
-    "SweepJournal",
-    "SweepRunner",
-    "SweepStats",
-    "UnserialisableRecord",
-    "UnserialisableValue",
-    "WorkerLost",
-    "canonical_dumps",
-    "cell_key",
-    "code_version",
-    "execute_cell",
-    "payload_digest",
-    "resolve_cell_fn",
-]
+from repro.parallel.cache import ResultCache  # perfbench imports it from here
+from repro.parallel.journal import SweepJournal  # perfbench imports it from here
+from repro.parallel.runner import SweepRunner  # perfbench imports it from here

@@ -96,7 +96,7 @@ class CorruptResult(CellError):
 class UnserialisableRecord(CellError):
     """A cell record could not be canonicalised losslessly.
 
-    :func:`repro.parallel.cache.canonical` maps unknown objects to a
+    :func:`repro.canonical.canonical` maps unknown objects to a
     ``{"__repr__": ...}`` marker, which is fine for *hashing* cache
     keys but silently lossy for *payloads*: the record could never be
     decoded back.  ``execute_cell`` therefore refuses to cache such a

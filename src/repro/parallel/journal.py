@@ -34,9 +34,8 @@ import json
 from typing import Optional
 
 from repro.storage.journal import RecordJournal
-from repro.storage.layer import JournalWriteError
 
-__all__ = ["JournalEntry", "JournalWriteError", "SweepJournal", "payload_digest"]
+__all__ = ["JournalEntry", "SweepJournal", "payload_digest"]
 
 
 def payload_digest(payload: str) -> str:

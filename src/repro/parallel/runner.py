@@ -34,20 +34,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.parallel.cache import (
-    ResultCache,
-    UnserialisableValue,
-    canonical_dumps,
-    cell_key,
-)
+from repro.canonical import UnserialisableValue, canonical_dumps
+from repro.parallel.cache import ResultCache, cell_key
 from repro.parallel.errors import UnserialisableRecord
-from repro.parallel.journal import JournalWriteError, SweepJournal
+from repro.parallel.journal import SweepJournal
 from repro.parallel.supervisor import (
     CellFailure,
     PoolSupervisor,
     SupervisionPolicy,
     run_serial_supervised,
 )
+from repro.storage.layer import JournalWriteError
 
 logger = logging.getLogger(__name__)
 

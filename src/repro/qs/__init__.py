@@ -15,35 +15,3 @@
   with deterministic shedding, fold-on-completion metrics, terminal
   jobs pruned so memory stays O(live jobs).
 """
-
-from repro.qs.job import Job, JobState
-from repro.qs.queuing import NanosQS, RetryConfig
-from repro.qs.backfill import BackfillQS
-from repro.qs.streaming import SHED_POLICIES, IngressConfig, StreamingQS
-from repro.qs.swf import SwfJob, SwfParseStats, iter_swf, parse_swf, write_swf
-from repro.qs.workload import (
-    TABLE1_MIXES,
-    WorkloadMix,
-    estimate_demand,
-    generate_workload,
-)
-
-__all__ = [
-    "Job",
-    "JobState",
-    "NanosQS",
-    "RetryConfig",
-    "BackfillQS",
-    "SwfJob",
-    "SwfParseStats",
-    "iter_swf",
-    "parse_swf",
-    "write_swf",
-    "SHED_POLICIES",
-    "IngressConfig",
-    "StreamingQS",
-    "WorkloadMix",
-    "TABLE1_MIXES",
-    "estimate_demand",
-    "generate_workload",
-]

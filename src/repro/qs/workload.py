@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.apps.application import ApplicationSpec
-from repro.apps.catalog import APP_CATALOG
+from repro.apps.catalog import APP_CATALOG, scaled_spec
 from repro.qs.job import Job
 from repro.sim.rng import RandomStreams
 
@@ -134,7 +134,7 @@ def generate_workload(
                 scale = streams.lognormal_factor(
                     f"work-scale:{mix.name}:{app_name}", work_scale_sigma
                 )
-                job_spec = _scaled(spec, scale)
+                job_spec = scaled_spec(spec, scale)
             pending.append(
                 Job(job_id=-1, spec=job_spec, submit_time=submit, request=request)
             )
@@ -150,13 +150,6 @@ def generate_workload(
         for index, job in enumerate(pending)
     ]
     return jobs
-
-
-def _scaled(spec: ApplicationSpec, scale: float) -> ApplicationSpec:
-    """Scale a spec's iterative work (lazy import avoids a cycle)."""
-    from repro.apps.catalog import scaled_spec
-
-    return scaled_spec(spec, scale)
 
 
 def estimate_demand(

@@ -73,7 +73,7 @@ class BaseResourceManager(RuntimeHost):
         self.locality: Optional[LocalityModel] = None
         #: optional fault-injection tap on incoming SelfAnalyzer
         #: reports; returns the (possibly corrupted) report or ``None``
-        #: to drop it.  Installed by :class:`repro.faults.FaultInjector`.
+        #: to drop it.  Installed by :class:`repro.faults.injector.FaultInjector`.
         self.report_filter: Optional[
             Callable[[Job, PerformanceReport], Optional[PerformanceReport]]
         ] = None
@@ -177,7 +177,7 @@ class BaseResourceManager(RuntimeHost):
         """Flush any pending accounting at the end of a run."""
 
     # ------------------------------------------------------------------
-    # fault hooks (driven by repro.faults.FaultInjector)
+    # fault hooks (driven by repro.faults.injector.FaultInjector)
     # ------------------------------------------------------------------
     def _record_fault(self, kind: str, target: int, detail: str = "",
                       value: float = 0.0) -> None:
@@ -465,7 +465,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
         )
 
     # ------------------------------------------------------------------
-    # fault handling (driven by repro.faults.FaultInjector)
+    # fault handling (driven by repro.faults.injector.FaultInjector)
     # ------------------------------------------------------------------
     def on_cpu_failed(self, cpu_id: int, permanent: bool = True) -> bool:
         """A CPU failed: shrink capacity and repair the owner's partition.

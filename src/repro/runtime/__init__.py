@@ -10,15 +10,3 @@ These are the application-side halves of the NANOS environment:
   application's phases on the simulator, reacts to allocation changes
   decided by the resource manager, and forwards SelfAnalyzer reports.
 """
-
-from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnalyzerConfig
-from repro.runtime.nthlib import JobPhase, NthLibRuntime, RuntimeConfig
-
-__all__ = [
-    "PerformanceReport",
-    "SelfAnalyzer",
-    "SelfAnalyzerConfig",
-    "JobPhase",
-    "NthLibRuntime",
-    "RuntimeConfig",
-]

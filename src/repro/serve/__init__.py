@@ -20,41 +20,3 @@ Modules
 * :mod:`repro.serve.service` — the long-lived process: run loop,
   signal handling, heartbeat, watchdog.
 """
-
-from repro.serve.journal import ArrivalJournal, JournalEntry, JournalWriteError
-from repro.serve.session import (
-    ArrivalPump,
-    ServeConfig,
-    ServeSession,
-    StreamDivergenceError,
-    build_serve_session,
-)
-from repro.serve.source import ArrivalSource, SwfSource, SyntheticSource
-from repro.serve.service import (
-    EXIT_DEADLOCK,
-    EXIT_STORAGE,
-    EXIT_WEDGED,
-    ServeService,
-    read_status,
-    write_status_payload,
-)
-
-__all__ = [
-    "ArrivalJournal",
-    "JournalEntry",
-    "JournalWriteError",
-    "ArrivalPump",
-    "ServeConfig",
-    "ServeSession",
-    "StreamDivergenceError",
-    "build_serve_session",
-    "ArrivalSource",
-    "SwfSource",
-    "SyntheticSource",
-    "ServeService",
-    "read_status",
-    "write_status_payload",
-    "EXIT_WEDGED",
-    "EXIT_DEADLOCK",
-    "EXIT_STORAGE",
-]

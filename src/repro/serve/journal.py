@@ -29,9 +29,8 @@ import json
 from typing import Any, List
 
 from repro.storage.journal import RecordJournal
-from repro.storage.layer import JournalWriteError
 
-__all__ = ["ArrivalJournal", "JournalEntry", "JournalWriteError"]
+__all__ = ["ArrivalJournal", "JournalEntry"]
 
 
 class JournalEntry:

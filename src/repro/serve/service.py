@@ -49,9 +49,9 @@ from repro.checkpoint.errors import CheckpointError
 from repro.checkpoint.session import CheckpointPlan
 from repro.experiments.clock import ReportClock
 from repro.qs.job import Job
-from repro.serve.journal import ArrivalJournal, JournalEntry, JournalWriteError
+from repro.serve.journal import ArrivalJournal, JournalEntry
 from repro.serve.session import ServeSession
-from repro.storage.layer import StorageLayer, default_storage
+from repro.storage.layer import JournalWriteError, StorageLayer, default_storage
 
 if TYPE_CHECKING:
     from repro.experiments.common import ExperimentConfig

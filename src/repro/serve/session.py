@@ -1,6 +1,6 @@
 """The saveable open-system session and its arrival pump.
 
-A :class:`ServeSession` is a :class:`~repro.checkpoint.SimulationSession`
+A :class:`ServeSession` is a :class:`~repro.checkpoint.session.SimulationSession`
 whose jobs come from an :class:`~repro.serve.source.ArrivalSource`
 instead of a preloaded list.  The :class:`ArrivalPump` keeps exactly
 one next-arrival event pending on the simulator — a self-perpetuating

@@ -329,7 +329,7 @@ class Simulator:
         absorbable event completes without firing), once
         *every_events* :attr:`logical_events` have passed since the
         last checkpoint.  The cadence is a positive count;
-        :class:`~repro.checkpoint.CheckpointPlan` holds that rule.
+        :class:`~repro.checkpoint.session.CheckpointPlan` holds that rule.
         Firing between events means the hook observes a well-defined
         prefix of the event history — the foundation of the
         checkpoint subsystem's byte-identical restore guarantee.  The

@@ -1,7 +1,7 @@
 """Run validation: invariants every correct execution must satisfy.
 
 A scheduling simulator is only as trustworthy as its bookkeeping.
-:func:`validate_run` audits a completed :class:`~repro.experiments.RunOutput`
+:func:`validate_run` audits a completed :class:`~repro.experiments.common.RunOutput`
 against the structural invariants of the system and returns the list
 of violations (empty = clean).  It is used by the test suite as a
 failure-injection detector and is part of the public API so users can
@@ -377,12 +377,13 @@ def validate_sweep(
 ) -> List[Violation]:
     """Audit one completed sweep of the experiment harness.
 
-    *runner* is the :class:`~repro.parallel.SweepRunner` that executed
+    *runner* is the :class:`~repro.parallel.runner.SweepRunner` that executed
     *cells* (its ``last_stats``, cache and journal are inspected);
     *payloads* is what :meth:`run_serialized` returned.  Returns
     human-readable violations (empty = clean).
     """
-    from repro.parallel import cell_key, payload_digest
+    from repro.parallel.cache import cell_key
+    from repro.parallel.journal import payload_digest
 
     problems: List[Violation] = []
     stats = runner.last_stats
@@ -473,9 +474,11 @@ def validate_checkpoint(
     *session_cls* selects which session class restores the snapshot —
     each kind of session tags its envelopes (``meta["kind"]``), so a
     serve snapshot must be audited with
-    :class:`~repro.serve.ServeSession`, not the batch default.
+    :class:`~repro.serve.session.ServeSession`, not the batch default.
     """
-    from repro.checkpoint import CheckpointError, SimulationSession, read_snapshot
+    from repro.checkpoint.errors import CheckpointError
+    from repro.checkpoint.format import read_snapshot
+    from repro.checkpoint.session import SimulationSession
 
     if session_cls is None:
         session_cls = SimulationSession
@@ -533,7 +536,7 @@ def validate_checkpoint(
 
 
 def validate_stream(session) -> List[Violation]:
-    """Audit a streaming (:class:`~repro.serve.ServeSession`) service.
+    """Audit a streaming (:class:`~repro.serve.session.ServeSession`) service.
 
     Callable at *any* instant — between run-loop batches, at drain, or
     on a freshly restored session — because every invariant is stated

@@ -15,7 +15,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.common import ExperimentConfig, build_session, workload_jobs
 from repro.faults.scenarios import build_scenario
-from repro.parallel import SweepRunner
+from repro.parallel.runner import SweepRunner
 from repro.qs.backfill import BackfillQS
 from repro.rm.batch import BatchFCFS
 from repro.validate import validate_run

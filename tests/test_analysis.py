@@ -13,17 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    AnalysisConfig,
-    Linter,
-    RaceDetector,
-    RaceStats,
-    lint_paths,
-    render_json,
-    render_text,
-    sort_findings,
-)
-from repro.analysis.config import _parse_minitoml_table, load_config
+from repro.analysis.config import AnalysisConfig, _parse_minitoml_table, load_config
+from repro.analysis.findings import render_json, render_text, sort_findings
+from repro.analysis.linter import Linter, lint_paths
+from repro.analysis.race import RaceDetector, RaceStats
 from repro.experiments.clock import FakeClock, ReportClock
 from repro.experiments.common import ExperimentConfig, run_workload
 from repro.sim.engine import Simulator
@@ -326,7 +319,7 @@ class TestEngineObserver:
 
 class TestWorkloadSanitizer:
     def test_sanitized_run_matches_plain_run(self):
-        from repro.parallel.cache import canonical
+        from repro.canonical import canonical
 
         config = ExperimentConfig(seed=0)
         plain = run_workload("Equip", "w1", 0.6, config)

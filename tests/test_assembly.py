@@ -7,7 +7,8 @@ job list is its queue's, and the batch baseline runs through the same
 
 import pytest
 
-from repro.checkpoint import SimulationSession
+from repro.canonical import canonical_dumps
+from repro.checkpoint.session import SimulationSession
 from repro.experiments.common import (
     ExperimentConfig,
     build_session,
@@ -16,7 +17,6 @@ from repro.experiments.common import (
     workload_jobs,
 )
 from repro.fuzz.targets import FuzzTarget
-from repro.parallel.cache import canonical_dumps
 from repro.parallel.cells import trace_digest
 from repro.qs.backfill import BackfillQS
 from repro.qs.workload import TABLE1_MIXES

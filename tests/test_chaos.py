@@ -31,14 +31,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel import (
-    ResultCache,
-    SupervisionPolicy,
-    SweepCell,
-    SweepJournal,
-    SweepRunner,
-    cell_key,
-)
+from repro.parallel.cache import ResultCache, cell_key
+from repro.parallel.journal import SweepJournal
+from repro.parallel.runner import SweepCell, SweepRunner
+from repro.parallel.supervisor import SupervisionPolicy
 from repro.validate import validate_sweep
 
 pytestmark = pytest.mark.chaos
@@ -162,8 +158,9 @@ class TestCorruptedCacheMidSweep:
 class TestResumeAfterParentKill:
     DRIVER = textwrap.dedent("""
         import sys
-        from repro.parallel import (ResultCache, SweepCell, SweepJournal,
-                                    SweepRunner)
+        from repro.parallel.cache import ResultCache
+        from repro.parallel.journal import SweepJournal
+        from repro.parallel.runner import SweepCell, SweepRunner
 
         workdir = sys.argv[1]
         cells = [SweepCell(key=f"s{i}", fn="tests.chaos_cells:slow_echo_cell",
@@ -298,7 +295,8 @@ class TestKillMidRunThenRestore:
         )
 
     def test_sigkilled_run_restored_byte_identical(self, artifact_dir):
-        from repro.checkpoint import CheckpointError, read_meta
+        from repro.checkpoint.errors import CheckpointError
+        from repro.checkpoint.format import read_meta
 
         baseline = self._cli(self.RUN)
         assert baseline.returncode == 0, baseline.stderr
@@ -359,7 +357,7 @@ class TestKillMidRunThenRestore:
 class TestSigkilledWorkloadCellRecomputes:
     def test_retry_recomputes_byte_identical(self, artifact_dir):
         from repro.experiments.common import ExperimentConfig, run_workload
-        from repro.parallel import canonical_dumps
+        from repro.canonical import canonical_dumps
 
         config = ExperimentConfig(n_cpus=32, duration=120.0, seed=7)
         baseline = canonical_dumps(

@@ -12,28 +12,29 @@ from __future__ import annotations
 import enum
 import io
 import pickle
+import re
 
 import pytest
 
-from repro.checkpoint import (
+from repro.canonical import canonical_dumps
+from repro.checkpoint.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
-    CheckpointPlan,
     CheckpointVersionError,
+)
+from repro.checkpoint.format import read_meta, read_snapshot, write_snapshot
+from repro.checkpoint.session import (
+    PICKLE_PROTOCOL,
+    CheckpointPlan,
     SimulationSession,
     config_digest,
-    read_meta,
-    read_snapshot,
-    write_snapshot,
 )
-from repro.checkpoint.session import PICKLE_PROTOCOL
 from repro.experiments.common import (
     ExperimentConfig,
     build_session,
     run_workload,
 )
 from repro.faults.scenarios import build_scenario
-from repro.parallel.cache import canonical_dumps
 from repro.qs.workload import TABLE1_MIXES, generate_workload
 from repro.serve.session import ServeConfig, build_serve_session
 from repro.serve.source import SyntheticSource
@@ -332,7 +333,7 @@ class TestEnvelope:
 
 
 def _current_code_version():
-    from repro.parallel.cache import code_version
+    from repro.canonical import code_version
 
     return code_version()
 
@@ -483,6 +484,33 @@ class TestReplayCli:
         snapshots = list((tmp_path / "ck").glob("*.ckpt"))
         assert len(snapshots) == 1
         assert snapshots[0].name == "PDPA-w1-load1-seed7.ckpt"
+
+    def test_run_that_saved_nothing_says_so(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run = ["--seed", "7", "--cpus", "12", "run", "PDPA", "w1", "--load", "1.0"]
+        assert main(run) == 0
+        plain = capsys.readouterr()
+        ck = tmp_path / "ck"
+        assert main(["--checkpoint-dir", str(ck),
+                     "--checkpoint-every", "1000000"] + run) == 0
+        quiet = capsys.readouterr()
+        assert quiet.out == plain.out
+        assert not ck.exists()
+        note = re.fullmatch(
+            r"\[checkpoint\] no snapshot written: the run ended after (\d+) "
+            r"logical events, before the first autosave at 1000000 "
+            r"\(set a smaller --checkpoint-every\)\n",
+            quiet.err,
+        )
+        assert note is not None, quiet.err
+        assert 0 < int(note.group(1)) < 1000000
+        # a run that reaches its cadence saves and prints no note
+        assert main(["--checkpoint-dir", str(ck),
+                     "--checkpoint-every", note.group(1)] + run) == 0
+        saved = capsys.readouterr()
+        assert saved.out == plain.out and saved.err == ""
+        assert (ck / "PDPA-w1-load1-seed7.ckpt").exists()
 
     def test_cadence_flags_require_checkpoint_dir(self):
         from repro.cli import main

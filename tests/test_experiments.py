@@ -7,7 +7,9 @@ import pytest
 
 from repro.experiments import fig3, fig5_table2, fig7_fig8, tables, workloads
 from repro.experiments.common import ExperimentConfig, average_results, run_workload
-from repro.parallel import PoisonCellError, SupervisionPolicy, SweepRunner
+from repro.parallel.errors import PoisonCellError
+from repro.parallel.runner import SweepRunner
+from repro.parallel.supervisor import SupervisionPolicy
 
 CONFIG = ExperimentConfig(seed=2)
 

@@ -9,17 +9,9 @@ under PDPA, Equipartition and IRIX.
 import pytest
 
 from repro.experiments.common import ExperimentConfig, run_workload
-from repro.faults import (
-    SCENARIOS,
-    CpuFault,
-    FaultInjector,
-    FaultPlan,
-    JobCrash,
-    JobHang,
-    NodeSlowdown,
-    ReportLoss,
-    build_scenario,
-)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import CpuFault, FaultPlan, JobCrash, JobHang, NodeSlowdown, ReportLoss
+from repro.faults.scenarios import SCENARIOS, build_scenario
 from repro.machine.machine import CpuHealth, Machine, MachineError
 from repro.metrics.faults import fault_statistics, offline_windows
 from repro.metrics.timeline import capacity_timeline

@@ -14,6 +14,7 @@ import multiprocessing
 
 import pytest
 
+from repro.canonical import UnserialisableValue, canonical_dumps, code_version
 from repro.experiments.common import (
     ExperimentConfig,
     run_workload,
@@ -21,21 +22,11 @@ from repro.experiments.common import (
     workload_cell_spec,
 )
 from repro.faults.scenarios import build_scenario
-from repro.parallel import (
-    PoisonCellError,
-    ResultCache,
-    SupervisionPolicy,
-    SweepCell,
-    SweepJournal,
-    SweepRunner,
-    UnserialisableRecord,
-    UnserialisableValue,
-    canonical_dumps,
-    cell_key,
-    code_version,
-    execute_cell,
-    payload_digest,
-)
+from repro.parallel.cache import ResultCache, cell_key
+from repro.parallel.errors import PoisonCellError, UnserialisableRecord
+from repro.parallel.journal import SweepJournal, payload_digest
+from repro.parallel.runner import SweepCell, SweepRunner, execute_cell
+from repro.parallel.supervisor import SupervisionPolicy
 from repro.validate import validate_sweep
 
 #: fast retry budget for failure-path tests (no real backoff waiting)

@@ -522,7 +522,7 @@ class TestSessionRecovery:
         assert f"seq {cursor + 1}" in str(excinfo.value)
 
     def test_restore_refuses_wrong_policy(self, tmp_path):
-        from repro.checkpoint import CheckpointError
+        from repro.checkpoint.errors import CheckpointError
 
         session = make_session(policy="Equip", max_jobs=10)
         session.pump.prime()
@@ -533,7 +533,7 @@ class TestSessionRecovery:
             ServeSession.restore(snapshot, expected_policy="PDPA")
 
     def test_meta_carries_serve_identity(self, tmp_path):
-        from repro.checkpoint import read_meta
+        from repro.checkpoint.format import read_meta
 
         session = make_session(max_jobs=10)
         session.pump.prime()
@@ -588,7 +588,8 @@ class TestServeService:
         assert session.complete
 
     def test_final_snapshot_written(self, tmp_path):
-        from repro.checkpoint import CheckpointPlan, read_meta
+        from repro.checkpoint.format import read_meta
+        from repro.checkpoint.session import CheckpointPlan
 
         session = make_session(max_jobs=10)
         plan = CheckpointPlan(path=tmp_path / "serve.ckpt", every_events=100)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -28,6 +29,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.checkpoint.format import read_meta
 
 pytestmark = pytest.mark.chaos
 
@@ -74,19 +77,32 @@ def _digest(stdout: str) -> str:
     raise AssertionError(f"no stats digest in output:\n{stdout}")
 
 
-def _wait_for_lines(path: Path, n: int, proc, timeout: float = 120.0) -> None:
-    """Poll until the journal holds >= n lines (the kill window)."""
+def _wait_until(ready, proc, what: str, timeout: float = 120.0) -> None:
+    """Poll until ``ready()`` holds while *proc* still runs (the kill window)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if path.exists() and path.read_bytes().count(b"\n") >= n:
+        if ready():
             return
         if proc.poll() is not None:
             raise AssertionError(
-                f"serve exited (rc={proc.returncode}) before the kill "
-                f"window: {proc.stderr.read() if proc.stderr else ''}"
+                f"serve exited (rc={proc.returncode}) before {what}: "
+                f"{proc.stderr.read() if proc.stderr else ''}"
             )
         time.sleep(0.02)
-    raise AssertionError(f"journal never reached {n} lines")
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+def _journal_line(journal: Path, seq: int):
+    """The journal's lines and the index of the complete one for *seq*.
+
+    The index is ``None`` while no complete line carries *seq*; a torn
+    last line (no newline yet) is never parsed.
+    """
+    lines = journal.read_bytes().split(b"\n") if journal.exists() else [b""]
+    for index, line in enumerate(lines[:-1]):
+        if json.loads(line)["seq"] == seq:
+            return lines, index
+    return lines, None
 
 
 def _serve_args(workdir: Path, checkpoint: bool = True):
@@ -105,23 +121,35 @@ def _serve_args(workdir: Path, checkpoint: bool = True):
 def _kill_midstream(workdir: Path) -> Path:
     """Start a journalled serve run and SIGKILL it mid-stream.
 
-    Returns the snapshot path left behind by the periodic checkpoints.
+    Once the journal holds ``KILL_AFTER_LINES`` lines, the latest
+    autosave is copied, and the kill waits until the journal holds the
+    entry right after that copy's draw cursor.  A restore from the
+    copy therefore always has a journal tail to verify, wherever the
+    next autosave would have landed.  Returns the copy.
     """
     journal = workdir / "arrivals.jsonl"
+    autosave = workdir / "ck" / "serve-PDPA.ckpt"
+    snapshot = workdir / "copied.ckpt"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro"] + _serve_args(workdir),
         env=_cli_env(), cwd=str(REPO_ROOT),
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     try:
-        _wait_for_lines(journal, KILL_AFTER_LINES, proc)
+        _wait_until(lambda: journal.exists()
+                    and journal.read_bytes().count(b"\n") >= KILL_AFTER_LINES,
+                    proc, f"the journal reached {KILL_AFTER_LINES} lines")
+        _wait_until(autosave.exists, proc, "an autosave")
+        # each autosave replaces the file atomically: the copy is whole
+        shutil.copyfile(autosave, snapshot)
+        cursor = read_meta(snapshot)["drawn"]
+        _wait_until(lambda: _journal_line(journal, cursor + 1)[1] is not None,
+                    proc, f"a journal entry past the cursor {cursor}")
     finally:
         if proc.poll() is None:
             os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
     assert proc.returncode == -signal.SIGKILL
-    snapshot = workdir / "ck" / "serve-PDPA.ckpt"
-    assert snapshot.exists(), "no checkpoint landed before the kill"
     return snapshot
 
 
@@ -173,20 +201,12 @@ class TestSigkillThenRestore:
         snapshot = _kill_midstream(workdir)
         journal = workdir / "arrivals.jsonl"
 
-        from repro.checkpoint import read_meta
-
-        cursor = read_meta(snapshot)["drawn"]
-        lines = journal.read_text().splitlines()
-        tampered = []
-        hit = False
-        for line in lines:
-            entry = json.loads(line)
-            if entry["seq"] == cursor + 1:
-                entry["request"] += 1
-                hit = True
-            tampered.append(json.dumps(entry, sort_keys=True))
-        assert hit, f"journal holds no entry past the cursor {cursor}"
-        journal.write_text("\n".join(tampered) + "\n")
+        # tamper with the first entry the restore verifies
+        lines, index = _journal_line(journal, read_meta(snapshot)["drawn"] + 1)
+        entry = json.loads(lines[index])
+        entry["request"] += 1
+        lines[index] = json.dumps(entry, sort_keys=True, separators=(",", ":")).encode()
+        journal.write_bytes(b"\n".join(lines))
 
         restored = _cli([
             "--seed", "7", "--cpus", "16",

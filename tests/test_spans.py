@@ -28,7 +28,9 @@ from hypothesis import given, strategies as st
 from repro.analysis.race import RaceDetector
 from repro.apps.application import AppClass, ApplicationSpec
 from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
-from repro.checkpoint import CheckpointPlan, SimulationSession, read_snapshot
+from repro.canonical import canonical_dumps
+from repro.checkpoint.format import read_snapshot
+from repro.checkpoint.session import CheckpointPlan, SimulationSession
 from repro.core.pdpa import PDPA
 from repro.experiments.ablations import FixedMplPDPA, NoRelativeSpeedupPDPA
 from repro.experiments.common import ExperimentConfig, build_session, run_workload
@@ -37,7 +39,6 @@ from repro.fuzz.profiles import tier_settings
 from repro.machine.machine import Machine
 from repro.machine.memory import LocalityConfig
 from repro.metrics.trace import TraceRecorder
-from repro.parallel.cache import canonical_dumps
 from repro.parallel.cells import trace_digest
 from repro.qs.job import Job
 from repro.qs.queuing import NanosQS

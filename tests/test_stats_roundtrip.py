@@ -19,10 +19,9 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.canonical import canonical_dumps
 from repro.fuzz.profiles import tier_settings
-
 from repro.metrics.stats import JobRecord, WorkloadResult
-from repro.parallel.cache import canonical_dumps
 
 # Full float space: NaN, both infinities, signed zero, subnormals.
 any_float = st.floats(allow_nan=True, allow_infinity=True,

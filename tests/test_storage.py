@@ -31,12 +31,8 @@ from typing import Any, Callable, Hashable, List, NamedTuple, Type
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.checkpoint import (
-    CheckpointCorruptError,
-    CheckpointWriteError,
-    read_snapshot,
-    write_snapshot,
-)
+from repro.checkpoint.errors import CheckpointCorruptError, CheckpointWriteError
+from repro.checkpoint.format import read_snapshot, write_snapshot
 from repro.fuzz.profiles import tier_settings
 from repro.parallel.cache import ResultCache
 from repro.parallel.journal import SweepJournal

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.experiments.common import ExperimentConfig, run_workload
-from repro.faults import build_scenario
+from repro.faults.scenarios import build_scenario
 from repro.fuzz.profiles import tier_settings
 from repro.metrics.faults import offline_windows
 from repro.metrics.stats import JobRecord
