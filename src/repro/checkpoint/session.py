@@ -54,6 +54,7 @@ from repro.checkpoint.errors import (
 )
 from repro.checkpoint.format import read_snapshot, write_snapshot
 from repro.canonical import canonical_dumps, code_version
+from repro.storage.layer import StorageLayer
 
 if TYPE_CHECKING:  # import cycle: common builds sessions
     from repro.experiments.common import ExperimentConfig, RunOutput
@@ -183,17 +184,20 @@ class SimulationSession:
     # ------------------------------------------------------------------
     # save
     # ------------------------------------------------------------------
-    def save(self, path: Path, label: str = "") -> None:
+    def save(self, path: Path, label: str = "",
+             storage: Optional[StorageLayer] = None) -> None:
         """Snapshot this session to *path* (atomic, checksummed).
 
         Compacts the event queue first, so lazily-deleted (cancelled)
         events do not bloat the payload.  Safe to call from inside the
         run loop via the autosnapshot hook: the pickled simulator
-        always restores in a runnable (not mid-``run``) state.
+        always restores in a runnable (not mid-``run``) state.  The
+        envelope is written through *storage* (default: the
+        pass-through layer).
         """
         self.sim.compact()
         payload = pickle.dumps(self, protocol=PICKLE_PROTOCOL)
-        write_snapshot(path, self.meta(label=label), payload)
+        write_snapshot(path, self.meta(label=label), payload, storage=storage)
 
     # ------------------------------------------------------------------
     # restore

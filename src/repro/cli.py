@@ -375,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_torture.add_argument(
         "--protocol", default="all",
-        choices=("all", "journal", "checkpoint", "cache", "status"),
-        help="which durability protocol to torture (default: all four)",
+        choices=("all", "journal", "checkpoint", "cache", "status", "serve"),
+        help="which durability protocol to torture (default: all five)",
     )
     p_torture.add_argument(
         "--budget", type=non_negative_int, default=400, metavar="N",

@@ -138,8 +138,8 @@ class ServeService:
         *journal_path*.
     storage:
         The :class:`~repro.storage.layer.StorageLayer` the status
-        writer (and a journal built from *journal_path*) goes
-        through; defaults to the pass-through layer.
+        writer, the snapshots and a journal built from *journal_path*
+        go through; defaults to the pass-through layer.
     """
 
     def __init__(
@@ -334,7 +334,9 @@ class ServeService:
         # interrupted an event callback mid-mutation.
         try:
             if not self._in_step and self.checkpoint is not None:
-                self.session.save(self.checkpoint.path, label="wedged")
+                self.session.save(
+                    self.checkpoint.path, label="wedged", storage=self.storage
+                )
         except Exception:
             pass
         try:
@@ -389,7 +391,7 @@ class ServeService:
 
             def autosave() -> None:
                 try:
-                    session.save(plan.path, label="auto")
+                    session.save(plan.path, label="auto", storage=self.storage)
                 except (OSError, CheckpointError) as exc:
                     # A missed autosnapshot widens the recovery window;
                     # it does not corrupt anything (the previous
@@ -438,7 +440,10 @@ class ServeService:
                 final_phase = "drained"
             if self.checkpoint is not None:
                 try:
-                    session.save(self.checkpoint.path, label=final_phase)
+                    session.save(
+                        self.checkpoint.path, label=final_phase,
+                        storage=self.storage,
+                    )
                 except (OSError, CheckpointError) as exc:
                     self._count_storage_error("final snapshot", exc)
             self.write_status(final_phase)

@@ -32,6 +32,7 @@ from repro.serve.journal import JournalEntry
 from repro.serve.source import ArrivalSource
 from repro.sim.engine import Simulator
 from repro.sim.slots import set_slot_state, slot_state
+from repro.storage.layer import StorageLayer
 
 if TYPE_CHECKING:
     from repro.experiments.common import ExperimentConfig
@@ -321,10 +322,11 @@ class ServeSession(SimulationSession):
         """
         return self.qs.prune_terminal(getattr(self.rm, "streams", None))
 
-    def save(self, path: Any, label: str = "") -> None:
+    def save(self, path: Any, label: str = "",
+             storage: Optional[StorageLayer] = None) -> None:
         """Prune, then snapshot — envelopes stay O(live jobs)."""
         self.prune()
-        super().save(path, label=label)
+        super().save(path, label=label, storage=storage)
 
 
 def build_serve_session(

@@ -11,7 +11,7 @@ Modules
   write-ahead journal machinery behind the arrival and sweep journals.
 * :mod:`repro.storage.torture` — the crash-state enumerator: every
   distinct filesystem a traced run could leave behind.
-* :mod:`repro.storage.protocols` — the four protocol harnesses
-  (journal, checkpoint, cache, status) and their recovery invariants,
-  driven by ``repro torture``.
+* :mod:`repro.storage.protocols` — the protocol harnesses (journal,
+  checkpoint, cache, status, and the whole serve service) and their
+  recovery invariants, driven by ``repro torture``.
 """

@@ -1,9 +1,11 @@
-"""The four durability protocols under torture, and their invariants.
+"""The durability protocols under torture, and their invariants.
 
 Each harness knows how to *run* its protocol through a traced
 :class:`~repro.storage.layer.StorageLayer`, how to *check* its
 recovery invariant against a materialised crash state, and which
-*fault plans* to inject for the degraded-behavior contract:
+*fault plans* to inject for the degraded-behavior contract.  The
+first four torture one writer each; ``serve`` tortures the streaming
+service, whose journal, snapshots and status file share one layer:
 
 ========================  =============================================
 protocol                  recovery invariant
@@ -23,6 +25,11 @@ protocol                  recovery invariant
 ``status``                if the status file exists it parses to a
                           complete previously-written payload — old or
                           new, never torn, never empty
+``serve``                 the journal holds every offered arrival; an
+                          acked save restores; restore (or a fresh
+                          run, before any snapshot) drains to the
+                          uninterrupted stats digest; the status file
+                          is an old record or a new one
 ========================  =============================================
 
 The fault pass runs each protocol under a matrix of injected errors
@@ -34,7 +41,9 @@ retry), checkpoints fail with a typed
 :class:`~repro.checkpoint.errors.CheckpointWriteError` leaving the
 previous envelope intact, the cache degrades to "not cached" without
 raising, and the status writer surfaces a plain ``OSError`` for the
-service to count and survive.
+service to count and survive.  The service itself drains and exits
+:data:`~repro.serve.service.EXIT_STORAGE` when its journal breaks,
+and counts a failed snapshot or status write and runs on.
 """
 
 from __future__ import annotations
@@ -52,19 +61,31 @@ from repro.checkpoint.errors import (
     CheckpointWriteError,
 )
 from repro.checkpoint.format import read_snapshot, write_snapshot
+from repro.checkpoint.session import CheckpointPlan
+from repro.experiments.clock import FakeClock, ReportClock
+from repro.experiments.common import ExperimentConfig
 from repro.parallel.cache import ResultCache
 from repro.parallel.journal import (
     JournalEntry as CellEntry,
     SweepJournal,
     payload_digest,
 )
+from repro.qs.workload import TABLE1_MIXES
 from repro.serve.journal import ArrivalJournal, JournalEntry
-from repro.serve.service import read_status, write_status_payload
+from repro.serve.service import (
+    EXIT_STORAGE,
+    ServeService,
+    read_status,
+    write_status_payload,
+)
+from repro.serve.session import ServeConfig, ServeSession, build_serve_session
+from repro.serve.source import SyntheticSource
 from repro.storage.layer import (
     CrashPoint,
     JournalWriteError,
     OpTrace,
     StorageLayer,
+    TraceMark,
 )
 from repro.storage.plan import FailPlan
 from repro.storage.torture import enumerate_crash_states, materialise
@@ -72,13 +93,16 @@ from repro.storage.torture import enumerate_crash_states, materialise
 __all__ = [
     "JournalProtocol",
     "PROTOCOL_NAMES",
+    "ServeProtocol",
     "TortureReport",
     "run_protocol_torture",
     "run_torture",
 ]
 
 #: canonical protocol order (CLI choices, reports, docs)
-PROTOCOL_NAMES: Tuple[str, ...] = ("journal", "checkpoint", "cache", "status")
+PROTOCOL_NAMES: Tuple[str, ...] = (
+    "journal", "checkpoint", "cache", "status", "serve",
+)
 
 #: errnos exercised by the deterministic fault matrix
 _MATRIX_ERRNOS = (errno.ENOSPC, errno.EIO)
@@ -207,7 +231,8 @@ class JournalProtocol:
     def check(self, state_dir: Path, acked: int,
               expect: List[str]) -> List[str]:
         recovered = self._recovered(state_dir / self.filename)
-        return _check_prefix(self.name, recovered, expect, acked)
+        return [f"{self.name}: {p}"
+                for p in _check_prefix(recovered, expect, acked)]
 
     def fault_plans(self, seed: int) -> List[FailPlan]:
         return _fault_plans(
@@ -248,12 +273,13 @@ class JournalProtocol:
         if not crashed:
             journal.close()
         problems.extend(
-            _check_prefix(self.name, self._recovered(path), self._lines, acked)
+            f"{self.name}: {p}"
+            for p in _check_prefix(self._recovered(path), self._lines, acked)
         )
         return problems
 
 
-def _check_prefix(name: str, recovered: List[str], expect: List[str],
+def _check_prefix(recovered: List[str], expect: List[str],
                   acked: int) -> List[str]:
     """The journal invariant: byte-identical prefix, no shorter than acked."""
     problems: List[str] = []
@@ -271,7 +297,7 @@ def _check_prefix(name: str, recovered: List[str], expect: List[str],
                 f"recovered record {i} diverges from the appended bytes"
             )
             break
-    return [f"{name}: {p}" for p in problems]
+    return problems
 
 
 def _check_journal_broken(name: str, broken: Optional[BaseException],
@@ -583,11 +609,296 @@ class StatusProtocol:
         return [f"{self.name}: {p}" for p in problems]
 
 
+# ----------------------------------------------------------------------
+# the whole streaming service
+# ----------------------------------------------------------------------
+class _ServeLayer(StorageLayer):
+    """The service's layer: keeps what it publishes and acks each save.
+
+    ``ServeSession.save`` ends in :func:`write_snapshot`, which ends in
+    this ``write_atomic``, so the snapshot write returning is the save
+    returning.
+    """
+
+    def __init__(self, snapshot: Path, plan: Optional[FailPlan] = None,
+                 trace: Optional[OpTrace] = None,
+                 drop_fsync: bool = False) -> None:
+        super().__init__(plan=plan, trace=trace, drop_fsync=drop_fsync)
+        self.snapshot = snapshot
+        #: file name -> the bytes of every write_atomic that returned
+        self.published: Dict[str, List[bytes]] = {}
+
+    def write_atomic(self, path: Any, *chunks: bytes,
+                     sync_file: bool = True, sync_dir: bool = False) -> None:
+        super().write_atomic(path, *chunks, sync_file=sync_file,
+                             sync_dir=sync_dir)
+        versions = self.published.setdefault(Path(path).name, [])
+        versions.append(b"".join(chunks))
+        if Path(path) == self.snapshot:
+            self.ack("save", str(len(versions) - 1))
+
+
+class _OfferAcks:
+    """Simulator observer that acks each arrival as it is offered.
+
+    An observer runs before the event's callback, so the ack precedes
+    the offer: a crash state that counts it must already hold the
+    arrival's journal record.  Arrivals are offered in sequence order,
+    so ``offered`` is also the highest offered sequence number.
+    """
+
+    def __init__(self, layer: StorageLayer) -> None:
+        self.layer = layer
+        self.offered = 0
+
+    def on_event(self, event: Any) -> None:
+        if event.label.startswith("arrival:"):
+            self.offered += 1
+            self.layer.ack("offer", event.label)
+
+
+class _ServeOracle:
+    """What the uninterrupted traced run left behind, to judge by."""
+
+    def __init__(self, digest: str, lines: List[str], saves: List[bytes],
+                 statuses: List[bytes], marks: List[TraceMark]) -> None:
+        #: stats digest at drain
+        self.digest = digest
+        #: journal records, in sequence order
+        self.lines = lines
+        #: every snapshot envelope, in save order
+        self.saves = saves
+        #: every status file version
+        self.statuses = statuses
+        #: the run's acks, in order
+        self.marks = marks
+
+
+class ServeProtocol:
+    """The whole service: arrival journal, autosnapshots and status file.
+
+    A bounded journalled stream runs through ``ServeService`` with all
+    three writing through one traced layer.  Each offered arrival and
+    each save that returned is acked.  Every crash state must recover:
+
+    * the journal is a prefix of the run's and holds every offered
+      arrival;
+    * a snapshot file is a whole envelope some save wrote, no older
+      than the last acked save, and absent only before the first ack;
+    * ``ServeService.restore`` from it (or, with no snapshot, a fresh
+      run that replay-verifies the whole journal) drains to the
+      uninterrupted stats digest;
+    * the status file, if present, is a version some heartbeat wrote.
+
+    Restores are memoised on (snapshot, journal records): states that
+    differ only in the status file or the ack count share a verdict.
+    """
+
+    name = "serve"
+    jobs = 40
+    n_cpus = 16
+    seed = 7
+    every_events = 400
+    step_events = 32
+    journal = "arrivals.jsonl"
+    snapshot = "serve.ckpt"
+    status = "status.json"
+
+    def __init__(self) -> None:
+        self._oracle: Optional[_ServeOracle] = None
+        self._verdicts: Dict[Tuple[Optional[str], Tuple[str, ...]], List[str]] = {}
+
+    def _session(self) -> ServeSession:
+        source = SyntheticSource(
+            TABLE1_MIXES["w2"], 1.0, n_cpus=self.n_cpus, seed=self.seed,
+            max_jobs=self.jobs,
+        )
+        return build_serve_session(
+            "PDPA", source,
+            config=ExperimentConfig(n_cpus=self.n_cpus, seed=self.seed),
+            serve_config=ServeConfig(step_events=self.step_events), load=1.0,
+        )
+
+    def _service(self, layer: _ServeLayer, workdir: Path) -> ServeService:
+        return ServeService(
+            self._session(),
+            journal_path=workdir / self.journal,
+            status_path=workdir / self.status,
+            checkpoint=CheckpointPlan(workdir / self.snapshot,
+                                      self.every_events),
+            clock=ReportClock(now=FakeClock()),
+            storage=layer,
+        )
+
+    def run(self, layer: StorageLayer, workdir: Path) -> _ServeOracle:
+        served = _ServeLayer(workdir / self.snapshot, trace=layer.trace,
+                             drop_fsync=layer.drop_fsync)
+        service = self._service(served, workdir)
+        service.session.sim.attach_observer(_OfferAcks(served))
+        service.run(handle_signals=False)
+        assert service.journal is not None and layer.trace is not None
+        self._oracle = _ServeOracle(
+            digest=service.session.stats.digest(),
+            lines=[e.to_json() for e in service.journal.entries.values()],
+            saves=served.published.get(self.snapshot, []),
+            statuses=served.published.get(self.status, []),
+            marks=list(layer.trace.marks),
+        )
+        return self._oracle
+
+    def check(self, state_dir: Path, acked: int,
+              expect: _ServeOracle) -> List[str]:
+        marks = expect.marks[:acked]
+        saved = [int(m.data) for m in marks if m.label == "save"]
+        problems = self._recover(
+            state_dir, expect,
+            offered=sum(1 for m in marks if m.label == "offer"),
+            last_save=saved[-1] if saved else None,
+        )
+        status = state_dir / self.status
+        if status.exists() and status.read_bytes() not in expect.statuses:
+            problems.append(
+                "status file is neither an old record nor a new one "
+                "(torn, empty or never written)"
+            )
+        return [f"{self.name}: {p}" for p in problems]
+
+    def _records(self, workdir: Path) -> List[str]:
+        """The journal records a restart recovers from *workdir*."""
+        journal = ArrivalJournal(workdir / self.journal, resume=True)
+        return [entry.to_json() for entry in journal.entries.values()]
+
+    def _recover(self, state_dir: Path, expect: _ServeOracle, offered: int,
+                 last_save: Optional[int]) -> List[str]:
+        """Journal and snapshot invariants, then restore and drain."""
+        lines = self._records(state_dir)
+        problems = _check_prefix(lines, expect.lines, offered)
+        snapshot = state_dir / self.snapshot
+        blob = snapshot.read_bytes() if snapshot.exists() else None
+        if blob is None:
+            if last_save is not None:
+                problems.append(
+                    f"save {last_save} was acked but no snapshot survived"
+                )
+        elif blob not in expect.saves:
+            problems.append("snapshot file is not an envelope any save wrote")
+        elif last_save is not None and expect.saves.index(blob) < last_save:
+            problems.append(
+                f"rollback: save {expect.saves.index(blob)} on disk after "
+                f"save {last_save} was acked"
+            )
+        if problems:
+            return problems
+        key = (
+            hashlib.sha256(blob).hexdigest() if blob is not None else None,
+            tuple(lines),
+        )
+        if key not in self._verdicts:
+            self._verdicts[key] = self._drain(state_dir, blob is not None,
+                                              expect.digest)
+        return list(self._verdicts[key])
+
+    def _drain(self, state_dir: Path, restore: bool, want: str) -> List[str]:
+        """Recover from *state_dir* and run to drain; what went wrong."""
+        from repro.validate import validate_stream
+
+        path = state_dir / self.journal
+        try:
+            if restore:
+                service = ServeService.restore(state_dir / self.snapshot, path)
+            else:
+                journal = ArrivalJournal(path, resume=True)
+                session = self._session()
+                session.pump.set_replay(journal.tail_after(0))
+                service = ServeService(session, journal=journal)
+            code = service.run(handle_signals=False)
+        except Exception as exc:  # noqa: BLE001 - any escape is the finding
+            return [f"recovery raised {type(exc).__name__}: {exc}"]
+        how = "restore" if restore else "fresh replay-verified run"
+        problems = [
+            f"{how}: {v.code}: {v.message}"
+            for v in validate_stream(service.session)
+        ]
+        if code != 0:
+            problems.append(f"{how} exited {code}")
+        if service.session.stats.digest() != want:
+            problems.append(f"{how} drained to a different stats digest")
+        return problems
+
+    def fault_plans(self, seed: int) -> List[FailPlan]:
+        return _fault_plans(
+            ops=("open", "write", "flush", "fsync", "replace", "dir_fsync"),
+            crash_ops=("write", "fsync", "replace"), seed=seed + 5,
+        )
+
+    def fault_run(self, plan: FailPlan, workdir: Path) -> List[str]:
+        expect = self._oracle
+        assert expect is not None, "run() the protocol before its fault pass"
+        layer = _ServeLayer(workdir / self.snapshot, plan=plan)
+        service = self._service(layer, workdir)
+        offers = _OfferAcks(layer)
+        service.session.sim.attach_observer(offers)
+        assert service.journal is not None
+        try:
+            code = service.run(handle_signals=False)
+        except CrashPoint:
+            if service.journal.broken is not None:
+                # a broken journal drained the stream before the crash:
+                # its snapshots are of that drain, not of the full run
+                problems = self._journal_faults(workdir, expect, offers.offered)
+            else:
+                problems = self._recover(workdir, expect, offers.offered, None)
+            return [f"{self.name}: {p}" for p in problems]
+        except BaseException as exc:  # noqa: BLE001 - diagnostic
+            return [f"{self.name}: untyped {type(exc).__name__} escaped the "
+                    f"service run"]
+        stats = service.session.stats
+        problems = self._journal_faults(workdir, expect, stats.submitted)
+        if service.journal.broken is not None:
+            if code != EXIT_STORAGE:
+                problems.append(
+                    f"journal broke but the service exited {code}, "
+                    f"not {EXIT_STORAGE}"
+                )
+            if not service.session.complete:
+                problems.append("journal broke and admitted work was abandoned")
+        else:
+            if code != 0:
+                problems.append(f"service exited {code} with an intact journal")
+            if stats.digest() != expect.digest:
+                problems.append("a survived fault changed the stats digest")
+            if self._records(workdir) != expect.lines:
+                problems.append("journal lost arrivals without breaking")
+            errors = [i for i in plan.fired
+                      if plan.rules[i].kind in ("error", "short")]
+            if errors and service.storage_errors == 0:
+                problems.append(
+                    "an injected snapshot or status failure was not counted"
+                )
+        return [f"{self.name}: {p}" for p in problems]
+
+    def _journal_faults(self, workdir: Path, expect: _ServeOracle,
+                        offered: int) -> List[str]:
+        """After a fault: every offered arrival journalled, a whole snapshot."""
+        problems = _check_prefix(self._records(workdir), expect.lines, offered)
+        snapshot = workdir / self.snapshot
+        if snapshot.exists():
+            try:
+                read_snapshot(snapshot)
+            except CheckpointError as exc:
+                problems.append(
+                    f"a failed write left a snapshot that does not verify "
+                    f"({type(exc).__name__})"
+                )
+        return problems
+
+
 _PROTOCOLS: Dict[str, Any] = {
     JournalProtocol.name: JournalProtocol,
     CheckpointProtocol.name: CheckpointProtocol,
     CacheProtocol.name: CacheProtocol,
     StatusProtocol.name: StatusProtocol,
+    ServeProtocol.name: ServeProtocol,
 }
 
 

@@ -124,9 +124,10 @@ def _counting_saves() -> Iterator[List[str]]:
     saves: List[str] = []
     original = SimulationSession.save
 
-    def save(self: SimulationSession, path: Path, label: str = "") -> None:
+    def save(self: SimulationSession, path: Path, label: str = "",
+             storage: Any = None) -> None:
         saves.append(label)
-        original(self, path, label=label)
+        original(self, path, label=label, storage=storage)
 
     SimulationSession.save = save  # type: ignore[method-assign]
     try:

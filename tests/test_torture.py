@@ -199,7 +199,7 @@ class TestMutationSelfTest:
     """Dropping fsyncs must be *caught* — the enumerator's own audit."""
 
     @pytest.mark.parametrize(
-        "protocol", [*JOURNALS, "checkpoint", "status"]
+        "protocol", [*JOURNALS, "checkpoint", "status", "serve"]
     )
     def test_drop_fsync_caught(self, tmp_path, protocol):
         report = run_protocol_torture(
