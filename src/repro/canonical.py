@@ -1,11 +1,12 @@
 """Canonical JSON encoding and the source-code version digest.
 
-The sweep cache key and record encoding (:mod:`repro.parallel`), a
+The sweep cache key and record encoding (:mod:`repro.parallel`) and a
 snapshot's ``code_version`` and ``config_digest``
-(:mod:`repro.checkpoint.session`) and the serve stats digest
-(:mod:`repro.metrics.streaming`) all rest on these helpers.  The
-module imports nothing from ``repro``, so the run path can use it
-without loading the sweep harness.
+(:mod:`repro.checkpoint.session`) rest on these helpers; the serve
+stats digest (:mod:`repro.metrics.streaming`) dumps its JSON-exact
+payload with the same settings.  The module imports nothing from
+``repro``, so the run path can use it without loading the sweep
+harness.
 """
 
 from __future__ import annotations

@@ -32,10 +32,10 @@ contract over adversarial float inputs.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.canonical import canonical_dumps
 from repro.metrics.stats import ClassSummary, JobRecord, WorkloadResult
 from repro.metrics.statistics import DEFAULT_SLOWDOWN_TAU, bounded_slowdown
 from repro.sim.columns import RunningMean
@@ -359,5 +359,12 @@ class StreamingStats:
         }
 
     def digest(self) -> str:
-        """SHA-256 of the canonical payload — the byte-identity anchor."""
-        return hashlib.sha256(canonical_dumps(self.to_dict()).encode()).hexdigest()
+        """SHA-256 of the canonical payload — the byte-identity anchor.
+
+        :meth:`to_dict` is already JSON-exact (str keys, ints, floats,
+        ``None``, lists), so it is dumped with the canonical settings
+        directly: the bytes are those of ``canonical_dumps``, without
+        its walk over every reservoir sample.
+        """
+        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()

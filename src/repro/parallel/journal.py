@@ -100,7 +100,9 @@ class SweepJournal(RecordJournal[JournalEntry]):
             journal breaks permanently instead of retrying).  The
             entry is *not* indexed as written.
         """
-        return self._write(JournalEntry(
+        entry = JournalEntry(
             key=key, digest=payload_digest(payload),
             length=len(payload), label=label,
-        ))
+        )
+        self._write([entry])
+        return entry

@@ -1,12 +1,16 @@
 """Write-ahead arrival journal: crash-safe ingress for the service.
 
 The checkpoint envelope makes the *session* durable every N events;
-the journal makes every **drawn arrival** durable immediately.  Each
-job the arrival pump draws from its source is appended as one JSONL
-record — sequence number, job id, application, submit time, processor
-request — flushed and ``fsync``'d *before* the arrival is offered to
-the queue.  Kill the service at any instant and the journal names
-exactly the arrivals that entered the system after the last snapshot.
+the journal makes every **drawn arrival** durable before it is
+offered.  The arrival pump draws its source a group at a time
+(:data:`~repro.serve.session.DRAW_AHEAD` arrivals), and the service
+appends each group as JSONL records — sequence number, job id,
+application, submit time, processor request — in one ``write``,
+flushed and ``fsync``'d once, *before* the group's first arrival is
+offered to the queue.  Kill the service at any instant and the
+journal names every arrival that entered the system after the last
+snapshot, plus at most one group's drawn arrivals that were not yet
+offered.
 
 Recovery replays the journal tail: the restored source re-draws its
 arrivals deterministically, and each re-draw is checked against the
@@ -26,7 +30,7 @@ module adds the arrival record and its replay lookups.
 from __future__ import annotations
 
 import json
-from typing import Any, List
+from typing import Any, List, Sequence
 
 from repro.storage.journal import RecordJournal
 
@@ -108,12 +112,12 @@ class ArrivalJournal(RecordJournal[JournalEntry]):
 
     entry_type = JournalEntry
 
-    def append(self, entry: JournalEntry) -> None:
-        """Durably record one drawn arrival.
+    def append(self, entries: Sequence[JournalEntry]) -> None:
+        """Durably record a group of drawn arrivals.
 
-        Written in one ``write`` call, flushed, and ``fsync``'d before
-        this returns — after that, no crash can lose the fact that the
-        arrival entered the system.
+        Written in one ``write`` call, flushed, and ``fsync``'d once
+        before this returns — after that, no crash can lose the fact
+        that these arrivals were drawn.
 
         Raises
         ------
@@ -122,9 +126,9 @@ class ArrivalJournal(RecordJournal[JournalEntry]):
             failed fsync may have dropped the dirty pages while
             marking them clean (fsyncgate), so no retry can restore
             durability; the journal is permanently broken instead and
-            the entry is *not* indexed as written.
+            no entry of the group is indexed as written.
         """
-        self._write(entry)
+        self._write(entries)
 
     def tail_after(self, seq: int) -> List[JournalEntry]:
         """Journalled entries with sequence numbers beyond *seq*, in order.

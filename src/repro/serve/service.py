@@ -43,7 +43,7 @@ import os
 import signal
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.errors import CheckpointError
 from repro.checkpoint.session import CheckpointPlan
@@ -220,9 +220,11 @@ class ServeService:
     # ------------------------------------------------------------------
     # journalling
     # ------------------------------------------------------------------
-    def _journal_draw(self, seq: int, job: Job) -> None:
+    def _journal_draw(self, group: List[Tuple[int, Job]]) -> None:
         assert self.journal is not None
-        self.journal.append(JournalEntry.from_job(seq, job))
+        self.journal.append(
+            [JournalEntry.from_job(seq, job) for seq, job in group]
+        )
 
     # ------------------------------------------------------------------
     # heartbeat
@@ -412,10 +414,10 @@ class ServeService:
                 try:
                     fired = session.sim.step(session.serve_config.step_events)
                 except JournalWriteError as exc:
-                    # The arrival that could not be journalled was
-                    # dropped before it entered the system; everything
-                    # already admitted is unaffected.  Count the slice
-                    # as progress and keep draining.
+                    # The group that could not be journalled was
+                    # dropped before any of it entered the system;
+                    # everything already admitted is unaffected.  Count
+                    # the slice as progress and keep draining.
                     self._note_journal_failure(exc)
                     fired = 1
                 finally:

@@ -5,23 +5,29 @@ whose jobs come from an :class:`~repro.serve.source.ArrivalSource`
 instead of a preloaded list.  The :class:`ArrivalPump` keeps exactly
 one next-arrival event pending on the simulator — a self-perpetuating
 chain, so the event queue stays O(running jobs), never O(jobs drawn).
+It draws the source :data:`DRAW_AHEAD` arrivals at a time and
+schedules them one by one from a buffer that is pickled with it.
 
 Recovery contract
 -----------------
-The pump notifies a host-side ``on_draw`` hook the instant a job is
-drawn (the service journals it there, fsync'd, *before* the arrival is
-scheduled).  The hook is host state — dropped on pickling like the
+The pump hands each drawn group to a host-side ``on_draw`` hook
+before any of it is scheduled (the service journals the group there
+with one fsync, so every record is durable *before* its arrival is
+offered).  The hook is host state — dropped on pickling like the
 simulator's checkpoint hook.  On restore, the journal tail beyond the
 snapshot's draw cursor becomes the pump's *replay expectations*: each
 re-drawn arrival must match its journalled record bit-for-bit, or the
 pump raises :class:`StreamDivergenceError` instead of letting the
-restored run silently diverge from the crashed one.
+restored run silently diverge from the crashed one.  The cursor
+counts the buffer: arrivals drawn before the snapshot but not yet
+offered are restored with the pump, not re-drawn.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.checkpoint.session import SimulationSession, config_digest
 from repro.metrics.streaming import StreamingStats
@@ -38,12 +44,20 @@ if TYPE_CHECKING:
     from repro.experiments.common import ExperimentConfig
 
 __all__ = [
+    "DRAW_AHEAD",
     "ArrivalPump",
     "ServeConfig",
     "ServeSession",
     "StreamDivergenceError",
     "build_serve_session",
 ]
+
+
+#: arrivals the pump draws, verifies and hands to ``on_draw`` at once:
+#: the service journals them with one fsync (group commit).  A
+#: constant, not paced by wall time, so every run of a stream writes
+#: the same journal.
+DRAW_AHEAD = 16
 
 
 class StreamDivergenceError(RuntimeError):
@@ -105,30 +119,39 @@ class ArrivalPump:
 
     Exactly one next-arrival event is pending at any instant (none
     while the queue exerts backpressure under the ``block`` policy or
-    after the source is exhausted), so the pump adds O(1) to the event
-    queue and to every snapshot.
+    after the stream is exhausted), so the pump adds O(1) to the event
+    queue.  Draws are grouped: the pump draws :data:`DRAW_AHEAD`
+    arrivals, replay-verifies each, passes the group to ``on_draw``
+    once, and then schedules them one by one from :attr:`ahead` — so a
+    snapshot holds fewer than ``DRAW_AHEAD`` drawn jobs besides the
+    pending one.
     """
 
     __slots__ = (
-        "sim", "qs", "source", "blocked_job", "exhausted", "draining", "replay",
-        "replay_verified", "on_draw", "_pending", "_resuming",
+        "sim", "qs", "source", "ahead", "blocked_job", "exhausted", "draining",
+        "replay", "replay_verified", "on_draw", "_pending", "_resuming",
     )
 
     def __init__(self, sim: Simulator, qs: StreamingQS, source: ArrivalSource) -> None:
         self.sim = sim
         self.qs = qs
         self.source = source
+        #: drawn (and handed to ``on_draw``) but not yet scheduled
+        self.ahead: Deque[Job] = deque()
         #: job held while the queue is full under the ``block`` policy
         self.blocked_job: Optional[Job] = None
+        #: the source ran dry and every arrival it gave was scheduled
         self.exhausted = False
-        #: drain mode: stop drawing, let in-flight work finish
+        #: drain mode: stop drawing and scheduling, let in-flight work
+        #: finish (arrivals still in :attr:`ahead` are never offered)
         self.draining = False
         #: journalled arrivals a restored source must re-draw verbatim
         self.replay: List[JournalEntry] = []
         self.replay_verified = 0
-        #: host hook, fired as ``on_draw(seq, job)`` the instant a job
-        #: is drawn (before its arrival is scheduled); not pickled
-        self.on_draw: Optional[Callable[[int, Job], None]] = None
+        #: host hook, fired as ``on_draw(group)`` with each drawn group
+        #: of ``(seq, job)`` pairs before any of it is scheduled; not
+        #: pickled
+        self.on_draw: Optional[Callable[[List[Tuple[int, Job]]], None]] = None
         self._pending = False
         self._resuming = False
 
@@ -142,7 +165,11 @@ class ArrivalPump:
 
     @property
     def done(self) -> bool:
-        """No more arrivals will ever be delivered."""
+        """No more arrivals will ever be delivered.
+
+        True once the stream is exhausted (buffer included) or
+        draining, and no arrival is held.
+        """
         return (self.exhausted or self.draining) and not self.blocked
 
     def delivering(self) -> bool:
@@ -177,10 +204,12 @@ class ArrivalPump:
         # overwrite (lose) a held job.
         if self._pending or self.blocked_job is not None or self.draining:
             return
-        job = self._draw()
-        if job is None:
+        if not self.ahead:
+            self._draw()
+        if not self.ahead:
             self.exhausted = True
             return
+        job = self.ahead.popleft()
         self._pending = True
         # Clamp into the present: a restored clock may sit past the
         # submit time the source drew (SWF sources after a long outage).
@@ -191,19 +220,27 @@ class ArrivalPump:
             label=f"arrival:{job.job_id}",
         )
 
-    def _draw(self) -> Optional[Job]:
-        job = self.source.draw()
-        if job is None:
-            return None
-        seq = self.source.drawn
-        if self.replay:
-            expected = self.replay.pop(0)
-            if expected.seq != seq or not expected.matches_job(job):
-                raise StreamDivergenceError(expected, job)
-            self.replay_verified += 1
-        if self.on_draw is not None:
-            self.on_draw(seq, job)
-        return job
+    def _draw(self) -> None:
+        """Draw and verify the next group, hand it over, then buffer it.
+
+        A group is only buffered once ``on_draw`` returned: if the
+        journal refuses it, none of its arrivals is ever offered.
+        """
+        group: List[Tuple[int, Job]] = []
+        while len(group) < DRAW_AHEAD:
+            job = self.source.draw()
+            if job is None:
+                break
+            seq = self.source.drawn
+            if self.replay:
+                expected = self.replay.pop(0)
+                if expected.seq != seq or not expected.matches_job(job):
+                    raise StreamDivergenceError(expected, job)
+                self.replay_verified += 1
+            group.append((seq, job))
+        if group and self.on_draw is not None:
+            self.on_draw(group)
+        self.ahead.extend(job for _, job in group)
 
     def _deliver(self, job: Job) -> None:
         self._pending = False

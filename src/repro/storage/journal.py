@@ -8,10 +8,12 @@ type is the codec: ``to_json``/``from_json`` plus a ``key`` that
 identifies the record (an arrival's sequence number, a cell's cache
 key).  Everything about durability lives here, once:
 
-* **appends** are one ``write`` call, flushed and ``fsync``'d before
-  the entry is indexed; the parent directory is fsynced when the file
-  is first created (a record is only as durable as the directory entry
-  that reaches it);
+* **appends** take a group of records and write them with one
+  ``write`` call, one flush and one ``fsync`` before any of them is
+  indexed (group commit: the arrival journal appends each draw-ahead
+  group at once, the sweep journal one record at a time); the parent
+  directory is fsynced when the file is first created (a record is
+  only as durable as the directory entry that reaches it);
 * **torn tails** are expected, not fatal: loading stops at the first
   line that is not a well-formed record — a crash mid-write, or a line
   that parses as JSON but has the wrong shape — and sets
@@ -30,14 +32,15 @@ key).  Everything about durability lives here, once:
   retry that "succeeds" proves nothing.
 
 Subclasses set :attr:`RecordJournal.entry_type` and define their own
-typed ``append`` (and lookups) on top of :meth:`RecordJournal._write`.
+typed ``append`` (and lookups) on top of :meth:`RecordJournal._write`,
+the one write path.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any, Dict, Generic, Hashable, Optional, Protocol, Type, TypeVar
+from typing import Any, Dict, Generic, Hashable, Optional, Protocol, Sequence, Type, TypeVar
 
 from repro.storage.layer import (
     JournalWriteError,
@@ -112,7 +115,8 @@ class RecordJournal(Generic[E]):
         """Index every intact record; whether the file ends mid-line.
 
         Stops at the first line that is not a record — by construction
-        only a torn tail, since each record is one ``write`` + fsync.
+        only a torn tail, since each group of records is one ``write``
+        + fsync.
         """
         try:
             raw = self.path.read_bytes()
@@ -160,28 +164,32 @@ class RecordJournal(Generic[E]):
     def _encode(entry: JournalRecord) -> bytes:
         return entry.to_json().encode("utf-8") + b"\n"
 
-    def _write(self, entry: E) -> E:
-        """Durably record *entry*, then index it under its key.
+    def _write(self, entries: Sequence[E]) -> None:
+        """Durably record *entries* as one group, then index each by key.
+
+        One ``write`` of every encoded record, one flush, one
+        ``fsync``: the group becomes durable together, and only then
+        is any of it indexed.
 
         Raises
         ------
         JournalWriteError
-            On the first IO failure and on every append after it; the
-            entry is *not* indexed as written.
+            On the first IO failure and on every append after it; no
+            entry of the failed group is indexed as written.
         """
         if self.broken is not None:
             raise JournalWriteError(self.path, self.broken)
         try:
             if self._handle is None:
                 self._handle = self.storage.open_append(self.path)
-            self._handle.write(self._encode(entry))
+            self._handle.write(b"".join(self._encode(e) for e in entries))
             self._handle.flush()
             self._handle.fsync()
         except OSError as exc:
             self.broken = exc
             raise JournalWriteError(self.path, exc) from exc
-        self.entries[entry.key] = entry
-        return entry
+        for entry in entries:
+            self.entries[entry.key] = entry
 
     def close(self) -> None:
         """Close the underlying file handle (idempotent)."""

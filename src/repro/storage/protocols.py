@@ -53,7 +53,7 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checkpoint.errors import (
     CheckpointCorruptError,
@@ -100,9 +100,7 @@ __all__ = [
 ]
 
 #: canonical protocol order (CLI choices, reports, docs)
-PROTOCOL_NAMES: Tuple[str, ...] = (
-    "journal", "checkpoint", "cache", "status", "serve",
-)
+PROTOCOL_NAMES: Tuple[str, ...] = ("journal", "checkpoint", "cache", "status", "serve")
 
 #: errnos exercised by the deterministic fault matrix
 _MATRIX_ERRNOS = (errno.ENOSPC, errno.EIO)
@@ -162,7 +160,8 @@ def _fault_plans(ops: Sequence[str], crash_ops: Sequence[str],
 # ----------------------------------------------------------------------
 # write-ahead journal
 # ----------------------------------------------------------------------
-#: journal records, each with the ``append`` args that write it
+#: journal records, each with the ``SweepJournal.append`` args that
+#: write it (the arrival journal appends the entries themselves)
 _Records = List[Tuple[Any, Tuple[Any, ...]]]
 
 
@@ -174,7 +173,7 @@ def _arrival_records(count: int) -> _Records:
         )
         for i in range(count)
     ]
-    return [(entry, (entry,)) for entry in entries]
+    return [(entry, ()) for entry in entries]
 
 
 def _cell_records(count: int) -> _Records:
@@ -189,50 +188,66 @@ def _cell_records(count: int) -> _Records:
     return records
 
 
-#: journal class -> (file name, records of a run)
-_JOURNAL_KINDS: Dict[Any, Tuple[str, Callable[[int], _Records]]] = {
-    ArrivalJournal: ("arrivals.jsonl", _arrival_records),
-    SweepJournal: ("sweep.journal", _cell_records),
+def _append_arrivals(journal: Any, group: _Records) -> None:
+    """One group commit: one write and one fsync for the whole group."""
+    journal.append([entry for entry, _ in group])
+
+
+def _append_cells(journal: Any, group: _Records) -> None:
+    """The sweep journal commits one cell at a time."""
+    for _, args in group:
+        journal.append(*args)
+
+
+#: journal class -> (file name, records of a run, how a group is appended)
+_JOURNAL_KINDS: Dict[
+    Any, Tuple[str, Callable[[int], _Records], Callable[[Any, _Records], None]]
+] = {
+    ArrivalJournal: ("arrivals.jsonl", _arrival_records, _append_arrivals),
+    SweepJournal: ("sweep.journal", _cell_records, _append_cells),
 }
 
 
 class JournalProtocol:
-    """Record journal: append N records, each acked after its fsync.
+    """Record journal: append N records in groups, each acked after its fsync.
 
     Both write-ahead journals are one
     :class:`~repro.storage.journal.RecordJournal` that differs only in
     its entry type, so the campaign drives the arrival journal for
     both; ``JournalProtocol(SweepJournal)`` drives the sweep journal
-    through the same invariants and fault matrix.
+    through the same invariants and fault matrix.  The arrival journal
+    appends each group as one batch, as the serve pump's group commit
+    does; the sweep journal appends a group's records one by one.
     """
 
     name = "journal"
-    records = 12
+    #: the sizes of the appended groups (12 records), one ack per group
+    groups = (1, 3, 8)
 
     def __init__(self, journal_type: Any = ArrivalJournal) -> None:
         self.journal_type = journal_type
-        self.filename, make_records = _JOURNAL_KINDS[journal_type]
-        self._records = make_records(self.records)
-        self._lines = [entry.to_json() for entry, _ in self._records]
-
-    def _recovered(self, path: Path) -> List[str]:
-        """The records a restart recovers from *path*, in journal order."""
-        journal = self.journal_type(path, resume=True)
-        return [entry.to_json() for entry in journal.entries.values()]
+        self.filename, make_records, self._append = _JOURNAL_KINDS[journal_type]
+        records = make_records(sum(self.groups))
+        self._lines = [entry.to_json() for entry, _ in records]
+        self._groups: List[_Records] = []
+        for size in self.groups:
+            self._groups.append(records[:size])
+            records = records[size:]
 
     def run(self, layer: StorageLayer, workdir: Path) -> List[str]:
         journal = self.journal_type(workdir / self.filename, storage=layer)
-        for entry, args in self._records:
-            journal.append(*args)
-            layer.ack("append", str(entry.key))
+        for group in self._groups:
+            self._append(journal, group)
+            layer.ack("append", str(group[-1][0].key))
         journal.close()
         return list(self._lines)
 
     def check(self, state_dir: Path, acked: int,
               expect: List[str]) -> List[str]:
-        recovered = self._recovered(state_dir / self.filename)
+        recovered = _recovered(self.journal_type, state_dir / self.filename)
+        records = sum(self.groups[:acked])
         return [f"{self.name}: {p}"
-                for p in _check_prefix(recovered, expect, acked)]
+                for p in _check_prefix(recovered, expect, records)]
 
     def fault_plans(self, seed: int) -> List[FailPlan]:
         return _fault_plans(
@@ -248,10 +263,10 @@ class JournalProtocol:
         acked = 0
         crashed = False
         broke = False
-        for _, args in self._records:
+        for group in self._groups:
             try:
-                journal.append(*args)
-                acked += 1
+                self._append(journal, group)
+                acked += len(group)
             except JournalWriteError:
                 broke = True
                 break
@@ -265,18 +280,26 @@ class JournalProtocol:
                 )
                 break
         if broke:
-            last_args = self._records[-1][1]
+            last = self._groups[-1]
             problems.extend(_check_journal_broken(
                 self.name, journal.broken,
-                lambda: journal.append(*last_args),
+                lambda: self._append(journal, last),
             ))
         if not crashed:
             journal.close()
         problems.extend(
             f"{self.name}: {p}"
-            for p in _check_prefix(self._recovered(path), self._lines, acked)
+            for p in _check_prefix(
+                _recovered(self.journal_type, path), self._lines, acked
+            )
         )
         return problems
+
+
+def _recovered(journal_type: Any, path: Path) -> List[str]:
+    """The records a restart recovers from *path*, in journal order."""
+    journal = journal_type(path, resume=True)
+    return [entry.to_json() for entry in journal.entries.values()]
 
 
 def _check_prefix(recovered: List[str], expect: List[str],
@@ -657,21 +680,19 @@ class _OfferAcks:
             self.layer.ack("offer", event.label)
 
 
-class _ServeOracle:
+class _ServeOracle(NamedTuple):
     """What the uninterrupted traced run left behind, to judge by."""
 
-    def __init__(self, digest: str, lines: List[str], saves: List[bytes],
-                 statuses: List[bytes], marks: List[TraceMark]) -> None:
-        #: stats digest at drain
-        self.digest = digest
-        #: journal records, in sequence order
-        self.lines = lines
-        #: every snapshot envelope, in save order
-        self.saves = saves
-        #: every status file version
-        self.statuses = statuses
-        #: the run's acks, in order
-        self.marks = marks
+    #: stats digest at drain
+    digest: str
+    #: journal records, in sequence order
+    lines: List[str]
+    #: every snapshot envelope, in save order
+    saves: List[bytes]
+    #: every status file version
+    statuses: List[bytes]
+    #: the run's acks, in order
+    marks: List[TraceMark]
 
 
 class ServeProtocol:
@@ -735,7 +756,8 @@ class ServeProtocol:
                              drop_fsync=layer.drop_fsync)
         service = self._service(served, workdir)
         service.session.sim.attach_observer(_OfferAcks(served))
-        service.run(handle_signals=False)
+        code = service.run(handle_signals=False)
+        assert code == 0, f"the uninterrupted serve run exited {code}"
         assert service.journal is not None and layer.trace is not None
         self._oracle = _ServeOracle(
             digest=service.session.stats.digest(),
@@ -763,15 +785,10 @@ class ServeProtocol:
             )
         return [f"{self.name}: {p}" for p in problems]
 
-    def _records(self, workdir: Path) -> List[str]:
-        """The journal records a restart recovers from *workdir*."""
-        journal = ArrivalJournal(workdir / self.journal, resume=True)
-        return [entry.to_json() for entry in journal.entries.values()]
-
     def _recover(self, state_dir: Path, expect: _ServeOracle, offered: int,
                  last_save: Optional[int]) -> List[str]:
         """Journal and snapshot invariants, then restore and drain."""
-        lines = self._records(state_dir)
+        lines = _recovered(ArrivalJournal, state_dir / self.journal)
         problems = _check_prefix(lines, expect.lines, offered)
         snapshot = state_dir / self.snapshot
         blob = snapshot.read_bytes() if snapshot.exists() else None
@@ -815,10 +832,7 @@ class ServeProtocol:
         except Exception as exc:  # noqa: BLE001 - any escape is the finding
             return [f"recovery raised {type(exc).__name__}: {exc}"]
         how = "restore" if restore else "fresh replay-verified run"
-        problems = [
-            f"{how}: {v.code}: {v.message}"
-            for v in validate_stream(service.session)
-        ]
+        problems = [f"{how}: {v.render()}" for v in validate_stream(service.session)]
         if code != 0:
             problems.append(f"{how} exited {code}")
         if service.session.stats.digest() != want:
@@ -845,15 +859,15 @@ class ServeProtocol:
             if service.journal.broken is not None:
                 # a broken journal drained the stream before the crash:
                 # its snapshots are of that drain, not of the full run
-                problems = self._journal_faults(workdir, expect, offers.offered)
+                problems = self._after_fault(workdir, expect, offers.offered)
             else:
                 problems = self._recover(workdir, expect, offers.offered, None)
             return [f"{self.name}: {p}" for p in problems]
-        except BaseException as exc:  # noqa: BLE001 - diagnostic
+        except Exception as exc:  # noqa: BLE001 - any escape is the finding
             return [f"{self.name}: untyped {type(exc).__name__} escaped the "
                     f"service run"]
         stats = service.session.stats
-        problems = self._journal_faults(workdir, expect, stats.submitted)
+        problems = self._after_fault(workdir, expect, stats.submitted)
         if service.journal.broken is not None:
             if code != EXIT_STORAGE:
                 problems.append(
@@ -867,7 +881,7 @@ class ServeProtocol:
                 problems.append(f"service exited {code} with an intact journal")
             if stats.digest() != expect.digest:
                 problems.append("a survived fault changed the stats digest")
-            if self._records(workdir) != expect.lines:
+            if _recovered(ArrivalJournal, workdir / self.journal) != expect.lines:
                 problems.append("journal lost arrivals without breaking")
             errors = [i for i in plan.fired
                       if plan.rules[i].kind in ("error", "short")]
@@ -877,10 +891,11 @@ class ServeProtocol:
                 )
         return [f"{self.name}: {p}" for p in problems]
 
-    def _journal_faults(self, workdir: Path, expect: _ServeOracle,
-                        offered: int) -> List[str]:
+    def _after_fault(self, workdir: Path, expect: _ServeOracle,
+                     offered: int) -> List[str]:
         """After a fault: every offered arrival journalled, a whole snapshot."""
-        problems = _check_prefix(self._records(workdir), expect.lines, offered)
+        recovered = _recovered(ArrivalJournal, workdir / self.journal)
+        problems = _check_prefix(recovered, expect.lines, offered)
         snapshot = workdir / self.snapshot
         if snapshot.exists():
             try:

@@ -217,7 +217,7 @@ def _layout_session(name):
             serve_config=ServeConfig(),
         )
         session.pump.prime()
-        while session.source.drawn < 15 and session.sim.step(1):
+        while session.stats.submitted < 15 and session.sim.step(1):
             pass
         return session
     policy, scenario = name.split("/")

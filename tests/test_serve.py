@@ -38,6 +38,7 @@ from repro.serve.service import (
     read_status,
 )
 from repro.serve.session import (
+    DRAW_AHEAD,
     ServeConfig,
     ServeSession,
     StreamDivergenceError,
@@ -72,14 +73,14 @@ def drain(session: ServeSession, max_events: int = 500_000) -> None:
     assert session.complete, f"did not drain after {fired} events"
 
 
-def cut_after_draws(session: ServeSession, drawn: int) -> None:
-    """Advance event by event until *drawn* arrivals were drawn.
+def cut_after_offers(session: ServeSession, offered: int) -> None:
+    """Advance event by event until *offered* arrivals were offered.
 
-    A cut placed by draws stays mid-stream however many iteration ends
-    a fired event absorbs.
+    A cut placed by offers stays mid-stream however many iteration ends
+    a fired event absorbs, and however far ahead the pump draws.
     """
     session.pump.prime()
-    while session.source.drawn < drawn and session.sim.step(1):
+    while session.stats.submitted < offered and session.sim.step(1):
         pass
 
 
@@ -143,7 +144,7 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         with ArrivalJournal(path) as journal:
             for seq in (1, 2, 3):
-                journal.append(self.entry(seq))
+                journal.append([self.entry(seq)])
         resumed = ArrivalJournal(path, resume=True)
         assert len(resumed) == 3
         assert resumed.max_seq == 3
@@ -154,7 +155,7 @@ class TestJournal:
     def test_fresh_journal_truncates(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with ArrivalJournal(path) as journal:
-            journal.append(self.entry(1))
+            journal.append([self.entry(1)])
         fresh = ArrivalJournal(path, resume=False)
         assert len(fresh) == 0
         assert not path.exists()
@@ -163,7 +164,7 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         with ArrivalJournal(path) as journal:
             for seq in (1, 2):
-                journal.append(self.entry(seq))
+                journal.append([self.entry(seq)])
         with open(path, "ab") as handle:
             handle.write(b'{"v":1,"seq":3,"jo')  # crash mid-write
         resumed = ArrivalJournal(path, resume=True)
@@ -173,8 +174,8 @@ class TestJournal:
     def test_duplicate_seq_last_wins(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with ArrivalJournal(path) as journal:
-            journal.append(self.entry(1, request=4))
-            journal.append(self.entry(1, request=9))
+            journal.append([self.entry(1, request=4)])
+            journal.append([self.entry(1, request=9)])
         resumed = ArrivalJournal(path, resume=True)
         assert resumed.duplicates == 1
         assert resumed.entries[1].request == 9
@@ -183,7 +184,7 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         with ArrivalJournal(path) as journal:
             for seq in (1, 2, 3, 4):
-                journal.append(self.entry(seq))
+                journal.append([self.entry(seq)])
         resumed = ArrivalJournal(path, resume=True)
         assert [e.seq for e in resumed.tail_after(2)] == [3, 4]
         assert resumed.tail_after(4) == []
@@ -470,7 +471,7 @@ class TestSessionRecovery:
         want = reference.stats.digest()
 
         crashed = make_session(max_jobs=40, seed=3)
-        cut_after_draws(crashed, 15)
+        cut_after_offers(crashed, 15)
         assert not crashed.complete, "cut must land mid-stream"
         snapshot = tmp_path / "serve.ckpt"
         crashed.save(snapshot)
@@ -480,14 +481,32 @@ class TestSessionRecovery:
         assert restored.stats.digest() == want
         assert validate_stream(restored) == []
 
+    def test_snapshot_mid_buffer_restores_byte_identical(self, tmp_path):
+        reference = make_session(max_jobs=40, seed=3)
+        drain(reference)
+
+        crashed = make_session(max_jobs=40, seed=3)
+        cut_after_offers(crashed, 5)
+        ahead = [job.job_id for job in crashed.pump.ahead]
+        assert 0 < len(ahead) < DRAW_AHEAD, "cut must land mid-buffer"
+        snapshot = tmp_path / "serve.ckpt"
+        crashed.save(snapshot)
+
+        restored = ServeSession.restore(snapshot)
+        assert [job.job_id for job in restored.pump.ahead] == ahead
+        assert restored.source.drawn == crashed.source.drawn == DRAW_AHEAD
+        drain(restored)
+        assert restored.stats.digest() == reference.stats.digest()
+        assert validate_stream(restored) == []
+
     def test_replay_verification_consumes_the_tail(self, tmp_path):
         # run a journalled service, snapshot mid-stream, keep drawing
         session = make_session(max_jobs=30, seed=1)
         journal = ArrivalJournal(tmp_path / "j.jsonl")
-        session.pump.on_draw = (
-            lambda seq, job: journal.append(JournalEntry.from_job(seq, job))
+        session.pump.on_draw = lambda group: journal.append(
+            [JournalEntry.from_job(seq, job) for seq, job in group]
         )
-        cut_after_draws(session, 12)
+        cut_after_offers(session, 12)
         snapshot = tmp_path / "serve.ckpt"
         session.save(snapshot)
         cursor = session.source.drawn
@@ -507,7 +526,7 @@ class TestSessionRecovery:
 
     def test_divergent_replay_refused(self, tmp_path):
         session = make_session(max_jobs=30, seed=1)
-        cut_after_draws(session, 12)
+        cut_after_offers(session, 12)
         snapshot = tmp_path / "serve.ckpt"
         session.save(snapshot)
         cursor = session.source.drawn
@@ -564,6 +583,34 @@ class TestServeService:
         journal = ArrivalJournal(tmp_path / "j.jsonl", resume=True)
         assert len(journal) == session.source.drawn
 
+    def test_every_offer_was_journalled_first(self, tmp_path, monkeypatch):
+        from repro.storage.layer import OpTrace, StorageLayer
+
+        session = make_session(max_jobs=40)
+        trace = OpTrace(tmp_path)
+        service = ServeService(
+            session, journal_path=tmp_path / "j.jsonl",
+            storage=StorageLayer(trace=trace),
+        )
+        offered = []
+        offer = StreamingQS.offer
+
+        def journalled_offer(qs, job):
+            # entries are indexed only after their group's fsync
+            assert job.job_id in service.journal.entries, (
+                f"arrival {job.job_id} offered before it was journalled"
+            )
+            offered.append(job.job_id)
+            return offer(qs, job)
+
+        monkeypatch.setattr(StreamingQS, "offer", journalled_offer)
+        assert service.run(handle_signals=False) == 0
+        assert offered == list(range(1, 41))
+        # one fsync per drawn group: 16 + 16 + 8
+        fsyncs = [op for op in trace.ops
+                  if op.op == "fsync" and op.path == "j.jsonl"]
+        assert len(fsyncs) == 3
+
     def test_deadlock_is_diagnosed(self, tmp_path, monkeypatch):
         session = make_session(max_jobs=3)
         # a queue that can never start anything: the degenerate config
@@ -618,9 +665,9 @@ class TestServeStorageFailures:
 
         session = make_session(max_jobs=25)
         status = tmp_path / "status.json"
-        # the 5th journal fsync fails: fsyncgate, journal breaks
+        # the 2nd group's fsync fails: fsyncgate, journal breaks
         storage = StorageLayer(plan=FailPlan.single(
-            "fsync", nth=5, path_glob="j.jsonl"
+            "fsync", nth=2, path_glob="j.jsonl"
         ))
         service = ServeService(
             session, journal_path=tmp_path / "j.jsonl",
@@ -638,6 +685,8 @@ class TestServeStorageFailures:
         assert sorted(recovered.entries) == list(
             range(1, len(recovered.entries) + 1)
         )
+        # the refused group was never offered; every earlier one was
+        assert session.stats.submitted == len(recovered) == DRAW_AHEAD
 
     def test_status_write_failures_survived_and_counted(self, tmp_path):
         from repro.storage.layer import StorageLayer

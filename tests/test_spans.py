@@ -94,6 +94,9 @@ GOLDEN = {
 
 #: serve stats digest, PDPA on a 200-job w2 stream
 GOLDEN_SERVE = "2013464187c3c1c9eaad2d065ac39f8f20ce8e4601efcc91926d208572d2bad9"
+#: sha256 of the arrival journal that stream writes (one fsync'd line
+#: per arrival when pinned; group commit must write the same bytes)
+GOLDEN_SERVE_JOURNAL = "61b44da2aaedda8fc95d1cbaaf7bec03a370e9604da847cbb8a431a8edb4e4c5"
 #: snapshots the per-iteration path wrote: serve every 500 events
 #: (plus the final one), and closed PDPA/w3 every 500 events
 GOLDEN_SERVE_SAVES = 36
@@ -144,7 +147,7 @@ def test_autosnapshot_cadence_counts_logical_events(tmp_path):
     assert _digest(out) == GOLDEN["PDPA/w3"]
 
 
-def _serve(tmp_path: Path, checkpoint: bool) -> ServeService:
+def _serve(tmp_path: Path, checkpoint: bool, journal: Optional[Path] = None) -> ServeService:
     source = SyntheticSource(
         TABLE1_MIXES["w2"], 1.0, n_cpus=GOLDEN_CONFIG.n_cpus, seed=11, max_jobs=200
     )
@@ -152,7 +155,7 @@ def _serve(tmp_path: Path, checkpoint: bool) -> ServeService:
         "PDPA", source, config=GOLDEN_CONFIG, serve_config=ServeConfig(), load=1.0
     )
     plan = CheckpointPlan(path=tmp_path / "serve.ckpt", every_events=500) if checkpoint else None
-    service = ServeService(session, checkpoint=plan)
+    service = ServeService(session, journal_path=journal, checkpoint=plan)
     assert service.run(handle_signals=False) == 0
     return service
 
@@ -167,6 +170,13 @@ def test_serve_golden_digest_with_and_without_autosnapshots(tmp_path):
     # snapshots only read: the event history is the same without them
     assert durable.session.sim.events_fired == plain.session.sim.events_fired
     assert plain.session.sim.events_fired < plain.session.sim.logical_events
+
+
+def test_serve_golden_journal_bytes(tmp_path):
+    journal = tmp_path / "arrivals.jsonl"
+    journalled = _serve(tmp_path, checkpoint=False, journal=journal)
+    assert journalled.session.stats.digest() == GOLDEN_SERVE
+    assert hashlib.sha256(journal.read_bytes()).hexdigest() == GOLDEN_SERVE_JOURNAL
 
 
 # ----------------------------------------------------------------------

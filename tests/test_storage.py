@@ -67,7 +67,7 @@ class Kind(NamedTuple):
 
 KINDS = (
     Kind("arrivals", ArrivalJournal,
-         lambda journal, n, tag="": journal.append(entry(n, app="w2" + tag)),
+         lambda journal, n, tag="": journal.append([entry(n, app="w2" + tag)]),
          lambda n: n),
     Kind("cells", SweepJournal,
          lambda journal, n, tag="": journal.append(
@@ -250,10 +250,10 @@ class TestJournalFsyncgate:
         # record's bytes are gone, not half-present
         layer = StorageLayer(plan=FailPlan.single("fsync", nth=2))
         journal = ArrivalJournal(tmp_path / "j.jsonl", storage=layer)
-        journal.append(entry(1))
+        journal.append([entry(1)])
         size_before = (tmp_path / "j.jsonl").stat().st_size
         with pytest.raises(JournalWriteError):
-            journal.append(entry(2))
+            journal.append([entry(2)])
         assert (tmp_path / "j.jsonl").stat().st_size == size_before
 
 
@@ -445,7 +445,7 @@ def test_journal_bytes_match_golden(tmp_path, kind, scenario):
 def _reference_journal_bytes(tmp_path) -> bytes:
     journal = ArrivalJournal(tmp_path / "ref.jsonl")
     for seq in range(1, 9):
-        journal.append(entry(seq))
+        journal.append([entry(seq)])
     journal.close()
     return (tmp_path / "ref.jsonl").read_bytes()
 
@@ -483,7 +483,7 @@ def test_torn_prefix_recovery_is_a_fixed_point(cut, tmp_path_factory):
     assert second.entries.keys() == first.entries.keys()
     assert not second.torn_tail  # compaction happened at most once
     next_seq = max(expected, default=0) + 1
-    second.append(entry(next_seq))
+    second.append([entry(next_seq)])
     second.close()
     third = ArrivalJournal(torn, resume=True)
     assert sorted(third.entries) == expected + [next_seq]

@@ -12,16 +12,24 @@ a real simulation run.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.canonical import canonical_dumps
 from repro.experiments.common import ExperimentConfig, run_workload
+from repro.faults.scenarios import build_scenario
 from repro.fuzz.profiles import tier_settings
 from repro.metrics.stats import JobRecord, WorkloadResult
 from repro.metrics.streaming import Reservoir, StreamingStats
+from repro.qs.streaming import IngressConfig
+from repro.qs.workload import TABLE1_MIXES
+from repro.serve.session import ServeConfig, build_serve_session
+from repro.serve.source import SyntheticSource
 
 APP_NAMES = ("fz-linear", "fz-amdahl", "fz-rigid")
 
@@ -137,6 +145,27 @@ class TestDigest:
         a, b = StreamingStats(), StreamingStats()
         a.observe_submit()
         assert a.digest() != b.digest()
+
+    def test_digest_hashes_the_canonical_payload(self):
+        # an overloaded stream that sheds, and fails every job a CPU
+        # death kills, fills each counter and reservoir to_dict holds
+        faults = dataclasses.replace(build_scenario("cpukill8", 16), max_retries=0)
+        source = SyntheticSource(
+            TABLE1_MIXES["w2"], 3.0, n_cpus=16, seed=3, max_jobs=80
+        )
+        session = build_serve_session(
+            "PDPA", source,
+            config=ExperimentConfig(n_cpus=16, seed=3).with_faults(faults),
+            serve_config=ServeConfig(
+                ingress=IngressConfig(max_queue=4, policy="reject")
+            ),
+        )
+        session.pump.prime()
+        session.sim.run()
+        stats = session.stats
+        assert stats.shed and stats.overload_events and stats.failed
+        payload = canonical_dumps(stats.to_dict())
+        assert stats.digest() == hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestCounters:

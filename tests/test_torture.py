@@ -24,10 +24,12 @@ import pytest
 
 from repro.parallel.journal import SweepJournal
 from repro.serve.journal import ArrivalJournal
+from repro.serve.service import ServeService
 from repro.storage.layer import OpTrace, StorageLayer
 from repro.storage.protocols import (
     PROTOCOL_NAMES,
     JournalProtocol,
+    ServeProtocol,
     run_protocol_torture,
     run_torture,
 )
@@ -210,6 +212,18 @@ class TestMutationSelfTest:
             f"{protocol}: a protocol silently skipping every fsync was "
             f"not caught — the enumerator cannot detect missing fsyncs"
         )
+
+    def test_serve_catches_offers_the_journal_never_held(
+        self, tmp_path, monkeypatch
+    ):
+        # a service that offers arrivals it never journalled: the crash
+        # states that count an offer must find its record missing
+        monkeypatch.setattr(ServeService, "_journal_draw", lambda self, group: None)
+        monkeypatch.setattr(ServeProtocol, "fault_plans", lambda self, seed: [])
+        report = run_protocol_torture(
+            "serve", seed=0, budget=40, base_dir=tmp_path
+        )
+        assert any("lost acked append" in v for v in report.violations)
 
     def test_cache_is_exempt_by_design(self, tmp_path):
         # the cache never fsyncs (documented trade: a torn record is
