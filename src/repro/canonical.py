@@ -16,7 +16,7 @@ import enum
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 
 class UnserialisableValue(ValueError):
@@ -31,7 +31,84 @@ class UnserialisableValue(ValueError):
         self.value = value
 
 
-def canonical(value: Any, strict: bool = False, _path: str = "$") -> Any:
+#: types returned as they are, tested by exact type before anything else
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+#: a dataclass's field names and ``__type__`` tag; ``()`` for other types
+_Layout = Union[Tuple[Tuple[str, ...], str], Tuple[()]]
+
+#: the layout of every type met: ``dataclasses.fields()`` and the tag's
+#: string formatting run once per type, not once per instance
+_LAYOUTS: Dict[type, _Layout] = {}
+
+
+class _Unencodable(Exception):
+    """A strict walk met *value*; *steps* collects its path, innermost first."""
+
+    def __init__(self, value: Any) -> None:
+        super().__init__()
+        self.value = value
+        self.steps: List[str] = []
+
+
+def _layout(cls: type) -> _Layout:
+    layout: _Layout = ()
+    if dataclasses.is_dataclass(cls):
+        layout = (
+            tuple(f.name for f in dataclasses.fields(cls)),
+            f"{cls.__module__}.{cls.__qualname__}",
+        )
+    _LAYOUTS[cls] = layout
+    return layout
+
+
+def _walk(value: Any, strict: bool) -> Any:
+    cls = type(value)
+    if cls in _LEAVES:
+        return value
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        layout = _layout(cls)
+    if layout:
+        names, tag = layout
+        body: Dict[str, Any] = {}
+        try:
+            for name in names:
+                body[name] = _walk(getattr(value, name), strict)
+        except _Unencodable as exc:
+            exc.steps.append(f".{name}")
+            raise
+        body["__type__"] = tag
+        return body
+    if isinstance(value, enum.Enum):
+        return {"__enum__": f"{cls.__name__}.{value.name}"}
+    if isinstance(value, dict):
+        out: Dict[str, Any] = {}
+        try:
+            for k, v in value.items():
+                out[str(k)] = _walk(v, strict)
+        except _Unencodable as exc:
+            exc.steps.append(f".{k}")
+            raise
+        return out
+    if isinstance(value, (list, tuple)):
+        items: List[Any] = []
+        append = items.append
+        try:
+            for v in value:
+                append(_walk(v, strict))
+        except _Unencodable as exc:
+            exc.steps.append(f"[{len(items)}]")
+            raise
+        return items
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if strict:
+        raise _Unencodable(value)
+    return {"__repr__": repr(value)}
+
+
+def canonical(value: Any, strict: bool = False) -> Any:
     """Reduce *value* to a deterministic JSON-encodable structure.
 
     Dataclasses carry their qualified type name so two config classes
@@ -39,31 +116,14 @@ def canonical(value: Any, strict: bool = False, _path: str = "$") -> Any:
     back to ``repr`` (stable for this codebase's value types).  The
     fallback is fine for *hashing* cache keys but lossy for *payloads*
     — ``strict=True`` raises :class:`UnserialisableValue` instead, so
-    an undecodable record is never silently cached.
+    an undecodable record is never silently cached.  The error's
+    ``$.path`` is assembled only then, as the walk unwinds.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        body = {
-            f.name: canonical(getattr(value, f.name), strict, f"{_path}.{f.name}")
-            for f in dataclasses.fields(value)
-        }
-        cls = type(value)
-        body["__type__"] = f"{cls.__module__}.{cls.__qualname__}"
-        return body
-    if isinstance(value, enum.Enum):
-        return {"__enum__": f"{type(value).__name__}.{value.name}"}
-    if isinstance(value, dict):
-        return {
-            str(k): canonical(v, strict, f"{_path}.{k}") for k, v in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [
-            canonical(v, strict, f"{_path}[{i}]") for i, v in enumerate(value)
-        ]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if strict:
-        raise UnserialisableValue(_path, value)
-    return {"__repr__": repr(value)}
+    try:
+        return _walk(value, strict)
+    except _Unencodable as exc:
+        path = "$" + "".join(reversed(exc.steps))
+        raise UnserialisableValue(path, exc.value) from None
 
 
 def canonical_dumps(value: Any, strict: bool = False) -> str:

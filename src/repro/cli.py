@@ -49,8 +49,9 @@ from repro.experiments import fig3, fig5_table2, fig7_fig8, tables, workloads
 from repro.experiments.common import (
     POLICY_NAMES,
     ExperimentConfig,
-    run_workload,
+    run_session,
     workload_jobs,
+    workload_session,
 )
 from repro.faults.scenarios import SCENARIOS, build_scenario
 from repro.metrics.paraver import MIN_VIEW_WIDTH
@@ -491,10 +492,18 @@ def cmd_run(args: argparse.Namespace, sanitizer=None) -> str:
         args, f"{args.policy}-{args.workload}-load{args.load:g}-seed{args.seed}.ckpt"
     )
 
+    # the logical-event count the first autosave is due at
+    first_save: Optional[int] = None
+
     def _execute():
-        return run_workload(args.policy, args.workload, args.load, config,
-                            sanitizer=sanitizer, checkpoint=plan,
-                            restore=Path(args.restore) if args.restore else None)
+        nonlocal first_save
+        session = workload_session(
+            args.policy, args.workload, args.load, config,
+            restore=Path(args.restore) if args.restore else None,
+        )
+        if plan is not None:
+            first_save = session.sim.logical_events + plan.every_events
+        return run_session(session, sanitizer=sanitizer, checkpoint=plan)
 
     profiler = None
     if getattr(args, "profile", None):
@@ -515,11 +524,12 @@ def cmd_run(args: argparse.Namespace, sanitizer=None) -> str:
             pstats.Stats(profiler, stream=handle).sort_stats("cumulative").print_stats()
         print(f"[profile] cumulative-sorted stats written to {args.profile}",
               file=sys.stderr)
-    if plan is not None and out.rm.sim.logical_events < plan.every_events:
-        # The first autosave fires at the cadence, so this run saved nothing.
+    if first_save is not None and out.rm.sim.logical_events < first_save:
+        # The first autosave is due a cadence past the start (a restored
+        # run's start is its snapshot's count), so this run saved nothing.
         print(f"[checkpoint] no snapshot written: the run ended after "
               f"{out.rm.sim.logical_events} logical events, before the first "
-              f"autosave at {plan.every_events} (set a smaller --checkpoint-every)",
+              f"autosave at {first_save} (set a smaller --checkpoint-every)",
               file=sys.stderr)
     result = out.result
     rows = []

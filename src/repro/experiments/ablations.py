@@ -19,7 +19,7 @@ paper credits for PDPA's behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.race import RaceDetector
 from repro.apps.application import AppClass, ApplicationSpec
@@ -38,11 +38,13 @@ from repro.experiments.common import (
     workload_jobs,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel.runner import SweepCell, SweepRunner
 from repro.qs.backfill import BackfillQS
 from repro.qs.queuing import NanosQS
 from repro.rm.base import SystemView
 from repro.rm.batch import BatchFCFS
+
+if TYPE_CHECKING:  # the sweep pool loads only when a sweep runs
+    from repro.parallel.runner import SweepCell, SweepRunner
 
 
 class FixedMplPDPA(PDPA):

@@ -246,10 +246,10 @@ def run_jobs(
     changes the result by a byte.
     """
     session = build_session(policy, jobs, config, load=load)
-    return _drive(session, sanitizer=sanitizer, checkpoint=checkpoint)
+    return run_session(session, sanitizer=sanitizer, checkpoint=checkpoint)
 
 
-def _drive(
+def run_session(
     session: SimulationSession,
     sanitizer: Optional[RaceDetector] = None,
     checkpoint: Optional[CheckpointPlan] = None,
@@ -280,6 +280,37 @@ def workload_jobs(
     )
 
 
+def workload_session(
+    policy_name: str,
+    workload: str | WorkloadMix,
+    load: float,
+    config: Optional[ExperimentConfig] = None,
+    request_overrides: Optional[Mapping[str, int]] = None,
+    restore: Optional[Path] = None,
+) -> SimulationSession:
+    """The session :func:`run_workload` drives, not yet run.
+
+    With *restore*, the workload is not regenerated: the snapshot at
+    that path is loaded instead — after verifying it matches this
+    code version, *config*, *policy_name*, *workload* and *load*.
+    """
+    config = config or ExperimentConfig()
+    workload_name = workload if isinstance(workload, str) else workload.name
+    if restore is not None:
+        return SimulationSession.restore(
+            restore,
+            expected_config=config,
+            expected_policy=policy_name,
+            expected_workload=workload_name,
+            expected_load=load,
+        )
+    return build_session(
+        policy_name, workload_jobs(workload, load, config, request_overrides),
+        config, load=load, workload=workload_name,
+        request_overrides=request_overrides,
+    )
+
+
 def run_workload(
     policy_name: str,
     workload: str | WorkloadMix,
@@ -292,29 +323,14 @@ def run_workload(
 ) -> RunOutput:
     """Generate a Table 1 workload and execute it under one policy.
 
-    With *restore*, the workload is not regenerated: the snapshot at
-    that path is loaded instead — after verifying it matches this
-    code version, *config*, *policy_name*, *workload* and *load* —
-    and driven from its cut point to completion.  The returned result
-    is byte-identical to the uninterrupted run's.
+    With *restore*, the snapshot at that path is driven from its cut
+    point to completion instead (:func:`workload_session`).  The
+    returned result is byte-identical to the uninterrupted run's.
     """
-    config = config or ExperimentConfig()
-    workload_name = workload if isinstance(workload, str) else workload.name
-    if restore is not None:
-        session = SimulationSession.restore(
-            restore,
-            expected_config=config,
-            expected_policy=policy_name,
-            expected_workload=workload_name,
-            expected_load=load,
-        )
-    else:
-        session = build_session(
-            policy_name, workload_jobs(workload, load, config, request_overrides),
-            config, load=load, workload=workload_name,
-            request_overrides=request_overrides,
-        )
-    return _drive(session, sanitizer=sanitizer, checkpoint=checkpoint)
+    session = workload_session(
+        policy_name, workload, load, config, request_overrides, restore
+    )
+    return run_session(session, sanitizer=sanitizer, checkpoint=checkpoint)
 
 
 def workload_cell_spec(

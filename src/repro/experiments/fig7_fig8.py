@@ -13,7 +13,7 @@ execution of workload 2 at 100% load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import (
     ExperimentConfig,
@@ -22,7 +22,9 @@ from repro.experiments.common import (
     workload_cell_spec,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel.runner import SweepCell, SweepRunner
+
+if TYPE_CHECKING:  # the sweep pool loads only when a sweep runs
+    from repro.parallel.runner import SweepCell, SweepRunner
 
 #: Multiprogramming levels swept in Fig. 7.
 DEFAULT_MPLS = (2, 3, 4)
@@ -110,6 +112,8 @@ def run_fig8(
     runner: Optional[SweepRunner] = None,
 ) -> List[Tuple[float, int]]:
     """The (time, MPL) series PDPA decided — the data behind Fig. 8."""
+    from repro.parallel.runner import SweepCell
+
     cfg = config or ExperimentConfig()
     cell = SweepCell(
         key=f"fig8/{workload}/load={load:g}/seed={cfg.seed}",

@@ -9,13 +9,15 @@ simulated workload executions).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.analysis.race import RaceDetector
 from repro.experiments import ablations, fig3, fig5_table2, fig7_fig8, tables, workloads
 from repro.experiments.clock import ReportClock
 from repro.experiments.common import ExperimentConfig
-from repro.parallel.runner import SweepRunner
+
+if TYPE_CHECKING:  # the sweep pool loads only when a sweep runs
+    from repro.parallel.runner import SweepRunner
 
 
 def _section(title: str, body: str) -> str:

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.experiments.common import (
     ExperimentConfig,
@@ -21,8 +21,10 @@ from repro.experiments.common import (
     workload_cell_spec,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel.runner import SweepRunner
 from repro.qs.workload import TABLE1_MIXES
+
+if TYPE_CHECKING:  # the sweep pool loads only when a sweep runs
+    from repro.parallel.runner import SweepRunner
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ rows/series layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.common import (
     POLICY_NAMES,
@@ -21,7 +21,9 @@ from repro.experiments.common import (
     workload_cell_spec,
 )
 from repro.metrics.stats import WorkloadResult, format_table
-from repro.parallel.runner import SweepRunner
+
+if TYPE_CHECKING:  # the sweep pool loads only when a sweep runs
+    from repro.parallel.runner import SweepRunner
 
 #: Loads evaluated in the paper.
 DEFAULT_LOADS = (0.6, 0.8, 1.0)

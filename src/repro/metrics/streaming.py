@@ -39,6 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.metrics.stats import ClassSummary, JobRecord, WorkloadResult
 from repro.metrics.statistics import DEFAULT_SLOWDOWN_TAU, bounded_slowdown
 from repro.sim.columns import RunningMean
+from repro.sim.rng import pack_state, unpack_state
 
 __all__ = ["ClassFold", "Reservoir", "StreamingStats"]
 
@@ -98,15 +99,14 @@ class Reservoir:
             "capacity": self.capacity,
             "seen": self.seen,
             "items": list(self.items),
-            "rng_state": self._rng.getstate(),
+            "rng_state": pack_state(self._rng),
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.capacity = state["capacity"]
         self.seen = state["seen"]
         self.items = list(state["items"])
-        self._rng = random.Random(0)  # repro: allow(DET103): state is overwritten by setstate() on the next line
-        self._rng.setstate(state["rng_state"])
+        self._rng = unpack_state(*state["rng_state"])
 
 
 class ClassFold:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
+from typing import Any, Optional
 
 from repro.storage.journal import RecordJournal
 
@@ -66,8 +66,8 @@ class JournalEntry:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "JournalEntry":
-        obj = json.loads(line)
+    def from_obj(cls, obj: Any) -> "JournalEntry":
+        """The entry a decoded record holds; raises on a wrong shape."""
         if obj.get("v") != 1:
             raise ValueError(f"unknown journal record version {obj.get('v')!r}")
         return cls(

@@ -84,16 +84,13 @@ class JournalEntry:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "JournalEntry":
-        obj = json.loads(line)
+    def from_obj(cls, obj: Any) -> "JournalEntry":
+        """The entry a decoded record holds; raises on a wrong shape."""
         if obj.get("v") != 1:
             raise ValueError(f"unknown journal record version {obj.get('v')!r}")
         return cls(
-            seq=int(obj["seq"]),
-            job_id=int(obj["job"]),
-            app=str(obj["app"]),
-            submit=float(obj["submit"]),
-            request=int(obj["request"]),
+            int(obj["seq"]), int(obj["job"]), str(obj["app"]),
+            float(obj["submit"]), int(obj["request"]),
         )
 
     @classmethod

@@ -194,6 +194,7 @@ class ServeService:
         status_path: Optional[os.PathLike] = None,
         checkpoint: Optional[CheckpointPlan] = None,
         clock: Optional[ReportClock] = None,
+        storage: Optional[StorageLayer] = None,
     ) -> "ServeService":
         """Rebuild a service from its last snapshot plus journal tail.
 
@@ -201,13 +202,16 @@ class ServeService:
         the pump's replay expectations: the restored source re-draws
         them deterministically and each is verified against its
         journalled record before any genuinely new arrival is drawn.
+        The resumed journal's compaction and appends, the snapshots and
+        the status writes all go through *storage* (default: the
+        pass-through layer).
         """
         session = ServeSession.restore(
             Path(snapshot_path),
             expected_config=expected_config,
             expected_policy=expected_policy,
         )
-        journal = ArrivalJournal(journal_path, resume=True)
+        journal = ArrivalJournal(journal_path, resume=True, storage=storage)
         session.pump.set_replay(journal.tail_after(session.source.drawn))
         return cls(
             session,
@@ -215,6 +219,7 @@ class ServeService:
             checkpoint=checkpoint,
             clock=clock,
             journal=journal,
+            storage=storage,
         )
 
     # ------------------------------------------------------------------

@@ -4,9 +4,10 @@ Both write-ahead journals — the service's arrival journal
 (:class:`repro.serve.journal.ArrivalJournal`) and the sweep's
 completion journal (:class:`repro.parallel.journal.SweepJournal`) —
 are a :class:`RecordJournal` with a different entry type.  The entry
-type is the codec: ``to_json``/``from_json`` plus a ``key`` that
-identifies the record (an arrival's sequence number, a cell's cache
-key).  Everything about durability lives here, once:
+type is the codec: ``to_json``, ``from_obj`` (build from the decoded
+JSON value) plus a ``key`` that identifies the record (an arrival's
+sequence number, a cell's cache key).  Everything about durability
+lives here, once:
 
 * **appends** take a group of records and write them with one
   ``write`` call, one flush and one ``fsync`` before any of them is
@@ -38,6 +39,7 @@ the one write path.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Generic, Hashable, Optional, Protocol, Sequence, Type, TypeVar
@@ -51,6 +53,13 @@ from repro.storage.layer import (
 
 __all__ = ["RecordJournal"]
 
+#: what ``bytes.strip()`` strips: a line of only these is blank
+_ASCII_SPACE = " \t\n\r\x0b\x0c"
+#: the padding ``json.loads`` allows around a value (within one line)
+_JSON_PAD = " \t\r"
+#: ``json.loads``'s decoder: ``raw_decode`` is its C scanner's one call
+_DECODER = json.JSONDecoder()
+
 R = TypeVar("R", bound="JournalRecord")
 
 
@@ -63,7 +72,7 @@ class JournalRecord(Protocol):
     def to_json(self) -> str: ...
 
     @classmethod
-    def from_json(cls: Type[R], line: str) -> R: ...
+    def from_obj(cls: Type[R], obj: Any) -> R: ...
 
 
 E = TypeVar("E", bound=JournalRecord)
@@ -85,7 +94,7 @@ class RecordJournal(Generic[E]):
         through; defaults to the process-wide pass-through layer.
     """
 
-    #: the record class: ``from_json(line)``, ``to_json()`` and ``key``
+    #: the record class: ``from_obj(value)``, ``to_json()`` and ``key``
     entry_type: Type[E]
 
     def __init__(self, path: os.PathLike, resume: bool = False,
@@ -116,24 +125,42 @@ class RecordJournal(Generic[E]):
 
         Stops at the first line that is not a record — by construction
         only a torn tail, since each group of records is one ``write``
-        + fsync.
+        + fsync.  The file is decoded once and each line scanned once
+        by the C JSON scanner; a line is a record when it holds one
+        JSON value, padded only by spaces, tabs and carriage returns
+        (what ``json.loads`` accepts), and the entry type builds from
+        it.  A line of ASCII whitespace is skipped.
         """
         try:
             raw = self.path.read_bytes()
         except OSError:
             return False
-        for line in raw.split(b"\n"):
-            if not line.strip():
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the lines before the one holding the first bad byte are
+            # intact; that line is torn
+            text = raw[: raw.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+            self.torn_tail = True
+        decode = _DECODER.raw_decode
+        build = self.entry_type.from_obj
+        entries = self.entries
+        for line in text.split("\n"):
+            if not line.strip(_ASCII_SPACE):
                 continue
+            record = line.strip(_JSON_PAD)
             try:
-                entry = self.entry_type.from_json(line.decode("utf-8"))
-                duplicate = entry.key in self.entries
+                obj, end = decode(record)
+                if end != len(record):
+                    raise ValueError("trailing bytes after the record")
+                entry = build(obj)
+                duplicate = entry.key in entries
             except (ValueError, LookupError, TypeError, AttributeError):
                 self.torn_tail = True
                 break
             if duplicate:
                 self.duplicates += 1
-            self.entries[entry.key] = entry
+            entries[entry.key] = entry
         return bool(raw) and not raw.endswith(b"\n")
 
     def _compact(self) -> None:

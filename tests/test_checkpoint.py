@@ -512,6 +512,54 @@ class TestReplayCli:
         assert saved.out == plain.out and saved.err == ""
         assert (ck / "PDPA-w1-load1-seed7.ckpt").exists()
 
+    def test_restored_run_that_saved_nothing_says_so(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run = ["--seed", "7", "--cpus", "12", "run", "PDPA", "w1", "--load", "1.0"]
+        assert main(run) == 0
+        plain = capsys.readouterr()
+        # the last autosave of a run on a 25-event cadence lies fewer
+        # than 25 events before its end
+        assert main(["--checkpoint-dir", str(tmp_path / "first"),
+                     "--checkpoint-every", "25"] + run) == 0
+        capsys.readouterr()
+        (snap,) = (tmp_path / "first").glob("*.ckpt")
+        cut = SimulationSession.restore(snap).sim.logical_events
+
+        ck = tmp_path / "ck"
+        assert main(["--checkpoint-dir", str(ck), "--checkpoint-every", "25"]
+                    + run + ["--restore", str(snap)]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.out == plain.out
+        assert not ck.exists()
+        note = re.fullmatch(
+            r"\[checkpoint\] no snapshot written: the run ended after (\d+) "
+            rf"logical events, before the first autosave at {cut + 25} "
+            r"\(set a smaller --checkpoint-every\)\n",
+            quiet.err,
+        )
+        assert note is not None, quiet.err
+        assert 25 <= cut < int(note.group(1)) < cut + 25
+
+    def test_restored_run_that_saves_says_nothing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        run = ["--seed", "7", "--cpus", "12", "run", "PDPA", "w1", "--load", "1.0"]
+        assert main(run) == 0
+        plain = capsys.readouterr()
+        config = ExperimentConfig(seed=7, n_cpus=12).with_mpl(4)
+        session = _session(config=config)
+        session.run(until=50.0)
+        snap = tmp_path / "cut.ckpt"
+        session.save(snap)
+
+        ck = tmp_path / "ck"
+        assert main(["--checkpoint-dir", str(ck), "--checkpoint-every", "25"]
+                    + run + ["--restore", str(snap)]) == 0
+        saved = capsys.readouterr()
+        assert saved.out == plain.out and saved.err == ""
+        assert (ck / "PDPA-w1-load1-seed7.ckpt").exists()
+
     def test_cadence_flags_require_checkpoint_dir(self):
         from repro.cli import main
 

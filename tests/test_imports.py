@@ -67,6 +67,14 @@ def test_run_path_loads_no_harness():
             if any(_under(m, prefix) for prefix in RUN_PATH_EXCLUDES)] == []
 
 
+def test_cli_loads_no_sweep_pool():
+    """The experiment harnesses import the sweep runner only to run a sweep."""
+    loaded = _loaded_by("repro.cli")
+    assert "repro.cli" in loaded
+    pool = ("multiprocessing", "concurrent.futures", "repro.parallel.supervisor")
+    assert [m for m in loaded if any(_under(m, prefix) for prefix in pool)] == []
+
+
 def test_every_module_imports_alone():
     """Each ``src/repro`` module imports with no other ``repro`` module loaded.
 

@@ -688,6 +688,45 @@ class TestServeStorageFailures:
         # the refused group was never offered; every earlier one was
         assert session.stats.submitted == len(recovered) == DRAW_AHEAD
 
+    def test_restored_service_runs_on_the_given_storage(self, tmp_path):
+        from repro.checkpoint.session import CheckpointPlan
+        from repro.serve.service import EXIT_STORAGE
+        from repro.storage.layer import OpTrace, StorageLayer
+        from repro.storage.plan import FailPlan, FailRule
+
+        # a journalled service, snapshotted mid-stream, then "killed"
+        crashed = ServeService(
+            make_session(max_jobs=60, seed=2), journal_path=tmp_path / "j.jsonl"
+        )
+        cut_after_offers(crashed.session, 20)
+        snapshot = tmp_path / "serve.ckpt"
+        crashed.session.save(snapshot)
+        crashed.journal.close()
+
+        # the recovery's first journal fsync fails: it drains, exits 5
+        trace = OpTrace(tmp_path)
+        storage = StorageLayer(
+            plan=FailPlan([FailRule("fsync", path_glob="*.jsonl")]), trace=trace
+        )
+        plan = CheckpointPlan(path=tmp_path / "auto.ckpt", every_events=50)
+        service = ServeService.restore(
+            snapshot, tmp_path / "j.jsonl", status_path=tmp_path / "s.json",
+            checkpoint=plan, storage=storage,
+        )
+        assert service.storage is storage and service.journal.storage is storage
+        assert service.run(handle_signals=False) == EXIT_STORAGE
+        assert service.journal.broken is not None
+        assert service.session.complete
+        assert read_status(tmp_path / "s.json")["phase"] == "storage"
+        # every offered arrival is in the recovered journal
+        offered = service.session.stats.submitted
+        recovered = ArrivalJournal(tmp_path / "j.jsonl", resume=True)
+        assert offered > 20
+        assert all(seq in recovered.entries for seq in range(1, offered + 1))
+        # status writes and snapshots went through the same layer
+        written = {op.dst for op in trace.ops if op.op == "replace"}
+        assert {"s.json", "auto.ckpt"} <= written
+
     def test_status_write_failures_survived_and_counted(self, tmp_path):
         from repro.storage.layer import StorageLayer
         from repro.storage.plan import FailPlan

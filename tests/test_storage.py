@@ -474,7 +474,7 @@ def test_torn_prefix_recovery_is_a_fixed_point(cut, tmp_path_factory):
         if not line:
             continue
         if start + len(line) <= cut:
-            expected.append(JournalEntry.from_json(line.decode()).seq)
+            expected.append(JournalEntry.from_obj(json.loads(line)).seq)
         start += len(line) + 1
 
     first = ArrivalJournal(torn, resume=True)
