@@ -38,11 +38,22 @@ runs as the usual ``iter:`` event.  The absorbed ends before one that
 fires form an *iteration span*.  The runtime reads what its iterations
 need from the host once, as an :class:`IterationPlan`, and keeps it
 until the host drops it, so a settled job's ends make no host call.
+
+A *settled* job's end — its plan held, with no locality or fault
+factor, the job without work phases, and not its last iteration — is
+one straight-line pass in :meth:`NthLibRuntime.absorb`: the
+SelfAnalyzer's report check and counter step inline, and the next
+duration from the plan's base and the job's own noise generator (both
+dropped on pickle, like the plan).  The absorbable entry holds the
+iteration's index, not its ``iter:<job>:<i>`` label, which
+:meth:`NthLibRuntime.event_label` renders only when the engine is
+asked for it.
 """
 
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -51,7 +62,7 @@ from repro.machine.memory import LocalityModel, LocalityRecord
 from repro.qs.job import Job
 from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnalyzerConfig
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, lognormal_noise
 from repro.sim.slots import set_slot_state, slot_state
 
 
@@ -191,7 +202,7 @@ class NthLibRuntime:
     __slots__ = (
         "sim", "job", "host", "config", "app", "analyzer",
         "_streams", "_noise_stream", "phase", "_procs", "_duration", "_pending",
-        "hung", "plan",
+        "hung", "plan", "_base", "_rng",
     )
 
     def __init__(
@@ -228,15 +239,24 @@ class NthLibRuntime:
         self.hung = False
         #: the host's plan for the next iterations (None: ask for one)
         self.plan: Optional[IterationPlan] = None
+        #: a settled plan's iteration duration before noise (None while
+        #: the plan is not settled): absorb()'s straight line reads it
+        self._base: Optional[float] = None
+        #: the job's noise stream, held for the straight line (None
+        #: until a settled plan with noise needs it)
+        self._rng: Optional[random.Random] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         state = slot_state(self)
-        del state["plan"]  # derived state
+        # derived state: the generator lives on in the pickled streams
+        del state["plan"], state["_base"], state["_rng"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         set_slot_state(self, state)
         self.plan = None
+        self._base = None
+        self._rng = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -258,8 +278,9 @@ class NthLibRuntime:
     def _begin_iteration(self, now: float) -> None:
         app = self.app
         job = self.job
+        spec = app.spec
         iteration = app.completed_iterations
-        if iteration >= app.spec.iterations:
+        if iteration >= spec.iterations:
             self._begin_teardown()
             return
         analyzer = self.analyzer
@@ -267,7 +288,7 @@ class NthLibRuntime:
         if (
             analyzer is not None
             and self.config.reset_analyzer_on_phase_change
-            and any(start == iteration for start, _ in job.spec.work_phases)
+            and any(start == iteration for start, _ in spec.work_phases)
         ):
             analyzer.reset_baseline()
             plan = None
@@ -278,6 +299,7 @@ class NthLibRuntime:
                 raise RuntimeError(f"job {job.job_id}: zero allocation while iterating")
             # the baseline may end with this iteration: keep no plan for it
             self.plan = plan if baseline is None else None
+            self._base = None
         procs = plan.procs
         speedup = plan.speedup
         if plan.locality is not None:
@@ -285,16 +307,32 @@ class NthLibRuntime:
         if plan.fault != 1.0:
             speedup *= plan.fault
         last = self._procs
+        sigma = self.config.noise_sigma
         duration = app.iteration_duration_from_speedup(
             speedup,
             procs - last if last else 0,
-            self._streams.lognormal_factor(self._noise_stream, self.config.noise_sigma),
+            self._streams.lognormal_factor(self._noise_stream, sigma),
         )
         self._procs = procs
         self._duration = duration
-        self._pending = self.sim.schedule_absorbable(
-            duration, self, f"iter:{job.job_id}:{iteration}"
-        )
+        if (self._base is None and self.plan is plan and plan.locality is None
+                and plan.fault == 1.0 and not spec.work_phases):
+            # settled: a held plan with no locality or fault factor, and
+            # no work phase (so no phase-change reset).  The base is
+            # iteration_duration_from_speedup's, in its float order,
+            # before its noise factor.
+            self._base = (spec.t_iter_seq / speedup) * (1.0 + spec.measurement_overhead)
+            if sigma > 0.0 and self._rng is None:
+                self._rng = self._streams.stream(self._noise_stream)
+        self._pending = self.sim.schedule_absorbable(duration, self, iteration)
+
+    def event_label(self, iteration: int) -> str:
+        """The label of the iteration end scheduled for *iteration*.
+
+        Absorbable entries hold the iteration index; the engine renders
+        it through this only when a label is read.
+        """
+        return f"iter:{self.job.job_id}:{iteration}"
 
     def fire(self) -> None:
         """End the iteration in flight as an event (engine hook)."""
@@ -317,16 +355,77 @@ class NthLibRuntime:
         any other goes to the host.  Returns False, having changed
         nothing, when the host declines it: the end then fires, for the
         full delivery path.
+
+        A *settled* runtime ends it in one straight-line pass: its plan
+        is held and has a base (:meth:`_begin_iteration`), and the
+        iteration is not the job's last.  The SelfAnalyzer's
+        :meth:`~repro.runtime.selfanalyzer.SelfAnalyzer.report_speedup`
+        and :meth:`~repro.runtime.selfanalyzer.SelfAnalyzer.commit` run
+        inline, and the next iteration lasts the base times a draw from
+        the job's own generator: the allocation is the plan's, so there
+        is no reallocation penalty.  Every other end, and one whose
+        report makes the host drop the plan, begins its next iteration
+        through :meth:`_begin_iteration`.  tests/test_spans.py checks
+        that both paths end alike.
         """
         # the entry's time: the engine is at this end's instant
         now: float = self._pending[0]  # type: ignore[index]
         analyzer = self.analyzer
+        base = self._base
+        plan = self.plan
+        app = self.app
+        iteration = app.completed_iterations + 1
+        if base is not None and plan is not None and iteration < app.spec.iterations:
+            if analyzer is not None:
+                # report_speedup then commit, for an analyzer past its
+                # baseline (a plan is held only then): _last_procs is set
+                procs = self._procs
+                cfg = analyzer.config
+                skip = analyzer._skip if procs == analyzer._last_procs \
+                    else cfg.skip_after_realloc
+                if skip:
+                    analyzer._skip = skip - 1
+                else:
+                    measured = analyzer._measured + 1
+                    if not measured % cfg.report_interval:
+                        # AF * assumed_base_speedup * t_base / duration
+                        raw = analyzer._base_speedup * analyzer._t_base  # type: ignore[operator]
+                        speedup = cfg.amdahl_factor * (raw / self._duration)
+                        if 1e-6 > speedup:
+                            speedup = 1e-6
+                        band = plan.band
+                        efficiency = speedup / procs
+                        if band is not None and (
+                            band[0] <= efficiency <= band[1]
+                            or band[1] < efficiency <= band[2] and self.host.free_cpus() == 0
+                        ):
+                            plan.report_times[self.job.job_id] = now
+                        elif not self.host.absorb_report(self.job, procs, speedup):
+                            return False
+                        elif self.plan is not plan:
+                            base = None  # the host took the report and dropped the plan
+                    # commit would set _skip to 0 here, which it is
+                    # already: with no skip after a reallocation it
+                    # never leaves 0
+                    analyzer._measured = measured
+                analyzer._last_procs = procs
+            app.completed_iterations = iteration
+            if base is None:
+                self._begin_iteration(now)
+                return True
+            rng = self._rng
+            duration = base * (
+                1.0 if rng is None else lognormal_noise(rng, self.config.noise_sigma)
+            )
+            self._duration = duration
+            self._pending = self.sim.schedule_absorbable(duration, self, iteration)
+            return True
+        # off the straight line
         if analyzer is not None:
             procs = self._procs
             duration = self._duration
             speedup = analyzer.report_speedup(procs, duration)
             if speedup is not None:
-                plan = self.plan
                 band = None if plan is None else plan.band
                 efficiency = speedup / procs
                 if band is not None and (
@@ -339,7 +438,7 @@ class NthLibRuntime:
             analyzer.commit(procs, duration)
         # record_iteration without its guards: this iteration began, so
         # the application is unfinished and below its iteration count
-        self.app.completed_iterations += 1
+        app.completed_iterations = iteration
         self._begin_iteration(now)
         return True
 

@@ -177,6 +177,9 @@ class SelfAnalyzer:
         a caller that already took the report through another path
         (an absorbed iteration end) moves the counters with this.
         :meth:`report_speedup` tells beforehand whether it is due.
+        A settled runtime's absorbed end restates both past the
+        baseline (:meth:`repro.runtime.nthlib.NthLibRuntime.absorb`);
+        tests/test_spans.py checks it against them.
         """
         if self._t_base is None:
             self._baseline.add(duration, procs)

@@ -12,7 +12,11 @@ compares the ``(time, priority, seq)`` key in C.  ``target`` is the
 callback, or for an *absorbable* event (``args`` None) its owner; it
 becomes None once the entry is cancelled or popped.  Cancelling only
 clears it (lazy deletion); the heap drops dead entries when they reach
-the top or when :meth:`Simulator.compact` sweeps them.
+the top or when :meth:`Simulator.compact` sweeps them.  ``label`` is
+the event's text, or for an absorbable event an int index its owner
+renders as text (``owner.event_label(index)``) only when a label is
+read: by :meth:`Simulator.live_labels` or in an observer's
+:class:`Event`.
 
 An absorbable event (:meth:`Simulator.schedule_absorbable`) is an
 iteration end of :mod:`repro.runtime.nthlib`.  When its turn comes the
@@ -40,7 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Union
 
 from repro.sim.slots import set_slot_state, slot_state
 
@@ -50,6 +54,11 @@ from repro.sim.slots import set_slot_state, slot_state
 #: from accumulating unbounded cancelled-event garbage while leaving
 #: short runs alone.
 _COMPACT_MIN_HEAP = 64
+
+
+def _label(target: Any, label: Union[str, int]) -> str:
+    """An entry's label as a reader sees it (see the module docstring)."""
+    return label if isinstance(label, str) else target.event_label(label)
 
 
 class SimulationError(RuntimeError):
@@ -103,6 +112,7 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         #: every pending entry ``[time, priority, seq, target, args, label]``
+        #: (an absorbable entry's label may be an index its owner renders)
         self._heap: List[List[Any]] = []
         #: entries in the heap whose target is set
         self._live = 0
@@ -178,7 +188,9 @@ class Simulator:
         queued job with a pending arrival/requeue event from a lost
         one, without popping anything.
         """
-        return sorted(entry[5] for entry in self._heap if entry[3] is not None)
+        return sorted(
+            _label(entry[3], entry[5]) for entry in self._heap if entry[3] is not None
+        )
 
     def schedule_at(
         self,
@@ -230,13 +242,18 @@ class Simulator:
         self._live += 1
         return entry
 
-    def schedule_absorbable(self, delay: float, owner: Any, label: str = "") -> List[Any]:
+    def schedule_absorbable(
+        self, delay: float, owner: Any, label: Union[str, int] = ""
+    ) -> List[Any]:
         """Schedule an event that may complete without firing.
 
         It is ordered exactly like ``schedule_after(delay, owner.fire,
         label=label)``: same time, :attr:`PRIORITY_NORMAL`, the next
-        insertion sequence number.  When its turn comes the clock
-        advances to it and ``owner.absorb()`` runs first.  If it
+        insertion sequence number.  An int *label* is stored as it is
+        and read as ``owner.event_label(label)``, so an owner that
+        schedules one event per iteration formats no text for it.
+        When its turn comes the clock advances to it and
+        ``owner.absorb()`` runs first.  If it
         returns True the work is done: nothing fires and
         :attr:`events_fired` does not count it (the observer's
         ``on_absorbed`` and the checkpoint hook still see it, see
@@ -248,7 +265,9 @@ class Simulator:
         Returns a handle for :meth:`cancel`.
         """
         if delay < 0:
-            raise SimulationError(f"negative delay {delay} for event {label!r}")
+            raise SimulationError(
+                f"negative delay {delay} for event {_label(owner, label)!r}"
+            )
         # pushed inline, as in schedule_after: a shared helper would add
         # a call to every iteration end (tests/test_call_budget.py)
         seq = self._seq
@@ -286,6 +305,8 @@ class Simulator:
         ``on_absorbed(event)`` is called after each absorbable event
         that completed without firing, with the event it stood for:
         ``Event(time, PRIORITY_NORMAL, seq, owner.fire, (), label)``.
+        Every label an observer receives is text, rendered from an
+        absorbable entry's index where it holds one.
         Observers must only observe: they must not schedule or cancel
         — the engine's byte-identity contract is that a run with an
         observer equals a run without one.  One observer at a time;
@@ -383,10 +404,13 @@ class Simulator:
                 if args is None and target.absorb():
                     self._absorbed += 1
                     if self._on_absorbed is not None:
-                        self._on_absorbed(
-                            Event(now, entry[1], entry[2], target.fire, (), entry[5])
-                        )
+                        # the entry still holds the label of the end it
+                        # stood for, though the owner has moved on
+                        self._on_absorbed(Event(
+                            now, entry[1], entry[2], target.fire, (), _label(target, entry[5])
+                        ))
                 else:
+                    owner = target
                     if args is None:
                         target = target.fire
                         args = ()
@@ -397,9 +421,9 @@ class Simulator:
                             f"exceeded max_events={max_events}; likely a runaway schedule"
                         )
                     if self._observer is not None:
-                        self._observer.on_event(
-                            Event(now, entry[1], entry[2], target, args, entry[5])
-                        )
+                        self._observer.on_event(Event(
+                            now, entry[1], entry[2], target, args, _label(owner, entry[5])
+                        ))
                     target(*args)
                 if (self._ckpt_hook is not None
                         and self._events_fired + self._absorbed >= self._ckpt_next_events):

@@ -50,6 +50,27 @@ def unpack_state(version: int, words: bytes,
     return rng
 
 
+def lognormal_noise(rng: random.Random, sigma: float) -> float:
+    """``rng.lognormvariate(0.0, sigma)`` for a *sigma* above 0.
+
+    The Kinderman-Monahan loop of ``random.normalvariate`` (the same on
+    CPython 3.10-3.13), with its draws and float operations in the same
+    order.  Its ``mu + z * sigma`` is dropped with mu = 0.0, which
+    changes no bit of the result: exp(-0.0) == exp(0.0).
+    :meth:`RandomStreams.lognormal_factor` draws through it, and so
+    does a runtime that holds its job's generator
+    (:meth:`repro.runtime.nthlib.NthLibRuntime.absorb`).
+    """
+    draw = rng.random
+    log = math.log
+    while True:
+        u1 = draw()
+        u2 = 1.0 - draw()
+        z = _NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -log(u2):
+            return math.exp(z * sigma)
+
+
 def derive_seed(master_seed: int, name: str) -> int:
     """Derive a stable 64-bit child seed from a master seed and a name.
 
@@ -142,19 +163,7 @@ class RandomStreams:
             rng = self._streams[name]
         except KeyError:
             rng = self.stream(name)
-        # rng.lognormvariate(0.0, sigma) inline: the Kinderman-Monahan
-        # loop of random.normalvariate (the same on CPython 3.10-3.13),
-        # with its draws and float operations in the same order.  Its
-        # ``mu + z * sigma`` is dropped with mu = 0.0, which changes no
-        # bit of the result: exp(-0.0) == exp(0.0).
-        draw = rng.random
-        log = math.log
-        while True:
-            u1 = draw()
-            u2 = 1.0 - draw()
-            z = _NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -log(u2):
-                return math.exp(z * sigma)
+        return lognormal_noise(rng, sigma)
 
     def exponential(self, name: str, mean: float) -> float:
         """Draw an exponential variate with the given mean (>0)."""

@@ -129,7 +129,9 @@ class RecordJournal(Generic[E]):
         by the C JSON scanner; a line is a record when it holds one
         JSON value, padded only by spaces, tabs and carriage returns
         (what ``json.loads`` accepts), and the entry type builds from
-        it.  A line of ASCII whitespace is skipped.
+        it.  A line of ASCII whitespace is skipped.  A line nested too
+        deep for the scanner (``RecursionError``) is torn like any
+        other garbage.
         """
         try:
             raw = self.path.read_bytes()
@@ -155,7 +157,7 @@ class RecordJournal(Generic[E]):
                     raise ValueError("trailing bytes after the record")
                 entry = build(obj)
                 duplicate = entry.key in entries
-            except (ValueError, LookupError, TypeError, AttributeError):
+            except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
                 self.torn_tail = True
                 break
             if duplicate:

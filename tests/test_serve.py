@@ -727,6 +727,27 @@ class TestServeStorageFailures:
         written = {op.dst for op in trace.ops if op.op == "replace"}
         assert {"s.json", "auto.ckpt"} <= written
 
+    def test_restore_drains_past_a_deeply_nested_journal_line(self, tmp_path):
+        reference = make_session(max_jobs=40, seed=3)
+        drain(reference)
+
+        journal = tmp_path / "j.jsonl"
+        crashed = ServeService(make_session(max_jobs=40, seed=3), journal_path=journal)
+        cut_after_offers(crashed.session, 20)
+        snapshot = tmp_path / "serve.ckpt"
+        crashed.session.save(snapshot)
+        crashed.journal.close()
+        intact = journal.read_bytes()
+        # a garbage tail too deep for the JSON scanner is a torn line
+        journal.write_bytes(intact + b"[" * 100_000 + b"\n")
+
+        service = ServeService.restore(snapshot, journal)
+        assert service.journal.torn_tail
+        assert journal.read_bytes() == intact
+        assert service.run(handle_signals=False) == 0
+        assert service.session.complete
+        assert service.session.stats.digest() == reference.stats.digest()
+
     def test_status_write_failures_survived_and_counted(self, tmp_path):
         from repro.storage.layer import StorageLayer
         from repro.storage.plan import FailPlan

@@ -8,10 +8,13 @@ that the output is the one the per-iteration path produced:
   the four policies on w1-w4, three policies under three fault
   scenarios, and the serve stack with and without autosnapshots;
 * a hypothesis differential against the same run with every iteration
-  end scheduled as a plain event, compared mid-run too;
+  end scheduled as a plain event, compared mid-run too; it draws every
+  input a settled runtime's straight-line end reads (overhead, Amdahl
+  factor, baseline length and width, report interval and skip);
 * mid-span checkpoint cuts, closed and serve;
 * a reallocation landing exactly on an absorbed iteration end, and the
-  race the sanitizer finds there.
+  race the sanitizer finds there;
+* a host that drops a plan while the straight line hands it a report.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import tempfile
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -47,7 +51,7 @@ from repro.rm.equal_efficiency import EqualEfficiency
 from repro.rm.equipartition import Equipartition
 from repro.rm.irix import IrixConfig, IrixResourceManager
 from repro.rm.manager import SpaceSharedResourceManager
-from repro.runtime.nthlib import NthLibRuntime, RuntimeConfig
+from repro.runtime.nthlib import IterationPlan, NthLibRuntime, RuntimeConfig, RuntimeHost
 from repro.runtime.selfanalyzer import SelfAnalyzerConfig
 from repro.serve.service import ServeService
 from repro.serve.session import ServeConfig, ServeSession, build_serve_session
@@ -189,16 +193,18 @@ def per_iteration() -> Iterator[None]:
 
     Each absorbable end scheduled inside the block is scheduled as the
     plain event it stands for, ``schedule_after(delay, owner.fire)``:
-    the same time, priority and sequence number.  Each iteration that
-    begins inside the block first drops its runtime's plan, so the
-    host's hooks are asked at every iteration, whatever the host
-    invalidated.
+    the same time, priority and sequence number, labelled with the text
+    the absorbable entry's index renders (``iter:<job>:<i>``).  Each
+    iteration that begins inside the block first drops its runtime's
+    plan, so the host's hooks are asked at every iteration, whatever
+    the host invalidated.
     """
     original = Simulator.schedule_absorbable
     begin = NthLibRuntime._begin_iteration
 
-    def schedule_event(sim: Simulator, delay: float, owner: Any, label: str = "") -> Any:
-        return sim.schedule_after(delay, owner.fire, label=label)
+    def schedule_event(sim: Simulator, delay: float, owner: Any, label: Any = "") -> Any:
+        text = label if isinstance(label, str) else owner.event_label(label)
+        return sim.schedule_after(delay, owner.fire, label=text)
 
     def begin_afresh(runtime: NthLibRuntime, now: float) -> None:
         runtime.plan = None
@@ -278,9 +284,13 @@ POLICIES = {
 
 
 def _session(policy: str, plan: List[tuple], seed: int, n_cpus: int,
-             runtime: RuntimeConfig, locality: bool) -> SimulationSession:
+             runtime: RuntimeConfig, locality: bool,
+             overhead: float = 0.0) -> SimulationSession:
+    """*plan*'s jobs under *policy*; every app's measurement overhead
+    is *overhead* (the catalog's apps use 0.01-0.04)."""
     jobs = [
-        Job(job_id=i + 1, spec=APPS[app], submit_time=submit, request=min(request, n_cpus))
+        Job(job_id=i + 1, spec=replace(APPS[app], measurement_overhead=overhead),
+            submit_time=submit, request=min(request, n_cpus))
         for i, (app, submit, request) in enumerate(plan)
     ]
     config = ExperimentConfig(
@@ -360,6 +370,12 @@ run_shapes = dict(
     n_cpus=st.sampled_from([8, 12]),
     sigma=st.sampled_from([0.0, 0.015]),
     locality=st.booleans(),
+    overhead=st.sampled_from([0.0, 0.01, 0.04]),
+    amdahl=st.sampled_from([1.0, 0.85, 1.2]),
+    # baseline_iterations, then (baseline_procs, assumed_base_speedup)
+    baseline=st.tuples(
+        st.integers(1, 3), st.sampled_from([(1, 1.0), (2, 1.0), (2, 1.7), (4, 3.1)])
+    ),
     report_interval=st.integers(1, 3),
     skip=st.integers(0, 2),
     reset=st.booleans(),
@@ -411,14 +427,19 @@ def test_equal_eff_spans_match_the_per_iteration_path(**shape):
     _check_spans_match("Equal_eff", **shape)
 
 
-def _check_spans_match(policy, plan, seed, n_cpus, sigma, locality,
-                       report_interval, skip, reset, cuts, cap):
+def _check_spans_match(policy, plan, seed, n_cpus, sigma, locality, overhead, amdahl,
+                       baseline, report_interval, skip, reset, cuts, cap):
+    baseline_iterations, (baseline_procs, assumed) = baseline
     runtime = RuntimeConfig(
         noise_sigma=sigma,
-        analyzer=SelfAnalyzerConfig(report_interval=report_interval, skip_after_realloc=skip),
+        analyzer=SelfAnalyzerConfig(
+            baseline_procs=baseline_procs, baseline_iterations=baseline_iterations,
+            assumed_base_speedup=assumed, amdahl_factor=amdahl,
+            report_interval=report_interval, skip_after_realloc=skip,
+        ),
         reset_analyzer_on_phase_change=reset,
     )
-    args = (policy, plan, seed, n_cpus, runtime, locality)
+    args = (policy, plan, seed, n_cpus, runtime, locality, overhead)
     mutations: Dict[float, List[tuple]] = {}
     for when, ops in cuts:
         mutations.setdefault(when, []).extend(ops)
@@ -608,3 +629,47 @@ def test_sanitizer_sees_a_race_with_an_absorbed_iteration_end():
         " — [NanosQS._on_arrival('submit:2'), NthLibRuntime.fire('iter:1:5')]"
     ]
     assert spans == events
+
+
+# ----------------------------------------------------------------------
+# (e) a plan the host drops as it takes a report on the straight line
+# ----------------------------------------------------------------------
+class _DroppingHost(RuntimeHost):
+    """Takes every report and drops the reporter's plan as it does; the
+    k-th plan it builds runs at speedup k.  No host in the tree drops a
+    plan inside ``absorb_report``, so the differential cannot reach
+    this: the straight line must not reuse the dropped plan's base."""
+
+    def __init__(self) -> None:
+        self.runtime: Optional[NthLibRuntime] = None
+        self.plans = 0
+
+    def iteration_plan(self, job: Job, baseline: Any) -> IterationPlan:
+        self.plans += 1
+        return IterationPlan(4, 4, float(self.plans), None, None, 1.0, None, {})
+
+    def free_cpus(self) -> int:
+        return 0
+
+    def absorb_report(self, job: Job, procs: int, speedup: float) -> bool:
+        assert self.runtime is not None
+        self.runtime.plan = None
+        return True
+
+    def job_completed(self, job: Job) -> None:
+        pass
+
+
+def test_a_plan_dropped_while_its_report_is_taken_is_not_reused():
+    host = _DroppingHost()
+    sim = Simulator()
+    job = Job(job_id=1, spec=APPS["linear"], submit_time=0.0, request=4)
+    config = RuntimeConfig(noise_sigma=0.0, analyzer=SelfAnalyzerConfig(skip_after_realloc=0))
+    runtime = host.runtime = NthLibRuntime(sim, job, host, RandomStreams(0), config)
+    with record_iteration_ends() as ends:
+        runtime.start()
+        sim.run()
+    # the baseline iteration runs on plan 1; from then on every end
+    # reports, so iteration i runs on plan i + 1, at speedup i + 1
+    assert [end[3] for end in ends[sim]] == [4.0 / (i + 1) for i in range(30)]
+    assert sim.events_fired < sim.logical_events

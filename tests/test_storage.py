@@ -15,7 +15,8 @@ Four aspects under test:
   envelope intact;
 * **the record journal** — resuming a torn or ragged journal rewrites
   it so later appends stay recoverable, a line that parses but is no
-  record counts as a tear, the on-disk bytes match golden digests,
+  record counts as a tear, and so does one nested too deep to parse,
+  the on-disk bytes match golden digests,
   and the hypothesis fixed-point property holds over every torn
   prefix.  Journal tests run over both entry types: the service's
   arrivals and the sweep's cells.
@@ -380,6 +381,20 @@ class TestTornTailCompaction:
         journal.close()
         recovered = kind.journal(path, resume=True)
         assert list(recovered.entries) == kind.keys(1, 2, 3)
+
+    def test_deeply_nested_line_is_a_torn_tail(self, tmp_path, kind):
+        # too deep for the C scanner: RecursionError, not a bad value
+        path = tmp_path / "j.jsonl"
+        raw = _journal_bytes(kind, path, (1, 2, 3))
+        path.write_bytes(raw + b"[" * 100_000)
+        journal = kind.journal(path, resume=True)
+        assert journal.torn_tail
+        assert list(journal.entries) == kind.keys(1, 2, 3)
+        # compacted to exactly the intact records
+        assert path.read_bytes() == raw
+        kind.add(journal, 4)
+        journal.close()
+        assert list(kind.journal(path, resume=True).entries) == kind.keys(1, 2, 3, 4)
 
 
 #: What each scenario leaves on disk: the keys of the records the file
