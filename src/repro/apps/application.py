@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.apps.speedup import SpeedupCurve
 
@@ -74,15 +74,6 @@ class ApplicationSpec:
         runs ``default_request`` processes; when granted fewer
         processors, its processes are *folded* onto them (time-shared),
         scaling its speed by the allocation fraction.
-    work_phases:
-        Optional behaviour changes: ``(start_iteration, multiplier)``
-        pairs, sorted by iteration.  From ``start_iteration`` onwards
-        the per-iteration sequential work is scaled by ``multiplier``
-        (relative to ``t_iter_seq``).  Models the "iterative parallel
-        region with a variable working set" the paper's §3.1 warns
-        about: the SelfAnalyzer's baseline goes stale and measured
-        speedups shift, so schedulers must react to performance
-        changes, not just absolute values.
     """
 
     name: str
@@ -97,7 +88,6 @@ class ApplicationSpec:
     realloc_penalty: float = 0.05
     realloc_penalty_per_cpu: float = 0.01
     malleable: bool = True
-    work_phases: Tuple[Tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -110,39 +100,11 @@ class ApplicationSpec:
             raise ValueError(f"{self.name}: default_request must be >= 1")
         if self.measurement_overhead < 0:
             raise ValueError(f"{self.name}: measurement_overhead must be >= 0")
-        previous = -1
-        for start, multiplier in self.work_phases:
-            if start <= previous:
-                raise ValueError(f"{self.name}: work_phases must be sorted")
-            if not 0 <= start:
-                raise ValueError(f"{self.name}: phase iterations must be >= 0")
-            if multiplier <= 0:
-                raise ValueError(f"{self.name}: phase multipliers must be positive")
-            previous = start
-
-    def work_multiplier_at(self, iteration: int) -> float:
-        """Work-phase multiplier in effect at a given iteration."""
-        multiplier = 1.0
-        for start, value in self.work_phases:
-            if iteration >= start:
-                multiplier = value
-            else:
-                break
-        return multiplier
-
-    def iter_seq_time_at(self, iteration: int) -> float:
-        """Sequential time of one iteration, with phases applied."""
-        if not self.work_phases:
-            return self.t_iter_seq  # == t_iter_seq * 1.0, exactly
-        return self.t_iter_seq * self.work_multiplier_at(iteration)
 
     @property
     def sequential_work(self) -> float:
         """Total sequential execution time of the whole application."""
-        iterating = sum(
-            self.iter_seq_time_at(i) for i in range(self.iterations)
-        ) if self.work_phases else self.iterations * self.t_iter_seq
-        return self.t_startup + iterating + self.t_teardown
+        return self.t_startup + self.iterations * self.t_iter_seq + self.t_teardown
 
     def execution_time(self, procs: float) -> float:
         """Ideal execution time on a fixed allocation of ``procs`` CPUs.
@@ -268,10 +230,7 @@ class IterativeApplication:
         if speedup <= 0:
             raise ValueError(f"speedup must be positive, got {speedup}")
         spec = self.spec
-        # iter_seq_time_at's own shortcut, without the call per iteration
-        seq = spec.iter_seq_time_at(self.completed_iterations) if spec.work_phases \
-            else spec.t_iter_seq
-        base = seq / speedup
+        base = spec.t_iter_seq / speedup
         base *= 1.0 + spec.measurement_overhead
         base *= noise_factor
         if alloc_changed_by:

@@ -46,7 +46,6 @@ from repro.rm.equipartition import Equipartition
 from repro.rm.irix import IrixConfig, IrixResourceManager
 from repro.rm.manager import BaseResourceManager, SpaceSharedResourceManager
 from repro.runtime.nthlib import RuntimeConfig
-from repro.runtime.selfanalyzer import SelfAnalyzerConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -79,8 +78,6 @@ class ExperimentConfig:
         PDPA parameters (target 0.7, high 0.9 as in the evaluation).
     noise_sigma:
         Per-iteration execution jitter.
-    analyzer:
-        SelfAnalyzer configuration.
     irix:
         IRIX model calibration.
     locality:
@@ -100,7 +97,6 @@ class ExperimentConfig:
     mpl: int = 4
     pdpa: PDPAParams = field(default_factory=PDPAParams)
     noise_sigma: float = 0.015
-    analyzer: SelfAnalyzerConfig = field(default_factory=SelfAnalyzerConfig)
     irix: IrixConfig = field(default_factory=IrixConfig)
     locality: Optional[LocalityConfig] = field(default_factory=LocalityConfig)
     faults: Optional[FaultPlan] = None
@@ -108,7 +104,7 @@ class ExperimentConfig:
 
     def runtime_config(self) -> RuntimeConfig:
         """NthLib configuration derived from this experiment config."""
-        return RuntimeConfig(noise_sigma=self.noise_sigma, analyzer=self.analyzer)
+        return RuntimeConfig(noise_sigma=self.noise_sigma)
 
     def locality_model(self) -> Optional[LocalityModel]:
         """A fresh locality model, or ``None`` when disabled."""

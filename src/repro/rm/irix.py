@@ -35,7 +35,6 @@ from repro.metrics.trace import TraceRecorder
 from repro.qs.job import Job
 from repro.rm.manager import BaseResourceManager
 from repro.runtime.nthlib import IterationPlan, RuntimeConfig
-from repro.runtime.selfanalyzer import SelfAnalyzer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.slots import set_slot_state, slot_state
@@ -116,11 +115,7 @@ class IrixResourceManager(BaseResourceManager):
     ) -> None:
         base_runtime = runtime_config or RuntimeConfig()
         # The SGI-MP library has no SelfAnalyzer: jobs never report.
-        runtime = RuntimeConfig(
-            noise_sigma=base_runtime.noise_sigma,
-            use_selfanalyzer=False,
-            analyzer=base_runtime.analyzer,
-        )
+        runtime = RuntimeConfig(noise_sigma=base_runtime.noise_sigma, use_selfanalyzer=False)
         super().__init__(sim, n_cpus, streams, trace, runtime)
         self.config = config or IrixConfig()
         self._threads: Dict[int, int] = {}
@@ -212,9 +207,7 @@ class IrixResourceManager(BaseResourceManager):
         share /= 1.0 + interference
         return max(share, 0.05)
 
-    def iteration_plan(
-        self, job: Job, baseline: Optional[SelfAnalyzer]
-    ) -> IterationPlan:
+    def iteration_plan(self, job: Job, baseline: bool) -> IterationPlan:
         """The job's threads and the rate they run at.
 
         The job's curve (for a rigid job, its folded processes) at the

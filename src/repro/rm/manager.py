@@ -22,7 +22,7 @@ from repro.metrics.trace import FaultRecord, ReallocationRecord, TraceRecorder
 from repro.qs.job import Job
 from repro.rm.base import AllocationDecision, JobView, SchedulingPolicy, SystemView
 from repro.runtime.nthlib import IterationPlan, NthLibRuntime, RuntimeConfig, RuntimeHost
-from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer
+from repro.runtime.selfanalyzer import PerformanceReport
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.slots import set_slot_state, slot_state
@@ -429,9 +429,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
     # ------------------------------------------------------------------
     # the plan: what a job's iterations read until it changes
     # ------------------------------------------------------------------
-    def iteration_plan(
-        self, job: Job, baseline: Optional[SelfAnalyzer]
-    ) -> IterationPlan:
+    def iteration_plan(self, job: Job, baseline: bool) -> IterationPlan:
         """The job's allocation, rate and report band.
 
         Malleable applications run at their curve's speedup for the
@@ -445,7 +443,7 @@ class SpaceSharedResourceManager(BaseResourceManager):
         job_id = job.job_id
         machine = self.machine
         allocation = machine.allocation_of(job_id)
-        procs = allocation if baseline is None else baseline.baseline_allocation(allocation)
+        procs = 1 if baseline else allocation
         spec = job.spec
         if spec.malleable:
             speedup = spec.speedup_model.speedup(float(procs))

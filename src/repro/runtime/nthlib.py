@@ -9,8 +9,8 @@ processors allocated to the application".  In this reproduction it
 * reads the allocation granted by the resource manager at every
   iteration boundary (malleability happens at parallel-region
   boundaries, exactly as for a real OpenMP code),
-* runs the SelfAnalyzer's baseline measure on a reduced processor
-  count, and forwards its performance reports to the resource manager.
+* runs the SelfAnalyzer's baseline iteration on one processor, and
+  forwards its performance reports to the resource manager.
 
 The resource manager side of the protocol is any object implementing
 the callbacks documented on :class:`RuntimeHost`.
@@ -24,13 +24,13 @@ PDPA job where it is.  So every iteration end is scheduled as an
 (:meth:`~repro.sim.engine.Simulator.schedule_absorbable`) whose owner
 is the runtime: it holds the iteration in flight, its processors and
 duration, and the engine calls its :meth:`NthLibRuntime.absorb` at
-the end's instant.  The runtime asks whether the SelfAnalyzer reports
-now and, if it does, judges the report by its plan's no-op band or
-hands the host the report's processors and speedup
+the end's instant.  The runtime steps the SelfAnalyzer inline and, if
+a report is due, judges it by its plan's no-op band or hands the host
+the report's processors and speedup
 (:meth:`RuntimeHost.absorb_report`), which proves the report a no-op
 and applies it in one pass.  If no report is due or the report is a
 no-op, the runtime finishes the iteration on the spot — the same
-iteration count, SelfAnalyzer counters and next-iteration draws as the
+iteration count, SelfAnalyzer state and next-iteration draws as the
 event would have made, but no
 :class:`~repro.runtime.selfanalyzer.PerformanceReport` — and no event
 fires.  Otherwise nothing has changed and :meth:`NthLibRuntime.fire`
@@ -39,15 +39,14 @@ fires form an *iteration span*.  The runtime reads what its iterations
 need from the host once, as an :class:`IterationPlan`, and keeps it
 until the host drops it, so a settled job's ends make no host call.
 
-A *settled* job's end — its plan held, with no locality or fault
-factor, the job without work phases, and not its last iteration — is
-one straight-line pass in :meth:`NthLibRuntime.absorb`: the
-SelfAnalyzer's report check and counter step inline, and the next
-duration from the plan's base and the job's own noise generator (both
-dropped on pickle, like the plan).  The absorbable entry holds the
-iteration's index, not its ``iter:<job>:<i>`` label, which
-:meth:`NthLibRuntime.event_label` renders only when the engine is
-asked for it.
+A *settled* job — its plan held, with no locality or fault factor —
+begins its next iteration without asking its host: it lasts the
+plan's base times a draw from the job's own noise generator (both
+dropped on pickle, like the plan).  Every other absorbed end, and
+the end of a job's last iteration, goes through
+:meth:`NthLibRuntime._begin_iteration`.  The absorbable entry holds the iteration's index, not its
+``iter:<job>:<i>`` label, which :meth:`NthLibRuntime.event_label`
+renders only when the engine is asked for it.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.apps.application import IterativeApplication
 from repro.machine.memory import LocalityModel, LocalityRecord
 from repro.qs.job import Job
-from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer, SelfAnalyzerConfig
+from repro.runtime.selfanalyzer import PerformanceReport, SelfAnalyzer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, lognormal_noise
 from repro.sim.slots import set_slot_state, slot_state
@@ -70,8 +69,8 @@ from repro.sim.slots import set_slot_state, slot_state
 class IterationPlan:
     """What a job's iterations read from their host, until it drops it.
 
-    *procs* is the *allocation*, or the baseline processors while the
-    SelfAnalyzer's baseline runs, and *speedup* the curve (or folded)
+    *procs* is the *allocation*, or one processor for the
+    SelfAnalyzer's baseline iteration, and *speedup* the curve (or folded)
     speedup at them.  *locality* and *record* are the locality model
     and the job's record while the record recovers (None otherwise);
     *fault* is the partition's fault factor.  *band* is the policy's
@@ -102,13 +101,11 @@ class RuntimeHost:
 
     __slots__ = ()
 
-    def iteration_plan(
-        self, job: Job, baseline: Optional[SelfAnalyzer]
-    ) -> IterationPlan:
+    def iteration_plan(self, job: Job, baseline: bool) -> IterationPlan:
         """The plan for *job*'s next iterations.
 
-        *baseline* is the job's SelfAnalyzer while its baseline runs.
-        The speedup is the curve's at the processor share the
+        *baseline* is True for the SelfAnalyzer's baseline iteration,
+        which runs on one processor.  The speedup is the curve's at the processor share the
         iterations really get — the processors under space sharing, the
         CPU share of the job's threads under the time-shared IRIX
         model — with rigid applications folded onto their partition.
@@ -176,20 +173,10 @@ class RuntimeConfig:
     use_selfanalyzer:
         Whether the job is instrumented.  The native IRIX runtime
         (SGI-MP library) has no SelfAnalyzer and never reports.
-    analyzer:
-        SelfAnalyzer configuration (ignored when disabled).
-    reset_analyzer_on_phase_change:
-        When True, the SelfAnalyzer re-measures its baseline at every
-        declared work-phase boundary — the compiler-inserted reset the
-        paper's §3.1 proposes for applications with variable working
-        sets.  Only applies to phases declared in the application
-        spec (a compiler knows them; a binary-only run does not).
     """
 
     noise_sigma: float = 0.015
     use_selfanalyzer: bool = True
-    analyzer: SelfAnalyzerConfig = SelfAnalyzerConfig()
-    reset_analyzer_on_phase_change: bool = False
 
     def __post_init__(self) -> None:
         if self.noise_sigma < 0:
@@ -223,7 +210,7 @@ class NthLibRuntime:
         # uninstrumented, as in the paper's §6 status quo.
         use_analyzer = self.config.use_selfanalyzer and job.spec.malleable
         self.analyzer: Optional[SelfAnalyzer] = (
-            SelfAnalyzer(job.job_id, self.config.analyzer) if use_analyzer else None
+            SelfAnalyzer(job.job_id) if use_analyzer else None
         )
         self._streams = streams
         self._noise_stream = f"iter-noise:{job.job_id}"
@@ -240,10 +227,11 @@ class NthLibRuntime:
         #: the host's plan for the next iterations (None: ask for one)
         self.plan: Optional[IterationPlan] = None
         #: a settled plan's iteration duration before noise (None while
-        #: the plan is not settled): absorb()'s straight line reads it
+        #: the plan is not settled): absorb() begins the next iteration
+        #: from it
         self._base: Optional[float] = None
-        #: the job's noise stream, held for the straight line (None
-        #: until a settled plan with noise needs it)
+        #: the job's noise stream, held for absorb() (None until a
+        #: settled plan with noise needs it)
         self._rng: Optional[random.Random] = None
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -283,22 +271,15 @@ class NthLibRuntime:
         if iteration >= spec.iterations:
             self._begin_teardown()
             return
-        analyzer = self.analyzer
         plan = self.plan
-        if (
-            analyzer is not None
-            and self.config.reset_analyzer_on_phase_change
-            and any(start == iteration for start, _ in spec.work_phases)
-        ):
-            analyzer.reset_baseline()
-            plan = None
         if plan is None:
-            baseline = analyzer if analyzer is not None and analyzer.in_baseline else None
+            analyzer = self.analyzer
+            baseline = analyzer is not None and analyzer._t_base is None
             plan = self.host.iteration_plan(job, baseline)
             if plan.allocation < 1:
                 raise RuntimeError(f"job {job.job_id}: zero allocation while iterating")
-            # the baseline may end with this iteration: keep no plan for it
-            self.plan = plan if baseline is None else None
+            # the baseline is this one iteration: keep no plan for it
+            self.plan = None if baseline else plan
             self._base = None
         procs = plan.procs
         speedup = plan.speedup
@@ -316,11 +297,10 @@ class NthLibRuntime:
         self._procs = procs
         self._duration = duration
         if (self._base is None and self.plan is plan and plan.locality is None
-                and plan.fault == 1.0 and not spec.work_phases):
-            # settled: a held plan with no locality or fault factor, and
-            # no work phase (so no phase-change reset).  The base is
-            # iteration_duration_from_speedup's, in its float order,
-            # before its noise factor.
+                and plan.fault == 1.0):
+            # settled: a held plan with no locality or fault factor.
+            # The base is iteration_duration_from_speedup's, in its
+            # float order, before its noise factor.
             self._base = (spec.t_iter_seq / speedup) * (1.0 + spec.measurement_overhead)
             if sigma > 0.0 and self._rng is None:
                 self._rng = self._streams.stream(self._noise_stream)
@@ -351,81 +331,35 @@ class NthLibRuntime:
         """End the iteration in flight without an event if its report is
         a no-op (engine hook).
 
-        A report the plan's band settles changes only the report time;
-        any other goes to the host.  Returns False, having changed
-        nothing, when the host declines it: the end then fires, for the
-        full delivery path.
+        The SelfAnalyzer's rule runs inline (see
+        :mod:`repro.runtime.selfanalyzer`).  A report the plan's band
+        settles changes only the report time; any other goes to the
+        host.  Returns False, having changed nothing, when the host
+        declines it: the end then fires, for the full delivery path.
 
-        A *settled* runtime ends it in one straight-line pass: its plan
-        is held and has a base (:meth:`_begin_iteration`), and the
-        iteration is not the job's last.  The SelfAnalyzer's
-        :meth:`~repro.runtime.selfanalyzer.SelfAnalyzer.report_speedup`
-        and :meth:`~repro.runtime.selfanalyzer.SelfAnalyzer.commit` run
-        inline, and the next iteration lasts the base times a draw from
-        the job's own generator: the allocation is the plan's, so there
-        is no reallocation penalty.  Every other end, and one whose
-        report makes the host drop the plan, begins its next iteration
-        through :meth:`_begin_iteration`.  tests/test_spans.py checks
-        that both paths end alike.
+        A settled runtime begins the next iteration in place: its plan
+        is still the one it read and has a base
+        (:meth:`_begin_iteration`), and the iteration just ended is not
+        the job's last.  The next iteration lasts the base times a draw
+        from the job's own generator: the allocation is the plan's, so
+        there is no reallocation penalty.  Every other end, and one
+        whose report makes the host drop the plan, begins it through
+        :meth:`_begin_iteration`.  tests/test_spans.py checks that both
+        end alike.
         """
         # the entry's time: the engine is at this end's instant
         now: float = self._pending[0]  # type: ignore[index]
         analyzer = self.analyzer
-        base = self._base
         plan = self.plan
-        app = self.app
-        iteration = app.completed_iterations + 1
-        if base is not None and plan is not None and iteration < app.spec.iterations:
-            if analyzer is not None:
-                # report_speedup then commit, for an analyzer past its
-                # baseline (a plan is held only then): _last_procs is set
-                procs = self._procs
-                cfg = analyzer.config
-                skip = analyzer._skip if procs == analyzer._last_procs \
-                    else cfg.skip_after_realloc
-                if skip:
-                    analyzer._skip = skip - 1
-                else:
-                    measured = analyzer._measured + 1
-                    if not measured % cfg.report_interval:
-                        # AF * assumed_base_speedup * t_base / duration
-                        raw = analyzer._base_speedup * analyzer._t_base  # type: ignore[operator]
-                        speedup = cfg.amdahl_factor * (raw / self._duration)
-                        if 1e-6 > speedup:
-                            speedup = 1e-6
-                        band = plan.band
-                        efficiency = speedup / procs
-                        if band is not None and (
-                            band[0] <= efficiency <= band[1]
-                            or band[1] < efficiency <= band[2] and self.host.free_cpus() == 0
-                        ):
-                            plan.report_times[self.job.job_id] = now
-                        elif not self.host.absorb_report(self.job, procs, speedup):
-                            return False
-                        elif self.plan is not plan:
-                            base = None  # the host took the report and dropped the plan
-                    # commit would set _skip to 0 here, which it is
-                    # already: with no skip after a reallocation it
-                    # never leaves 0
-                    analyzer._measured = measured
-                analyzer._last_procs = procs
-            app.completed_iterations = iteration
-            if base is None:
-                self._begin_iteration(now)
-                return True
-            rng = self._rng
-            duration = base * (
-                1.0 if rng is None else lognormal_noise(rng, self.config.noise_sigma)
-            )
-            self._duration = duration
-            self._pending = self.sim.schedule_absorbable(duration, self, iteration)
-            return True
-        # off the straight line
         if analyzer is not None:
             procs = self._procs
-            duration = self._duration
-            speedup = analyzer.report_speedup(procs, duration)
-            if speedup is not None:
+            t_base = analyzer._t_base
+            if t_base is None:
+                analyzer._t_base = self._duration
+            elif procs == analyzer._last_procs:
+                speedup = t_base / self._duration
+                if 1e-6 > speedup:
+                    speedup = 1e-6
                 band = None if plan is None else plan.band
                 efficiency = speedup / procs
                 if band is not None and (
@@ -435,11 +369,23 @@ class NthLibRuntime:
                     plan.report_times[self.job.job_id] = now  # type: ignore[union-attr]
                 elif not self.host.absorb_report(self.job, procs, speedup):
                     return False
-            analyzer.commit(procs, duration)
+            analyzer._last_procs = procs
+        app = self.app
         # record_iteration without its guards: this iteration began, so
         # the application is unfinished and below its iteration count
+        iteration = app.completed_iterations + 1
         app.completed_iterations = iteration
-        self._begin_iteration(now)
+        base = self._base
+        if (base is not None and plan is not None and self.plan is plan
+                and iteration < app.spec.iterations):
+            rng = self._rng
+            duration = base * (
+                1.0 if rng is None else lognormal_noise(rng, self.config.noise_sigma)
+            )
+            self._duration = duration
+            self._pending = self.sim.schedule_absorbable(duration, self, iteration)
+        else:
+            self._begin_iteration(now)
         return True
 
     def _begin_teardown(self) -> None:

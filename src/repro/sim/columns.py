@@ -1,4 +1,4 @@
-"""The SelfAnalyzer's running mean, and the backend name benchmarks stamp.
+"""A running mean, and the backend name benchmarks stamp.
 
 :class:`RunningMean` folds a sample stream into a running sum, count
 and largest processor count instead of retaining the samples.
@@ -14,8 +14,8 @@ BACKEND = "python"
 class RunningMean:
     """Running-sum fold of a sample stream (sum / count / max-procs).
 
-    Replaces the SelfAnalyzer's per-sample list append + whole-list
-    ``sum()`` at baseline close.  Accumulating ``total += x`` per
+    The streaming stats (:mod:`repro.metrics.streaming`) fold through
+    it.  Accumulating ``total += x`` per
     sample is bit-identical to an explicit left fold over the retained
     list (``acc = 0.0; acc = acc + x`` per element) — the parity suite
     checks this with NaN/inf/-0.0 payloads.  It is *not* guaranteed to

@@ -224,15 +224,15 @@ class TestShareMemo:
                 want = rm.effective_procs(threads)
                 speedup = (job.spec.speedup_model.speedup(want) if job.spec.malleable
                            else job.spec.folded_speedup(job.request, want))
-                assert bits(rm.iteration_plan(job, None).speedup) == bits(speedup)
+                assert bits(rm.iteration_plan(job, False).speedup) == bits(speedup)
                 assert bits(rm._shares[threads]) == bits(want)
 
     def test_memo_is_not_pickled(self, linear_app):
         sim, trace, rm = make_rm()
         rm.start_job(Job(1, linear_app, submit_time=0.0, request=4))
-        rm.iteration_plan(rm.jobs[1], None)
+        rm.iteration_plan(rm.jobs[1], False)
         assert rm._shares
         clone = pickle.loads(pickle.dumps(rm))
         assert clone._shares == {}
-        assert bits(clone.iteration_plan(clone.jobs[1], None).speedup) == \
-            bits(rm.iteration_plan(rm.jobs[1], None).speedup)
+        assert bits(clone.iteration_plan(clone.jobs[1], False).speedup) == \
+            bits(rm.iteration_plan(rm.jobs[1], False).speedup)

@@ -10,7 +10,6 @@ from repro.runtime.nthlib import (
     RuntimeConfig,
     RuntimeHost,
 )
-from repro.runtime.selfanalyzer import SelfAnalyzerConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -26,7 +25,7 @@ class FakeHost(RuntimeHost):
 
     def iteration_plan(self, job, baseline):
         allocation = self.allocation
-        procs = allocation if baseline is None else baseline.baseline_allocation(allocation)
+        procs = 1 if baseline else allocation
         speedup = job.spec.speedup_model.speedup(procs * self.speed_factor)
         return IterationPlan(allocation, procs, speedup, None, None, 1.0, None, {})
 
@@ -37,17 +36,12 @@ class FakeHost(RuntimeHost):
         self.completed.append(job)
 
 
-def make_runtime(spec, allocation=4, noise=0.0, analyzer=True, host=None,
-                 analyzer_config=None):
+def make_runtime(spec, allocation=4, noise=0.0, analyzer=True, host=None):
     sim = Simulator()
     job = Job(job_id=1, spec=spec, submit_time=0.0)
     job.mark_started(0.0)
     host = host or FakeHost(allocation)
-    config = RuntimeConfig(
-        noise_sigma=noise,
-        use_selfanalyzer=analyzer,
-        analyzer=analyzer_config or SelfAnalyzerConfig(),
-    )
+    config = RuntimeConfig(noise_sigma=noise, use_selfanalyzer=analyzer)
     runtime = NthLibRuntime(sim, job, host, RandomStreams(0), config)
     host.runtime = runtime
     return sim, job, host, runtime
@@ -71,7 +65,7 @@ class TestExecution:
         assert end == pytest.approx(linear_app.execution_time(4))
 
     def test_baseline_adds_sequential_iteration(self, linear_app):
-        # With the default analyzer the first iteration runs on one
+        # With the analyzer the first iteration runs on one
         # processor: one iteration at 8s instead of 2s.
         sim, job, host, runtime = make_runtime(linear_app, allocation=4)
         runtime.start()

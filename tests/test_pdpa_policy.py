@@ -1,4 +1,5 @@
-"""Unit tests for the PDPA policy object and its MPL coordination."""
+"""Unit tests for the PDPA policy object and its MPL coordination, and
+end-to-end runs of its reaction to a mid-run performance change."""
 
 import copy
 import pickle
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.apps.application import AppClass, ApplicationSpec
-from repro.apps.speedup import AmdahlSpeedup
+from repro.apps.speedup import AmdahlSpeedup, TabulatedSpeedup
 from repro.core.mpl import MplPolicy
 from repro.core.params import PDPAParams
 from repro.core.pdpa import PDPA
 from repro.core.states import AppState, PdpaJobState
 from repro.experiments.ablations import FixedMplPDPA, NoRelativeSpeedupPDPA
+from repro.experiments.common import ExperimentConfig, run_jobs
+from repro.faults.plan import FaultPlan, NodeSlowdown
 from repro.fuzz.profiles import tier_settings
 from repro.qs.job import Job
 from repro.rm.base import JobView, SystemView
@@ -352,6 +355,88 @@ class TestRuntimeParameterChange:
         assert policy.states_summary() == {
             "NO_REF": 0, "INC": 0, "DEC": 1, "STABLE": 2,
         }
+
+
+def _slow_machine(n_cpus, time, factor, restore_after=None):
+    """A fault plan that slows every node of the machine to *factor*."""
+    return FaultPlan(events=tuple(
+        NodeSlowdown(time, node, factor, restore_after) for node in range(n_cpus // 2)
+    ))
+
+
+class TestPdpaAdaptation:
+    """§4.2.4: "If the application performance changes, the next state
+    and processor allocation could be modified."  The change is a
+    slowdown of every node: the SelfAnalyzer's baseline stays as it was
+    measured, so the job's measured speedup moves with its speed."""
+
+    def test_stable_job_reacts_to_a_performance_drop(self):
+        """The application scales well until every node drops to a
+        quarter of its speed at t=6: each iteration takes 4x longer,
+        which the SelfAnalyzer reads as a 4x lower speedup at the same
+        processor count.  PDPA must leave STABLE and shed processors."""
+        spec = ApplicationSpec(
+            name="collapsing",
+            app_class=AppClass.MEDIUM,
+            speedup_model=TabulatedSpeedup(
+                [(1, 1.0), (8, 7.2), (16, 13.0), (24, 18.0)], name="good"
+            ),
+            iterations=80,
+            t_iter_seq=2.0,
+            t_startup=0.0,
+            t_teardown=0.0,
+            default_request=16,
+        )
+        config = ExperimentConfig(
+            n_cpus=24, seed=1, noise_sigma=0.0, faults=_slow_machine(24, 6.0, 0.25)
+        )
+        out = run_jobs(PDPA(config.pdpa), [Job(1, spec, submit_time=0.0)], config)
+        changes = [r for r in out.trace.reallocations if r.job_id == 1]
+        assert changes[0].new_procs == 16
+        assert all(r.time > 6.0 for r in changes[1:])
+        assert changes[-1].new_procs < 16, (
+            "PDPA should have shed processors after the slowdown"
+        )
+
+    def test_performance_improvement_reopens_growth(self):
+        """The opposite direction: the job measures its baseline on a
+        slowed machine, which recovers full speed at t=60, and its
+        measured speedups rise 4x; a STABLE job may grow again."""
+        spec = ApplicationSpec(
+            name="improving",
+            app_class=AppClass.MEDIUM,
+            speedup_model=TabulatedSpeedup(
+                [(1, 1.0), (8, 6.4), (16, 12.0), (24, 17.0)], name="ok"
+            ),
+            iterations=80,
+            t_iter_seq=4.0,
+            t_startup=0.0,
+            t_teardown=0.0,
+            default_request=24,
+        )
+        config = ExperimentConfig(
+            n_cpus=24, seed=1, noise_sigma=0.0,
+            faults=_slow_machine(24, 0.0, 0.25, restore_after=60.0),
+        )
+        # A rigid blocker squeezes the job's initial allocation,
+        # leaving headroom to grow once it exits (at t=52).
+        blocker = ApplicationSpec(
+            name="blocker", app_class=AppClass.HIGH,
+            speedup_model=AmdahlSpeedup(0.0), iterations=10, t_iter_seq=16.0,
+            t_startup=0.0, t_teardown=0.0, default_request=16, malleable=False,
+        )
+        jobs = [
+            Job(1, blocker, submit_time=0.0),
+            Job(2, spec, submit_time=1.0),
+        ]
+        out = run_jobs(PDPA(config.pdpa), jobs, config)
+        changes = [r for r in out.trace.reallocations if r.job_id == 2]
+        # After the recovery, measured speedup at the same procs rises
+        # 4x; efficiency exceeds both high_eff and the settled
+        # reference -> INC, growing past the squeezed start, and not
+        # before the recovery.
+        assert max(r.new_procs for r in changes) > changes[0].new_procs
+        assert all(r.time > 60.0 for r in changes[1:])
 
 
 class _Renamed(PDPA):

@@ -8,13 +8,13 @@ that the output is the one the per-iteration path produced:
   the four policies on w1-w4, three policies under three fault
   scenarios, and the serve stack with and without autosnapshots;
 * a hypothesis differential against the same run with every iteration
-  end scheduled as a plain event, compared mid-run too; it draws every
-  input a settled runtime's straight-line end reads (overhead, Amdahl
-  factor, baseline length and width, report interval and skip);
+  end scheduled as a plain event, compared mid-run too; it draws the
+  policy, the jobs, seed, machine size, noise, locality, measurement
+  overhead, mid-run RM mutations and a cap on span length;
 * mid-span checkpoint cuts, closed and serve;
 * a reallocation landing exactly on an absorbed iteration end, and the
   race the sanitizer finds there;
-* a host that drops a plan while the straight line hands it a report.
+* a host that drops a plan while an absorbed end hands it a report.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.rm.equipartition import Equipartition
 from repro.rm.irix import IrixConfig, IrixResourceManager
 from repro.rm.manager import SpaceSharedResourceManager
 from repro.runtime.nthlib import IterationPlan, NthLibRuntime, RuntimeConfig, RuntimeHost
-from repro.runtime.selfanalyzer import SelfAnalyzerConfig
 from repro.serve.service import ServeService
 from repro.serve.session import ServeConfig, ServeSession, build_serve_session
 from repro.serve.source import SyntheticSource
@@ -266,8 +265,6 @@ APPS = {
     "linear": _app("sp-linear"),
     "amdahl": _app("sp-amdahl", speedup_model=AmdahlSpeedup(0.1, name="sp-amdahl"),
                    iterations=24, t_iter_seq=3.0, default_request=6),
-    "phased": _app("sp-phased", speedup_model=AmdahlSpeedup(0.05, name="sp-phased"),
-                   t_iter_seq=2.0, work_phases=((6, 2.0), (16, 0.5))),
     "flat": _app("sp-flat", app_class=AppClass.NONE, iterations=8, t_iter_seq=1.5,
                  default_request=4, speedup_model=TabulatedSpeedup(
                      [(1, 1.0), (2, 1.3), (4, 1.5), (8, 1.55)], name="sp-flat")),
@@ -325,10 +322,7 @@ def _state(session: SimulationSession, ends: Dict[Any, List[IterationEnd]]) -> t
         analyzer = runtime.analyzer
         runtimes.append((
             job_id, runtime.phase, runtime.app.completed_iterations,
-            None if analyzer is None else (
-                analyzer.t_base, analyzer._measured, analyzer._skip,
-                analyzer._last_procs, analyzer._base_speedup,
-            ),
+            None if analyzer is None else (analyzer.t_base, analyzer._last_procs),
         ))
     policy = getattr(rm, "policy", None)
     views = getattr(rm, "_views", {})
@@ -371,14 +365,6 @@ run_shapes = dict(
     sigma=st.sampled_from([0.0, 0.015]),
     locality=st.booleans(),
     overhead=st.sampled_from([0.0, 0.01, 0.04]),
-    amdahl=st.sampled_from([1.0, 0.85, 1.2]),
-    # baseline_iterations, then (baseline_procs, assumed_base_speedup)
-    baseline=st.tuples(
-        st.integers(1, 3), st.sampled_from([(1, 1.0), (2, 1.0), (2, 1.7), (4, 3.1)])
-    ),
-    report_interval=st.integers(1, 3),
-    skip=st.integers(0, 2),
-    reset=st.booleans(),
     cuts=st.lists(
         st.tuples(
             st.floats(0.0, 40.0),
@@ -427,19 +413,8 @@ def test_equal_eff_spans_match_the_per_iteration_path(**shape):
     _check_spans_match("Equal_eff", **shape)
 
 
-def _check_spans_match(policy, plan, seed, n_cpus, sigma, locality, overhead, amdahl,
-                       baseline, report_interval, skip, reset, cuts, cap):
-    baseline_iterations, (baseline_procs, assumed) = baseline
-    runtime = RuntimeConfig(
-        noise_sigma=sigma,
-        analyzer=SelfAnalyzerConfig(
-            baseline_procs=baseline_procs, baseline_iterations=baseline_iterations,
-            assumed_base_speedup=assumed, amdahl_factor=amdahl,
-            report_interval=report_interval, skip_after_realloc=skip,
-        ),
-        reset_analyzer_on_phase_change=reset,
-    )
-    args = (policy, plan, seed, n_cpus, runtime, locality, overhead)
+def _check_spans_match(policy, plan, seed, n_cpus, sigma, locality, overhead, cuts, cap):
+    args = (policy, plan, seed, n_cpus, RuntimeConfig(noise_sigma=sigma), locality, overhead)
     mutations: Dict[float, List[tuple]] = {}
     for when, ops in cuts:
         mutations.setdefault(when, []).extend(ops)
@@ -632,19 +607,19 @@ def test_sanitizer_sees_a_race_with_an_absorbed_iteration_end():
 
 
 # ----------------------------------------------------------------------
-# (e) a plan the host drops as it takes a report on the straight line
+# (e) a plan the host drops as it takes a report from an absorbed end
 # ----------------------------------------------------------------------
 class _DroppingHost(RuntimeHost):
     """Takes every report and drops the reporter's plan as it does; the
     k-th plan it builds runs at speedup k.  No host in the tree drops a
     plan inside ``absorb_report``, so the differential cannot reach
-    this: the straight line must not reuse the dropped plan's base."""
+    this: the absorbed end must not reuse the dropped plan's base."""
 
     def __init__(self) -> None:
         self.runtime: Optional[NthLibRuntime] = None
         self.plans = 0
 
-    def iteration_plan(self, job: Job, baseline: Any) -> IterationPlan:
+    def iteration_plan(self, job: Job, baseline: bool) -> IterationPlan:
         self.plans += 1
         return IterationPlan(4, 4, float(self.plans), None, None, 1.0, None, {})
 
@@ -664,12 +639,13 @@ def test_a_plan_dropped_while_its_report_is_taken_is_not_reused():
     host = _DroppingHost()
     sim = Simulator()
     job = Job(job_id=1, spec=APPS["linear"], submit_time=0.0, request=4)
-    config = RuntimeConfig(noise_sigma=0.0, analyzer=SelfAnalyzerConfig(skip_after_realloc=0))
+    config = RuntimeConfig(noise_sigma=0.0)
     runtime = host.runtime = NthLibRuntime(sim, job, host, RandomStreams(0), config)
     with record_iteration_ends() as ends:
         runtime.start()
         sim.run()
-    # the baseline iteration runs on plan 1; from then on every end
+    # the baseline iteration runs on plan 1, on the 4 CPUs this host
+    # grants it; every later end is on the count before it and
     # reports, so iteration i runs on plan i + 1, at speedup i + 1
     assert [end[3] for end in ends[sim]] == [4.0 / (i + 1) for i in range(30)]
     assert sim.events_fired < sim.logical_events
