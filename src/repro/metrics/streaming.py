@@ -10,11 +10,11 @@ aggregates:
   :class:`~repro.sim.columns.RunningMean` column (running sum / count /
   max, one fixed-size struct per application class, never per job);
 * whole-stream folds for response time and bounded slowdown;
-* utilization / backlog / MPL samples in fixed-size deterministic
+* backlog / MPL samples in fixed-size deterministic
   :class:`Reservoir` samples (Algorithm R with an explicitly seeded
   generator whose state pickles with the fold);
-* admission counters (submitted / admitted / shed / deferred /
-  completed / failed / requeued) for the conservation invariants in
+* admission counters (submitted / admitted / shed / completed /
+  failed / requeued) for the conservation invariants in
   :mod:`repro.validate`.
 
 Conformance contract
@@ -179,9 +179,8 @@ class StreamingStats:
     __slots__ = (
         "tau", "by_app", "overall", "slowdown", "makespan", "first_submit",
         "attempts", "submitted", "admitted", "shed_rejected", "shed_dropped",
-        "deferred", "completed", "failed", "requeues", "overload_events",
+        "completed", "failed", "requeues", "overload_events",
         "peak_backlog", "peak_mpl", "backlog_samples", "mpl_samples",
-        "utilization_samples",
     )
 
     def __init__(
@@ -202,7 +201,6 @@ class StreamingStats:
         self.admitted = 0
         self.shed_rejected = 0
         self.shed_dropped = 0
-        self.deferred = 0
         self.completed = 0
         self.failed = 0
         self.requeues = 0
@@ -212,7 +210,6 @@ class StreamingStats:
         # fixed-size samples of the live signals
         self.backlog_samples = Reservoir(reservoir_capacity, reservoir_seed)
         self.mpl_samples = Reservoir(reservoir_capacity, reservoir_seed + 1)
-        self.utilization_samples = Reservoir(reservoir_capacity, reservoir_seed + 2)
 
     # ------------------------------------------------------------------
     # job lifecycle folds
@@ -346,7 +343,6 @@ class StreamingStats:
             "admitted": self.admitted,
             "shed_rejected": self.shed_rejected,
             "shed_dropped": self.shed_dropped,
-            "deferred": self.deferred,
             "completed": self.completed,
             "failed": self.failed,
             "requeues": self.requeues,
@@ -355,7 +351,6 @@ class StreamingStats:
             "peak_mpl": self.peak_mpl,
             "backlog_samples": self.backlog_samples.to_dict(),
             "mpl_samples": self.mpl_samples.to_dict(),
-            "utilization_samples": self.utilization_samples.to_dict(),
         }
 
     def digest(self) -> str:

@@ -96,7 +96,7 @@ GOLDEN = {
 }
 
 #: serve stats digest, PDPA on a 200-job w2 stream
-GOLDEN_SERVE = "2013464187c3c1c9eaad2d065ac39f8f20ce8e4601efcc91926d208572d2bad9"
+GOLDEN_SERVE = "564f3bbee279557afee4ce9545ae4b517988a8bce7f0989a0fadedae8625ae03"
 #: sha256 of the arrival journal that stream writes (one fsync'd line
 #: per arrival when pinned; group commit must write the same bytes)
 GOLDEN_SERVE_JOURNAL = "61b44da2aaedda8fc95d1cbaaf7bec03a370e9604da847cbb8a431a8edb4e4c5"
