@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.faults import OfflineFold
+from repro.metrics.paraver import allocation_timeline
 from repro.metrics.trace import TraceRecorder
 
 
@@ -38,15 +39,11 @@ def job_allocation_steps(
 ) -> List[Tuple[float, int]]:
     """(time, allocation) step function of one job, 0-terminated.
 
-    Built from the reallocation records; the final step carries 0
-    processors at ``end_time`` (default: the trace horizon) so the
-    function integrates cleanly.
+    :func:`~repro.metrics.paraver.allocation_timeline`'s steps; the
+    final step carries 0 processors at ``end_time`` (default: the trace
+    horizon) so the function integrates cleanly.
     """
-    steps = [
-        (record.time, record.new_procs)
-        for record in sorted(trace.reallocations, key=lambda r: r.time)
-        if record.job_id == job_id
-    ]
+    steps = allocation_timeline(trace, job_id)
     if not steps:
         return []
     horizon = end_time if end_time is not None else trace.horizon

@@ -14,7 +14,6 @@ Hierarchy::
     ├── CellCrash            worker raised an exception
     ├── CellTimeout          cell exceeded its per-cell deadline
     ├── WorkerLost           the process pool broke under the cell
-    ├── CorruptResult        cached payload failed its integrity check
     ├── UnserialisableRecord cell record fell into the repr() fallback
     └── PoisonCellError      cell exhausted its retry budget
 
@@ -82,15 +81,6 @@ class WorkerLost(CellError):
     def __init__(self, key: str, attempts: int = 1,
                  detail: str = "process pool broke while cell was running") -> None:
         super().__init__(key, detail, attempts=attempts)
-
-
-class CorruptResult(CellError):
-    """A cached or journalled payload failed its integrity check."""
-
-    kind = "corrupt-result"
-
-    def __init__(self, key: str, detail: str, attempts: int = 1) -> None:
-        super().__init__(key, f"corrupt result: {detail}", attempts=attempts)
 
 
 class UnserialisableRecord(CellError):

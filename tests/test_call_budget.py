@@ -3,8 +3,8 @@
 Absorbed iteration ends are 97-100% of a closed run's iteration ends,
 and their constant cost sets the simulator's speed.  Each end reads
 its job's plan and calls no RM, policy or machine method until that
-job's inputs change, and a settled job's end is one straight-line pass
-in ``NthLibRuntime.absorb`` (``repro.runtime.nthlib``).  Equal_eff's
+job's inputs change, and every absorbed end is one pass through
+``NthLibRuntime.absorb`` (``repro.runtime.nthlib``).  Equal_eff's
 reports fire and reshuffle far more often; they are the sweep grid's
 cost, and its budget pins them.  This test counts the calls a whole
 closed grid makes per iteration, as cProfile counts them (Python
@@ -27,9 +27,9 @@ CONFIG = ExperimentConfig(n_cpus=60, seed=7)
 MIXES = ("w1", "w2", "w3", "w4")
 
 #: upper bounds on calls per iteration, about 3% above those measured
-#: on CPython 3.10 and 3.11: IRIX 17.26, Equip 22.93, PDPA 22.16 and
-#: Equal_eff 78.73 (3.12 and 3.13 count up to 1.2% fewer)
-BUDGET = {"IRIX": 17.8, "Equip": 23.6, "PDPA": 22.8, "Equal_eff": 81.0}
+#: on CPython 3.10 and 3.11: IRIX 17.27, Equip 22.12, PDPA 21.62 and
+#: Equal_eff 77.28 (3.12 and 3.13 count up to 1.2% fewer)
+BUDGET = {"IRIX": 17.8, "Equip": 22.8, "PDPA": 22.3, "Equal_eff": 79.6}
 
 
 def calls_per_iteration(policy: str) -> float:
