@@ -11,17 +11,22 @@ stable (few migrations, long bursts; see Table 2 of the paper).
 Each CPU's state is one slot in three plain lists indexed by CPU id:
 ``_owner`` (the owning job id, or ``None`` when idle), ``_since`` (the
 start of the current burst) and ``_health`` (a :class:`CpuHealth`).
-A grow seizes its chosen CPUs in one loop; a finish, a shrink and a
-CPU failure all close their bursts through the one ``_release`` loop,
-and ``finalize`` flushes whatever is still open, in id order.  A
-burst takes its application name from the owner's partition.
+A grow walks rings of NUMA nodes outward from the partition, as bit
+masks, and seizes its chosen CPUs in one loop.  A finish, a shrink
+and a CPU failure all close their bursts through ``_release``, and
+``finalize`` flushes whatever is still open, in id order; both check
+every burst's start before they change anything and hand the trace
+all the bursts in one batch.  A burst takes its application name from
+the owner's partition.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cache, reduce
 from itertools import chain, groupby, islice
-from typing import Any, Dict, List, Optional, Set
+from operator import or_
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.machine.topology import NumaTopology
 from repro.metrics.trace import Burst, TraceRecorder
@@ -50,6 +55,27 @@ class CpuHealth(enum.Enum):
         return self.value
 
 
+@cache
+def _flips(n_nodes: int) -> Tuple[Tuple[int, int], ...]:
+    """The ``(shift, mask)`` pair of each hypercube dimension of
+    *n_nodes* nodes.
+
+    Flipping bit ``d`` of a node id moves it ``shift = 2**d`` up or
+    down.  *mask* holds the nodes that can move up, those with bit
+    ``d`` clear and a node ``shift`` above them, so for a node mask
+    ``m`` the neighbours along ``d`` are ``(m & mask) << shift`` and
+    ``(m >> shift) & mask``.  Cached per node count, not per machine:
+    a restored machine rebuilds nothing.
+    """
+    pairs = []
+    shift = 1
+    while shift < n_nodes:
+        mask = sum(1 << node for node in range(n_nodes - shift) if not node & shift)
+        pairs.append((shift, mask))
+        shift <<= 1
+    return tuple(pairs)
+
+
 class Machine:
     """A multiprocessor divided into per-job exclusive partitions.
 
@@ -70,7 +96,7 @@ class Machine:
     __slots__ = (
         "n_cpus", "topology", "trace", "_owner", "_since", "_health",
         "_partitions", "_app_names", "node_speed", "_free", "_n_offline",
-        "_n_allocated", "_node_of", "_dist_rows",
+        "_n_allocated", "_node_of",
     )
 
     def __init__(
@@ -110,8 +136,6 @@ class Machine:
         self._node_of: List[int] = [
             self.topology.node_of(i) for i in range(n_cpus)
         ]
-        #: per-node hypercube-distance rows, built lazily (derived)
-        self._dist_rows: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
     # pickling: canonical form for the set-valued books
@@ -122,10 +146,7 @@ class Machine:
         # makes snapshot bytes depend on how a partition was assembled
         # and breaks the checkpoint layer's save→restore→save
         # fixed-point contract.  Sorted lists are the canonical form.
-        # The distance cache is derived state: dropping it shrinks the
-        # envelope and it rebuilds exactly.
         state = slot_state(self)
-        del state["_dist_rows"]
         state["_free"] = sorted(self._free)
         state["_partitions"] = {
             job: sorted(cpus) for job, cpus in self._partitions.items()
@@ -138,7 +159,6 @@ class Machine:
             job: set(cpus) for job, cpus in state["_partitions"].items()
         }
         set_slot_state(self, state)
-        self._dist_rows = {}
 
     # ------------------------------------------------------------------
     # queries
@@ -260,16 +280,10 @@ class Machine:
         Each owned CPU's burst closes at *now* and a new one starts
         there, so a second call emits nothing.
         """
-        record = None if self.trace is None else self.trace.record_burst
+        held = [cpu_id for cpu_id, job_id in enumerate(self._owner) if job_id is not None]
+        self._close_bursts(held, now)
         since = self._since
-        for cpu_id, job_id in enumerate(self._owner):
-            if job_id is None:
-                continue
-            started = since[cpu_id]
-            if now < started:
-                raise ValueError(f"cpu {cpu_id}: flush before burst start")
-            if record is not None:
-                record(Burst(cpu_id, job_id, self._app_names[job_id], started, now))
+        for cpu_id in held:
             since[cpu_id] = now
         self.check_invariants()
 
@@ -448,15 +462,6 @@ class Machine:
     # ------------------------------------------------------------------
     # placement internals
     # ------------------------------------------------------------------
-    def _dist_row(self, node: int) -> List[int]:
-        """Hypercube hop count from *node* to every node (cached)."""
-        row = self._dist_rows.get(node)
-        if row is None:
-            n_nodes = self.topology.n_nodes
-            row = [bin(node ^ other).count("1") for other in range(n_nodes)]
-            self._dist_rows[node] = row
-        return row
-
     def _node_runs(self, cpus: List[int]) -> List[List[int]]:
         """Split id-sorted *cpus* (either direction) into one run per node.
 
@@ -470,14 +475,18 @@ class Machine:
 
         Placement takes free CPUs in (hop distance to the partition,
         cpu id) order: a new partition takes the lowest ids, which is
-        the most compact run because node ids grow with cpu ids.  The
-        id-sorted free list therefore falls into one run per node, and
-        a stable sort of those runs by their node's distance (the
-        minimum hop count to any of the partition's nodes, 0 on-node)
-        gives that order without a key per CPU.  All chosen CPUs come
-        from the free set, which only ever holds idle allocatable CPUs,
-        so no burst closes and no migration is possible here; the
-        seizing loop refuses a CPU that is not idle.
+        the most compact run because node ids grow with cpu ids.  A
+        partition's nodes form a bit mask, the ring at distance 0; the
+        next ring is every node one bit flip away from the nodes seen
+        so far, less those (:func:`_flips`).  Hop distance is the
+        Hamming distance of node ids, and clearing bits before setting
+        them walks a shortest path whose ids stay at or below the
+        larger end's, so the rings, which never leave the machine's
+        nodes, give each node its hop distance to the partition.  Each ring's free CPUs come out of the id-sorted free
+        list in id order, and the walk stops once *count* are found.
+        All chosen CPUs come from the free set, which only ever holds
+        idle allocatable CPUs, so no burst closes and no migration is
+        possible here; the seizing loop refuses a CPU that is not idle.
         """
         partition = self._partitions[job_id]
         free = sorted(self._free)
@@ -491,14 +500,23 @@ class Machine:
             chosen = free[:count]
         else:
             node_of = self._node_of
-            part_nodes = set(map(node_of.__getitem__, partition))
-            dist_row = self._dist_row
-            runs = self._node_runs(free)
-            # hop distance is symmetric: read the candidate's own row
-            runs.sort(key=lambda run: min(
-                map(dist_row(node_of[run[0]]).__getitem__, part_nodes)
-            ))
-            chosen = list(islice(chain.from_iterable(runs), count))
+            seen = ring = reduce(
+                or_, map((1).__lshift__, map(node_of.__getitem__, partition))
+            )
+            flips = _flips(self.topology.n_nodes)
+            chosen = []
+            while True:
+                for cpu_id in free:
+                    if ring >> node_of[cpu_id] & 1:
+                        chosen.append(cpu_id)
+                if len(chosen) >= count:
+                    break
+                grown = seen
+                for shift, mask in flips:
+                    grown |= (seen & mask) << shift | (seen >> shift) & mask
+                ring = grown ^ seen
+                seen = grown
+            del chosen[count:]
         owner = self._owner
         since = self._since
         for cpu_id in chosen:
@@ -534,27 +552,40 @@ class Machine:
     def _release(self, cpu_ids: List[int], now: float) -> None:
         """Return the owned CPUs *cpu_ids* to idle, closing their bursts.
 
-        The one loop that closes bursts when CPUs leave a partition (a
-        finish, a shrink or a failure).  Bursts reach the trace in the
-        order of *cpu_ids*; releasing before a burst's start raises
-        ``ValueError``.  The caller removes the CPUs from the partition.
-        A partition never holds an OFFLINE CPU (``fail_cpu`` releases
-        one before marking it), so every released CPU is free again.
+        The one path that closes bursts when CPUs leave a partition (a
+        finish, a shrink or a failure).  The caller removes the CPUs
+        from the partition.  A partition never holds an OFFLINE CPU
+        (``fail_cpu`` releases one before marking it), so every
+        released CPU is free again.
         """
-        record = None if self.trace is None else self.trace.record_burst
+        self._close_bursts(cpu_ids, now)
         owner = self._owner
         since = self._since
+        for cpu_id in cpu_ids:
+            owner[cpu_id] = None
+            since[cpu_id] = now
+        self._n_allocated -= len(cpu_ids)
+        self._free.update(cpu_ids)
+
+    def _close_bursts(self, cpu_ids: List[int], now: float) -> None:
+        """Hand the trace the bursts of the owned CPUs *cpu_ids*, ending
+        at *now*, in that order and as one batch.
+
+        Every start is checked before the trace sees any burst: one
+        after *now* raises ``ValueError`` with nothing changed.  The
+        caller starts each CPU's next burst at *now*.
+        """
+        since = self._since
+        owner = self._owner
         app_names = self._app_names
+        bursts = []
         for cpu_id in cpu_ids:
             started = since[cpu_id]
             if now < started:
                 raise ValueError(
                     f"cpu {cpu_id}: time went backwards ({started} -> {now})"
                 )
-            if record is not None:
-                job_id = owner[cpu_id]
-                record(Burst(cpu_id, job_id, app_names[job_id], started, now))
-            owner[cpu_id] = None
-            since[cpu_id] = now
-        self._n_allocated -= len(cpu_ids)
-        self._free.update(cpu_ids)
+            job_id = owner[cpu_id]
+            bursts.append(Burst(cpu_id, job_id, app_names[job_id], started, now))
+        if self.trace is not None:
+            self.trace.record_bursts(bursts)

@@ -12,12 +12,20 @@ burst individually would be wasteful.  Scheduling-level events
 (reallocations, multiprogramming-level changes) are recorded alongside
 so that the Paraver-style analyses can regenerate Table 2, Fig. 5 and
 Fig. 8.
+
+Both kinds of CPU activity arrive in batches, one call per partition
+change or segment: :meth:`TraceRecorder.record_bursts` takes every
+burst a release or the end of a run closes, and
+:meth:`TraceRecorder.record_timeshare_segments` every CPU of one IRIX
+segment.  The one-burst and one-CPU calls are their single cases, so
+each rule (zero-length bursts, negative durations, the horizon, the
+time-sharing accounting) is written once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.metrics.stats import fold_sum
 
@@ -94,28 +102,12 @@ class SyntheticCpuLoad:
     Under the IRIX model CPUs multiplex several kernel threads with a
     short scheduling quantum; recording each quantum as a burst would
     produce hundreds of thousands of records.  Instead we accumulate
-    the counts analytically, as Paraver would report them.
+    the counts analytically, as Paraver would report them
+    (:meth:`TraceRecorder.record_timeshare_segments` holds the rule).
     """
 
     bursts: float = 0.0
     busy_time: float = 0.0
-
-    def add_segment(self, duration: float, sharers: int, quantum: float) -> None:
-        """Account a segment where ``sharers`` apps shared this CPU."""
-        if duration < 0:
-            raise ValueError(f"segment duration must be >= 0, got {duration}")
-        if sharers < 1:
-            return
-        if sharers == 1:
-            # Exclusive use still shows as a single long burst per
-            # segment; accounted as one burst.
-            self.bursts += 1.0
-            self.busy_time += duration
-            return
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum}")
-        self.bursts += duration / quantum
-        self.busy_time += duration
 
 
 class TraceRecorder:
@@ -142,14 +134,34 @@ class TraceRecorder:
     # recording
     # ------------------------------------------------------------------
     def record_burst(self, burst: Burst) -> None:
-        """Append a finished burst (zero-length bursts are dropped)."""
-        duration = burst.end - burst.start  # burst.duration, without the call
-        if duration < 0:
-            raise ValueError(f"negative burst duration: {burst}")
-        if duration == 0:
-            return
-        self.bursts.append(burst)
-        self._horizon = max(self._horizon, burst.end)
+        """Append one finished burst: :meth:`record_bursts` of one."""
+        self.record_bursts((burst,))
+
+    def record_bursts(self, bursts: Iterable[Burst]) -> None:
+        """Append finished bursts in order (zero-length ones are dropped).
+
+        Raises ``ValueError``, having recorded none of them, if one
+        ends before it starts.
+        """
+        self.bursts += self._kept(bursts)
+
+    def _kept(self, bursts: Iterable[Burst]) -> List[Burst]:
+        """The bursts of nonzero length, in order, with the horizon
+        moved past them; checks every burst before it moves it."""
+        kept = []
+        horizon = self._horizon
+        for burst in bursts:
+            end = burst.end
+            duration = end - burst.start  # burst.duration, without the call
+            if duration < 0:
+                raise ValueError(f"negative burst duration: {burst}")
+            if duration == 0:
+                continue
+            kept.append(burst)
+            if end > horizon:
+                horizon = end
+        self._horizon = horizon
+        return kept
 
     def record_reallocation(self, record: ReallocationRecord) -> None:
         """Append an allocation-change record."""
@@ -179,11 +191,38 @@ class TraceRecorder:
     def record_timeshare_segment(
         self, cpu: int, t0: float, t1: float, sharers: int, quantum: float
     ) -> None:
-        """Account a time-shared segment on one CPU (IRIX mode)."""
+        """Account a time-shared segment on one CPU:
+        :meth:`record_timeshare_segments` of one."""
+        self.record_timeshare_segments(t0, t1, ((cpu, sharers),), quantum)
+
+    def record_timeshare_segments(
+        self, t0: float, t1: float, sharers: Iterable[Tuple[int, int]], quantum: float
+    ) -> None:
+        """Account a time-shared segment [t0, t1] (IRIX mode).
+
+        *sharers* holds ``(cpu, apps)`` pairs: *apps* applications
+        shared the CPU.  Each CPU gets a :class:`SyntheticCpuLoad` the
+        first time it appears.  A CPU no application used adds
+        nothing, one used by a single application shows one long
+        burst, and a shared CPU one burst per quantum; a used CPU is
+        busy for the whole segment.
+        """
         if t1 < t0:
             raise ValueError(f"segment ends before it starts: [{t0}, {t1}]")
-        load = self.synthetic.setdefault(cpu, SyntheticCpuLoad())
-        load.add_segment(t1 - t0, sharers, quantum)
+        if quantum <= 0:
+            raise ValueError(f"quantum must be positive, got {quantum}")
+        duration = t1 - t0
+        shared = duration / quantum
+        loads = self.synthetic
+        for cpu, apps in sharers:
+            try:
+                load = loads[cpu]
+            except KeyError:
+                load = loads[cpu] = SyntheticCpuLoad()
+            if apps < 1:
+                continue
+            load.bursts += 1.0 if apps == 1 else shared
+            load.busy_time += duration
         self._horizon = max(self._horizon, t1)
 
     # ------------------------------------------------------------------
@@ -237,14 +276,11 @@ class FoldingTraceRecorder(TraceRecorder):
         self.burst_busy = 0.0
 
     # -- folds replacing the append paths --------------------------------
-    def record_burst(self, burst: Burst) -> None:
-        duration = burst.duration
-        if duration < 0:
-            raise ValueError(f"negative burst duration: {burst}")
-        if duration == 0:
-            return
-        self.burst_busy += duration
-        self._horizon = max(self._horizon, burst.end)
+    def record_bursts(self, bursts: Iterable[Burst]) -> None:
+        busy = self.burst_busy
+        for burst in self._kept(bursts):
+            busy += burst.end - burst.start
+        self.burst_busy = busy
 
     def record_reallocation(self, record: ReallocationRecord) -> None:
         self._horizon = max(self._horizon, record.time)

@@ -22,8 +22,9 @@ segment between scheduling events:
                         / (1 + overcommit_penalty * max(0, T/P - 1))
 
 where ``T`` is the total number of runnable kernel threads.  Burst and
-migration statistics are accounted analytically per segment (recording
-every ~quarter-second quantum individually would add nothing but heat).
+migration statistics are accounted analytically per segment, every
+CPU's in one trace call (recording every ~quarter-second quantum
+individually would add nothing but heat).
 """
 
 from __future__ import annotations
@@ -267,18 +268,14 @@ class IrixResourceManager(BaseResourceManager):
         # one extra thread.
         if total >= capacity:
             base, rem = divmod(total, capacity)
-            for cpu in range(capacity):
-                sharers = base + (1 if cpu < rem else 0)
-                self.trace.record_timeshare_segment(
-                    cpu, now - duration, now, sharers, cfg.quantum
-                )
+            sharers = [base + 1] * rem + [base] * (capacity - rem)
             rate = cfg.migration_rate_overcommitted
         else:
-            for cpu in range(total):
-                self.trace.record_timeshare_segment(
-                    cpu, now - duration, now, 1, cfg.quantum
-                )
+            sharers = [1] * total
             rate = cfg.migration_rate_normal
+        self.trace.record_timeshare_segments(
+            now - duration, now, enumerate(sharers), cfg.quantum
+        )
         self._migration_debt += rate * total * duration
         whole = int(self._migration_debt)
         if whole > 0:

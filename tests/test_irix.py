@@ -10,7 +10,7 @@ from repro.apps.application import AppClass, ApplicationSpec
 from repro.apps.speedup import AmdahlSpeedup
 from repro.fuzz.profiles import tier_settings
 from repro.metrics.paraver import burst_statistics
-from repro.metrics.trace import TraceRecorder
+from repro.metrics.trace import FoldingTraceRecorder, SyntheticCpuLoad, TraceRecorder
 from repro.qs.job import Job, JobState
 from repro.rm.irix import IrixConfig, IrixResourceManager
 from repro.sim.engine import Simulator
@@ -169,6 +169,68 @@ class TestAccounting:
         rm.finalize()
         # All 4 cpus busy for the whole run.
         assert trace.busy_time() == pytest.approx(4 * end, rel=0.01)
+
+
+def per_cpu_segment(trace, cpu, t0, t1, sharers, quantum):
+    """Reference: the per-CPU accounting the batch replaced, one call
+    and one fresh default load per CPU."""
+    if t1 < t0:
+        raise ValueError(f"segment ends before it starts: [{t0}, {t1}]")
+    load = trace.synthetic.setdefault(cpu, SyntheticCpuLoad())
+    duration = t1 - t0
+    if sharers >= 1:
+        if sharers == 1:
+            load.bursts += 1.0
+        else:
+            load.bursts += duration / quantum
+        load.busy_time += duration
+    trace._horizon = max(trace._horizon, t1)
+
+
+#: (threads, healthy CPUs, segment length) per segment, as IRIX splits them
+segments = st.lists(
+    st.tuples(st.integers(1, 300), st.integers(1, 140),
+              st.floats(0.0, 50.0, allow_subnormal=False)),
+    min_size=1, max_size=12,
+)
+
+
+class TestTimeshareBatch:
+    @tier_settings("standard")
+    @given(segments=segments, quantum=st.sampled_from([0.243, 0.1, 1.0 / 3.0]),
+           recorder=st.sampled_from([TraceRecorder, FoldingTraceRecorder]))
+    def test_batch_matches_the_per_cpu_loop(self, segments, quantum, recorder):
+        batched, reference = recorder(140), recorder(140)
+        now = 0.0
+        for total, capacity, length in segments:
+            t0, now = now, now + length
+            # _account_segment's round-robin: overcommitted or not
+            if total >= capacity:
+                base, rem = divmod(total, capacity)
+                sharers = [base + 1] * rem + [base] * (capacity - rem)
+            else:
+                sharers = [1] * total
+            batched.record_timeshare_segments(t0, now, enumerate(sharers), quantum)
+            for cpu, apps in enumerate(sharers):
+                per_cpu_segment(reference, cpu, t0, now, apps, quantum)
+            assert _loads(batched) == _loads(reference)
+            assert bits(batched.horizon) == bits(reference.horizon)
+        assert bits(batched.busy_time()) == bits(reference.busy_time())
+
+    def test_a_cpu_no_application_used_gets_an_empty_load(self):
+        trace = TraceRecorder(4)
+        trace.record_timeshare_segments(0.0, 2.0, [(3, 0), (1, 2)], 0.5)
+        assert list(trace.synthetic) == [3, 1]
+        assert trace.synthetic[3] == SyntheticCpuLoad()
+        assert trace.synthetic[1] == SyntheticCpuLoad(bursts=4.0, busy_time=2.0)
+
+
+def _loads(trace):
+    """Each CPU's load, in the dict's order, floats as their bits."""
+    return [
+        (cpu, bits(load.bursts), bits(load.busy_time))
+        for cpu, load in trace.synthetic.items()
+    ]
 
 
 #: a short malleable code and a short rigid one, so runs finish jobs

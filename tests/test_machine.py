@@ -9,7 +9,7 @@ from repro.fuzz.profiles import tier_settings
 
 from repro.machine.machine import Machine, MachineError
 from repro.machine.topology import NumaTopology
-from repro.metrics.trace import Burst, TraceRecorder
+from repro.metrics.trace import Burst, FoldingTraceRecorder, TraceRecorder
 
 
 class TestMachineLifecycle:
@@ -151,6 +151,17 @@ class TestBursts:
         machine.start_job(1, "a", 2, 5.0)
         with pytest.raises(ValueError, match="backwards|before burst start"):
             release(machine)
+
+    def test_release_that_raises_changes_nothing(self):
+        trace = TraceRecorder(4)
+        machine = Machine(4, trace=trace)
+        machine.start_job(1, "a", 1, 1.0)
+        machine.resize_job(1, 2, 5.0)  # CPU 0 since 1.0, CPU 1 since 5.0
+        books = pickle.dumps(machine)
+        with pytest.raises(ValueError, match="backwards"):
+            machine.finish_job(1, 3.0)  # CPU 0's burst could close, CPU 1's not
+        assert pickle.dumps(machine) == books
+        assert trace.bursts == []
 
     def test_seizing_an_owned_cpu_is_refused(self):
         machine = Machine(4)
@@ -321,14 +332,16 @@ class TestMachineInvariants:
 
 
 # ----------------------------------------------------------------------
-# grouped placement against the decorated sorts it replaced
+# node-ring placement and batched bursts against the code they replaced
 # ----------------------------------------------------------------------
 class DecoratedSortMachine(Machine):
-    """Reference: placement by one decorated sort over every CPU.
+    """Reference: placement by one decorated sort over every CPU, and
+    one ``record_burst`` call per released CPU.
 
     A grow ranks free CPUs by (hop distance to the partition, cpu id),
     a new partition by (node, cpu id); a shrink ranks the partition's
-    CPUs by (node population, node id desc, cpu id desc).
+    CPUs by (node population, node id desc, cpu id desc).  A release
+    and the end of a run close each CPU's burst in its own call.
     """
 
     def _grow(self, job_id, count, now):
@@ -341,9 +354,10 @@ class DecoratedSortMachine(Machine):
             free.sort(key=lambda c: (node_of[c], c))
             chosen = free[:count]
         else:
-            rows = [self._dist_row(node) for node in {node_of[p] for p in partition}]
+            nodes = {node_of[p] for p in partition}
             decorated = sorted(
-                (min(row[node_of[cpu_id]] for row in rows), cpu_id) for cpu_id in free
+                (min(bin(node_of[cpu_id] ^ node).count("1") for node in nodes), cpu_id)
+                for cpu_id in free
             )
             chosen = [cpu_id for _, cpu_id in decorated[:count]]
         for cpu_id in chosen:
@@ -367,6 +381,27 @@ class DecoratedSortMachine(Machine):
         partition.difference_update(victims)
         return count
 
+    def _release(self, cpu_ids, now):
+        for cpu_id in cpu_ids:
+            self._close_one(cpu_id, now)
+            self._owner[cpu_id] = None
+        self._n_allocated -= len(cpu_ids)
+        self._free.update(cpu_ids)
+
+    def finalize(self, now):
+        for cpu_id, job_id in enumerate(self._owner):
+            if job_id is not None:
+                self._close_one(cpu_id, now)
+        self.check_invariants()
+
+    def _close_one(self, cpu_id, now):
+        started = self._since[cpu_id]
+        if now < started:
+            raise ValueError(f"cpu {cpu_id}: time went backwards ({started} -> {now})")
+        job_id = self._owner[cpu_id]
+        self.trace.record_burst(Burst(cpu_id, job_id, self._app_names[job_id], started, now))
+        self._since[cpu_id] = now
+
 
 @st.composite
 def placement_histories(draw):
@@ -374,9 +409,12 @@ def placement_histories(draw):
 
     Each op is ``(kind, pick, size, dt)``; ``pick`` and ``size`` are
     read against the machine's state (see :func:`_apply_op`), so
-    nearly every op starts, resizes or finishes a real partition.
+    nearly every op starts, resizes or finishes a real partition.  Up
+    to 140 CPUs, so a node mask can exceed 64 bits and node counts
+    are mostly not powers of two; a zero ``dt`` closes zero-length
+    bursts.
     """
-    n_cpus = draw(st.integers(2, 24))
+    n_cpus = draw(st.integers(2, 140))
     cpus_per_node = draw(st.integers(1, 4))
     ops = draw(st.lists(
         st.tuples(
@@ -384,7 +422,8 @@ def placement_histories(draw):
                 ["start"] * 2 + ["resize"] * 4
                 + ["finish", "fail", "repair", "degrade", "restore"]
             ),
-            st.integers(0, 99), st.integers(0, 99), st.floats(0.0, 3.0),
+            st.integers(0, 299), st.integers(0, 299),
+            st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0),
         ),
         min_size=1, max_size=40,
     ))
@@ -423,13 +462,21 @@ def _apply_op(machine, op, pick, size, now):
         return ("rejected", str(exc))
 
 
+def _trace_state(trace):
+    """What a recorder keeps: bursts, or their folded busy time, with
+    the horizon and migrations (floats compared bit for bit)."""
+    kept = trace.burst_busy if isinstance(trace, FoldingTraceRecorder) else trace.bursts
+    return repr(kept), trace.horizon.hex(), trace.migrations
+
+
 class TestPlacementParity:
     @tier_settings("standard")
-    @given(placement_histories())
-    def test_grouped_placement_matches_decorated_sorts(self, history):
+    @given(history=placement_histories(),
+           recorder=st.sampled_from([TraceRecorder, FoldingTraceRecorder]))
+    def test_ring_placement_and_batches_match_the_reference(self, history, recorder):
         n_cpus, cpus_per_node, ops = history
         machines = [
-            cls(n_cpus, NumaTopology(n_cpus, cpus_per_node), trace=TraceRecorder(n_cpus))
+            cls(n_cpus, NumaTopology(n_cpus, cpus_per_node), trace=recorder(n_cpus))
             for cls in (Machine, DecoratedSortMachine)
         ]
         now = 0.0
@@ -437,14 +484,14 @@ class TestPlacementParity:
             now += dt
             outcomes = [_apply_op(machine, op, pick, size, now) for machine in machines]
             assert outcomes[0] == outcomes[1], (op, pick, size)
-            grouped, reference = machines
+            ringed, reference = machines
             # set iteration order follows insertion order: the chosen
             # CPUs went in in the same order
-            assert [(j, list(p)) for j, p in grouped._partitions.items()] == \
+            assert [(j, list(p)) for j, p in ringed._partitions.items()] == \
                 [(j, list(p)) for j, p in reference._partitions.items()]
-            assert grouped.trace.bursts == reference.trace.bursts
-            assert grouped.trace.migrations == reference.trace.migrations
-            assert sorted(grouped._free) == sorted(reference._free)
+            assert _trace_state(ringed.trace) == _trace_state(reference.trace)
+            assert sorted(ringed._free) == sorted(reference._free)
+            assert ringed._since == reference._since
         for machine in machines:
             machine.finalize(now + 1.0)
-        assert machines[0].trace.bursts == machines[1].trace.bursts
+        assert _trace_state(machines[0].trace) == _trace_state(machines[1].trace)

@@ -10,7 +10,9 @@ from repro.metrics.paraver import (
     mean_allocation,
     mpl_timeline,
 )
-from repro.metrics.trace import Burst, ReallocationRecord, TraceRecorder
+from repro.metrics.trace import (
+    Burst, FoldingTraceRecorder, ReallocationRecord, TraceRecorder,
+)
 
 
 def trace_with_bursts():
@@ -31,6 +33,14 @@ class TestTraceRecorder:
         trace = TraceRecorder(2)
         with pytest.raises(ValueError):
             trace.record_burst(Burst(0, 1, "a", 5.0, 4.0))
+
+    @pytest.mark.parametrize("recorder", [TraceRecorder, FoldingTraceRecorder])
+    def test_batch_with_a_negative_burst_records_none(self, recorder):
+        trace = recorder(2)
+        with pytest.raises(ValueError):
+            trace.record_bursts([Burst(0, 1, "a", 0.0, 5.0), Burst(1, 1, "a", 5.0, 4.0)])
+        assert trace.busy_time() == 0.0
+        assert trace.horizon == 0.0
 
     def test_horizon_tracks_records(self):
         trace = trace_with_bursts()
