@@ -39,11 +39,13 @@ fires form an *iteration span*.  The runtime reads what its iterations
 need from the host once, as an :class:`IterationPlan`, and keeps it
 until the host drops it, so a settled job's ends make no host call.
 
-A *settled* job — its plan held, with no locality or fault factor —
-begins its next iteration without asking its host: it lasts the
-plan's base times a draw from the job's own noise generator (both
-dropped on pickle, like the plan).  Every other absorbed end, and
-the end of a job's last iteration, goes through
+A job whose plan is held begins its next iteration without asking its
+host: it lasts the plan's base times a draw from the job's own noise
+generator (both dropped on pickle, like the plan).  The base folds in
+the partition's fault factor and, while the job's locality record
+recovers, the locality factor at the iteration's start.  An absorbed
+end whose plan the host dropped or that is the baseline's, and the end
+of a job's last iteration, go through
 :meth:`NthLibRuntime._begin_iteration`.  The absorbable entry holds the iteration's index, not its
 ``iter:<job>:<i>`` label, which :meth:`NthLibRuntime.event_label`
 renders only when the engine is asked for it.
@@ -52,6 +54,7 @@ renders only when the engine is asked for it.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -226,12 +229,13 @@ class NthLibRuntime:
         self.hung = False
         #: the host's plan for the next iterations (None: ask for one)
         self.plan: Optional[IterationPlan] = None
-        #: a settled plan's iteration duration before noise (None while
-        #: the plan is not settled): absorb() begins the next iteration
-        #: from it
+        #: a held plan's iteration duration before noise, while it is
+        #: the same for every iteration (None while no plan is held, or
+        #: while the plan's locality record recovers): absorb() begins
+        #: the next iteration from it
         self._base: Optional[float] = None
         #: the job's noise stream, held for absorb() (None until a
-        #: settled plan with noise needs it)
+        #: held plan with noise needs it)
         self._rng: Optional[random.Random] = None
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -296,12 +300,13 @@ class NthLibRuntime:
         )
         self._procs = procs
         self._duration = duration
-        if (self._base is None and self.plan is plan and plan.locality is None
-                and plan.fault == 1.0):
-            # settled: a held plan with no locality or fault factor.
-            # The base is iteration_duration_from_speedup's, in its
-            # float order, before its noise factor.
-            self._base = (spec.t_iter_seq / speedup) * (1.0 + spec.measurement_overhead)
+        if self.plan is plan:
+            # held: absorb() begins the plan's next iterations.  The
+            # base is iteration_duration_from_speedup's, in its float
+            # order, before its noise factor; while the locality record
+            # recovers, absorb() computes it at each iteration's start.
+            if plan.locality is None:
+                self._base = (spec.t_iter_seq / speedup) * (1.0 + spec.measurement_overhead)
             if sigma > 0.0 and self._rng is None:
                 self._rng = self._streams.stream(self._noise_stream)
         self._pending = self.sim.schedule_absorbable(duration, self, iteration)
@@ -337,13 +342,15 @@ class NthLibRuntime:
         host.  Returns False, having changed nothing, when the host
         declines it: the end then fires, for the full delivery path.
 
-        A settled runtime begins the next iteration in place: its plan
-        is still the one it read and has a base
-        (:meth:`_begin_iteration`), and the iteration just ended is not
-        the job's last.  The next iteration lasts the base times a draw
-        from the job's own generator: the allocation is the plan's, so
-        there is no reallocation penalty.  Every other end, and one
-        whose report makes the host drop the plan, begins it through
+        A runtime whose plan is still the one it read begins the next
+        iteration in place, unless the iteration just ended is the
+        job's last.  The next iteration lasts the plan's base times a
+        draw from the job's own generator: the allocation is the
+        plan's, so there is no reallocation penalty.  The base is the
+        one :meth:`_begin_iteration` kept, or, while the job's locality
+        record recovers, its float operations redone here with the
+        locality factor at *now*.  Every other end, and one whose
+        report makes the host drop the plan, begins it through
         :meth:`_begin_iteration`.  tests/test_spans.py checks that both
         end alike.
         """
@@ -375,9 +382,24 @@ class NthLibRuntime:
         # the application is unfinished and below its iteration count
         iteration = app.completed_iterations + 1
         app.completed_iterations = iteration
-        base = self._base
-        if (base is not None and plan is not None and self.plan is plan
-                and iteration < app.spec.iterations):
+        spec = app.spec
+        if plan is not None and self.plan is plan and iteration < spec.iterations:
+            base = self._base
+            if base is None:
+                # LocalityModel.factor inline, then _begin_iteration's
+                # speedup and base, each in its float order
+                record: LocalityRecord = plan.record  # type: ignore[assignment]
+                config = plan.locality.config  # type: ignore[union-attr]
+                elapsed = now - record.since
+                if not elapsed > 0.0:
+                    elapsed = 0.0
+                locality = 1.0 - (1.0 - record.value) * math.exp(
+                    -elapsed / config.migration_tau
+                )
+                speedup = plan.speedup * (1.0 - config.max_slowdown * (1.0 - locality))
+                if plan.fault != 1.0:
+                    speedup *= plan.fault
+                base = (spec.t_iter_seq / speedup) * (1.0 + spec.measurement_overhead)
             rng = self._rng
             duration = base * (
                 1.0 if rng is None else lognormal_noise(rng, self.config.noise_sigma)
