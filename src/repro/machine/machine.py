@@ -500,6 +500,7 @@ class Machine:
             chosen = free[:count]
         else:
             node_of = self._node_of
+            # ring 0: the OR of 1 << node over the partition's CPUs
             seen = ring = reduce(
                 or_, map((1).__lshift__, map(node_of.__getitem__, partition))
             )

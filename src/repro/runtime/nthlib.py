@@ -229,9 +229,9 @@ class NthLibRuntime:
         self.hung = False
         #: the host's plan for the next iterations (None: ask for one)
         self.plan: Optional[IterationPlan] = None
-        #: a held plan's iteration duration before noise, while it is
-        #: the same for every iteration (None while no plan is held, or
-        #: while the plan's locality record recovers): absorb() begins
+        #: the held plan's iteration duration before noise, when it is
+        #: the same for every iteration (None for a plan whose locality
+        #: record recovers; reset when a plan is read): absorb() begins
         #: the next iteration from it
         self._base: Optional[float] = None
         #: the job's noise stream, held for absorb() (None until a

@@ -91,6 +91,33 @@ class TestPlacement:
         # The partition should stay within 2 nodes (4 cpus, 2/node).
         assert machine.topology.spread(cpus) <= 2
 
+    @pytest.mark.parametrize("n_cpus, cpus_per_node, partition, free, size, grown", [
+        # node 1: nodes 0 and 3 are one bit flip away, node 2 two
+        (4, 1, [1], [0, 2, 3], 2, [0, 1]),
+        (4, 1, [1], [0, 2, 3], 3, [0, 1, 3]),
+        # 3 nodes: node 2 reaches node 1 only through node 0
+        (6, 2, [4, 5], [2, 3], 3, [2, 4, 5]),
+        # 70 nodes, masks past 64 bits: node 69 = 0b1000101 is one flip
+        # from 5, 65 and 68, two from 4 and three from 0
+        (70, 1, [69], [0, 4, 5, 65, 68], 4, [5, 65, 68, 69]),
+        (70, 1, [69], [0, 4, 5, 65, 68], 5, [4, 5, 65, 68, 69]),
+    ])
+    def test_growth_takes_the_nearest_free_cpus(self, n_cpus, cpus_per_node, partition,
+                                                free, size, grown):
+        machine = Machine(n_cpus, NumaTopology(n_cpus, cpus_per_node))
+        # job 1 holds *partition*, job 2 every CPU not in *free*
+        rest = [cpu for cpu in range(n_cpus) if cpu not in partition + free]
+        for job_id, cpus in ((1, partition), (2, rest)):
+            machine._partitions[job_id] = set(cpus)
+            machine._app_names[job_id] = f"app{job_id}"
+            for cpu in cpus:
+                machine._owner[cpu] = job_id
+        machine._free = set(free)
+        machine._n_allocated = n_cpus - len(free)
+        machine.check_invariants()
+        machine.resize_job(1, size, 1.0)
+        assert machine.partition_of(1) == grown
+
     def test_shrink_releases_stragglers_first(self):
         machine = Machine(16)
         machine.start_job(1, "a", 5, 0.0)  # spans 3 nodes (2+2+1)
@@ -409,12 +436,13 @@ def placement_histories(draw):
 
     Each op is ``(kind, pick, size, dt)``; ``pick`` and ``size`` are
     read against the machine's state (see :func:`_apply_op`), so
-    nearly every op starts, resizes or finishes a real partition.  Up
-    to 140 CPUs, so a node mask can exceed 64 bits and node counts
-    are mostly not powers of two; a zero ``dt`` closes zero-length
+    nearly every op starts, resizes or finishes a real partition.  Half
+    the machines have up to 24 CPUs, where partitions meet often; the
+    rest up to 140, so a node mask can exceed 64 bits.  Node counts
+    are mostly not powers of two, and a zero ``dt`` closes zero-length
     bursts.
     """
-    n_cpus = draw(st.integers(2, 140))
+    n_cpus = draw(st.integers(2, 24) | st.integers(2, 140))
     cpus_per_node = draw(st.integers(1, 4))
     ops = draw(st.lists(
         st.tuples(
