@@ -462,14 +462,6 @@ class Machine:
     # ------------------------------------------------------------------
     # placement internals
     # ------------------------------------------------------------------
-    def _node_runs(self, cpus: List[int]) -> List[List[int]]:
-        """Split id-sorted *cpus* (either direction) into one run per node.
-
-        Node ids never decrease with cpu id (see NumaTopology), so each
-        node's CPUs are adjacent in the list.
-        """
-        return [list(run) for _, run in groupby(cpus, self._node_of.__getitem__)]
-
     def _grow(self, job_id: int, count: int, now: float) -> None:
         """Grow the partition by *count* CPUs closest to it.
 
@@ -482,10 +474,11 @@ class Machine:
         Hamming distance of node ids, and clearing bits before setting
         them walks a shortest path whose ids stay at or below the
         larger end's, so the rings, which never leave the machine's
-        nodes, give each node its hop distance to the partition.  Each ring's free CPUs come out of the id-sorted free
-        list in id order, and the walk stops once *count* are found.
-        All chosen CPUs come from the free set, which only ever holds
-        idle allocatable CPUs, so no burst closes and no migration is
+        nodes, give each node its hop distance to the partition.  Each
+        ring's free CPUs come out of the id-sorted free list in id
+        order, and the walk stops once *count* are found.  All chosen
+        CPUs come from the free set, which only ever holds idle
+        allocatable CPUs, so no burst closes and no migration is
         possible here; the seizing loop refuses a CPU that is not idle.
         """
         partition = self._partitions[job_id]
@@ -536,14 +529,18 @@ class Machine:
 
         Giving back stragglers keeps the remaining partition compact,
         preserving data locality for the job that shrinks.  Victims go
-        in (node population, node id desc, cpu id desc) order: the
-        partition sorted by descending id falls into one run per node
-        in descending node order, and a stable sort of those runs by
+        in (node population, node id desc, cpu id desc) order: node ids
+        never decrease with cpu id (see NumaTopology), so the partition
+        sorted by descending id falls into one run per node in
+        descending node order, and a stable sort of those runs by
         length gives that order.  Their bursts close in exactly that
         order.
         """
         partition = self._partitions[job_id]
-        runs = self._node_runs(sorted(partition, reverse=True))
+        runs = [
+            list(run)
+            for _, run in groupby(sorted(partition, reverse=True), self._node_of.__getitem__)
+        ]
         runs.sort(key=len)
         victims = list(islice(chain.from_iterable(runs), count))
         self._release(victims, now)
