@@ -29,9 +29,9 @@ CONFIG = ExperimentConfig(n_cpus=60, seed=7)
 MIXES = ("w1", "w2", "w3", "w4")
 
 #: upper bounds on calls per iteration, about 3% above those measured
-#: on CPython 3.10 and 3.11: IRIX 13.55, Equip 19.75, PDPA 20.27 and
-#: Equal_eff 72.43 (3.12 and 3.13 count up to 1.0% fewer)
-BUDGET = {"IRIX": 14.0, "Equip": 20.4, "PDPA": 20.9, "Equal_eff": 74.6}
+#: on CPython 3.10 and 3.11: IRIX 13.55, Equip 19.73, PDPA 20.26 and
+#: Equal_eff 72.23 (3.12 and 3.13 count up to 1.0% fewer)
+BUDGET = {"IRIX": 14.0, "Equip": 20.3, "PDPA": 20.9, "Equal_eff": 74.4}
 
 
 def calls_per_iteration(policy: str) -> float:
